@@ -1,9 +1,9 @@
 // Transport v2 benchmarks: end-to-end throughput and control-flood cost of
 // the per-peer send pipelines over a real loopback-TCP 3-broker chain,
-// batched against the v1-framing reference (Options.DisableBatching). The
-// two are the same protocol — TestTransportEquivalence proves identical
-// delivery — so the whole delta is framing: MsgBatch coalescing, buffer
-// reuse, and one flush per batch instead of one syscall per envelope.
+// batched against v1 framing (Options.BatchSize 1). The two are the same
+// protocol — TestTransportEquivalence proves identical delivery — so the
+// whole delta is framing: MsgBatch coalescing, buffer reuse, and one flush
+// per batch instead of one syscall per envelope.
 package cosmos
 
 import (
@@ -97,7 +97,7 @@ func benchChainData(b *testing.B, opts transport.Options) {
 	if got := snap["transport.dropped_data"] - dropped0; got != 0 {
 		b.Fatalf("%d tuples shed — the windowed bench must be loss-free", got)
 	}
-	if !opts.DisableBatching && b.N > window {
+	if opts.BatchSize != 1 && b.N > window {
 		if snap["transport.batch_size"] == batchSize0 {
 			b.Fatal("batched run coalesced nothing — transport.batch_size never moved")
 		}
@@ -125,7 +125,7 @@ func BenchmarkChainThroughput(b *testing.B) {
 		opts transport.Options
 	}{
 		{"batched", transport.Options{}},
-		{"unbatched", transport.Options{DisableBatching: true}},
+		{"unbatched", transport.Options{BatchSize: 1}},
 	}
 
 	b.Run("data", func(b *testing.B) {

@@ -260,27 +260,22 @@ func BenchmarkOnlineInsertThroughput(b *testing.B) {
 // neighbor holding N recorded subscriptions, which then matches the tuple
 // against its N local client subscriptions, so each operation pays two full
 // matching passes. Subscriptions spread over 64 streams with pairwise
-// non-covering interval filters; "indexed" uses the inverted matching index,
-// "linear" the retained reference matcher (the pre-index baseline).
+// non-covering interval filters, matched through the inverted matching
+// index ("indexed" is the only matcher; the name is what the guards in
+// BENCH_BASELINE.json key on).
 func BenchmarkBrokerRoute(b *testing.B) {
 	for _, n := range []int{1000, 10000} {
-		for _, mode := range []struct {
-			name   string
-			linear bool
-		}{{"indexed", false}, {"linear", true}} {
-			// '=' instead of '-' before the count: a trailing
-			// "-<digits>" in a sub-benchmark name is indistinguishable
-			// from the -GOMAXPROCS suffix (omitted on 1-CPU runners)
-			// in bench output, which would make cmd/benchcheck
-			// collapse the count variants into one entry.
-			b.Run(fmt.Sprintf("%s/subs=%d", mode.name, n), func(b *testing.B) {
-				benchBrokerRoute(b, n, mode.linear)
-			})
-		}
+		// '=' instead of '-' before the count: a trailing "-<digits>" in
+		// a sub-benchmark name is indistinguishable from the -GOMAXPROCS
+		// suffix (omitted on 1-CPU runners) in bench output, which would
+		// make cmd/benchcheck collapse the count variants into one entry.
+		b.Run(fmt.Sprintf("indexed/subs=%d", n), func(b *testing.B) {
+			benchBrokerRoute(b, n)
+		})
 	}
 }
 
-func benchBrokerRoute(b *testing.B, nSubs int, linear bool) {
+func benchBrokerRoute(b *testing.B, nSubs int) {
 	g := topology.NewGraph(2)
 	if err := g.AddEdge(0, 1, 1); err != nil {
 		b.Fatal(err)
@@ -324,9 +319,6 @@ func benchBrokerRoute(b *testing.B, nSubs int, linear bool) {
 		if err := dst.Subscribe(sub, func(*pubsub.Subscription, stream.Tuple) { delivered++ }); err != nil {
 			b.Fatal(err)
 		}
-	}
-	if linear {
-		net.SetLinearMatching(true)
 	}
 	windows := nSubs/streams + 2
 	// Warm-up: one tuple per stream, so the lazily built attribute-prune
@@ -452,33 +444,25 @@ func benchBrokerRouteParallel(b *testing.B, nSubs int) {
 }
 
 // BenchmarkBrokerRouteSelectivity measures attribute-level candidate
-// pruning against the unpruned posting-list scan at controlled matching
+// pruning (interval-stabbing candidate selection) at controlled matching
 // fractions: 10k subscriptions on ONE stream (so the posting list bounds
 // nothing and candidate selection is the whole game), each with a
 // half-open window filter [i, i+w) whose width w sets the fraction of the
-// population a tuple matches (0.1%, 1%, 10%). "pruned" is the production
-// matcher (interval-stabbing candidate selection); "unpruned" evaluates
-// every posting-list candidate — the PR 2/3 indexed matcher, retained via
-// SetAttrPruning(false). Run with -benchmem: the route path is also the
-// allocation hot path.
+// population a tuple matches (0.1%, 1%, 10%). Run with -benchmem: the
+// route path is also the allocation hot path.
 func BenchmarkBrokerRouteSelectivity(b *testing.B) {
 	const nSubs = 10000
-	for _, mode := range []struct {
+	for _, sel := range []struct {
 		name  string
-		prune bool
-	}{{"pruned", true}, {"unpruned", false}} {
-		for _, sel := range []struct {
-			name  string
-			width int
-		}{{"sel=0.1pct", 10}, {"sel=1pct", 100}, {"sel=10pct", 1000}} {
-			b.Run(mode.name+"/"+sel.name, func(b *testing.B) {
-				benchBrokerRouteSelectivity(b, nSubs, sel.width, mode.prune)
-			})
-		}
+		width int
+	}{{"sel=0.1pct", 10}, {"sel=1pct", 100}, {"sel=10pct", 1000}} {
+		b.Run("pruned/"+sel.name, func(b *testing.B) {
+			benchBrokerRouteSelectivity(b, nSubs, sel.width)
+		})
 	}
 }
 
-func benchBrokerRouteSelectivity(b *testing.B, nSubs, width int, prune bool) {
+func benchBrokerRouteSelectivity(b *testing.B, nSubs, width int) {
 	g := topology.NewGraph(2)
 	if err := g.AddEdge(0, 1, 1); err != nil {
 		b.Fatal(err)
@@ -487,7 +471,6 @@ func benchBrokerRouteSelectivity(b *testing.B, nSubs, width int, prune bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	net.SetAttrPruning(prune)
 	src, _ := net.Broker(0)
 	dst, _ := net.Broker(1)
 	src.Advertise("S")

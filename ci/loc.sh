@@ -1,0 +1,28 @@
+#!/usr/bin/env bash
+# loc: print the repo's production Go line count — every tracked .go file
+# that is not a test (*_test.go), not analyzer fixture data (testdata/) and
+# not the benchmark module (cmd/cosmos-bench, which BENCHMARK.json freezes).
+# Raw lines, comments and blanks included: the number is a ratchet, not a
+# quality metric.
+#
+#   ci/loc.sh             print the count
+#   ci/loc.sh --check     also fail when it exceeds MAX below
+#
+# ROADMAP aim 2 says this number goes down. CI runs --check, so a PR that
+# grows production code must raise MAX in the same diff — where a reviewer
+# sees it — and a PR that shrinks it lowers MAX to lock the gain in.
+set -euo pipefail
+
+MAX=20762 # PR 15 (parent: 21107)
+
+cd "$(dirname "$0")/.."
+count=$(git ls-files '*.go' |
+  grep -v -e '_test\.go$' -e '/testdata/' -e '^cmd/cosmos-bench/' |
+  xargs cat | wc -l)
+echo "$count"
+
+if [ "${1:-}" = "--check" ] && [ "$count" -gt "$MAX" ]; then
+  echo "loc: $count non-test Go lines exceed the recorded ceiling $MAX." >&2
+  echo "loc: delete code, or raise MAX in ci/loc.sh in this PR and say why." >&2
+  exit 1
+fi

@@ -50,7 +50,6 @@ func newService(cfg *nodeconfig.Config, log logging.Logger) (*service, error) {
 		FlushWindow:       cfg.FlushWindow,
 		ControlQueueDepth: cfg.QueueDepth,
 		DataQueueDepth:    cfg.QueueDepth,
-		DisableBatching:   cfg.NoBatching,
 		Logger:            log,
 	})
 	if err != nil {

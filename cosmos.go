@@ -75,27 +75,11 @@ type Config struct {
 	// DisableResultSharing turns off §2.1 superset-query merging
 	// (used by the sharing ablation).
 	DisableResultSharing bool
-	// LinearMatch routes with the brokers' linear reference matcher
-	// instead of the inverted matching index (used by the matching-index
-	// ablation; forwarding decisions and traffic are identical either
-	// way, only matching throughput differs).
-	LinearMatch bool
 	// Workers bounds the goroutines used by the hierarchical
 	// distribution passes — both the initial Distribute and Adapt's
 	// current-placement descent (0 selects GOMAXPROCS, 1 runs
 	// sequentially; placements are identical for any value).
 	Workers int
-	// SequentialAdapt forces Adapt's descent onto the sequential
-	// reference path even when Workers permits parallelism (used to
-	// isolate suspected descent-concurrency problems; placements are
-	// identical either way).
-	SequentialAdapt bool
-	// DisableSnapshotRouting turns off the brokers' lock-free snapshot
-	// route path, serializing every route under its broker's mutex
-	// against the live matching index (pubsub.SetSnapshotRouting). The
-	// sequential reference mode for debugging; routing decisions are
-	// identical, only concurrency differs. See CONCURRENCY.md.
-	DisableSnapshotRouting bool
 	// CoverDelta enables covering-delta re-propagation
 	// (pubsub.SetCoverDelta): when a new advertisement replays a burst of
 	// existing subscriptions toward its source, only the burst's maximal
@@ -505,12 +489,6 @@ func (m *Middleware) Start() error {
 	if err != nil {
 		return err
 	}
-	if m.cfg.LinearMatch {
-		net.SetLinearMatching(true)
-	}
-	if m.cfg.DisableSnapshotRouting {
-		net.SetSnapshotRouting(false)
-	}
 	if m.cfg.CoverDelta {
 		net.SetCoverDelta(true)
 	}
@@ -531,7 +509,7 @@ func (m *Middleware) Start() error {
 	m.optDim = len(m.subRates)
 	tree, err := hierarchy.Build(m.oracle, m.procs, nil, hierarchy.Config{
 		K: m.cfg.K, VMax: m.cfg.VMax, Alpha: m.cfg.Alpha, Seed: m.cfg.Seed,
-		Workers: m.cfg.Workers, SequentialAdapt: m.cfg.SequentialAdapt,
+		Workers: m.cfg.Workers,
 	})
 	if err != nil {
 		return err

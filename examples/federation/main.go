@@ -86,9 +86,8 @@ func experiment(disableSharing bool) (traffic, error) {
 	// Workers parallelizes the optimizer's distribution and adaptation
 	// passes across cores; tuple routing is concurrent regardless (the
 	// brokers' lock-free snapshot path, CONCURRENCY.md). Placements and
-	// deliveries are identical at any worker count — set
-	// SequentialAdapt/DisableSnapshotRouting to force the single-threaded
-	// reference modes when bisecting.
+	// deliveries are identical at any worker count; Workers: 1 is the
+	// single-goroutine optimizer when bisecting.
 	m, err := cosmos.New(g, processors, cosmos.Config{
 		K: 3, VMax: 30, Workers: 4, DisableResultSharing: disableSharing,
 	})

@@ -68,10 +68,10 @@ func (t *Tree) Adapt(loadOf func(name string) float64) (*AdaptReport, error) {
 	// independent — shares are disjoint, per-coordinator RNGs are
 	// self-seeded, and the warm-start reads of t.placement touch only the
 	// descending subtree's own (pre-round) entries — so the recursion fans
-	// out over bounded workers exactly like Distribute's descent, unless
-	// the sequential reference path is forced (Config.SequentialAdapt).
+	// out over bounded workers exactly like Distribute's descent
+	// (Workers: 1 is the sequential descent).
 	var sem chan struct{}
-	if t.Cfg.Workers > 1 && !t.Cfg.SequentialAdapt {
+	if t.Cfg.Workers > 1 {
 		sem = make(chan struct{}, t.Cfg.Workers-1)
 	}
 	if err := t.descendCurrent(t.Root, rootIncoming, false, true, false, sem); err != nil {

@@ -45,72 +45,50 @@ func TestDistributeParallelDeterminism(t *testing.T) {
 
 // TestAdaptParallelUpwardDeterminism: Adapt runs both the upward pass and
 // the downward current-placement descent over bounded workers; adaptation
-// rounds must land identical placements for any worker count.
+// rounds must land the placements of the sequential descent (Workers: 1)
+// for any worker count — including when a load estimator shifts query
+// weights between rounds (refreshWeights runs inside the descent on every
+// non-root coordinator).
 func TestAdaptParallelUpwardDeterminism(t *testing.T) {
 	oracle, procs, queries, rates, sources := testSetup(t)
-	run := func(workers int) map[string]topology.NodeID {
-		tree, err := Build(oracle, procs, nil, Config{K: 3, VMax: 20, Seed: 5, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := tree.Distribute(queries, rates, sources); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 2; i++ {
-			if _, err := tree.Adapt(nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return tree.Placement()
-	}
-	want := run(1)
-	got := run(8)
-	if len(got) != len(want) {
-		t.Fatalf("placed %d vs %d", len(got), len(want))
-	}
-	for q, p := range want {
-		if got[q] != p {
-			t.Errorf("query %s on %d parallel, %d sequential", q, got[q], p)
-		}
-	}
-}
-
-// TestAdaptSequentialReferenceMode: forcing the sequential reference path
-// (Config.SequentialAdapt) with a parallel worker budget must reproduce the
-// parallel descent's placements exactly, including when a load estimator
-// shifts query weights between rounds (refreshWeights runs inside the
-// descent on every non-root coordinator).
-func TestAdaptSequentialReferenceMode(t *testing.T) {
-	oracle, procs, queries, rates, sources := testSetup(t)
-	loadOf := func(round int) func(string) float64 {
+	shifting := func(round int) func(string) float64 {
 		return func(name string) float64 {
 			return 0.1 + float64((len(name)*7+round*13)%5)*0.05
 		}
 	}
-	run := func(sequential bool) map[string]topology.NodeID {
-		cfg := Config{K: 3, VMax: 20, Seed: 11, Workers: 8, SequentialAdapt: sequential}
-		tree, err := Build(oracle, procs, nil, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := tree.Distribute(queries, rates, sources); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 3; i++ {
-			if _, err := tree.Adapt(loadOf(i)); err != nil {
+	for _, tc := range []struct {
+		name   string
+		seed   uint64
+		rounds int
+		loadOf func(round int) func(string) float64
+	}{
+		{"static-loads", 5, 2, func(int) func(string) float64 { return nil }},
+		{"shifting-loads", 11, 3, shifting},
+	} {
+		run := func(workers int) map[string]topology.NodeID {
+			tree, err := Build(oracle, procs, nil, Config{K: 3, VMax: 20, Seed: tc.seed, Workers: workers})
+			if err != nil {
 				t.Fatal(err)
 			}
+			if _, err := tree.Distribute(queries, rates, sources); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < tc.rounds; i++ {
+				if _, err := tree.Adapt(tc.loadOf(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return tree.Placement()
 		}
-		return tree.Placement()
-	}
-	want := run(true)
-	got := run(false)
-	if len(got) != len(want) || len(want) == 0 {
-		t.Fatalf("placed %d parallel vs %d sequential", len(got), len(want))
-	}
-	for q, p := range want {
-		if got[q] != p {
-			t.Errorf("query %s on %d parallel, %d sequential", q, got[q], p)
+		want := run(1)
+		got := run(8)
+		if len(got) != len(want) || len(want) == 0 {
+			t.Fatalf("%s: placed %d parallel vs %d sequential", tc.name, len(got), len(want))
+		}
+		for q, p := range want {
+			if got[q] != p {
+				t.Errorf("%s: query %s on %d parallel, %d sequential", tc.name, q, got[q], p)
+			}
 		}
 	}
 }

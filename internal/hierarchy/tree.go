@@ -43,12 +43,6 @@ type Config struct {
 	// computation is seeded independently and results are combined in a
 	// fixed order.
 	Workers int
-	// SequentialAdapt forces Adapt's downward descent onto the
-	// sequential reference path regardless of Workers (Distribute's
-	// descent keeps its own Workers-driven fan-out). Placements are
-	// identical either way; the switch exists to isolate suspected
-	// descent-concurrency problems while debugging.
-	SequentialAdapt bool
 }
 
 func (c Config) withDefaults() Config {

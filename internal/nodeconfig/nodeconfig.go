@@ -68,12 +68,11 @@ type Config struct {
 	// subscriptions, withdraw adverts, flush pipelines) before the node
 	// gives up and closes anyway.
 	DrainTimeout time.Duration
-	// BatchSize, FlushWindow, QueueDepth and NoBatching tune the
-	// transport send pipelines (0 = the transport's default).
+	// BatchSize, FlushWindow and QueueDepth tune the transport send
+	// pipelines (0 = the transport's default).
 	BatchSize   int
 	FlushWindow time.Duration
 	QueueDepth  int
-	NoBatching  bool
 }
 
 // defaults returns the built-in configuration every layer overrides.
@@ -166,7 +165,7 @@ func options() []option {
 			c.DrainTimeout = v
 			return nil
 		}},
-		{"batch-size", "max envelopes per transport batch (0 = transport default)", func(c *Config, raw string) error {
+		{"batch-size", "max envelopes per transport batch (0 = transport default, 1 = v1 framing: one wire message per envelope)", func(c *Config, raw string) error {
 			v, err := strconv.Atoi(raw)
 			if err != nil {
 				return err
@@ -188,14 +187,6 @@ func options() []option {
 				return err
 			}
 			c.QueueDepth = v
-			return nil
-		}},
-		{"no-batching", "v1 framing: one wire message per envelope", func(c *Config, raw string) error {
-			v, err := strconv.ParseBool(raw)
-			if err != nil {
-				return err
-			}
-			c.NoBatching = v
 			return nil
 		}},
 	}
@@ -228,16 +219,10 @@ func Load(args []string, lookupEnv func(string) (string, bool), errOut io.Writer
 		fs.SetOutput(errOut)
 	}
 	configPath := fs.String("config", "", "config file path (key = value lines; $"+EnvConfigFile+" overrides)")
-	flagVals := make(map[string]*string, len(opts))
 	for _, o := range opts {
-		o := o
-		if o.key == "no-batching" {
-			// Bool flags must accept the bare form (-no-batching); the
-			// raw value is recovered from Visit below.
-			fs.Bool(o.key, false, o.usage)
-			continue
-		}
-		flagVals[o.key] = fs.String(o.key, "", o.usage)
+		// Every flag is a string; the values the user actually set are
+		// recovered from Visit below.
+		fs.String(o.key, "", o.usage)
 	}
 	if err := fs.Parse(args); err != nil {
 		return nil, err
@@ -466,7 +451,6 @@ func Reference() string {
 		"batch-size":    "0 (transport default 64)",
 		"flush-window":  "0 (transport default 1ms)",
 		"queue-depth":   "0 (transport default 4096)",
-		"no-batching":   "false",
 	}
 	var b strings.Builder
 	b.WriteString("| Key | Flag | Env | Default | Description |\n")

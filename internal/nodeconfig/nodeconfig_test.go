@@ -44,12 +44,12 @@ func TestDefaults(t *testing.T) {
 func TestFlagLayer(t *testing.T) {
 	cfg := load(t, []string{
 		"-id", "3", "-listen", ":7003", "-peers", "1=h1:7001,0=h0:7000",
-		"-period", "250ms", "-no-batching", "-ops-listen", ":8080",
+		"-period", "250ms", "-batch-size", "1", "-ops-listen", ":8080",
 	}, nil)
 	if cfg.NodeID != 3 || cfg.Listen != ":7003" || cfg.OpsListen != ":8080" {
 		t.Errorf("flags not applied: %+v", cfg)
 	}
-	if !cfg.NoBatching || cfg.Period != 250*time.Millisecond {
+	if cfg.BatchSize != 1 || cfg.Period != 250*time.Millisecond {
 		t.Errorf("flags not applied: %+v", cfg)
 	}
 	// Peers come back sorted by ID regardless of input order.
@@ -141,6 +141,18 @@ func TestErrorsNameTheKeyAndSource(t *testing.T) {
 			name: "unknown file key",
 			file: "listne = :7000\n",
 			want: []string{"unknown key", `"listne"`, "line 1"},
+		},
+		{
+			// Removed in favour of batch-size = 1: a config that still
+			// carries the key must fail loudly, not silently batch.
+			name: "removed file key no-batching",
+			file: "id = 1\nno-batching = true\n",
+			want: []string{"unknown key", `"no-batching"`, "line 2"},
+		},
+		{
+			name: "removed flag -no-batching",
+			args: []string{"-no-batching"},
+			want: []string{"flag provided but not defined", "-no-batching"},
 		},
 		{
 			name: "malformed file line",

@@ -39,18 +39,17 @@ import (
 // pruned on (their comparisons fall back to raw predicates) and fall back
 // to the full posting list, exactly as before.
 //
-// The index is rebuilt lazily: add/remove invalidate the affected stream's
-// entry and the first route through it rebuilds it — under the broker lock
-// on the locked reference path (dirIndex.attrIndex), or lock-free per
-// snapshot epoch on the snapshot path (streamSnap.pruneIndex, which relies
-// on buildAttrPruneIndex being a pure function of the frozen posting list).
-// A built index is immutable either way; invalidation replaces, never
+// The index is built lazily, lock-free, once per snapshot epoch of the
+// stream: add/remove re-freeze the affected stream into the next epoch, and
+// the first route through that epoch builds its index (streamSnap.pruneIndex,
+// which relies on buildAttrPruneIndex being a pure function of the frozen
+// posting list). A built index is immutable; a new epoch replaces, never
 // mutates.
 
 // pruneMin is the posting-list population below which the prune index is
-// not built: selection and merge overhead beats a handful of direct
-// interval tests. Package variable so tests can force pruning on tiny
-// populations.
+// not built (streamSnap.pruneIndex): selection and merge overhead beats a
+// handful of direct interval tests. Package variable so tests can force
+// pruning on tiny populations.
 var pruneMin = 16
 
 // attrPruneIndex is the prune index of one (direction, stream) posting
@@ -60,9 +59,8 @@ type attrPruneIndex struct {
 }
 
 // attrIvIndex indexes the compiled intervals of one attribute over one
-// posting list. Positions are indices into the posting list the index was
-// built from (the index is invalidated on any add/remove, so they never go
-// stale).
+// posting list. Positions are indices into the frozen posting list the
+// index was built from, so they never go stale.
 type attrIvIndex struct {
 	attr string
 	// entries is sorted by query.LowerLess and read as an implicit
@@ -88,12 +86,8 @@ type ivEntry struct {
 }
 
 // buildAttrPruneIndex compiles the prune index of one posting list, or
-// returns nil when the population is too small or no candidate constrains
-// any attribute.
+// returns nil when no candidate constrains any attribute.
 func buildAttrPruneIndex(cands []*compiledSub) *attrPruneIndex {
-	if len(cands) < pruneMin {
-		return nil
-	}
 	byAttr := make(map[string][]ivEntry)
 	for pos, c := range cands {
 		for gi := range c.groups {
@@ -189,37 +183,14 @@ func stabTree(entries []ivEntry, maxUp []query.Interval, l, r int, v float64, ou
 	return out
 }
 
-// prunedCandidates selects the posting-list positions worth evaluating for
-// t against d's posting list of t.Stream, in ascending (registration)
-// order — the locked-path wrapper over pruneSelect, using the live
-// dirIndex's cached prune index. ok reports whether pruning applies; when
-// false the caller scans the full posting list. The returned slice aliases
-// bufs scratch and is valid until the next call; the caller holds b.mu.
-func (b *Broker) prunedCandidates(d *dirIndex, t stream.Tuple, cands []*compiledSub, bufs *routeBufs) ([]int32, bool) {
-	if b.noPrune || len(cands) < pruneMin {
-		return nil, false
-	}
-	return pruneSelect(d.attrIndex(t.Stream), t, len(cands), bufs)
-}
-
-// prunedSnapCandidates is the snapshot-path wrapper: same selection over
-// the epoch's frozen posting list, with the prune index built lazily per
-// epoch (streamSnap.pruneIndex) instead of cached on the live dirIndex.
-// Runs without the broker lock; scratch lives in the caller's pooled bufs.
-func prunedSnapCandidates(ss *streamSnap, t stream.Tuple, noPrune bool, bufs *routeBufs) ([]int32, bool) {
-	if noPrune || len(ss.cands) < pruneMin {
-		return nil, false
-	}
-	return pruneSelect(ss.pruneIndex(), t, len(ss.cands), bufs)
-}
-
 // pruneSelect picks the most selective constrained attribute of the tuple
-// and stabs its interval tree, returning the positions worth evaluating in
-// ascending (registration) order. ok is false when no usable constrained
-// attribute exists or the estimated yield is too close to the full
-// population (nCands) to pay for the merge. Pure with respect to ai — it
-// writes only into bufs — so it serves both the locked path (under b.mu)
-// and the lock-free snapshot path.
+// and stabs its interval tree, returning the posting-list positions worth
+// evaluating in ascending (registration) order. ok is false — the caller
+// scans the full posting list — when there is no index, no usable
+// constrained attribute, or the estimated yield is too close to the full
+// population (nCands) to pay for the merge. The returned slice aliases bufs
+// scratch and is valid until the next call. Pure with respect to ai — it
+// writes only into bufs — so concurrent lock-free routes may share ai.
 func pruneSelect(ai *attrPruneIndex, t stream.Tuple, nCands int, bufs *routeBufs) ([]int32, bool) {
 	if ai == nil {
 		return nil, false

@@ -148,29 +148,20 @@ type Broker struct {
 	idx *matchIndex
 	// linearMatch routes and suppresses with the retained linear
 	// reference matcher instead of the posting-list/compiled-filter
-	// index. The two are equivalent bit-for-bit (equivalence tests); the
-	// linear path is the reference implementation and the pre-index
-	// benchmark baseline.
+	// index. The two are equivalent bit-for-bit; only the package's
+	// equivalence tests set it (reference_test.go).
 	linearMatch bool
-	// noPrune disables attribute-level candidate pruning (attrindex.go),
-	// so matching always scans the full per-stream posting list — the
-	// first-generation indexed matcher, kept selectable as the
-	// pruned-path baseline for benchmarks.
-	noPrune bool
 	// snap is the published matching-state epoch the lock-free route path
 	// reads (snapshot.go, CONCURRENCY.md): rebuilt incrementally and
 	// swapped by publishLocked at the end of every mutating critical
-	// section. nil routes through the locked reference path — before the
-	// first publish, in linear mode, and when snapOff is set.
+	// section. Non-nil from NewBroker onward; nil only while the linear
+	// reference is selected, which routes under mu instead.
 	snap atomic.Pointer[matchSnapshot]
 	// snapAll forces the next publish to rebuild the snapshot from
 	// scratch instead of patching dirty streams — set when the neighbor
-	// set or a matching mode changes (state the dirty marks don't cover).
+	// set changes or the linear reference is toggled (state the dirty
+	// marks don't cover).
 	snapAll bool
-	// snapOff disables snapshot routing (SetSnapshotRouting(false)): the
-	// published epoch is dropped and every route takes the locked
-	// sequential path — the debugging/reference mode, like linearMatch.
-	snapOff bool
 	// coverDelta enables covering-delta re-propagation (SetCoverDelta):
 	// a replay burst toward a newly learned advert direction sends only
 	// its maximal subscriptions under the covering relation, suppressing
@@ -200,7 +191,7 @@ type Broker struct {
 // NewBroker creates a broker wired to a fabric. Neighbors are added with
 // AddNeighbor; in-process networks do this during overlay construction.
 func NewBroker(net Fabric, node topology.NodeID) *Broker {
-	return &Broker{
+	b := &Broker{
 		Node:       node,
 		net:        net,
 		adverts:    make(map[topology.NodeID]map[string]map[topology.NodeID]uint64),
@@ -208,6 +199,10 @@ func NewBroker(net Fabric, node topology.NodeID) *Broker {
 		ownAdverts: make(map[string]uint64),
 		idx:        newMatchIndex(),
 	}
+	// The empty epoch: a broker that has not churned yet routes lock-free
+	// like any other, to nobody.
+	b.snap.Store(&matchSnapshot{locals: &dirSnap{}})
+	return b
 }
 
 // advKey identifies one advertisement: the stream name plus the broker whose
@@ -215,45 +210,6 @@ func NewBroker(net Fabric, node topology.NodeID) *Broker {
 type advKey struct {
 	stream string
 	origin topology.NodeID
-}
-
-// SetLinearMatching switches the broker between the inverted matching index
-// and the retained linear reference matcher. Both produce identical
-// forwarding decisions, deliveries and traffic; the linear path exists as
-// the reference implementation and baseline for benchmarks.
-func (b *Broker) SetLinearMatching(on bool) {
-	b.mu.Lock()
-	b.linearMatch = on
-	b.snapAll = true
-	b.publishLocked()
-	b.mu.Unlock()
-}
-
-// SetAttrPruning switches attribute-level candidate pruning on the indexed
-// matching path (on by default). Pruned and unpruned matching produce
-// identical decisions — the unpruned path is retained as the baseline the
-// selectivity benchmarks compare against.
-func (b *Broker) SetAttrPruning(on bool) {
-	b.mu.Lock()
-	b.noPrune = !on
-	b.snapAll = true
-	b.publishLocked()
-	b.mu.Unlock()
-}
-
-// SetSnapshotRouting switches the lock-free snapshot route path (on by
-// default). With it off every route serializes under the broker mutex
-// against the live index — the sequential reference mode, useful when
-// debugging a suspected snapshot-staleness or publish-ordering problem
-// (decisions then always reflect the index at the instant of the route).
-// Both modes produce identical decisions in any single-threaded execution;
-// see CONCURRENCY.md for what concurrent executions may reorder.
-func (b *Broker) SetSnapshotRouting(on bool) {
-	b.mu.Lock()
-	b.snapOff = !on
-	b.snapAll = true
-	b.publishLocked()
-	b.mu.Unlock()
 }
 
 // SetCoverDelta switches covering-delta re-propagation (off by default):
@@ -1266,22 +1222,23 @@ var routeBufPool = sync.Pool{New: func() any { return new(routeBufs) }}
 
 // route delivers the tuple locally and forwards it once per interested
 // neighbor, projecting the payload down to the union of downstream
-// attribute interests (early projection, §2). Matching normally runs
-// lock-free against the published snapshot epoch (matchSnap, snapshot.go),
-// so concurrent routes proceed in parallel; when no epoch is published
-// (linear mode, SetSnapshotRouting(false), or a broker that never churned)
-// it serializes under the mutex on the live index (matchIndexed with
-// attribute-level candidate pruning unless disabled, or the retained
-// linear reference matchLinear). All paths produce identical decisions.
+// attribute interests (early projection, §2). Matching runs lock-free
+// against the published snapshot epoch (matchSnap, snapshot.go), so
+// concurrent routes proceed in parallel and route never takes the broker
+// mutex. The one exception is the linear reference the equivalence tests
+// select (no epoch published): it serializes under the mutex on the live
+// records. Both produce identical decisions.
 func (b *Broker) route(t stream.Tuple, from topology.NodeID) {
 	bufs := routeBufPool.Get().(*routeBufs)
 	locals, hops := bufs.locals[:0], bufs.hops[:0]
 	if snap := b.snap.Load(); snap != nil {
 		if from >= 0 && !nodeIn(snap.neighbors, from) {
-			// Data from a torn-down link (as of this epoch): dropped, the
-			// same at-most-once stance as the locked path below. A route
-			// racing the detach may read the pre-detach epoch and accept —
-			// that is the linearization where the route happened first.
+			// Data from a torn-down link (as of this epoch): no routing
+			// state references the direction anymore, so the tuple is
+			// dropped (at-most-once data delivery; the repaired overlay
+			// routes fresh traffic). A route racing the detach may read the
+			// pre-detach epoch and accept — that is the linearization where
+			// the route happened first.
 			routeBufPool.Put(bufs)
 			return
 		}
@@ -1289,18 +1246,11 @@ func (b *Broker) route(t stream.Tuple, from topology.NodeID) {
 	} else {
 		b.mu.Lock()
 		if from >= 0 && !b.neighborLocked(from) {
-			// Data from a torn-down link: no routing state references the
-			// direction anymore, so the tuple is dropped (at-most-once data
-			// delivery; the repaired overlay routes fresh traffic).
 			b.mu.Unlock()
 			routeBufPool.Put(bufs)
 			return
 		}
-		if b.linearMatch {
-			locals, hops = b.matchLinear(t, from, locals, hops)
-		} else {
-			locals, hops = b.matchIndexed(t, from, bufs, locals, hops)
-		}
+		locals, hops = b.matchLinear(t, from, locals, hops)
 		b.mu.Unlock()
 	}
 	cRoutedTuples.Inc()
@@ -1353,7 +1303,7 @@ func (b *Broker) route(t stream.Tuple, from topology.NodeID) {
 // matchLinear is the reference matcher: every local subscription and every
 // recorded subscription of each outgoing direction is tested against the
 // tuple with the uncompiled Subscription.Matches walk. Retained for the
-// equivalence tests and the pre-index baseline.
+// equivalence tests.
 func (b *Broker) matchLinear(t stream.Tuple, from topology.NodeID, locals []delivery, hops []hop) ([]delivery, []hop) {
 	for _, c := range b.idx.locals.subs {
 		if c.sub.Matches(t) && c.handler != nil {
@@ -1392,97 +1342,6 @@ func (b *Broker) matchLinear(t stream.Tuple, from topology.NodeID, locals []deli
 		}
 		if all {
 			wanted = nil
-		}
-		hops = append(hops, hop{to: n, attrs: wanted})
-	}
-	return locals, hops
-}
-
-// matchIndexed matches via the inverted index: only the posting list of the
-// tuple's stream is consulted per direction — cut down further to the
-// candidates whose compiled interval on the most selective constrained
-// attribute admits the tuple's value (prunedCandidates), in posting-list
-// order — each candidate evaluates its compiled filter groups, and when
-// every candidate matches, the forwarding projection is the direction's
-// precomputed per-stream union instead of a per-tuple rebuild. Pruning
-// skips only candidates whose exact matcher would reject the tuple anyway,
-// so deliveries, forwarding decisions and projections are identical with
-// pruning on or off (and identical to matchLinear).
-func (b *Broker) matchIndexed(t stream.Tuple, from topology.NodeID, bufs *routeBufs, locals []delivery, hops []hop) ([]delivery, []hop) {
-	lcands := b.idx.locals.byStream[t.Stream]
-	if sel, ok := b.prunedCandidates(b.idx.locals, t, lcands, bufs); ok {
-		for _, p := range sel {
-			if c := lcands[p]; c.handler != nil && c.matches(t) {
-				locals = append(locals, delivery{h: c.handler, sub: c.sub, keep: c.keep})
-			}
-		}
-	} else {
-		for _, c := range lcands {
-			if c.handler != nil && c.matches(t) {
-				locals = append(locals, delivery{h: c.handler, sub: c.sub, keep: c.keep})
-			}
-		}
-	}
-	for _, n := range b.neighbors {
-		if n == from {
-			continue
-		}
-		d, ok := b.idx.dirs[n]
-		if !ok {
-			continue
-		}
-		cands := d.byStream[t.Stream]
-		if len(cands) == 0 {
-			continue
-		}
-		matched := bufs.match[:0]
-		all := false
-		if sel, ok := b.prunedCandidates(d, t, cands, bufs); ok {
-			for _, p := range sel {
-				c := cands[p]
-				if !c.matches(t) {
-					continue
-				}
-				if c.keep == nil {
-					all = true
-					break
-				}
-				matched = append(matched, c)
-			}
-		} else {
-			for _, c := range cands {
-				if !c.matches(t) {
-					continue
-				}
-				if c.keep == nil {
-					all = true
-					break
-				}
-				matched = append(matched, c)
-			}
-		}
-		bufs.match = matched // retain grown capacity for the next direction
-		var wanted map[string]bool
-		switch {
-		case all:
-			wanted = nil
-		case len(matched) == 0:
-			continue // not interested
-		case len(matched) == len(cands):
-			// Every posting-list candidate matched (a pruned scan can
-			// only reach this count by having evaluated the whole
-			// list), and none keeps all attributes (such a candidate
-			// would have matched too): the incrementally maintained
-			// union IS the per-tuple union. The map is immutable
-			// (copy-on-write on subscribe), so handing it out is safe.
-			wanted = d.union[t.Stream].keep
-		default:
-			wanted = make(map[string]bool)
-			for _, c := range matched {
-				for a := range c.keep {
-					wanted[a] = true
-				}
-			}
 		}
 		hops = append(hops, hop{to: n, attrs: wanted})
 	}

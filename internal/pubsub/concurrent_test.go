@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/query"
 	"repro/internal/stream"
@@ -214,4 +215,49 @@ func TestConcurrentRouteEquivalence(t *testing.T) {
 	if residual := net.ResidualState(); len(residual) != 0 {
 		t.Fatalf("residual state after teardown: %v", residual)
 	}
+}
+
+// TestRouteNeverTakesBrokerMutex: route completes while the test holds
+// Broker.mu — on a broker straight out of NewBroker (which already has an
+// epoch to read, so there is no locked fallback for a broker that has not
+// churned yet) and on a wired broker holding local and remote
+// subscriptions. A route that touched the mutex would block forever.
+func TestRouteNeverTakesBrokerMutex(t *testing.T) {
+	routeLocked := func(t *testing.T, b *Broker, tp stream.Tuple, from topology.NodeID) {
+		t.Helper()
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		done := make(chan struct{})
+		go func() {
+			b.route(tp, from)
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatal("route blocked on Broker.mu")
+		}
+	}
+	t.Run("fresh", func(t *testing.T) {
+		routeLocked(t, NewBroker(nil, 0), csTuple("S0", 0), -1)
+	})
+	t.Run("wired", func(t *testing.T) {
+		net, recs := csBuild(t, 20)
+		center, _ := net.Broker(2)
+		routeLocked(t, center, csTuple("S2", 6), 3) // a=0: in the windows of stable2 (here) and stable10 (at leaf 0)
+		local, remote := 0, 0
+		for i, rec := range recs {
+			rec.mu.Lock()
+			n := len(rec.counts)
+			rec.mu.Unlock()
+			if i%5 == 2 {
+				local += n
+			} else {
+				remote += n
+			}
+		}
+		if local == 0 || remote == 0 {
+			t.Fatalf("route under held mutex delivered to %d local and %d remote subscriptions; want both nonzero", local, remote)
+		}
+	})
 }

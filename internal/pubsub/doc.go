@@ -23,8 +23,9 @@
 //     filter intervals, incremental projection unions, and attribute-level
 //     candidate pruning via stabbing trees over the most selective
 //     constrained attribute. The linear matcher (matchLinear) is the
-//     retained reference; randomized equivalence suites hold every indexed
-//     path bit-identical to it.
+//     retained reference, selectable only from the package's own tests;
+//     randomized equivalence suites hold the indexed path bit-identical
+//     to it.
 //
 //   - The concurrency layer (snapshot.go): churn operations mutate the
 //     index under Broker.mu and publish an immutable matchSnapshot epoch
@@ -32,8 +33,7 @@
 //     the loaded epoch, so concurrent publishes never block on churn. The
 //     memory model — the sharing discipline, the write-once contract and
 //     its static enforcement — is specified in CONCURRENCY.md at the repo
-//     root. SetSnapshotRouting(false) restores the serialized reference
-//     path.
+//     root.
 //
 //   - The overlay (network.go): Network wires Brokers over an in-process
 //     Fabric (or, via PeerWrapper, a fault-injecting or TCP one), owns

@@ -36,8 +36,8 @@ import (
 // per-subscription walks; the two are equivalent bit-for-bit: identical
 // forwarding decisions, local delivery sets and orders, projection
 // attribute sets, and therefore identical traffic counters (enforced by the
-// package equivalence tests, the same discipline as
-// querygraph.ComputeEdgesNaive).
+// package equivalence tests, the same discipline as querygraph's naive
+// edge-construction oracle).
 //
 // The index also feeds the lock-free snapshot read path (snapshot.go):
 // add/remove mark the touched streams in dirtySnap so publishLocked can
@@ -115,11 +115,6 @@ type dirIndex struct {
 	// consumed by the propagation it suppresses, or superseded by a
 	// newer epoch of the ID.
 	retracted map[string]uint64
-	// aidx caches the per-stream attribute-prune index (attrindex.go).
-	// Invalidated on add/remove of a subscription listing the stream and
-	// rebuilt lazily by the first route through it; a cached nil records
-	// that the stream's population is not worth indexing.
-	aidx map[string]*attrPruneIndex
 	// byID indexes records by subscription ID in registration order, so
 	// find/removeByID are O(records per ID) instead of a scan over the
 	// whole direction — the dominant cost of a subscribe/unsubscribe
@@ -136,22 +131,9 @@ func newDirIndex() *dirIndex {
 		byStream:  make(map[string][]*compiledSub),
 		union:     make(map[string]*attrUnion),
 		retracted: make(map[string]uint64),
-		aidx:      make(map[string]*attrPruneIndex),
 		byID:      make(map[string][]*compiledSub),
 		dirtySnap: make(map[string]bool),
 	}
-}
-
-// attrIndex returns the stream's attribute-prune index, building and
-// caching it on first use after a subscription change. Caller holds the
-// broker lock.
-func (d *dirIndex) attrIndex(s string) *attrPruneIndex {
-	if ai, ok := d.aidx[s]; ok {
-		return ai
-	}
-	ai := buildAttrPruneIndex(d.byStream[s])
-	d.aidx[s] = ai
-	return ai
 }
 
 // add appends a compiled subscription, updating posting lists and projection
@@ -167,7 +149,6 @@ func (d *dirIndex) add(c *compiledSub) {
 		seen[s] = true
 		d.byStream[s] = append(d.byStream[s], c)
 		d.union[s] = d.union[s].extend(c.keep)
-		delete(d.aidx, s)
 		d.dirtySnap[s] = true
 	}
 }
@@ -216,7 +197,6 @@ func (d *dirIndex) remove(c *compiledSub) {
 			continue
 		}
 		seen[s] = true
-		delete(d.aidx, s)
 		d.dirtySnap[s] = true
 		list := d.byStream[s]
 		fresh := make([]*compiledSub, 0, len(list))

@@ -18,8 +18,8 @@ import (
 // forwarding decisions (observed as per-link traffic), the same local
 // delivery sets and orders, the same projected payloads, and the same
 // recorded routing state — over randomized overlays and workloads. It is
-// the pub/sub counterpart of querygraph's ComputeEdgesNaive equivalence
-// discipline.
+// the pub/sub counterpart of querygraph's naive-edge-construction
+// equivalence discipline.
 
 const (
 	eqAdvertise = iota
@@ -310,7 +310,7 @@ func TestMatchIndexEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lin.SetLinearMatching(true)
+		lin.setLinearMatching(true)
 		idx, err := NewNetwork(oracle, ids)
 		if err != nil {
 			t.Fatal(err)

@@ -19,12 +19,8 @@ type Network struct {
 
 	mu      sync.Mutex
 	brokers map[topology.NodeID]*Broker
-	// linear, noPrune, snapOff and coverDelta record the matcher and
-	// propagation modes so dynamically joined brokers (AddBroker)
-	// inherit them.
-	linear     bool
-	noPrune    bool
-	snapOff    bool
+	// coverDelta records the propagation mode so dynamically joined
+	// brokers (AddBroker) inherit it.
 	coverDelta bool
 	// latency of each overlay link, keyed by ordered pair.
 	links map[[2]topology.NodeID]float64
@@ -146,17 +142,8 @@ func (net *Network) AddBroker(n topology.NodeID) *Broker {
 	net.brokers[n] = b
 	net.addLink(attach, n, best)
 	attachBroker := net.brokers[attach]
-	lin, noPrune, snapOff, delta := net.linear, net.noPrune, net.snapOff, net.coverDelta
+	delta := net.coverDelta
 	net.mu.Unlock()
-	if lin {
-		b.SetLinearMatching(true)
-	}
-	if noPrune {
-		b.SetAttrPruning(false)
-	}
-	if snapOff {
-		b.SetSnapshotRouting(false)
-	}
 	if delta {
 		b.SetCoverDelta(true)
 	}
@@ -360,9 +347,6 @@ func (net *Network) ResidualState() []string {
 			if len(d.union) > 0 {
 				out = append(out, fmt.Sprintf("broker %d: %d %s projection unions", n, len(d.union), what))
 			}
-			if len(d.aidx) > 0 {
-				out = append(out, fmt.Sprintf("broker %d: %d %s prune trees", n, len(d.aidx), what))
-			}
 			if len(d.byID) > 0 {
 				out = append(out, fmt.Sprintf("broker %d: %d %s ID entries", n, len(d.byID), what))
 			}
@@ -517,41 +501,6 @@ func sortedLinks(m map[[2]topology.NodeID]float64) [][2]topology.NodeID {
 	return out
 }
 
-// SetLinearMatching flips every broker between the inverted matching index
-// and the retained linear reference matcher (see Broker.SetLinearMatching).
-// Equivalence tests and baseline benchmarks use it; production deployments
-// stay indexed.
-func (net *Network) SetLinearMatching(on bool) {
-	net.mu.Lock()
-	net.linear = on
-	brokers := make([]*Broker, 0, len(net.brokers))
-	for _, b := range net.brokers {
-		//lint:maporder each broker gets one independent flag write; visit order is unobservable
-		brokers = append(brokers, b)
-	}
-	net.mu.Unlock()
-	for _, b := range brokers {
-		b.SetLinearMatching(on)
-	}
-}
-
-// SetAttrPruning flips attribute-level candidate pruning on every broker
-// (see Broker.SetAttrPruning). On by default; the unpruned indexed matcher
-// is the baseline the selectivity benchmarks compare against.
-func (net *Network) SetAttrPruning(on bool) {
-	net.mu.Lock()
-	net.noPrune = !on
-	brokers := make([]*Broker, 0, len(net.brokers))
-	for _, b := range net.brokers {
-		//lint:maporder each broker gets one independent flag write; visit order is unobservable
-		brokers = append(brokers, b)
-	}
-	net.mu.Unlock()
-	for _, b := range brokers {
-		b.SetAttrPruning(on)
-	}
-}
-
 // SetCoverDelta flips covering-delta re-propagation on every broker (see
 // Broker.SetCoverDelta). Off by default: the delta mode delivers
 // identically but reshapes per-link control traffic, so the
@@ -567,24 +516,6 @@ func (net *Network) SetCoverDelta(on bool) {
 	net.mu.Unlock()
 	for _, b := range brokers {
 		b.SetCoverDelta(on)
-	}
-}
-
-// SetSnapshotRouting flips the lock-free snapshot route path on every
-// broker (see Broker.SetSnapshotRouting). On by default; off serializes
-// every route under its broker's mutex against the live index — the
-// sequential debugging/reference mode.
-func (net *Network) SetSnapshotRouting(on bool) {
-	net.mu.Lock()
-	net.snapOff = !on
-	brokers := make([]*Broker, 0, len(net.brokers))
-	for _, b := range net.brokers {
-		//lint:maporder each broker gets one independent flag write; visit order is unobservable
-		brokers = append(brokers, b)
-	}
-	net.mu.Unlock()
-	for _, b := range brokers {
-		b.SetSnapshotRouting(on)
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 //     recorded suppressor is a currently valid cover.
 
 // TestPrunedCandidateSuperset: over random subscription populations and
-// tuples, prunedCandidates returns a superset of the posting-list positions
+// tuples, pruneSelect returns a superset of the posting-list positions
 // whose subscription matches the tuple, in ascending order.
 func TestPrunedCandidateSuperset(t *testing.T) {
 	old := pruneMin
@@ -28,22 +28,16 @@ func TestPrunedCandidateSuperset(t *testing.T) {
 	defer func() { pruneMin = old }()
 	for seed := uint64(0); seed < 60; seed++ {
 		r := rand.New(rand.NewPCG(seed, 41))
-		b := NewBroker(nil, 0)
 		n := 5 + r.IntN(60)
+		cands := make([]*compiledSub, 0, n) // one dense posting list
 		for i := 0; i < n; i++ {
-			s := eqRandomSub(r, i)
-			s.Streams = s.Streams[:1] // single stream: dense posting list
-			s.Streams[0] = "R"
-			c := compileSub(s, nil)
-			c.sentTo = make(map[topology.NodeID]bool)
-			b.idx.locals.add(c)
+			cands = append(cands, compileSub(eqRandomSub(r, i), nil))
 		}
-		cands := b.idx.locals.byStream["R"]
+		ai := buildAttrPruneIndex(cands)
 		bufs := new(routeBufs)
 		for trial := 0; trial < 40; trial++ {
 			tup := eqRandomTuple(r)
-			tup.Stream = "R"
-			sel, ok := b.prunedCandidates(b.idx.locals, tup, cands, bufs)
+			sel, ok := pruneSelect(ai, tup, len(cands), bufs)
 			if !ok {
 				continue // full scan: trivially complete
 			}
@@ -168,7 +162,7 @@ func TestCoveredByIndexMatchesRecomputation(t *testing.T) {
 					t.Fatal(err)
 				}
 				if linear {
-					net.SetLinearMatching(true)
+					net.setLinearMatching(true)
 				}
 				var log []string
 				runEqScenario(t, net, ops, &log)
@@ -195,10 +189,10 @@ func TestCoveredByIndexMatchesRecomputation(t *testing.T) {
 }
 
 // TestPrunedRouteMatchesUnpruned: on a dense single-stream population large
-// enough to engage the production prune threshold, pruned and unpruned
-// matching deliver identical tuples.
+// enough to engage the production prune threshold, the pruned route and the
+// linear reference (which never prunes) deliver identical tuples.
 func TestPrunedRouteMatchesUnpruned(t *testing.T) {
-	build := func(prune bool, log *[]string) *Network {
+	build := func(linear bool, log *[]string) *Network {
 		g := topology.NewGraph(2)
 		if err := g.AddEdge(0, 1, 1); err != nil {
 			t.Fatal(err)
@@ -207,7 +201,7 @@ func TestPrunedRouteMatchesUnpruned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		net.SetAttrPruning(prune)
+		net.setLinearMatching(linear)
 		src, _ := net.Broker(0)
 		dst, _ := net.Broker(1)
 		src.Advertise("R")
@@ -225,8 +219,8 @@ func TestPrunedRouteMatchesUnpruned(t *testing.T) {
 		return net
 	}
 	var prunedLog, plainLog []string
-	pruned := build(true, &prunedLog)
-	plain := build(false, &plainLog)
+	pruned := build(false, &prunedLog)
+	plain := build(true, &plainLog)
 	r := rand.New(rand.NewPCG(8, 56))
 	for i := 0; i < 200; i++ {
 		tup := eqRandomTuple(r)

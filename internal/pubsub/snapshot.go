@@ -52,10 +52,6 @@ type matchSnapshot struct {
 	neighbors []topology.NodeID
 	locals    *dirSnap
 	dirs      map[topology.NodeID]*dirSnap
-	// noPrune freezes the broker's attribute-pruning mode into the epoch,
-	// so a mode toggle behaves like any other churn: it republishes, and
-	// in-flight routes finish on the epoch they loaded.
-	noPrune bool
 }
 
 // dirSnap is the frozen per-stream view of one direction: the posting-list
@@ -117,12 +113,15 @@ func (ds *dirSnap) stream(s string) *streamSnap {
 }
 
 // pruneIndex returns the snapshot's attribute-prune index (attrindex.go),
-// building it on first use. Unlike the live dirIndex.attrIndex cache this
-// runs OUTSIDE the broker lock, on the lock-free route path: correctness
-// rests on buildAttrPruneIndex being a pure function of the frozen cands
-// slice, so two racing builders compute identical indexes and either store
-// may win.
+// building it on first use; nil when the population is not worth indexing.
+// This runs OUTSIDE the broker lock, on the lock-free route path:
+// correctness rests on buildAttrPruneIndex being a pure function of the
+// frozen cands slice, so two racing builders compute identical indexes and
+// either store may win.
 func (ss *streamSnap) pruneIndex() *attrPruneIndex {
+	if len(ss.cands) < pruneMin {
+		return nil
+	}
 	if slot := ss.prune.Load(); slot != nil {
 		return slot.idx
 	}
@@ -141,13 +140,10 @@ func newStreamSnap(d *dirIndex, s string) *streamSnap {
 // clean since the previous epoch, the previous dirSnap is shared as-is
 // (epoch construction is O(dirty streams), not O(index)); otherwise the
 // dirty streams are re-frozen and merged into the previous entry list in
-// one sorted walk. full forces a from-scratch rebuild (first publish, mode
-// toggle, neighbor change). Caller holds Broker.mu.
-func snapDir(d *dirIndex, prev *dirSnap, full bool) *dirSnap {
-	if !full && prev != nil && len(d.dirtySnap) == 0 {
-		return prev
-	}
-	if full || prev == nil {
+// one sorted walk. A nil prev rebuilds from scratch (new direction, or a
+// full rebuild after a neighbor change). Caller holds Broker.mu.
+func snapDir(d *dirIndex, prev *dirSnap) *dirSnap {
+	if prev == nil {
 		clear(d.dirtySnap)
 		names := make([]string, 0, len(d.byStream))
 		//lint:maporder names are put into canonical order by sort.Strings below
@@ -160,6 +156,9 @@ func snapDir(d *dirIndex, prev *dirSnap, full bool) *dirSnap {
 			ds.streams = append(ds.streams, streamSnapEntry{name: s, ss: newStreamSnap(d, s)})
 		}
 		return ds
+	}
+	if len(d.dirtySnap) == 0 {
+		return prev
 	}
 	dirty := make([]string, 0, len(d.dirtySnap))
 	//lint:maporder dirty names are put into canonical order by sort.Strings below
@@ -191,44 +190,37 @@ func snapDir(d *dirIndex, prev *dirSnap, full bool) *dirSnap {
 }
 
 // publishLocked swaps in the next matching-state epoch. Every entry point
-// that mutates the index (or the neighbor set, or a matching mode) calls it
-// at the end of its critical section, so in any single-threaded execution
-// the published snapshot is always exactly equivalent to the live index —
-// which is what keeps the sequential equivalence suites bit-identical.
+// that mutates the index (or the neighbor set) calls it at the end of its
+// critical section, so in any single-threaded execution the published
+// snapshot is always exactly equivalent to the live index — which is what
+// keeps the sequential equivalence suites bit-identical.
 // Cheap when nothing relevant changed (one dirty check); O(dirty streams)
 // otherwise. Caller holds b.mu.
 func (b *Broker) publishLocked() {
-	cur := b.snap.Load()
-	if b.linearMatch || b.snapOff {
-		// Reference modes route through the locked path; an epoch swap to
-		// nil is how the mode change reaches in-flight routes. snapAll
-		// stays set so re-enabling rebuilds from scratch (dirty marks kept
-		// accumulating, but prev snapshots are gone).
-		if cur != nil {
-			b.snap.Store(nil)
-		}
+	if b.linearMatch {
+		// The linear reference routes through the locked path; an epoch
+		// swap to nil is how the switch reaches in-flight routes. snapAll
+		// stays set so switching back rebuilds from scratch (dirty marks
+		// kept accumulating, but prev snapshots are gone).
+		b.snap.Store(nil)
 		b.snapAll = true
 		return
 	}
-	full := b.snapAll || cur == nil
-	if !full && !b.idx.dirtyAny() {
+	// base is what the next epoch shares its clean parts with: the current
+	// epoch, or — on a full rebuild — nothing but the fresh neighbor set.
+	base := b.snap.Load()
+	if b.snapAll {
+		base = &matchSnapshot{neighbors: append([]topology.NodeID(nil), b.neighbors...)}
+	} else if !b.idx.dirtyAny() {
 		return
 	}
-	next := &matchSnapshot{noPrune: b.noPrune}
-	if full {
-		next.neighbors = append([]topology.NodeID(nil), b.neighbors...)
-		next.locals = snapDir(b.idx.locals, nil, true)
-		next.dirs = make(map[topology.NodeID]*dirSnap, len(b.idx.dirs))
-		for _, n := range b.idx.dirOrder {
-			next.dirs[n] = snapDir(b.idx.dirs[n], nil, true)
-		}
-	} else {
-		next.neighbors = cur.neighbors
-		next.locals = snapDir(b.idx.locals, cur.locals, false)
-		next.dirs = make(map[topology.NodeID]*dirSnap, len(b.idx.dirs))
-		for _, n := range b.idx.dirOrder {
-			next.dirs[n] = snapDir(b.idx.dirs[n], cur.dirs[n], false)
-		}
+	next := &matchSnapshot{
+		neighbors: base.neighbors,
+		locals:    snapDir(b.idx.locals, base.locals),
+		dirs:      make(map[topology.NodeID]*dirSnap, len(b.idx.dirs)),
+	}
+	for _, n := range b.idx.dirOrder {
+		next.dirs[n] = snapDir(b.idx.dirs[n], base.dirs[n])
 	}
 	b.snapAll = false
 	b.snap.Store(next)
@@ -259,14 +251,20 @@ func nodeIn(nodes []topology.NodeID, n topology.NodeID) bool {
 	return false
 }
 
-// matchSnap is matchIndexed against a frozen epoch: identical candidate
-// enumeration, pruning, short-circuits and projection-union fast path, just
-// reading the snapshot instead of the live index — so its decisions are bit
-// for bit those matchIndexed would have made at publish time. Runs without
-// Broker.mu; all scratch lives in the pooled bufs.
+// matchSnap matches via the frozen inverted index of one epoch: only the
+// posting list of the tuple's stream is consulted per direction — cut down
+// further to the candidates whose compiled interval on the most selective
+// constrained attribute admits the tuple's value (pruneSelect), in
+// posting-list order — each candidate evaluates its compiled filter groups,
+// and when every candidate matches, the forwarding projection is the
+// direction's precomputed per-stream union instead of a per-tuple rebuild.
+// Pruning skips only candidates whose exact matcher would reject the tuple
+// anyway, so deliveries, forwarding decisions and projections are identical
+// to matchLinear's on the index the epoch froze. Runs without Broker.mu; all
+// scratch lives in the pooled bufs.
 func matchSnap(snap *matchSnapshot, t stream.Tuple, from topology.NodeID, bufs *routeBufs, locals []delivery, hops []hop) ([]delivery, []hop) {
 	if ls := snap.locals.stream(t.Stream); ls != nil {
-		if sel, ok := prunedSnapCandidates(ls, t, snap.noPrune, bufs); ok {
+		if sel, ok := pruneSelect(ls.pruneIndex(), t, len(ls.cands), bufs); ok {
 			for _, p := range sel {
 				if c := ls.cands[p]; c.handler != nil && c.matches(t) {
 					locals = append(locals, delivery{h: c.handler, sub: c.sub, keep: c.keep})
@@ -295,7 +293,7 @@ func matchSnap(snap *matchSnapshot, t stream.Tuple, from topology.NodeID, bufs *
 		cands := ss.cands
 		matched := bufs.match[:0]
 		all := false
-		if sel, ok := prunedSnapCandidates(ss, t, snap.noPrune, bufs); ok {
+		if sel, ok := pruneSelect(ss.pruneIndex(), t, len(cands), bufs); ok {
 			for _, p := range sel {
 				c := cands[p]
 				if !c.matches(t) {
@@ -327,9 +325,12 @@ func matchSnap(snap *matchSnapshot, t stream.Tuple, from topology.NodeID, bufs *
 		case len(matched) == 0:
 			continue // not interested
 		case len(matched) == len(cands):
-			// Same argument as matchIndexed: every candidate matched and
-			// none keeps all attributes, so the precomputed union IS the
-			// per-tuple union, and the map is immutable by construction.
+			// Every posting-list candidate matched (a pruned scan can only
+			// reach this count by having evaluated the whole list), and
+			// none keeps all attributes (such a candidate would have
+			// matched too): the incrementally maintained union IS the
+			// per-tuple union. The map is immutable (copy-on-write on
+			// subscribe), so handing it out is safe.
 			wanted = ss.union.keep
 		default:
 			wanted = make(map[string]bool)

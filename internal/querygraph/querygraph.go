@@ -29,9 +29,9 @@
 // representing it, and from proxy node to the vertices sending results to
 // it. ComputeEdges and ConnectVertex enumerate only candidate pairs that
 // can have nonzero weight — pairs sharing a substream, a source, or a
-// proxy — instead of evaluating all O(|V|²) pairs. ComputeEdgesNaive
-// retains the literal all-pairs construction as the reference
-// implementation; the indexed path reproduces its weights bit-for-bit.
+// proxy — instead of evaluating all O(|V|²) pairs. The literal all-pairs
+// construction lives on as the oracle of the package equivalence tests;
+// the indexed path reproduces its weights bit-for-bit.
 package querygraph
 
 import (
@@ -839,7 +839,8 @@ func (g *Graph) demandOf(r *srcRates, q int, n *Vertex) float64 {
 // ComputeEdges materializes the full edge set from vertex content,
 // replacing any existing edges. The inverted indexes restrict weight
 // evaluation to candidate pairs that share a substream, a source node, or a
-// proxy node; the result is identical (bit-for-bit) to ComputeEdgesNaive.
+// proxy node; the result is identical (bit-for-bit) to the all-pairs
+// construction (see the package equivalence tests).
 func (g *Graph) ComputeEdges() {
 	g.idx = nil // vertex content may have changed wholesale; rebuild
 	idx := g.ensureIndex()
@@ -970,31 +971,6 @@ func (g *Graph) ComputeEdges() {
 	// u order, entries above i in ascending candidate order.
 	for i := 0; i < V; i++ {
 		g.adj[i] = pool[deg[i]:deg[i+1]:deg[i+1]]
-	}
-}
-
-// ComputeEdgesNaive is the literal O(|V|²) edge construction of the model —
-// every vertex pair gets one EdgeWeight evaluation. It is retained as the
-// reference implementation that the indexed ComputeEdges must match
-// bit-for-bit (see the package equivalence test); production paths use
-// ComputeEdges.
-func (g *Graph) ComputeEdgesNaive() {
-	for i := range g.adj {
-		g.adj[i] = nil
-	}
-	for len(g.adj) < len(g.Vertices) {
-		g.adj = append(g.adj, nil)
-	}
-	for i := 0; i < len(g.Vertices); i++ {
-		for j := i + 1; j < len(g.Vertices); j++ {
-			if g.Vertices[i] == nil || g.Vertices[j] == nil {
-				continue
-			}
-			w := g.EdgeWeight(g.Vertices[i], g.Vertices[j])
-			if w > 0 {
-				g.setEdge(i, j, w)
-			}
-		}
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 )
 
 // TestTransportEquivalence drives the same randomized workload over the same
-// randomized live-TCP overlay in batched mode, reference (DisableBatching)
+// randomized live-TCP overlay in batched mode, v1-framing (BatchSize 1)
 // mode, and an aggressive small-batch mode, and requires all three to
 // deliver the identical multiset of tuples and to drain to the identical
 // (empty) routing state. Batching is pure framing: the broker protocol must
@@ -25,7 +25,7 @@ func TestTransportEquivalence(t *testing.T) {
 		opts Options
 	}{
 		{"batched", Options{}},
-		{"unbatched", Options{DisableBatching: true}},
+		{"unbatched", Options{BatchSize: 1}},
 		// Small batches with no flush window: exercises the partial-batch
 		// path and batch-of-1 unwrapping under the same workload.
 		{"batch4-nowindow", Options{BatchSize: 4, FlushWindow: -1}},

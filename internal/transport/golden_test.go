@@ -161,11 +161,11 @@ func startV1Peer(t *testing.T) *v1Peer {
 	return p
 }
 
-// TestV1InteropSingleEnvelopeFallback: a node configured with
-// DisableBatching (the negotiated fallback for a MsgBatch-unaware neighbor)
-// sends a v1 peer nothing but plain envelopes, whatever the traffic rate.
+// TestV1InteropSingleEnvelopeFallback: a node configured with BatchSize 1
+// (the interop setting for a MsgBatch-unaware neighbor) sends a v1 peer
+// nothing but plain envelopes, whatever the traffic rate.
 func TestV1InteropSingleEnvelopeFallback(t *testing.T) {
-	n, err := NewNodeWith(0, "127.0.0.1:0", Options{DisableBatching: true})
+	n, err := NewNodeWith(0, "127.0.0.1:0", Options{BatchSize: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,7 +56,9 @@ const (
 // Options tunes a Node's send pipelines. The zero value means defaults.
 type Options struct {
 	// BatchSize is the most envelopes coalesced into one MsgBatch wire
-	// message (default 64). A batch of one is sent as a plain envelope.
+	// message (default 64). A batch of one is sent as a plain envelope,
+	// so BatchSize 1 is the v1 framing — one wire message per envelope,
+	// flushed immediately — for a neighbor that predates MsgBatch.
 	BatchSize int
 	// FlushWindow is how long a partial batch waits for more traffic
 	// before flushing (default 1ms). Zero means the default; negative
@@ -69,11 +71,6 @@ type Options struct {
 	// 4096). At the bound, the oldest queued tuple is dropped and
 	// counted: at-most-once.
 	DataQueueDepth int
-	// DisableBatching is the reference mode: one wire message per
-	// envelope, flushed immediately — the v1 framing, for equivalence
-	// tests, benchmarks, and single-envelope peers (the negotiated
-	// fallback when a neighbor predates MsgBatch).
-	DisableBatching bool
 	// Logger receives the transport's structured link-lifecycle events:
 	// connect/dial failure at debug, terminal envelope loss at warn. Nil
 	// means logging.Nop(). Logging calls run on the pipe's sender
@@ -217,7 +214,7 @@ func (p *peerPipe) run(o Options) {
 		if !ok {
 			break
 		}
-		p.writeBatch(batch, o)
+		p.writeBatch(batch)
 		p.mu.Lock()
 		p.sending = false
 		p.cond.Broadcast()
@@ -239,7 +236,7 @@ func (p *peerPipe) collect(buf []Envelope, o Options) ([]Envelope, bool) {
 		p.mu.Unlock()
 		return nil, false
 	}
-	if !o.DisableBatching && o.FlushWindow > 0 && len(p.queue) < o.BatchSize {
+	if o.FlushWindow > 0 && len(p.queue) < o.BatchSize {
 		p.windowUp = false
 		t := time.AfterFunc(o.FlushWindow, func() {
 			p.mu.Lock()
@@ -285,7 +282,7 @@ func (p *peerPipe) collect(buf []Envelope, o Options) ([]Envelope, bool) {
 // the data tuples, which get exactly one attempt (at-most-once). Terminal
 // failures are counted and surfaced per envelope through the node's
 // send-error handler. All of it runs on the sender goroutine.
-func (p *peerPipe) writeBatch(batch []Envelope, o Options) {
+func (p *peerPipe) writeBatch(batch []Envelope) {
 	var err error
 	for attempt := 0; attempt < sendAttempts; attempt++ {
 		if attempt > 0 {
@@ -296,7 +293,7 @@ func (p *peerPipe) writeBatch(batch []Envelope, o Options) {
 			}
 			time.Sleep(delay)
 		}
-		err = p.tryWrite(batch, o)
+		err = p.tryWrite(batch)
 		if err == nil {
 			return
 		}
@@ -348,11 +345,10 @@ func (p *peerPipe) surfaceLoss(env Envelope, err error) {
 
 // tryWrite encodes the batch onto the current connection, dialing first if
 // there is none, and flushes. Batches of more than one envelope ride a
-// single MsgBatch wire message; a batch of one — and every envelope in
-// DisableBatching mode — goes out in the v1 single-envelope framing, so
-// low-rate links and reference-mode nodes interoperate with peers that
-// predate MsgBatch.
-func (p *peerPipe) tryWrite(batch []Envelope, o Options) error {
+// single MsgBatch wire message; a batch of one goes out in the v1
+// single-envelope framing, so low-rate links and BatchSize-1 nodes
+// interoperate with peers that predate MsgBatch. batch is never empty.
+func (p *peerPipe) tryWrite(batch []Envelope) error {
 	// enc is the sender-owned "connected" marker; the conn field itself
 	// is shared with close() and only touched under mu.
 	if p.enc == nil {
@@ -360,32 +356,19 @@ func (p *peerPipe) tryWrite(batch []Envelope, o Options) error {
 			return err
 		}
 	}
-	var err error
-	if !o.DisableBatching && len(batch) > 1 {
-		err = p.enc.Encode(Envelope{Kind: MsgBatch, From: p.node.ID, Batch: batch})
-		if err == nil {
-			cBatches.Inc()
-			cBatchSize.Add(int64(len(batch)))
-			cWireMsgs.Inc()
+	if len(batch) == 1 {
+		if err := p.enc.Encode(batch[0]); err != nil {
+			return err
 		}
 	} else {
-		for i := range batch {
-			if err = p.enc.Encode(batch[i]); err != nil {
-				break
-			}
-			cWireMsgs.Inc()
-			if o.DisableBatching {
-				// Reference mode models v1: every envelope its own write.
-				if err = p.bw.Flush(); err != nil {
-					break
-				}
-			}
+		if err := p.enc.Encode(Envelope{Kind: MsgBatch, From: p.node.ID, Batch: batch}); err != nil {
+			return err
 		}
+		cBatches.Inc()
+		cBatchSize.Add(int64(len(batch)))
 	}
-	if err == nil {
-		err = p.bw.Flush()
-	}
-	return err
+	cWireMsgs.Inc()
+	return p.bw.Flush()
 }
 
 // dial connects to the peer and installs a fresh buffered writer and gob

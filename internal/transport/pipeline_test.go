@@ -140,8 +140,8 @@ func TestFlushWindowCoalescesBurst(t *testing.T) {
 	})
 }
 
-func TestDisableBatchingNeverEmitsMsgBatch(t *testing.T) {
-	opts := Options{DisableBatching: true}
+func TestBatchSizeOneNeverEmitsMsgBatch(t *testing.T) {
+	opts := Options{BatchSize: 1}
 	a, err := NewNodeWith(0, "127.0.0.1:0", opts)
 	if err != nil {
 		t.Fatal(err)
@@ -161,10 +161,10 @@ func TestDisableBatchingNeverEmitsMsgBatch(t *testing.T) {
 	}
 	a.Flush()
 	if got := cBatches.Value() - batches; got != 0 {
-		t.Errorf("reference mode emitted %d MsgBatch messages, want 0", got)
+		t.Errorf("BatchSize 1 emitted %d MsgBatch messages, want 0", got)
 	}
 	if got := cWireMsgs.Value() - wire; got != 25 {
-		t.Errorf("reference mode wrote %d wire messages, want 25 (one per envelope)", got)
+		t.Errorf("BatchSize 1 wrote %d wire messages, want 25 (one per envelope)", got)
 	}
 	waitFor(t, "unbatched adverts applied", func() bool {
 		_, learned := b.Broker.AdvertStateSize()
