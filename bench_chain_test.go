@@ -75,7 +75,7 @@ func benchChainData(b *testing.B, opts transport.Options) {
 	dropped0 := snap["transport.dropped_data"]
 
 	// In-flight window under the 4096 data queue bound: the pipeline
-	// stays busy (batches fill without waiting out the flush window) but
+	// stays busy (batches fill while the previous write is in flight) but
 	// nothing is shed.
 	const window = 1024
 	tpl := stream.Tuple{Stream: "R", Size: 24,
@@ -135,21 +135,16 @@ func BenchmarkChainThroughput(b *testing.B) {
 	})
 
 	b.Run("sweep", func(b *testing.B) {
-		// The batch-size / flush-window sweep behind PERF.md's "Transport
-		// v2" tables. Env-gated like the ScaleMedium Fig 6 sweep: it is a
-		// tuning record, not a regression guard, and would multiply the
-		// bench lane's wall time.
+		// The batch-size sweep behind PERF.md's "Transport v2" table.
+		// Env-gated like the ScaleMedium Fig 6 sweep: it is a tuning
+		// record, not a regression guard, and would multiply the bench
+		// lane's wall time.
 		if os.Getenv("COSMOS_BENCH_SWEEP") == "" {
 			b.Skip("set COSMOS_BENCH_SWEEP=1 to run the PERF.md tuning sweep")
 		}
 		for _, bs := range []int{8, 16, 64, 256} {
 			b.Run(fmt.Sprintf("batch=%d", bs), func(b *testing.B) {
 				benchChainData(b, transport.Options{BatchSize: bs})
-			})
-		}
-		for _, fw := range []time.Duration{-1, 200 * time.Microsecond, 1 * time.Millisecond, 5 * time.Millisecond} {
-			b.Run(fmt.Sprintf("window=%s", fw), func(b *testing.B) {
-				benchChainData(b, transport.Options{FlushWindow: fw})
 			})
 		}
 	})

@@ -47,7 +47,6 @@ type service struct {
 func newService(cfg *nodeconfig.Config, log logging.Logger) (*service, error) {
 	node, err := transport.NewNodeWith(topology.NodeID(cfg.NodeID), cfg.Listen, transport.Options{
 		BatchSize:         cfg.BatchSize,
-		FlushWindow:       cfg.FlushWindow,
 		ControlQueueDepth: cfg.QueueDepth,
 		DataQueueDepth:    cfg.QueueDepth,
 		Logger:            log,

@@ -68,11 +68,10 @@ type Config struct {
 	// subscriptions, withdraw adverts, flush pipelines) before the node
 	// gives up and closes anyway.
 	DrainTimeout time.Duration
-	// BatchSize, FlushWindow and QueueDepth tune the transport send
-	// pipelines (0 = the transport's default).
-	BatchSize   int
-	FlushWindow time.Duration
-	QueueDepth  int
+	// BatchSize and QueueDepth tune the transport send pipelines (0 = the
+	// transport's default).
+	BatchSize  int
+	QueueDepth int
 }
 
 // defaults returns the built-in configuration every layer overrides.
@@ -171,14 +170,6 @@ func options() []option {
 				return err
 			}
 			c.BatchSize = v
-			return nil
-		}},
-		{"flush-window", "how long a partial batch waits for more traffic (0 = default, negative = immediate)", func(c *Config, raw string) error {
-			v, err := time.ParseDuration(raw)
-			if err != nil {
-				return err
-			}
-			c.FlushWindow = v
 			return nil
 		}},
 		{"queue-depth", "per-peer send queue bound, both planes (0 = transport default)", func(c *Config, raw string) error {
@@ -449,7 +440,6 @@ func Reference() string {
 		"peer-wait":     def.PeerWait.String(),
 		"drain-timeout": def.DrainTimeout.String(),
 		"batch-size":    "0 (transport default 64)",
-		"flush-window":  "0 (transport default 1ms)",
 		"queue-depth":   "0 (transport default 4096)",
 	}
 	var b strings.Builder

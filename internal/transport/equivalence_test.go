@@ -26,9 +26,9 @@ func TestTransportEquivalence(t *testing.T) {
 	}{
 		{"batched", Options{}},
 		{"unbatched", Options{BatchSize: 1}},
-		// Small batches with no flush window: exercises the partial-batch
-		// path and batch-of-1 unwrapping under the same workload.
-		{"batch4-nowindow", Options{BatchSize: 4, FlushWindow: -1}},
+		// Small batches: exercises the partial-batch path and batch-of-1
+		// unwrapping under the same workload.
+		{"batch4", Options{BatchSize: 4}},
 	}
 	for seed := int64(1); seed <= 2; seed++ {
 		var want map[string]int

@@ -193,11 +193,12 @@ func TestV1InteropSingleEnvelopeFallback(t *testing.T) {
 }
 
 // TestV1InteropBatchOfOneUnwrapped: even with batching ON, a lone envelope
-// (no traffic behind it in the flush window) goes out in v1 framing — a
-// batch of one is unwrapped. Low-rate links interoperate with old peers
-// without any configuration.
+// (nothing else queued when the sender takes it) goes out in v1 framing — a
+// batch of one is unwrapped — and leaves the idle pipe at once, with no
+// further traffic and no Flush behind it. Low-rate links interoperate with
+// old peers without any configuration.
 func TestV1InteropBatchOfOneUnwrapped(t *testing.T) {
-	n, err := NewNodeWith(0, "127.0.0.1:0", Options{FlushWindow: 5 * time.Millisecond})
+	n, err := NewNode(0, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +207,6 @@ func TestV1InteropBatchOfOneUnwrapped(t *testing.T) {
 	n.Connect(1, old.ln.Addr().String())
 
 	n.Peer(1).AdvertFrom(0, "R", 0, 1)
-	n.Flush()
 	select {
 	case env := <-old.got:
 		if env.Kind != MsgAdvert || env.StreamName != "R" {

@@ -18,10 +18,14 @@ import (
 // bounded FIFO queue drained by a dedicated sender goroutine that coalesces
 // queued envelopes into MsgBatch wire messages (batching amortizes the
 // per-message gob and syscall cost, the dominant term of control floods and
-// high-rate data fan-out). The pipeline is what makes deliver a non-blocking
-// enqueue: dialing, encoding, retry backoff and terminal-failure surfacing
-// all run on the sender goroutine, never on the broker's route/propagate
-// goroutines (see CONCURRENCY.md "Transport send pipelines").
+// high-rate data fan-out). The sender is work-conserving: it never waits on
+// a non-empty queue, so a batch is whatever accumulated while the previous
+// write was in flight — an idle link sends each envelope at once, a
+// saturated one fills its batches. The pipeline is what makes deliver a
+// non-blocking enqueue: dialing, encoding, retry backoff and
+// terminal-failure surfacing all run on the sender goroutine, never on the
+// broker's route/propagate goroutines (see CONCURRENCY.md "Transport send
+// pipelines").
 //
 // Overflow policy is per plane. Control envelopes are lossless — the
 // routing-state machinery cannot reconstruct a lost propagate or retract —
@@ -57,13 +61,9 @@ const (
 type Options struct {
 	// BatchSize is the most envelopes coalesced into one MsgBatch wire
 	// message (default 64). A batch of one is sent as a plain envelope,
-	// so BatchSize 1 is the v1 framing — one wire message per envelope,
-	// flushed immediately — for a neighbor that predates MsgBatch.
+	// so BatchSize 1 is the v1 framing — one wire message per envelope —
+	// for a neighbor that predates MsgBatch.
 	BatchSize int
-	// FlushWindow is how long a partial batch waits for more traffic
-	// before flushing (default 1ms). Zero means the default; negative
-	// flushes immediately (batch only what is already queued).
-	FlushWindow time.Duration
 	// ControlQueueDepth bounds queued control envelopes per peer
 	// (default 4096). At the bound, enqueue blocks: backpressure.
 	ControlQueueDepth int
@@ -80,19 +80,12 @@ type Options struct {
 
 const (
 	defaultBatchSize  = 64
-	defaultFlushWin   = time.Millisecond
 	defaultQueueDepth = 4096
 )
 
 func (o Options) withDefaults() Options {
 	if o.BatchSize <= 0 {
 		o.BatchSize = defaultBatchSize
-	}
-	if o.FlushWindow == 0 {
-		o.FlushWindow = defaultFlushWin
-	}
-	if o.FlushWindow < 0 {
-		o.FlushWindow = 0
 	}
 	if o.ControlQueueDepth <= 0 {
 		o.ControlQueueDepth = defaultQueueDepth
@@ -116,19 +109,21 @@ type peerPipe struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 	addr string
-	// queue holds control and data envelopes interleaved in enqueue
-	// order (per-peer FIFO is a cross-plane guarantee: a tuple routed
-	// after a propagate must not overtake it on the wire).
-	queue []Envelope
+	// The queue is a ring: ring (length zero or a power of two) holds the
+	// n queued envelopes from slot head, oldest first, control and data
+	// interleaved in enqueue order (per-peer FIFO is a cross-plane
+	// guarantee: a tuple routed after a propagate must not overtake it on
+	// the wire). Taking a batch moves head, never the backlog, and every
+	// slot outside the live run is zero so the GC sees no stale payload.
+	ring  []Envelope
+	head  int
+	n     int
 	ctrl  int // control envelopes in queue
 	ndata int // data envelopes in queue
 	// sending marks a batch taken off the queue but not yet written (or
 	// terminally failed) — Flush waits for it.
 	sending bool
 	closed  bool
-	// windowUp is the flush-window timer's signal to the collect wait
-	// loop: the partial batch has waited long enough.
-	windowUp bool
 	// highwater is the longest queue seen; its increments feed the
 	// monotone transport.queue_depth counter (sum of per-pipe marks).
 	highwater int
@@ -161,6 +156,18 @@ func newPeerPipe(n *Node, id topology.NodeID) *peerPipe {
 	return p
 }
 
+// at returns the slot of the i-th queued envelope (0 is the oldest); at(p.n)
+// is the next free slot while the ring is not full. Caller holds mu.
+func (p *peerPipe) at(i int) *Envelope {
+	return &p.ring[(p.head+i)&(len(p.ring)-1)]
+}
+
+// popFront vacates the k oldest slots, which the caller has already zeroed.
+func (p *peerPipe) popFront(k int) {
+	p.head = (p.head + k) & (len(p.ring) - 1)
+	p.n -= k
+}
+
 // enqueue appends one envelope to the pipe applying the per-plane overflow
 // policy. It returns immediately for data, blocks only on a full control
 // queue, and drops the envelope silently once the pipe is closed (teardown
@@ -174,13 +181,19 @@ func (p *peerPipe) enqueue(env Envelope, o Options) {
 	if env.Kind == MsgData {
 		if p.ndata >= o.DataQueueDepth {
 			// Shed the OLDEST queued tuple so the freshest data
-			// survives; routing goroutines never block on data.
-			for i := range p.queue {
-				if p.queue[i].Kind == MsgData {
-					p.queue = append(p.queue[:i], p.queue[i+1:]...)
-					break
-				}
+			// survives; routing goroutines never block on data. The
+			// control envelopes queued ahead of it each move one slot
+			// back, so the vacated slot is always the head: O(1) for
+			// a data backlog, the case that overflows.
+			i := 0
+			for p.at(i).Kind != MsgData {
+				i++
 			}
+			for ; i > 0; i-- {
+				*p.at(i) = *p.at(i - 1)
+			}
+			*p.at(0) = Envelope{}
+			p.popFront(1)
 			p.ndata--
 			cDroppedData.Inc()
 		}
@@ -194,10 +207,18 @@ func (p *peerPipe) enqueue(env Envelope, o Options) {
 		}
 		p.ctrl++
 	}
-	p.queue = append(p.queue, env)
-	if len(p.queue) > p.highwater {
-		cQueueDepth.Add(int64(len(p.queue) - p.highwater))
-		p.highwater = len(p.queue)
+	if p.n == len(p.ring) {
+		ring := make([]Envelope, max(2*len(p.ring), 4))
+		for i := range p.n {
+			ring[i] = *p.at(i)
+		}
+		p.ring, p.head = ring, 0
+	}
+	*p.at(p.n) = env
+	p.n++
+	if p.n > p.highwater {
+		cQueueDepth.Add(int64(p.n - p.highwater))
+		p.highwater = p.n
 	}
 	p.cond.Broadcast()
 }
@@ -223,53 +244,32 @@ func (p *peerPipe) run(o Options) {
 	p.evictConn()
 }
 
-// collect blocks until there is work, gives a partial batch one flush
-// window to fill, then moves up to BatchSize envelopes into buf. The second
-// return is false when the pipe closed (remaining queue is discarded:
-// teardown drops in-flight traffic exactly like v1's socket close did).
+// collect blocks until there is work, then moves what is queued now, up to
+// BatchSize envelopes, into buf: the sender never waits on a non-empty
+// queue. The second return is false when the pipe closed (remaining queue
+// is discarded: teardown drops in-flight traffic exactly like v1's socket
+// close did).
 func (p *peerPipe) collect(buf []Envelope, o Options) ([]Envelope, bool) {
 	p.mu.Lock()
-	for len(p.queue) == 0 && !p.closed {
+	for p.n == 0 && !p.closed {
 		p.cond.Wait()
 	}
 	if p.closed {
 		p.mu.Unlock()
 		return nil, false
 	}
-	if o.FlushWindow > 0 && len(p.queue) < o.BatchSize {
-		p.windowUp = false
-		t := time.AfterFunc(o.FlushWindow, func() {
-			p.mu.Lock()
-			p.windowUp = true
-			p.mu.Unlock()
-			p.cond.Broadcast()
-		})
-		for len(p.queue) < o.BatchSize && !p.windowUp && !p.closed {
-			p.cond.Wait()
-		}
-		t.Stop()
-		if p.closed {
-			p.mu.Unlock()
-			return nil, false
-		}
-	}
-	take := len(p.queue)
-	if take > o.BatchSize {
-		take = o.BatchSize
-	}
-	buf = append(buf, p.queue[:take]...)
-	rest := copy(p.queue, p.queue[take:])
-	for i := rest; i < len(p.queue); i++ {
-		p.queue[i] = Envelope{} // release payload references to the GC
-	}
-	p.queue = p.queue[:rest]
-	for i := range buf {
-		if buf[i].Kind == MsgData {
+	take := min(p.n, o.BatchSize)
+	for i := range take {
+		slot := p.at(i)
+		if slot.Kind == MsgData {
 			p.ndata--
 		} else {
 			p.ctrl--
 		}
+		buf = append(buf, *slot)
+		*slot = Envelope{} // release payload references to the GC
 	}
+	p.popFront(take)
 	p.sending = true
 	p.cond.Broadcast() // space freed: wake blocked control enqueuers
 	p.mu.Unlock()
@@ -425,7 +425,7 @@ func (p *peerPipe) evictConn() {
 }
 
 // close marks the pipe dead, wakes every waiter (blocked control enqueuers,
-// the sender's wait loops, Flush) and severs the live connection so a
+// the idle sender, Flush) and severs the live connection so a
 // sender stuck mid-write errors out instead of pinning Close.
 func (p *peerPipe) close() {
 	p.mu.Lock()
@@ -444,7 +444,7 @@ func (p *peerPipe) close() {
 // (or the pipe closes). Part of Node.Flush's contract.
 func (p *peerPipe) drain() {
 	p.mu.Lock()
-	for (len(p.queue) > 0 || p.sending) && !p.closed {
+	for (p.n > 0 || p.sending) && !p.closed {
 		p.cond.Wait()
 	}
 	p.mu.Unlock()

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"math/rand"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -99,12 +100,196 @@ func TestDataOverflowDropsOldestTupleOnly(t *testing.T) {
 	}
 }
 
-// --- flush-window and framing behavior over a live pair.
+// --- model-based queue test: the ring against the slice-shift queue it
+// --- replaced, kept here as the oracle.
 
-func TestFlushWindowCoalescesBurst(t *testing.T) {
-	// A long window so the whole burst lands inside it deterministically.
-	opts := Options{FlushWindow: 100 * time.Millisecond}
-	a, err := NewNodeWith(0, "127.0.0.1:0", opts)
+// sliceQueue is the pre-ring peerPipe queue, minus the waiting: a control
+// enqueue at the bound reports blocked instead of sleeping, and collect is
+// only called on a non-empty queue.
+type sliceQueue struct {
+	queue                  []Envelope
+	ctrl, ndata, highwater int
+	shed                   int
+}
+
+func (q *sliceQueue) enqueue(env Envelope, o Options) (blocked bool) {
+	if env.Kind == MsgData {
+		if q.ndata >= o.DataQueueDepth {
+			for i := range q.queue {
+				if q.queue[i].Kind == MsgData {
+					q.queue = append(q.queue[:i], q.queue[i+1:]...)
+					break
+				}
+			}
+			q.ndata--
+			q.shed++
+		}
+		q.ndata++
+	} else {
+		if q.ctrl >= o.ControlQueueDepth {
+			return true
+		}
+		q.ctrl++
+	}
+	q.queue = append(q.queue, env)
+	q.highwater = max(q.highwater, len(q.queue))
+	return false
+}
+
+func (q *sliceQueue) collect(o Options) []Envelope {
+	take := min(len(q.queue), o.BatchSize)
+	batch := append([]Envelope(nil), q.queue[:take]...)
+	rest := copy(q.queue, q.queue[take:])
+	q.queue = q.queue[:rest]
+	for _, env := range batch {
+		if env.Kind == MsgData {
+			q.ndata--
+		} else {
+			q.ctrl--
+		}
+	}
+	return batch
+}
+
+// sameEnvelopes compares by identity: every test envelope has a unique Seq
+// (control) or a unique *WireTuple (data).
+func sameEnvelopes(a, b []Envelope) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Kind != b[i].Kind || a[i].Seq != b[i].Seq || a[i].Tuple != b[i].Tuple {
+			return false
+		}
+	}
+	return true
+}
+
+// checkAgainstModel compares the pipe's whole queue state with the oracle's
+// and requires every ring slot outside the live run to be zero (a stale
+// slot pins its payload until overwritten).
+func checkAgainstModel(t *testing.T, step int, p *peerPipe, q *sliceQueue, dropped0 int64) {
+	t.Helper()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	live := make([]Envelope, p.n)
+	for i := range live {
+		live[i] = *p.at(i)
+	}
+	if !sameEnvelopes(live, q.queue) {
+		t.Fatalf("step %d: queue diverged from the slice-shift oracle\n got %v\nwant %v", step, live, q.queue)
+	}
+	if p.ctrl != q.ctrl || p.ndata != q.ndata || p.highwater != q.highwater {
+		t.Fatalf("step %d: ctrl/ndata/highwater = %d/%d/%d, oracle %d/%d/%d",
+			step, p.ctrl, p.ndata, p.highwater, q.ctrl, q.ndata, q.highwater)
+	}
+	if got := cDroppedData.Value() - dropped0; got != int64(q.shed) {
+		t.Fatalf("step %d: transport.dropped_data moved by %d, oracle shed %d", step, got, q.shed)
+	}
+	for i := p.n; i < len(p.ring); i++ {
+		if e := p.at(i); e.Kind != 0 || e.Tuple != nil || e.Sub != nil {
+			t.Fatalf("step %d: vacated ring slot %d still holds %+v", step, i, *e)
+		}
+	}
+}
+
+func TestQueueMatchesSliceShiftModel(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		rnd := rand.New(rand.NewSource(seed))
+		o := Options{
+			BatchSize:         1 + rnd.Intn(5),
+			ControlQueueDepth: 2 + rnd.Intn(7),
+			DataQueueDepth:    2 + rnd.Intn(7),
+		}.withDefaults()
+		p := newPeerPipe(nil, 1)
+		q := &sliceQueue{}
+		dropped0, depth0 := cDroppedData.Value(), cQueueDepth.Value()
+
+		var id uint64
+		next := func(data bool) Envelope {
+			id++
+			if data {
+				return Envelope{Kind: MsgData, Tuple: &WireTuple{Stream: "R", Timestamp: int64(id)}}
+			}
+			return Envelope{Kind: MsgAdvert, StreamName: "R", Seq: id}
+		}
+		collect := func(step int) {
+			got, ok := p.collect(nil, o)
+			if want := q.collect(o); !ok || !sameEnvelopes(got, want) {
+				t.Fatalf("seed %d step %d: collect = %v (ok=%v), oracle %v", seed, step, got, ok, want)
+			}
+		}
+		// blockedEnqueue starts a control enqueue the oracle says must
+		// block, and returns the channel closed when it returns.
+		blockedEnqueue := func(step int, env Envelope) chan struct{} {
+			done := make(chan struct{})
+			go func() {
+				p.enqueue(env, o)
+				close(done)
+			}()
+			select {
+			case <-done:
+				t.Fatalf("seed %d step %d: control enqueue past the bound did not block", seed, step)
+			case <-time.After(time.Millisecond):
+			}
+			return done
+		}
+		released := func(step int, done chan struct{}, by string) {
+			select {
+			case <-done:
+			case <-time.After(2 * time.Second):
+				t.Fatalf("seed %d step %d: blocked control enqueue not released by %s", seed, step, by)
+			}
+		}
+
+		for step := 0; step < 300; step++ {
+			switch r := rnd.Intn(10); {
+			case r < 3 && len(q.queue) > 0:
+				collect(step)
+			case r < 6:
+				env := next(false)
+				if q.enqueue(env, o) {
+					done := blockedEnqueue(step, env)
+					checkAgainstModel(t, step, p, q, dropped0)
+					for q.ctrl >= o.ControlQueueDepth {
+						collect(step) // a batch of data alone frees no control slot
+					}
+					released(step, done, "collect")
+					q.enqueue(env, o)
+				} else {
+					p.enqueue(env, o)
+				}
+			default:
+				env := next(true)
+				q.enqueue(env, o)
+				p.enqueue(env, o)
+			}
+			checkAgainstModel(t, step, p, q, dropped0)
+		}
+
+		// close() releases a blocked enqueuer too, dropping its envelope.
+		for !q.enqueue(next(false), o) {
+			p.enqueue(q.queue[len(q.queue)-1], o)
+		}
+		done := blockedEnqueue(300, next(false))
+		p.close()
+		released(300, done, "close")
+		checkAgainstModel(t, 300, p, q, dropped0)
+		if got := cQueueDepth.Value() - depth0; got != int64(q.highwater) {
+			t.Errorf("seed %d: transport.queue_depth moved by %d, want the live high-water mark %d", seed, got, q.highwater)
+		}
+	}
+}
+
+// --- batching and framing behavior over a live pair.
+
+// TestNaturalBatching: the sender never waits on a non-empty queue, so a
+// batch is exactly what was queued when it came back for more. The pipe is
+// driven by hand (no sender goroutine), which makes "while the previous
+// write was in flight" deterministic: ten envelopes queued before the take
+// leave as ONE MsgBatch, and a lone one as one plain v1-framed envelope.
+func TestNaturalBatching(t *testing.T) {
+	a, err := NewNode(0, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,29 +299,41 @@ func TestFlushWindowCoalescesBurst(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = b.Close() }) //lint:errdrop test teardown is best-effort
-	a.Connect(1, b.Addr())
 	b.Connect(0, a.Addr())
 
-	batches, sized, wire := cBatches.Value(), cBatchSize.Value(), cWireMsgs.Value()
-	for i := 0; i < 10; i++ {
-		a.Peer(1).AdvertFrom(0, fmt.Sprintf("S%d", i), 0, 1)
+	p := newPeerPipe(a, 1)
+	p.addr = b.Addr()
+	t.Cleanup(p.evictConn)
+	send := func(envelopes int) {
+		t.Helper()
+		wantBatches, wantBatched := 1, envelopes
+		if envelopes == 1 {
+			wantBatches, wantBatched = 0, 0 // a batch of one is unwrapped
+		}
+		batches, sized, wire := cBatches.Value(), cBatchSize.Value(), cWireMsgs.Value()
+		for i := 0; i < envelopes; i++ {
+			p.enqueue(Envelope{Kind: MsgAdvert, StreamName: fmt.Sprintf("S%d/%d", envelopes, i), Seq: 1}, a.opts)
+		}
+		batch, ok := p.collect(nil, a.opts)
+		if !ok || len(batch) != envelopes {
+			t.Fatalf("collect took %d of %d queued envelopes (ok=%v)", len(batch), envelopes, ok)
+		}
+		p.writeBatch(batch)
+		if got := cBatches.Value() - batches; got != int64(wantBatches) {
+			t.Errorf("%d queued envelopes left as %d MsgBatch messages, want %d", envelopes, got, wantBatches)
+		}
+		if got := cBatchSize.Value() - sized; got != int64(wantBatched) {
+			t.Errorf("%d queued envelopes: batch_size moved by %d, want %d", envelopes, got, wantBatched)
+		}
+		if got := cWireMsgs.Value() - wire; got != 1 {
+			t.Errorf("%d queued envelopes left as %d wire messages, want 1", envelopes, got)
+		}
 	}
-	a.Flush()
-
-	// The first envelope wakes the sender, which opens the flush window;
-	// the other nine arrive microseconds later — one MsgBatch of 10.
-	if got := cBatches.Value() - batches; got != 1 {
-		t.Errorf("burst produced %d batches, want 1", got)
-	}
-	if got := cBatchSize.Value() - sized; got != 10 {
-		t.Errorf("batch_size moved by %d, want 10 (all envelopes in one batch)", got)
-	}
-	if got := cWireMsgs.Value() - wire; got != 1 {
-		t.Errorf("burst produced %d wire messages, want 1", got)
-	}
-	waitFor(t, "batched adverts applied", func() bool {
+	send(10)
+	send(1)
+	waitFor(t, "adverts applied", func() bool {
 		_, learned := b.Broker.AdvertStateSize()
-		return learned == 10
+		return learned == 11
 	})
 }
 

@@ -38,7 +38,7 @@ func (n *Node) PipeStatus() []PipeStatus {
 			Addr:      p.addr,
 			Connected: p.connected,
 			LastErr:   p.lastErr,
-			Queued:    len(p.queue),
+			Queued:    p.n,
 		}
 		p.mu.Unlock()
 		st.DataBytes = p.dataBytes.Load()

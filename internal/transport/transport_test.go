@@ -11,10 +11,10 @@ import (
 	"repro/internal/topology"
 )
 
-// line3 builds a 3-node TCP overlay 0-1-2 on loopback.
-func line3(t *testing.T) [3]*Node {
+// line builds an n-node TCP overlay 0-1-…-(n-1) on loopback.
+func line(t *testing.T, n int) []*Node {
 	t.Helper()
-	var nodes [3]*Node
+	nodes := make([]*Node, n)
 	for i := range nodes {
 		n, err := NewNode(topology.NodeID(i), "127.0.0.1:0")
 		if err != nil {
@@ -23,12 +23,15 @@ func line3(t *testing.T) [3]*Node {
 		t.Cleanup(func() { _ = n.Close() }) //lint:errdrop test teardown is best-effort
 		nodes[i] = n
 	}
-	nodes[0].Connect(1, nodes[1].Addr())
-	nodes[1].Connect(0, nodes[0].Addr())
-	nodes[1].Connect(2, nodes[2].Addr())
-	nodes[2].Connect(1, nodes[1].Addr())
+	for i := 1; i < n; i++ {
+		nodes[i-1].Connect(topology.NodeID(i), nodes[i].Addr())
+		nodes[i].Connect(topology.NodeID(i-1), nodes[i-1].Addr())
+	}
 	return nodes
 }
+
+// line3 builds a 3-node TCP overlay 0-1-2 on loopback.
+func line3(t *testing.T) [3]*Node { return [3]*Node(line(t, 3)) }
 
 func waitFor(t *testing.T, what string, pred func() bool) {
 	t.Helper()
@@ -197,5 +200,50 @@ func TestNodeCloseIdempotent(t *testing.T) {
 	}
 	if err := n.Close(); err != nil {
 		t.Errorf("second Close: %v", err)
+	}
+}
+
+// TestHopLatencyHasNoTimerFloor: one-at-a-time traffic crosses a hop in the
+// time the work takes. 200 publishes over three TCP hops, each awaited at
+// the subscriber before the next, cost ~15 ms of work; any per-hop wait on
+// a partial batch (the 1 ms flush window this pins the absence of) would
+// alone add 200 × 3 ms.
+func TestHopLatencyHasNoTimerFloor(t *testing.T) {
+	nodes := line(t, 4)
+	nodes[0].Broker.Advertise("R")
+	waitFor(t, "advert at node 3", func() bool {
+		_, learned := nodes[3].Broker.AdvertStateSize()
+		return learned == 1
+	})
+	got := make(chan int64, 1) // one tuple in flight at a time
+	sub := &pubsub.Subscription{ID: "s", Streams: []string{"R"}}
+	if err := nodes[3].Broker.Subscribe(sub, func(_ *pubsub.Subscription, tp stream.Tuple) {
+		got <- tp.Timestamp
+	}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "subscription at node 0", func() bool {
+		remote, _ := nodes[0].Broker.RoutingStateSize()
+		return remote == 1
+	})
+
+	roundTrip := func(ts int64) {
+		nodes[0].Broker.Publish(stream.Tuple{Stream: "R", Timestamp: ts, Size: 8})
+		select {
+		case have := <-got:
+			if have != ts {
+				t.Fatalf("delivered tuple %d, want %d", have, ts)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("tuple %d never reached node 3", ts)
+		}
+	}
+	roundTrip(0) // dials the three data-direction connections
+	start := time.Now()
+	for ts := int64(1); ts <= 200; ts++ {
+		roundTrip(ts)
+	}
+	if elapsed := time.Since(start); elapsed > 300*time.Millisecond {
+		t.Fatalf("200 awaited publishes over 3 hops took %v, want < 300ms", elapsed)
 	}
 }
