@@ -18,7 +18,6 @@ import (
 	"repro/internal/prototype"
 	"repro/internal/pubsub"
 	"repro/internal/query"
-	"repro/internal/querygraph"
 	"repro/internal/sim"
 	"repro/internal/stream"
 	"repro/internal/topology"
@@ -222,34 +221,6 @@ func BenchmarkHierDistribute(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := tree.Distribute(wl.Queries, wl.SubRates, wl.SourceOfSub); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkOnlineInsertThroughput measures the root coordinator's query
-// routing rate (§3.6; the paper reports >800k queries/sec on 2008 hardware
-// with its representation).
-func BenchmarkOnlineInsertThroughput(b *testing.B) {
-	w := benchWorld(b)
-	wl, err := w.GenerateWorkload(400)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tree, err := hierarchy.Build(w.Oracle, w.Processors, nil, hierarchy.Config{K: 3, VMax: 40, Seed: 7})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := tree.Distribute(wl.Queries, wl.SubRates, wl.SourceOfSub); err != nil {
-		b.Fatal(err)
-	}
-	probes := make([]querygraph.QueryInfo, 256)
-	for i := range probes {
-		probes[i] = wl.NewQuery(w.Processors)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tree.RouteAtRoot(probes[i%len(probes)]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -71,9 +71,15 @@ func (s *Solution) TotalTransfer() float64 {
 	return t
 }
 
+// balancedEps is the relative size ‖l − t‖₂/‖l‖₂ up to which loads count as
+// balanced: a few orders above the 1e-16 of float64 rounding, far below any
+// imbalance worth a migration.
+const balancedEps = 1e-12
+
 // Solve computes the minimal-Euclidean-norm diffusion plan that moves loads
-// to the capacity-proportional targets. caps must be positive and loads
-// non-negative; both must have length g.N.
+// to the capacity-proportional targets; loads within balancedEps of their
+// targets get the zero plan. caps must be positive and loads non-negative;
+// both must have length g.N.
 func Solve(g Graph, loads, caps []float64) (*Solution, error) {
 	n := g.N
 	if len(loads) != n || len(caps) != n {
@@ -95,12 +101,18 @@ func Solve(g Graph, loads, caps []float64) (*Solution, error) {
 	for i := 0; i < n; i++ {
 		b[i] = loads[i] - caps[i]*totalLoad/totalCap
 	}
+	sol := &Solution{Graph: g, Flow: make([]float64, len(g.Edges))}
+	// Loads already at their targets leave only the rounding residue of
+	// forming the targets in b. That is the balanced case — the zero plan —
+	// not a system to solve: CG has no signal to converge on in it.
+	if dot(b, b) <= balancedEps*balancedEps*dot(loads, loads) {
+		return sol, nil
+	}
 
 	lambda, err := solveLaplacian(g, b)
 	if err != nil {
 		return nil, err
 	}
-	sol := &Solution{Graph: g, Flow: make([]float64, len(g.Edges))}
 	for e, ed := range g.Edges {
 		sol.Flow[e] = lambda[ed[0]] - lambda[ed[1]]
 	}

@@ -1,6 +1,7 @@
 package diffusion
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -60,6 +61,50 @@ func TestSolveBalancedInputNoFlow(t *testing.T) {
 	}
 	if tt := sol.TotalTransfer(); tt > 1e-9 {
 		t.Errorf("balanced input produced transfer %v", tt)
+	}
+}
+
+// TestSolveBalancedNeverErrors: a load vector that is balanced — exactly, or
+// up to one ulp in any one entry — leaves a right-hand side that is zero or
+// rounding residue. Solve must report the zero plan, not iterate CG on the
+// residue (which fails to converge on clusters of 3 and 5) and not move load.
+func TestSolveBalancedNeverErrors(t *testing.T) {
+	r := rand.New(rand.NewPCG(7, 77))
+	for n := 2; n <= 9; n++ {
+		g := Complete(n)
+		for trial := 0; trial < 200; trial++ {
+			caps := make([]float64, n)
+			loads := make([]float64, n)
+			per := r.Float64() * 1000 // load per unit of capacity
+			var total float64
+			for i := range caps {
+				caps[i] = 1
+				if trial%2 == 1 {
+					caps[i] = 0.5 + r.Float64()*4
+				}
+				loads[i] = caps[i] * per
+				total += loads[i]
+			}
+			check := func(what string) {
+				t.Helper()
+				sol, err := Solve(g, loads, caps)
+				if err != nil {
+					t.Fatalf("n=%d %s loads=%v caps=%v: %v", n, what, loads, caps, err)
+				}
+				if tt := sol.TotalTransfer(); tt > 1e-9*total {
+					t.Fatalf("n=%d %s loads=%v caps=%v: balanced input moves %v", n, what, loads, caps, tt)
+				}
+			}
+			check("balanced")
+			for i := range loads {
+				exact := loads[i]
+				loads[i] = math.Nextafter(exact, math.Inf(1))
+				check(fmt.Sprintf("entry %d one ulp up", i))
+				loads[i] = math.Nextafter(exact, 0)
+				check(fmt.Sprintf("entry %d one ulp down", i))
+				loads[i] = exact
+			}
+		}
 	}
 }
 

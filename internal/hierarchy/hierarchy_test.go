@@ -1,6 +1,7 @@
 package hierarchy
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/bitvec"
@@ -216,6 +217,49 @@ func TestAdaptWithoutChangesIsQuiet(t *testing.T) {
 	}
 	if last > len(queries)/5 {
 		t.Errorf("steady-state round still migrates %d of %d queries", last, len(queries))
+	}
+}
+
+// TestAdaptOnExactlyBalancedCluster: three processors under one leaf
+// coordinator, one query of load 0.1 pinned to each. The diffusion targets
+// are (0.1+0.1+0.1)/3, which is not 0.1 in float64, so the right-hand side
+// of the diffusion system is pure rounding residue; Adapt must read that as
+// balanced — no error, nothing moved — instead of failing to converge on it.
+func TestAdaptOnExactlyBalancedCluster(t *testing.T) {
+	oracle, procs, _, rates, sources := testSetup(t)
+	procs = procs[:3]
+	tree, err := Build(oracle, procs, nil, Config{K: 3, VMax: 20, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tree.Leaves) != 1 || len(tree.Leaves[0].Members) != 3 {
+		t.Fatalf("want one leaf cluster of 3, got %d leaves", len(tree.Leaves))
+	}
+	var queries []querygraph.QueryInfo
+	home := make(map[string]topology.NodeID)
+	for i, p := range procs {
+		q := querygraph.QueryInfo{
+			Name:       fmt.Sprintf("q%d", i),
+			Proxy:      p,
+			Load:       0.1,
+			Interest:   bitvec.FromIndices(len(rates), []int{10 * i, 10*i + 1}),
+			ResultRate: 0.5,
+			StateSize:  1,
+		}
+		queries = append(queries, q)
+		home[q.Name] = p
+	}
+	err = tree.DistributeWith(queries, rates, sources,
+		func(q querygraph.QueryInfo) topology.NodeID { return home[q.Name] })
+	if err != nil {
+		t.Fatalf("DistributeWith: %v", err)
+	}
+	rep, err := tree.Adapt(nil)
+	if err != nil {
+		t.Fatalf("Adapt on a balanced cluster: %v", err)
+	}
+	if rep.Migrations != 0 {
+		t.Errorf("Adapt on a balanced cluster migrated %d queries", rep.Migrations)
 	}
 }
 

@@ -26,27 +26,7 @@ func (t *Tree) Insert(q querygraph.QueryInfo) (topology.NodeID, error) {
 		if err != nil {
 			return -1, err
 		}
-		// Record the vertex in the coordinator's graph so subsequent
-		// insertions and adaptation rounds see it (AddVertex may reuse a
-		// slot freed by an earlier removal, so the assignment entry is
-		// installed by ID, not appended). Edges are computed lazily at
-		// the next adaptation round's graph rebuild.
-		v := atomVertex(q)
-		prevLen := len(c.graph.Vertices)
-		c.graph.AddVertex(v)
-		c.setAssign(v.ID, k)
-		c.noteQuery(q.Name, v.ID)
-		if len(c.graph.Vertices) > prevLen {
-			// Appended at the end: the O(1) increment equals the
-			// vertex-order recompute exactly (old sum, then the new
-			// last weight).
-			c.loads[k] += q.Load
-		} else {
-			// A freed mid-array slot was reused: recompute so loads
-			// stay the exact vertex-order sum a removal's repair
-			// produces.
-			c.loads = mapping.Loads(c.graph, c.ng, c.assign)
-		}
+		c.record(atomVertex(q), k)
 
 		if c.IsLeaf() {
 			proc := c.ng.Vertices[k].Node
@@ -155,6 +135,31 @@ func (t *Tree) routeAt(c *Coordinator, q querygraph.QueryInfo) (int, error) {
 	return -1, fmt.Errorf("hierarchy: %s has no assignable target", c.Name)
 }
 
+// record installs the atomic vertex v of a newly arrived query in c's graph
+// on target k, so subsequent insertions and adaptation rounds see it. The
+// graph posts the vertex to its inverted index in place; its edges are only
+// materialized by the next adaptation round's ComputeEdges. AddVertex may
+// reuse a slot freed by an earlier removal, so the assignment entry is
+// installed by ID, not appended.
+func (c *Coordinator) record(v *querygraph.Vertex, k int) {
+	prevLen := len(c.graph.Vertices)
+	c.graph.AddVertex(v)
+	c.setAssign(v.ID, k)
+	c.noteQuery(v.Queries[0].Name, v.ID)
+	if len(c.graph.Vertices) > prevLen {
+		// Appended at the end: the O(1) increment equals the
+		// vertex-order recompute exactly (old sum, then the new last
+		// weight).
+		if k < len(c.loads) {
+			c.loads[k] += v.Weight
+		}
+	} else {
+		// A freed mid-array slot was reused: recompute so loads stay
+		// the exact vertex-order sum a removal's repair produces.
+		c.loads = mapping.Loads(c.graph, c.ng, c.assign)
+	}
+}
+
 // PlaceAt force-places a query on a processor, bypassing routing — the
 // "Random" baseline of Fig 8 and the Naive baseline use it. The query is
 // attached to the processor's leaf coordinator state so later adaptation
@@ -176,18 +181,7 @@ func (t *Tree) PlaceAt(q querygraph.QueryInfo, proc topology.NodeID) error {
 		if !ok {
 			return fmt.Errorf("hierarchy: %s cannot pin processor %d", c.Name, proc)
 		}
-		cv := v.Clone()
-		prevLen := len(c.graph.Vertices)
-		c.graph.AddVertex(cv)
-		c.setAssign(cv.ID, k)
-		c.noteQuery(q.Name, cv.ID)
-		if len(c.graph.Vertices) > prevLen {
-			if k < len(c.loads) {
-				c.loads[k] += q.Load
-			}
-		} else {
-			c.loads = mapping.Loads(c.graph, c.ng, c.assign)
-		}
+		c.record(v.Clone(), k)
 	}
 	return nil
 }

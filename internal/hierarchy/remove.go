@@ -11,10 +11,9 @@ import (
 // processor (exactly the coordinators whose state the query lives in,
 // whether it arrived via the initial distribution, PlaceAt, or online
 // insertion), each level removes the query's graph vertex — or shrinks the
-// merged vertex containing it, with incremental inverted-index repair in
-// querygraph rather than a vertex-count-triggered rebuild — retires the
-// assignment entry, and recomputes the per-target loads from the surviving
-// vertices. Sustained submit/cancel churn therefore keeps the optimizer's
+// merged vertex containing it; querygraph deletes what the vertex lost from
+// its maintained inverted index — retires the assignment entry, and
+// recomputes the per-target loads from the surviving vertices. Sustained submit/cancel churn therefore keeps the optimizer's
 // load picture exact: after the last removal every coordinator holds zero
 // query vertices and zero load, and nothing of the query biases later
 // insertions or adaptation rounds. Returns the processor the query was

@@ -38,6 +38,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand/v2"
+	"slices"
 	"sort"
 
 	"repro/internal/bitvec"
@@ -314,7 +315,7 @@ type Graph struct {
 	// run).
 	adj [][]Adj
 
-	idx *invIndex // lazily built inverted indexes; see ensureIndex
+	idx *invIndex // inverted indexes: built on first use, then maintained
 	sc  *scratch  // reusable per-graph scratch for index traversals
 
 	// free lists the slots of removed vertices. AddVertex reuses them
@@ -326,28 +327,27 @@ type Graph struct {
 }
 
 // invIndex is the inverted-index bundle enabling candidate-pair enumeration.
-// It is valid while n == len(g.Vertices); any vertex addition invalidates it
-// and the next ensureIndex rebuilds. Vertex REMOVAL (RemoveVertex,
-// ShrinkVertex) keeps the count and repairs the postings in place instead —
-// each CSR segment carries its live length, so deleting an ID is a shift
-// within the segment, not a rebuild. It stores vertex IDs only — edge
-// weights always read rates live — so in-place SubRates perturbation never
-// stales it.
+// Once ensureIndex has built it, it is a maintained structure: every mutator
+// keeps it current (AddVertex, AddQVertex and AddNVertex post the new
+// vertex's content, RemoveVertex and ShrinkVertex forget what the vertex
+// lost), and only ComputeEdges' wholesale reset drops it. While it is nil —
+// a graph being filled before its first use — mutators pay nothing.
+//
+// Every posting is a run of vertex IDs in ascending order. That order is an
+// invariant, not a convenience: ForEachOverlap visits vertices in posting
+// order, which is the float summation order of its consumers, so a maintained
+// index must read exactly like one rebuilt from scratch. It stores vertex IDs
+// only — edge weights always read rates live — so in-place SubRates
+// perturbation never stales it.
 type invIndex struct {
-	n int
-
-	// interested: CSR substream -> IDs (ascending) of vertices whose
-	// Interest has the bit. interestedLen[s] is the live entry count of
-	// segment s (== the segment span right after a build; removals
-	// shrink it in place).
-	interestedOff []int32
-	interestedIDs []int32
-	interestedLen []int32
-	// bySrc: CSR compact-source -> IDs of vertices interested in at least
-	// one substream of that source, with live lengths like interested.
-	bySrcOff []int32
-	bySrcIDs []int32
-	bySrcLen []int32
+	// interested: substream -> IDs of vertices whose Interest has the bit.
+	// ensureIndex carves the runs of interested and bySrc from one backing
+	// array each, capped with three-index slices like adj: a run that
+	// outgrows its cap reallocates alone.
+	interested [][]int32
+	// bySrc: compact-source -> IDs of vertices interested in at least one
+	// substream of that source.
+	bySrc [][]int32
 	// vertsOfSrc: compact-source -> IDs of vertices whose Nodes contain
 	// the source node (the source-node index).
 	vertsOfSrc [][]int32
@@ -427,20 +427,16 @@ func NewOnSpace(s *Space) *Graph {
 // cluster (able to host queries) rather than a zero-capability anchor.
 func (g *Graph) AddNVertex(node topology.NodeID, clu int, assignable bool) *Vertex {
 	v := &Vertex{
-		ID:         len(g.Vertices),
 		Nodes:      []topology.NodeID{node},
 		Clu:        clu,
 		Assignable: assignable,
 	}
-	g.Vertices = append(g.Vertices, v)
-	g.adj = append(g.adj, nil)
-	return v
+	return g.install(len(g.Vertices), v)
 }
 
 // AddQVertex adds a q-vertex for a single query.
 func (g *Graph) AddQVertex(q QueryInfo) *Vertex {
 	v := &Vertex{
-		ID:          len(g.Vertices),
 		Weight:      q.Load,
 		Clu:         ClusterUnknown,
 		Queries:     []QueryInfo{q},
@@ -448,31 +444,34 @@ func (g *Graph) AddQVertex(q QueryInfo) *Vertex {
 		ResultRates: map[topology.NodeID]float64{q.Proxy: q.ResultRate},
 		StateSize:   q.StateSize,
 	}
-	g.Vertices = append(g.Vertices, v)
-	g.adj = append(g.adj, nil)
-	return v
+	return g.install(len(g.Vertices), v)
 }
 
 // AddVertex adds a prebuilt (e.g. coarsened, received-from-child) vertex,
 // reassigning its ID. A slot freed by RemoveVertex is reused before the
-// arrays grow; either way the inverted indexes are rebuilt by the next
-// ensureIndex (the appended/reused content is not in the postings).
+// arrays grow; either way a built inverted index gains the vertex's content
+// in place, at its sorted position.
 func (g *Graph) AddVertex(v *Vertex) *Vertex {
+	id := len(g.Vertices)
 	if n := len(g.free); n > 0 {
-		id := g.free[n-1]
+		id = g.free[n-1]
 		g.free = g.free[:n-1]
-		v.ID = id
+	}
+	return g.install(id, v)
+}
+
+// install puts v in slot id — a freed slot, or len(g.Vertices) to grow the
+// arrays — and posts its content to a built index.
+func (g *Graph) install(id int, v *Vertex) *Vertex {
+	v.ID = id
+	if id == len(g.Vertices) {
+		g.Vertices = append(g.Vertices, v)
+		g.adj = append(g.adj, nil)
+	} else {
 		g.Vertices[id] = v
 		g.adj[id] = g.adj[id][:0]
-		// Slot reuse keeps len(Vertices) unchanged, so the count-based
-		// staleness check would wrongly keep the repaired index alive:
-		// invalidate it explicitly.
-		g.idx = nil
-		return v
 	}
-	v.ID = len(g.Vertices)
-	g.Vertices = append(g.Vertices, v)
-	g.adj = append(g.adj, nil)
+	g.indexPost(v)
 	return v
 }
 
@@ -565,88 +564,30 @@ func resultTo(q, n *Vertex) float64 {
 	return w
 }
 
-// ensureIndex (re)builds the inverted indexes when the vertex set changed
-// since the last build.
+// ensureIndex returns the inverted indexes, building them from the current
+// vertex set when none are live. The build is the only O(|V|) step: from
+// then on indexPost and indexForget keep the postings current.
 func (g *Graph) ensureIndex() *invIndex {
-	if g.idx != nil && g.idx.n == len(g.Vertices) {
+	if g.idx != nil {
 		return g.idx
 	}
 	nSub := len(g.SubRates)
 	nSrc := len(g.srcNodes)
 	idx := &invIndex{
-		n:             len(g.Vertices),
-		interestedOff: make([]int32, nSub+1),
-		bySrcOff:      make([]int32, nSrc+1),
-		vertsOfSrc:    make([][]int32, nSrc),
-		vertsOfNode:   make(map[topology.NodeID][]int32),
-		resultTo:      make(map[topology.NodeID][]int32),
+		vertsOfSrc:  make([][]int32, nSrc),
+		vertsOfNode: make(map[topology.NodeID][]int32),
+		resultTo:    make(map[topology.NodeID][]int32),
 	}
-	// Counting pass for the two CSR indexes. srcSeen de-duplicates a
-	// vertex's substreams per source; it doubles as the fill-pass stamp.
+	// Counting pass sizing the runs of the two carved indexes. srcSeen
+	// de-duplicates a vertex's substreams per source; it doubles as the
+	// fill-pass stamp.
+	subN := make([]int32, nSub)
+	srcN := make([]int32, nSrc)
 	srcSeen := make([]int32, nSrc)
 	for i := range srcSeen {
 		srcSeen[i] = -1
 	}
-	countVertex := func(id int, v *Vertex) {
-		if v.Interest == nil {
-			return
-		}
-		for wi, w := range v.Interest.Words() {
-			for w != 0 {
-				s := wi<<6 + bits.TrailingZeros64(w)
-				w &= w - 1
-				if s >= nSub {
-					break
-				}
-				idx.interestedOff[s+1]++
-				if si := g.srcIdxOfSub[s]; srcSeen[si] != int32(id) {
-					srcSeen[si] = int32(id)
-					idx.bySrcOff[si+1]++
-				}
-			}
-		}
-	}
-	for id, v := range g.Vertices {
-		if v == nil {
-			continue
-		}
-		countVertex(id, v)
-		for _, node := range v.Nodes {
-			if si, ok := g.srcIdxOfNode[node]; ok {
-				idx.vertsOfSrc[si] = append(idx.vertsOfSrc[si], int32(id))
-			}
-			idx.vertsOfNode[node] = append(idx.vertsOfNode[node], int32(id))
-		}
-		for node := range v.ResultRates {
-			//lint:maporder one append per (node, id) pair: each per-node list still fills in ascending id order from the outer slice scan
-			idx.resultTo[node] = append(idx.resultTo[node], int32(id))
-		}
-	}
-	for s := 0; s < nSub; s++ {
-		idx.interestedOff[s+1] += idx.interestedOff[s]
-	}
-	for s := 0; s < nSrc; s++ {
-		idx.bySrcOff[s+1] += idx.bySrcOff[s]
-	}
-	idx.interestedIDs = make([]int32, idx.interestedOff[nSub])
-	idx.bySrcIDs = make([]int32, idx.bySrcOff[nSrc])
-	idx.interestedLen = make([]int32, nSub)
-	for s := 0; s < nSub; s++ {
-		idx.interestedLen[s] = idx.interestedOff[s+1] - idx.interestedOff[s]
-	}
-	idx.bySrcLen = make([]int32, nSrc)
-	for s := 0; s < nSrc; s++ {
-		idx.bySrcLen[s] = idx.bySrcOff[s+1] - idx.bySrcOff[s]
-	}
-	subCur := make([]int32, nSub)
-	copy(subCur, idx.interestedOff[:nSub])
-	srcCur := make([]int32, nSrc)
-	copy(srcCur, idx.bySrcOff[:nSrc])
-	for i := range srcSeen {
-		srcSeen[i] = -1
-	}
-	// Fill pass in ascending vertex order, so every list is sorted.
-	for id, v := range g.Vertices {
+	for i, v := range g.Vertices {
 		if v == nil || v.Interest == nil {
 			continue
 		}
@@ -657,113 +598,191 @@ func (g *Graph) ensureIndex() *invIndex {
 				if s >= nSub {
 					break
 				}
-				idx.interestedIDs[subCur[s]] = int32(id)
-				subCur[s]++
-				if si := g.srcIdxOfSub[s]; srcSeen[si] != int32(id) {
-					srcSeen[si] = int32(id)
-					idx.bySrcIDs[srcCur[si]] = int32(id)
-					srcCur[si]++
+				subN[s]++
+				if si := g.srcIdxOfSub[s]; srcSeen[si] != int32(i) {
+					srcSeen[si] = int32(i)
+					srcN[si]++
 				}
 			}
+		}
+	}
+	idx.interested = carveRuns(subN)
+	idx.bySrc = carveRuns(srcN)
+	for i := range srcSeen {
+		srcSeen[i] = -1
+	}
+	// Fill pass in ascending vertex order: every ID lands at the end of its
+	// run, inside the carved capacity, so every run is sorted.
+	for i, v := range g.Vertices {
+		if v == nil || v.Interest == nil {
+			continue
+		}
+		id := int32(i)
+		for wi, w := range v.Interest.Words() {
+			for w != 0 {
+				s := wi<<6 + bits.TrailingZeros64(w)
+				w &= w - 1
+				if s >= nSub {
+					break
+				}
+				idx.interested[s] = append(idx.interested[s], id)
+				if si := g.srcIdxOfSub[s]; srcSeen[si] != id {
+					srcSeen[si] = id
+					idx.bySrc[si] = append(idx.bySrc[si], id)
+				}
+			}
+		}
+	}
+	for i, v := range g.Vertices {
+		if v != nil {
+			idx.postRoles(g.Space, int32(i), v)
 		}
 	}
 	g.idx = idx
 	return idx
 }
 
-func (idx *invIndex) interestedIn(s int) []int32 {
-	off := idx.interestedOff[s]
-	return idx.interestedIDs[off : off+idx.interestedLen[s]]
+// carveRuns lays one empty run per count out over a single backing array,
+// each capped at its count so a later insert reallocates that run alone.
+func carveRuns(counts []int32) [][]int32 {
+	total := 0
+	for _, c := range counts {
+		total += int(c)
+	}
+	pool := make([]int32, total)
+	runs := make([][]int32, len(counts))
+	off := 0
+	for i, c := range counts {
+		end := off + int(c)
+		runs[i] = pool[off:off:end]
+		off = end
+	}
+	return runs
 }
 
-func (idx *invIndex) bySource(si int32) []int32 {
-	off := idx.bySrcOff[si]
-	return idx.bySrcIDs[off : off+idx.bySrcLen[si]]
-}
-
-// segDelete removes id from the sorted live segment ids[off:off+n],
-// returning the new live length (n unchanged when id is absent).
-func segDelete(ids []int32, off, n, id int32) int32 {
-	seg := ids[off : off+n]
-	lo, hi := 0, len(seg)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if seg[mid] < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == len(seg) || seg[lo] != id {
-		return n
-	}
-	copy(seg[lo:], seg[lo+1:])
-	return n - 1
-}
-
-// idSliceDelete removes id from a sorted id slice (the map-backed postings).
-func idSliceDelete(ids []int32, id int32) []int32 {
-	for i, x := range ids {
-		if x == id {
-			return append(ids[:i], ids[i+1:]...)
-		}
-	}
-	return ids
-}
-
-// indexForget repairs the inverted indexes after vertex id lost the given
-// content: interest bits, node roles and result-edge keys are passed
-// explicitly so ShrinkVertex can forget only the delta. No-op when no index
-// is built. Caller must have checked idx.n == len(g.Vertices).
-func (g *Graph) indexForget(id int32, interestBits []int, dropSrcs []int32, nodes []topology.NodeID, resultNodes []topology.NodeID) {
-	idx := g.idx
-	for _, s := range interestBits {
-		idx.interestedLen[s] = segDelete(idx.interestedIDs, idx.interestedOff[s], idx.interestedLen[s], id)
-	}
-	for _, si := range dropSrcs {
-		idx.bySrcLen[si] = segDelete(idx.bySrcIDs, idx.bySrcOff[si], idx.bySrcLen[si], id)
-	}
-	for _, node := range nodes {
-		if si, ok := g.srcIdxOfNode[node]; ok {
-			idx.vertsOfSrc[si] = idSliceDelete(idx.vertsOfSrc[si], id)
-		}
-		if rest := idSliceDelete(idx.vertsOfNode[node], id); len(rest) == 0 {
-			delete(idx.vertsOfNode, node)
-		} else {
-			idx.vertsOfNode[node] = rest
-		}
-	}
-	for _, node := range resultNodes {
-		if rest := idSliceDelete(idx.resultTo[node], id); len(rest) == 0 {
-			delete(idx.resultTo, node)
-		} else {
-			idx.resultTo[node] = rest
-		}
-	}
-}
-
-// interestBitsOf lists the set bits of a vertex interest below the substream
-// space bound, and the distinct compact sources they originate from.
-func (g *Graph) interestBitsOf(interest *bitvec.Vector) (set []int, srcs []int32) {
+// eachSub calls fn for every set bit of interest below the substream space
+// bound, ascending, with the compact index of the substream's source.
+func (g *Graph) eachSub(interest *bitvec.Vector, fn func(s int, si int32)) {
 	if interest == nil {
-		return nil, nil
+		return
 	}
-	seen := make(map[int32]bool)
 	for wi, w := range interest.Words() {
 		for w != 0 {
 			s := wi<<6 + bits.TrailingZeros64(w)
 			w &= w - 1
 			if s >= len(g.SubRates) {
-				break
+				return
 			}
-			set = append(set, s)
-			if si := g.srcIdxOfSub[s]; !seen[si] {
-				seen[si] = true
-				srcs = append(srcs, si)
-			}
+			fn(s, g.srcIdxOfSub[s])
 		}
 	}
-	return set, srcs
+}
+
+// sortedInsert adds id to an ascending run, keeping it ascending; a run that
+// already holds id is returned unchanged.
+func sortedInsert(ids []int32, id int32) []int32 {
+	n := len(ids)
+	// Fast paths: ascending insertion (additions that grow the vertex
+	// array), where a vertex posts to a source's run once per bit.
+	if n == 0 || ids[n-1] < id {
+		return append(ids, id)
+	}
+	if ids[n-1] == id {
+		return ids
+	}
+	k, found := slices.BinarySearch(ids, id)
+	if found {
+		return ids
+	}
+	return slices.Insert(ids, k, id)
+}
+
+// sortedDelete removes id from an ascending run, in place; a run without id
+// is returned unchanged.
+func sortedDelete(ids []int32, id int32) []int32 {
+	k, found := slices.BinarySearch(ids, id)
+	if !found {
+		return ids
+	}
+	return slices.Delete(ids, k, k+1)
+}
+
+// indexPost adds vertex v's content — interest bits, node roles, result-edge
+// keys — to a built index under v.ID. No-op while no index is built.
+func (g *Graph) indexPost(v *Vertex) {
+	idx := g.idx
+	if idx == nil {
+		return
+	}
+	id := int32(v.ID)
+	g.eachSub(v.Interest, func(s int, si int32) {
+		idx.interested[s] = sortedInsert(idx.interested[s], id)
+		idx.bySrc[si] = sortedInsert(idx.bySrc[si], id)
+	})
+	idx.postRoles(g.Space, id, v)
+}
+
+// postRoles posts v's node roles and result-edge keys under id — the part of
+// a vertex's content the build and indexPost index the same way (a build
+// visits vertices in ascending order, so every insert is an append).
+func (idx *invIndex) postRoles(sp *Space, id int32, v *Vertex) {
+	for _, node := range v.Nodes {
+		if si, ok := sp.srcIdxOfNode[node]; ok {
+			idx.vertsOfSrc[si] = sortedInsert(idx.vertsOfSrc[si], id)
+		}
+		idx.vertsOfNode[node] = sortedInsert(idx.vertsOfNode[node], id)
+	}
+	for node := range v.ResultRates {
+		//lint:maporder one insert per (node, id) pair into that node's own sorted run; inserts on distinct keys commute
+		idx.resultTo[node] = sortedInsert(idx.resultTo[node], id)
+	}
+}
+
+// indexForget removes from a built index what vertex id loses when its
+// content goes from old to kept, a subset of old (the empty vertex when id is
+// removed outright): interest bits kept no longer has, sources no kept bit
+// originates from, and node roles and result-edge keys kept dropped. No-op
+// while no index is built.
+func (g *Graph) indexForget(id int32, old, kept *Vertex) {
+	idx := g.idx
+	if idx == nil {
+		return
+	}
+	keepSrc := make([]bool, len(g.srcNodes))
+	g.MarkSources(kept.Interest, keepSrc)
+	g.eachSub(old.Interest, func(s int, si int32) {
+		if kept.Interest == nil || !kept.Interest.Test(s) {
+			idx.interested[s] = sortedDelete(idx.interested[s], id)
+		}
+		if !keepSrc[si] {
+			idx.bySrc[si] = sortedDelete(idx.bySrc[si], id)
+		}
+	})
+	for _, node := range old.Nodes {
+		if slices.Contains(kept.Nodes, node) {
+			continue
+		}
+		if si, ok := g.srcIdxOfNode[node]; ok {
+			idx.vertsOfSrc[si] = sortedDelete(idx.vertsOfSrc[si], id)
+		}
+		forgetKeyed(idx.vertsOfNode, node, id)
+	}
+	for node := range old.ResultRates {
+		if _, still := kept.ResultRates[node]; !still {
+			//lint:maporder one delete per (node, id) pair from that node's own sorted run; deletes on distinct keys commute
+			forgetKeyed(idx.resultTo, node, id)
+		}
+	}
+}
+
+// forgetKeyed deletes id from a node-keyed posting, dropping the key with its
+// last entry so the map holds exactly the keys a rebuild would.
+func forgetKeyed(m map[topology.NodeID][]int32, node topology.NodeID, id int32) {
+	if rest := sortedDelete(m[node], id); len(rest) == 0 {
+		delete(m, node)
+	} else {
+		m[node] = rest
+	}
 }
 
 // srcRates is the per-vertex cached weighted interest rate, broken down by
@@ -891,7 +910,7 @@ func (g *Graph) ComputeEdges() {
 						break
 					}
 					r := g.SubRates[s]
-					for _, vv := range idx.interestedIn(s) {
+					for _, vv := range idx.interested[s] {
 						v := int(vv)
 						if v <= u {
 							continue
@@ -921,7 +940,7 @@ func (g *Graph) ComputeEdges() {
 		// vertices sending results to nodes we represent.
 		for _, node := range uv.Nodes {
 			if si, ok := g.srcIdxOfNode[node]; ok {
-				cands = addCand(sc, u, idx.bySource(si), cands)
+				cands = addCand(sc, u, idx.bySrc[si], cands)
 			}
 			cands = addCand(sc, u, idx.resultTo[node], cands)
 		}
@@ -1075,7 +1094,7 @@ func (g *Graph) ConnectVertex(v *Vertex) {
 				if s >= len(g.SubRates) {
 					break
 				}
-				add(idx.interestedIn(s))
+				add(idx.interested[s])
 				if si := g.srcIdxOfSub[s]; sc.srcStamp[si] != sc.epoch {
 					sc.srcStamp[si] = sc.epoch
 					add(idx.vertsOfSrc[si])
@@ -1088,7 +1107,7 @@ func (g *Graph) ConnectVertex(v *Vertex) {
 	}
 	for _, node := range v.Nodes {
 		if si, ok := g.srcIdxOfNode[node]; ok {
-			add(idx.bySource(si))
+			add(idx.bySrc[si])
 		}
 		add(idx.resultTo[node])
 	}
@@ -1125,7 +1144,7 @@ func (g *Graph) ForEachOverlap(iv *bitvec.Vector, fn func(vertex int, w float64)
 				break
 			}
 			r := g.SubRates[s]
-			for _, vv := range idx.interestedIn(s) {
+			for _, vv := range idx.interested[s] {
 				v := int(vv)
 				if sc.accMark[v] != sc.epoch {
 					sc.accMark[v] = sc.epoch
@@ -1149,11 +1168,9 @@ func (g *Graph) RemoveVertexEdges(i int) { g.deleteVertexEdges(i) }
 // RemoveVertex deletes vertex id from the graph — the teardown primitive of
 // online query removal. Its edges are detached, the slot is niled (other
 // vertices keep their IDs, so parallel assignment arrays stay aligned), and
-// the inverted indexes are repaired IN PLACE: the ID is deleted from every
-// posting list its content appeared in, so index consumers (ForEachOverlap,
-// ConnectVertex) never surface the dead slot and no vertex-count-triggered
-// rebuild is paid. Returns the removed vertex (nil if the slot was already
-// empty).
+// the ID is deleted from every posting its content appeared in, so index
+// consumers (ForEachOverlap, ConnectVertex) never surface the dead slot.
+// Returns the removed vertex (nil if the slot was already empty).
 func (g *Graph) RemoveVertex(id int) *Vertex {
 	if id < 0 || id >= len(g.Vertices) {
 		return nil
@@ -1163,19 +1180,7 @@ func (g *Graph) RemoveVertex(id int) *Vertex {
 		return nil
 	}
 	g.deleteVertexEdges(id)
-	if g.idx != nil {
-		if g.idx.n != len(g.Vertices) {
-			g.idx = nil // stale anyway: let the next ensureIndex rebuild
-		} else {
-			bits, srcs := g.interestBitsOf(v.Interest)
-			resultNodes := make([]topology.NodeID, 0, len(v.ResultRates))
-			for node := range v.ResultRates {
-				//lint:maporder indexForget removes id from each node's list independently; removals on distinct keys commute
-				resultNodes = append(resultNodes, node)
-			}
-			g.indexForget(int32(id), bits, srcs, v.Nodes, resultNodes)
-		}
-	}
+	g.indexForget(int32(id), v, &Vertex{})
 	g.Vertices[id] = nil
 	g.free = append(g.free, id)
 	return v
@@ -1185,47 +1190,15 @@ func (g *Graph) RemoveVertex(id int) *Vertex {
 // content (queries removed from a merged vertex): nv's interest bits,
 // result-rate keys and node list must be subsets of the old vertex's (node
 // lists equal, in practice, since query-bearing vertices carry no nodes
-// under the hierarchy's NoQN coarsening). The inverted indexes are repaired
-// in place for exactly the content delta, and the vertex's incident edges
-// are re-estimated from the new content against the index's candidates —
-// the removal counterpart of ConnectVertex. nv is installed with ID id.
+// under the hierarchy's NoQN coarsening). The inverted indexes forget
+// exactly the content delta, and the vertex's incident edges are
+// re-estimated from the new content against the index's candidates — the
+// removal counterpart of ConnectVertex. nv is installed with ID id.
 func (g *Graph) ShrinkVertex(id int, nv *Vertex) {
 	old := g.Vertices[id]
 	g.deleteVertexEdges(id)
-	if g.idx != nil && old != nil {
-		if g.idx.n != len(g.Vertices) {
-			g.idx = nil
-		} else {
-			// Forget only the delta: bits and result keys the new
-			// content no longer has, and sources no remaining bit
-			// originates from.
-			oldBits, oldSrcs := g.interestBitsOf(old.Interest)
-			_, newSrcs := g.interestBitsOf(nv.Interest)
-			var gone []int
-			for _, s := range oldBits {
-				if nv.Interest == nil || !nv.Interest.Test(s) {
-					gone = append(gone, s)
-				}
-			}
-			keep := make(map[int32]bool, len(newSrcs))
-			for _, si := range newSrcs {
-				keep[si] = true
-			}
-			var dropSrcs []int32
-			for _, si := range oldSrcs {
-				if !keep[si] {
-					dropSrcs = append(dropSrcs, si)
-				}
-			}
-			var dropResult []topology.NodeID
-			for node := range old.ResultRates {
-				if _, still := nv.ResultRates[node]; !still {
-					//lint:maporder indexForget removes id from each node's list independently; removals on distinct keys commute
-					dropResult = append(dropResult, node)
-				}
-			}
-			g.indexForget(int32(id), gone, dropSrcs, nil, dropResult)
-		}
+	if old != nil {
+		g.indexForget(int32(id), old, nv)
 	}
 	nv.ID = id
 	g.Vertices[id] = nv

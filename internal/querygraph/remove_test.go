@@ -11,11 +11,11 @@ import (
 	"repro/internal/topology"
 )
 
-// This file property-tests the teardown primitives RemoveVertex and
-// ShrinkVertex: after arbitrary interleavings of additions, removals and
-// shrinks, the in-place-repaired inverted index must behave exactly like an
-// index rebuilt from scratch over the surviving vertices, and re-estimated
-// edges must equal a full ComputeEdges pass.
+// This file property-tests the maintained inverted index: after arbitrary
+// interleavings of additions, removals and shrinks, the index every mutator
+// kept current in place must equal, posting for posting, an index built from
+// scratch over the surviving vertices, and re-estimated edges must equal a
+// full ComputeEdges pass.
 
 func randRemQuery(r *rand.Rand, id int, nSub int, procs []topology.NodeID) QueryInfo {
 	iv := bitvec.New(nSub)
@@ -32,17 +32,76 @@ func randRemQuery(r *rand.Rand, id int, nSub int, procs []topology.NodeID) Query
 	}
 }
 
-// overlapSnapshot captures ForEachOverlap's output for a probe interest —
-// the index-driven view routeAt consumes.
-func overlapSnapshot(g *Graph, iv *bitvec.Vector) map[int]float64 {
-	out := make(map[int]float64)
+// overlapSequence captures ForEachOverlap's output for a probe interest, in
+// visit order — the index-driven view routeAt consumes, whose order is the
+// float summation order of routeAt's per-position buckets. remap translates
+// vertex IDs (nil keeps them).
+func overlapSequence(g *Graph, iv *bitvec.Vector, remap []int) []Adj {
+	var out []Adj
 	g.ForEachOverlap(iv, func(v int, w float64) {
 		if g.Vertices[v] == nil {
 			panic(fmt.Sprintf("index surfaced removed vertex %d", v))
 		}
-		out[v] = w
+		if remap != nil {
+			v = remap[v]
+		}
+		out = append(out, Adj{To: v, W: w})
 	})
 	return out
+}
+
+// remapIDs translates a posting through idOf (nil keeps the IDs). An empty
+// posting comes back nil, so reflect.DeepEqual does not tell an emptied run
+// from a never-filled one.
+func remapIDs(ids []int32, idOf []int) []int32 {
+	var out []int32
+	for _, id := range ids {
+		if idOf != nil {
+			id = int32(idOf[id])
+		}
+		out = append(out, id)
+	}
+	return out
+}
+
+// indexDiff compares the five postings of a maintained index, IDs remapped
+// through idOf, with those of an index built from scratch, entry for entry.
+// It returns a description of the first difference, or "".
+func indexDiff(got, want *invIndex, idOf []int) string {
+	runs := func(name string, a, b [][]int32) string {
+		if len(a) != len(b) {
+			return fmt.Sprintf("%s: %d runs, want %d", name, len(a), len(b))
+		}
+		for i := range a {
+			if g, w := remapIDs(a[i], idOf), remapIDs(b[i], nil); !reflect.DeepEqual(g, w) {
+				return fmt.Sprintf("%s[%d] = %v, want %v", name, i, g, w)
+			}
+		}
+		return ""
+	}
+	keyed := func(name string, a, b map[topology.NodeID][]int32) string {
+		if len(a) != len(b) {
+			return fmt.Sprintf("%s: %d keys, want %d", name, len(a), len(b))
+		}
+		for node, ids := range a {
+			if g, w := remapIDs(ids, idOf), remapIDs(b[node], nil); !reflect.DeepEqual(g, w) {
+				return fmt.Sprintf("%s[%d] = %v, want %v", name, node, g, w)
+			}
+		}
+		return ""
+	}
+	for _, d := range []string{
+		runs("interested", got.interested, want.interested),
+		runs("bySrc", got.bySrc, want.bySrc),
+		runs("vertsOfSrc", got.vertsOfSrc, want.vertsOfSrc),
+		keyed("vertsOfNode", got.vertsOfNode, want.vertsOfNode),
+		keyed("resultTo", got.resultTo, want.resultTo),
+	} {
+		if d != "" {
+			return d
+		}
+	}
+	return ""
 }
 
 // edgeSnapshot renders the live adjacency as a canonical map.
@@ -83,11 +142,17 @@ func rebuiltTwin(g *Graph) (*Graph, []int) {
 	return twin, idOf
 }
 
-// TestRemoveVertexRepairsIndex: random add/remove/shrink churn; after every
-// mutation the repaired index's overlap view and the re-estimated edges are
-// bit-identical to a from-scratch twin graph over the surviving vertices.
+// TestRemoveVertexRepairsIndex: random add/remove/merge-into-freed-slot/
+// shrink churn; after every mutation the maintained index equals the index of
+// a from-scratch twin graph over the surviving vertices posting for posting,
+// its overlap view visits the same vertices in the same order with the same
+// weights, the re-estimated edges are bit-identical to the twin's, and no
+// mutator replaced the index it was handed.
 func TestRemoveVertexRepairsIndex(t *testing.T) {
-	procs := []topology.NodeID{0, 1, 2, 3}
+	// Proxies 4 and 5 have no n-vertex at first: it is added mid-churn,
+	// into an index that already holds result-edge keys toward it.
+	procs := []topology.NodeID{0, 1, 2, 3, 4, 5}
+	lateNodes := []topology.NodeID{4, 5}
 	for seed := uint64(0); seed < 25; seed++ {
 		r := rand.New(rand.NewPCG(seed, 4242))
 		nSub := 8 + r.IntN(24)
@@ -106,13 +171,24 @@ func TestRemoveVertexRepairsIndex(t *testing.T) {
 		for _, n := range []topology.NodeID{10, 11, 12, 0, 1, 2, 3} {
 			g.AddNVertex(n, int(n)%3, true)
 		}
-		var queries []QueryInfo
+		// A graph filled before its first index use carries no index; the
+		// first ConnectVertex builds one lazily, and from then on every
+		// mutator posts into that one in place, like Insert.
+		var built *invIndex
 		for i := 0; i < 12+r.IntN(12); i++ {
-			q := randRemQuery(r, i, nSub, procs)
-			queries = append(queries, q)
-			v := g.AddQVertex(q)
-			g.ConnectVertex(v) // builds the index incrementally, like Insert
+			v := g.AddQVertex(randRemQuery(r, i, nSub, procs))
+			if i == 0 && g.idx != nil {
+				t.Fatalf("seed %d: index built before its first use", seed)
+			}
+			g.ConnectVertex(v)
+			if i == 0 {
+				built = g.idx
+			}
 		}
+		if built == nil {
+			t.Fatalf("seed %d: first ConnectVertex built no index", seed)
+		}
+		late := lateNodes
 		live := make(map[int]bool)
 		for i, v := range g.Vertices {
 			if v != nil && len(v.Queries) > 0 {
@@ -122,7 +198,13 @@ func TestRemoveVertexRepairsIndex(t *testing.T) {
 
 		check := func(step string) {
 			t.Helper()
+			if g.idx != built {
+				t.Fatalf("seed %d %s: the index was rebuilt, not maintained", seed, step)
+			}
 			twin, idOf := rebuiltTwin(g)
+			if d := indexDiff(g.idx, twin.idx, idOf); d != "" {
+				t.Fatalf("seed %d %s: maintained index diverges from a fresh build: %s", seed, step, d)
+			}
 			// Edges of the churned graph == full recompute on the twin.
 			got := edgeSnapshot(g)
 			want := edgeSnapshot(twin)
@@ -146,14 +228,10 @@ func TestRemoveVertexRepairsIndex(t *testing.T) {
 				for i := 0; i < 1+r.IntN(4); i++ {
 					iv.Set(r.IntN(nSub))
 				}
-				gotOv := overlapSnapshot(g, iv)
-				wantOv := overlapSnapshot(twin, iv)
-				remappedOv := make(map[int]float64, len(gotOv))
-				for v, w := range gotOv {
-					remappedOv[idOf[v]] = w
-				}
-				if !reflect.DeepEqual(remappedOv, wantOv) {
-					t.Fatalf("seed %d %s: overlap view diverges\ngot:  %v\nwant: %v", seed, step, remappedOv, wantOv)
+				gotOv := overlapSequence(g, iv, idOf)
+				wantOv := overlapSequence(twin, iv, nil)
+				if !reflect.DeepEqual(gotOv, wantOv) {
+					t.Fatalf("seed %d %s: overlap sequence diverges\ngot:  %v\nwant: %v", seed, step, gotOv, wantOv)
 				}
 			}
 		}
@@ -196,10 +274,10 @@ func TestRemoveVertexRepairsIndex(t *testing.T) {
 					merged.ResultRates[n] += rr
 				}
 				merged.ResultRates[extra.Proxy] += extra.ResultRate
-				// Growing content needs the count-based rebuild path:
-				// install the merged vertex as a NEW vertex and remove
-				// the old one (exactly how a coarse vertex arises),
-				// then shrink the new vertex back to old's content.
+				// Content only ever grows by a new vertex: remove the
+				// old one and install the merged vertex — AddVertex
+				// puts it in the slot just freed, mid-run in every
+				// posting — then shrink it back to old's content.
 				g.RemoveVertex(id)
 				delete(live, id)
 				nv := g.AddVertex(merged)
@@ -220,10 +298,13 @@ func TestRemoveVertexRepairsIndex(t *testing.T) {
 				g.ShrinkVertex(nv.ID, shrunk)
 				live[nv.ID] = true
 				check(fmt.Sprintf("round %d shrink %d", round, nv.ID))
+			case len(late) > 0 && r.IntN(3) == 0:
+				v := g.AddNVertex(late[0], int(late[0])%3, true)
+				late = late[1:]
+				g.ConnectVertex(v)
+				check(fmt.Sprintf("round %d add n-vertex %d", round, v.ID))
 			default:
-				q := randRemQuery(r, 100+round, nSub, procs)
-				queries = append(queries, q)
-				v := g.AddQVertex(q)
+				v := g.AddQVertex(randRemQuery(r, 100+round, nSub, procs))
 				g.ConnectVertex(v)
 				live[v.ID] = true
 				check(fmt.Sprintf("round %d add %d", round, v.ID))
@@ -239,10 +320,13 @@ func TestRemoveVertexRepairsIndex(t *testing.T) {
 		for i := 0; i < nSub; i++ {
 			probe.Set(i)
 		}
-		for v, w := range overlapSnapshot(g, probe) {
-			if len(g.Vertices[v].Queries) > 0 {
-				t.Fatalf("seed %d: drained graph still surfaces query vertex %d (w=%v)", seed, v, w)
+		for _, e := range overlapSequence(g, probe, nil) {
+			if len(g.Vertices[e.To].Queries) > 0 {
+				t.Fatalf("seed %d: drained graph still surfaces query vertex %d (w=%v)", seed, e.To, e.W)
 			}
+		}
+		if g.idx != built {
+			t.Fatalf("seed %d: draining the graph rebuilt the index", seed)
 		}
 	}
 }

@@ -247,7 +247,10 @@ func (w *World) Fig8(opts ExperimentOptions) (cost, dev *metrics.Table, err erro
 }
 
 // Fig9 reproduces Figure 9: distribution quality and root-coordinator
-// insertion throughput versus the cluster size parameter k.
+// routing throughput versus the cluster size parameter k. Fig 9(b) carries
+// two series over the same probe batch: Throughput is the root's routing
+// decision alone (RouteAtRoot, the paper's quantity — the root is the
+// potential bottleneck), Insert is the whole online insertion down the tree.
 func (w *World) Fig9(opts ExperimentOptions, ks []int) (cost, thr *metrics.Table, err error) {
 	opts = opts.withDefaults(w)
 	if len(ks) == 0 {
@@ -255,7 +258,7 @@ func (w *World) Fig9(opts ExperimentOptions, ks []int) (cost, thr *metrics.Table
 	}
 	cost = &metrics.Table{Title: "Fig 9(a) Comm. cost vs cluster size k", XLabel: "k"}
 	thr = &metrics.Table{Title: "Fig 9(b) Root throughput (queries/sec) vs k", XLabel: "k"}
-	var cs, ts []float64
+	var cs, ts, ins []float64
 	wl, err := w.GenerateWorkload(opts.Queries)
 	if err != nil {
 		return nil, nil, err
@@ -285,11 +288,20 @@ func (w *World) Fig9(opts ExperimentOptions, ks []int) (cost, thr *metrics.Table
 				return nil, nil, err
 			}
 		}
-		elapsed := time.Since(start)
-		ts = append(ts, float64(len(probes))/elapsed.Seconds())
+		ts = append(ts, float64(len(probes))/time.Since(start).Seconds())
+		// Only now mutate the tree: the routing loop above must see the
+		// graph the distribution left.
+		start = time.Now()
+		for _, q := range probes {
+			if _, err := tree.Insert(q); err != nil {
+				return nil, nil, err
+			}
+		}
+		ins = append(ins, float64(len(probes))/time.Since(start).Seconds())
 	}
 	cost.AddSeries("COSMOS", cs)
 	thr.AddSeries("Throughput", ts)
+	thr.AddSeries("Insert", ins)
 	return cost, thr, nil
 }
 

@@ -129,10 +129,11 @@ func TestFig9Shapes(t *testing.T) {
 	}
 	_ = cost.Write(os.Stderr)
 	_ = thr.Write(os.Stderr)
-	ts := seriesByName(t, thr, "Throughput")
-	for _, v := range ts {
-		if v <= 0 {
-			t.Errorf("non-positive throughput %v", v)
+	for _, name := range []string{"Throughput", "Insert"} {
+		for _, v := range seriesByName(t, thr, name) {
+			if v <= 0 {
+				t.Errorf("non-positive %s rate %v", name, v)
+			}
 		}
 	}
 }
