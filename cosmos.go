@@ -45,6 +45,7 @@ import (
 	"reflect"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/bitvec"
 	"repro/internal/engine"
@@ -284,9 +285,10 @@ type QueryHandle struct {
 	sink func(Tuple)
 	info querygraph.QueryInfo
 
+	delivered atomic.Int64
+
 	mu        sync.Mutex
 	processor NodeID
-	delivered int64
 }
 
 // Processor returns the processor currently evaluating the query.
@@ -297,11 +299,7 @@ func (h *QueryHandle) Processor() NodeID {
 }
 
 // Delivered returns how many result tuples reached the user.
-func (h *QueryHandle) Delivered() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.delivered
-}
+func (h *QueryHandle) Delivered() int64 { return h.delivered.Load() }
 
 // Cancel withdraws the query from the middleware: the user-side result
 // subscription is unsubscribed at the proxy (retracting its routing state

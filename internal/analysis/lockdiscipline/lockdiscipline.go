@@ -1,5 +1,5 @@
 // Package lockdiscipline enforces the broker's reentrancy contract: no
-// Peer send, transport call or user Handler callback may run while a
+// Peer send, transport call or user Handler/Sink callback may run while a
 // guarded mutex is held. Every broker entry point follows the
 // lock-mutate-unlock-send shape — decisions are made and recorded under
 // Broker.mu, but the sends they produce go out after Unlock, because a
@@ -19,7 +19,8 @@
 //
 //   - is a Peer protocol send (AdvertFrom, UnadvertFrom, PropagateFrom,
 //     RetractFrom, RouteFrom),
-//   - invokes a Handler-typed value,
+//   - invokes a value of a named func type whose name contains Handler or
+//     Sink (pubsub.Handler, engine.ResultSink),
 //   - calls into a transport package, or
 //   - calls a same-package function that transitively reaches any of the
 //     above (static callgraph, context-insensitive).
@@ -53,7 +54,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "lockdiscipline",
-	Doc: "flag Peer sends, transport calls and Handler callbacks reachable " +
+	Doc: "flag Peer sends, transport calls and Handler/Sink callbacks reachable " +
 		"while a cosmoslint:guards-annotated mutex is held, and writes to " +
 		"cosmoslint:snapshot types outside their builders",
 	Run: run,
@@ -219,8 +220,9 @@ func (c *checker) sinkDesc(call *ast.CallExpr) string {
 	}
 	if t := c.pass.TypeOf(call.Fun); t != nil {
 		if named, ok := t.(*types.Named); ok {
-			if _, isSig := named.Underlying().(*types.Signature); isSig && strings.Contains(named.Obj().Name(), "Handler") {
-				return "callback through " + named.Obj().Name()
+			name := named.Obj().Name()
+			if _, isSig := named.Underlying().(*types.Signature); isSig && (strings.Contains(name, "Handler") || strings.Contains(name, "Sink")) {
+				return "callback through " + name
 			}
 		}
 	}

@@ -108,6 +108,35 @@ func (b *Broker) Annotated(v int) {
 	b.mu.Unlock()
 }
 
+// ResultSink is the engine's callback shape: a named func type whose name
+// contains Sink is a callback exactly as a Handler is.
+type ResultSink func(v int)
+
+type Query struct {
+	// mu guards window. cosmoslint:guards
+	mu     sync.Mutex
+	window []int
+	sink   ResultSink
+}
+
+// BadEmit calls the sink while the query's mutex is held: a sink that feeds
+// the result back into the query deadlocks.
+func (q *Query) BadEmit(v int) {
+	q.mu.Lock()
+	q.window = append(q.window, v)
+	q.sink(v) // want `callback through ResultSink while mu is held`
+	q.mu.Unlock()
+}
+
+// Emit detaches the result under the mutex and calls the sink after Unlock.
+func (q *Query) Emit(v int) {
+	q.mu.Lock()
+	q.window = append(q.window, v)
+	out := len(q.window)
+	q.mu.Unlock()
+	q.sink(out)
+}
+
 // Quiet has an unannotated mutex: out of scope, nothing is flagged even
 // though it sends under lock.
 type Quiet struct {

@@ -314,13 +314,6 @@ func (f *Fabric) HealLink(a, b topology.NodeID) {
 	f.mu.Unlock()
 }
 
-// Held reports how many delayed messages are currently in flight.
-func (f *Fabric) Held() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.held)
-}
-
 // Stats returns a snapshot of the fate counters.
 func (f *Fabric) Stats() Stats {
 	f.mu.Lock()

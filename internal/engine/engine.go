@@ -3,63 +3,64 @@
 // queries — selections, projections, and sliding-window joins — over live
 // tuples and emits result streams. COSMOS places queries on processors;
 // each processor runs one Engine fed by the Pub/Sub substrate.
+//
+// A query is compiled once, at AddQuery, into a plan (plan.go): aliases
+// become slice positions, predicates (position, attribute) tests — each join
+// predicate placed at the shallowest probe level where both sides are bound
+// — and the select list starred positions plus columns carrying their
+// qualified output name. Process runs the plan under the query's own mutex;
+// there is no engine-wide lock on the data path, so the queries of one
+// processor evaluate in parallel (CONCURRENCY.md, "The engines").
 package engine
 
 import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/query"
 	"repro/internal/stream"
 )
 
-// ResultSink receives the result tuples of one query.
+// ResultSink receives the result tuples of one query. It is called outside
+// every engine lock and may call back into the engine.
 type ResultSink func(t stream.Tuple)
 
 // Stats counts an engine's activity.
 type Stats struct {
 	Consumed int64 // input tuples processed
 	Emitted  int64 // result tuples produced
-	Dropped  int64 // input tuples failing every selection
+	// Dropped counts (tuple, alias) pairs that failed the alias's
+	// selections: a tuple is counted once per alias of every interested
+	// query that rejects it, so Dropped may exceed Consumed.
+	Dropped int64
 }
 
 // Engine hosts running continuous queries.
 type Engine struct {
+	// mu serialises AddQuery/RemoveQuery and guards queries; not for Process.
 	mu      sync.Mutex
 	queries map[string]*running
-	byInput map[string][]*running // stream name -> interested queries
-	stats   Stats
+	// byInput maps a stream name to the queries reading it, copy-on-write:
+	// Process ranges over a frozen slice; AddQuery/RemoveQuery publish a
+	// fresh map under mu. A stream's key goes with its last query.
+	byInput atomic.Pointer[map[string][]*running]
+
+	consumed, emitted, dropped atomic.Int64
 }
 
 // New returns an empty engine.
 func New() *Engine {
-	return &Engine{
-		queries: make(map[string]*running),
-		byInput: make(map[string][]*running),
-	}
+	e := &Engine{queries: make(map[string]*running)}
+	e.byInput.Store(&map[string][]*running{})
+	return e
 }
 
-type aliasState struct {
-	ref        query.StreamRef
-	spanMillis int64
-	selections []query.Predicate
-	window     []stream.Tuple // ascending by timestamp
-}
-
-type running struct {
-	q          *query.Query
-	resultName string
-	sink       ResultSink
-	aliases    []string
-	state      map[string]*aliasState
-	joins      []query.Predicate
-	emitted    int64
-}
-
-// AddQuery starts a query. resultName names the emitted result stream; sink
-// receives result tuples (may be nil to discard). The query must be valid
-// and must not be registered already.
+// AddQuery compiles a query into its plan and starts it. resultName names
+// the emitted result stream; sink receives result tuples (may be nil to
+// discard). The query must be valid and must not be registered already. q is
+// read during the call only.
 func (e *Engine) AddQuery(q *query.Query, resultName string, sink ResultSink) error {
 	if err := q.Validate(); err != nil {
 		return err
@@ -67,22 +68,10 @@ func (e *Engine) AddQuery(q *query.Query, resultName string, sink ResultSink) er
 	if q.Name == "" {
 		return fmt.Errorf("engine: query needs a name")
 	}
-	r := &running{
-		q:          q,
-		resultName: resultName,
-		sink:       sink,
-		state:      make(map[string]*aliasState, len(q.From)),
-		joins:      q.JoinPredicates(),
+	r, err := compile(q, resultName, sink)
+	if err != nil {
+		return err
 	}
-	for _, ref := range q.From {
-		r.aliases = append(r.aliases, ref.Alias)
-		r.state[ref.Alias] = &aliasState{
-			ref:        ref,
-			spanMillis: spanMillis(ref.Window),
-			selections: q.SelectionsFor(ref.Alias),
-		}
-	}
-	sort.Strings(r.aliases)
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -90,58 +79,68 @@ func (e *Engine) AddQuery(q *query.Query, resultName string, sink ResultSink) er
 		return fmt.Errorf("engine: query %q already running", q.Name)
 	}
 	e.queries[q.Name] = r
-	for _, name := range q.StreamNames() {
-		e.byInput[name] = append(e.byInput[name], r)
-	}
+	e.retable(r, true)
 	return nil
 }
 
 // RemoveQuery stops a query and discards its window state. It returns the
 // total operator state (tuples buffered) released, which models the
-// migration payload of §3.7.
+// migration payload of §3.7. A Process call running concurrently may still
+// deliver the results it had computed before the removal; none starts on the
+// query afterwards.
 func (e *Engine) RemoveQuery(name string) (stateTuples int, err error) {
 	e.mu.Lock()
-	defer e.mu.Unlock()
 	r, ok := e.queries[name]
+	if ok {
+		delete(e.queries, name)
+		e.retable(r, false)
+	}
+	e.mu.Unlock()
 	if !ok {
 		return 0, fmt.Errorf("engine: query %q not running", name)
 	}
-	delete(e.queries, name)
-	for streamName, lst := range e.byInput {
-		kept := lst[:0]
-		for _, x := range lst {
+	return r.state(true), nil
+}
+
+// retable publishes the input table with r added to (or removed from) the
+// streams it reads. Caller holds e.mu.
+func (e *Engine) retable(r *running, add bool) {
+	old := *e.byInput.Load()
+	next := make(map[string][]*running, len(old)+len(r.streams))
+	for name, lst := range old {
+		next[name] = lst
+	}
+	for _, name := range r.streams {
+		var kept []*running // fresh: published slices are never written
+		for _, x := range old[name] {
 			if x != r {
 				kept = append(kept, x)
 			}
 		}
-		e.byInput[streamName] = kept
+		if add {
+			kept = append(kept, r)
+		}
+		if next[name] = kept; len(kept) == 0 {
+			delete(next, name)
+		}
 	}
-	for _, st := range r.state {
-		stateTuples += len(st.window)
-	}
-	return stateTuples, nil
+	e.byInput.Store(&next)
 }
 
 // QueryState returns the buffered tuple count of a running query.
 func (e *Engine) QueryState(name string) int {
 	e.mu.Lock()
-	defer e.mu.Unlock()
 	r, ok := e.queries[name]
+	e.mu.Unlock()
 	if !ok {
 		return 0
 	}
-	total := 0
-	for _, st := range r.state {
-		total += len(st.window)
-	}
-	return total
+	return r.state(false)
 }
 
-// Stats returns a snapshot of the engine counters.
+// Stats returns the engine counters, each read atomically on its own.
 func (e *Engine) Stats() Stats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.stats
+	return Stats{Consumed: e.consumed.Load(), Emitted: e.emitted.Load(), Dropped: e.dropped.Load()}
 }
 
 // QueryNames lists running queries, sorted.
@@ -156,194 +155,27 @@ func (e *Engine) QueryNames() []string {
 	return out
 }
 
-// Process feeds one input tuple to every interested query. Result tuples
-// are delivered to sinks synchronously.
+// Process feeds one input tuple to every interested query, in the order the
+// queries were added. Each query runs its plan under its own mutex and its
+// result tuples are delivered to its sink synchronously, after the mutex is
+// released. Process takes no engine-wide lock: calls for different queries
+// run in parallel, calls reaching the same query serialise on it.
 func (e *Engine) Process(t stream.Tuple) {
-	e.mu.Lock()
-	interested := append([]*running(nil), e.byInput[t.Stream]...)
-	e.stats.Consumed++
-	e.mu.Unlock()
-
-	for _, r := range interested {
-		e.processFor(r, t)
-	}
-}
-
-func (e *Engine) processFor(r *running, t stream.Tuple) {
-	e.mu.Lock()
-	var results []stream.Tuple
-	for _, alias := range r.aliases {
-		st := r.state[alias]
-		if st.ref.Stream != t.Stream {
+	e.consumed.Add(1)
+	var batch [4]stream.Tuple // most arrivals emit at most a few results: keep them off the heap
+	for _, r := range (*e.byInput.Load())[t.Stream] {
+		results, dropped := r.process(t, batch[:0])
+		if dropped > 0 {
+			e.dropped.Add(int64(dropped))
+		}
+		if len(results) == 0 {
 			continue
 		}
-		// Early selection.
-		pass := true
-		for _, p := range st.selections {
-			if !query.EvalSelection(p, t) {
-				pass = false
-				break
+		e.emitted.Add(int64(len(results)))
+		if r.sink != nil {
+			for _, res := range results {
+				r.sink(res)
 			}
 		}
-		if !pass {
-			e.stats.Dropped++
-			continue
-		}
-		// Evict expired tuples everywhere relative to the new arrival.
-		for _, other := range r.state {
-			other.evict(t.Timestamp)
-		}
-		// Probe the other aliases' windows.
-		results = append(results, e.probe(r, alias, t)...)
-		// Insert into this alias's window.
-		st.insert(t)
-	}
-	emitted := len(results)
-	r.emitted += int64(emitted)
-	e.stats.Emitted += int64(emitted)
-	sink := r.sink
-	e.mu.Unlock()
-
-	if sink != nil {
-		for _, res := range results {
-			sink(res)
-		}
-	}
-}
-
-// probe joins the arriving tuple (bound to alias) against every combination
-// of tuples from the other aliases' windows, in a left-deep nested loop.
-func (e *Engine) probe(r *running, alias string, t stream.Tuple) []stream.Tuple {
-	others := make([]string, 0, len(r.aliases)-1)
-	for _, a := range r.aliases {
-		if a != alias {
-			others = append(others, a)
-		}
-	}
-	binding := map[string]stream.Tuple{alias: t}
-	var out []stream.Tuple
-	var rec func(i int)
-	rec = func(i int) {
-		if i == len(others) {
-			if r.joinsSatisfied(binding) {
-				out = append(out, r.project(binding, t.Timestamp))
-			}
-			return
-		}
-		a := others[i]
-		for _, w := range r.state[a].window {
-			binding[a] = w
-			rec(i + 1)
-		}
-		delete(binding, a)
-	}
-	// A query over a single stream emits directly.
-	if len(others) == 0 {
-		out = append(out, r.project(binding, t.Timestamp))
-		return out
-	}
-	rec(0)
-	return out
-}
-
-// joinsSatisfied evaluates every join predicate under the current binding.
-func (r *running) joinsSatisfied(binding map[string]stream.Tuple) bool {
-	for _, p := range r.joins {
-		lt, ok := binding[p.Left.Col.Alias]
-		if !ok {
-			return false
-		}
-		rt, ok := binding[p.Right.Col.Alias]
-		if !ok {
-			return false
-		}
-		lv, ok := lt.Get(p.Left.Col.Attr)
-		if !ok {
-			return false
-		}
-		rv, ok := rt.Get(p.Right.Col.Attr)
-		if !ok {
-			return false
-		}
-		if !p.Op.Eval(lv.Compare(rv)) {
-			return false
-		}
-	}
-	return true
-}
-
-// project builds the result tuple under the query's SELECT list, qualifying
-// attributes as alias.attr so results from different input streams cannot
-// collide.
-func (r *running) project(binding map[string]stream.Tuple, ts int64) stream.Tuple {
-	out := stream.Tuple{
-		Stream:    r.resultName,
-		Timestamp: ts,
-		Attrs:     make(map[string]stream.Value, 8),
-	}
-	add := func(alias, attr string) {
-		if t, ok := binding[alias]; ok {
-			if v, okV := t.Get(attr); okV {
-				out.Attrs[alias+"."+attr] = v
-			}
-		}
-	}
-	for _, p := range r.q.Select {
-		switch {
-		case p.Star && p.Col.Alias == "":
-			for alias, t := range binding {
-				for attr := range t.Attrs {
-					add(alias, attr)
-				}
-				add(alias, "timestamp")
-			}
-		case p.Star:
-			if t, ok := binding[p.Col.Alias]; ok {
-				for attr := range t.Attrs {
-					add(p.Col.Alias, attr)
-				}
-				add(p.Col.Alias, "timestamp")
-			}
-		default:
-			add(p.Col.Alias, p.Col.Attr)
-		}
-	}
-	out.Size = 16 + 8*len(out.Attrs)
-	return out
-}
-
-// insert appends in timestamp order (inputs are near-ordered; a binary
-// search keeps the window sorted under jitter).
-func (st *aliasState) insert(t stream.Tuple) {
-	n := len(st.window)
-	if n == 0 || st.window[n-1].Timestamp <= t.Timestamp {
-		st.window = append(st.window, t)
-		return
-	}
-	i := sort.Search(n, func(i int) bool { return st.window[i].Timestamp > t.Timestamp })
-	st.window = append(st.window, stream.Tuple{})
-	copy(st.window[i+1:], st.window[i:])
-	st.window[i] = t
-}
-
-// evict drops tuples older than the window span relative to now.
-func (st *aliasState) evict(now int64) {
-	cut := 0
-	for cut < len(st.window) && now-st.window[cut].Timestamp > st.spanMillis {
-		cut++
-	}
-	if cut > 0 {
-		st.window = append(st.window[:0], st.window[cut:]...)
-	}
-}
-
-func spanMillis(w query.Window) int64 {
-	switch w.Kind {
-	case query.Now:
-		return 0
-	case query.Unbounded:
-		return 1<<62 - 1
-	default:
-		return w.Span.Milliseconds()
 	}
 }

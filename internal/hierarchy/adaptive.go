@@ -97,11 +97,6 @@ func (t *Tree) Adapt(loadOf func(name string) float64) (*AdaptReport, error) {
 	return rep, nil
 }
 
-// SetLoadEstimator installs a per-query load refresher used by Adapt.
-func (t *Tree) SetLoadEstimator(loadOf func(name string) float64) {
-	t.loadOf = loadOf
-}
-
 // descendCurrent processes one coordinator against the CURRENT placement
 // and recurses. With useStored, the coordinator's stored graph is refreshed
 // and reused (the root at the start of an adaptation round); otherwise the

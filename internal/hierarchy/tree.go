@@ -363,18 +363,6 @@ func (t *Tree) clusterizeIndices(nodes []topology.NodeID, k int) [][]int {
 	return groups
 }
 
-// LeafOf returns the leaf coordinator managing a processor.
-func (t *Tree) LeafOf(p topology.NodeID) (*Coordinator, bool) {
-	l, ok := t.leafOf[p]
-	return l, ok
-}
-
-// ByName returns a coordinator by name.
-func (t *Tree) ByName(name string) (*Coordinator, bool) {
-	c, ok := t.byName[name]
-	return c, ok
-}
-
 // Placement returns a copy of the current query → processor map.
 func (t *Tree) Placement() map[string]topology.NodeID {
 	out := make(map[string]topology.NodeID, len(t.placement))
@@ -402,6 +390,3 @@ func (t *Tree) ProcessorLoads() map[topology.NodeID]float64 {
 	}
 	return out
 }
-
-// Depth returns the number of levels in the tree.
-func (t *Tree) Depth() int { return t.Root.Level }

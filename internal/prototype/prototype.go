@@ -246,38 +246,51 @@ func (w *World) Selectivity(q *query.Query) float64 {
 	if v, ok := w.selCache[key]; ok {
 		return v
 	}
+	conjs := make([]streamConj, len(q.From))
+	for i, ref := range q.From {
+		conjs[i] = streamConj{ref.Stream, q.SelectionsFor(ref.Alias)}
+	}
+	v := w.passFraction(conjs)
+	w.selCache[key] = v
+	return v
+}
+
+// streamConj is a selection conjunction over the tuples of one stream.
+type streamConj struct {
+	stream string
+	preds  []query.Predicate
+}
+
+// passFraction samples 30 ticks of a fresh trace generator and returns the
+// fraction of (tuple, conjunction) pairs — each conjunction against the
+// tuples of its stream — that pass; 1 when nothing was sampled.
+func (w *World) passFraction(conjs []streamConj) float64 {
 	gen, err := trace.New(w.Trace.Cfg)
 	if err != nil {
 		return 1
 	}
-	const ticks = 30
 	pass, total := 0, 0
-	for i := 0; i < ticks; i++ {
+	for i := 0; i < 30; i++ {
 		for _, t := range gen.Next() {
-			for _, ref := range q.From {
-				if ref.Stream != t.Stream {
+		conj:
+			for _, c := range conjs {
+				if c.stream != t.Stream {
 					continue
 				}
 				total++
-				ok := true
-				for _, p := range q.SelectionsFor(ref.Alias) {
+				for _, p := range c.preds {
 					if !query.EvalSelection(p, t) {
-						ok = false
-						break
+						continue conj
 					}
 				}
-				if ok {
-					pass++
-				}
+				pass++
 			}
 		}
 	}
-	v := 1.0
-	if total > 0 {
-		v = float64(pass) / float64(total)
+	if total == 0 {
+		return 1
 	}
-	w.selCache[key] = v
-	return v
+	return float64(pass) / float64(total)
 }
 
 // rateModel adapts the world to opplace.RateModel, with memoized empirical
@@ -317,33 +330,7 @@ func (m *rateModel) Selectivity(streamName string, preds []query.Predicate) floa
 	if v, ok := m.cache[key]; ok {
 		return v
 	}
-	gen, err := trace.New(m.w.Trace.Cfg)
-	if err != nil {
-		return 1
-	}
-	pass, total := 0, 0
-	for i := 0; i < 30; i++ {
-		for _, t := range gen.Next() {
-			if t.Stream != streamName {
-				continue
-			}
-			total++
-			ok := true
-			for _, p := range preds {
-				if !query.EvalSelection(p, t) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				pass++
-			}
-		}
-	}
-	v := 1.0
-	if total > 0 {
-		v = float64(pass) / float64(total)
-	}
+	v := m.w.passFraction([]streamConj{{streamName, preds}})
 	m.cache[key] = v
 	return v
 }

@@ -3,6 +3,7 @@ package pubsub
 import (
 	"fmt"
 	"math/rand/v2"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -72,6 +73,48 @@ func TestQuickCoversSoundness(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Error(err)
 	}
+}
+
+// MergeSubscriptions builds the union profile of two subscriptions — the
+// p3 = p1 ∪ p2 step of Fig 3: stream and attribute lists union; per-column
+// filters weaken to the union interval; filters on columns constrained by
+// only one input are dropped (the merged profile must admit both). Brokers
+// suppress covered subscriptions instead of merging them, so nothing outside
+// the tests calls it; it stays as the statement of the step.
+func MergeSubscriptions(id string, a, b *Subscription) *Subscription {
+	out := &Subscription{ID: id}
+	seen := make(map[string]bool)
+	for _, st := range append(append([]string(nil), a.Streams...), b.Streams...) {
+		if !seen[st] {
+			seen[st] = true
+			out.Streams = append(out.Streams, st)
+		}
+	}
+	if a.Attrs == nil || b.Attrs == nil {
+		out.Attrs = nil
+	} else {
+		seenA := make(map[string]bool)
+		for _, at := range append(append([]string(nil), a.Attrs...), b.Attrs...) {
+			if !seenA[at] {
+				seenA[at] = true
+				out.Attrs = append(out.Attrs, at)
+			}
+		}
+		sort.Strings(out.Attrs)
+	}
+	ia, ib := query.SelectionIntervalsByAttr(a.Filters), query.SelectionIntervalsByAttr(b.Filters)
+	cols := make([]string, 0, len(ia))
+	for c := range ia {
+		if _, ok := ib[c]; ok {
+			cols = append(cols, c)
+		}
+	}
+	sort.Strings(cols)
+	for _, c := range cols {
+		u := ia[c].Union(ib[c])
+		out.Filters = append(out.Filters, u.Predicates(query.ColRef{Attr: c})...)
+	}
+	return out
 }
 
 // TestQuickMergeCoversInputs: a merged subscription profile must admit

@@ -290,9 +290,9 @@ func (u *attrUnion) extend(keep map[string]bool) *attrUnion {
 
 // compiledSub is one recorded subscription with its matching and lifecycle
 // state: the projection set as a lookup map, the filters partitioned into
-// compiled per-attribute interval groups (numeric selections) and a raw
-// remainder evaluated predicate-by-predicate, the issuing epoch, and the
-// propagation record.
+// string-equality tests, compiled per-attribute interval groups (numeric
+// selections) and a raw remainder evaluated predicate-by-predicate, the
+// issuing epoch, and the propagation record.
 type compiledSub struct {
 	sub     *Subscription
 	handler Handler // locals only
@@ -328,9 +328,14 @@ type compiledSub struct {
 	// keep mirrors sub.Attrs as a set: nil keeps every attribute; an empty
 	// non-nil map mirrors an explicitly empty projection list.
 	keep   map[string]bool
+	strEq  []strEqTest
 	groups []attrGroup
 	raw    []query.Predicate
 }
+
+// strEqTest is a compiled `attr == "literal"` filter (the result-stream tag
+// of every middleware user subscription): one map lookup, one string compare.
+type strEqTest struct{ attr, want string }
 
 // covEdge is one suppressed propagation decision: rec was not sent toward
 // to because a covering subscription (the record whose suppresses set holds
@@ -422,6 +427,12 @@ func compileSub(s *Subscription, h Handler) *compiledSub {
 	for _, f := range s.Filters {
 		n, ok := query.NumericSelection(f)
 		if !ok {
+			// n is f normalised. "timestamp" stays raw: Tuple.Get answers it
+			// from the tuple header, not from Attrs.
+			if n.IsSelection() && n.Op == query.Eq && n.Right.Lit != nil && n.Right.Lit.Type == stream.String && n.Left.Col.Attr != "timestamp" {
+				c.strEq = append(c.strEq, strEqTest{n.Left.Col.Attr, n.Right.Lit.S})
+				continue
+			}
 			c.raw = append(c.raw, f)
 			continue
 		}
@@ -440,12 +451,19 @@ func compileSub(s *Subscription, h Handler) *compiledSub {
 }
 
 // matches reproduces sub.Matches(t) for posting-list candidates (whose
-// stream membership is already established): each compiled group evaluates
-// one interval-membership test on the attribute value; string-typed or NaN
+// stream membership is already established): a string-equality test passes
+// only on a string-typed value equal to its literal (Value.Compare orders
+// every number before every string); each compiled group evaluates one
+// interval-membership test on the attribute value; string-typed or NaN
 // values fall back to the group's original predicates; uncompiled filters
 // evaluate raw. Conjunction order does not matter (predicate evaluation is
 // pure), so the outcome is exactly the linear matcher's.
 func (c *compiledSub) matches(t stream.Tuple) bool {
+	for _, e := range c.strEq {
+		if v, ok := t.Attrs[e.attr]; !ok || v.Type != stream.String || v.S != e.want {
+			return false
+		}
+	}
 	for i := range c.groups {
 		g := &c.groups[i]
 		v, ok := t.Get(g.attr)

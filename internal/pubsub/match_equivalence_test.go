@@ -40,8 +40,12 @@ type eqOp struct {
 var eqStreams = []string{"R", "S", "T"}
 
 // eqRandomSub draws a subscription over the shared stream pool: 1-3 streams,
-// a nil / empty / partial projection, and 0-3 filters mixing numeric ops,
-// string literals (uncompilable: kept raw) and absent attributes.
+// a nil / empty / partial projection, 0-3 filters mixing numeric ops, string
+// literals (kept raw unless the op is ==) and absent attributes, and on every
+// fourth id a string equality on tag, a or timestamp — the compiled strEq
+// group and the header attribute it must leave raw. That filter is a
+// function of id and takes nothing from r: the scenarios' draws stay the
+// ones the other suites' seed ranges were chosen on.
 func eqRandomSub(r *rand.Rand, id int) *Subscription {
 	s := &Subscription{ID: fmt.Sprintf("s%d", id)}
 	perm := r.Perm(len(eqStreams))
@@ -73,6 +77,14 @@ func eqRandomSub(r *rand.Rand, id int) *Subscription {
 		s.Filters = append(s.Filters, query.Predicate{
 			Left:  query.Operand{Col: &query.ColRef{Attr: attr}},
 			Op:    op,
+			Right: query.Operand{Lit: &lit},
+		})
+	}
+	if id%4 == 1 {
+		lit := stream.StringVal([]string{"x", "y"}[id/4%2])
+		s.Filters = append(s.Filters, query.Predicate{
+			Left:  query.Operand{Col: &query.ColRef{Attr: []string{"tag", "tag", "a", "timestamp"}[id/8%4]}},
+			Op:    query.Eq,
 			Right: query.Operand{Lit: &lit},
 		})
 	}
@@ -568,6 +580,16 @@ func TestCompiledSubMatchesLinear(t *testing.T) {
 					seed, got, want, s, renderTuple(tp))
 			}
 		}
+	}
+	// Tuple.Get answers "timestamp" from the header even when Attrs carries
+	// the name, so a string equality on it must not be folded into strEq.
+	lit := stream.StringVal("x")
+	s := &Subscription{ID: "ts", Streams: []string{"R"}, Filters: []query.Predicate{{
+		Left: query.Operand{Col: &query.ColRef{Attr: "timestamp"}}, Op: query.Eq, Right: query.Operand{Lit: &lit},
+	}}}
+	tp := stream.Tuple{Stream: "R", Attrs: map[string]stream.Value{"timestamp": lit}}
+	if got, want := compileSub(s, nil).matches(tp), s.Matches(tp); got != want {
+		t.Errorf("compiled=%v linear=%v for %s on %s", got, want, s, renderTuple(tp))
 	}
 }
 

@@ -31,7 +31,7 @@ import (
 //
 // Sharing discipline: snapshots do NOT deep-copy the matching state. They
 // alias the live d.byStream posting-list slices, the *compiledSub matching
-// fields (sub, keep, groups, raw — write-once at compileSub) and the
+// fields (sub, keep, strEq, groups, raw — write-once at compileSub) and the
 // *attrUnion maps (copy-on-write by construction). This is sound because
 // the write side never mutates shared memory in place: dirIndex.remove
 // replaces a posting list with a fresh copy instead of splicing (see

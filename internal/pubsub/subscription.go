@@ -2,7 +2,6 @@ package pubsub
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/query"
@@ -134,46 +133,6 @@ func (s *Subscription) CoversPrepared(o *Subscription, ivs map[string]query.Inte
 		}
 	}
 	return true
-}
-
-// MergeSubscriptions builds the union profile of two subscriptions — the
-// p3 = p1 ∪ p2 step of Fig 3: stream and attribute lists union; per-column
-// filters weaken to the union interval; filters on columns constrained by
-// only one input are dropped (the merged profile must admit both).
-func MergeSubscriptions(id string, a, b *Subscription) *Subscription {
-	out := &Subscription{ID: id}
-	seen := make(map[string]bool)
-	for _, st := range append(append([]string(nil), a.Streams...), b.Streams...) {
-		if !seen[st] {
-			seen[st] = true
-			out.Streams = append(out.Streams, st)
-		}
-	}
-	if a.Attrs == nil || b.Attrs == nil {
-		out.Attrs = nil
-	} else {
-		seenA := make(map[string]bool)
-		for _, at := range append(append([]string(nil), a.Attrs...), b.Attrs...) {
-			if !seenA[at] {
-				seenA[at] = true
-				out.Attrs = append(out.Attrs, at)
-			}
-		}
-		sort.Strings(out.Attrs)
-	}
-	ia, ib := query.SelectionIntervalsByAttr(a.Filters), query.SelectionIntervalsByAttr(b.Filters)
-	cols := make([]string, 0, len(ia))
-	for c := range ia {
-		if _, ok := ib[c]; ok {
-			cols = append(cols, c)
-		}
-	}
-	sort.Strings(cols)
-	for _, c := range cols {
-		u := ia[c].Union(ib[c])
-		out.Filters = append(out.Filters, u.Predicates(query.ColRef{Attr: c})...)
-	}
-	return out
 }
 
 // String renders the subscription for logs and tests.

@@ -190,7 +190,8 @@ type Residual struct {
 //   - per-column selection intervals take the union (weakest common bound);
 //   - join predicates present in both queries are kept; a join predicate
 //     present in only one query blocks merging (results would not align);
-//   - projections take the union.
+//   - projections take the union, plus what the residuals read off the
+//     shared result stream (projectResidualInputs).
 //
 // It returns an error when the two queries read different stream sets or
 // disagree on join structure.
@@ -275,7 +276,40 @@ func Merge(q1, q2 *Query) (*MergeResult, error) {
 	res.Residuals = append(res.Residuals,
 		residualFor(q1, q1, super, nil),
 		residualFor(q2, r2, super, invert(m)))
+	res.projectResidualInputs()
 	return res, nil
+}
+
+// projectResidualInputs extends the superset's select list with what the
+// residuals evaluate on its result tuples and no star already carries: every
+// column a residual filter reads, and alias.timestamp for every alias whose
+// window a residual re-checks. Without them the split loses every result of
+// a query that filters on a column its own select list omits. (What
+// MergeAll's fold adds for an intermediate superset the final residuals
+// read too: merging further only weakens the superset.)
+func (mr *MergeResult) projectResidualInputs() {
+	have := make(map[string]bool, len(mr.Super.Select)) // "*", "A.*", "A.x"
+	for _, p := range mr.Super.Select {
+		have[p.String()] = true
+	}
+	add := func(c *ColRef) {
+		if c == nil || have["*"] || have[c.Alias+".*"] || have[c.String()] {
+			return
+		}
+		have[c.String()] = true
+		mr.Super.Select = append(mr.Super.Select, Projection{Col: *c})
+	}
+	for _, r := range mr.Residuals {
+		for _, f := range r.Filters {
+			add(f.Left.Col)
+			add(f.Right.Col)
+		}
+		for _, ref := range mr.Super.From {
+			if _, ok := r.Windows[ref.Alias]; ok {
+				add(&ColRef{Alias: ref.Alias, Attr: "timestamp"})
+			}
+		}
+	}
 }
 
 // MergeAll left-folds Merge over a set of queries, returning the superset
@@ -310,6 +344,7 @@ func MergeAll(queries []*Query) (merged []*MergeResult, leftovers []*Query) {
 				}
 				mr.Residuals = append(mr.Residuals, residualFor(q, renamed(q, m), acc, invert(m)))
 			}
+			mr.projectResidualInputs()
 			merged = append(merged, mr)
 		}
 		remaining = next

@@ -21,29 +21,6 @@ func EvalSelection(p Predicate, t stream.Tuple) bool {
 	return p.Op.Eval(v.Compare(*p.Right.Lit))
 }
 
-// EvalJoin evaluates a join predicate against a pair of tuples bound to the
-// predicate's two aliases.
-func EvalJoin(p Predicate, left, right stream.Tuple, leftAlias string) bool {
-	if !p.IsJoin() {
-		return false
-	}
-	bind := func(c *ColRef) (stream.Value, bool) {
-		if c.Alias == leftAlias {
-			return left.Get(c.Attr)
-		}
-		return right.Get(c.Attr)
-	}
-	lv, ok := bind(p.Left.Col)
-	if !ok {
-		return false
-	}
-	rv, ok := bind(p.Right.Col)
-	if !ok {
-		return false
-	}
-	return p.Op.Eval(lv.Compare(rv))
-}
-
 // Interval is a numeric constraint set over one column: an interval with
 // optionally open bounds, plus an optional disequality set. It is the
 // normal form used to decide implication between conjunctions of selection

@@ -44,6 +44,31 @@ func TestEvalSelection(t *testing.T) {
 	}
 }
 
+// EvalJoin evaluates a join predicate against a pair of tuples bound to the
+// predicate's two aliases. No production code calls it (the engine compiles
+// join predicates into its plan); it stays here as the pairwise statement of
+// the semantics.
+func EvalJoin(p Predicate, left, right stream.Tuple, leftAlias string) bool {
+	if !p.IsJoin() {
+		return false
+	}
+	bind := func(c *ColRef) (stream.Value, bool) {
+		if c.Alias == leftAlias {
+			return left.Get(c.Attr)
+		}
+		return right.Get(c.Attr)
+	}
+	lv, ok := bind(p.Left.Col)
+	if !ok {
+		return false
+	}
+	rv, ok := bind(p.Right.Col)
+	if !ok {
+		return false
+	}
+	return p.Op.Eval(lv.Compare(rv))
+}
+
 func TestEvalJoin(t *testing.T) {
 	p := Predicate{
 		Left:  Operand{Col: &ColRef{Alias: "L", Attr: "x"}},

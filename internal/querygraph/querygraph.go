@@ -172,9 +172,6 @@ func (v *Vertex) ensureScan() *interestScan {
 	return &v.scan
 }
 
-// sparseIdx returns the cached set-bit indices, or nil for dense interests.
-func (v *Vertex) sparseIdx() []int32 { return v.ensureScan().idx }
-
 // nodeSrcs returns, per entry of v.Nodes, the compact source index of that
 // node (or -1), cached on the vertex. It keeps demand evaluation free of
 // map lookups. Valid because a vertex only ever lives in graphs sharing one
@@ -1065,9 +1062,6 @@ func (g *Graph) Weight(i, j int) (float64, bool) {
 	return 0, false
 }
 
-// Degree returns the number of edges incident to vertex i.
-func (g *Graph) Degree(i int) int { return len(g.adj[i]) }
-
 // ConnectVertex computes and installs the edges between vertex v (already
 // added to the graph) and every other vertex — the incremental step of
 // online query insertion (§3.6). The inverted indexes restrict evaluation
@@ -1160,10 +1154,6 @@ func (g *Graph) ForEachOverlap(iv *bitvec.Vector, fn func(vertex int, w float64)
 	}
 	sc.cands = touched[:0]
 }
-
-// RemoveVertexEdges detaches vertex i from all neighbors (used when a
-// vertex migrates out of a coordinator's graph).
-func (g *Graph) RemoveVertexEdges(i int) { g.deleteVertexEdges(i) }
 
 // RemoveVertex deletes vertex id from the graph — the teardown primitive of
 // online query removal. Its edges are detached, the slot is niled (other

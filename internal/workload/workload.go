@@ -193,12 +193,3 @@ func (w *Workload) Perturb(n int, factor float64) []int {
 	}
 	return idxs
 }
-
-// TotalLoad returns the summed load of all queries at generation time.
-func (w *Workload) TotalLoad() float64 {
-	var s float64
-	for _, q := range w.Queries {
-		s += q.Load
-	}
-	return s
-}

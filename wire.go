@@ -26,6 +26,13 @@ type residualInfo struct {
 	residual query.Residual
 }
 
+// group is one superset query evaluated at a processor and the residuals of
+// the user queries it serves.
+type group struct {
+	super     *query.Query
+	residuals map[string]query.Residual
+}
+
 // rewire rebuilds the engine content and input subscriptions of one
 // processor from the queries currently placed there: co-located queries
 // with compatible structure are merged into superset queries (§2.1), the
@@ -71,10 +78,6 @@ func (m *Middleware) rewire(proc NodeID) error {
 	}
 
 	// Group queries for result-stream sharing.
-	type group struct {
-		super     *query.Query
-		residuals map[string]query.Residual
-	}
 	var groups []group
 	if m.cfg.DisableResultSharing {
 		for _, h := range local {
@@ -135,19 +138,8 @@ func (m *Middleware) rewire(proc NodeID) error {
 
 // soloGroup wraps an unmergeable query as its own group with an empty
 // residual (it recovers its result with only the query-tag filter).
-func soloGroup(q *query.Query) struct {
-	super     *query.Query
-	residuals map[string]query.Residual
-} {
-	return struct {
-		super     *query.Query
-		residuals map[string]query.Residual
-	}{
-		super: q,
-		residuals: map[string]query.Residual{
-			q.Name: {Query: q},
-		},
-	}
+func soloGroup(q *query.Query) group {
+	return group{super: q, residuals: map[string]query.Residual{q.Name: {Query: q}}}
 }
 
 // inputStreams returns the distinct input stream names of the handles.
@@ -177,17 +169,7 @@ func unionFilters(hs []*QueryHandle, streamName string) []query.Predicate {
 			if ref.Stream != streamName {
 				continue
 			}
-			ivs := make(map[string]query.Interval)
-			for _, p := range h.Query.SelectionsFor(ref.Alias) {
-				p = p.Normalize()
-				attr := p.Left.Col.Attr
-				iv, ok := ivs[attr]
-				if !ok {
-					iv = query.FullInterval()
-				}
-				ivs[attr] = iv.Constrain(p.Op, *p.Right.Lit)
-			}
-			perQuery = append(perQuery, ivs)
+			perQuery = append(perQuery, query.SelectionIntervalsByAttr(h.Query.SelectionsFor(ref.Alias)))
 		}
 	}
 	if len(perQuery) == 0 {
@@ -279,19 +261,21 @@ func (m *Middleware) wireUserSide(h *QueryHandle) error {
 	for _, f := range ri.residual.Filters {
 		filters = append(filters, qualifyFilter(f))
 	}
+	attrs, hidden := residualAttrs(ri.residual)
 	sub := &pubsub.Subscription{
 		ID:      subID,
 		Streams: []string{resultStreamName(h.processor)},
 		Filters: filters,
-		Attrs:   residualAttrs(ri.residual),
+		Attrs:   attrs,
 	}
 	windows := ri.residual.Windows
 	sink := h.sink
 	// A projected (non-star) subscription receives a private per-delivery
-	// map from the broker's projection, so the routing tag can be stripped
-	// in place; only star subscriptions get the shared full-tuple map (the
-	// pubsub.Handler read-only contract) and must copy before mutating.
-	sharedAttrs := sub.Attrs == nil
+	// map from the broker's projection, so the routing tag and the hidden
+	// attributes can be stripped in place; only star subscriptions get the
+	// shared full-tuple map (the pubsub.Handler read-only contract) and must
+	// copy before mutating.
+	sharedAttrs := attrs == nil
 	handler := func(_ *pubsub.Subscription, t stream.Tuple) {
 		// Re-enforce the windows the superset widened.
 		for alias, w := range windows {
@@ -314,10 +298,11 @@ func (m *Middleware) wireUserSide(h *QueryHandle) error {
 			t.Attrs = attrs
 		} else {
 			delete(t.Attrs, queryTag)
+			for _, a := range hidden {
+				delete(t.Attrs, a)
+			}
 		}
-		h.mu.Lock()
-		h.delivered++
-		h.mu.Unlock()
+		h.delivered.Add(1)
 		if sink != nil {
 			sink(t)
 		}
@@ -344,20 +329,40 @@ func qualifyFilter(p query.Predicate) query.Predicate {
 	return query.Predicate{Left: q(p.Left), Op: p.Op, Right: q(p.Right)}
 }
 
-// residualAttrs converts a residual projection into the qualified attribute
-// list to request; nil (all) when it contains a star.
-func residualAttrs(r query.Residual) []string {
+// residualAttrs converts a residual into the qualified attribute list to
+// request from the result stream — the user's projection, the routing tag,
+// and what the residual filters and window re-checks read (every hop must
+// keep that for the proxy to evaluate them) — and the part of the list the
+// user did not select (hidden), which the handler deletes before the sink.
+// Both are nil (request all) when the projection contains a star.
+func residualAttrs(r query.Residual) (attrs, hidden []string) {
 	if len(r.Projection) == 0 {
-		return nil
+		return nil, nil
 	}
-	var out []string
+	hide := map[string]bool{queryTag: false} // requested name -> hidden from the user
+	for _, f := range r.Filters {
+		for _, col := range []*query.ColRef{f.Left.Col, f.Right.Col} {
+			if col != nil {
+				hide[col.Alias+"."+col.Attr] = true
+			}
+		}
+	}
+	for alias := range r.Windows {
+		hide[alias+".timestamp"] = true
+	}
 	for _, p := range r.Projection {
 		if p.Star {
-			return nil
+			return nil, nil
 		}
-		out = append(out, p.Col.Alias+"."+p.Col.Attr)
+		hide[p.Col.Alias+"."+p.Col.Attr] = false
 	}
-	out = append(out, queryTag)
-	sort.Strings(out)
-	return out
+	for name, hid := range hide {
+		attrs = append(attrs, name)
+		if hid {
+			hidden = append(hidden, name)
+		}
+	}
+	sort.Strings(attrs)
+	sort.Strings(hidden)
+	return attrs, hidden
 }
