@@ -37,9 +37,8 @@
 // rebind) is flagged unless the chain is rooted at a local variable that
 // the same function constructed from a snapshot composite literal — the
 // builder pattern: populate a fresh value, then publish it with one
-// atomic store. Calls such as ss.prune.Store(...) are method calls, not
-// assignments, so the deliberate atomic-cell exceptions inside snapshot
-// types stay quiet by construction.
+// atomic store. Only assignments are checked: a method call on a field of
+// a snapshot (an atomic cell's Store, say) is outside the rule.
 package lockdiscipline
 
 import (

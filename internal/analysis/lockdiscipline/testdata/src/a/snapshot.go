@@ -1,8 +1,7 @@
 // Snapshot write-once fixture: a miniature RCU epoch. Builders filling a
 // fresh composite-literal local stay quiet; any write through an already
 // published (or merely non-fresh) snapshot value is flagged, including map
-// inserts, slice-element stores, appends and increments. Atomic .Store
-// calls are method calls, not assignments, and stay quiet by construction.
+// inserts, slice-element stores, appends and increments.
 package a
 
 import "sync/atomic"
@@ -19,7 +18,6 @@ type epoch struct {
 // dirView is the per-direction slice of an epoch. cosmoslint:snapshot
 type dirView struct {
 	cands []int
-	prune atomic.Pointer[int]
 }
 
 // plain is an ordinary mutable type: writes through it are not checked.
@@ -41,13 +39,6 @@ func (o *owner) rebuild(names []string) {
 	dv.cands = append(dv.cands, len(names))
 	next.dirs[0] = dv
 	o.cur.Store(next)
-}
-
-// lazyCell is the sanctioned exception shape: storing through an atomic
-// cell inside a snapshot is a method call, not an assignment.
-func lazyCell(dv *dirView) {
-	n := len(dv.cands)
-	dv.prune.Store(&n)
 }
 
 // mutateLoaded writes through a loaded epoch: flagged on every shape.

@@ -1,6 +1,7 @@
 package pubsub
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"sort"
@@ -9,248 +10,408 @@ import (
 	"repro/internal/stream"
 )
 
-// This file implements attribute-level candidate intersection — the second
-// pruning stage of the matching engine. The stream posting lists bound the
-// candidates of a tuple by the per-stream population; for large populations
-// with selective filters that is still O(candidates) interval tests per
-// tuple. The prune index cuts the evaluated set down to the candidates whose
-// compiled interval on one chosen attribute actually admits the tuple's
-// value:
+// This file implements the interval index of one (direction, stream)
+// posting list, which both candidate selections stab: matching (matchIter)
+// with the tuple's value on its most selective constrained attribute,
+// covering (coverIter) with one point of the NEW subscription's folded
+// interval — a cover's bounds on an attribute must admit every point of a
+// non-empty interval it covers. The exact test (compiledSub.matches,
+// compiledSub.covers) runs on the survivors in posting-list order, so the
+// outcome is the full scan's bit for bit (TestPrunedCandidateSuperset,
+// TestFirstCoverIdentical).
 //
-//   - per (direction, stream) and per constrained attribute, the candidates'
-//     compiled query.Intervals are held twice: sorted by lower bound as an
-//     implicit balanced stabbing tree (augmented with the subtree's maximal
-//     upper bound), and sorted by upper bound for an O(log n) stab-count
-//     estimate;
-//   - candidates with no compiled interval on the attribute (unconstrained,
-//     or constrained only by raw/string filters) are listed in `rest` — they
-//     are candidates regardless of the tuple's value on that attribute;
-//   - at match time the broker picks the most selective constrained
-//     attribute of the incoming tuple (smallest estimated stab count plus
-//     rest), stabs the tree, and evaluates only stabbed ∪ rest, in
-//     posting-list order.
+// The index is MAINTAINED, not rebuilt: postList.add/remove (index.go)
+// derive the next version under Broker.mu and an epoch shares the current
+// one by pointer. A version is immutable. Per constrained attribute it holds
 //
-// The stab test uses only the interval's pure bounds (query.AdmitsLower ∧
-// AdmitsUpper) — a superset of Interval.ContainsFloat (which additionally
-// rejects disequality points, string constraints and contradictions) — so
-// the selected set is always a superset of the matching set and the exact
-// compiledSub.matches run on it reproduces the full scan bit for bit
-// (TestPrunedCandidateSuperset). String-typed or NaN tuple values cannot be
-// pruned on (their comparisons fall back to raw predicates) and fall back
-// to the full posting list, exactly as before.
+//   - live: every candidate ever added with a compiled interval on the
+//     attribute, as sorted runs of doubling size (the logarithmic method:
+//     O(log n) runs, amortised O(log n) per insertion, and a merge builds a
+//     NEW run, never touching one an epoch holds);
+//   - gone: the same over the candidates removed since the last compaction.
+//     Counting them out keeps the stab-count estimate exact, so the
+//     maintained index decides as a rebuilt one would
+//     (TestMaintainedIndexMatchesRebuilt);
+//   - rest: the positions with no compiled interval on the attribute —
+//     candidates whatever the probe value. Positions only grow, so rest is
+//     append-only and versions share its backing array.
 //
-// The index is built lazily, lock-free, once per snapshot epoch of the
-// stream: add/remove re-freeze the affected stream into the next epoch, and
-// the first route through that epoch builds its index (streamSnap.pruneIndex,
-// which relies on buildAttrPruneIndex being a pure function of the frozen
-// posting list). A built index is immutable; a new epoch replaces, never
-// mutates.
+// Entries are bounds only (closedBounds) plus the candidate's position:
+// disequality points, string constraints and contradictions are the exact
+// test's business. Removed positions are filtered out of every selection
+// against the posting list's sorted tombstone set.
 
-// pruneMin is the posting-list population below which the prune index is
-// not built (streamSnap.pruneIndex): selection and merge overhead beats a
-// handful of direct interval tests. Package variable so tests can force
-// pruning on tiny populations.
+// pruneMin is the posting-list population below which no index is kept:
+// selection and merge overhead beats a handful of direct interval tests, and
+// small lists (the query middleware's) pay nothing for upkeep. Package
+// variable so tests can force indexing on tiny populations.
 var pruneMin = 16
 
-// attrPruneIndex is the prune index of one (direction, stream) posting
-// list.
-type attrPruneIndex struct {
-	attrs []attrIvIndex // one per constrained attribute, sorted by name
+// closedBounds returns the closed float64 interval admitting what iv's
+// bounds admit: an open bound moves to the adjacent float64, which is exact
+// for every finite bound (x < v ⟺ x ≤ prev(v)). An open infinite bound
+// stays put and so admits the infinity it excludes — a superset, which is
+// all a candidate selection needs.
+func closedBounds(iv query.Interval) (lo, hi float64) {
+	lo, hi = iv.Lo, iv.Hi
+	if iv.LoOpen {
+		lo = math.Nextafter(lo, math.Inf(1))
+	}
+	if iv.HiOpen {
+		hi = math.Nextafter(hi, math.Inf(-1))
+	}
+	return lo, hi
 }
 
-// attrIvIndex indexes the compiled intervals of one attribute over one
-// posting list. Positions are indices into the frozen posting list the
-// index was built from, so they never go stale.
-type attrIvIndex struct {
-	attr string
-	// entries is sorted by query.LowerLess and read as an implicit
-	// balanced BST (midpoint recursion): all entries left of an index sort
-	// at-or-before it, all entries right of it sort at-or-after.
-	entries []ivEntry
-	// maxUp[i] is the query.UpperMax over the implicit subtree rooted at
-	// i: if it rejects the probe value, no interval in the subtree admits
-	// it and the descent prunes the whole subtree.
-	maxUp []query.Interval
-	// ups holds the same intervals sorted by query.UpperLess, for the
-	// binary-search stab-count estimate.
-	ups []query.Interval
-	// rest lists the posting-list positions with no compiled interval on
-	// attr, ascending.
-	rest []int32
-}
-
-// ivEntry is one candidate's compiled interval on one attribute.
+// ivEntry is one candidate's bounds on one attribute.
 type ivEntry struct {
-	iv  query.Interval
-	pos int32
+	lo, hi float64
+	// maxHi is the greatest hi in the implicit subtree rooted at this entry
+	// (midpoint recursion over the run): below the probe value, nothing in
+	// the subtree admits it.
+	maxHi float64
+	pos   int32
 }
 
-// buildAttrPruneIndex compiles the prune index of one posting list, or
-// returns nil when no candidate constrains any attribute.
-func buildAttrPruneIndex(cands []*compiledSub) *attrPruneIndex {
-	byAttr := make(map[string][]ivEntry)
-	for pos, c := range cands {
-		for gi := range c.groups {
-			g := &c.groups[gi]
-			byAttr[g.attr] = append(byAttr[g.attr], ivEntry{iv: g.iv, pos: int32(pos)})
-		}
-	}
-	if len(byAttr) == 0 {
-		return nil
-	}
-	names := make([]string, 0, len(byAttr))
-	for a := range byAttr {
-		names = append(names, a)
-	}
-	sort.Strings(names)
-	idx := &attrPruneIndex{attrs: make([]attrIvIndex, 0, len(names))}
-	for _, a := range names {
-		entries := byAttr[a]
-		constrained := make([]bool, len(cands))
-		for _, e := range entries {
-			constrained[e.pos] = true
-		}
-		var rest []int32
-		for pos := range cands {
-			if !constrained[pos] {
-				rest = append(rest, int32(pos))
-			}
-		}
-		sort.Slice(entries, func(i, j int) bool { return query.LowerLess(entries[i].iv, entries[j].iv) })
-		ups := make([]query.Interval, len(entries))
-		for i, e := range entries {
-			ups[i] = e.iv
-		}
-		sort.Slice(ups, func(i, j int) bool { return query.UpperLess(ups[i], ups[j]) })
-		ai := attrIvIndex{attr: a, entries: entries, ups: ups, rest: rest,
-			maxUp: make([]query.Interval, len(entries))}
-		buildMaxUp(ai.entries, ai.maxUp, 0, len(entries))
-		idx.attrs = append(idx.attrs, ai)
-	}
-	return idx
+// ivRun is one immutable sorted run of entries.
+//
+// cosmoslint:snapshot
+type ivRun struct {
+	entries []ivEntry // by lo, read as an implicit balanced BST
+	his     []float64 // the same entries' hi, ascending
 }
 
-// buildMaxUp fills the subtree upper-bound augmentation of the implicit
-// tree over entries[l:r) and returns the segment's maximum.
-func buildMaxUp(entries []ivEntry, maxUp []query.Interval, l, r int) (query.Interval, bool) {
-	if l >= r {
-		return query.Interval{}, false
+// newRun builds a run from entries in any order, taking ownership of them.
+func newRun(entries []ivEntry) *ivRun {
+	slices.SortFunc(entries, func(a, b ivEntry) int { return cmp.Compare(a.lo, b.lo) })
+	his := make([]float64, len(entries))
+	for i := range entries {
+		his[i] = entries[i].hi
 	}
-	m := (l + r) / 2
-	best := entries[m].iv
-	if left, ok := buildMaxUp(entries, maxUp, l, m); ok {
-		best = query.UpperMax(best, left)
-	}
-	if right, ok := buildMaxUp(entries, maxUp, m+1, r); ok {
-		best = query.UpperMax(best, right)
-	}
-	maxUp[m] = best
-	return best, true
+	slices.Sort(his)
+	fillMaxHi(entries)
+	return &ivRun{entries: entries, his: his}
 }
 
-// estimate returns an O(log n) stab-count estimate for value v: the number
-// of lower bounds admitting v minus the number of upper bounds rejecting
-// it. Exact for non-empty bound pairs; an estimate is all attribute
-// selection needs (the stab itself is exact).
-func (ai *attrIvIndex) estimate(v float64) int {
-	admitLo := sort.Search(len(ai.entries), func(i int) bool { return !ai.entries[i].iv.AdmitsLower(v) })
-	rejectHi := sort.Search(len(ai.ups), func(i int) bool { return ai.ups[i].AdmitsUpper(v) })
-	if est := admitLo - rejectHi; est > 0 {
-		return est
+func fillMaxHi(entries []ivEntry) float64 {
+	if len(entries) == 0 {
+		return math.Inf(-1)
 	}
-	return 0
+	m := len(entries) / 2
+	e := &entries[m]
+	e.maxHi = max(e.hi, fillMaxHi(entries[:m]), fillMaxHi(entries[m+1:]))
+	return e.maxHi
 }
 
-// stab appends to out the posting-list positions whose interval bounds
-// admit v, walking the implicit tree over entries[l:r): a subtree whose
-// maximal upper bound rejects v holds no admitting interval, and once a
-// node's lower bound rejects v every entry to its right does too.
-func stabTree(entries []ivEntry, maxUp []query.Interval, l, r int, v float64, out []int32) []int32 {
-	for l < r {
-		m := (l + r) / 2
-		if !maxUp[m].AdmitsUpper(v) {
+// stabRun appends the positions of the entries admitting v: a subtree whose
+// maxHi is below v holds none, and once an entry's lo is above v so is
+// every entry to its right.
+func stabRun(entries []ivEntry, v float64, out []int32) []int32 {
+	for len(entries) > 0 {
+		m := len(entries) / 2
+		e := &entries[m]
+		if e.maxHi < v {
 			return out
 		}
-		out = stabTree(entries, maxUp, l, m, v, out)
-		if !entries[m].iv.AdmitsLower(v) {
+		out = stabRun(entries[:m], v, out)
+		if e.lo > v {
 			return out
 		}
-		if entries[m].iv.AdmitsUpper(v) {
-			out = append(out, entries[m].pos)
+		if v <= e.hi {
+			out = append(out, e.pos)
 		}
-		l = m + 1
+		entries = entries[m+1:]
 	}
 	return out
 }
 
-// pruneSelect picks the most selective constrained attribute of the tuple
-// and stabs its interval tree, returning the posting-list positions worth
-// evaluating in ascending (registration) order. ok is false — the caller
-// scans the full posting list — when there is no index, no usable
-// constrained attribute, or the estimated yield is too close to the full
-// population (nCands) to pay for the merge. The returned slice aliases bufs
-// scratch and is valid until the next call. Pure with respect to ai — it
-// writes only into bufs — so concurrent lock-free routes may share ai.
-func pruneSelect(ai *attrPruneIndex, t stream.Tuple, nCands int, bufs *routeBufs) ([]int32, bool) {
-	if ai == nil {
-		return nil, false
+// runSet is the logarithmic-method collection of runs, longest (oldest)
+// first; each run is at least twice as long as its successor.
+type runSet []*ivRun
+
+// push returns the set with one more entry: a run of its own, merged with
+// every trailing run that is less than twice as long as what follows it.
+// The receiver and its runs are left intact.
+func (rs runSet) push(e ivEntry) runSet {
+	n, size := len(rs), 1
+	for n > 0 && len(rs[n-1].entries) < 2*size {
+		n--
+		size += len(rs[n].entries)
 	}
-	best := -1
-	bestEst := 0
-	bestAbsent := false
-	for i := range ai.attrs {
-		a := &ai.attrs[i]
-		v, ok := t.Get(a.attr)
-		var est int
-		absent := false
-		switch {
-		case !ok:
-			// The tuple lacks the attribute: every constrained
-			// candidate fails its group test, so only rest remains.
-			est, absent = len(a.rest), true
-		case v.Type == stream.String || math.IsNaN(v.F):
-			// Interval bounds cannot express Compare's string/NaN
-			// semantics; this attribute cannot prune.
-			continue
-		default:
-			est = a.estimate(v.F) + len(a.rest)
-		}
-		if best < 0 || est < bestEst {
-			best, bestEst, bestAbsent = i, est, absent
-		}
+	entries := make([]ivEntry, 0, size)
+	for _, r := range rs[n:] {
+		entries = append(entries, r.entries...)
 	}
-	if best < 0 || 2*bestEst >= nCands {
-		return nil, false
-	}
-	a := &ai.attrs[best]
-	if bestAbsent {
-		return a.rest, true
-	}
-	v, _ := t.Get(a.attr)
-	stab := stabTree(a.entries, a.maxUp, 0, len(a.entries), v.F, bufs.stab[:0])
-	bufs.stab = stab
-	// Restore posting-list order. The tree emits lower-bound order, which
-	// correlates with registration order only by accident, so this must
-	// not assume near-sortedness (slices.Sort is O(k log k) regardless).
-	slices.Sort(stab)
-	sel := mergePos(stab, a.rest, bufs.sel[:0])
-	bufs.sel = sel
-	return sel, true
+	return append(rs[:n:n], newRun(append(entries, e)))
 }
 
-// mergePos merges two ascending position slices (disjoint by construction:
-// a posting-list entry is either constrained on the attribute or in rest).
-func mergePos(a, b []int32, out []int32) []int32 {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i] < b[j] {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
+// count returns lower bounds admitting v minus upper bounds rejecting it,
+// summed over the runs — the number of entries admitting v when every entry
+// has lo ≤ hi. Not clamped per run, so it is a function of the entries
+// alone, whatever runs hold them.
+func (rs runSet) count(v float64) int {
+	n := 0
+	for _, r := range rs {
+		n += sort.Search(len(r.entries), func(i int) bool { return r.entries[i].lo > v })
+		n -= sort.Search(len(r.his), func(i int) bool { return r.his[i] >= v })
+	}
+	return n
+}
+
+// attrIndex indexes one attribute over one posting list.
+//
+// cosmoslint:snapshot
+type attrIndex struct {
+	attr       string
+	live, gone runSet
+	// rest lists the positions with no compiled interval on attr,
+	// ascending; restGone counts the removed ones among them.
+	rest     []int32
+	restGone int
+}
+
+// estimate returns the number of live candidates a stab with v selects.
+func (a *attrIndex) estimate(v float64) int {
+	return max(a.live.count(v)-a.gone.count(v), 0) + a.restLive()
+}
+
+func (a *attrIndex) restLive() int { return len(a.rest) - a.restGone }
+
+// attrPruneIndex is one version of the index of one posting list.
+//
+// cosmoslint:snapshot
+type attrPruneIndex struct {
+	attrs []attrIndex // one per attribute any candidate constrained, by name
+}
+
+// group returns the compiled interval group of one attribute, or nil.
+func (c *compiledSub) group(attr string) *attrGroup {
+	for i := range c.groups {
+		if c.groups[i].attr == attr {
+			return &c.groups[i]
 		}
 	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
+	return nil
+}
+
+func entryOf(g *attrGroup, pos int32) ivEntry {
+	lo, hi := closedBounds(g.iv)
+	return ivEntry{lo: lo, hi: hi, pos: pos}
+}
+
+// buildAttrPruneIndex indexes a posting list view from scratch: one run per
+// attribute over its live records, no tombstones. It is the compaction
+// path, the first build when a population reaches pruneMin, and the oracle
+// the maintained versions are held to.
+func buildAttrPruneIndex(ss *streamSnap) *attrPruneIndex {
+	var names []string
+	it := ss.scan()
+	for c := it.next(); c != nil; c = it.next() {
+		for gi := range c.groups {
+			if !slices.Contains(names, c.groups[gi].attr) {
+				names = append(names, c.groups[gi].attr)
+			}
+		}
+	}
+	slices.Sort(names)
+	idx := &attrPruneIndex{attrs: make([]attrIndex, 0, len(names))}
+	for _, name := range names {
+		var entries []ivEntry
+		var rest []int32
+		it := ss.scan()
+		for c := it.next(); c != nil; c = it.next() {
+			if g := c.group(name); g != nil {
+				entries = append(entries, entryOf(g, it.pos()))
+			} else {
+				rest = append(rest, it.pos())
+			}
+		}
+		idx.attrs = append(idx.attrs, attrIndex{attr: name, live: runSet{newRun(entries)}, rest: rest})
+	}
+	return idx
+}
+
+// with returns the next version: candidate c at position pos added — past
+// every position indexed so far — or, with gone set, tombstoned. nDead is
+// the posting list's tombstone count: an attribute c is the first to
+// constrain starts with every earlier position, removed ones included, in
+// rest.
+func (ai *attrPruneIndex) with(c *compiledSub, pos int32, gone bool, nDead int) *attrPruneIndex {
+	attrs := make([]attrIndex, 0, len(ai.attrs)+len(c.groups))
+	for _, a := range ai.attrs {
+		next := attrIndex{attr: a.attr, live: a.live, gone: a.gone, rest: a.rest, restGone: a.restGone}
+		switch g := c.group(a.attr); {
+		case g != nil && gone:
+			next.gone = a.gone.push(entryOf(g, pos))
+		case g != nil:
+			next.live = a.live.push(entryOf(g, pos))
+		case gone:
+			next.restGone++
+		default:
+			// In place: versions are derived one from the next, so only
+			// the newest appends, beyond every older version's length.
+			next.rest = append(a.rest, pos)
+		}
+		attrs = append(attrs, next)
+	}
+	for gi := range c.groups {
+		g := &c.groups[gi]
+		if gone || slices.ContainsFunc(ai.attrs, func(a attrIndex) bool { return a.attr == g.attr }) {
+			continue
+		}
+		rest := make([]int32, pos)
+		for i := range rest {
+			rest[i] = int32(i)
+		}
+		attrs = append(attrs, attrIndex{attr: g.attr, live: runSet(nil).push(entryOf(g, pos)), rest: rest, restGone: nDead})
+	}
+	if len(attrs) > len(ai.attrs) {
+		slices.SortFunc(attrs, func(a, b attrIndex) int { return cmp.Compare(a.attr, b.attr) })
+	}
+	return &attrPruneIndex{attrs: attrs}
+}
+
+// candIter walks the candidates of one posting list in registration order:
+// the selected positions when a stab pruned the list, else every position
+// that is not a tombstone.
+type candIter struct {
+	cands  []*compiledSub
+	dead   []int32 // full scan only: removed positions, ascending
+	sel    []int32
+	pruned bool
+	i, di  int
+}
+
+// next returns the next candidate, or nil at the end.
+func (it *candIter) next() *compiledSub {
+	if it.pruned {
+		if it.i == len(it.sel) {
+			return nil
+		}
+		it.i++
+		return it.cands[it.sel[it.i-1]]
+	}
+	for it.i < len(it.cands) {
+		it.i++
+		if it.di < len(it.dead) && int(it.dead[it.di]) == it.i-1 {
+			it.di++
+			continue
+		}
+		return it.cands[it.i-1]
+	}
+	return nil
+}
+
+// pos returns the position of the candidate a full scan returned last.
+func (it *candIter) pos() int32 { return int32(it.i - 1) }
+
+// scan walks the whole list.
+func (ss *streamSnap) scan() candIter { return candIter{cands: ss.cands, dead: ss.dead} }
+
+// matchIter walks the candidates worth evaluating against t: the probe on an
+// attribute is the tuple's value. A tuple lacking the attribute fails every
+// candidate constraining it, so only rest remains; a string or NaN value
+// cannot prune (interval bounds cannot express Compare's semantics there).
+func (ss *streamSnap) matchIter(t stream.Tuple, bufs *routeBufs) candIter {
+	return ss.selectBy(bufs, func(attr string) (float64, bool, bool) {
+		v, ok := t.Get(attr)
+		return v.F, !ok, !ok || (v.Type != stream.String && !math.IsNaN(v.F))
+	})
+}
+
+// coverIter walks the candidates that could cover a subscription whose
+// filters fold to ivs: the probe on an attribute the subscription constrains
+// is one point of its interval (probePoint). Attributes it leaves
+// unconstrained cannot prune — a candidate constraining one may still cover
+// through a vacuous bound.
+func (ss *streamSnap) coverIter(ivs map[string]query.Interval, bufs *routeBufs) candIter {
+	return ss.selectBy(bufs, func(attr string) (float64, bool, bool) {
+		iv, ok := ivs[attr]
+		if !ok {
+			return 0, false, false
+		}
+		v, ok := probePoint(iv)
+		return v, false, ok
+	})
+}
+
+// selectBy asks probe for a value to stab each indexed attribute with
+// (absent: no value, only rest qualifies; !ok: the attribute cannot prune),
+// picks the attribute with the smallest estimated yield and stabs it. It
+// falls back to the full list when there is no index, no usable attribute,
+// or the estimate is too close to the population to pay for the merge. The
+// selection aliases bufs scratch until the next call; nothing else is
+// written, so concurrent lock-free routes may share ss.
+func (ss *streamSnap) selectBy(bufs *routeBufs, probe func(attr string) (v float64, absent, ok bool)) candIter {
+	it := ss.scan()
+	if ss.idx == nil {
+		return it
+	}
+	var best *attrIndex
+	var bestEst int
+	var bestV float64
+	bestAbsent := false
+	for i := range ss.idx.attrs {
+		a := &ss.idx.attrs[i]
+		v, absent, ok := probe(a.attr)
+		if !ok {
+			continue
+		}
+		est := a.restLive()
+		if !absent {
+			est = a.estimate(v)
+		}
+		if best == nil || est < bestEst {
+			best, bestEst, bestV, bestAbsent = a, est, v, absent
+		}
+	}
+	if best == nil || 2*bestEst >= ss.live() {
+		return it
+	}
+	stab := bufs.stab[:0]
+	if !bestAbsent {
+		// Runs emit lower-bound order, which correlates with registration
+		// order only by accident: sort.
+		for _, r := range best.live {
+			stab = stabRun(r.entries, bestV, stab)
+		}
+		slices.Sort(stab)
+	}
+	bufs.stab = stab
+	// Merge with rest (disjoint by construction: a candidate either has an
+	// interval on the attribute or is in rest), dropping tombstones.
+	sel, rest := bufs.sel[:0], best.rest
+	for len(stab) > 0 || len(rest) > 0 {
+		var p int32
+		if len(rest) == 0 || (len(stab) > 0 && stab[0] < rest[0]) {
+			p, stab = stab[0], stab[1:]
+		} else {
+			p, rest = rest[0], rest[1:]
+		}
+		if _, gone := slices.BinarySearch(ss.dead, p); !gone {
+			sel = append(sel, p)
+		}
+	}
+	bufs.sel = sel
+	it.sel, it.pruned = sel, true
+	return it
+}
+
+// probePoint returns a point of iv's bounds to stab for covers with. Every
+// numeric filter iv implies holds at every point inside iv's bounds
+// (Interval.Implies reads nothing else for a numeric literal), so a cover's
+// bounds admit the point. No point is offered when the interval admits
+// nothing — it implies everything, so every candidate passes on this
+// attribute — when it is string-constrained, when no float64 lies inside
+// the bounds, or when the point is one iv excludes.
+func probePoint(iv query.Interval) (float64, bool) {
+	if iv.Empty() || iv.EqString != nil || len(iv.NeStrings) > 0 {
+		return 0, false
+	}
+	lo, hi := closedBounds(iv)
+	p := lo
+	if math.IsInf(lo, -1) {
+		p = min(hi, 0)
+	}
+	return p, lo <= p && p <= hi && !slices.Contains(iv.NotEq, p)
 }

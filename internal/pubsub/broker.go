@@ -2,6 +2,7 @@ package pubsub
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -181,6 +182,8 @@ type Broker struct {
 	// installs, giving compiledSub.regSeq its broker-wide registration
 	// order.
 	recCount uint64
+	// coverBufs is coverFor's selection scratch, used under mu.
+	coverBufs routeBufs
 
 	// log holds the broker's structured logger as a loggerBox (observe.go);
 	// the zero Value means logging.Nop(). Read with one atomic load per
@@ -298,7 +301,7 @@ func (b *Broker) Unadvertise(streamName string) {
 
 func (b *Broker) advertFrom(from topology.NodeID, streamName string, origin topology.NodeID, seq uint64) {
 	b.mu.Lock()
-	if !b.neighborLocked(from) {
+	if !slices.Contains(b.neighbors, from) {
 		// A message from a direction that is not (or no longer) an overlay
 		// neighbor: the link was torn down after this advert was sent.
 		// Recording it would create per-direction state no withdrawal can
@@ -382,7 +385,7 @@ func (b *Broker) advertFrom(from topology.NodeID, streamName string, origin topo
 // the recorded epoch is a stale no-op.
 func (b *Broker) unadvertFrom(from topology.NodeID, streamName string, origin topology.NodeID, seq uint64) {
 	b.mu.Lock()
-	if !b.neighborLocked(from) {
+	if !slices.Contains(b.neighbors, from) {
 		b.mu.Unlock()
 		return // dead-link straggler (see advertFrom)
 	}
@@ -472,15 +475,14 @@ func (b *Broker) unadvertFrom(from topology.NodeID, streamName string, origin to
 // advert tables already updated.
 func (b *Broker) pruneAdvertLocked(streamName string, withdrawnDir topology.NodeID, ruleA bool) []pendSend {
 	var edges []covEdge
-	var supStreams map[string]bool         // linear-reference sweep only
-	var targetSet map[topology.NodeID]bool // linear-reference sweep only
+	var supStreams map[string]bool // linear-reference sweep only
+	var targetSet nodeSet          // linear-reference sweep only
 	noteSup := func(c *compiledSub) {
 		if !b.linearMatch {
 			return
 		}
 		if supStreams == nil {
 			supStreams = make(map[string]bool)
-			targetSet = make(map[topology.NodeID]bool)
 		}
 		for _, s := range c.sub.Streams {
 			supStreams[s] = true
@@ -488,11 +490,25 @@ func (b *Broker) pruneAdvertLocked(streamName string, withdrawnDir topology.Node
 	}
 	if ruleA {
 		sweep := func(d *dirIndex) {
-			for _, c := range d.byStream[streamName] {
-				if !c.sentTo[withdrawnDir] || b.advertisesAny(withdrawnDir, c.sub.Streams) {
+			it := d.posting(streamName).scan()
+			for c := it.next(); c != nil; c = it.next() {
+				if b.advertisesAny(withdrawnDir, c.sub.Streams) {
 					continue
 				}
-				delete(c.sentTo, withdrawnDir)
+				// No stream of c is advertised toward the withdrawn
+				// direction any more, so c is no longer eligible there: a
+				// suppression edge it still holds that way is stale even
+				// when its suppressor stays eligible through another stream
+				// ([R] covered by [R,T], R withdrawn, T not). Nothing to
+				// re-decide — drop it.
+				if cov := c.coveredBy[withdrawnDir]; cov != nil {
+					delete(cov.suppresses, covEdge{rec: c, to: withdrawnDir})
+					delete(c.coveredBy, withdrawnDir)
+				}
+				if !c.sentTo.has(withdrawnDir) {
+					continue
+				}
+				c.sentTo.clear(withdrawnDir)
 				// Suppression this record provided toward the withdrawn
 				// direction is no longer backed by a propagation:
 				// release exactly those edges for re-decision.
@@ -515,15 +531,13 @@ func (b *Broker) pruneAdvertLocked(streamName string, withdrawnDir topology.Node
 		for _, d := range b.idx.dirOrder {
 			sweep(b.idx.dirs[d])
 		}
-		if b.linearMatch && len(edges) > 0 && targetSet != nil {
-			targetSet[withdrawnDir] = true
+		if b.linearMatch && len(edges) > 0 {
+			targetSet.set(withdrawnDir)
 		}
 	}
 	// rule (b): orphaned records, per direction in ascending order. The
-	// orphans are collected BEFORE any removal: d.remove replaces the
-	// d.byStream posting list (copy-on-remove, see index.go), so a scan
-	// interleaved with removals would walk a stale alias and re-decide
-	// against records already gone.
+	// orphans are collected BEFORE any removal: d.remove changes the
+	// posting list under the walk (a tombstone, or a compaction).
 	for _, a := range b.idx.dirOrder {
 		if a == withdrawnDir {
 			// The withdrawn direction's own records are justified by
@@ -531,12 +545,9 @@ func (b *Broker) pruneAdvertLocked(streamName string, withdrawnDir topology.Node
 			continue
 		}
 		d := b.idx.dirs[a]
-		list := d.byStream[streamName]
-		if len(list) == 0 {
-			continue
-		}
-		orphans := make([]*compiledSub, 0, len(list))
-		for _, c := range list {
+		var orphans []*compiledSub
+		it := d.posting(streamName).scan()
+		for c := it.next(); c != nil; c = it.next() {
 			if !b.advertisedExceptAny(a, c.sub.Streams) {
 				orphans = append(orphans, c)
 			}
@@ -546,8 +557,8 @@ func (b *Broker) pruneAdvertLocked(streamName string, withdrawnDir topology.Node
 			edges = append(edges, detachCovEdges(c)...)
 			noteSup(c)
 			if b.linearMatch {
-				for n := range c.sentTo {
-					targetSet[n] = true
+				for _, n := range c.sentTo {
+					targetSet.set(n)
 				}
 			}
 		}
@@ -564,12 +575,9 @@ func (b *Broker) pruneAdvertLocked(streamName string, withdrawnDir topology.Node
 		// covered, or not advertised), so the outcome matches the
 		// edge-driven pass bit for bit.
 		for _, e := range edges {
-			if targetSet == nil {
-				targetSet = make(map[topology.NodeID]bool)
-			}
-			targetSet[e.to] = true
+			targetSet.set(e.to)
 		}
-		targets = sortedNodeSet(targetSet)
+		targets = targetSet
 	}
 	return b.unsuppressLocked(supStreams, targets, edges)
 }
@@ -616,21 +624,18 @@ func (b *Broker) advertisedExceptAny(exclude topology.NodeID, streams []string) 
 // propagated them in. Caller holds b.mu.
 func (b *Broker) replayLocked(from topology.NodeID, streamName string) []*Subscription {
 	var cands []*compiledSub
-	collect := func(c *compiledSub) {
-		if c.sentTo[from] || c.coveredBy[from] != nil {
-			return
+	collect := func(d *dirIndex) {
+		it := d.posting(streamName).scan()
+		for c := it.next(); c != nil; c = it.next() {
+			if !c.sentTo.has(from) && c.coveredBy[from] == nil {
+				cands = append(cands, c)
+			}
 		}
-		cands = append(cands, c)
 	}
-	for _, c := range b.idx.locals.byStream[streamName] {
-		collect(c)
-	}
+	collect(b.idx.locals)
 	for _, d := range b.idx.dirOrder {
-		if d == from {
-			continue
-		}
-		for _, c := range b.idx.dirs[d].byStream[streamName] {
-			collect(c)
+		if d != from {
+			collect(b.idx.dirs[d])
 		}
 	}
 	if b.coverDelta {
@@ -645,7 +650,7 @@ func (b *Broker) replayLocked(from topology.NodeID, streamName string) []*Subscr
 			suppressEdge(cov, c, from)
 			continue
 		}
-		c.sentTo[from] = true
+		c.sentTo.set(from)
 		out = append(out, c.sub)
 	}
 	return out
@@ -700,7 +705,7 @@ func (b *Broker) replayDeltaLocked(from topology.NodeID, cands []*compiledSub) [
 		covered := false
 		if len(kept) <= maxDeltaScan {
 			for _, k := range kept {
-				if cands[k].sub.ID != c.sub.ID && cands[k].sub.CoversPrepared(c.sub, ivs[i]) {
+				if cands[k].sub.ID != c.sub.ID && cands[k].covers(c.sub, ivs[i]) {
 					coverIdx[i] = k
 					covered = true
 					break
@@ -718,7 +723,7 @@ func (b *Broker) replayDeltaLocked(from topology.NodeID, cands []*compiledSub) [
 		if len(kept) <= maxDeltaScan {
 			live := kept[:0]
 			for _, k := range kept {
-				if cands[k].sub.ID != c.sub.ID && c.sub.CoversPrepared(cands[k].sub, ivs[k]) {
+				if cands[k].sub.ID != c.sub.ID && c.covers(cands[k].sub, ivs[k]) {
 					coverIdx[k] = i
 					for j := 0; j < i; j++ {
 						if coverIdx[j] == k {
@@ -738,7 +743,7 @@ func (b *Broker) replayDeltaLocked(from topology.NodeID, cands []*compiledSub) [
 	// suppressors to carry the sentTo mark), then record the edges.
 	out := make([]*Subscription, 0, len(kept))
 	for _, k := range kept {
-		cands[k].sentTo[from] = true
+		cands[k].sentTo.set(from)
 		out = append(out, cands[k].sub)
 	}
 	for i, k := range coverIdx {
@@ -774,7 +779,6 @@ func (b *Broker) Subscribe(sub *Subscription, h Handler) error {
 	c.srcDir = -1
 	b.recCount++
 	c.regSeq = b.recCount
-	c.sentTo = make(map[topology.NodeID]bool)
 	b.idx.locals.add(c)
 	b.publishLocked()
 	b.mu.Unlock()
@@ -796,13 +800,13 @@ func (b *Broker) Unsubscribe(id string) {
 		b.mu.Unlock()
 		return // unknown or already removed: explicit no-op
 	}
-	targetSet := make(map[topology.NodeID]bool)
+	var targets nodeSet
 	var seq uint64
 	var streams map[string]bool // linear-reference sweep only
 	var edges []covEdge
 	for _, c := range removed {
-		for n := range c.sentTo {
-			targetSet[n] = true
+		for _, n := range c.sentTo {
+			targets.set(n)
 		}
 		if c.seq > seq {
 			seq = c.seq
@@ -817,7 +821,6 @@ func (b *Broker) Unsubscribe(id string) {
 		}
 		edges = append(edges, detachCovEdges(c)...)
 	}
-	targets := sortedNodeSet(targetSet)
 	if len(removed) > 1 {
 		sortCovEdges(edges)
 	}
@@ -840,7 +843,7 @@ func (b *Broker) Unsubscribe(id string) {
 // the recorded epoch (seq) is a no-op.
 func (b *Broker) retractFrom(from topology.NodeID, id string, seq uint64) {
 	b.mu.Lock()
-	if !b.neighborLocked(from) {
+	if !slices.Contains(b.neighbors, from) {
 		b.mu.Unlock()
 		return // dead-link straggler (see advertFrom)
 	}
@@ -864,7 +867,7 @@ func (b *Broker) retractFrom(from topology.NodeID, id string, seq uint64) {
 	}
 	d.remove(rec)
 	edges := detachCovEdges(rec)
-	targets := sortedNodeSet(rec.sentTo)
+	targets := rec.sentTo
 	var streams map[string]bool // linear-reference sweep only
 	if b.linearMatch {
 		streams = make(map[string]bool, len(rec.sub.Streams))
@@ -911,7 +914,7 @@ func (b *Broker) unsuppressLocked(streams map[string]bool, targets []topology.No
 	}
 	var out []pendSend
 	consider := func(c *compiledSub, n topology.NodeID) {
-		if c.sentTo[n] || !c.listsAny(streams) {
+		if c.sentTo.has(n) || !c.listsAny(streams) {
 			return
 		}
 		if !b.advertisesAny(n, c.sub.Streams) {
@@ -926,7 +929,7 @@ func (b *Broker) unsuppressLocked(streams map[string]bool, targets []topology.No
 			suppressEdge(cov, c, n)
 			return
 		}
-		c.sentTo[n] = true
+		c.sentTo.set(n)
 		out = append(out, pendSend{to: n, sub: c.sub})
 	}
 	for _, n := range targets {
@@ -970,7 +973,7 @@ func (b *Broker) unsuppressEdges(edges []covEdge) []pendSend {
 	}
 	for _, e := range edges {
 		c, n := e.rec, e.to
-		if c.sentTo[n] || c.coveredBy[n] != nil {
+		if c.sentTo.has(n) || c.coveredBy[n] != nil {
 			continue
 		}
 		if !b.advertisesAny(n, c.sub.Streams) {
@@ -980,7 +983,7 @@ func (b *Broker) unsuppressEdges(edges []covEdge) []pendSend {
 			suppressEdge(cov, c, n)
 			continue
 		}
-		c.sentTo[n] = true
+		c.sentTo.set(n)
 		out = append(out, pendSend{to: n, sub: c.sub})
 	}
 	return out
@@ -1002,7 +1005,7 @@ func (b *Broker) propagate(sub *Subscription, from topology.NodeID) {
 		return
 	}
 	b.mu.Lock()
-	if from >= 0 && !b.neighborLocked(from) {
+	if from >= 0 && !slices.Contains(b.neighbors, from) {
 		b.mu.Unlock()
 		return // dead-link straggler (see advertFrom)
 	}
@@ -1043,7 +1046,7 @@ func (b *Broker) propagate(sub *Subscription, from topology.NodeID) {
 			d.remove(prev)
 			supEdges = detachCovEdges(prev)
 			superseded = true
-			supTargets = sortedNodeSet(prev.sentTo)
+			supTargets = prev.sentTo
 			if b.linearMatch {
 				supStreams = make(map[string]bool, len(prev.sub.Streams))
 				for _, s := range prev.sub.Streams {
@@ -1078,7 +1081,6 @@ func (b *Broker) propagate(sub *Subscription, from topology.NodeID) {
 		rec.srcDir = from
 		b.recCount++
 		rec.regSeq = b.recCount
-		rec.sentTo = make(map[topology.NodeID]bool)
 		d.add(rec)
 	} else {
 		// Locally originated: Subscribe already recorded it. The epoch
@@ -1096,7 +1098,7 @@ func (b *Broker) propagate(sub *Subscription, from topology.NodeID) {
 	targets := make([]topology.NodeID, 0, len(b.neighbors))
 	suppressed := 0
 	for _, n := range b.neighbors {
-		if n == from || rec.sentTo[n] || rec.coveredBy[n] != nil {
+		if n == from || rec.sentTo.has(n) || rec.coveredBy[n] != nil {
 			continue
 		}
 		if !b.advertisesAny(n, sub.Streams) {
@@ -1113,7 +1115,7 @@ func (b *Broker) propagate(sub *Subscription, from topology.NodeID) {
 			suppressed++
 			continue
 		}
-		rec.sentTo[n] = true
+		rec.sentTo.set(n)
 		targets = append(targets, n)
 	}
 	var resend []pendSend
@@ -1138,33 +1140,38 @@ func (b *Broker) propagate(sub *Subscription, from topology.NodeID) {
 // scan over many candidate covers compiles sub's filter conjunction once.
 // The returned record is the suppressor the covered-by index records; the
 // scan order is deterministic, so repeated runs pick the same suppressor.
-// A cover must list every stream of sub, so on the indexed path only the
-// posting list of sub's first stream is examined (the linear reference
-// scans every record of each direction — same candidates in the same
-// relative order, since covers always appear in that posting list).
+// A cover must list every stream of sub, so only the posting list of sub's
+// first stream is examined, and of that only the records whose bounds admit
+// a point of sub's own interval (coverIter) — a superset of the covers in
+// posting-list order, so the first cover found is the full scan's. The
+// linear reference scans every record of each direction, uncompiled.
 func (b *Broker) coverFor(n topology.NodeID, sub *Subscription, ivs map[string]query.Interval) *compiledSub {
-	cands := b.idx.locals.coverCandidates(sub)
-	if b.linearMatch {
-		cands = b.idx.locals.subs
-	}
-	for _, c := range cands {
-		if c.sentTo[n] && c.sub.ID != sub.ID && c.sub.CoversPrepared(sub, ivs) {
-			return c
+	first := func(d *dirIndex) *compiledSub {
+		if b.linearMatch {
+			for _, c := range d.subs {
+				if c.sentTo.has(n) && c.sub.ID != sub.ID && c.sub.CoversPrepared(sub, ivs) {
+					return c
+				}
+			}
+			return nil
 		}
+		it := d.posting(sub.Streams[0]).coverIter(ivs, &b.coverBufs)
+		for c := it.next(); c != nil; c = it.next() {
+			if c.sentTo.has(n) && c.sub.ID != sub.ID && c.covers(sub, ivs) {
+				return c
+			}
+		}
+		return nil
+	}
+	if c := first(b.idx.locals); c != nil {
+		return c
 	}
 	for _, dir := range b.idx.dirOrder {
 		if dir == n {
 			continue
 		}
-		d := b.idx.dirs[dir]
-		cands := d.coverCandidates(sub)
-		if b.linearMatch {
-			cands = d.subs
-		}
-		for _, c := range cands {
-			if c.sentTo[n] && c.sub.ID != sub.ID && c.sub.CoversPrepared(sub, ivs) {
-				return c
-			}
+		if c := first(b.idx.dirs[dir]); c != nil {
+			return c
 		}
 	}
 	return nil
@@ -1232,7 +1239,7 @@ func (b *Broker) route(t stream.Tuple, from topology.NodeID) {
 	bufs := routeBufPool.Get().(*routeBufs)
 	locals, hops := bufs.locals[:0], bufs.hops[:0]
 	if snap := b.snap.Load(); snap != nil {
-		if from >= 0 && !nodeIn(snap.neighbors, from) {
+		if from >= 0 && !slices.Contains(snap.neighbors, from) {
 			// Data from a torn-down link (as of this epoch): no routing
 			// state references the direction anymore, so the tuple is
 			// dropped (at-most-once data delivery; the repaired overlay
@@ -1245,7 +1252,7 @@ func (b *Broker) route(t stream.Tuple, from topology.NodeID) {
 		locals, hops = matchSnap(snap, t, from, bufs, locals, hops)
 	} else {
 		b.mu.Lock()
-		if from >= 0 && !b.neighborLocked(from) {
+		if from >= 0 && !slices.Contains(b.neighbors, from) {
 			b.mu.Unlock()
 			routeBufPool.Put(bufs)
 			return
@@ -1382,28 +1389,15 @@ func tupleSize(attrs int) int { return 16 + 8*attrs }
 // AddNeighbor registers an overlay neighbor.
 func (b *Broker) AddNeighbor(n topology.NodeID) {
 	b.mu.Lock()
-	for _, x := range b.neighbors {
-		if x == n {
-			b.mu.Unlock()
-			return
-		}
+	if slices.Contains(b.neighbors, n) {
+		b.mu.Unlock()
+		return
 	}
 	b.neighbors = append(b.neighbors, n)
 	b.snapAll = true // the epoch's frozen neighbor set must grow too
 	b.publishLocked()
 	b.mu.Unlock()
 	b.logger().Info("neighbor attached", "neighbor", n)
-}
-
-// neighborLocked reports whether n is a current overlay neighbor. Caller
-// holds b.mu. Degrees are small (tree overlay), so a linear scan beats a set.
-func (b *Broker) neighborLocked(n topology.NodeID) bool {
-	for _, x := range b.neighbors {
-		if x == n {
-			return true
-		}
-	}
-	return false
 }
 
 // DetachNeighbor severs this broker's side of the overlay link to 'gone'
@@ -1432,7 +1426,7 @@ func (b *Broker) neighborLocked(n topology.NodeID) bool {
 // drop any straggler the dead link still delivers.
 func (b *Broker) DetachNeighbor(gone topology.NodeID) {
 	b.mu.Lock()
-	if !b.neighborLocked(gone) {
+	if !slices.Contains(b.neighbors, gone) {
 		b.mu.Unlock()
 		return
 	}
@@ -1485,12 +1479,7 @@ func (b *Broker) DetachNeighbor(gone topology.NodeID) {
 	}
 
 	b.mu.Lock()
-	for i, x := range b.neighbors {
-		if x == gone {
-			b.neighbors = append(b.neighbors[:i], b.neighbors[i+1:]...)
-			break
-		}
-	}
+	b.neighbors = slices.DeleteFunc(b.neighbors, func(x topology.NodeID) bool { return x == gone })
 	delete(b.unadvTomb, gone)
 	b.idx.dropDir(gone)
 	b.snapAll = true // neighbor set and direction map both shrank
@@ -1591,26 +1580,6 @@ func (b *Broker) syncAdvertsTo(n topology.NodeID) {
 		b.net.CountControl(b.Node, n, advertSize)
 		b.net.Peer(n).AdvertFrom(b.Node, k.stream, k.origin, known[k])
 	}
-}
-
-// sortedDirs returns the direction keys in ascending neighbor order, so
-// replay and un-suppression sweeps are deterministic.
-func sortedDirs(dirs map[topology.NodeID]*dirIndex) []topology.NodeID {
-	out := make([]topology.NodeID, 0, len(dirs))
-	for d := range dirs {
-		out = append(out, d)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func sortedNodeSet(set map[topology.NodeID]bool) []topology.NodeID {
-	out := make([]topology.NodeID, 0, len(set))
-	for n := range set {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 const (

@@ -1,7 +1,9 @@
 package pubsub
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/query"
@@ -41,11 +43,9 @@ import (
 //
 // The index also feeds the lock-free snapshot read path (snapshot.go):
 // add/remove mark the touched streams in dirtySnap so publishLocked can
-// re-freeze only those, and remove REPLACES a posting list with a fresh
-// copy instead of splicing it in place — published snapshots alias the
-// byStream slices, and an in-place splice would mutate an epoch a
-// lock-free route is reading. add may append in place: it writes only at
-// indexes beyond every published snapshot's length. See CONCURRENCY.md.
+// re-freeze only those, and a posting list (postList) never changes what a
+// published epoch holds of it — every mutation replaces the list's frozen
+// view with the next one. See CONCURRENCY.md.
 
 // matchIndex is one broker's routing state: one dirIndex per neighbor
 // direction plus one for local client subscriptions.
@@ -55,7 +55,7 @@ type matchIndex struct {
 	// dirOrder caches the direction keys ascending, so cover scans, replay
 	// and un-suppression sweeps iterate deterministically without
 	// re-sorting the key set per call.
-	dirOrder []topology.NodeID
+	dirOrder nodeSet
 }
 
 func newMatchIndex() *matchIndex {
@@ -68,10 +68,7 @@ func (m *matchIndex) dir(n topology.NodeID) *dirIndex {
 	if !ok {
 		d = newDirIndex()
 		m.dirs[n] = d
-		at := sort.Search(len(m.dirOrder), func(i int) bool { return m.dirOrder[i] >= n })
-		m.dirOrder = append(m.dirOrder, 0)
-		copy(m.dirOrder[at+1:], m.dirOrder[at:])
-		m.dirOrder[at] = n
+		m.dirOrder.set(n)
 	}
 	return d
 }
@@ -81,31 +78,20 @@ func (m *matchIndex) dir(n topology.NodeID) *dirIndex {
 // most the empty container maps and reorder tombstones, which die with the
 // link (no message can ever arrive from the direction again).
 func (m *matchIndex) dropDir(n topology.NodeID) {
-	if _, ok := m.dirs[n]; !ok {
-		return
-	}
 	delete(m.dirs, n)
-	for i, x := range m.dirOrder {
-		if x == n {
-			m.dirOrder = append(m.dirOrder[:i], m.dirOrder[i+1:]...)
-			break
-		}
-	}
+	m.dirOrder.clear(n)
 }
 
 // dirIndex indexes the subscriptions of one direction (a neighbor, or the
 // broker's locals).
 type dirIndex struct {
+	// subs holds every record in registration order (regSeq ascending).
 	subs []*compiledSub
-	// byStream holds the posting lists, each in registration order. A
-	// subscription listing a stream twice appears once (matching is
-	// per-subscription, not per-listing).
-	byStream map[string][]*compiledSub
-	// union holds the per-stream projection union, maintained
-	// incrementally on add and recomputed for the affected streams on
-	// remove. Published maps are immutable (copy-on-write): route hands
-	// them to in-flight hops outside the broker lock.
-	union map[string]*attrUnion
+	// byStream holds the posting lists. A subscription listing a stream
+	// twice appears once (matching is per-subscription, not per-listing);
+	// a list is deleted with its last record, so an idle broker's routing
+	// tables drain to empty.
+	byStream map[string]*postList
 	// retracted holds tombstones for retractions that arrived before
 	// the subscription they withdraw (ID → retracted epoch). Sends
 	// happen outside the broker lock, so a retraction can overtake the
@@ -117,8 +103,7 @@ type dirIndex struct {
 	retracted map[string]uint64
 	// byID indexes records by subscription ID in registration order, so
 	// find/removeByID are O(records per ID) instead of a scan over the
-	// whole direction — the dominant cost of a subscribe/unsubscribe
-	// cycle against a large stable population.
+	// whole direction.
 	byID map[string][]*compiledSub
 	// dirtySnap marks the streams whose posting list or union changed
 	// since the last snapshot publish, so publishLocked re-freezes only
@@ -128,29 +113,39 @@ type dirIndex struct {
 
 func newDirIndex() *dirIndex {
 	return &dirIndex{
-		byStream:  make(map[string][]*compiledSub),
-		union:     make(map[string]*attrUnion),
+		byStream:  make(map[string]*postList),
 		retracted: make(map[string]uint64),
 		byID:      make(map[string][]*compiledSub),
 		dirtySnap: make(map[string]bool),
 	}
 }
 
-// add appends a compiled subscription, updating posting lists and projection
-// unions.
+// add appends a compiled subscription to the direction and to the posting
+// list of every stream it lists.
 func (d *dirIndex) add(c *compiledSub) {
 	d.subs = append(d.subs, c)
 	d.byID[c.sub.ID] = append(d.byID[c.sub.ID], c)
-	seen := make(map[string]bool, len(c.sub.Streams))
-	for _, s := range c.sub.Streams {
-		if seen[s] {
+	for i, s := range c.sub.Streams {
+		if slices.Contains(c.sub.Streams[:i], s) {
 			continue
 		}
-		seen[s] = true
-		d.byStream[s] = append(d.byStream[s], c)
-		d.union[s] = d.union[s].extend(c.keep)
+		pl := d.byStream[s]
+		if pl == nil {
+			pl = &postList{streamSnap: &streamSnap{}, keepRefs: make(map[string]int)}
+			d.byStream[s] = pl
+		}
+		pl.add(c)
 		d.dirtySnap[s] = true
 	}
+}
+
+// posting returns the current view of one stream's posting list, empty when
+// the direction holds no record on the stream.
+func (d *dirIndex) posting(s string) *streamSnap {
+	if pl := d.byStream[s]; pl != nil {
+		return pl.streamSnap
+	}
+	return &streamSnap{}
 }
 
 // find returns the most recently added record with the given subscription
@@ -165,54 +160,114 @@ func (d *dirIndex) find(id string) *compiledSub {
 	return recs[len(recs)-1]
 }
 
-// remove deletes one record, keeping posting lists in registration order
-// and recomputing the projection unions of the affected streams. Posting
-// lists and unions of streams no longer subscribed are deleted outright, so
-// an idle broker's routing tables drain to empty. The surviving posting
-// list is a FRESH slice, not an in-place splice: published snapshots alias
-// the old one (snapshot.go's sharing discipline), so it must stay intact
-// until its epoch is swapped out.
+// byRegSeq orders a record against a registration number; d.subs and every
+// posting list are sorted by it.
+func byRegSeq(c *compiledSub, seq uint64) int { return cmp.Compare(c.regSeq, seq) }
+
+// remove deletes one record from the direction and from its posting lists.
+// d.subs and byID are spliced in place — no epoch aliases them.
 func (d *dirIndex) remove(c *compiledSub) {
-	for i, x := range d.subs {
-		if x == c {
-			d.subs = append(d.subs[:i], d.subs[i+1:]...)
-			break
-		}
+	if i, ok := slices.BinarySearchFunc(d.subs, c.regSeq, byRegSeq); ok {
+		d.subs = slices.Delete(d.subs, i, i+1)
 	}
-	ids := d.byID[c.sub.ID]
-	for i, x := range ids {
-		if x == c {
-			ids = append(ids[:i], ids[i+1:]...)
-			break
-		}
-	}
-	if len(ids) == 0 {
+	if ids := slices.DeleteFunc(d.byID[c.sub.ID], func(x *compiledSub) bool { return x == c }); len(ids) == 0 {
 		delete(d.byID, c.sub.ID)
 	} else {
 		d.byID[c.sub.ID] = ids
 	}
-	seen := make(map[string]bool, len(c.sub.Streams))
-	for _, s := range c.sub.Streams {
-		if seen[s] {
+	for i, s := range c.sub.Streams {
+		if slices.Contains(c.sub.Streams[:i], s) {
 			continue
 		}
-		seen[s] = true
 		d.dirtySnap[s] = true
-		list := d.byStream[s]
-		fresh := make([]*compiledSub, 0, len(list))
-		for _, x := range list {
+		if d.byStream[s].remove(c) {
+			delete(d.byStream, s)
+		}
+	}
+}
+
+// postList is the posting list of one (direction, stream) pair: the current
+// frozen view — records, tombstones, interval index, projection union — which
+// add/remove REPLACE with the next one (an epoch shares it by pointer and
+// never sees it change), and the counts the union is kept by. Touched only
+// under Broker.mu.
+type postList struct {
+	*streamSnap
+	// keepRefs counts, per attribute, the records whose projection list
+	// names it; the view's union is rebuilt when a count crosses zero.
+	keepRefs map[string]int
+}
+
+func (pl *postList) add(c *compiledSub) {
+	// The append lands beyond every older view's length.
+	next := &streamSnap{cands: append(pl.cands, c), dead: pl.dead, union: pl.ref(c.keep, 1), idx: pl.idx}
+	switch {
+	case next.idx != nil:
+		next.idx = next.idx.with(c, int32(len(pl.cands)), false, len(pl.dead))
+	case next.live() >= pruneMin:
+		next.idx = buildAttrPruneIndex(next)
+	}
+	pl.streamSnap = next
+}
+
+// remove drops one record and reports whether the list is now empty (the
+// caller deletes it, index and union with it). The record is tombstoned —
+// in dead and in the index — until the tombstones pass an eighth of the
+// live population; then list and index are rebuilt without them: a removal
+// costs O(log n) amortised, and removed records pin a bounded share.
+func (pl *postList) remove(c *compiledSub) (empty bool) {
+	pos, ok := slices.BinarySearchFunc(pl.cands, c.regSeq, byRegSeq)
+	at, gone := slices.BinarySearch(pl.dead, int32(pos))
+	if !ok || gone {
+		return false
+	}
+	next := &streamSnap{cands: pl.cands, union: pl.ref(c.keep, -1)}
+	if live := pl.live() - 1; 8*(len(pl.dead)+1) > live {
+		next.cands = make([]*compiledSub, 0, live)
+		it := pl.scan()
+		for x := it.next(); x != nil; x = it.next() {
 			if x != c {
-				fresh = append(fresh, x)
+				next.cands = append(next.cands, x)
 			}
 		}
-		if len(fresh) == 0 {
-			delete(d.byStream, s)
-			delete(d.union, s)
-			continue
+		if live >= pruneMin {
+			next.idx = buildAttrPruneIndex(next)
 		}
-		d.byStream[s] = fresh
-		d.union[s] = unionOf(fresh)
+	} else {
+		next.dead = slices.Insert(slices.Clip(pl.dead), at, int32(pos)) // clipped: Insert copies
+		if pl.idx != nil && live >= pruneMin {
+			next.idx = pl.idx.with(c, int32(pos), true, 0)
+		}
 	}
+	pl.streamSnap = next
+	return len(next.cands) == 0
+}
+
+// ref counts one record's projection set into (delta 1) or out of (delta
+// -1) the union and returns the union to publish: the current map while its
+// content stands, else a fresh one — route hands the map to in-flight hops
+// outside the broker lock, so a published one is never written. It is read
+// only when every record matched and none keeps all attributes (matchSnap),
+// so records with a nil projection need no count.
+func (pl *postList) ref(keep map[string]bool, delta int) map[string]bool {
+	changed := pl.union == nil
+	for a := range keep {
+		n := pl.keepRefs[a] + delta
+		changed = changed || n == 0 || n == delta
+		if n == 0 {
+			delete(pl.keepRefs, a)
+		} else {
+			pl.keepRefs[a] = n
+		}
+	}
+	if !changed {
+		return pl.union
+	}
+	union := make(map[string]bool, len(pl.keepRefs))
+	for a := range pl.keepRefs {
+		union[a] = true
+	}
+	return union
 }
 
 // removeByID removes every record with the given subscription ID and
@@ -224,68 +279,6 @@ func (d *dirIndex) removeByID(id string) []*compiledSub {
 		d.remove(c)
 	}
 	return removed
-}
-
-// coverCandidates returns the recorded subscriptions that could cover sub:
-// a covering subscription must list every stream of sub, so the posting list
-// of sub's first stream is an exact candidate superset.
-func (d *dirIndex) coverCandidates(sub *Subscription) []*compiledSub {
-	return d.byStream[sub.Streams[0]]
-}
-
-// attrUnion is the projection union of the subscriptions posted on one
-// (direction, stream) pair: all is set when any of them keeps every
-// attribute (nil Attrs); keep unions the explicit projection lists.
-type attrUnion struct {
-	all  bool
-	keep map[string]bool
-}
-
-// unionOf rebuilds a projection union from scratch — the recompute path of
-// remove, folding in place instead of chaining per-candidate extends. The
-// result is content-identical to the incremental chain: all is set when any
-// candidate keeps every attribute, keep unions the explicit lists.
-func unionOf(list []*compiledSub) *attrUnion {
-	u := &attrUnion{}
-	for _, c := range list {
-		if c.keep == nil {
-			u.all = true
-			continue
-		}
-		if u.keep == nil {
-			u.keep = make(map[string]bool, len(c.keep))
-		}
-		for a := range c.keep {
-			u.keep[a] = true
-		}
-	}
-	return u
-}
-
-// extend returns the union grown by one subscription's projection set. The
-// receiver (and its keep map) is never mutated — hops captured by an
-// in-flight route may still reference it — so growth builds a fresh map.
-func (u *attrUnion) extend(keep map[string]bool) *attrUnion {
-	next := &attrUnion{}
-	var old map[string]bool
-	if u != nil {
-		next.all = u.all
-		old = u.keep
-	}
-	if keep == nil {
-		next.all = true
-		next.keep = old
-		return next
-	}
-	merged := make(map[string]bool, len(old)+len(keep))
-	for a := range old {
-		merged[a] = true
-	}
-	for a := range keep {
-		merged[a] = true
-	}
-	next.keep = merged
-	return next
 }
 
 // compiledSub is one recorded subscription with its matching and lifecycle
@@ -312,7 +305,7 @@ type compiledSub struct {
 	// propagated to. Covering suppression of another subscription toward
 	// neighbor n is sound only when the covering one was sent to n, and
 	// retraction follows exactly these edges. Mutated under Broker.mu.
-	sentTo map[topology.NodeID]bool
+	sentTo nodeSet
 	// coveredBy is the covered-by churn index, forward side: coveredBy[n]
 	// is the record whose propagation toward n suppressed this one.
 	// Invariant (maintained at propagate/replay/retract/un-suppress time,
@@ -331,6 +324,25 @@ type compiledSub struct {
 	strEq  []strEqTest
 	groups []attrGroup
 	raw    []query.Predicate
+}
+
+// nodeSet is a small set of overlay nodes, ascending — a broker has a
+// handful of neighbors, so a record's propagation marks are a slice, not a
+// map.
+type nodeSet []topology.NodeID
+
+func (s nodeSet) has(n topology.NodeID) bool { return slices.Contains(s, n) }
+
+func (s *nodeSet) set(n topology.NodeID) {
+	if i, ok := slices.BinarySearch(*s, n); !ok {
+		*s = slices.Insert(*s, i, n)
+	}
+}
+
+func (s *nodeSet) clear(n topology.NodeID) {
+	if i, ok := slices.BinarySearch(*s, n); ok {
+		*s = slices.Delete(*s, i, i+1)
+	}
 }
 
 // strEqTest is a compiled `attr == "literal"` filter (the result-stream tag
@@ -420,20 +432,22 @@ type attrGroup struct {
 }
 
 // compileSub precomputes the matching state of one subscription. handler is
-// non-nil only for local client subscriptions.
+// non-nil only for local client subscriptions. Filters are kept in
+// normalised (column-on-the-left) form: evaluation is indifferent to it and
+// the cover test (covers) needs it.
 func compileSub(s *Subscription, h Handler) *compiledSub {
 	c := &compiledSub{sub: s, handler: h, keep: keepSet(s.Attrs)}
 	groups := make(map[string]int)
 	for _, f := range s.Filters {
 		n, ok := query.NumericSelection(f)
 		if !ok {
-			// n is f normalised. "timestamp" stays raw: Tuple.Get answers it
-			// from the tuple header, not from Attrs.
+			// "timestamp" stays raw: Tuple.Get answers it from the tuple
+			// header, not from Attrs.
 			if n.IsSelection() && n.Op == query.Eq && n.Right.Lit != nil && n.Right.Lit.Type == stream.String && n.Left.Col.Attr != "timestamp" {
 				c.strEq = append(c.strEq, strEqTest{n.Left.Col.Attr, n.Right.Lit.S})
 				continue
 			}
-			c.raw = append(c.raw, f)
+			c.raw = append(c.raw, n)
 			continue
 		}
 		attr := n.Left.Col.Attr
@@ -445,9 +459,56 @@ func compileSub(s *Subscription, h Handler) *compiledSub {
 		}
 		g := &c.groups[gi]
 		g.iv = g.iv.Constrain(n.Op, *n.Right.Lit)
-		g.preds = append(g.preds, f)
+		g.preds = append(g.preds, n)
 	}
 	return c
+}
+
+// covers reproduces c.sub.CoversPrepared(o, ivs) from the compiled form:
+// the projection check reads the keep set and every filter is already
+// normalised, so a cover scan costs one interval-implication walk per
+// candidate and allocates nothing (TestCompiledCoversMatchesCoversPrepared).
+func (c *compiledSub) covers(o *Subscription, ivs map[string]query.Interval) bool {
+	for _, st := range o.Streams {
+		if !c.sub.hasStream(st) {
+			return false
+		}
+	}
+	if c.keep != nil {
+		if o.Attrs == nil {
+			return false
+		}
+		for _, a := range o.Attrs {
+			if !c.keep[a] {
+				return false
+			}
+		}
+	}
+	implies := func(attr string, op query.Op, lit stream.Value) bool {
+		iv, ok := ivs[attr]
+		if !ok {
+			iv = query.FullInterval()
+		}
+		return iv.Implies(op, lit)
+	}
+	for _, e := range c.strEq {
+		if !implies(e.attr, query.Eq, stream.StringVal(e.want)) {
+			return false
+		}
+	}
+	for i := range c.groups {
+		for _, p := range c.groups[i].preds {
+			if !implies(c.groups[i].attr, p.Op, *p.Right.Lit) {
+				return false
+			}
+		}
+	}
+	for _, p := range c.raw {
+		if !p.IsSelection() || p.Right.Lit == nil || !implies(p.Left.Col.Attr, p.Op, *p.Right.Lit) {
+			return false
+		}
+	}
+	return true
 }
 
 // matches reproduces sub.Matches(t) for posting-list candidates (whose

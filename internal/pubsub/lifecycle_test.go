@@ -16,9 +16,9 @@ import (
 // sequence-number suppression of duplicate floods and stale retractions.
 
 // assertDrained fails unless every broker's routing state — recorded
-// subscriptions, posting lists, and projection unions, in every direction —
-// is empty: the retraction-completeness invariant after the last
-// unsubscribe.
+// subscriptions and posting lists (each carrying its tombstones, interval
+// index and projection union), in every direction — is empty: the
+// retraction-completeness invariant after the last unsubscribe.
 func assertDrained(t *testing.T, net *Network) {
 	t.Helper()
 	for _, n := range net.Nodes() {
@@ -30,9 +30,6 @@ func assertDrained(t *testing.T, net *Network) {
 			}
 			if len(idx.byStream) != 0 {
 				t.Errorf("broker %d direction %d has %d stale posting lists", n, d, len(idx.byStream))
-			}
-			if len(idx.union) != 0 {
-				t.Errorf("broker %d direction %d has %d stale projection unions", n, d, len(idx.union))
 			}
 		}
 		if len(br.idx.locals.subs) != 0 {
@@ -138,7 +135,7 @@ func TestUnsubscribeUnsuppressesCovered(t *testing.T) {
 	srcB := src
 	srcB.mu.Lock()
 	var ids []string
-	for _, d := range sortedDirs(srcB.idx.dirs) {
+	for _, d := range srcB.idx.dirOrder {
 		for _, c := range srcB.idx.dirs[d].subs {
 			ids = append(ids, c.sub.ID)
 		}

@@ -342,10 +342,15 @@ func (net *Network) ResidualState() []string {
 				out = append(out, fmt.Sprintf("broker %d: %d %s records", n, len(d.subs), what))
 			}
 			if len(d.byStream) > 0 {
-				out = append(out, fmt.Sprintf("broker %d: %d %s posting lists", n, len(d.byStream), what))
-			}
-			if len(d.union) > 0 {
-				out = append(out, fmt.Sprintf("broker %d: %d %s projection unions", n, len(d.union), what))
+				// A posting list carries its tombstones, interval index and
+				// projection union, all deleted with it: a drained
+				// direction holds none of them.
+				recs, tombs := 0, 0
+				for _, pl := range d.byStream {
+					recs += pl.live()
+					tombs += len(pl.dead)
+				}
+				out = append(out, fmt.Sprintf("broker %d: %d %s posting lists (%d records, %d tombstones)", n, len(d.byStream), what, recs, tombs))
 			}
 			if len(d.byID) > 0 {
 				out = append(out, fmt.Sprintf("broker %d: %d %s ID entries", n, len(d.byID), what))
@@ -355,7 +360,7 @@ func (net *Network) ResidualState() []string {
 			}
 		}
 		report(b.idx.locals, "local")
-		for _, d := range sortedDirs(b.idx.dirs) {
+		for _, d := range b.idx.dirOrder {
 			report(b.idx.dirs[d], fmt.Sprintf("dir-%d", d))
 		}
 		if len(b.ownAdverts) > 0 {

@@ -20,7 +20,7 @@ import (
 //     recorded suppressor is a currently valid cover.
 
 // TestPrunedCandidateSuperset: over random subscription populations and
-// tuples, pruneSelect returns a superset of the posting-list positions
+// tuples, matchIter selects a superset of the posting-list positions
 // whose subscription matches the tuple, in ascending order.
 func TestPrunedCandidateSuperset(t *testing.T) {
 	old := pruneMin
@@ -33,14 +33,16 @@ func TestPrunedCandidateSuperset(t *testing.T) {
 		for i := 0; i < n; i++ {
 			cands = append(cands, compileSub(eqRandomSub(r, i), nil))
 		}
-		ai := buildAttrPruneIndex(cands)
+		ss := &streamSnap{cands: cands}
+		ss.idx = buildAttrPruneIndex(ss)
 		bufs := new(routeBufs)
 		for trial := 0; trial < 40; trial++ {
 			tup := eqRandomTuple(r)
-			sel, ok := pruneSelect(ai, tup, len(cands), bufs)
-			if !ok {
+			it := ss.matchIter(tup, bufs)
+			if !it.pruned {
 				continue // full scan: trivially complete
 			}
+			sel := it.sel
 			inSel := make(map[int32]bool, len(sel))
 			prev := int32(-1)
 			for _, p := range sel {
@@ -76,7 +78,7 @@ func TestMatchIndexEquivalencePruneTiny(t *testing.T) {
 // for the covered-by consistency walk.
 func allRecords(br *Broker) []*compiledSub {
 	out := append([]*compiledSub(nil), br.idx.locals.subs...)
-	for _, d := range sortedDirs(br.idx.dirs) {
+	for _, d := range br.idx.dirOrder {
 		out = append(out, br.idx.dirs[d].subs...)
 	}
 	return out
@@ -104,7 +106,7 @@ func checkCoveredByIndex(t *testing.T, br *Broker, seed uint64) {
 	}
 	for _, c := range recs {
 		for n, cov := range c.coveredBy {
-			if c.sentTo[n] {
+			if c.sentTo.has(n) {
 				t.Errorf("seed %d: broker %d: %s both sent toward and suppressed toward %d", seed, br.Node, c.sub, n)
 			}
 			if n == c.srcDir || !br.advertisesAny(n, c.sub.Streams) {
@@ -114,7 +116,7 @@ func checkCoveredByIndex(t *testing.T, br *Broker, seed uint64) {
 				t.Errorf("seed %d: broker %d: suppressor of %s toward %d is no longer recorded", seed, br.Node, c.sub, n)
 				continue
 			}
-			if !cov.sentTo[n] || cov.sub.ID == c.sub.ID || !cov.sub.Covers(c.sub) {
+			if !cov.sentTo.has(n) || cov.sub.ID == c.sub.ID || !cov.sub.Covers(c.sub) {
 				t.Errorf("seed %d: broker %d: %s has invalid suppressor %s toward %d", seed, br.Node, c.sub, cov.sub, n)
 			}
 			if !cov.suppresses[covEdge{rec: c, to: n}] {
@@ -130,7 +132,7 @@ func checkCoveredByIndex(t *testing.T, br *Broker, seed uint64) {
 		// set is exactly {(c, n): n eligible, not sent} — the lifecycle
 		// fixpoint guarantees a cover exists for each.
 		for _, nb := range br.neighbors {
-			if nb == c.srcDir || c.sentTo[nb] || !br.advertisesAny(nb, c.sub.Streams) {
+			if nb == c.srcDir || c.sentTo.has(nb) || !br.advertisesAny(nb, c.sub.Streams) {
 				continue
 			}
 			if c.coveredBy[nb] == nil {
@@ -152,7 +154,7 @@ func TestCoveredByIndexMatchesRecomputation(t *testing.T) {
 			name = "linear"
 		}
 		t.Run(name, func(t *testing.T) {
-			for seed := uint64(0); seed < 25; seed++ {
+			for seed := uint64(0); seed < 400; seed++ {
 				r := rand.New(rand.NewPCG(seed, 99))
 				nodes := 4 + int(seed%4)
 				oracle, ids := eqNetwork(t, r, nodes)

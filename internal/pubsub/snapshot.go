@@ -2,7 +2,6 @@ package pubsub
 
 import (
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/stream"
 	"repro/internal/topology"
@@ -23,23 +22,19 @@ import (
 // Immutability contract (enforced by the lockdiscipline analyzer's
 // cosmoslint:snapshot rule): snapshot types are write-once — populated only
 // inside the builder that constructs them, never mutated after the
-// atomic.Pointer publish. The one deliberate exception is streamSnap.prune,
-// itself an atomic pointer to an immutable pruneSlot, built lazily by the
-// first route through the stream (buildAttrPruneIndex is a pure function of
-// the frozen posting list, so racing builders store identical values and
-// whichever wins is correct).
+// atomic.Pointer publish, without exception.
 //
-// Sharing discipline: snapshots do NOT deep-copy the matching state. They
-// alias the live d.byStream posting-list slices, the *compiledSub matching
-// fields (sub, keep, strEq, groups, raw — write-once at compileSub) and the
-// *attrUnion maps (copy-on-write by construction). This is sound because
-// the write side never mutates shared memory in place: dirIndex.remove
-// replaces a posting list with a fresh copy instead of splicing (see
-// index.go), dirIndex.add appends — which writes only beyond every
-// published snapshot's length — and the lifecycle fields a churn operation
-// does mutate in place (sentTo, coveredBy, suppresses, seq) are never read
-// by the match path. A snapshot therefore stays internally consistent
-// forever; it just goes stale, and the next publish swaps it out wholesale.
+// Sharing discipline: an epoch does NOT copy the matching state. Its
+// streamSnaps ARE the posting lists' current views (index.go), shared by
+// pointer, and those alias the *compiledSub matching fields (sub, keep,
+// strEq, groups, raw — write-once at compileSub). This is sound because the
+// write side never writes where a view can see: a churn operation replaces a
+// list's view — appends land beyond the old one's length, the tombstone set,
+// index version, union and a compacted list are fresh values — and the
+// lifecycle fields it does mutate in place (sentTo, coveredBy, suppresses,
+// seq) are never read by the match path. An epoch therefore stays
+// internally consistent forever; it just goes stale, and the next publish
+// swaps it out wholesale.
 
 // matchSnapshot is one published epoch of a broker's matching state: the
 // neighbor set, the local-subscription view and one dirSnap per direction
@@ -72,27 +67,21 @@ type streamSnapEntry struct {
 	ss   *streamSnap
 }
 
-// streamSnap is the frozen matching state of one (direction, stream) pair:
-// the posting list (aliasing the live slice — never spliced, see
-// dirIndex.remove), the projection union, and the lazily built prune index.
+// streamSnap is one view of a (direction, stream) posting list, built by
+// postList.add/remove and frozen from then on: the records in registration
+// order, the removed positions among them (ascending), the projection union
+// and the interval index version.
 //
 // cosmoslint:snapshot
 type streamSnap struct {
 	cands []*compiledSub
-	union *attrUnion
-	// prune caches the attribute-prune index of cands, built by the first
-	// route that wants it (pruneIndex). The indirection through pruneSlot
-	// distinguishes "not built yet" (nil pointer) from "built, population
-	// not worth indexing" (slot with nil idx).
-	prune atomic.Pointer[pruneSlot]
+	dead  []int32
+	union map[string]bool
+	idx   *attrPruneIndex
 }
 
-// pruneSlot is the build-once result cell of streamSnap.prune.
-//
-// cosmoslint:snapshot
-type pruneSlot struct {
-	idx *attrPruneIndex
-}
+// live returns the number of records that are not tombstones.
+func (ss *streamSnap) live() int { return len(ss.cands) - len(ss.dead) }
 
 // stream returns the frozen view of one stream's posting list, or nil when
 // the direction holds no subscriptions on it.
@@ -112,30 +101,6 @@ func (ds *dirSnap) stream(s string) *streamSnap {
 	return nil
 }
 
-// pruneIndex returns the snapshot's attribute-prune index (attrindex.go),
-// building it on first use; nil when the population is not worth indexing.
-// This runs OUTSIDE the broker lock, on the lock-free route path:
-// correctness rests on buildAttrPruneIndex being a pure function of the
-// frozen cands slice, so two racing builders compute identical indexes and
-// either store may win.
-func (ss *streamSnap) pruneIndex() *attrPruneIndex {
-	if len(ss.cands) < pruneMin {
-		return nil
-	}
-	if slot := ss.prune.Load(); slot != nil {
-		return slot.idx
-	}
-	idx := buildAttrPruneIndex(ss.cands)
-	ss.prune.Store(&pruneSlot{idx: idx})
-	return idx
-}
-
-// newStreamSnap freezes one (direction, stream) posting list. The slices
-// and maps are aliased, not copied — see the sharing discipline above.
-func newStreamSnap(d *dirIndex, s string) *streamSnap {
-	return &streamSnap{cands: d.byStream[s], union: d.union[s]}
-}
-
 // snapDir builds the frozen view of one direction. When the direction is
 // clean since the previous epoch, the previous dirSnap is shared as-is
 // (epoch construction is O(dirty streams), not O(index)); otherwise the
@@ -153,7 +118,7 @@ func snapDir(d *dirIndex, prev *dirSnap) *dirSnap {
 		sort.Strings(names)
 		ds := &dirSnap{streams: make([]streamSnapEntry, 0, len(names))}
 		for _, s := range names {
-			ds.streams = append(ds.streams, streamSnapEntry{name: s, ss: newStreamSnap(d, s)})
+			ds.streams = append(ds.streams, streamSnapEntry{name: s, ss: d.byStream[s].streamSnap})
 		}
 		return ds
 	}
@@ -182,8 +147,8 @@ func snapDir(d *dirIndex, prev *dirSnap) *dirSnap {
 		}
 		// remove deletes emptied posting lists from byStream, so a dirty
 		// stream with no list left simply drops out of the epoch.
-		if len(d.byStream[s]) > 0 {
-			out = append(out, streamSnapEntry{name: s, ss: newStreamSnap(d, s)})
+		if pl := d.byStream[s]; pl != nil {
+			out = append(out, streamSnapEntry{name: s, ss: pl.streamSnap})
 		}
 	}
 	return &dirSnap{streams: out}
@@ -240,41 +205,23 @@ func (m *matchIndex) dirtyAny() bool {
 	return false
 }
 
-// nodeIn reports membership in a frozen neighbor slice (degrees are small,
-// same linear-scan argument as neighborLocked).
-func nodeIn(nodes []topology.NodeID, n topology.NodeID) bool {
-	for _, x := range nodes {
-		if x == n {
-			return true
-		}
-	}
-	return false
-}
-
 // matchSnap matches via the frozen inverted index of one epoch: only the
 // posting list of the tuple's stream is consulted per direction — cut down
-// further to the candidates whose compiled interval on the most selective
-// constrained attribute admits the tuple's value (pruneSelect), in
-// posting-list order — each candidate evaluates its compiled filter groups,
-// and when every candidate matches, the forwarding projection is the
-// direction's precomputed per-stream union instead of a per-tuple rebuild.
-// Pruning skips only candidates whose exact matcher would reject the tuple
-// anyway, so deliveries, forwarding decisions and projections are identical
-// to matchLinear's on the index the epoch froze. Runs without Broker.mu; all
+// further to the candidates whose bounds on the most selective constrained
+// attribute admit the tuple's value (matchIter), in posting-list order —
+// each candidate evaluates its compiled filter groups, and when every
+// candidate matches, the forwarding projection is the direction's maintained
+// per-stream union instead of a per-tuple rebuild. Pruning skips only
+// candidates whose exact matcher would reject the tuple anyway, so
+// deliveries, forwarding decisions and projections are identical to
+// matchLinear's on the index the epoch froze. Runs without Broker.mu; all
 // scratch lives in the pooled bufs.
 func matchSnap(snap *matchSnapshot, t stream.Tuple, from topology.NodeID, bufs *routeBufs, locals []delivery, hops []hop) ([]delivery, []hop) {
 	if ls := snap.locals.stream(t.Stream); ls != nil {
-		if sel, ok := pruneSelect(ls.pruneIndex(), t, len(ls.cands), bufs); ok {
-			for _, p := range sel {
-				if c := ls.cands[p]; c.handler != nil && c.matches(t) {
-					locals = append(locals, delivery{h: c.handler, sub: c.sub, keep: c.keep})
-				}
-			}
-		} else {
-			for _, c := range ls.cands {
-				if c.handler != nil && c.matches(t) {
-					locals = append(locals, delivery{h: c.handler, sub: c.sub, keep: c.keep})
-				}
+		it := ls.matchIter(t, bufs)
+		for c := it.next(); c != nil; c = it.next() {
+			if c.handler != nil && c.matches(t) {
+				locals = append(locals, delivery{h: c.handler, sub: c.sub, keep: c.keep})
 			}
 		}
 	}
@@ -290,32 +237,18 @@ func matchSnap(snap *matchSnapshot, t stream.Tuple, from topology.NodeID, bufs *
 		if ss == nil {
 			continue
 		}
-		cands := ss.cands
 		matched := bufs.match[:0]
 		all := false
-		if sel, ok := pruneSelect(ss.pruneIndex(), t, len(cands), bufs); ok {
-			for _, p := range sel {
-				c := cands[p]
-				if !c.matches(t) {
-					continue
-				}
-				if c.keep == nil {
-					all = true
-					break
-				}
-				matched = append(matched, c)
+		it := ss.matchIter(t, bufs)
+		for c := it.next(); c != nil; c = it.next() {
+			if !c.matches(t) {
+				continue
 			}
-		} else {
-			for _, c := range cands {
-				if !c.matches(t) {
-					continue
-				}
-				if c.keep == nil {
-					all = true
-					break
-				}
-				matched = append(matched, c)
+			if c.keep == nil {
+				all = true
+				break
 			}
+			matched = append(matched, c)
 		}
 		bufs.match = matched // retain grown capacity for the next direction
 		var wanted map[string]bool
@@ -324,14 +257,14 @@ func matchSnap(snap *matchSnapshot, t stream.Tuple, from topology.NodeID, bufs *
 			wanted = nil
 		case len(matched) == 0:
 			continue // not interested
-		case len(matched) == len(cands):
+		case len(matched) == ss.live():
 			// Every posting-list candidate matched (a pruned scan can only
 			// reach this count by having evaluated the whole list), and
 			// none keeps all attributes (such a candidate would have
-			// matched too): the incrementally maintained union IS the
-			// per-tuple union. The map is immutable (copy-on-write on
-			// subscribe), so handing it out is safe.
-			wanted = ss.union.keep
+			// matched too): the maintained union IS the per-tuple union.
+			// The map is immutable (replaced, never written, on churn), so
+			// handing it out is safe.
+			wanted = ss.union
 		default:
 			wanted = make(map[string]bool)
 			for _, c := range matched {

@@ -168,7 +168,7 @@ func TestUnadvertiseUnsuppressesCovered(t *testing.T) {
 	b0.Unadvertise("R")
 	b1.mu.Lock()
 	stillCovered := nRec.coveredBy[2] != nil
-	wSent := b1.idx.locals.find("wide").sentTo[2]
+	wSent := b1.idx.locals.find("wide").sentTo.has(2)
 	b1.mu.Unlock()
 	if !wSent || !stillCovered {
 		t.Fatalf("withdrawing R must leave wide sent toward 2 (got %v) and narrow covered (got %v)",

@@ -208,55 +208,6 @@ func (iv Interval) ContainsFloat(x float64) bool {
 	return true
 }
 
-// AdmitsLower reports whether x satisfies the interval's lower-bound
-// constraint alone (x is to the right of, or on a closed, lower endpoint).
-// Together with AdmitsUpper it decomposes the pure-bound part of
-// ContainsFloat: AdmitsLower ∧ AdmitsUpper is ContainsFloat minus the
-// disequality set, string constraints and the contradiction flag — a
-// superset test, which is what candidate pruning needs (the exact matcher
-// still runs on whatever the bounds admit).
-func (iv Interval) AdmitsLower(x float64) bool {
-	return x > iv.Lo || (x == iv.Lo && !iv.LoOpen)
-}
-
-// AdmitsUpper reports whether x satisfies the interval's upper-bound
-// constraint alone.
-func (iv Interval) AdmitsUpper(x float64) bool {
-	return x < iv.Hi || (x == iv.Hi && !iv.HiOpen)
-}
-
-// LowerLess orders intervals by lower bound: ascending Lo, with a closed
-// bound before an open one at the same value. Along this order AdmitsLower
-// for any fixed x is monotone non-increasing (once a bound rejects x, every
-// later bound rejects it too), which is what makes a sorted-bound prefix
-// count and a lower-bound-sorted stabbing tree correct.
-func LowerLess(a, b Interval) bool {
-	if a.Lo != b.Lo {
-		return a.Lo < b.Lo
-	}
-	return !a.LoOpen && b.LoOpen
-}
-
-// UpperLess orders intervals by upper bound: ascending Hi, with an open
-// bound before a closed one at the same value. Along this order AdmitsUpper
-// for any fixed x is monotone non-decreasing.
-func UpperLess(a, b Interval) bool {
-	if a.Hi != b.Hi {
-		return a.Hi < b.Hi
-	}
-	return a.HiOpen && !b.HiOpen
-}
-
-// UpperMax returns the interval whose upper bound admits more (the
-// UpperLess-greater of the two) — the subtree augmentation a stabbing tree
-// keeps to prune descents.
-func UpperMax(a, b Interval) Interval {
-	if UpperLess(a, b) {
-		return b
-	}
-	return a
-}
-
 // SelectionIntervalsByAttr folds a conjunction of selection predicates over
 // flat (alias-free) tuples into one Interval per bare attribute name — the
 // Pub/Sub counterpart of ColumnIntervals, whose keys carry aliases.
