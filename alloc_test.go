@@ -1,0 +1,107 @@
+package cosmos
+
+import (
+	"reflect"
+	"testing"
+
+	"repro/internal/stream"
+	"repro/internal/trace"
+)
+
+// TestPublishAllocBudget pins what one Middleware.Publish allocates on a
+// fixed deployment — 3 processors, 12 queries: star and projecting
+// selections, pairs that merge into a superset, joins — as a count, which
+// repeats exactly where ns/op guards drift with the box. It also pins the
+// property the count follows from: a result costs one attribute map from the
+// engine to the sinks. Q0, Q2 and Q3 merge into one superset whose result
+// reaches two star users and one projecting user, and those three deliveries
+// are made of exactly two maps — the engine's, handed to both star users, and
+// the projecting user's projection.
+func TestPublishAllocBudget(t *testing.T) {
+	g, procs := testTopology(t)
+	m, err := New(g, procs[:3], Config{K: 2, VMax: 10, Seed: 5, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d0, d1 := trace.StreamName(0), trace.StreamName(1)
+	for i, name := range []string{d0, d1} {
+		if err := m.RegisterStream(StreamDef{Name: name, Schema: trace.Schema(), Source: procs[4+i], Substreams: 2, RatePerSubstream: 5}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cqls := []string{
+		`SELECT * FROM ` + d0 + ` [Now] WHERE snowHeight > 10`,
+		`SELECT * FROM ` + d1 + ` [Now] WHERE snowHeight > 10`,
+		`SELECT temperature FROM ` + d0 + ` [Now] WHERE temperature < 5`,
+		`SELECT * FROM ` + d0 + ` [Now] WHERE snowHeight > 20`,
+		`SELECT station FROM ` + d1 + ` [Now] WHERE snowHeight > 40`,
+		`SELECT station, windSpeed FROM ` + d0 + ` [Now] WHERE windSpeed < 9 AND snowHeight > 30`,
+		`SELECT station, snowHeight FROM ` + d0 + ` [Now] WHERE snowHeight > 10`,
+		`SELECT S1.*, S2.* FROM ` + d0 + ` [Range 5 Minutes] S1, ` + d1 + ` [Range 5 Minutes] S2 WHERE S1.timestamp = S2.timestamp AND S1.snowHeight > S2.snowHeight`,
+		`SELECT * FROM ` + d0 + ` [Now] WHERE windSpeed < 9`,
+		`SELECT * FROM ` + d0 + ` [Now] WHERE snowHeight > 90`,
+		`SELECT S1.*, S2.station FROM ` + d0 + ` [Range 5 Minutes] S1, ` + d1 + ` [Range 5 Minutes] S2 WHERE S1.timestamp = S2.timestamp AND S1.snowHeight > S2.snowHeight AND S1.snowHeight > 20`,
+		`SELECT S1.station, S2.station FROM ` + d0 + ` [Range 5 Minutes] S1, ` + d1 + ` [Range 5 Minutes] S2 WHERE S1.timestamp = S2.timestamp AND S1.snowHeight > S2.snowHeight`,
+	}
+	var (
+		delivered [12]int
+		maps      [12]uintptr // the attribute map of each query's last delivery
+		leaked    bool        // a sink saw the routing tag
+	)
+	for i, cql := range cqls {
+		i := i
+		if _, err := m.Submit(cql, procs[i%3], func(r Tuple) {
+			delivered[i]++
+			maps[i] = reflect.ValueOf(r.Attrs).Pointer()
+			if _, ok := r.Attrs[stream.TagAttr]; ok || r.Tag != "" {
+				leaked = true
+			}
+		}); err != nil {
+			t.Fatalf("Submit %q: %v", cql, err)
+		}
+	}
+	if err := m.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if a, b, c := m.residuals["Q0"].super, m.residuals["Q3"].super, m.residuals["Q2"].super; a != b || a != c {
+		t.Fatalf("Q0, Q3 and Q2 run as %s, %s and %s: the deployment no longer merges them", a.Name, b.Name, c.Name)
+	}
+
+	attrs := func(station int64, snow float64) map[string]stream.Value {
+		return map[string]stream.Value{
+			"station": stream.IntVal(station), "sensorType": stream.StringVal("snow"), "snowHeight": stream.FloatVal(snow),
+			"temperature": stream.FloatVal(-3), "windSpeed": stream.FloatVal(4),
+		}
+	}
+	// One tuple of the join's other side, then the measured one, over and over.
+	if err := m.Publish(stream.Tuple{Stream: d1, Timestamp: 60_000, Attrs: attrs(2, 45)}); err != nil {
+		t.Fatal(err)
+	}
+	tup := stream.Tuple{Stream: d0, Timestamp: 60_000, Attrs: attrs(1, 50)}
+	publish := func() {
+		if err := m.Publish(tup); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := delivered
+	publish()
+	for i, want := range [12]int{1, 0, 1, 1, 0, 1, 1, 1, 1, 0, 1, 1} {
+		if got := delivered[i] - before[i]; got != want {
+			t.Errorf("query %d (%s) received %d results of the measured tuple, want %d", i, cqls[i], got, want)
+		}
+	}
+	if leaked {
+		t.Errorf("a sink saw the routing tag: it is header, cleared before the sink, and never in Attrs")
+	}
+	if maps[0] != maps[3] || maps[0] == maps[2] {
+		t.Errorf("maps delivered to star users %#x, %#x and to the projecting user %#x: want the stars sharing the engine's map and one projection", maps[0], maps[3], maps[2])
+	}
+
+	if raceEnabled {
+		return
+	}
+	const want = 24
+	if got := testing.AllocsPerRun(200, publish); got != want {
+		t.Errorf("Middleware.Publish allocates %v objects on the fixed deployment, pinned %d (go1.24 map layout)", got, want)
+	}
+}

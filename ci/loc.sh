@@ -14,6 +14,7 @@
 set -euo pipefail
 
 MAX=20860 # PR 22 (parent: 20781): +79 — the maintained posting-list interval index (sorted runs, tombstones, compaction, the cover probe) and the compiled cover test are bigger than the rebuilt-per-epoch index, prune cell, unionOf/extend, coverCandidates, neighborLocked, sortedDirs/sortedNodeSet, nodeIn and the five query.Interval bound helpers they replace
+# PR 23 (parent: 20860): 20860, not raised and not lowered — Tuple.Tag/Owned, the wire lift of the tag, the user-side column comparison, the fabric view with atomic link counters and the stream-keyed epoch come to what dirSnap/streamSnapEntry/snapDir's merge walk/dirSnap.stream/dirtyAny, the user handler's strip copy, residualAttrs' tag bookkeeping, tagFilter, the locked Peer/CountData/CountControl and the hand-rolled sorts of Nodes/sortedLinks took
 
 cd "$(dirname "$0")/.."
 count=$(git ls-files '*.go' |

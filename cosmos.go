@@ -158,14 +158,16 @@ func New(g *topology.Graph, processors []NodeID, cfg Config) (*Middleware, error
 		cfg.Seed = 1
 	}
 	return &Middleware{
-		cfg:      cfg,
-		oracle:   topology.NewOracle(g),
-		procs:    append([]NodeID(nil), processors...),
-		registry: stream.NewRegistry(),
-		defs:     make(map[string]StreamDef),
-		engines:  make(map[NodeID]*engine.Engine),
-		handles:  make(map[string]*QueryHandle),
-		crashed:  make(map[NodeID]bool),
+		cfg:       cfg,
+		oracle:    topology.NewOracle(g),
+		procs:     append([]NodeID(nil), processors...),
+		registry:  stream.NewRegistry(),
+		defs:      make(map[string]StreamDef),
+		engines:   make(map[NodeID]*engine.Engine),
+		handles:   make(map[string]*QueryHandle),
+		crashed:   make(map[NodeID]bool),
+		inSubs:    make(map[NodeID][]string),
+		residuals: make(map[string]residualInfo),
 	}, nil
 }
 
@@ -368,7 +370,10 @@ func (h *QueryHandle) Cancelled() bool {
 // Submit parses and registers a continuous query whose results are
 // delivered to sink at the given proxy processor. Queries submitted before
 // Start are batch-distributed by Start; later submissions are routed online
-// through the coordinator tree (§3.6).
+// through the coordinator tree (§3.6). The tuple a sink receives is
+// read-only: its attribute map may be the one other users of the same result
+// receive (§2.1 result sharing hands out the engine's own map), so a sink
+// that wants to change it copies it first (Tuple.Clone). Keeping it is fine.
 func (m *Middleware) Submit(cql string, proxy NodeID, sink func(Tuple)) (*QueryHandle, error) {
 	q, err := query.Parse(cql)
 	if err != nil {

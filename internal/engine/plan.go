@@ -187,10 +187,9 @@ next:
 // project builds the result tuple of the current binding, qualifying
 // attributes as alias.attr so results from different input streams cannot
 // collide. The map is sized for every projected attribute (exactly, when
-// none is missing or listed twice) plus one: the middleware's sink adds its
-// routing tag. Caller holds r.mu.
+// none is missing or listed twice). Caller holds r.mu.
 func (r *running) project(ts int64) stream.Tuple {
-	size := len(r.cols) + 1
+	size := len(r.cols)
 	for i := range r.aliases {
 		if r.aliases[i].star {
 			size += len(r.binding[i].Attrs) + 1

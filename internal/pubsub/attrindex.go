@@ -312,7 +312,7 @@ func (ss *streamSnap) scan() candIter { return candIter{cands: ss.cands, dead: s
 // attribute is the tuple's value. A tuple lacking the attribute fails every
 // candidate constraining it, so only rest remains; a string or NaN value
 // cannot prune (interval bounds cannot express Compare's semantics there).
-func (ss *streamSnap) matchIter(t stream.Tuple, bufs *routeBufs) candIter {
+func (ss *streamSnap) matchIter(t *stream.Tuple, bufs *routeBufs) candIter {
 	return ss.selectBy(bufs, func(attr string) (float64, bool, bool) {
 		v, ok := t.Get(attr)
 		return v.F, !ok, !ok || (v.Type != stream.String && !math.IsNaN(v.F))

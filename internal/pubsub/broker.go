@@ -158,11 +158,10 @@ type Broker struct {
 	// section. Non-nil from NewBroker onward; nil only while the linear
 	// reference is selected, which routes under mu instead.
 	snap atomic.Pointer[matchSnapshot]
-	// snapAll forces the next publish to rebuild the snapshot from
-	// scratch instead of patching dirty streams — set when the neighbor
-	// set changes or the linear reference is toggled (state the dirty
-	// marks don't cover).
-	snapAll bool
+	// snapNeighbors makes the next publish refresh the epoch's frozen
+	// neighbor set. The stream table needs nothing: a new neighbor holds no
+	// posting list yet, and a detached one's were all marked dirty.
+	snapNeighbors bool
 	// coverDelta enables covering-delta re-propagation (SetCoverDelta):
 	// a replay burst toward a newly learned advert direction sends only
 	// its maximal subscriptions under the covering relation, suppressing
@@ -204,7 +203,7 @@ func NewBroker(net Fabric, node topology.NodeID) *Broker {
 	}
 	// The empty epoch: a broker that has not churned yet routes lock-free
 	// like any other, to nobody.
-	b.snap.Store(&matchSnapshot{locals: &dirSnap{}})
+	b.snap.Store(&matchSnapshot{})
 	return b
 }
 
@@ -1249,7 +1248,7 @@ func (b *Broker) route(t stream.Tuple, from topology.NodeID) {
 			routeBufPool.Put(bufs)
 			return
 		}
-		locals, hops = matchSnap(snap, t, from, bufs, locals, hops)
+		locals, hops = matchSnap(snap, &t, from, bufs, locals, hops)
 	} else {
 		b.mu.Lock()
 		if from >= 0 && !slices.Contains(b.neighbors, from) {
@@ -1270,29 +1269,21 @@ func (b *Broker) route(t stream.Tuple, from topology.NodeID) {
 
 	// Local deliveries run first, in subscription-registration order,
 	// outside the lock so handlers are free to call back into the broker.
-	// Full-tuple (nil-projection) deliveries share ONE copy of the
-	// attribute map per route call: the copy decouples retaining
-	// subscribers from a publisher reusing its tuple after Publish, and
-	// delivered tuples are read-only by contract (see Handler), so the
-	// old per-match defensive copy is not needed. A wire-arrived tuple
-	// (Relay non-nil) needs no copy at all — the transport built its map
-	// this hop, so no publisher alias exists.
-	fullAttrs := t.Attrs
-	if t.Relay == nil {
-		fullAttrs = nil
-	}
+	// Full-tuple (nil-projection) deliveries share ONE attribute map per
+	// route call, read-only by contract (see Handler): the tuple's own when
+	// no publisher aliases it (Owned: a result, a projection or a decode),
+	// else one copy, which decouples retaining subscribers from a publisher
+	// reusing its tuple after Publish. Forwards take t as it came.
+	full := t
 	for _, d := range locals {
-		pt := projectAttrs(t, d.keep)
-		pt.Relay = nil // transport-internal hint; handlers see a clean tuple
-		if d.keep == nil {
-			if fullAttrs == nil {
-				fullAttrs = make(map[string]stream.Value, len(t.Attrs))
-				for a, v := range t.Attrs {
-					fullAttrs[a] = v
-				}
-			}
-			pt.Attrs = fullAttrs
+		pt := full
+		if d.keep != nil {
+			pt = projectAttrs(t, d.keep)
+		} else if !full.Owned {
+			full = t.Clone()
+			pt = full
 		}
+		pt.Relay = nil // transport-internal hint; handlers see a clean tuple
 		d.h(d.sub, pt)
 	}
 	for _, h := range hops {
@@ -1368,19 +1359,26 @@ func keepSet(attrs []string) map[string]bool {
 	return keep
 }
 
+// projectAttrs returns t cut down to the attributes in keep (nil keeps t
+// whole, map and all). A projection is a fresh map nobody else holds, and it
+// carries the routing tag, which is header, not payload.
 func projectAttrs(t stream.Tuple, keep map[string]bool) stream.Tuple {
 	if keep == nil {
 		return t
 	}
-	out := stream.Tuple{Stream: t.Stream, Timestamp: t.Timestamp, Attrs: make(map[string]stream.Value, len(keep))}
+	out := stream.Tuple{Stream: t.Stream, Timestamp: t.Timestamp, Tag: t.Tag, Attrs: make(map[string]stream.Value, len(keep)), Owned: true}
 	for a := range keep {
 		if v, ok := t.Attrs[a]; ok {
 			out.Attrs[a] = v
 		}
 	}
 	// Size scales with retained attributes (8 bytes per value plus a
-	// fixed header), mirroring the early-projection bandwidth savings.
+	// fixed header), mirroring the early-projection bandwidth savings; the
+	// tag is accounted as the one attribute it is on the wire.
 	out.Size = tupleSize(len(out.Attrs))
+	if t.Tag != "" {
+		out.Size += 8
+	}
 	return out
 }
 
@@ -1394,7 +1392,7 @@ func (b *Broker) AddNeighbor(n topology.NodeID) {
 		return
 	}
 	b.neighbors = append(b.neighbors, n)
-	b.snapAll = true // the epoch's frozen neighbor set must grow too
+	b.snapNeighbors = true
 	b.publishLocked()
 	b.mu.Unlock()
 	b.logger().Info("neighbor attached", "neighbor", n)
@@ -1482,7 +1480,7 @@ func (b *Broker) DetachNeighbor(gone topology.NodeID) {
 	b.neighbors = slices.DeleteFunc(b.neighbors, func(x topology.NodeID) bool { return x == gone })
 	delete(b.unadvTomb, gone)
 	b.idx.dropDir(gone)
-	b.snapAll = true // neighbor set and direction map both shrank
+	b.snapNeighbors = true
 	b.publishLocked()
 	b.mu.Unlock()
 	b.logger().Info("neighbor detached", "neighbor", gone)

@@ -88,10 +88,12 @@ func csTuple(streamName string, j int) stream.Tuple {
 // the eight stable streams from the leaves (leaf k advertises S{k'} for
 // k' ≡ leaf order mod 4), and installs nSubs stable subscriptions spread
 // over all five brokers. It returns the network and the per-sub recorders.
+// The graph knows two more nodes next to the center, 5 and 6, that hold no
+// broker until a test joins one.
 func csBuild(t *testing.T, nSubs int) (*Network, []*csRecorder) {
 	t.Helper()
-	g := topology.NewGraph(5)
-	for _, leaf := range []topology.NodeID{0, 1, 3, 4} {
+	g := topology.NewGraph(7)
+	for _, leaf := range []topology.NodeID{0, 1, 3, 4, 5, 6} {
 		if err := g.AddEdge(2, leaf, 1); err != nil {
 			t.Fatal(err)
 		}
@@ -214,6 +216,62 @@ func TestConcurrentRouteEquivalence(t *testing.T) {
 	}
 	if residual := net.ResidualState(); len(residual) != 0 {
 		t.Fatalf("residual state after teardown: %v", residual)
+	}
+}
+
+// passWrapper is the identity PeerWrapper.
+type passWrapper struct{}
+
+func (passWrapper) WrapPeer(_ topology.NodeID, p Peer) Peer { return p }
+
+// TestFabricViewBesideMembershipChurn: the in-memory fabric resolves peers
+// and counts link bytes without Network.mu, through a published view. Four
+// publishers forward from the leaves while brokers 5 and 6 join and leave
+// next to the center and a peer wrapper is installed and removed: no
+// forward may be lost to a stale view, and the per-link atomic counters must
+// add up to the sequential run's data bytes exactly. Run with -race.
+func TestFabricViewBesideMembershipChurn(t *testing.T) {
+	const nSubs = 40
+	const nTuples = 300
+	leaves := []topology.NodeID{0, 1, 3, 4}
+
+	refNet, _ := csBuild(t, nSubs)
+	for order, leaf := range leaves {
+		csPublish(refNet, leaf, order, nTuples)
+	}
+	want := refNet.Traffic().DataBytes
+	if want == 0 {
+		t.Fatal("reference run forwarded nothing")
+	}
+
+	net, _ := csBuild(t, nSubs)
+	var wg sync.WaitGroup
+	for order, leaf := range leaves {
+		wg.Add(1)
+		go func(order int, leaf topology.NodeID) {
+			defer wg.Done()
+			csPublish(net, leaf, order, nTuples)
+		}(order, leaf)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for cycle := 0; cycle < 40; cycle++ {
+			net.AddBroker(5)
+			net.SetPeerWrapper(passWrapper{})
+			net.AddBroker(6)
+			net.RemoveBroker(5)
+			net.SetPeerWrapper(nil)
+			net.RemoveBroker(6)
+		}
+	}()
+	wg.Wait()
+
+	if got := net.Traffic().DataBytes; got != want {
+		t.Errorf("data bytes beside membership churn = %v, sequential run %v", got, want)
+	}
+	if nodes := net.Nodes(); len(nodes) != 5 {
+		t.Errorf("brokers after the last leave: %v", nodes)
 	}
 }
 

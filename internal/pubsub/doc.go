@@ -28,12 +28,12 @@
 //     to it.
 //
 //   - The concurrency layer (snapshot.go): churn operations mutate the
-//     index under Broker.mu and publish an immutable matchSnapshot epoch
-//     behind one atomic pointer; Broker.route matches lock-free against
-//     the loaded epoch, so concurrent publishes never block on churn. The
-//     memory model — the sharing discipline, the write-once contract and
-//     its static enforcement — is specified in CONCURRENCY.md at the repo
-//     root.
+//     index under Broker.mu and publish an immutable matchSnapshot epoch,
+//     a table sorted by stream, behind one atomic pointer; Broker.route
+//     matches lock-free against the loaded epoch, so concurrent publishes
+//     never block on churn. The memory model — the sharing discipline, the
+//     write-once contract and its static enforcement — is specified in
+//     CONCURRENCY.md at the repo root.
 //
 //   - The overlay (network.go): Network wires Brokers over an in-process
 //     Fabric (or, via PeerWrapper, a fault-injecting or TCP one), owns
@@ -41,8 +41,9 @@
 //     re-attach repair), and aggregates traffic into TrafficReports.
 //
 // Delivered tuples are read-only by contract: a Handler must not mutate
-// the tuple it receives (full-tuple deliveries share one attribute-map
-// copy per routed tuple). Handlers may freely call back into the broker —
-// every callback and peer send happens outside Broker.mu, a discipline
-// enforced statically by cosmoslint's lockdiscipline analyzer (LINT.md).
+// the tuple it receives (full-tuple deliveries share one attribute map: the
+// tuple's own when it is Owned, else one copy per routed tuple). Handlers may
+// freely call back into the broker — every callback and peer send happens
+// outside Broker.mu, a discipline enforced statically by cosmoslint's
+// lockdiscipline analyzer (LINT.md).
 package pubsub

@@ -42,8 +42,8 @@ import (
 // edge-construction oracle).
 //
 // The index also feeds the lock-free snapshot read path (snapshot.go):
-// add/remove mark the touched streams in dirtySnap so publishLocked can
-// re-freeze only those, and a posting list (postList) never changes what a
+// add/remove mark the touched streams dirty so publishLocked can re-freeze
+// only those, and a posting list (postList) never changes what a
 // published epoch holds of it — every mutation replaces the list's frozen
 // view with the next one. See CONCURRENCY.md.
 
@@ -56,17 +56,22 @@ type matchIndex struct {
 	// and un-suppression sweeps iterate deterministically without
 	// re-sorting the key set per call.
 	dirOrder nodeSet
+	// dirty marks the streams whose posting list changed, in any direction
+	// (every dirIndex marks into it), since the last snapshot publish, which
+	// re-derives exactly those entries of the epoch's stream table.
+	dirty map[string]bool
 }
 
 func newMatchIndex() *matchIndex {
-	return &matchIndex{locals: newDirIndex(), dirs: make(map[topology.NodeID]*dirIndex)}
+	dirty := make(map[string]bool)
+	return &matchIndex{locals: newDirIndex(dirty), dirs: make(map[topology.NodeID]*dirIndex), dirty: dirty}
 }
 
 // dir returns the index of one neighbor direction, creating it on first use.
 func (m *matchIndex) dir(n topology.NodeID) *dirIndex {
 	d, ok := m.dirs[n]
 	if !ok {
-		d = newDirIndex()
+		d = newDirIndex(m.dirty)
 		m.dirs[n] = d
 		m.dirOrder.set(n)
 	}
@@ -76,8 +81,12 @@ func (m *matchIndex) dir(n topology.NodeID) *dirIndex {
 // dropDir deletes a direction's index wholesale. Only DetachNeighbor calls
 // it, after retracting every record the direction held — what remains is at
 // most the empty container maps and reorder tombstones, which die with the
-// link (no message can ever arrive from the direction again).
+// link (no message can ever arrive from the direction again). A posting list
+// a racing propagation left behind is marked dirty, so it leaves the epoch.
 func (m *matchIndex) dropDir(n topology.NodeID) {
+	for s := range m.dir(n).byStream {
+		m.dirty[s] = true
+	}
 	delete(m.dirs, n)
 	m.dirOrder.clear(n)
 }
@@ -105,18 +114,16 @@ type dirIndex struct {
 	// find/removeByID are O(records per ID) instead of a scan over the
 	// whole direction.
 	byID map[string][]*compiledSub
-	// dirtySnap marks the streams whose posting list or union changed
-	// since the last snapshot publish, so publishLocked re-freezes only
-	// those (snapshot.go). Maintained by add/remove, drained by snapDir.
-	dirtySnap map[string]bool
+	// dirty is the broker-wide matchIndex.dirty set add/remove mark into.
+	dirty map[string]bool
 }
 
-func newDirIndex() *dirIndex {
+func newDirIndex(dirty map[string]bool) *dirIndex {
 	return &dirIndex{
 		byStream:  make(map[string]*postList),
 		retracted: make(map[string]uint64),
 		byID:      make(map[string][]*compiledSub),
-		dirtySnap: make(map[string]bool),
+		dirty:     dirty,
 	}
 }
 
@@ -135,7 +142,7 @@ func (d *dirIndex) add(c *compiledSub) {
 			d.byStream[s] = pl
 		}
 		pl.add(c)
-		d.dirtySnap[s] = true
+		d.dirty[s] = true
 	}
 }
 
@@ -179,7 +186,7 @@ func (d *dirIndex) remove(c *compiledSub) {
 		if slices.Contains(c.sub.Streams[:i], s) {
 			continue
 		}
-		d.dirtySnap[s] = true
+		d.dirty[s] = true
 		if d.byStream[s].remove(c) {
 			delete(d.byStream, s)
 		}
@@ -320,7 +327,11 @@ type compiledSub struct {
 	suppresses map[covEdge]bool
 	// keep mirrors sub.Attrs as a set: nil keeps every attribute; an empty
 	// non-nil map mirrors an explicitly empty projection list.
-	keep   map[string]bool
+	keep map[string]bool
+	// tag, when non-empty, is a compiled `__q == "tag"` filter (the
+	// result-stream split of every middleware user subscription): one
+	// compare against the tuple header.
+	tag    string
 	strEq  []strEqTest
 	groups []attrGroup
 	raw    []query.Predicate
@@ -345,8 +356,8 @@ func (s *nodeSet) clear(n topology.NodeID) {
 	}
 }
 
-// strEqTest is a compiled `attr == "literal"` filter (the result-stream tag
-// of every middleware user subscription): one map lookup, one string compare.
+// strEqTest is a compiled `attr == "literal"` filter on a payload attribute:
+// one map lookup, one string compare.
 type strEqTest struct{ attr, want string }
 
 // covEdge is one suppressed propagation decision: rec was not sent toward
@@ -441,11 +452,18 @@ func compileSub(s *Subscription, h Handler) *compiledSub {
 	for _, f := range s.Filters {
 		n, ok := query.NumericSelection(f)
 		if !ok {
-			// "timestamp" stays raw: Tuple.Get answers it from the tuple
-			// header, not from Attrs.
-			if n.IsSelection() && n.Op == query.Eq && n.Right.Lit != nil && n.Right.Lit.Type == stream.String && n.Left.Col.Attr != "timestamp" {
-				c.strEq = append(c.strEq, strEqTest{n.Left.Col.Attr, n.Right.Lit.S})
-				continue
+			// Tuple.Get answers "timestamp" and the tag from the tuple header,
+			// not from Attrs: the first stays raw, the second compiles to a
+			// header compare (a second one, or one against "", stays raw).
+			if n.IsSelection() && n.Op == query.Eq && n.Right.Lit != nil && n.Right.Lit.Type == stream.String {
+				switch attr, want := n.Left.Col.Attr, n.Right.Lit.S; {
+				case attr == stream.TagAttr && c.tag == "" && want != "":
+					c.tag = want
+					continue
+				case attr != stream.TagAttr && attr != "timestamp":
+					c.strEq = append(c.strEq, strEqTest{attr, want})
+					continue
+				}
 			}
 			c.raw = append(c.raw, n)
 			continue
@@ -491,6 +509,9 @@ func (c *compiledSub) covers(o *Subscription, ivs map[string]query.Interval) boo
 		}
 		return iv.Implies(op, lit)
 	}
+	if c.tag != "" && !implies(stream.TagAttr, query.Eq, stream.StringVal(c.tag)) {
+		return false
+	}
 	for _, e := range c.strEq {
 		if !implies(e.attr, query.Eq, stream.StringVal(e.want)) {
 			return false
@@ -512,14 +533,18 @@ func (c *compiledSub) covers(o *Subscription, ivs map[string]query.Interval) boo
 }
 
 // matches reproduces sub.Matches(t) for posting-list candidates (whose
-// stream membership is already established): a string-equality test passes
-// only on a string-typed value equal to its literal (Value.Compare orders
-// every number before every string); each compiled group evaluates one
+// stream membership is already established): the tag test compares the tuple
+// header; a string-equality test passes only on a string-typed value equal to
+// its literal (Value.Compare orders every number before every string); each
+// compiled group evaluates one
 // interval-membership test on the attribute value; string-typed or NaN
 // values fall back to the group's original predicates; uncompiled filters
 // evaluate raw. Conjunction order does not matter (predicate evaluation is
 // pure), so the outcome is exactly the linear matcher's.
-func (c *compiledSub) matches(t stream.Tuple) bool {
+func (c *compiledSub) matches(t *stream.Tuple) bool {
+	if c.tag != "" && c.tag != t.Tag {
+		return false
+	}
 	for _, e := range c.strEq {
 		if v, ok := t.Attrs[e.attr]; !ok || v.Type != stream.String || v.S != e.want {
 			return false
@@ -533,7 +558,7 @@ func (c *compiledSub) matches(t stream.Tuple) bool {
 		}
 		if v.Type == stream.String || math.IsNaN(v.F) {
 			for _, p := range g.preds {
-				if !evalFilter(p, t) {
+				if !evalFilter(p, *t) {
 					return false
 				}
 			}
@@ -544,7 +569,7 @@ func (c *compiledSub) matches(t stream.Tuple) bool {
 		}
 	}
 	for _, p := range c.raw {
-		if !evalFilter(p, t) {
+		if !evalFilter(p, *t) {
 			return false
 		}
 	}

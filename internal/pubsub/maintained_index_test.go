@@ -127,7 +127,7 @@ func TestMaintainedIndexMatchesRebuilt(t *testing.T) {
 		}()
 		for seed := uint64(0); seed < 200; seed++ {
 			r := rand.New(rand.NewPCG(seed, 2201))
-			d := newDirIndex()
+			d := newDirIndex(map[string]bool{})
 			var live []*compiledSub
 			var regSeq uint64
 			steps := 40 + r.IntN(80)
@@ -186,7 +186,7 @@ func checkAgainstRebuilt(t *testing.T, r *rand.Rand, d *dirIndex, seed uint64, s
 				// Land on bound values, where open and closed differ.
 				tup.Attrs["a"] = stream.FloatVal(float64(r.IntN(27)-13) / 2)
 			}
-			gi, wi := got.matchIter(tup, mb), want.matchIter(tup, rb)
+			gi, wi := got.matchIter(&tup, mb), want.matchIter(&tup, rb)
 			if gi.pruned != wi.pruned || !sameSeq(walk(gi), walk(wi)) {
 				t.Fatalf("seed %d step %d stream %s: match probe %s: maintained (pruned=%v) and rebuilt (pruned=%v) select different candidates",
 					seed, step, s, renderTuple(tup), gi.pruned, wi.pruned)

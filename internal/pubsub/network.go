@@ -2,9 +2,12 @@ package pubsub
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/stream"
 	"repro/internal/topology"
@@ -24,12 +27,45 @@ type Network struct {
 	coverDelta bool
 	// latency of each overlay link, keyed by ordered pair.
 	links map[[2]topology.NodeID]float64
-	// traffic in bytes per overlay link.
-	data    map[[2]topology.NodeID]float64
-	control map[[2]topology.NodeID]float64
+	// bytes holds the traffic counters of every pair that ever was a link
+	// (zeroed by ResetTraffic, never deleted): a broker sends only to
+	// neighbors, which addLink makes, so every pair counted on is in here.
+	bytes map[[2]topology.NodeID]*linkBytes
 	// wrap, when set, intercepts every Peer endpoint handed to brokers —
 	// the fault-injection seam (see SetPeerWrapper).
 	wrap PeerWrapper
+
+	// view is what the data path reads of the above without the lock: a
+	// forwarded tuple resolves its peer and finds its link's counters
+	// through it. Whoever changes brokers, bytes or wrap stores nil
+	// (invalidate); the next reader rebuilds it under mu (fabric).
+	view atomic.Pointer[fabricView]
+}
+
+// linkBytes counts one link's traffic: whole bytes, so exact in any order.
+type linkBytes struct{ data, control atomic.Int64 }
+
+// fabricView is one published copy of the network's broker map, traffic
+// counters and peer wrapper.
+//
+// cosmoslint:snapshot
+type fabricView struct {
+	brokers map[topology.NodeID]*Broker
+	bytes   map[[2]topology.NodeID]*linkBytes
+	wrap    PeerWrapper
+}
+
+// fabric returns the current view, rebuilding it after an invalidation. A
+// reader still using an older view is one that locked just before the writer.
+func (net *Network) fabric() *fabricView {
+	if v := net.view.Load(); v != nil {
+		return v
+	}
+	net.mu.Lock()
+	defer net.mu.Unlock()
+	v := &fabricView{brokers: maps.Clone(net.brokers), bytes: maps.Clone(net.bytes), wrap: net.wrap}
+	net.view.Store(v)
+	return v
 }
 
 // PeerWrapper intercepts the Peer endpoints the network hands to its
@@ -49,8 +85,7 @@ func NewNetwork(oracle *topology.Oracle, nodes []topology.NodeID) (*Network, err
 		oracle:  oracle,
 		brokers: make(map[topology.NodeID]*Broker, len(nodes)),
 		links:   make(map[[2]topology.NodeID]float64),
-		data:    make(map[[2]topology.NodeID]float64),
-		control: make(map[[2]topology.NodeID]float64),
+		bytes:   make(map[[2]topology.NodeID]*linkBytes),
 	}
 	for _, n := range nodes {
 		if _, dup := net.brokers[n]; dup {
@@ -101,18 +136,22 @@ func (net *Network) buildMST(nodes []topology.NodeID) {
 	}
 }
 
+// addLink records an overlay link and its traffic counters and makes the two
+// brokers neighbors. Caller holds net.mu (or is still constructing net).
 func (net *Network) addLink(a, b topology.NodeID, latency float64) {
+	link := orderPair(a, b)
+	net.links[link] = latency
+	if net.bytes[link] == nil {
+		net.bytes[link] = new(linkBytes)
+	}
+	net.view.Store(nil)
 	net.brokers[a].AddNeighbor(b)
 	net.brokers[b].AddNeighbor(a)
-	net.links[orderPair(a, b)] = latency
 }
 
-// Broker returns the broker at a node. The broker map is read under the
-// network lock: AddBroker can grow it on a live overlay.
+// Broker returns the broker at a node (AddBroker can add one on a live overlay).
 func (net *Network) Broker(n topology.NodeID) (*Broker, bool) {
-	net.mu.Lock()
-	defer net.mu.Unlock()
-	b, ok := net.brokers[n]
+	b, ok := net.fabric().brokers[n]
 	return b, ok
 }
 
@@ -169,6 +208,7 @@ func (net *Network) RemoveBroker(n topology.NodeID) bool {
 		return false
 	}
 	delete(net.brokers, n)
+	net.view.Store(nil)
 	var former []*Broker
 	for link := range net.links {
 		var other topology.NodeID = -1
@@ -394,24 +434,18 @@ func (nullPeer) PropagateFrom(*Subscription, topology.NodeID)                  {
 func (nullPeer) RetractFrom(topology.NodeID, string, uint64)                   {}
 func (nullPeer) RouteFrom(stream.Tuple, topology.NodeID)                       {}
 
-// Peer implements Fabric with direct in-process calls. Locked like Broker
-// (AddBroker and RemoveBroker mutate the map); the cost is in line with the
-// per-send traffic-counter locking the fabric already pays. Unknown or
-// removed nodes resolve to a message-dropping null peer, and an installed
-// PeerWrapper (chaos) intercepts every endpoint, including null ones.
+// Peer implements Fabric with direct in-process calls, resolved through the
+// published view: no lock on the data path. Unknown or removed nodes resolve
+// to a message-dropping null peer, and an installed PeerWrapper (chaos)
+// intercepts every endpoint, including null ones.
 func (net *Network) Peer(n topology.NodeID) Peer {
-	net.mu.Lock()
-	b, ok := net.brokers[n]
-	w := net.wrap
-	net.mu.Unlock()
-	var p Peer
-	if ok {
+	v := net.fabric()
+	var p Peer = nullPeer{}
+	if b, ok := v.brokers[n]; ok {
 		p = b
-	} else {
-		p = nullPeer{}
 	}
-	if w != nil {
-		p = w.WrapPeer(n, p)
+	if v.wrap != nil {
+		p = v.wrap.WrapPeer(n, p)
 	}
 	return p
 }
@@ -422,6 +456,7 @@ func (net *Network) Peer(n topology.NodeID) Peer {
 func (net *Network) SetPeerWrapper(w PeerWrapper) {
 	net.mu.Lock()
 	net.wrap = w
+	net.view.Store(nil)
 	net.mu.Unlock()
 }
 
@@ -434,16 +469,12 @@ func orderPair(a, b topology.NodeID) [2]topology.NodeID {
 
 // CountData implements Fabric.
 func (net *Network) CountData(a, b topology.NodeID, size int) {
-	net.mu.Lock()
-	net.data[orderPair(a, b)] += float64(size)
-	net.mu.Unlock()
+	net.fabric().bytes[orderPair(a, b)].data.Add(int64(size))
 }
 
 // CountControl implements Fabric.
 func (net *Network) CountControl(a, b topology.NodeID, size int) {
-	net.mu.Lock()
-	net.control[orderPair(a, b)] += float64(size)
-	net.mu.Unlock()
+	net.fabric().bytes[orderPair(a, b)].control.Add(int64(size))
 }
 
 // ResetTraffic clears the data and control counters (e.g. after a warm-up
@@ -451,11 +482,9 @@ func (net *Network) CountControl(a, b topology.NodeID, size int) {
 func (net *Network) ResetTraffic() {
 	net.mu.Lock()
 	defer net.mu.Unlock()
-	for k := range net.data {
-		delete(net.data, k)
-	}
-	for k := range net.control {
-		delete(net.control, k)
+	for _, lb := range net.bytes {
+		lb.data.Store(0)
+		lb.control.Store(0)
 	}
 }
 
@@ -478,32 +507,20 @@ func (net *Network) Traffic() TrafficReport {
 	net.mu.Lock()
 	defer net.mu.Unlock()
 	var rep TrafficReport
-	for _, link := range sortedLinks(net.data) {
-		bytes := net.data[link]
-		rep.DataBytes += bytes
-		rep.WeightedCost += bytes * net.links[link]
-		if bytes > 0 {
+	for _, link := range sortedLinks(net.bytes) {
+		data := float64(net.bytes[link].data.Load())
+		rep.DataBytes += data
+		rep.WeightedCost += data * net.links[link]
+		if data > 0 {
 			rep.Links++
 		}
-	}
-	for _, link := range sortedLinks(net.control) {
-		rep.ControlBytes += net.control[link]
+		rep.ControlBytes += float64(net.bytes[link].control.Load())
 	}
 	return rep
 }
 
-func sortedLinks(m map[[2]topology.NodeID]float64) [][2]topology.NodeID {
-	out := make([][2]topology.NodeID, 0, len(m))
-	for link := range m {
-		out = append(out, link)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
-	return out
+func sortedLinks[V any](m map[[2]topology.NodeID]V) [][2]topology.NodeID {
+	return slices.SortedFunc(maps.Keys(m), func(a, b [2]topology.NodeID) int { return slices.Compare(a[:], b[:]) })
 }
 
 // SetCoverDelta flips covering-delta re-propagation on every broker (see
@@ -513,25 +530,13 @@ func sortedLinks(m map[[2]topology.NodeID]float64) [][2]topology.NodeID {
 func (net *Network) SetCoverDelta(on bool) {
 	net.mu.Lock()
 	net.coverDelta = on
-	brokers := make([]*Broker, 0, len(net.brokers))
-	for _, b := range net.brokers {
-		//lint:maporder each broker gets one independent flag write; visit order is unobservable
-		brokers = append(brokers, b)
-	}
 	net.mu.Unlock()
-	for _, b := range brokers {
+	for _, b := range net.fabric().brokers {
 		b.SetCoverDelta(on)
 	}
 }
 
 // Nodes returns the broker nodes sorted by ID.
 func (net *Network) Nodes() []topology.NodeID {
-	net.mu.Lock()
-	defer net.mu.Unlock()
-	out := make([]topology.NodeID, 0, len(net.brokers))
-	for n := range net.brokers {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return slices.Sorted(maps.Keys(net.fabric().brokers))
 }

@@ -38,7 +38,7 @@ func TestPrunedCandidateSuperset(t *testing.T) {
 		bufs := new(routeBufs)
 		for trial := 0; trial < 40; trial++ {
 			tup := eqRandomTuple(r)
-			it := ss.matchIter(tup, bufs)
+			it := ss.matchIter(&tup, bufs)
 			if !it.pruned {
 				continue // full scan: trivially complete
 			}
@@ -53,7 +53,7 @@ func TestPrunedCandidateSuperset(t *testing.T) {
 				inSel[p] = true
 			}
 			for pos, c := range cands {
-				if c.matches(tup) && !inSel[int32(pos)] {
+				if c.matches(&tup) && !inSel[int32(pos)] {
 					t.Fatalf("seed %d: matching candidate %s at %d missing from pruned selection %v for %s",
 						seed, c.sub, pos, sel, renderTuple(tup))
 				}

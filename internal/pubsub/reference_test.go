@@ -10,7 +10,20 @@ package pubsub
 func (b *Broker) setLinearMatching(on bool) {
 	b.mu.Lock()
 	b.linearMatch = on
-	b.snapAll = true
+	if !on {
+		// The linear reference left no epoch: start from an empty one and
+		// re-derive every stream's entry.
+		b.snap.Store(&matchSnapshot{})
+		b.snapNeighbors = true
+		for _, d := range b.idx.dirs {
+			for s := range d.byStream {
+				b.idx.dirty[s] = true
+			}
+		}
+		for s := range b.idx.locals.byStream {
+			b.idx.dirty[s] = true
+		}
+	}
 	b.publishLocked()
 	b.mu.Unlock()
 }

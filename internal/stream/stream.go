@@ -162,13 +162,31 @@ func (v Value) String() string {
 	return fmt.Sprintf("%g", v.F)
 }
 
+// TagAttr is the attribute name under which a tuple's routing tag (Tuple.Tag)
+// is visible to filters and written to the wire. Like "timestamp" it names a
+// header field, not a payload attribute: Attrs must not use it.
+const TagAttr = "__q"
+
 // Tuple is one stream element: a timestamp (milliseconds since the stream
 // epoch), the producing stream's name, and attribute values.
 type Tuple struct {
 	Stream    string
 	Timestamp int64
-	Attrs     map[string]Value
-	Size      int // encoded size in bytes, for traffic accounting
+	// Tag is routing metadata beside the payload: the middleware names the
+	// (superset) query that produced a result in it, and the Pub/Sub splits
+	// a shared result stream on it (§2.1) without looking into Attrs. Empty
+	// means untagged. Filters read it as the TagAttr attribute, projections
+	// always carry it, and on the wire it travels as that attribute.
+	Tag   string
+	Attrs map[string]Value
+	Size  int // encoded size in bytes, for traffic accounting
+
+	// Owned says that no publisher aliases Attrs, so none will write the map
+	// after handing the tuple over. Whoever builds a fresh map sets it (a
+	// query result, a projection, a decode, a copy), and a broker delivers
+	// the map itself where it would otherwise copy it first. Receivers
+	// share an owned map and treat it as read-only all the same.
+	Owned bool
 
 	// Relay is an opaque hint the transport layer attaches to tuples that
 	// arrived off the wire: the already-decoded wire form, reused verbatim
@@ -179,23 +197,27 @@ type Tuple struct {
 	Relay any
 }
 
-// Get returns the named attribute; "timestamp" resolves to the tuple
-// timestamp as an Int value.
+// Get returns the named attribute. Two names resolve to the tuple header and
+// never to Attrs: "timestamp" is the tuple timestamp as an Int value, and
+// TagAttr the routing tag as a String value, absent on an untagged tuple.
 func (t Tuple) Get(name string) (Value, bool) {
-	if name == "timestamp" {
+	switch name {
+	case "timestamp":
 		return IntVal(t.Timestamp), true
+	case TagAttr:
+		return StringVal(t.Tag), t.Tag != ""
 	}
 	v, ok := t.Attrs[name]
 	return v, ok
 }
 
-// Clone returns a deep copy of the tuple.
+// Clone returns a deep copy of the tuple, which owns its attribute map.
 func (t Tuple) Clone() Tuple {
 	attrs := make(map[string]Value, len(t.Attrs))
 	for k, v := range t.Attrs {
 		attrs[k] = v
 	}
-	return Tuple{Stream: t.Stream, Timestamp: t.Timestamp, Attrs: attrs, Size: t.Size}
+	return Tuple{Stream: t.Stream, Timestamp: t.Timestamp, Tag: t.Tag, Attrs: attrs, Size: t.Size, Owned: true}
 }
 
 // Registry is a concurrency-safe catalogue of streams and the global

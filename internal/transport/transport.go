@@ -114,10 +114,20 @@ type WireAttr struct {
 	Val  stream.Value
 }
 
+// toWireTuple flattens a tuple. The routing tag has no field in the v1 body:
+// it travels as the string attribute stream.TagAttr at its sorted position,
+// where it sat while the tag was payload, so the bytes did not move.
 func toWireTuple(t stream.Tuple) *WireTuple {
 	w := &WireTuple{Stream: t.Stream, Timestamp: t.Timestamp, Size: t.Size}
-	if len(t.Attrs) > 0 {
-		w.Attrs = make([]WireAttr, 0, len(t.Attrs))
+	n := len(t.Attrs)
+	if t.Tag != "" {
+		n++
+	}
+	if n > 0 {
+		w.Attrs = make([]WireAttr, 0, n)
+		if t.Tag != "" {
+			w.Attrs = append(w.Attrs, WireAttr{Name: stream.TagAttr, Val: stream.StringVal(t.Tag)})
+		}
 		for name, v := range t.Attrs {
 			//lint:maporder the slice is sorted below; iteration order is unobservable
 			w.Attrs = append(w.Attrs, WireAttr{Name: name, Val: v})
@@ -227,14 +237,20 @@ func (w *WireTuple) GobDecode(data []byte) error {
 	return nil
 }
 
+// fromWireTuple rebuilds the tuple: a map this hop owns, and a non-empty
+// string attribute stream.TagAttr lifted back into the header.
 func fromWireTuple(w *WireTuple) stream.Tuple {
 	// Relay carries the decoded wire form alongside the tuple: if the
 	// broker forwards it whole (no projection), the next hop's envelope
 	// reuses w instead of re-flattening and re-sorting the attribute map.
-	t := stream.Tuple{Stream: w.Stream, Timestamp: w.Timestamp, Size: w.Size, Relay: w}
+	t := stream.Tuple{Stream: w.Stream, Timestamp: w.Timestamp, Size: w.Size, Owned: true, Relay: w}
 	if len(w.Attrs) > 0 {
 		t.Attrs = make(map[string]stream.Value, len(w.Attrs))
 		for _, a := range w.Attrs {
+			if a.Name == stream.TagAttr && a.Val.Type == stream.String && a.Val.S != "" {
+				t.Tag = a.Val.S
+				continue
+			}
 			t.Attrs[a.Name] = a.Val
 		}
 	}

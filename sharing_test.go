@@ -142,11 +142,9 @@ func TestSharingKeepsWidenedWindowTimestamps(t *testing.T) {
 // selections and two-stream joins whose windows, thresholds, select lists
 // (explicit columns that need not include what is filtered on, or stars) and
 // optional extra filters come from small sets, so that co-located queries
-// merge and most residuals are not empty. Two things the split does not do
-// yet are kept out (ROADMAP item 1): aliases are the stream names, because a
-// user's attributes arrive under the aliases of the first query of its group;
-// and a join stars both aliases or neither, because a star subscription
-// receives every column of the superset.
+// merge and most residuals are not empty. One thing the split does not do
+// yet is kept out (ROADMAP item 1): aliases are the stream names, because a
+// user's attributes arrive under the aliases of the first query of its group.
 func sharingQuery(rng *rand.Rand) string {
 	windows := []string{"[Now]", "[Range 2 Seconds]", "[Range 5 Seconds]"}
 	attrs := []string{"station", "snowHeight", "temperature", "windSpeed", "sensorType"}
@@ -181,8 +179,7 @@ func sharingQuery(rng *rand.Rand) string {
 		return fmt.Sprintf("SELECT %s FROM %s %s WHERE %s", sel, s1, pick(rng, windows), strings.Join(filters(s1), " AND "))
 	}
 	s2 := trace.StreamName(2)
-	star := rng.IntN(3) == 0
-	sel := cols(s1, star) + ", " + cols(s2, star)
+	sel := cols(s1, rng.IntN(3) == 0) + ", " + cols(s2, rng.IntN(3) == 0)
 	if rng.IntN(5) == 0 {
 		sel = "*"
 	}

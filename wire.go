@@ -3,11 +3,21 @@
 // projection, §2), tagging and splitting shared superset result streams,
 // and rewiring when Adapt moves the placement. Everything here is
 // middleware-internal; the public API lives in cosmos.go.
+//
+// A result costs one attribute map from the engine to the user's sink. The
+// processor's sink names the producing superset query in the tuple header
+// (stream.Tuple.Tag: routing metadata, so no broker looks into the map to
+// split the stream and no user has an entry to get rid of) and marks the map
+// Owned (the engine built it for this result alone, so brokers deliver it as
+// it is). A user whose columns are the superset's receives that very map,
+// read-only and shared; any other its subscription's private projection.
 
 package cosmos
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"repro/internal/pubsub"
@@ -15,14 +25,11 @@ import (
 	"repro/internal/stream"
 )
 
-// queryTag is the result-tuple attribute carrying the producing (superset)
-// query's name, letting proxies split a shared result stream (§2.1).
-const queryTag = "__q"
-
 // residualInfo records how a user recovers its exact result from the
 // (possibly shared) result stream of its processor.
 type residualInfo struct {
-	super    string // superset query name evaluated at the processor
+	super    *query.Query    // superset query evaluated at the processor
+	cols     map[string]bool // its result columns (resultColumns)
 	residual query.Residual
 }
 
@@ -57,13 +64,7 @@ func (m *Middleware) rewire(proc NodeID) error {
 	for _, id := range m.inSubs[proc] {
 		broker.Unsubscribe(id)
 	}
-	if m.inSubs == nil {
-		m.inSubs = make(map[NodeID][]string)
-	}
 	m.inSubs[proc] = nil
-	if m.residuals == nil {
-		m.residuals = make(map[string]residualInfo)
-	}
 
 	// Queries placed here, deterministically ordered.
 	var local []*QueryHandle
@@ -104,9 +105,9 @@ func (m *Middleware) rewire(proc NodeID) error {
 	resultStream := resultStreamName(proc)
 	for _, g := range groups {
 		super := g.super
-		superName := super.Name
+		cols := m.resultColumns(super.Select, super.From)
 		sink := func(t stream.Tuple) {
-			t.Attrs[queryTag] = stream.StringVal(superName)
+			t.Tag, t.Owned = super.Name, true
 			t.Size += 16
 			broker.Publish(t)
 		}
@@ -114,7 +115,7 @@ func (m *Middleware) rewire(proc NodeID) error {
 			return err
 		}
 		for name, r := range g.residuals {
-			m.residuals[name] = residualInfo{super: superName, residual: r}
+			m.residuals[name] = residualInfo{super: super, cols: cols, residual: r}
 		}
 	}
 
@@ -136,10 +137,11 @@ func (m *Middleware) rewire(proc NodeID) error {
 	return nil
 }
 
-// soloGroup wraps an unmergeable query as its own group with an empty
-// residual (it recovers its result with only the query-tag filter).
+// soloGroup wraps an unmergeable query as its own group: its residual keeps
+// the whole select list and re-applies nothing (it recovers its result with
+// only the query-tag filter).
 func soloGroup(q *query.Query) group {
-	return group{super: q, residuals: map[string]query.Residual{q.Name: {Query: q}}}
+	return group{super: q, residuals: map[string]query.Residual{q.Name: {Query: q, Projection: q.Select}}}
 }
 
 // inputStreams returns the distinct input stream names of the handles.
@@ -257,11 +259,19 @@ func (m *Middleware) wireUserSide(h *QueryHandle) error {
 	subID := "user/" + h.Name
 	proxyBroker.Unsubscribe(subID)
 
-	filters := []query.Predicate{tagFilter(ri.super)}
+	// The split (§2.1): only the results its superset query produced.
+	tag := stream.StringVal(ri.super.Name)
+	filters := []query.Predicate{{Left: query.Operand{Col: &query.ColRef{Attr: stream.TagAttr}}, Op: query.Eq, Right: query.Operand{Lit: &tag}}}
 	for _, f := range ri.residual.Filters {
 		filters = append(filters, qualifyFilter(f))
 	}
-	attrs, hidden := residualAttrs(ri.residual)
+	// A user whose own columns are the superset's subscribes to whole tuples
+	// and is handed the engine's map; one with fewer — an explicit list, or
+	// stars over a wider superset — its own projection, cut at the first hop.
+	var attrs, hidden []string
+	if own := m.resultColumns(ri.residual.Projection, ri.super.From); !maps.Equal(own, ri.cols) {
+		attrs, hidden = residualAttrs(ri.residual, own)
+	}
 	sub := &pubsub.Subscription{
 		ID:      subID,
 		Streams: []string{resultStreamName(h.processor)},
@@ -270,12 +280,6 @@ func (m *Middleware) wireUserSide(h *QueryHandle) error {
 	}
 	windows := ri.residual.Windows
 	sink := h.sink
-	// A projected (non-star) subscription receives a private per-delivery
-	// map from the broker's projection, so the routing tag and the hidden
-	// attributes can be stripped in place; only star subscriptions get the
-	// shared full-tuple map (the pubsub.Handler read-only contract) and must
-	// copy before mutating.
-	sharedAttrs := attrs == nil
 	handler := func(_ *pubsub.Subscription, t stream.Tuple) {
 		// Re-enforce the windows the superset widened.
 		for alias, w := range windows {
@@ -288,33 +292,18 @@ func (m *Middleware) wireUserSide(h *QueryHandle) error {
 				return
 			}
 		}
-		if sharedAttrs {
-			attrs := make(map[string]stream.Value, len(t.Attrs))
-			for a, v := range t.Attrs {
-				if a != queryTag {
-					attrs[a] = v
-				}
-			}
-			t.Attrs = attrs
-		} else {
-			delete(t.Attrs, queryTag)
-			for _, a := range hidden {
-				delete(t.Attrs, a)
-			}
+		// Only a projecting subscription hides anything, and its map is the
+		// broker's per-delivery projection: private, so written in place.
+		for _, a := range hidden {
+			delete(t.Attrs, a)
 		}
+		t.Tag = ""
 		h.delivered.Add(1)
 		if sink != nil {
 			sink(t)
 		}
 	}
 	return proxyBroker.Subscribe(sub, handler)
-}
-
-// tagFilter matches the producing superset query's tag.
-func tagFilter(superName string) query.Predicate {
-	col := &query.ColRef{Attr: queryTag}
-	lit := stream.StringVal(superName)
-	return query.Predicate{Left: query.Operand{Col: col}, Op: query.Eq, Right: query.Operand{Lit: &lit}}
 }
 
 // qualifyFilter rewrites a residual predicate (over superset aliases) to
@@ -329,40 +318,54 @@ func qualifyFilter(p query.Predicate) query.Predicate {
 	return query.Predicate{Left: q(p.Left), Op: p.Op, Right: q(p.Right)}
 }
 
-// residualAttrs converts a residual into the qualified attribute list to
-// request from the result stream — the user's projection, the routing tag,
-// and what the residual filters and window re-checks read (every hop must
-// keep that for the proxy to evaluate them) — and the part of the list the
-// user did not select (hidden), which the handler deletes before the sink.
-// Both are nil (request all) when the projection contains a star.
-func residualAttrs(r query.Residual) (attrs, hidden []string) {
-	if len(r.Projection) == 0 {
-		return nil, nil
+// resultColumns is the set of qualified attribute names a result tuple of
+// the select list carries: every explicit column, and for a star every
+// attribute of the alias's registered schema plus alias.timestamp.
+func (m *Middleware) resultColumns(sel []query.Projection, from []query.StreamRef) map[string]bool {
+	cols := make(map[string]bool)
+	for _, p := range sel {
+		if !p.Star {
+			if p.Col.Alias != "" { // an unqualified column projects nothing
+				cols[p.Col.Alias+"."+p.Col.Attr] = true
+			}
+			continue
+		}
+		for _, ref := range from {
+			if p.Col.Alias != "" && p.Col.Alias != ref.Alias {
+				continue
+			}
+			if s, ok := m.registry.Lookup(ref.Stream); ok {
+				for _, a := range s.Schema.Attrs {
+					cols[ref.Alias+"."+a.Name] = true
+				}
+			}
+			cols[ref.Alias+".timestamp"] = true
+		}
 	}
-	hide := map[string]bool{queryTag: false} // requested name -> hidden from the user
+	return cols
+}
+
+// residualAttrs converts a residual into the qualified attribute list to
+// request from the result stream — the user's own columns plus what the
+// residual filters and window re-checks read (every hop must keep that for
+// the proxy to evaluate them) — and the part of the list the user did not
+// select (hidden), which the handler deletes before the sink.
+func residualAttrs(r query.Residual, own map[string]bool) (attrs, hidden []string) {
+	hide := func(name string) {
+		if !own[name] {
+			own[name] = true
+			hidden = append(hidden, name)
+		}
+	}
 	for _, f := range r.Filters {
 		for _, col := range []*query.ColRef{f.Left.Col, f.Right.Col} {
 			if col != nil {
-				hide[col.Alias+"."+col.Attr] = true
+				hide(col.Alias + "." + col.Attr)
 			}
 		}
 	}
 	for alias := range r.Windows {
-		hide[alias+".timestamp"] = true
+		hide(alias + ".timestamp")
 	}
-	for _, p := range r.Projection {
-		if p.Star {
-			return nil, nil
-		}
-		hide[p.Col.Alias+"."+p.Col.Attr] = false
-	}
-	for name, hid := range hide {
-		attrs = append(attrs, name)
-		if hid {
-			hidden = append(hidden, name)
-		}
-	}
-	sort.Strings(attrs)
-	sort.Strings(hidden)
-	return attrs, hidden
+	return slices.Sorted(maps.Keys(own)), hidden
 }
