@@ -105,3 +105,39 @@ func TestPublishAllocBudget(t *testing.T) {
 		t.Errorf("Middleware.Publish allocates %v objects on the fixed deployment, pinned %d (go1.24 map layout)", got, want)
 	}
 }
+
+// TestRouteAllocBudget pins what one Broker.Publish allocates on the
+// two-broker route set-up of BenchmarkBrokerRouteParallel (routeBench): the
+// source broker matches and forwards, the neighbor matches and delivers to
+// two window subscriptions. The walk is the benchmark's own loop, the
+// caller's map included; the two fixed tuples split it into a stream whose
+// subscribers take the tuple whole and one whose subscribers project, where
+// every hop and every delivery costs a projection. The counts do not depend
+// on the population.
+func TestRouteAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts do not repeat under the race detector")
+	}
+	for _, n := range []int{1000, 10000} {
+		src, tupleAt, delivered := routeBench(t, n)
+		i := 0
+		walk := testing.AllocsPerRun(6400, func() { src.Publish(tupleAt(i)); i++ })
+		whole, projected := tupleAt(65), tupleAt(64)
+		for _, c := range []struct {
+			what string
+			got  float64
+			want float64
+		}{
+			{"the benchmark's walk", walk, 7},
+			{"a tuple taken whole", testing.AllocsPerRun(200, func() { src.Publish(whole) }), 2},
+			{"a tuple projected", testing.AllocsPerRun(200, func() { src.Publish(projected) }), 8},
+		} {
+			if c.got != c.want {
+				t.Errorf("subs=%d: Broker.Publish of %s allocates %v objects, pinned %v (go1.24 map layout)", n, c.what, c.got, c.want)
+			}
+		}
+		if delivered.Load() == 0 {
+			t.Fatal("no deliveries: the route path was not exercised")
+		}
+	}
+}

@@ -7,12 +7,10 @@ package cosmos
 
 import (
 	"fmt"
-	"os"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/adapt"
-	"repro/internal/hierarchy"
 	"repro/internal/mapping"
 	"repro/internal/metrics"
 	"repro/internal/prototype"
@@ -205,106 +203,58 @@ func BenchmarkFig11Prototype(b *testing.B) {
 	b.ReportMetric(float64(res.OpTime)/float64(res.CosmosTime), "opTime/cosmosTime")
 }
 
-// BenchmarkHierDistribute times one full hierarchical initial distribution
-// (upward coarsening + downward mapping) at CI scale — the per-coordinator
-// work whose sum Fig 6(b) reports as Hie.Total.
-func BenchmarkHierDistribute(b *testing.B) {
-	w := benchWorld(b)
-	wl, err := w.GenerateWorkload(400)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tree, err := hierarchy.Build(w.Oracle, w.Processors, nil, hierarchy.Config{K: 3, VMax: 40, Seed: 7})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tree.Distribute(wl.Queries, wl.SubRates, wl.SourceOfSub); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkBrokerRoute measures broker-side matching throughput — the
-// Pub/Sub hot path every routed tuple pays. A publisher broker forwards to a
-// neighbor holding N recorded subscriptions, which then matches the tuple
-// against its N local client subscriptions, so each operation pays two full
-// matching passes. Subscriptions spread over 64 streams with pairwise
-// non-covering interval filters, matched through the inverted matching
-// index ("indexed" is the only matcher; the name is what the guards in
-// BENCH_BASELINE.json key on).
-func BenchmarkBrokerRoute(b *testing.B) {
-	for _, n := range []int{1000, 10000} {
-		// '=' instead of '-' before the count: a trailing "-<digits>" in
-		// a sub-benchmark name is indistinguishable from the -GOMAXPROCS
-		// suffix (omitted on 1-CPU runners) in bench output, which would
-		// make cmd/benchcheck collapse the count variants into one entry.
-		b.Run(fmt.Sprintf("indexed/subs=%d", n), func(b *testing.B) {
-			benchBrokerRoute(b, n)
-		})
-	}
-}
-
-func benchBrokerRoute(b *testing.B, nSubs int) {
+// routeBench builds the broker-route set-up: a publisher broker advertising
+// 64 streams forwards to one neighbor holding nSubs client subscriptions, all
+// recorded at the publisher too, so a Publish pays two full matching passes.
+// Per stream the subscriptions are strictly increasing half-open windows
+// [k, k+2) on attribute a — none covers another, so all of them propagate —
+// and every other one projects. It returns the publisher, the i-th tuple of
+// a walk over the streams and window positions, and the delivery count. One
+// tuple per stream is published before returning, so a short run measures
+// the steady state.
+func routeBench(tb testing.TB, nSubs int) (src *pubsub.Broker, tupleAt func(i int) stream.Tuple, delivered *atomic.Int64) {
+	tb.Helper()
 	g := topology.NewGraph(2)
 	if err := g.AddEdge(0, 1, 1); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	net, err := pubsub.NewNetwork(topology.NewOracle(g), []topology.NodeID{0, 1})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	src, _ := net.Broker(0)
+	src, _ = net.Broker(0)
 	dst, _ := net.Broker(1)
 	const streams = 64
 	streamName := func(s int) string { return fmt.Sprintf("S%02d", s) }
 	for s := 0; s < streams; s++ {
 		src.Advertise(streamName(s))
 	}
-	mkFilter := func(attr string, op query.Op, v float64) query.Predicate {
+	mkFilter := func(op query.Op, v float64) query.Predicate {
 		lit := stream.FloatVal(v)
 		return query.Predicate{
-			Left:  query.Operand{Col: &query.ColRef{Attr: attr}},
+			Left:  query.Operand{Col: &query.ColRef{Attr: "a"}},
 			Op:    op,
 			Right: query.Operand{Lit: &lit},
 		}
 	}
-	delivered := 0
+	delivered = new(atomic.Int64)
 	for i := 0; i < nSubs; i++ {
-		// Per stream, strictly increasing half-open windows [k, k+2): no
-		// subscription covers another, so all N propagate and stay
-		// recorded at the publisher.
 		k := float64(i / streams)
 		sub := &pubsub.Subscription{
 			ID:      fmt.Sprintf("s%d", i),
 			Streams: []string{streamName(i % streams)},
-			Filters: []query.Predicate{
-				mkFilter("a", query.Ge, k),
-				mkFilter("a", query.Lt, k+2),
-			},
+			Filters: []query.Predicate{mkFilter(query.Ge, k), mkFilter(query.Lt, k+2)},
 		}
 		if i%2 == 0 {
 			sub.Attrs = []string{"a", "b"}
 		}
-		if err := dst.Subscribe(sub, func(*pubsub.Subscription, stream.Tuple) { delivered++ }); err != nil {
-			b.Fatal(err)
+		if err := dst.Subscribe(sub, func(*pubsub.Subscription, stream.Tuple) { delivered.Add(1) }); err != nil {
+			tb.Fatal(err)
 		}
 	}
 	windows := nSubs/streams + 2
-	// Warm-up: one tuple per stream, so the lazily built attribute-prune
-	// indexes exist before timing starts and short -benchtime runs (CI
-	// uses 100x) measure the steady state, not the one-time builds.
-	for s := 0; s < streams; s++ {
-		src.Publish(stream.Tuple{
-			Stream: streamName(s),
-			Attrs:  map[string]stream.Value{"a": stream.FloatVal(0), "b": stream.FloatVal(1)},
-			Size:   32,
-		})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t := stream.Tuple{
+	tupleAt = func(i int) stream.Tuple {
+		return stream.Tuple{
 			Stream: streamName(i % streams),
 			Attrs: map[string]stream.Value{
 				"a": stream.FloatVal(float64(i % windows)),
@@ -312,369 +262,43 @@ func benchBrokerRoute(b *testing.B, nSubs int) {
 			},
 			Size: 32,
 		}
-		src.Publish(t)
 	}
-	b.StopTimer()
-	if delivered == 0 {
-		b.Fatal("no deliveries: benchmark not exercising the match path")
+	for s := 0; s < streams; s++ {
+		src.Publish(tupleAt(s))
 	}
+	return src, tupleAt, delivered
 }
 
-// BenchmarkBrokerRouteParallel drives the BenchmarkBrokerRoute topology
-// from b.RunParallel: every goroutine publishes concurrently from the same
-// source broker, so all routes contend on one broker's matching state.
-// With the snapshot read path this is lock-free and should scale with cpu
-// count; any residual serialization on the route path shows up as flat
-// ns/op across -cpu. Run with -cpu 1,2,4,8 to record the scaling profile —
-// cmd/benchcheck keys every cpu count separately (".../subs=1000-8"), so
-// the nightly multi-core lane guards each level on its own baseline. The
-// 1-vCPU historical-CI numbers stay comparable to BenchmarkBrokerRoute's
-// indexed mode (same topology, same match work, one publisher).
+// BenchmarkBrokerRouteParallel drives the routeBench set-up from
+// b.RunParallel: every goroutine publishes concurrently from the same source
+// broker, so all routes contend on one broker's matching state. The route
+// path reads a published epoch and takes no broker lock, so ns/op should fall
+// with cpu count; any residual serialization shows up as flat ns/op across
+// -cpu. Nightly's bench-multicore lane runs it with -cpu 1,2,4,8 and uploads
+// the output. It is the one broker microbenchmark kept beside cosmos-bench:
+// no workload there has more than two generator goroutines.
 func BenchmarkBrokerRouteParallel(b *testing.B) {
 	for _, n := range []int{1000, 10000} {
 		b.Run(fmt.Sprintf("subs=%d", n), func(b *testing.B) {
-			benchBrokerRouteParallel(b, n)
-		})
-	}
-}
-
-func benchBrokerRouteParallel(b *testing.B, nSubs int) {
-	g := topology.NewGraph(2)
-	if err := g.AddEdge(0, 1, 1); err != nil {
-		b.Fatal(err)
-	}
-	net, err := pubsub.NewNetwork(topology.NewOracle(g), []topology.NodeID{0, 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	src, _ := net.Broker(0)
-	dst, _ := net.Broker(1)
-	const streams = 64
-	streamName := func(s int) string { return fmt.Sprintf("S%02d", s) }
-	for s := 0; s < streams; s++ {
-		src.Advertise(streamName(s))
-	}
-	mkFilter := func(attr string, op query.Op, v float64) query.Predicate {
-		lit := stream.FloatVal(v)
-		return query.Predicate{
-			Left:  query.Operand{Col: &query.ColRef{Attr: attr}},
-			Op:    op,
-			Right: query.Operand{Lit: &lit},
-		}
-	}
-	var delivered atomic.Int64
-	for i := 0; i < nSubs; i++ {
-		k := float64(i / streams)
-		sub := &pubsub.Subscription{
-			ID:      fmt.Sprintf("s%d", i),
-			Streams: []string{streamName(i % streams)},
-			Filters: []query.Predicate{
-				mkFilter("a", query.Ge, k),
-				mkFilter("a", query.Lt, k+2),
-			},
-		}
-		if i%2 == 0 {
-			sub.Attrs = []string{"a", "b"}
-		}
-		if err := dst.Subscribe(sub, func(*pubsub.Subscription, stream.Tuple) { delivered.Add(1) }); err != nil {
-			b.Fatal(err)
-		}
-	}
-	windows := nSubs/streams + 2
-	for s := 0; s < streams; s++ {
-		src.Publish(stream.Tuple{
-			Stream: streamName(s),
-			Attrs:  map[string]stream.Value{"a": stream.FloatVal(0), "b": stream.FloatVal(1)},
-			Size:   32,
-		})
-	}
-	var seq atomic.Int64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		// Offset each goroutine's walk so concurrent publishers spread over
-		// different streams and window positions instead of marching in
-		// lockstep.
-		i := int(seq.Add(1)) * 1000003
-		for pb.Next() {
-			t := stream.Tuple{
-				Stream: streamName(i % streams),
-				Attrs: map[string]stream.Value{
-					"a": stream.FloatVal(float64(i % windows)),
-					"b": stream.FloatVal(1),
-				},
-				Size: 32,
+			src, tupleAt, delivered := routeBench(b, n)
+			var seq atomic.Int64
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				// Offset each goroutine's walk so concurrent publishers spread
+				// over different streams and window positions instead of
+				// marching in lockstep.
+				i := int(seq.Add(1)) * 1000003
+				for pb.Next() {
+					src.Publish(tupleAt(i))
+					i++
+				}
+			})
+			b.StopTimer()
+			if delivered.Load() == 0 {
+				b.Fatal("no deliveries: benchmark not exercising the match path")
 			}
-			src.Publish(t)
-			i++
-		}
-	})
-	b.StopTimer()
-	if delivered.Load() == 0 {
-		b.Fatal("no deliveries: benchmark not exercising the match path")
-	}
-}
-
-// BenchmarkBrokerRouteSelectivity measures attribute-level candidate
-// pruning (interval-stabbing candidate selection) at controlled matching
-// fractions: 10k subscriptions on ONE stream (so the posting list bounds
-// nothing and candidate selection is the whole game), each with a
-// half-open window filter [i, i+w) whose width w sets the fraction of the
-// population a tuple matches (0.1%, 1%, 10%). Run with -benchmem: the
-// route path is also the allocation hot path.
-func BenchmarkBrokerRouteSelectivity(b *testing.B) {
-	const nSubs = 10000
-	for _, sel := range []struct {
-		name  string
-		width int
-	}{{"sel=0.1pct", 10}, {"sel=1pct", 100}, {"sel=10pct", 1000}} {
-		b.Run("pruned/"+sel.name, func(b *testing.B) {
-			benchBrokerRouteSelectivity(b, nSubs, sel.width)
 		})
 	}
-}
-
-func benchBrokerRouteSelectivity(b *testing.B, nSubs, width int) {
-	g := topology.NewGraph(2)
-	if err := g.AddEdge(0, 1, 1); err != nil {
-		b.Fatal(err)
-	}
-	net, err := pubsub.NewNetwork(topology.NewOracle(g), []topology.NodeID{0, 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	src, _ := net.Broker(0)
-	dst, _ := net.Broker(1)
-	src.Advertise("S")
-	mkFilter := func(op query.Op, v float64) query.Predicate {
-		lit := stream.FloatVal(v)
-		return query.Predicate{
-			Left:  query.Operand{Col: &query.ColRef{Attr: "a"}},
-			Op:    op,
-			Right: query.Operand{Lit: &lit},
-		}
-	}
-	delivered := 0
-	for i := 0; i < nSubs; i++ {
-		// Equal-width shifted windows [i, i+w): no subscription covers
-		// another, so all N propagate; a tuple value hits ~w of them.
-		k := float64(i)
-		sub := &pubsub.Subscription{
-			ID:      fmt.Sprintf("s%d", i),
-			Streams: []string{"S"},
-			Filters: []query.Predicate{mkFilter(query.Ge, k), mkFilter(query.Lt, k+float64(width))},
-		}
-		if i%2 == 0 {
-			sub.Attrs = []string{"a", "b"}
-		}
-		if err := dst.Subscribe(sub, func(*pubsub.Subscription, stream.Tuple) { delivered++ }); err != nil {
-			b.Fatal(err)
-		}
-	}
-	// Warm-up: build the lazy prune indexes before timing (see
-	// benchBrokerRoute).
-	src.Publish(stream.Tuple{
-		Stream: "S",
-		Attrs:  map[string]stream.Value{"a": stream.FloatVal(0), "b": stream.FloatVal(1)},
-		Size:   32,
-	})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t := stream.Tuple{
-			Stream: "S",
-			Attrs: map[string]stream.Value{
-				"a": stream.FloatVal(float64(i % nSubs)),
-				"b": stream.FloatVal(1),
-			},
-			Size: 32,
-		}
-		src.Publish(t)
-	}
-	b.StopTimer()
-	if delivered == 0 {
-		b.Fatal("no deliveries: benchmark not exercising the match path")
-	}
-}
-
-// BenchmarkBrokerChurn measures the routing-state lifecycle cost — the
-// control-path work a dynamic workload pays per subscription change. Each
-// operation is one Subscribe (propagation + recording at both brokers) plus
-// one Unsubscribe (retraction along the path, with the un-suppression scan
-// over the surviving population) against a broker pair preloaded with N
-// stable subscriptions over 64 streams.
-func BenchmarkBrokerChurn(b *testing.B) {
-	for _, n := range []int{1000, 10000} {
-		b.Run(fmt.Sprintf("subs=%d", n), func(b *testing.B) {
-			benchBrokerChurn(b, n)
-		})
-	}
-}
-
-func benchBrokerChurn(b *testing.B, nSubs int) {
-	g := topology.NewGraph(2)
-	if err := g.AddEdge(0, 1, 1); err != nil {
-		b.Fatal(err)
-	}
-	net, err := pubsub.NewNetwork(topology.NewOracle(g), []topology.NodeID{0, 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	src, _ := net.Broker(0)
-	dst, _ := net.Broker(1)
-	const streams = 64
-	streamName := func(s int) string { return fmt.Sprintf("S%02d", s) }
-	for s := 0; s < streams; s++ {
-		src.Advertise(streamName(s))
-	}
-	mkFilter := func(op query.Op, v float64) query.Predicate {
-		lit := stream.FloatVal(v)
-		return query.Predicate{
-			Left:  query.Operand{Col: &query.ColRef{Attr: "a"}},
-			Op:    op,
-			Right: query.Operand{Lit: &lit},
-		}
-	}
-	// Stable population: pairwise non-covering window filters, so every
-	// subscription propagates and stays recorded at the publisher.
-	for i := 0; i < nSubs; i++ {
-		k := float64(i / streams)
-		sub := &pubsub.Subscription{
-			ID:      fmt.Sprintf("s%d", i),
-			Streams: []string{streamName(i % streams)},
-			Filters: []query.Predicate{mkFilter(query.Ge, k), mkFilter(query.Lt, k+2)},
-		}
-		if err := dst.Subscribe(sub, func(*pubsub.Subscription, stream.Tuple) {}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// A window beyond the stable population: covered by nothing,
-		// covering nothing.
-		k := float64(nSubs/streams + 10 + i%7)
-		sub := &pubsub.Subscription{
-			ID:      "churn",
-			Streams: []string{streamName(i % streams)},
-			Filters: []query.Predicate{mkFilter(query.Ge, k), mkFilter(query.Lt, k+2)},
-		}
-		if err := dst.Subscribe(sub, func(*pubsub.Subscription, stream.Tuple) {}); err != nil {
-			b.Fatal(err)
-		}
-		dst.Unsubscribe("churn")
-	}
-	b.StopTimer()
-	if remote, _ := src.RoutingStateSize(); remote != nSubs {
-		b.Fatalf("publisher records %d subscriptions after churn, want %d", remote, nSubs)
-	}
-}
-
-// BenchmarkBrokerAdvertChurn measures the teardown-lifecycle cost of one
-// stream register/unregister cycle against a broker pair preloaded with N
-// stable subscriptions on OTHER streams. Each operation is one Unadvertise
-// (the withdrawal flood prunes the churned stream's 32 subscription records
-// at the publisher and clears the subscribers' propagation marks, with
-// covered-by re-decision) plus one Advertise (the re-advert replays those
-// 32 subscriptions toward the publisher, which re-records them). The
-// posting-list-driven prune and replay touch only the churned stream's
-// subscriptions, so the cycle cost scales with that stream's population,
-// not with the stable one.
-func BenchmarkBrokerAdvertChurn(b *testing.B) {
-	for _, n := range []int{1000, 10000} {
-		b.Run(fmt.Sprintf("subs=%d", n), func(b *testing.B) {
-			benchBrokerAdvertChurn(b, n)
-		})
-	}
-}
-
-func benchBrokerAdvertChurn(b *testing.B, nSubs int) {
-	g := topology.NewGraph(2)
-	if err := g.AddEdge(0, 1, 1); err != nil {
-		b.Fatal(err)
-	}
-	net, err := pubsub.NewNetwork(topology.NewOracle(g), []topology.NodeID{0, 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	src, _ := net.Broker(0)
-	dst, _ := net.Broker(1)
-	const streams = 64
-	const churnSubs = 32
-	streamName := func(s int) string { return fmt.Sprintf("S%02d", s) }
-	for s := 0; s < streams; s++ {
-		src.Advertise(streamName(s))
-	}
-	src.Advertise("C")
-	mkFilter := func(op query.Op, v float64) query.Predicate {
-		lit := stream.FloatVal(v)
-		return query.Predicate{
-			Left:  query.Operand{Col: &query.ColRef{Attr: "a"}},
-			Op:    op,
-			Right: query.Operand{Lit: &lit},
-		}
-	}
-	// Stable population on the 64 side streams, plus churnSubs
-	// subscriptions on the churned stream C — all pairwise non-covering
-	// window filters, so everything propagates and stays recorded.
-	for i := 0; i < nSubs; i++ {
-		k := float64(i / streams)
-		sub := &pubsub.Subscription{
-			ID:      fmt.Sprintf("s%d", i),
-			Streams: []string{streamName(i % streams)},
-			Filters: []query.Predicate{mkFilter(query.Ge, k), mkFilter(query.Lt, k+2)},
-		}
-		if err := dst.Subscribe(sub, func(*pubsub.Subscription, stream.Tuple) {}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	for i := 0; i < churnSubs; i++ {
-		k := float64(i)
-		sub := &pubsub.Subscription{
-			ID:      fmt.Sprintf("c%d", i),
-			Streams: []string{"C"},
-			Filters: []query.Predicate{mkFilter(query.Ge, k), mkFilter(query.Lt, k+2)},
-		}
-		if err := dst.Subscribe(sub, func(*pubsub.Subscription, stream.Tuple) {}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		src.Unadvertise("C")
-		src.Advertise("C")
-	}
-	b.StopTimer()
-	if remote, _ := src.RoutingStateSize(); remote != nSubs+churnSubs {
-		b.Fatalf("publisher records %d subscriptions after advert churn, want %d", remote, nSubs+churnSubs)
-	}
-}
-
-// BenchmarkFig6RunningTimeMedium reruns the Fig 6 experiment at
-// ScaleMedium (4000 substreams / 96 processors) — the configuration the
-// nightly workflow sweeps. One iteration is a full multi-minute sweep, so
-// the benchmark skips unless COSMOS_BENCH_MEDIUM is set; the nightly bench
-// job sets it and guards the result against BENCH_BASELINE.json, which is
-// where the promoted ScaleMedium numbers live.
-func BenchmarkFig6RunningTimeMedium(b *testing.B) {
-	if os.Getenv("COSMOS_BENCH_MEDIUM") == "" {
-		b.Skip("set COSMOS_BENCH_MEDIUM=1 (nightly bench job) to run the ScaleMedium sweep")
-	}
-	w, err := sim.NewWorld(sim.ConfigFor(sim.ScaleMedium))
-	if err != nil {
-		b.Fatalf("NewWorld: %v", err)
-	}
-	var cost, times *metrics.Table
-	for i := 0; i < b.N; i++ {
-		cost, times, err = w.Fig6(sim.ExperimentOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	cen := lastOf(cost, "Centralized")
-	b.ReportMetric(lastOf(cost, "Naive")/cen, "naive/cen")
-	b.ReportMetric(lastOf(cost, "Greedy")/cen, "greedy/cen")
-	b.ReportMetric(lastOf(cost, "Hierarchical")/cen, "hier/cen")
-	b.ReportMetric(lastOf(times, "Cen.Total"), "cen-ms")
-	b.ReportMetric(lastOf(times, "Hie.Total"), "hie-total-ms")
-	b.ReportMetric(lastOf(times, "Hie.Response"), "hie-resp-ms")
 }
 
 // BenchmarkAblationOverlapEdges quantifies the overlap-edge model component

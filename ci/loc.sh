@@ -13,8 +13,7 @@
 # sees it — and a PR that shrinks it lowers MAX to lock the gain in.
 set -euo pipefail
 
-MAX=20860 # PR 22 (parent: 20781): +79 — the maintained posting-list interval index (sorted runs, tombstones, compaction, the cover probe) and the compiled cover test are bigger than the rebuilt-per-epoch index, prune cell, unionOf/extend, coverCandidates, neighborLocked, sortedDirs/sortedNodeSet, nodeIn and the five query.Interval bound helpers they replace
-# PR 23 (parent: 20860): 20860, not raised and not lowered — Tuple.Tag/Owned, the wire lift of the tag, the user-side column comparison, the fabric view with atomic link counters and the stream-keyed epoch come to what dirSnap/streamSnapEntry/snapDir's merge walk/dirSnap.stream/dirtyAny, the user handler's strip copy, residualAttrs' tag bookkeeping, tagFilter, the locked Peer/CountData/CountControl and the hand-rolled sorts of Nodes/sortedLinks took
+MAX=20280 # PR 26 (parent: 20860): -580 — the microbench guard command (318), the statistics package nothing imported (119) and the covering-delta replay mode (162: the delta pass and its scan cap, the candidate list replayLocked kept for it, the switch on Broker, Network and Config) are gone; +19 for transport.Node holding an inbound connection until Connect has attached its sender
 
 cd "$(dirname "$0")/.."
 count=$(git ls-files '*.go' |

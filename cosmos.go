@@ -81,14 +81,6 @@ type Config struct {
 	// current-placement descent (0 selects GOMAXPROCS, 1 runs
 	// sequentially; placements are identical for any value).
 	Workers int
-	// CoverDelta enables covering-delta re-propagation
-	// (pubsub.SetCoverDelta): when a new advertisement replays a burst of
-	// existing subscriptions toward its source, only the burst's maximal
-	// elements under the containment order are sent — covered members are
-	// suppressed locally, exactly as if the cover had arrived first. Off
-	// by default so traffic-shape oracles see the reference per-sub
-	// propagation; delivery and drained state are identical either way.
-	CoverDelta bool
 }
 
 // StreamDef declares a source stream.
@@ -491,9 +483,6 @@ func (m *Middleware) Start() error {
 	net, err := pubsub.NewNetwork(m.oracle, nodes)
 	if err != nil {
 		return err
-	}
-	if m.cfg.CoverDelta {
-		net.SetCoverDelta(true)
 	}
 	m.net = net
 	// Sources advertise their streams; processors advertise the result

@@ -162,16 +162,6 @@ type Broker struct {
 	// neighbor set. The stream table needs nothing: a new neighbor holds no
 	// posting list yet, and a detached one's were all marked dirty.
 	snapNeighbors bool
-	// coverDelta enables covering-delta re-propagation (SetCoverDelta):
-	// a replay burst toward a newly learned advert direction sends only
-	// its maximal subscriptions under the covering relation, suppressing
-	// the rest against the covers actually sent — one merged cover
-	// instead of n covered subscriptions. Off by default: the delta mode
-	// trades the reference traffic shape (each record propagated unless
-	// an EARLIER-sent one covers it) for superlinearly less control
-	// flood on cover-chain workloads, so the from-scratch-rebuild
-	// equivalence oracles run with it off.
-	coverDelta bool
 	// seq numbers the subscription epochs originated by this broker's
 	// clients: each Subscribe stamps the next value, so a re-subscribe
 	// of a reused ID supersedes the records (and outruns stale
@@ -212,22 +202,6 @@ func NewBroker(net Fabric, node topology.NodeID) *Broker {
 type advKey struct {
 	stream string
 	origin topology.NodeID
-}
-
-// SetCoverDelta switches covering-delta re-propagation (off by default):
-// when a replay burst re-propagates recorded subscriptions toward a newly
-// learned advert direction, only the burst's maximal subscriptions under
-// the covering relation are sent; the covered remainder is suppressed
-// against the sent covers through the ordinary covered-by edges, so
-// retraction un-suppression and the lifecycle fixpoint invariant hold
-// unchanged. Deliveries are identical in both modes (a cover admits every
-// message the covered subscription admits); what changes is control-flood
-// volume — one merged cover crosses the link instead of n covered
-// subscriptions.
-func (b *Broker) SetCoverDelta(on bool) {
-	b.mu.Lock()
-	b.coverDelta = on
-	b.mu.Unlock()
 }
 
 // Advertise announces that this broker's clients will publish the given
@@ -622,132 +596,27 @@ func (b *Broker) advertisedExceptAny(exclude topology.NodeID, streams []string) 
 // neighbor order — the same order a from-scratch network would have
 // propagated them in. Caller holds b.mu.
 func (b *Broker) replayLocked(from topology.NodeID, streamName string) []*Subscription {
-	var cands []*compiledSub
-	collect := func(d *dirIndex) {
+	var out []*Subscription
+	replay := func(d *dirIndex) {
 		it := d.posting(streamName).scan()
 		for c := it.next(); c != nil; c = it.next() {
-			if !c.sentTo.has(from) && c.coveredBy[from] == nil {
-				cands = append(cands, c)
+			if c.sentTo.has(from) || c.coveredBy[from] != nil {
+				continue
 			}
+			// coverFor sees the sentTo marks set earlier in this sweep: an
+			// EARLIER candidate already marked sent can cover a later one.
+			if cov := b.coverFor(from, c.sub, query.SelectionIntervalsByAttr(c.sub.Filters)); cov != nil {
+				suppressEdge(cov, c, from)
+				continue
+			}
+			c.sentTo.set(from)
+			out = append(out, c.sub)
 		}
 	}
-	collect(b.idx.locals)
+	replay(b.idx.locals)
 	for _, d := range b.idx.dirOrder {
 		if d != from {
-			collect(b.idx.dirs[d])
-		}
-	}
-	if b.coverDelta {
-		return b.replayDeltaLocked(from, cands)
-	}
-	var out []*Subscription
-	for _, c := range cands {
-		// coverFor sees the sentTo marks set earlier in this loop, so
-		// in-burst covering works exactly as the incremental sweep did:
-		// an EARLIER candidate already marked sent can cover a later one.
-		if cov := b.coverFor(from, c.sub, query.SelectionIntervalsByAttr(c.sub.Filters)); cov != nil {
-			suppressEdge(cov, c, from)
-			continue
-		}
-		c.sentTo.set(from)
-		out = append(out, c.sub)
-	}
-	return out
-}
-
-// maxDeltaScan caps the kept-maximal list the delta pass compares new
-// candidates against. Cover-chain workloads (the ones the delta mode
-// exists for) keep the list short; on a pathological burst of thousands of
-// mutually non-covering subscriptions the pairwise scan would go
-// quadratic, so past the cap new candidates are kept unexamined — the
-// result is merely less minimal, never unsound.
-const maxDeltaScan = 128
-
-// replayDeltaLocked is the covering-delta replay: of the burst's
-// candidates, only the maximal subscriptions under the covering relation
-// are sent toward 'from'; every other candidate is suppressed against the
-// maximal one that covers it. The reference sweep only suppresses a
-// candidate under an EARLIER-sent cover, so a cover chain registered
-// narrow-to-wide replays every link of the chain; the delta pass merges the
-// burst first and sends one cover, cutting control-flood volume
-// superlinearly on such workloads.
-//
-// The suppression edges recorded here satisfy the covered-by invariant
-// (index.go): every suppressor is itself sent (sentTo[from] marked below),
-// still recorded, and Covers the suppressed record — the covering relation
-// is transitive, so re-pointing the dependents of an evicted keeper at its
-// evictor preserves it. Candidates covered by a record sent in an EARLIER
-// burst are suppressed against that record, exactly as the reference sweep
-// would. Caller holds b.mu.
-func (b *Broker) replayDeltaLocked(from topology.NodeID, cands []*compiledSub) []*Subscription {
-	ivs := make([]map[string]query.Interval, len(cands))
-	for i, c := range cands {
-		ivs[i] = query.SelectionIntervalsByAttr(c.sub.Filters)
-	}
-	// kept holds the indexes of the currently maximal candidates, in
-	// canonical order; coverIdx[i] >= 0 names the candidate suppressing
-	// candidate i (always a kept member once the pass finishes).
-	kept := make([]int, 0, len(cands))
-	coverIdx := make([]int, len(cands))
-	for i := range coverIdx {
-		coverIdx[i] = -1
-	}
-	for i, c := range cands {
-		// A cover actually sent toward 'from' by an earlier burst wins
-		// outright — same decision, same edge as the reference sweep.
-		// coverIdx stays -1: the candidate is decided and leaves the
-		// burst merge entirely.
-		if cov := b.coverFor(from, c.sub, ivs[i]); cov != nil {
-			suppressEdge(cov, c, from)
-			continue
-		}
-		covered := false
-		if len(kept) <= maxDeltaScan {
-			for _, k := range kept {
-				if cands[k].sub.ID != c.sub.ID && cands[k].covers(c.sub, ivs[i]) {
-					coverIdx[i] = k
-					covered = true
-					break
-				}
-			}
-		}
-		if covered {
-			continue
-		}
-		// c is maximal so far: evict the keepers it covers, re-pointing
-		// their dependents at c (covering is transitive). Two equal
-		// subscriptions cover each other; the canonically earlier one is
-		// already kept and covers c above, so eviction here is always by
-		// a strictly wider candidate.
-		if len(kept) <= maxDeltaScan {
-			live := kept[:0]
-			for _, k := range kept {
-				if cands[k].sub.ID != c.sub.ID && c.covers(cands[k].sub, ivs[k]) {
-					coverIdx[k] = i
-					for j := 0; j < i; j++ {
-						if coverIdx[j] == k {
-							coverIdx[j] = i
-						}
-					}
-				} else {
-					live = append(live, k)
-				}
-			}
-			kept = append(live, i)
-		} else {
-			kept = append(kept, i)
-		}
-	}
-	// Mark the maximal set sent first (the covered-by invariant requires
-	// suppressors to carry the sentTo mark), then record the edges.
-	out := make([]*Subscription, 0, len(kept))
-	for _, k := range kept {
-		cands[k].sentTo.set(from)
-		out = append(out, cands[k].sub)
-	}
-	for i, k := range coverIdx {
-		if k >= 0 {
-			suppressEdge(cands[k], cands[i], from)
+			replay(b.idx.dirs[d])
 		}
 	}
 	return out

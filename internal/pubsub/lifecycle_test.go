@@ -66,6 +66,57 @@ func TestSubscribeBeforeAdvertiseDelivers(t *testing.T) {
 	if rep := net.Traffic(); rep.DataBytes != 24*3 {
 		t.Errorf("data bytes = %v, want 72 (early filtering after re-propagation)", rep.DataBytes)
 	}
+
+	// A cover chain a>=40 ⊃ a>=30 ⊃ a>=20 ⊃ a>=10 plus a twin of the widest,
+	// registered narrow to wide before the advert: the replay suppresses a
+	// candidate only under an EARLIER-sent cover, so every link of the chain
+	// travels and only the twin is suppressed in-burst. The cover is then
+	// churned away and everything drained.
+	t.Run("cover chain, narrow to wide", func(t *testing.T) {
+		net := lineNet(t)
+		src, _ := net.Broker(0)
+		dst, _ := net.Broker(3)
+		var hits [5]int
+		for i, th := range []float64{40, 30, 20, 10, 10} {
+			sub := &Subscription{ID: fmt.Sprintf("s%d", i), Streams: []string{"R"},
+				Filters: []query.Predicate{filter("a", query.Ge, th)}}
+			if err := dst.Subscribe(sub, func(*Subscription, stream.Tuple) { hits[i]++ }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		src.Advertise("R")
+		if remote, _ := src.RoutingStateSize(); remote != 4 {
+			t.Fatalf("publisher records %d subscriptions after the replay, want 4 (the twin covered)", remote)
+		}
+		checkLifecycleInvariant(t, net, 0)
+		sweep := func() {
+			for _, v := range []float64{5, 15, 25, 35, 45} {
+				src.Publish(tuple("R", map[string]float64{"a": v}))
+			}
+		}
+		sweep()
+		// Retracting the widest pair leaves the narrower three routed on
+		// their own records.
+		dst.Unsubscribe("s3")
+		dst.Unsubscribe("s4")
+		if remote, _ := src.RoutingStateSize(); remote != 3 {
+			t.Fatalf("publisher records %d subscriptions after the cover left, want 3", remote)
+		}
+		checkLifecycleInvariant(t, net, 0)
+		sweep()
+		if want := [5]int{2, 4, 6, 4, 4}; hits != want {
+			t.Errorf("deliveries per subscription = %v, want %v", hits, want)
+		}
+		for _, id := range []string{"s0", "s1", "s2"} {
+			dst.Unsubscribe(id)
+		}
+		src.Unadvertise("R")
+		net.Quiesce()
+		assertDrained(t, net)
+		if rep := net.ResidualState(); len(rep) != 0 {
+			t.Fatalf("residual state after teardown: %v", rep)
+		}
+	})
 }
 
 // TestUnsubscribeRetractsRemoteState: withdrawing the last subscription on

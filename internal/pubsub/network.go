@@ -22,9 +22,6 @@ type Network struct {
 
 	mu      sync.Mutex
 	brokers map[topology.NodeID]*Broker
-	// coverDelta records the propagation mode so dynamically joined
-	// brokers (AddBroker) inherit it.
-	coverDelta bool
 	// latency of each overlay link, keyed by ordered pair.
 	links map[[2]topology.NodeID]float64
 	// bytes holds the traffic counters of every pair that ever was a link
@@ -181,11 +178,7 @@ func (net *Network) AddBroker(n topology.NodeID) *Broker {
 	net.brokers[n] = b
 	net.addLink(attach, n, best)
 	attachBroker := net.brokers[attach]
-	delta := net.coverDelta
 	net.mu.Unlock()
-	if delta {
-		b.SetCoverDelta(true)
-	}
 	attachBroker.syncAdvertsTo(n)
 	return b
 }
@@ -521,19 +514,6 @@ func (net *Network) Traffic() TrafficReport {
 
 func sortedLinks[V any](m map[[2]topology.NodeID]V) [][2]topology.NodeID {
 	return slices.SortedFunc(maps.Keys(m), func(a, b [2]topology.NodeID) int { return slices.Compare(a[:], b[:]) })
-}
-
-// SetCoverDelta flips covering-delta re-propagation on every broker (see
-// Broker.SetCoverDelta). Off by default: the delta mode delivers
-// identically but reshapes per-link control traffic, so the
-// rebuilt-from-scratch equivalence oracles keep it off.
-func (net *Network) SetCoverDelta(on bool) {
-	net.mu.Lock()
-	net.coverDelta = on
-	net.mu.Unlock()
-	for _, b := range net.fabric().brokers {
-		b.SetCoverDelta(on)
-	}
 }
 
 // Nodes returns the broker nodes sorted by ID.

@@ -345,12 +345,14 @@ type Node struct {
 
 	opts Options
 
-	mu      sync.Mutex
-	ln      net.Listener
-	pipes   map[topology.NodeID]*peerPipe
-	inbound map[net.Conn]bool
-	closed  bool
-	wg      sync.WaitGroup
+	mu       sync.Mutex
+	ln       net.Listener
+	pipes    map[topology.NodeID]*peerPipe
+	inbound  map[net.Conn]bool
+	closed   bool
+	wg       sync.WaitGroup
+	attached map[topology.NodeID]bool // peers Connect has made broker neighbors
+	attach   *sync.Cond               // on mu: attached grew or the node closed (serve waits)
 
 	// pipesSnap is an immutable copy of pipes, swapped on every pipe
 	// creation. Per-tuple lookups (deliver, byte accounting) read it
@@ -374,12 +376,14 @@ func NewNodeWith(id topology.NodeID, addr string, opts Options) (*Node, error) {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
 	n := &Node{
-		ID:      id,
-		opts:    opts.withDefaults(),
-		ln:      ln,
-		pipes:   make(map[topology.NodeID]*peerPipe),
-		inbound: make(map[net.Conn]bool),
+		ID:       id,
+		opts:     opts.withDefaults(),
+		ln:       ln,
+		pipes:    make(map[topology.NodeID]*peerPipe),
+		inbound:  make(map[net.Conn]bool),
+		attached: make(map[topology.NodeID]bool),
 	}
+	n.attach = sync.NewCond(&n.mu)
 	n.Broker = pubsub.NewBroker(n, id)
 	n.wg.Add(1)
 	go n.accept()
@@ -397,6 +401,10 @@ func (n *Node) Connect(peer topology.NodeID, addr string) {
 	p.addr = addr
 	p.mu.Unlock()
 	n.Broker.AddNeighbor(peer)
+	n.mu.Lock()
+	n.attached[peer] = true
+	n.mu.Unlock()
+	n.attach.Broadcast()
 }
 
 // pipe returns the peer's send pipeline, creating it (and starting its
@@ -454,6 +462,7 @@ func (n *Node) Close() error {
 		return nil
 	}
 	n.closed = true
+	n.attach.Broadcast()
 	err := n.ln.Close()
 	pipes := make([]*peerPipe, 0, len(n.pipes))
 	for _, p := range n.pipes {
@@ -520,6 +529,16 @@ func (n *Node) serve(conn net.Conn) {
 		if err := dec.Decode(&env); err != nil {
 			return
 		}
+		// A peer that started first may send before Connect has attached it
+		// here, and the broker drops a non-neighbor's messages as stragglers
+		// of a dead link. Hold the connection until then: TCP flow control
+		// bounds what backs up behind it. Detaching does not un-attach, so a
+		// dead link's stragglers still meet the broker's guard.
+		n.mu.Lock()
+		for !n.closed && !n.attached[env.From] {
+			n.attach.Wait()
+		}
+		n.mu.Unlock()
 		if env.Kind == MsgBatch {
 			if len(env.Batch) == 0 {
 				cMalformed.Inc()

@@ -247,3 +247,40 @@ func TestHopLatencyHasNoTimerFloor(t *testing.T) {
 		t.Fatalf("200 awaited publishes over 3 hops took %v, want < 300ms", elapsed)
 	}
 }
+
+// TestAdvertBeforeConnectIsHeld forces the start-up order that dropped an
+// advert for good: node 0 attaches node 1 and advertises while node 1 is
+// listening but has not yet called Connect(0), as when one process boots
+// before its neighbor. The advert must be held, not handed to a broker that
+// would drop it as a non-neighbor's straggler, and applied once Connect(0)
+// runs. The settle sleep only gives a node that does not hold the time to
+// drop the advert; a node that holds passes at any timing.
+func TestAdvertBeforeConnectIsHeld(t *testing.T) {
+	var nodes [2]*Node
+	for i := range nodes {
+		n, err := NewNode(topology.NodeID(i), "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = n.Close() }) //lint:errdrop test teardown is best-effort
+		nodes[i] = n
+	}
+	nodes[0].Connect(1, nodes[1].Addr())
+	nodes[0].Broker.Advertise("R")
+	nodes[0].Flush()
+	waitFor(t, "node 1 accepts node 0's connection", func() bool {
+		nodes[1].mu.Lock()
+		defer nodes[1].mu.Unlock()
+		return len(nodes[1].inbound) == 1
+	})
+	time.Sleep(50 * time.Millisecond)
+	if _, learned := nodes[1].Broker.AdvertStateSize(); learned != 0 {
+		t.Fatalf("node 1 learned %d adverts from a peer it has not attached", learned)
+	}
+
+	nodes[1].Connect(0, nodes[0].Addr())
+	waitFor(t, "the held advert applied at node 1", func() bool {
+		_, learned := nodes[1].Broker.AdvertStateSize()
+		return learned == 1
+	})
+}
