@@ -1,10 +1,15 @@
 package cosmos
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
+	"repro/internal/pubsub"
+	"repro/internal/query"
 	"repro/internal/stream"
+	"repro/internal/topology"
 	"repro/internal/trace"
 )
 
@@ -112,8 +117,10 @@ func TestPublishAllocBudget(t *testing.T) {
 // two window subscriptions. The walk is the benchmark's own loop, the
 // caller's map included; the two fixed tuples split it into a stream whose
 // subscribers take the tuple whole and one whose subscribers project, where
-// every hop and every delivery costs a projection. The counts do not depend
-// on the population.
+// every hop and every delivery costs a projection — a map, two objects — and
+// the hop one sorted slice more: the union of the two matching lists, since
+// the stream's other subscriptions do not match. The counts do not depend on
+// the population.
 func TestRouteAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts do not repeat under the race detector")
@@ -130,7 +137,7 @@ func TestRouteAllocBudget(t *testing.T) {
 		}{
 			{"the benchmark's walk", walk, 7},
 			{"a tuple taken whole", testing.AllocsPerRun(200, func() { src.Publish(whole) }), 2},
-			{"a tuple projected", testing.AllocsPerRun(200, func() { src.Publish(projected) }), 8},
+			{"a tuple projected", testing.AllocsPerRun(200, func() { src.Publish(projected) }), 7},
 		} {
 			if c.got != c.want {
 				t.Errorf("subs=%d: Broker.Publish of %s allocates %v objects, pinned %v (go1.24 map layout)", n, c.what, c.got, c.want)
@@ -139,5 +146,42 @@ func TestRouteAllocBudget(t *testing.T) {
 		if delivered.Load() == 0 {
 			t.Fatal("no deliveries: the route path was not exercised")
 		}
+	}
+
+	// The same count when the union is a real merge: of three projecting
+	// subscriptions two match, with different, unsorted lists.
+	g := topology.NewGraph(2)
+	if err := g.AddEdge(0, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	net, err := pubsub.NewNetwork(topology.NewOracle(g), []topology.NodeID{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, _ := net.Broker(0)
+	dst, _ := net.Broker(1)
+	src.Advertise("P")
+	var got []int
+	for i, attrs := range [][]string{{"c", "a"}, {"b", "a", "b"}, {"d"}} {
+		lit := stream.FloatVal(float64(10 * (i / 2))) // a >= 0, a >= 0, a >= 10
+		sub := &pubsub.Subscription{ID: fmt.Sprint("p", i), Streams: []string{"P"}, Attrs: attrs, Filters: []query.Predicate{
+			{Left: query.Operand{Col: &query.ColRef{Attr: "a"}}, Op: query.Ge, Right: query.Operand{Lit: &lit}},
+		}}
+		if err := dst.Subscribe(sub, func(_ *pubsub.Subscription, tp stream.Tuple) { got = append(got, len(tp.Attrs)) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tup := stream.Tuple{Stream: "P", Size: 48, Attrs: map[string]stream.Value{
+		"a": stream.FloatVal(1), "b": stream.FloatVal(2), "c": stream.FloatVal(3), "d": stream.FloatVal(4),
+	}}
+	src.Publish(tup)
+	if want := []int{2, 2}; !slices.Equal(got, want) {
+		t.Fatalf("deliveries carry %v attributes, want %v", got, want)
+	}
+	if data := net.Traffic().DataBytes; data != 16+8*3 {
+		t.Fatalf("the hop carried %v bytes, want the union of three attributes (40)", data)
+	}
+	if allocs := testing.AllocsPerRun(200, func() { got = got[:0]; src.Publish(tup) }); allocs != 7 {
+		t.Errorf("Broker.Publish through a merged partial union allocates %v objects, pinned 7 (go1.24 map layout)", allocs)
 	}
 }

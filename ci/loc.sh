@@ -13,7 +13,7 @@
 # sees it — and a PR that shrinks it lowers MAX to lock the gain in.
 set -euo pipefail
 
-MAX=20280 # PR 26 (parent: 20860): -580 — the microbench guard command (318), the statistics package nothing imported (119) and the covering-delta replay mode (162: the delta pass and its scan cap, the candidate list replayLocked kept for it, the switch on Broker, Network and Config) are gone; +19 for transport.Node holding an inbound connection until Connect has attached its sender
+MAX=20323 # PR 28 (parent: 20280): +43 — the broker's projection lists, unions and compiled filters go flat (keepSet, attrGroup.preds and the per-ID slices deleted; sortedAttrs, holdsUnfolded, the ID chain's unlink and the stab-counts-itself checks of selectBy added, most of the growth their header comments), +12 of it the helper Submit and Cancel now share to re-wire every user at a processor, transport.Node publishes its peer wrapper instead of locking for it
 
 cd "$(dirname "$0")/.."
 count=$(git ls-files '*.go' |

@@ -326,26 +326,7 @@ func (h *QueryHandle) Cancel() error {
 		pb.Unsubscribe("user/" + h.Name)
 	}
 	if proc >= 0 {
-		if err := m.rewire(proc); err != nil {
-			return err
-		}
-		// Rewiring regroups the survivors at the processor: a query
-		// that shared a superset with the cancelled one now feeds from
-		// a different merged query (different result tag and
-		// residual), so its user-side subscription must be rebuilt —
-		// exactly as Adapt does after migrations.
-		names := make([]string, 0, len(m.handles))
-		for name, other := range m.handles {
-			if other.processor == proc {
-				names = append(names, name)
-			}
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			if err := m.wireUserSide(m.handles[name]); err != nil {
-				return err
-			}
-		}
+		return m.rewireWithUsers(proc)
 	}
 	return nil
 }
@@ -399,10 +380,7 @@ func (m *Middleware) Submit(cql string, proxy NodeID, sink func(Tuple)) (*QueryH
 			return nil, err
 		}
 		h.processor = proc
-		if err := m.rewire(proc); err != nil {
-			return nil, err
-		}
-		if err := m.wireUserSide(h); err != nil {
+		if err := m.rewireWithUsers(proc); err != nil {
 			return nil, err
 		}
 	}

@@ -29,16 +29,21 @@ import (
 //     O(log n) runs, amortised O(log n) per insertion, and a merge builds a
 //     NEW run, never touching one an epoch holds);
 //   - gone: the same over the candidates removed since the last compaction.
-//     Counting them out keeps the stab-count estimate exact, so the
-//     maintained index decides as a rebuilt one would
-//     (TestMaintainedIndexMatchesRebuilt);
+//     Counting them out keeps the stab-count estimate exact — it is the
+//     number of live entries a stab returns once the tombstones are dropped
+//     — so the maintained index decides as a rebuilt one would
+//     (TestMaintainedIndexMatchesRebuilt), and an index of one attribute,
+//     with nothing to choose between, skips the estimate and decides on the
+//     stab's own count (selectBy; TestSingleAttributeStabIsItsOwnEstimate);
 //   - rest: the positions with no compiled interval on the attribute —
 //     candidates whatever the probe value. Positions only grow, so rest is
 //     append-only and versions share its backing array.
 //
 // Entries are bounds only (closedBounds) plus the candidate's position:
 // disequality points, string constraints and contradictions are the exact
-// test's business. Removed positions are filtered out of every selection
+// test's business (a contradiction, lo > hi, is the one entry the estimate
+// can count as −1 and no stab returns: wherever both are consulted the stab's
+// count decides). Removed positions are filtered out of every selection
 // against the posting list's sorted tombstone set.
 
 // pruneMin is the posting-list population below which no index is kept:
@@ -339,9 +344,14 @@ func (ss *streamSnap) coverIter(ivs map[string]query.Interval, bufs *routeBufs) 
 // (absent: no value, only rest qualifies; !ok: the attribute cannot prune),
 // picks the attribute with the smallest estimated yield and stabs it. It
 // falls back to the full list when there is no index, no usable attribute,
-// or the estimate is too close to the population to pay for the merge. The
-// selection aliases bufs scratch until the next call; nothing else is
-// written, so concurrent lock-free routes may share ss.
+// or the selection is too close to the population (half of it) to pay for
+// the merge. An index of ONE attribute has nothing to choose between, so it
+// skips the estimate — two binary searches per run, more than the stab they
+// would price — and lets the stab count its own survivors: the estimate is
+// that count (entries admitting v, removed ones counted out, plus rest), so
+// the decision is the same one. The selection aliases bufs scratch until the
+// next call; nothing else is written, so concurrent lock-free routes may
+// share ss.
 func (ss *streamSnap) selectBy(bufs *routeBufs, probe func(attr string) (v float64, absent, ok bool)) candIter {
 	it := ss.scan()
 	if ss.idx == nil {
@@ -357,8 +367,8 @@ func (ss *streamSnap) selectBy(bufs *routeBufs, probe func(attr string) (v float
 		if !ok {
 			continue
 		}
-		est := a.restLive()
-		if !absent {
+		est := a.restLive() // what any stab of a selects at least
+		if !absent && len(ss.idx.attrs) > 1 {
 			est = a.estimate(v)
 		}
 		if best == nil || est < bestEst {
@@ -370,14 +380,18 @@ func (ss *streamSnap) selectBy(bufs *routeBufs, probe func(attr string) (v float
 	}
 	stab := bufs.stab[:0]
 	if !bestAbsent {
-		// Runs emit lower-bound order, which correlates with registration
-		// order only by accident: sort.
 		for _, r := range best.live {
 			stab = stabRun(r.entries, bestV, stab)
 		}
+		bufs.stab = stab
+		// At most every tombstone is among the stabbed: too many already?
+		if 2*(len(stab)-len(ss.dead)+best.restLive()) >= ss.live() {
+			return it
+		}
+		// Runs emit lower-bound order, which correlates with registration
+		// order only by accident: sort.
 		slices.Sort(stab)
 	}
-	bufs.stab = stab
 	// Merge with rest (disjoint by construction: a candidate either has an
 	// interval on the attribute or is in rest), dropping tombstones.
 	sel, rest := bufs.sel[:0], best.rest
@@ -393,6 +407,9 @@ func (ss *streamSnap) selectBy(bufs *routeBufs, probe func(attr string) (v float
 		}
 	}
 	bufs.sel = sel
+	if 2*len(sel) >= ss.live() {
+		return it // the exact count of what was estimated above
+	}
 	it.sel, it.pruned = sel, true
 	return it
 }

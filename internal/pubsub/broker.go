@@ -2,6 +2,7 @@ package pubsub
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"sync"
@@ -1069,13 +1070,13 @@ func (b *Broker) Publish(t stream.Tuple) {
 type delivery struct {
 	h    Handler
 	sub  *Subscription
-	keep map[string]bool // projection set; nil = all attributes
+	keep []string // projection list; nil = all attributes
 }
 
 // hop is one forwarding decision toward a neighbor.
 type hop struct {
 	to    topology.NodeID
-	attrs map[string]bool // nil = all
+	attrs []string // sorted; nil = all
 }
 
 // routeBufs are the per-route-call matching buffers, pooled so the
@@ -1174,7 +1175,7 @@ func (b *Broker) route(t stream.Tuple, from topology.NodeID) {
 func (b *Broker) matchLinear(t stream.Tuple, from topology.NodeID, locals []delivery, hops []hop) ([]delivery, []hop) {
 	for _, c := range b.idx.locals.subs {
 		if c.sub.Matches(t) && c.handler != nil {
-			locals = append(locals, delivery{h: c.handler, sub: c.sub, keep: keepSet(c.sub.Attrs)})
+			locals = append(locals, delivery{h: c.handler, sub: c.sub, keep: c.sub.Attrs})
 		}
 	}
 	for _, n := range b.neighbors {
@@ -1207,36 +1208,26 @@ func (b *Broker) matchLinear(t stream.Tuple, from topology.NodeID, locals []deli
 		if !interested {
 			continue
 		}
-		if all {
-			wanted = nil
+		h := hop{to: n}
+		if !all {
+			h.attrs = slices.AppendSeq([]string{}, maps.Keys(wanted))
+			slices.Sort(h.attrs)
 		}
-		hops = append(hops, hop{to: n, attrs: wanted})
+		hops = append(hops, h)
 	}
 	return locals, hops
 }
 
-// keepSet converts an attribute projection list to the lookup-set form used
-// by projectAttrs (nil stays nil = keep all).
-func keepSet(attrs []string) map[string]bool {
-	if attrs == nil {
-		return nil
-	}
-	keep := make(map[string]bool, len(attrs))
-	for _, a := range attrs {
-		keep[a] = true
-	}
-	return keep
-}
-
-// projectAttrs returns t cut down to the attributes in keep (nil keeps t
-// whole, map and all). A projection is a fresh map nobody else holds, and it
-// carries the routing tag, which is header, not payload.
-func projectAttrs(t stream.Tuple, keep map[string]bool) stream.Tuple {
+// projectAttrs returns t cut down to the attributes keep lists (nil keeps t
+// whole, map and all; a repeated name counts once). A projection is a fresh
+// map nobody else holds, and it carries the routing tag, which is header, not
+// payload.
+func projectAttrs(t stream.Tuple, keep []string) stream.Tuple {
 	if keep == nil {
 		return t
 	}
 	out := stream.Tuple{Stream: t.Stream, Timestamp: t.Timestamp, Tag: t.Tag, Attrs: make(map[string]stream.Value, len(keep)), Owned: true}
-	for a := range keep {
+	for _, a := range keep {
 		if v, ok := t.Attrs[a]; ok {
 			out.Attrs[a] = v
 		}

@@ -18,11 +18,14 @@
 //     lifecycle transition (retraction, withdrawal, crash teardown)
 //     re-decides exactly the suppressions it released.
 //
-//   - The matching engine (index.go, attrindex.go, compile.go): per
-//     direction, stream → posting-list indexes with compiled per-attribute
-//     filter intervals, incremental projection unions, and attribute-level
-//     candidate pruning via stabbing trees over the most selective
-//     constrained attribute. The linear matcher (matchLinear) is the
+//   - The matching engine (index.go, attrindex.go): per direction, stream →
+//     posting-list indexes with compiled per-attribute filter intervals,
+//     incremental projection unions, and attribute-level candidate pruning
+//     via stabbing trees over the most selective constrained attribute.
+//     From match to project to forward the only map is the tuple's payload:
+//     projection lists and unions are sorted slices (replaced, never
+//     written, once an epoch can see them), and a record keeps no
+//     per-attribute table. The linear matcher (matchLinear) is the
 //     retained reference, selectable only from the package's own tests;
 //     randomized equivalence suites hold the indexed path bit-identical
 //     to it.

@@ -2,6 +2,7 @@ package pubsub
 
 import (
 	"cmp"
+	"maps"
 	"math"
 	"slices"
 	"sort"
@@ -110,10 +111,10 @@ type dirIndex struct {
 	// consumed by the propagation it suppresses, or superseded by a
 	// newer epoch of the ID.
 	retracted map[string]uint64
-	// byID indexes records by subscription ID in registration order, so
-	// find/removeByID are O(records per ID) instead of a scan over the
-	// whole direction.
-	byID map[string][]*compiledSub
+	// byID holds the newest record of each subscription ID; older ones hang
+	// off it through compiledSub.olderID, so find/removeByID are O(records
+	// per ID) instead of a scan over the whole direction.
+	byID map[string]*compiledSub
 	// dirty is the broker-wide matchIndex.dirty set add/remove mark into.
 	dirty map[string]bool
 }
@@ -122,7 +123,7 @@ func newDirIndex(dirty map[string]bool) *dirIndex {
 	return &dirIndex{
 		byStream:  make(map[string]*postList),
 		retracted: make(map[string]uint64),
-		byID:      make(map[string][]*compiledSub),
+		byID:      make(map[string]*compiledSub),
 		dirty:     dirty,
 	}
 }
@@ -131,7 +132,7 @@ func newDirIndex(dirty map[string]bool) *dirIndex {
 // list of every stream it lists.
 func (d *dirIndex) add(c *compiledSub) {
 	d.subs = append(d.subs, c)
-	d.byID[c.sub.ID] = append(d.byID[c.sub.ID], c)
+	c.olderID, d.byID[c.sub.ID] = d.byID[c.sub.ID], c
 	for i, s := range c.sub.Streams {
 		if slices.Contains(c.sub.Streams[:i], s) {
 			continue
@@ -159,28 +160,28 @@ func (d *dirIndex) posting(s string) *streamSnap {
 // ID, or nil. Directions hold at most one record per ID (propagate replaces
 // on newer epochs); locals may briefly hold more when a client reuses an ID
 // without unsubscribing, and then the newest registration owns it.
-func (d *dirIndex) find(id string) *compiledSub {
-	recs := d.byID[id]
-	if len(recs) == 0 {
-		return nil
-	}
-	return recs[len(recs)-1]
-}
+func (d *dirIndex) find(id string) *compiledSub { return d.byID[id] }
 
 // byRegSeq orders a record against a registration number; d.subs and every
 // posting list are sorted by it.
 func byRegSeq(c *compiledSub, seq uint64) int { return cmp.Compare(c.regSeq, seq) }
 
 // remove deletes one record from the direction and from its posting lists.
-// d.subs and byID are spliced in place — no epoch aliases them.
+// d.subs and the ID chain are spliced in place — no epoch reads them.
 func (d *dirIndex) remove(c *compiledSub) {
 	if i, ok := slices.BinarySearchFunc(d.subs, c.regSeq, byRegSeq); ok {
 		d.subs = slices.Delete(d.subs, i, i+1)
 	}
-	if ids := slices.DeleteFunc(d.byID[c.sub.ID], func(x *compiledSub) bool { return x == c }); len(ids) == 0 {
+	switch newest := d.byID[c.sub.ID]; {
+	case newest != c:
+		for newest.olderID != c {
+			newest = newest.olderID
+		}
+		newest.olderID = c.olderID
+	case c.olderID == nil:
 		delete(d.byID, c.sub.ID)
-	} else {
-		d.byID[c.sub.ID] = ids
+	default:
+		d.byID[c.sub.ID] = c.olderID
 	}
 	for i, s := range c.sub.Streams {
 		if slices.Contains(c.sub.Streams[:i], s) {
@@ -250,15 +251,15 @@ func (pl *postList) remove(c *compiledSub) (empty bool) {
 	return len(next.cands) == 0
 }
 
-// ref counts one record's projection set into (delta 1) or out of (delta
-// -1) the union and returns the union to publish: the current map while its
-// content stands, else a fresh one — route hands the map to in-flight hops
-// outside the broker lock, so a published one is never written. It is read
-// only when every record matched and none keeps all attributes (matchSnap),
-// so records with a nil projection need no count.
-func (pl *postList) ref(keep map[string]bool, delta int) map[string]bool {
+// ref counts one record's projection list into (delta 1) or out of (delta
+// -1) the union and returns the union to publish: the current slice while
+// its content stands, else a fresh sorted one — route hands the slice to
+// in-flight hops outside the broker lock, so a published one is never
+// written. It is read only when every record matched and none keeps all
+// attributes (matchSnap), so records with a nil projection need no count.
+func (pl *postList) ref(keep []string, delta int) []string {
 	changed := pl.union == nil
-	for a := range keep {
+	for _, a := range keep {
 		n := pl.keepRefs[a] + delta
 		changed = changed || n == 0 || n == delta
 		if n == 0 {
@@ -270,10 +271,8 @@ func (pl *postList) ref(keep map[string]bool, delta int) map[string]bool {
 	if !changed {
 		return pl.union
 	}
-	union := make(map[string]bool, len(pl.keepRefs))
-	for a := range pl.keepRefs {
-		union[a] = true
-	}
+	union := slices.AppendSeq(make([]string, 0, len(pl.keepRefs)), maps.Keys(pl.keepRefs))
+	slices.Sort(union)
 	return union
 }
 
@@ -281,7 +280,11 @@ func (pl *postList) ref(keep map[string]bool, delta int) map[string]bool {
 // returns them in registration order (empty when the ID is unknown — the
 // caller treats that as a no-op).
 func (d *dirIndex) removeByID(id string) []*compiledSub {
-	removed := append([]*compiledSub(nil), d.byID[id]...)
+	var removed []*compiledSub
+	for c := d.byID[id]; c != nil; c = c.olderID {
+		removed = append(removed, c)
+	}
+	slices.Reverse(removed)
 	for _, c := range removed {
 		d.remove(c)
 	}
@@ -289,13 +292,18 @@ func (d *dirIndex) removeByID(id string) []*compiledSub {
 }
 
 // compiledSub is one recorded subscription with its matching and lifecycle
-// state: the projection set as a lookup map, the filters partitioned into
+// state: the projection list sorted, the filters partitioned into
 // string-equality tests, compiled per-attribute interval groups (numeric
 // selections) and a raw remainder evaluated predicate-by-predicate, the
-// issuing epoch, and the propagation record.
+// issuing epoch, and the propagation record. Nothing here is keyed by
+// attribute name: what the hot path reads is flat, sorted data, and what only
+// a slow path needs (a group's original predicates) it re-derives from sub.
 type compiledSub struct {
 	sub     *Subscription
 	handler Handler // locals only
+	// olderID chains the direction's records of one subscription ID, newest
+	// (dirIndex.byID) to oldest. Mutated under Broker.mu.
+	olderID *compiledSub
 	// seq is the epoch the subscription was issued in (Subscription.Seq
 	// at record time): a later incarnation of a reused ID carries a
 	// higher seq, superseding records and outrunning stale retractions.
@@ -325,9 +333,10 @@ type compiledSub struct {
 	// un-suppression visits exactly this set instead of every record
 	// sharing a stream.
 	suppresses map[covEdge]bool
-	// keep mirrors sub.Attrs as a set: nil keeps every attribute; an empty
-	// non-nil map mirrors an explicitly empty projection list.
-	keep map[string]bool
+	// keep is sub.Attrs strictly ascending (sub.Attrs itself when it already
+	// is): nil keeps every attribute; an empty non-nil list mirrors an
+	// explicitly empty projection list.
+	keep []string
 	// tag, when non-empty, is a compiled `__q == "tag"` filter (the
 	// result-stream split of every middleware user subscription): one
 	// compare against the tuple header.
@@ -433,13 +442,36 @@ func (c *compiledSub) listsAny(streams map[string]bool) bool {
 }
 
 // attrGroup is the compiled conjunction of one attribute's numeric selection
-// filters: the folded interval for the fast path, plus the original
-// predicates for the fallback on string-typed or NaN attribute values (whose
-// Compare semantics an interval cannot express).
+// filters, folded into one interval. What needs the predicates one by one —
+// a string-typed or NaN attribute value, whose Compare semantics an interval
+// cannot express (holdsUnfolded), and the cover test — re-derives them from
+// the subscription's filters with query.NumericSelection, as compileSub did:
+// the slow paths pay, the record holds no copy.
 type attrGroup struct {
-	attr  string
-	iv    query.Interval
-	preds []query.Predicate
+	attr string
+	iv   query.Interval
+}
+
+// holdsUnfolded evaluates the filters folded into attr's group one by one.
+func (c *compiledSub) holdsUnfolded(attr string, t *stream.Tuple) bool {
+	for _, f := range c.sub.Filters {
+		if p, ok := query.NumericSelection(f); ok && p.Left.Col.Attr == attr && !evalFilter(p, *t) {
+			return false
+		}
+	}
+	return true
+}
+
+// sortedAttrs returns a projection list strictly ascending: the list itself
+// when it already is (nil stays nil = keep all), else a sorted copy without
+// duplicates.
+func sortedAttrs(attrs []string) []string {
+	for i := 1; i < len(attrs); i++ {
+		if attrs[i-1] >= attrs[i] {
+			return slices.Compact(slices.Sorted(slices.Values(attrs)))
+		}
+	}
+	return attrs
 }
 
 // compileSub precomputes the matching state of one subscription. handler is
@@ -447,7 +479,7 @@ type attrGroup struct {
 // normalised (column-on-the-left) form: evaluation is indifferent to it and
 // the cover test (covers) needs it.
 func compileSub(s *Subscription, h Handler) *compiledSub {
-	c := &compiledSub{sub: s, handler: h, keep: keepSet(s.Attrs)}
+	c := &compiledSub{sub: s, handler: h, keep: sortedAttrs(s.Attrs)}
 	groups := make(map[string]int)
 	for _, f := range s.Filters {
 		n, ok := query.NumericSelection(f)
@@ -475,17 +507,15 @@ func compileSub(s *Subscription, h Handler) *compiledSub {
 			groups[attr] = gi
 			c.groups = append(c.groups, attrGroup{attr: attr, iv: query.FullInterval()})
 		}
-		g := &c.groups[gi]
-		g.iv = g.iv.Constrain(n.Op, *n.Right.Lit)
-		g.preds = append(g.preds, n)
+		c.groups[gi].iv = c.groups[gi].iv.Constrain(n.Op, *n.Right.Lit)
 	}
 	return c
 }
 
 // covers reproduces c.sub.CoversPrepared(o, ivs) from the compiled form:
-// the projection check reads the keep set and every filter is already
-// normalised, so a cover scan costs one interval-implication walk per
-// candidate and allocates nothing (TestCompiledCoversMatchesCoversPrepared).
+// the projection check searches the keep list, so a cover scan costs one
+// interval-implication walk per candidate and allocates nothing
+// (TestCompiledCoversMatchesCoversPrepared).
 func (c *compiledSub) covers(o *Subscription, ivs map[string]query.Interval) bool {
 	for _, st := range o.Streams {
 		if !c.sub.hasStream(st) {
@@ -497,7 +527,7 @@ func (c *compiledSub) covers(o *Subscription, ivs map[string]query.Interval) boo
 			return false
 		}
 		for _, a := range o.Attrs {
-			if !c.keep[a] {
+			if _, ok := slices.BinarySearch(c.keep, a); !ok {
 				return false
 			}
 		}
@@ -517,11 +547,9 @@ func (c *compiledSub) covers(o *Subscription, ivs map[string]query.Interval) boo
 			return false
 		}
 	}
-	for i := range c.groups {
-		for _, p := range c.groups[i].preds {
-			if !implies(c.groups[i].attr, p.Op, *p.Right.Lit) {
-				return false
-			}
+	for _, f := range c.sub.Filters { // the filters folded into c.groups
+		if p, ok := query.NumericSelection(f); ok && !implies(p.Left.Col.Attr, p.Op, *p.Right.Lit) {
+			return false
 		}
 	}
 	for _, p := range c.raw {
@@ -538,7 +566,7 @@ func (c *compiledSub) covers(o *Subscription, ivs map[string]query.Interval) boo
 // its literal (Value.Compare orders every number before every string); each
 // compiled group evaluates one
 // interval-membership test on the attribute value; string-typed or NaN
-// values fall back to the group's original predicates; uncompiled filters
+// values fall back to the attribute's original predicates; uncompiled filters
 // evaluate raw. Conjunction order does not matter (predicate evaluation is
 // pure), so the outcome is exactly the linear matcher's.
 func (c *compiledSub) matches(t *stream.Tuple) bool {
@@ -557,14 +585,10 @@ func (c *compiledSub) matches(t *stream.Tuple) bool {
 			return false
 		}
 		if v.Type == stream.String || math.IsNaN(v.F) {
-			for _, p := range g.preds {
-				if !evalFilter(p, *t) {
-					return false
-				}
+			if !c.holdsUnfolded(g.attr, t) {
+				return false
 			}
-			continue
-		}
-		if !g.iv.ContainsFloat(v.F) {
+		} else if !g.iv.ContainsFloat(v.F) {
 			return false
 		}
 	}

@@ -24,8 +24,8 @@ import (
 // pointer, and those alias the *compiledSub matching fields (sub, keep, tag,
 // strEq, groups, raw — write-once at compileSub). The write side never writes
 // where a view can see — a churn operation replaces a list's view, and the
-// lifecycle fields it mutates in place (sentTo, coveredBy, suppresses, seq)
-// are never read by the match path — so an epoch stays consistent forever; it
+// lifecycle fields it mutates in place (sentTo, coveredBy, suppresses, seq,
+// olderID) are never read by the match path — so an epoch stays consistent forever; it
 // only goes stale, and the next publish swaps it out.
 
 // matchSnapshot is one published epoch of a broker's matching state: the
@@ -74,7 +74,7 @@ type dirRoute struct {
 type streamSnap struct {
 	cands []*compiledSub
 	dead  []int32
-	union map[string]bool
+	union []string // sorted; replaced on churn, never written
 	idx   *attrPruneIndex
 }
 
@@ -177,7 +177,7 @@ func matchSnap(snap *matchSnapshot, t *stream.Tuple, from topology.NodeID, bufs 
 			matched = append(matched, c)
 		}
 		bufs.match = matched // retain grown capacity for the next direction
-		var wanted map[string]bool
+		var wanted []string
 		switch {
 		case all:
 			wanted = nil
@@ -188,16 +188,20 @@ func matchSnap(snap *matchSnapshot, t *stream.Tuple, from topology.NodeID, bufs 
 			// reach this count by having evaluated the whole list), and
 			// none keeps all attributes (such a candidate would have
 			// matched too): the maintained union IS the per-tuple union.
-			// The map is immutable (replaced, never written, on churn), so
+			// The slice is immutable (replaced, never written, on churn), so
 			// handing it out is safe.
 			wanted = d.ss.union
 		default:
-			wanted = make(map[string]bool)
+			n := 0
 			for _, c := range matched {
-				for a := range c.keep {
-					wanted[a] = true
-				}
+				n += len(c.keep)
 			}
+			wanted = make([]string, 0, n) // non-nil even when every list is empty
+			for _, c := range matched {
+				wanted = append(wanted, c.keep...)
+			}
+			slices.Sort(wanted)
+			wanted = slices.Compact(wanted)
 		}
 		hops = append(hops, hop{to: d.to, attrs: wanted})
 	}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/logging"
+	"repro/internal/pubsub"
 	"repro/internal/topology"
 )
 
@@ -103,6 +104,9 @@ func (o Options) withDefaults() Options {
 type peerPipe struct {
 	node *Node
 	id   topology.NodeID
+	// peer is the neighbor's unwrapped pubsub.Peer endpoint, boxed once:
+	// Node.Peer hands it out per forwarded tuple.
+	peer pubsub.Peer
 
 	// cosmoslint:guards — the queue state lives under mu; the sender
 	// copies batches out and writes them with mu released.
@@ -151,7 +155,7 @@ type peerPipe struct {
 }
 
 func newPeerPipe(n *Node, id topology.NodeID) *peerPipe {
-	p := &peerPipe{node: n, id: id}
+	p := &peerPipe{node: n, id: id, peer: remotePeer{n: n, id: id}}
 	p.cond = sync.NewCond(&p.mu)
 	return p
 }

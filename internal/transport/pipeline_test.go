@@ -503,3 +503,64 @@ func TestPeerWrapperSeesIndividualEnvelopes(t *testing.T) {
 		return learned == 8
 	})
 }
+
+// TestPeerWrapperSwapVisibleToNextForward: Node.Peer reads the wrapper the
+// broker's route path asks for once per hop per tuple, lock-free. A swap or a
+// removal must take effect on the very next forward, and swapping beside a
+// running publisher must lose or duplicate nothing (run under -race).
+func TestPeerWrapperSwapVisibleToNextForward(t *testing.T) {
+	a, err := NewNode(0, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = a.Close() }) //lint:errdrop test teardown is best-effort
+	b, err := NewNode(1, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = b.Close() }) //lint:errdrop test teardown is best-effort
+	a.Connect(1, b.Addr())
+	b.Connect(0, a.Addr())
+
+	var delivered atomic.Int64
+	a.Broker.Advertise("S")
+	waitFor(t, "advert learned", func() bool { _, learned := b.Broker.AdvertStateSize(); return learned == 1 })
+	if err := b.Broker.Subscribe(&pubsub.Subscription{ID: "s", Streams: []string{"S"}}, func(*pubsub.Subscription, stream.Tuple) { delivered.Add(1) }); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "subscription routable", func() bool { remote, _ := a.Broker.RoutingStateSize(); return remote == 1 })
+
+	w1, w2 := &countingWrapper{}, &countingWrapper{}
+	publish := func() {
+		a.Broker.Publish(stream.Tuple{Stream: "S", Attrs: map[string]stream.Value{"a": stream.IntVal(1)}})
+	}
+	for step, c := range []struct {
+		install pubsub.PeerWrapper
+		w1, w2  int64
+	}{{w1, 1, 0}, {w2, 1, 1}, {nil, 1, 1}, {w1, 2, 1}} {
+		a.SetPeerWrapper(c.install)
+		publish()
+		if g1, g2 := w1.tuples.Load(), w2.tuples.Load(); g1 != c.w1 || g2 != c.w2 {
+			t.Fatalf("step %d: wrappers saw %d and %d forwards, want %d and %d", step, g1, g2, c.w1, c.w2)
+		}
+	}
+
+	const n = 2000
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < n; i++ {
+			publish()
+		}
+	}()
+swapping:
+	for i := 0; ; i++ {
+		select {
+		case <-done:
+			break swapping
+		default:
+			a.SetPeerWrapper([]pubsub.PeerWrapper{w1, nil, w2}[i%3])
+		}
+	}
+	waitFor(t, "every forward delivered once", func() bool { return delivered.Load() == n+4 })
+}

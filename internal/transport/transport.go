@@ -7,7 +7,8 @@ import (
 	"fmt"
 	"math"
 	"net"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -132,7 +133,7 @@ func toWireTuple(t stream.Tuple) *WireTuple {
 			//lint:maporder the slice is sorted below; iteration order is unobservable
 			w.Attrs = append(w.Attrs, WireAttr{Name: name, Val: v})
 		}
-		sort.Slice(w.Attrs, func(i, j int) bool { return w.Attrs[i].Name < w.Attrs[j].Name })
+		slices.SortFunc(w.Attrs, func(a, b WireAttr) int { return strings.Compare(a.Name, b.Name) })
 	}
 	return w
 }
@@ -359,7 +360,10 @@ type Node struct {
 	// lock-free; only a first contact with a new peer takes n.mu.
 	pipesSnap atomic.Pointer[map[topology.NodeID]*peerPipe]
 
-	wrap        pubsub.PeerWrapper
+	// wrap is the installed PeerWrapper (nil, or a nil one, when there is
+	// none): Peer reads it once per forwarded tuple, so it is published, not
+	// locked.
+	wrap        atomic.Pointer[pubsub.PeerWrapper]
 	onSendError func(peer topology.NodeID, kind MsgKind, err error)
 }
 
@@ -446,7 +450,7 @@ func (n *Node) pipesSnapshot() []*peerPipe {
 	for id := range n.pipes {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	out := make([]*peerPipe, len(ids))
 	for i, id := range ids {
 		out[i] = n.pipes[id]
@@ -618,11 +622,7 @@ func (n *Node) SetSendErrorHandler(h func(peer topology.NodeID, kind MsgKind, er
 // individual protocol message BEFORE it enters the send pipeline, so a
 // chaos fabric's per-message fate draws are batching-agnostic: faults apply
 // per envelope, never per batch.
-func (n *Node) SetPeerWrapper(w pubsub.PeerWrapper) {
-	n.mu.Lock()
-	n.wrap = w
-	n.mu.Unlock()
-}
+func (n *Node) SetPeerWrapper(w pubsub.PeerWrapper) { n.wrap.Store(&w) }
 
 // remotePeer adapts one neighbor to pubsub.Peer.
 type remotePeer struct {
@@ -662,12 +662,9 @@ func (r remotePeer) RouteFrom(t stream.Tuple, from topology.NodeID) {
 
 // Peer implements pubsub.Fabric.
 func (n *Node) Peer(id topology.NodeID) pubsub.Peer {
-	var p pubsub.Peer = remotePeer{n: n, id: id}
-	n.mu.Lock()
-	w := n.wrap
-	n.mu.Unlock()
-	if w != nil {
-		p = w.WrapPeer(id, p)
+	p := n.pipe(id).peer
+	if w := n.wrap.Load(); w != nil && *w != nil {
+		return (*w).WrapPeer(id, p)
 	}
 	return p
 }

@@ -106,6 +106,53 @@ func TestSharingKeepsResidualFilterColumn(t *testing.T) {
 	}
 }
 
+// TestOnlineSubmitKeepsMergedNeighbourDelivering is ROADMAP item 1(ii): a
+// Submit on a started middleware that merges with a running query renames
+// the superset, so the running user's subscription — not only the
+// newcomer's — must move to the new result tag, or it receives nothing again.
+func TestOnlineSubmitKeepsMergedNeighbourDelivering(t *testing.T) {
+	g, procs := testTopology(t)
+	m, err := New(g, procs[:1], Config{K: 2, VMax: 10, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.RegisterStream(StreamDef{
+		Name: "R", Source: procs[4], Substreams: 2, RatePerSubstream: 5,
+		Schema: stream.Schema{Attrs: []stream.Attribute{{Name: "a", Type: stream.Float}}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var got [2][]string
+	submit := func(i int, cql string) {
+		t.Helper()
+		if _, err := m.Submit(cql, procs[0], func(r Tuple) { got[i] = append(got[i], resultKey(r)) }); err != nil {
+			t.Fatalf("Submit %q: %v", cql, err)
+		}
+	}
+	publish := func(ts int64) {
+		t.Helper()
+		if err := m.Publish(stream.Tuple{Stream: "R", Timestamp: ts, Attrs: map[string]stream.Value{"a": stream.FloatVal(2)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	submit(0, `SELECT a FROM R [Now] WHERE a > 1`)
+	if err := m.Start(); err != nil {
+		t.Fatal(err)
+	}
+	publish(1)
+	submit(1, `SELECT a FROM R [Now] WHERE a > 0`)
+	if running := len(m.engines[procs[0]].QueryNames()); running != 1 {
+		t.Fatalf("%d engine queries, want the two merged into 1", running)
+	}
+	publish(2)
+	if want := []string{"@1 R.a=2", "@2 R.a=2"}; !reflect.DeepEqual(got[0], want) {
+		t.Errorf("the running query delivered %v, want %v", got[0], want)
+	}
+	if want := []string{"@2 R.a=2"}; !reflect.DeepEqual(got[1], want) {
+		t.Errorf("the query submitted online delivered %v, want %v", got[1], want)
+	}
+}
+
 // TestSharingKeepsWidenedWindowTimestamps: two joins that differ in their
 // [Range] merge under the wider window, and the narrower query's residual
 // re-checks ages against Station1.timestamp, which neither select list names.

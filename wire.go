@@ -137,6 +137,31 @@ func (m *Middleware) rewire(proc NodeID) error {
 	return nil
 }
 
+// rewireWithUsers rewires one processor after a query joined or left it, and
+// then every user placed there, by name. Rewiring regroups the queries at the
+// processor: one that shares a superset with the newcomer, or shared one with
+// the query that left, now feeds from a different merged query (different
+// result tag and residual), so its user-side subscription must be rebuilt —
+// exactly as Adapt does after migrations.
+func (m *Middleware) rewireWithUsers(proc NodeID) error {
+	if err := m.rewire(proc); err != nil {
+		return err
+	}
+	names := make([]string, 0, len(m.handles))
+	for name, h := range m.handles {
+		if h.processor == proc {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		if err := m.wireUserSide(m.handles[name]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // soloGroup wraps an unmergeable query as its own group: its residual keeps
 // the whole select list and re-applies nothing (it recovers its result with
 // only the query-tag filter).
