@@ -161,7 +161,6 @@ func (t *Tree) descendCurrent(c *Coordinator, incoming []*querygraph.Vertex, use
 		// small relative to coarse-chunk weights, and per-processor
 		// balancing needs query granularity. In pure mode only
 		// same-processor merges are allowed, preserving placement.
-		warmOf := func(v *querygraph.Vertex) int { return t.warmTarget(c, v) }
 		opts := querygraph.CoarsenOptions{
 			VMax:       t.Cfg.VMax,
 			Rng:        t.coordRng(c),
@@ -180,13 +179,11 @@ func (t *Tree) descendCurrent(c *Coordinator, incoming []*querygraph.Vertex, use
 		m := mapping.NewMapper(g, c.ng, mapping.Options{Alpha: t.Cfg.Alpha, Rng: t.coordRng(c)})
 		loads := make([]float64, c.ng.Len())
 		for vi, v := range g.Vertices {
-			switch {
-			case v.IsN():
+			assign[vi] = mapping.Unassigned
+			if v.IsN() {
 				assign[vi] = v.Clu
-			case warmOf(v) >= 0:
-				assign[vi] = warmOf(v)
-			default:
-				assign[vi] = mapping.Unassigned
+			} else if k := t.warmTarget(c, v); k >= 0 {
+				assign[vi] = k
 			}
 			if assign[vi] >= 0 {
 				loads[assign[vi]] += v.Weight

@@ -13,12 +13,12 @@ import (
 // insertion), each level removes the query's graph vertex — or shrinks the
 // merged vertex containing it; querygraph deletes what the vertex lost from
 // its maintained inverted index — retires the assignment entry, and
-// recomputes the per-target loads from the surviving vertices. Sustained submit/cancel churn therefore keeps the optimizer's
-// load picture exact: after the last removal every coordinator holds zero
-// query vertices and zero load, and nothing of the query biases later
-// insertions or adaptation rounds. Returns the processor the query was
-// placed on and whether the query was known (removing an unknown or
-// already-removed name is a no-op).
+// recomputes the per-target loads from the surviving vertices. Sustained
+// submit/cancel churn therefore keeps the optimizer's load picture exact:
+// after the last removal every coordinator holds zero query vertices and
+// zero load, and nothing of the query biases later insertions or adaptation
+// rounds. Returns the processor the query was placed on and whether the
+// query was known (removing an unknown or already-removed name is a no-op).
 func (t *Tree) Remove(name string) (topology.NodeID, bool) {
 	q, known := t.queries[name]
 	if !known {

@@ -10,6 +10,55 @@ import (
 	"repro/internal/topology"
 )
 
+// EdgeWeight is the model edge weight between two vertices, evaluated from
+// their content pair by pair — the reference estimate must match
+// bit-for-bit:
+//
+//	overlap(u,v)  — rate of substreams both are interested in (q–q sharing)
+//	demand(u→v)   — rate u requests from sources among v's nodes
+//	demand(v→u)   — symmetric
+//	result(u→v)   — result rate u sends to proxies among v's nodes
+//	result(v→u)   — symmetric
+func (g *Graph) EdgeWeight(u, v *Vertex) float64 {
+	var w float64
+	if u.Interest != nil && v.Interest != nil {
+		w += g.overlapRate(u, v)
+	}
+	w += g.demand(u, v) + g.demand(v, u)
+	w += resultTo(u, v) + resultTo(v, u)
+	return w
+}
+
+// overlapRate is OverlapWeightedSum with an adaptive strategy: when either
+// interest is sparse, walk its cached indices and test the other side.
+// Every strategy visits the shared bits in the same ascending order, so the
+// sums are identical bit-for-bit.
+func (g *Graph) overlapRate(u, v *Vertex) float64 {
+	su, sv := u.ensureScan(), v.ensureScan()
+	lo, hi := max(su.lo, sv.lo), min(su.hi, sv.hi)
+	if lo >= hi {
+		return 0
+	}
+	switch {
+	case su.idx != nil && (sv.idx == nil || len(su.idx) <= len(sv.idx)):
+		return sparseOverlap(su.idx, v.Interest, g.SubRates)
+	case sv.idx != nil:
+		return sparseOverlap(sv.idx, u.Interest, g.SubRates)
+	default:
+		return u.Interest.OverlapWeightedSumRange(v.Interest, g.SubRates, int(lo), int(hi))
+	}
+}
+
+// Weight returns the weight of edge i–j, if present.
+func (g *Graph) Weight(i, j int) (float64, bool) {
+	run := g.adj[i]
+	k := searchAdj(run, j)
+	if k < len(run) && run[k].To == j {
+		return run[k].W, true
+	}
+	return 0, false
+}
+
 // computeEdgesNaive is the literal O(|V|²) edge construction of the model —
 // every vertex pair gets one EdgeWeight evaluation. It is the reference the
 // indexed ComputeEdges must match bit-for-bit.
@@ -168,6 +217,161 @@ func TestConnectVertexMatchesNaive(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestReconnectVertexWithNodesMatchesNaive: re-estimating a vertex that has
+// nodes — a source's n-vertex removed and connected afresh, a mixed vertex
+// shrunk in place — takes every candidate's demand toward it pairwise; the
+// edges must still equal the naive construction.
+func TestReconnectVertexWithNodesMatchesNaive(t *testing.T) {
+	for seed := uint64(0); seed < 200; seed++ {
+		r := rand.New(rand.NewPCG(seed, 0x5a1f))
+		g := randomGraph(r)
+		g.ComputeEdges()
+		for id, v := range g.Vertices {
+			switch {
+			case !v.IsN():
+			case len(v.Queries) == 0:
+				g.RemoveVertex(id)
+				g.ConnectVertex(g.AddNVertex(v.Nodes[0], v.Clu, v.Assignable))
+			default:
+				// Shrink to the lowest interest bit, nodes and result
+				// keys kept; a fresh vertex, so no scan cache survives.
+				iv := bitvec.New(len(g.SubRates))
+				iv.Set(v.Interest.Indices()[0])
+				rr := make(map[topology.NodeID]float64, len(v.ResultRates))
+				for n, w := range v.ResultRates {
+					rr[n] = w
+				}
+				g.ShrinkVertex(id, &Vertex{
+					Weight: v.Weight, Clu: v.Clu, Assignable: v.Assignable,
+					Nodes:   append([]topology.NodeID(nil), v.Nodes...),
+					Queries: v.Queries, Interest: iv, ResultRates: rr,
+				})
+			}
+		}
+		naive := &Graph{Space: g.Space, Vertices: g.Vertices, adj: make([][]Adj, len(g.Vertices))}
+		naive.computeEdgesNaive()
+		sameAdjacency(t, fmt.Sprintf("seed %d", seed), g, naive)
+	}
+}
+
+// checkCoarsened holds a Coarsen result to the model: no nil slot, every
+// fine vertex mapped onto a live coarse vertex, and the adjacency equal, bit
+// for bit, to the naive construction over the coarse vertices.
+func checkCoarsened(t *testing.T, label string, fine *Graph, res *CoarsenResult) {
+	t.Helper()
+	cg := res.Graph
+	for i, v := range cg.Vertices {
+		if v == nil {
+			t.Fatalf("%s: coarse slot %d is nil", label, i)
+		}
+	}
+	if len(res.FineToCoarse) != len(fine.Vertices) {
+		t.Fatalf("%s: %d fine vertices mapped, want %d", label, len(res.FineToCoarse), len(fine.Vertices))
+	}
+	for f, c := range res.FineToCoarse {
+		if c < 0 || c >= len(cg.Vertices) {
+			t.Fatalf("%s: fine %d maps to %d, outside the %d coarse vertices", label, f, c, len(cg.Vertices))
+		}
+	}
+	naive := &Graph{Space: cg.Space, Vertices: cg.Vertices, adj: make([][]Adj, len(cg.Vertices))}
+	naive.computeEdgesNaive()
+	sameAdjacency(t, label, cg, naive)
+}
+
+// TestCoarsenCompactsUncountedRound: a round whose only merges CountQOnly
+// does not count — a mixed q+n vertex absorbing a same-cluster n-vertex —
+// must still end in compact. Coarsen used to stop ahead of it, returning the
+// emptied slot as a nil vertex that a FineToCoarse entry pointed at, with the
+// merged vertex's edges never re-estimated (seed 73 is the first of the
+// seeds that did).
+func TestCoarsenCompactsUncountedRound(t *testing.T) {
+	for seed := uint64(0); seed < 200; seed++ {
+		r := rand.New(rand.NewPCG(seed, 0xc0a6))
+		g := randomGraph(r)
+		g.ComputeEdges()
+		res := g.Coarsen(CoarsenOptions{VMax: 1 + r.IntN(8), Rng: rand.New(rand.NewPCG(seed, 2)), NoQN: true, CountQOnly: true})
+		checkCoarsened(t, fmt.Sprintf("seed %d", seed), g, res)
+	}
+}
+
+// sameHome is a CanMerge gate in the shape of the adaptation path's
+// same-processor rule: query-bearing vertices merge only within one home
+// (here, the parity of the first query's name length), n-vertices freely.
+func sameHome(u, v *Vertex) bool {
+	if len(u.Queries) == 0 || len(v.Queries) == 0 {
+		return true
+	}
+	return len(u.Queries[0].Name)%2 == len(v.Queries[0].Name)%2
+}
+
+// scaleCIGraph builds a graph the size of a ScaleCI coordinator's: 6 000
+// substreams over 8 sources, 500 queries of 20–40 substreams drawn around 10
+// interest groups, proxies on 16 processors pinned four to a child cluster,
+// and the source and proxy n-vertices a coordinator's graph carries.
+func scaleCIGraph(seed uint64) *Graph {
+	r := rand.New(rand.NewPCG(seed, 0x5ca1e))
+	const nSub, nSrc, nProc, groups = 6000, 8, 16, 10
+	rates := make([]float64, nSub)
+	sources := make([]topology.NodeID, nSub)
+	for i := range rates {
+		rates[i] = 1 + 9*r.Float64()
+		sources[i] = topology.NodeID(1000 + i*nSrc/nSub)
+	}
+	g, err := New(rates, sources)
+	if err != nil {
+		panic(err)
+	}
+	for q := 0; q < 500; q++ {
+		iv := bitvec.New(nSub)
+		base := r.IntN(groups) * (nSub / groups)
+		for b := 20 + r.IntN(21); b > 0; b-- {
+			iv.Set(base + r.IntN(nSub/groups/4))
+		}
+		g.AddQVertex(QueryInfo{
+			Name:       fmt.Sprintf("q%d", q),
+			Proxy:      topology.NodeID(r.IntN(nProc)),
+			Load:       r.Float64(),
+			Interest:   iv,
+			ResultRate: r.Float64(),
+		})
+	}
+	for p := 0; p < nProc; p++ {
+		g.AddNVertex(topology.NodeID(p), p/4, true)
+	}
+	for s := 0; s < nSrc; s++ {
+		g.AddNVertex(topology.NodeID(1000+s), nProc/4+s, false)
+	}
+	return g
+}
+
+// TestCoarsenedEdgesMatchNaive: every coarse graph Coarsen returns must be
+// one the model could have built from scratch. Over random graphs, with and
+// without NoQN, CountQOnly and a CanMerge gate, and on one ScaleCI-sized
+// graph, checkCoarsened holds the result to the naive construction.
+func TestCoarsenedEdgesMatchNaive(t *testing.T) {
+	for seed := uint64(0); seed < 400; seed++ {
+		for variant := uint64(0); variant < 8; variant++ {
+			r := rand.New(rand.NewPCG(seed, 0xc0a7))
+			g := randomGraph(r)
+			g.ComputeEdges()
+			opts := CoarsenOptions{
+				VMax:       1 + r.IntN(8),
+				Rng:        rand.New(rand.NewPCG(seed, variant)),
+				NoQN:       variant&1 != 0,
+				CountQOnly: variant&2 != 0,
+			}
+			if variant&4 != 0 {
+				opts.CanMerge = sameHome
+			}
+			checkCoarsened(t, fmt.Sprintf("seed %d variant %d", seed, variant), g, g.Coarsen(opts))
+		}
+	}
+	g := scaleCIGraph(1)
+	g.ComputeEdges()
+	res := g.Coarsen(CoarsenOptions{VMax: 40, Rng: rand.New(rand.NewPCG(7, 7)), NoQN: true, CountQOnly: true})
+	checkCoarsened(t, "ScaleCI", g, res)
 }
 
 // TestCoarsenEquivalentOnNaiveEdges: Coarsen's deferred, batched edge

@@ -18,20 +18,22 @@
 // # Representation
 //
 // Adjacency is CSR-style: each vertex's edges are a []Adj run sorted by
-// neighbor ID, and ComputeEdges lays every run out over one shared backing
-// array. Incremental operations (ConnectVertex, coarsening's edge
-// re-estimation) patch individual runs in place, falling back to a private
-// allocation only when a run outgrows its span. The mapping algorithms
-// therefore iterate dense slices, never hash maps.
+// neighbor ID, laid out over one shared backing array. ComputeEdges and each
+// coarsening round build a whole graph's runs at once (layoutCSR, two
+// counting passes, no comparison sort); only ConnectVertex patches individual
+// runs in place, falling back to a private allocation when a run outgrows its
+// span. The mapping algorithms therefore iterate dense slices, never hash
+// maps.
 //
-// Edge construction is index-driven: the graph maintains inverted indexes
-// from substream to interested vertices, from source node to the vertices
-// representing it, and from proxy node to the vertices sending results to
-// it. ComputeEdges and ConnectVertex enumerate only candidate pairs that
-// can have nonzero weight — pairs sharing a substream, a source, or a
-// proxy — instead of evaluating all O(|V|²) pairs. The literal all-pairs
-// construction lives on as the oracle of the package equivalence tests;
-// the indexed path reproduces its weights bit-for-bit.
+// Edge estimation is one index-driven kernel (estimate): the graph maintains
+// inverted indexes from substream to interested vertices, from source node to
+// the vertices representing it, and from proxy node to the vertices sending
+// results to it, and one walk over a vertex's interest enumerates only the
+// candidates that can have nonzero weight — vertices sharing a substream, a
+// source, or a proxy — instead of evaluating all O(|V|²) pairs. ComputeEdges,
+// ConnectVertex and coarsening's re-estimation of merged vertices all run it.
+// The literal all-pairs construction lives on as the oracle of the package
+// equivalence tests; the kernel reproduces its weights bit-for-bit.
 package querygraph
 
 import (
@@ -39,7 +41,6 @@ import (
 	"math/bits"
 	"math/rand/v2"
 	"slices"
-	"sort"
 
 	"repro/internal/bitvec"
 	"repro/internal/topology"
@@ -107,11 +108,11 @@ type Vertex struct {
 	// adaptation round (Algorithm 3).
 	Dirty bool
 
-	// scan caches the interest's set-bit indices when sparse, cutting
-	// pairwise overlap evaluation from a full word scan to O(popcount)
-	// bit tests. Built lazily on first edge estimation; Interest must
-	// not be mutated afterwards (graph construction never does — merged
-	// vertices get fresh Interest unions).
+	// scan caches the interest's set-bit indices when sparse, cutting a
+	// pairwise demand evaluation from a full word scan to O(popcount)
+	// bit tests. Built lazily on first use; Interest must not be mutated
+	// afterwards (graph construction never does — merged vertices get
+	// fresh Interest unions).
 	scan interestScan
 	// nscan caches per-node compact source indexes (see Graph.nodeSrcs).
 	nscan nodeScan
@@ -123,7 +124,7 @@ type nodeScan struct {
 }
 
 // sparseMax bounds the popcount up to which a vertex caches its interest
-// indices; denser interests use the word-parallel overlap scan.
+// indices; denser interests use the word-parallel scan.
 const sparseMax = 192
 
 type interestScan struct {
@@ -307,7 +308,7 @@ type Graph struct {
 
 	Vertices []*Vertex
 	// adj holds one sorted-by-To adjacency run per vertex. After
-	// ComputeEdges all runs alias one shared backing array (capped with
+	// layoutCSR all runs alias one shared backing array (capped with
 	// three-index slices so in-place patches never bleed into a sibling
 	// run).
 	adj [][]Adj
@@ -364,7 +365,8 @@ type scratch struct {
 	stamp    []int32   // per-vertex: candidate already collected this epoch
 	accMark  []int32   // per-vertex: acc[v] valid this epoch
 	acc      []float64 // per-vertex overlap-weight accumulator
-	srcStamp []int32   // per-source: source already expanded this epoch
+	srcStamp []int32   // per-source: srcAcc[si] valid this epoch
+	srcAcc   []float64 // per-source: the estimated vertex's rate from it
 	cands    []int
 }
 
@@ -380,6 +382,7 @@ func (g *Graph) scratchFor(nVerts int) *scratch {
 	}
 	if len(sc.srcStamp) < len(g.srcNodes) {
 		sc.srcStamp = make([]int32, len(g.srcNodes))
+		sc.srcAcc = make([]float64, len(g.srcNodes))
 	}
 	sc.bump()
 	return sc
@@ -472,51 +475,6 @@ func (g *Graph) install(id int, v *Vertex) *Vertex {
 	return v
 }
 
-// EdgeWeight computes the model edge weight between two vertices from their
-// content:
-//
-//	overlap(u,v)  — rate of substreams both are interested in (q–q sharing)
-//	demand(u→v)   — rate u requests from sources among v's nodes
-//	demand(v→u)   — symmetric
-//	result(u→v)   — result rate u sends to proxies among v's nodes
-//	result(v→u)   — symmetric
-func (g *Graph) EdgeWeight(u, v *Vertex) float64 {
-	var w float64
-	if u.Interest != nil && v.Interest != nil {
-		w += g.overlapRate(u, v)
-	}
-	w += g.demand(u, v) + g.demand(v, u)
-	w += resultTo(u, v) + resultTo(v, u)
-	return w
-}
-
-// overlapRate is OverlapWeightedSum with an adaptive strategy: when either
-// interest is sparse, walk its cached indices and test the other side,
-// which beats the full word scan for atomic queries. Every strategy visits
-// the shared bits in the same ascending order, so the sums are identical
-// bit-for-bit.
-func (g *Graph) overlapRate(u, v *Vertex) float64 {
-	su, sv := u.ensureScan(), v.ensureScan()
-	lo, hi := su.lo, su.hi
-	if sv.lo > lo {
-		lo = sv.lo
-	}
-	if sv.hi < hi {
-		hi = sv.hi
-	}
-	if lo >= hi {
-		return 0
-	}
-	switch {
-	case su.idx != nil && (sv.idx == nil || len(su.idx) <= len(sv.idx)):
-		return sparseOverlap(su.idx, v.Interest, g.SubRates)
-	case sv.idx != nil:
-		return sparseOverlap(sv.idx, u.Interest, g.SubRates)
-	default:
-		return u.Interest.OverlapWeightedSumRange(v.Interest, g.SubRates, int(lo), int(hi))
-	}
-}
-
 // sparseOverlap sums rates over the indices whose bit is set in o —
 // ascending, matching OverlapWeightedSum's summation order exactly.
 func sparseOverlap(idx []int32, o *bitvec.Vector, rates []float64) float64 {
@@ -530,6 +488,10 @@ func sparseOverlap(idx []int32, o *bitvec.Vector, rates []float64) float64 {
 	return s
 }
 
+// demand is the rate q requests from the sources among n's nodes: per node,
+// q's rate from that node's substreams, summed in node order. estimate reads
+// the estimated vertex's side of it from its own walk; this pairwise form
+// serves the other side.
 func (g *Graph) demand(q, n *Vertex) float64 {
 	if q.Interest == nil || len(n.Nodes) == 0 {
 		return 0
@@ -782,212 +744,171 @@ func forgetKeyed(m map[topology.NodeID][]int32, node topology.NodeID, id int32) 
 	}
 }
 
-// srcRates is the per-vertex cached weighted interest rate, broken down by
-// origin source: rate[i] is the total rate of vertex i's interest
-// substreams originating at src[i]. Each value equals
-// Interest.OverlapWeightedSum(subsByNode[source], SubRates) bit-for-bit, so
-// indexed demand-edge assembly reproduces the naive weights exactly while
-// computing every per-source rate of a vertex in one pass over its bits.
-type srcRates struct {
-	off  []int32
-	src  []int32
-	rate []float64
+// edge is one undirected edge u–v of weight w, as estimate emits it.
+type edge struct {
+	u, v int32
+	w    float64
 }
 
-func (g *Graph) buildSrcRates() srcRates {
-	n := len(g.Vertices)
-	r := srcRates{off: make([]int32, n+1)}
-	nSrc := len(g.srcNodes)
-	seen := make([]int32, nSrc) // per-source slot in the current vertex run
-	for i := range seen {
-		seen[i] = -1
-	}
-	for id, v := range g.Vertices {
-		r.off[id] = int32(len(r.src))
-		if v == nil || v.Interest == nil {
-			continue
-		}
-		base := len(r.src)
-		for wi, w := range v.Interest.Words() {
+// estimate appends to edges every positive-weight edge of vertex u, each
+// evaluated from content in the model's term grouping
+//
+//	overlap(u,v) + (demand(u→v) + demand(v→u)) + (result(u→v) + result(v→u))
+//
+// — the one edge estimator ComputeEdges, ConnectVertex and coarsening share.
+// One walk over u's interest, in ascending substream order, accumulates the
+// overlap rate of every vertex sharing a substream (per candidate exactly
+// OverlapWeightedSum's summation order), sums u's rate per origin source, from
+// which demand(u→v) is read, and collects the vertices representing those
+// sources. Result and reverse-demand candidates come from the proxy and
+// source postings of u's result keys and nodes; demand(v→u) is evaluated
+// pairwise, and is zero unless u has nodes. A candidate v is skipped when
+// v == u, or when v < u and sel[v] holds: that pair is v's to estimate.
+//
+// Candidates are collected in posting and result-map order, so the edges
+// come out in no particular order: every consumer lays them out through
+// layoutCSR or a sorted insert, neither of which sees that order.
+func (g *Graph) estimate(u int, sel []bool, edges []edge) []edge {
+	idx := g.ensureIndex()
+	sc := g.scratchFor(len(g.Vertices))
+	uv := g.Vertices[u]
+	sc.stamp[u] = sc.epoch // never its own candidate
+	if uv.Interest != nil {
+		for wi, w := range uv.Interest.Words() {
 			for w != 0 {
 				s := wi<<6 + bits.TrailingZeros64(w)
 				w &= w - 1
 				if s >= len(g.SubRates) {
 					break
 				}
+				r := g.SubRates[s]
 				si := g.srcIdxOfSub[s]
-				if seen[si] < int32(base) {
-					seen[si] = int32(len(r.src))
-					r.src = append(r.src, si)
-					r.rate = append(r.rate, 0)
+				if sc.srcStamp[si] != sc.epoch {
+					sc.srcStamp[si] = sc.epoch
+					sc.srcAcc[si] = 0
+					sc.collect(idx.vertsOfSrc[si], u, sel)
 				}
-				r.rate[seen[si]] += g.SubRates[s]
+				sc.srcAcc[si] += r
+				for _, vv := range idx.interested[s] {
+					v := int(vv)
+					if v <= u && (v == u || sel != nil && sel[v]) {
+						continue
+					}
+					if sc.accMark[v] != sc.epoch {
+						sc.accMark[v] = sc.epoch
+						sc.acc[v] = 0
+						if sc.stamp[v] != sc.epoch {
+							sc.stamp[v] = sc.epoch
+							sc.cands = append(sc.cands, v)
+						}
+					}
+					sc.acc[v] += r
+				}
 			}
 		}
 	}
-	r.off[n] = int32(len(r.src))
-	return r
+	for node := range uv.ResultRates {
+		sc.collect(idx.vertsOfNode[node], u, sel)
+	}
+	usrc := g.nodeSrcs(uv)
+	for k, node := range uv.Nodes {
+		if si := usrc[k]; si >= 0 {
+			sc.collect(idx.bySrc[si], u, sel)
+		}
+		sc.collect(idx.resultTo[node], u, sel)
+	}
+	for _, v := range sc.cands {
+		vv := g.Vertices[v]
+		var w, du float64
+		if sc.accMark[v] == sc.epoch {
+			w += sc.acc[v]
+		}
+		// demand(u→v): u's per-source rates over v's nodes, in node order.
+		for _, si := range g.nodeSrcs(vv) {
+			if si >= 0 && sc.srcStamp[si] == sc.epoch {
+				du += sc.srcAcc[si]
+			}
+		}
+		w += du + g.demand(vv, uv)
+		w += resultTo(uv, vv) + resultTo(vv, uv)
+		if w > 0 {
+			edges = append(edges, edge{int32(u), int32(v), w})
+		}
+	}
+	sc.cands = sc.cands[:0]
+	return edges
 }
 
-// demandOf sums vertex q's cached per-source rates over n's nodes, in node
-// order — exactly demand(q, n).
-func (g *Graph) demandOf(r *srcRates, q int, n *Vertex) float64 {
-	lo, hi := r.off[q], r.off[q+1]
-	if lo == hi || len(n.Nodes) == 0 {
-		return 0
-	}
-	var w float64
-	for _, node := range n.Nodes {
-		si, ok := g.srcIdxOfNode[node]
-		if !ok {
+// collect appends to the candidates the vertices of a posting not collected
+// yet this epoch, skipping those below u that sel marks.
+func (sc *scratch) collect(ids []int32, u int, sel []bool) {
+	for _, vv := range ids {
+		v := int(vv)
+		if sc.stamp[v] == sc.epoch || v < u && sel != nil && sel[v] {
 			continue
 		}
-		for k := lo; k < hi; k++ {
-			if r.src[k] == si {
-				w += r.rate[k]
-				break
-			}
-		}
+		sc.stamp[v] = sc.epoch
+		sc.cands = append(sc.cands, v)
 	}
-	return w
 }
 
-// ComputeEdges materializes the full edge set from vertex content,
-// replacing any existing edges. The inverted indexes restrict weight
-// evaluation to candidate pairs that share a substream, a source node, or a
-// proxy node; the result is identical (bit-for-bit) to the all-pairs
-// construction (see the package equivalence tests).
+// layoutCSR lays undirected edges, each pair listed once and in any order,
+// out as one adjacency run per vertex over a single backing array, every run
+// sorted by neighbor ID. Two counting passes do it in O(V+E): the half-edges
+// are bucketed by neighbor, then scattered into their rows bucket by bucket,
+// so each row fills in ascending neighbor order.
+func layoutCSR(edges []edge, V int) [][]Adj {
+	// A vertex has as many half-edges into it as out of it, so one prefix
+	// sum bounds both the buckets and the rows.
+	off := make([]int32, V+1)
+	for _, e := range edges {
+		off[e.u+1]++
+		off[e.v+1]++
+	}
+	for i := 0; i < V; i++ {
+		off[i+1] += off[i]
+	}
+	cur := make([]int32, V)
+	copy(cur, off[:V])
+	byTo := make([]Adj, off[V]) // bucket t holds the half-edges into t, To naming their row
+	for _, e := range edges {
+		byTo[cur[e.v]] = Adj{To: int(e.u), W: e.w}
+		cur[e.v]++
+		byTo[cur[e.u]] = Adj{To: int(e.v), W: e.w}
+		cur[e.u]++
+	}
+	copy(cur, off[:V])
+	pool := make([]Adj, off[V])
+	for t := 0; t < V; t++ {
+		for _, h := range byTo[off[t]:off[t+1]] {
+			pool[cur[h.To]] = Adj{To: t, W: h.W}
+			cur[h.To]++
+		}
+	}
+	adj := make([][]Adj, V)
+	for i := range adj {
+		adj[i] = pool[off[i]:off[i+1]:off[i+1]]
+	}
+	return adj
+}
+
+// ComputeEdges materializes the full edge set from vertex content, replacing
+// any existing edges: estimate over every vertex, each pair once from its
+// lower ID, then one CSR layout. The result is identical (bit-for-bit) to the
+// all-pairs construction (see the package equivalence tests).
 func (g *Graph) ComputeEdges() {
 	g.idx = nil // vertex content may have changed wholesale; rebuild
-	idx := g.ensureIndex()
-	V := len(g.Vertices)
-	sc := g.scratchFor(V)
-	rates := g.buildSrcRates()
-
-	type edgeRec struct {
-		u, v int
-		w    float64
+	all := make([]bool, len(g.Vertices))
+	for i := range all {
+		all[i] = true
 	}
-	var edges []edgeRec
-	deg := make([]int32, V+1)
-
-	addCand := func(sc *scratch, u int, ids []int32, cands []int) []int {
-		for _, vv := range ids {
-			v := int(vv)
-			if v <= u {
-				continue
-			}
-			if sc.stamp[v] != sc.epoch {
-				sc.stamp[v] = sc.epoch
-				cands = append(cands, v)
-			}
+	var edges []edge
+	for u, v := range g.Vertices {
+		if v != nil {
+			edges = g.estimate(u, all, edges)
 		}
-		return cands
 	}
-
-	for u := 0; u < V; u++ {
-		uv := g.Vertices[u]
-		if uv == nil {
-			continue
-		}
-		sc.bump()
-		cands := sc.cands[:0]
-
-		// Overlap accumulation: for every set bit s (ascending), credit
-		// rate_s to each later vertex sharing s. Per candidate this sums
-		// the shared rates in ascending substream order — exactly
-		// OverlapWeightedSum. The same bit walk expands the source-node
-		// index once per distinct source for demand candidates.
-		if uv.Interest != nil {
-			for wi, w := range uv.Interest.Words() {
-				for w != 0 {
-					s := wi<<6 + bits.TrailingZeros64(w)
-					w &= w - 1
-					if s >= len(g.SubRates) {
-						break
-					}
-					r := g.SubRates[s]
-					for _, vv := range idx.interested[s] {
-						v := int(vv)
-						if v <= u {
-							continue
-						}
-						if sc.accMark[v] != sc.epoch {
-							sc.accMark[v] = sc.epoch
-							sc.acc[v] = 0
-							if sc.stamp[v] != sc.epoch {
-								sc.stamp[v] = sc.epoch
-								cands = append(cands, v)
-							}
-						}
-						sc.acc[v] += r
-					}
-					if si := g.srcIdxOfSub[s]; sc.srcStamp[si] != sc.epoch {
-						sc.srcStamp[si] = sc.epoch
-						cands = addCand(sc, u, idx.vertsOfSrc[si], cands)
-					}
-				}
-			}
-		}
-		// Result edges toward proxies this vertex reports to.
-		for node := range uv.ResultRates {
-			cands = addCand(sc, u, idx.vertsOfNode[node], cands)
-		}
-		// Node roles: vertices interested in substreams we originate, and
-		// vertices sending results to nodes we represent.
-		for _, node := range uv.Nodes {
-			if si, ok := g.srcIdxOfNode[node]; ok {
-				cands = addCand(sc, u, idx.bySrc[si], cands)
-			}
-			cands = addCand(sc, u, idx.resultTo[node], cands)
-		}
-
-		// Ascending candidate order keeps every CSR run sorted as it is
-		// filled, so no per-run sort pass is needed.
-		sort.Ints(cands)
-		for _, v := range cands {
-			vv := g.Vertices[v]
-			if vv == nil {
-				continue
-			}
-			// Mirror EdgeWeight's term grouping exactly.
-			var w float64
-			if uv.Interest != nil && vv.Interest != nil && sc.accMark[v] == sc.epoch {
-				w += sc.acc[v]
-			}
-			w += g.demandOf(&rates, u, vv) + g.demandOf(&rates, v, uv)
-			w += resultTo(uv, vv) + resultTo(vv, uv)
-			if w > 0 {
-				edges = append(edges, edgeRec{u, v, w})
-				deg[u+1]++
-				deg[v+1]++
-			}
-		}
-		sc.cands = cands[:0]
-	}
-
-	// Lay the runs out over one shared backing array (CSR).
-	for i := 0; i < V; i++ {
-		deg[i+1] += deg[i]
-	}
-	pool := make([]Adj, deg[V])
-	cur := make([]int32, V)
-	copy(cur, deg[:V])
-	for _, e := range edges {
-		pool[cur[e.u]] = Adj{To: e.v, W: e.w}
-		cur[e.u]++
-		pool[cur[e.v]] = Adj{To: e.u, W: e.w}
-		cur[e.v]++
-	}
-	if len(g.adj) < V {
-		g.adj = make([][]Adj, V)
-	}
-	g.adj = g.adj[:V]
-	// Runs are sorted by construction: entries below i arrive in ascending
-	// u order, entries above i in ascending candidate order.
-	for i := 0; i < V; i++ {
-		g.adj[i] = pool[deg[i]:deg[i+1]:deg[i+1]]
-	}
+	g.adj = layoutCSR(edges, len(g.Vertices))
 }
 
 // setEdge installs (or updates) the undirected edge i–j, keeping both runs
@@ -1052,70 +973,13 @@ func (g *Graph) deleteVertexEdges(i int) {
 // mutations.
 func (g *Graph) Neighbors(i int) []Adj { return g.adj[i] }
 
-// Weight returns the weight of edge i–j, if present.
-func (g *Graph) Weight(i, j int) (float64, bool) {
-	run := g.adj[i]
-	k := searchAdj(run, j)
-	if k < len(run) && run[k].To == j {
-		return run[k].W, true
-	}
-	return 0, false
-}
-
 // ConnectVertex computes and installs the edges between vertex v (already
-// added to the graph) and every other vertex — the incremental step of
-// online query insertion (§3.6). The inverted indexes restrict evaluation
-// to candidates sharing a substream, source, or proxy with v.
+// added to the graph, with no edges yet) and every other vertex — the
+// incremental step of online query insertion (§3.6) and of ShrinkVertex.
 func (g *Graph) ConnectVertex(v *Vertex) {
-	idx := g.ensureIndex()
-	sc := g.scratchFor(len(g.Vertices))
-	sc.stamp[v.ID] = sc.epoch // exclude self
-	cands := sc.cands[:0]
-	add := func(ids []int32) {
-		for _, jj := range ids {
-			j := int(jj)
-			if sc.stamp[j] != sc.epoch {
-				sc.stamp[j] = sc.epoch
-				cands = append(cands, j)
-			}
-		}
+	for _, e := range g.estimate(v.ID, nil, nil) {
+		g.setEdge(int(e.u), int(e.v), e.w)
 	}
-	if v.Interest != nil {
-		for wi, w := range v.Interest.Words() {
-			for w != 0 {
-				s := wi<<6 + bits.TrailingZeros64(w)
-				w &= w - 1
-				if s >= len(g.SubRates) {
-					break
-				}
-				add(idx.interested[s])
-				if si := g.srcIdxOfSub[s]; sc.srcStamp[si] != sc.epoch {
-					sc.srcStamp[si] = sc.epoch
-					add(idx.vertsOfSrc[si])
-				}
-			}
-		}
-	}
-	for node := range v.ResultRates {
-		add(idx.vertsOfNode[node])
-	}
-	for _, node := range v.Nodes {
-		if si, ok := g.srcIdxOfNode[node]; ok {
-			add(idx.bySrc[si])
-		}
-		add(idx.resultTo[node])
-	}
-	sort.Ints(cands)
-	for _, j := range cands {
-		o := g.Vertices[j]
-		if o == nil {
-			continue
-		}
-		if w := g.EdgeWeight(v, o); w > 0 {
-			g.setEdge(v.ID, j, w)
-		}
-	}
-	sc.cands = cands[:0]
 }
 
 // ForEachOverlap visits every vertex whose Interest shares at least one
@@ -1352,7 +1216,11 @@ func collapse(u, v *Vertex) *Vertex {
 // Coarsen runs Algorithm 1: repeatedly collapse heavy-edge-matched vertex
 // pairs until at most VMax vertices remain. N-vertices from different
 // clusters (or with unknown cluster) are never merged, because they must map
-// to different network-graph vertices. The receiver is not modified.
+// to different network-graph vertices. Every round that collapses a pair
+// ends in compact, which re-estimates the merged vertices' edges from
+// content; the returned graph keeps the inverted index the last compact
+// built (a graph no round collapsed builds its own on first use). The
+// receiver is not modified.
 func (g *Graph) Coarsen(opts CoarsenOptions) *CoarsenResult {
 	opts = opts.withDefaults()
 	rng := opts.Rng
@@ -1377,20 +1245,26 @@ func (g *Graph) Coarsen(opts CoarsenOptions) *CoarsenResult {
 	}
 
 	for count(cur) > opts.VMax {
-		matched := make([]bool, len(cur.Vertices))
-		order := rng.Perm(len(cur.Vertices))
+		n := len(cur.Vertices)
+		matched := make([]bool, n)
+		order := rng.Perm(n)
 		merges := 0
 		live := count(cur)
-		// redirect[old] = merged-into index within cur's ID space.
-		redirect := make(map[int]int)
-		// mergedFrom[ui] = the slot merged into ui this round. Edges of
-		// merged vertices are NOT re-estimated here: a merged vertex is
-		// matched, so nothing reads its edges for the rest of the round —
-		// re-estimation (Algorithm 1 line 11) is deferred to the
-		// round-end compact, which computes each merged edge exactly
-		// once. Rows therefore stay untouched all round; stale entries
-		// toward merged slots are skipped by the matched/nil checks.
-		mergedFrom := make(map[int]int)
+		collapsed := false
+		// into[j] = the slot j was merged into this round (j itself if
+		// none); a merged-into slot is matched, so it is never merged away
+		// in the same round and into needs no chasing. absorbed[ui] marks
+		// the slots that took a partner. Edges of merged vertices are NOT
+		// re-estimated here: a merged vertex is matched, so nothing reads
+		// its edges for the rest of the round — re-estimation (Algorithm 1
+		// line 11) is the round-end compact's. Rows therefore stay
+		// untouched all round; stale entries toward merged slots are
+		// skipped by the matched/nil checks.
+		into := make([]int32, n)
+		for i := range into {
+			into[i] = int32(i)
+		}
+		absorbed := make([]bool, n)
 
 		for _, ui := range order {
 			if live <= opts.VMax {
@@ -1446,8 +1320,9 @@ func (g *Graph) Coarsen(opts CoarsenOptions) *CoarsenResult {
 			cur.Vertices[ui] = merged
 			cur.Vertices[best] = nil
 			matched[ui] = true
-			redirect[best] = ui
-			mergedFrom[ui] = best
+			into[best] = int32(ui)
+			absorbed[ui] = true
+			collapsed = true
 			// A merge reduces the counted vertex set only when both
 			// halves were counted (both query-bearing in q-only
 			// mode).
@@ -1456,11 +1331,14 @@ func (g *Graph) Coarsen(opts CoarsenOptions) *CoarsenResult {
 				live--
 			}
 		}
-		if merges == 0 {
-			break // nothing mergeable (all blocked by constraints)
+		// Compact after any collapse, counted or not: it drops the slot a
+		// merge emptied and re-estimates the merged vertex's edges.
+		if collapsed {
+			cur, fineToCur = compact(cur, fineToCur, into, absorbed)
 		}
-		// Compact: drop nil slots, rebuild IDs, re-estimate merged edges.
-		cur, fineToCur = compact(cur, fineToCur, redirect, mergedFrom)
+		if merges == 0 {
+			break // nothing counted was mergeable (all blocked by constraints)
+		}
 	}
 
 	res := &CoarsenResult{
@@ -1472,34 +1350,6 @@ func (g *Graph) Coarsen(opts CoarsenOptions) *CoarsenResult {
 		res.CoarseToFine[coarse] = append(res.CoarseToFine[coarse], fine)
 	}
 	return res
-}
-
-// mergeNeighborIDs returns the sorted union of the neighbor IDs of two
-// sorted adjacency runs.
-func mergeNeighborIDs(a, b []Adj) []int {
-	out := make([]int, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i].To < b[j].To:
-			out = append(out, a[i].To)
-			i++
-		case a[i].To > b[j].To:
-			out = append(out, b[j].To)
-			j++
-		default:
-			out = append(out, a[i].To)
-			i++
-			j++
-		}
-	}
-	for ; i < len(a); i++ {
-		out = append(out, a[i].To)
-	}
-	for ; j < len(b); j++ {
-		out = append(out, b[j].To)
-	}
-	return out
 }
 
 // cloneShallow copies graph structure (vertices are shared pointers for
@@ -1517,101 +1367,49 @@ func (g *Graph) cloneShallow() *Graph {
 	return c
 }
 
-// compact builds the next-round graph: nil slots dropped, IDs renumbered,
-// edges among untouched vertices copied verbatim, and every edge incident
-// to a vertex merged this round re-estimated from content (Algorithm 1
-// line 11) — exactly once per edge, with the merged-merged direction fixed
-// by slot order (EdgeWeight is symmetric bit-for-bit).
-func compact(cur *Graph, fineToCur []int, redirect map[int]int, mergedFrom map[int]int) (*Graph, []int) {
-	n := len(cur.Vertices)
-	// Flatten the maps into slot-indexed arrays: the copy loop below does
-	// per-edge lookups, where map hashing dominates.
-	target := make([]int32, n) // slot -> round-end slot (redirect resolved)
-	newID := make([]int32, n)  // slot -> compacted ID (-1 for dropped)
-	partner := make([]int32, n)
-	for i := range target {
-		target[i] = int32(i)
-		newID[i] = -1
-		partner[i] = -1
-	}
-	for from, to := range redirect {
-		target[from] = int32(to)
-	}
-	for i := range target {
-		for target[i] != target[target[i]] {
-			target[i] = target[target[i]]
-		}
-	}
-	for ui, best := range mergedFrom {
-		partner[ui] = int32(best)
-	}
-
+// compact builds the next-round graph: nil slots dropped, IDs renumbered in
+// slot order, edges among untouched vertices copied verbatim, and every edge
+// of a vertex merged this round re-estimated from content (Algorithm 1
+// line 11) by estimate over the compacted graph's own index — a merged–merged
+// pair once, from its lower ID. One layoutCSR lays the result out, and the
+// result keeps the index it built, so the graph Coarsen returns serves
+// ForEachOverlap and AddVertex without a rebuild. into[j] is the slot j
+// merged into this round (j itself if none), absorbed[i] whether slot i took
+// a partner.
+func compact(cur *Graph, fineToCur []int, into []int32, absorbed []bool) (*Graph, []int) {
+	newID := make([]int32, len(cur.Vertices)) // slot -> compacted ID (-1 for dropped)
 	out := &Graph{Space: cur.Space}
+	var sel []bool // compacted ID -> merged this round
 	for i, v := range cur.Vertices {
+		newID[i] = -1
 		if v == nil {
 			continue
 		}
 		newID[i] = int32(len(out.Vertices))
 		v.ID = len(out.Vertices)
 		out.Vertices = append(out.Vertices, v)
-		out.adj = append(out.adj, nil)
+		sel = append(sel, absorbed[i])
 	}
-	// Edges among untouched pairs carry over unchanged.
+	edges := make([]edge, 0, cur.EdgeCount())
 	for i, run := range cur.adj {
-		if cur.Vertices[i] == nil || partner[i] >= 0 {
+		if cur.Vertices[i] == nil || absorbed[i] {
 			continue
 		}
-		ni := newID[i]
 		for _, e := range run {
-			if cur.Vertices[e.To] == nil || partner[e.To] >= 0 {
-				continue
-			}
-			nj := newID[e.To]
-			if ni < nj {
-				out.setEdge(int(ni), int(nj), e.W)
+			if e.To > i && cur.Vertices[e.To] != nil && !absorbed[e.To] {
+				edges = append(edges, edge{newID[i], newID[e.To], e.W})
 			}
 		}
 	}
-	// Re-estimate the edges of this round's merged vertices (Algorithm 1
-	// line 11, deferred from merge time). A merged vertex's candidate
-	// neighbors are the union of its two constituents' round-start rows;
-	// merging only adds content, so no edge can vanish or appear outside
-	// that union.
-	for ui := 0; ui < n; ui++ {
-		best := partner[ui]
-		if best < 0 {
-			continue
-		}
-		m := cur.Vertices[ui]
-		for _, j := range mergeNeighborIDs(cur.adj[ui], cur.adj[best]) {
-			if j == ui || j == int(best) {
-				continue
-			}
-			tj := int(target[j])
-			o := cur.Vertices[tj]
-			if o == nil || tj == ui {
-				continue
-			}
-			// Both endpoints merged this round: compute the pair once,
-			// from the lower slot (each side's union contains the
-			// other by symmetry of adjacency).
-			if partner[tj] >= 0 && tj < ui {
-				continue
-			}
-			ni, nj := int(newID[ui]), int(newID[tj])
-			// Both of m's constituents may neighbor constituents of
-			// tj; the probe skips the second visit.
-			if _, done := out.Weight(ni, nj); done {
-				continue
-			}
-			if w := cur.EdgeWeight(m, o); w > 0 {
-				out.setEdge(ni, nj, w)
-			}
+	for ni, merged := range sel {
+		if merged {
+			edges = out.estimate(ni, sel, edges)
 		}
 	}
+	out.adj = layoutCSR(edges, len(out.Vertices))
 	next := make([]int, len(fineToCur))
 	for f, c := range fineToCur {
-		next[f] = int(newID[target[c]])
+		next[f] = int(newID[into[c]])
 	}
 	return out, next
 }
