@@ -72,7 +72,8 @@ func (b *Broker) Unadvertise(streamName string) {
 	// At the origin only the own-advert justification changed: records of
 	// any direction may have been pulled here solely by it (rule b); no
 	// per-direction advert entry changed, so no sentTo pruning (rule a).
-	resend := b.pruneAdvertLocked(streamName, -1, false)
+	var p pends
+	b.pruneAdvertLocked(&p, streamName, -1, false)
 	b.publishLocked()
 	b.mu.Unlock()
 	cUnadvertises.Inc()
@@ -80,7 +81,7 @@ func (b *Broker) Unadvertise(streamName string) {
 		b.net.CountControl(b.Node, n, advertSize)
 		b.net.Peer(n).UnadvertFrom(b.Node, streamName, b.Node, seq)
 	}
-	b.sendPends(resend)
+	b.sendPends(p)
 }
 
 func (b *Broker) advertFrom(from topology.NodeID, streamName string, origin topology.NodeID, seq uint64) {
@@ -134,9 +135,14 @@ func (b *Broker) advertFrom(from topology.NodeID, streamName string, origin topo
 	}
 	origins[origin] = seq
 	neighbors := append([]topology.NodeID(nil), b.neighbors...)
-	var resend []*Subscription
+	// Re-propagation epoch: replay the recorded subscriptions on the newly
+	// learned stream toward the advertiser. Each send is marked in the
+	// record's sentTo under the lock, so a concurrent replay cannot
+	// duplicate it. A second origin of an already-known stream changes no
+	// propagation decision, so nothing replays.
+	var p pends
 	if newStream {
-		resend = b.replayLocked(from, streamName)
+		b.replayLocked(&p, from, streamName)
 	}
 	b.mu.Unlock()
 	for _, n := range neighbors {
@@ -145,15 +151,7 @@ func (b *Broker) advertFrom(from topology.NodeID, streamName string, origin topo
 			b.net.Peer(n).AdvertFrom(b.Node, streamName, origin, seq)
 		}
 	}
-	// Re-propagation epoch: replay the recorded subscriptions on the
-	// newly learned stream toward the advertiser. Each send was already
-	// marked in the record's sentTo under the lock, so a concurrent
-	// replay cannot duplicate it. A second origin of an already-known
-	// stream changes no propagation decision, so nothing replays.
-	for _, sub := range resend {
-		b.net.CountControl(b.Node, from, subSize(sub))
-		b.net.Peer(from).PropagateFrom(sub, b.Node)
-	}
+	b.sendPends(p)
 }
 
 // unadvertFrom handles an advert withdrawal arriving from a neighbor. The
@@ -219,9 +217,9 @@ func (b *Broker) unadvertFrom(from topology.NodeID, streamName string, origin to
 		}
 	}
 	neighbors := append([]topology.NodeID(nil), b.neighbors...)
-	var resend []pendSend
+	var p pends
 	if lastOrigin {
-		resend = b.pruneAdvertLocked(streamName, from, true)
+		b.pruneAdvertLocked(&p, streamName, from, true)
 	}
 	b.publishLocked()
 	b.mu.Unlock()
@@ -231,7 +229,7 @@ func (b *Broker) unadvertFrom(from topology.NodeID, streamName string, origin to
 			b.net.Peer(n).UnadvertFrom(b.Node, streamName, origin, seq)
 		}
 	}
-	b.sendPends(resend)
+	b.sendPends(p)
 }
 
 // pruneAdvertLocked removes the routing state stranded by the disappearance
@@ -254,24 +252,10 @@ func (b *Broker) unadvertFrom(from topology.NodeID, streamName string, origin to
 //
 // Both rules release covered-by suppression the affected records provided;
 // the freed decisions are re-decided in canonical sweep order exactly as
-// unsubscribe retraction re-decides them, and the resulting re-propagations
-// are returned for delivery outside the lock. Caller holds b.mu with the
+// unsubscribe retraction re-decides them, into p. Caller holds b.mu with the
 // advert tables already updated.
-func (b *Broker) pruneAdvertLocked(streamName string, withdrawnDir topology.NodeID, ruleA bool) []pendSend {
+func (b *Broker) pruneAdvertLocked(p *pends, streamName string, withdrawnDir topology.NodeID, ruleA bool) {
 	var edges []covEdge
-	var supStreams map[string]bool // linear-reference sweep only
-	var targetSet nodeSet          // linear-reference sweep only
-	noteSup := func(c *compiledSub) {
-		if !b.linearMatch {
-			return
-		}
-		if supStreams == nil {
-			supStreams = make(map[string]bool)
-		}
-		for _, s := range c.sub.Streams {
-			supStreams[s] = true
-		}
-	}
 	if ruleA {
 		sweep := func(d *dirIndex) {
 			it := d.posting(streamName).scan()
@@ -308,15 +292,11 @@ func (b *Broker) pruneAdvertLocked(streamName string, withdrawnDir topology.Node
 				if len(c.suppresses) == 0 {
 					c.suppresses = nil
 				}
-				noteSup(c)
 			}
 		}
 		sweep(b.idx.locals)
 		for _, d := range b.idx.dirOrder {
 			sweep(b.idx.dirs[d])
-		}
-		if b.linearMatch && len(edges) > 0 {
-			targetSet.set(withdrawnDir)
 		}
 	}
 	// rule (b): orphaned records, per direction in ascending order. The
@@ -339,31 +319,10 @@ func (b *Broker) pruneAdvertLocked(streamName string, withdrawnDir topology.Node
 		for _, c := range orphans {
 			d.remove(c)
 			edges = append(edges, detachCovEdges(c)...)
-			noteSup(c)
-			if b.linearMatch {
-				for _, n := range c.sentTo {
-					targetSet.set(n)
-				}
-			}
 		}
-	}
-	if len(edges) == 0 {
-		return nil
 	}
 	sortCovEdges(edges)
-	var targets []topology.NodeID
-	if b.linearMatch {
-		// The reference sweep visits every record sharing a stream with
-		// an affected suppressor, toward every neighbor a freed decision
-		// could concern; decisions not freed are no-ops (sent, still
-		// covered, or not advertised), so the outcome matches the
-		// edge-driven pass bit for bit.
-		for _, e := range edges {
-			targetSet.set(e.to)
-		}
-		targets = targetSet
-	}
-	return b.unsuppressLocked(supStreams, targets, edges)
+	b.unsuppressEdges(p, edges)
 }
 
 // advertisedExceptAny reports whether any of the streams is advertised by
@@ -391,15 +350,13 @@ func (b *Broker) advertisedExceptAny(exclude topology.NodeID, streams []string) 
 	return false
 }
 
-// replayLocked collects the subscriptions to re-propagate toward 'from'
-// after learning that it advertises streamName: every recorded subscription
-// listing the stream (from the per-direction posting lists) that was not
-// already sent that way and is not covered by one that was. Locals replay
-// first in registration order, then each other direction in ascending
-// neighbor order — the same order a from-scratch network would have
-// propagated them in. Caller holds b.mu.
-func (b *Broker) replayLocked(from topology.NodeID, streamName string) []*Subscription {
-	var out []*Subscription
+// replayLocked decides, into p, the re-propagations toward 'from' after
+// learning that it advertises streamName: every recorded subscription listing
+// the stream (from the per-direction posting lists) that was neither sent
+// that way nor suppressed for it. Locals replay first in registration order,
+// then each other direction in ascending neighbor order — the same order a
+// from-scratch network would have propagated them in. Caller holds b.mu.
+func (b *Broker) replayLocked(p *pends, from topology.NodeID, streamName string) {
 	replay := func(d *dirIndex) {
 		it := d.posting(streamName).scan()
 		for c := it.next(); c != nil; c = it.next() {
@@ -408,12 +365,7 @@ func (b *Broker) replayLocked(from topology.NodeID, streamName string) []*Subscr
 			}
 			// coverFor sees the sentTo marks set earlier in this sweep: an
 			// EARLIER candidate already marked sent can cover a later one.
-			if cov := b.coverFor(from, c.sub, query.SelectionIntervalsByAttr(c.sub.Filters)); cov != nil {
-				suppressEdge(cov, c, from)
-				continue
-			}
-			c.sentTo.set(from)
-			out = append(out, c.sub)
+			b.decideLocked(p, c, from, query.SelectionIntervalsByAttr(c.sub.Filters))
 		}
 	}
 	replay(b.idx.locals)
@@ -422,7 +374,6 @@ func (b *Broker) replayLocked(from topology.NodeID, streamName string) []*Subscr
 			replay(b.idx.dirs[d])
 		}
 	}
-	return out
 }
 
 // syncAdvertsTo replays every advertisement this broker knows — its own and

@@ -145,16 +145,10 @@ type Broker struct {
 	// direction plus one for local client subscriptions, maintained
 	// incrementally under mu (see index.go).
 	idx *matchIndex
-	// linearMatch routes and suppresses with the retained linear
-	// reference matcher instead of the posting-list/compiled-filter
-	// index. The two are equivalent bit-for-bit; only the package's
-	// equivalence tests set it (reference_test.go).
-	linearMatch bool
 	// snap is the published matching-state epoch the lock-free route path
 	// reads (snapshot.go, CONCURRENCY.md): rebuilt incrementally and
 	// swapped by publishLocked at the end of every mutating critical
-	// section. Non-nil from NewBroker onward; nil only while the linear
-	// reference is selected, which routes under mu instead.
+	// section. Non-nil from NewBroker onward.
 	snap atomic.Pointer[matchSnapshot]
 	// snapNeighbors makes the next publish refresh the epoch's frozen
 	// neighbor set. The stream table needs nothing: a new neighbor holds no

@@ -9,8 +9,12 @@
 //
 // The package splits into four layers, roughly one file group each:
 //
-//   - The protocol (broker.go, subscription.go): Broker implements the five
-//     peer messages — AdvertFrom, UnadvertFrom, PropagateFrom, RetractFrom,
+//   - The protocol, one file per lifecycle: broker.go (the types, the
+//     Peer/Fabric seam, neighbor attach and crash detach, introspection),
+//     advert.go (advertise, withdraw, replay), subscribe.go (subscribe,
+//     retract, propagate, covering and un-suppression), route.go (publish
+//     and forward), subscription.go. Broker implements the five peer
+//     messages — AdvertFrom, UnadvertFrom, PropagateFrom, RetractFrom,
 //     RouteFrom — plus the client surface (Advertise, Subscribe,
 //     Unsubscribe, Publish). Subscriptions carry epoch sequence numbers and
 //     propagation records; adverts are epoch-stamped per (stream, origin).
@@ -25,10 +29,11 @@
 //     From match to project to forward the only map is the tuple's payload:
 //     projection lists and unions are sorted slices (replaced, never
 //     written, once an epoch can see them), and a record keeps no
-//     per-attribute table. The linear matcher (matchLinear) is the
-//     retained reference, selectable only from the package's own tests;
-//     randomized equivalence suites hold the indexed path bit-identical
-//     to it.
+//     per-attribute table. There is one routing path. Its reference lives
+//     in the package's tests (reference_test.go): a broker over plain
+//     record slices that matches with Subscription.Matches and recomputes
+//     covering from scratch, which randomized equivalence suites hold the
+//     production broker bit-identical to.
 //
 //   - The concurrency layer (snapshot.go): churn operations mutate the
 //     index under Broker.mu and publish an immutable matchSnapshot epoch,

@@ -19,8 +19,8 @@ import (
 
 // TestPartialUnionMatchesLinear: on a direction where only some of the
 // projecting records match a tuple, the per-tuple union matchSnap builds is,
-// attribute for attribute, the one matchLinear collects — as are every other
-// hop and the local deliveries.
+// attribute for attribute, the one the reference collects over the same
+// records — as are every other hop and the local deliveries.
 func TestPartialUnionMatchesLinear(t *testing.T) {
 	withPruneMin(t, func(t *testing.T) {
 		partial := 0
@@ -42,20 +42,19 @@ func TestPartialUnionMatchesLinear(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			ref := refMirror(src)
 			for trial := 0; trial < 60; trial++ {
 				tp := eqRandomTuple(r)
 				got, gotHops := matchSnap(src.snap.Load(), &tp, -1, new(routeBufs), nil, nil)
-				src.mu.Lock()
-				want, wantHops := src.matchLinear(tp, -1, nil, nil)
-				src.mu.Unlock()
-				if !slices.EqualFunc(got, want, func(a, b delivery) bool { return a.sub == b.sub }) {
-					t.Fatalf("seed %d: %d local deliveries, linear %d, for %s", seed, len(got), len(want), renderTuple(tp))
+				want, wantHops := ref.match(tp, -1)
+				if !slices.EqualFunc(got, want, func(a delivery, b *refRecord) bool { return a.sub == b.sub }) {
+					t.Fatalf("seed %d: %d local deliveries, reference %d, for %s", seed, len(got), len(want), renderTuple(tp))
 				}
-				eq := func(a, b hop) bool {
+				eq := func(a hop, b refHop) bool {
 					return a.to == b.to && (a.attrs == nil) == (b.attrs == nil) && slices.Equal(a.attrs, b.attrs)
 				}
 				if !slices.EqualFunc(gotHops, wantHops, eq) {
-					t.Fatalf("seed %d: hops %v, linear %v, for %s", seed, gotHops, wantHops, renderTuple(tp))
+					t.Fatalf("seed %d: hops %v, reference %v, for %s", seed, gotHops, wantHops, renderTuple(tp))
 				}
 				for _, h := range gotHops {
 					if h.attrs != nil && !slices.Equal(h.attrs, src.idx.dirs[h.to].posting(tp.Stream).union) {

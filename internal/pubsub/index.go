@@ -34,13 +34,12 @@ import (
 //     re-propagation replays and retraction cleanup walk.
 //
 // The index is maintained under Broker.mu at subscribe/propagate/retract
-// time. The retained linear matcher iterates the same records (subs, in
-// registration order) but matches and checks covering with the uncompiled
-// per-subscription walks; the two are equivalent bit-for-bit: identical
-// forwarding decisions, local delivery sets and orders, projection
-// attribute sets, and therefore identical traffic counters (enforced by the
-// package equivalence tests, the same discipline as querygraph's naive
-// edge-construction oracle).
+// time. The package tests hold it to a reference broker (reference_test.go)
+// that keeps plain record slices, matches with Subscription.Matches and
+// recomputes covering from scratch: identical forwarding decisions, local
+// delivery sets and orders, projection attribute sets, recorded routing
+// state and therefore traffic counters — the same discipline as
+// querygraph's naive edge-construction oracle.
 //
 // The index also feeds the lock-free snapshot read path (snapshot.go):
 // add/remove mark the touched streams dirty so publishLocked can re-freeze
@@ -325,7 +324,7 @@ type compiledSub struct {
 	// is the record whose propagation toward n suppressed this one.
 	// Invariant (maintained at propagate/replay/retract/un-suppress time,
 	// under Broker.mu): the suppressor is still recorded, has sentTo[n],
-	// and Covers this subscription; the entry is deleted the moment the
+	// and covers this subscription; the entry is deleted the moment the
 	// suppressor is removed or this record is removed or sent.
 	coveredBy map[topology.NodeID]*compiledSub
 	// suppresses is the reverse side: every (record, neighbor) decision
@@ -414,9 +413,9 @@ func detachCovEdges(c *compiledSub) []covEdge {
 	return out
 }
 
-// sortCovEdges orders suppressed decisions the way the reference sweep
-// visits records: target neighbor ascending, then locals before remote
-// directions (srcDir ascending), then registration order.
+// sortCovEdges orders suppressed decisions in canonical sweep order: target
+// neighbor ascending, then locals before remote directions (srcDir
+// ascending), then registration order.
 func sortCovEdges(edges []covEdge) {
 	sort.Slice(edges, func(i, j int) bool {
 		if edges[i].to != edges[j].to {
@@ -427,18 +426,6 @@ func sortCovEdges(edges []covEdge) {
 		}
 		return edges[i].rec.regSeq < edges[j].rec.regSeq
 	})
-}
-
-// listsAny reports whether the subscription lists any stream of the set —
-// the candidate filter of retraction un-suppression (a covering
-// subscription lists a superset of the covered one's streams).
-func (c *compiledSub) listsAny(streams map[string]bool) bool {
-	for _, s := range c.sub.Streams {
-		if streams[s] {
-			return true
-		}
-	}
-	return false
 }
 
 // attrGroup is the compiled conjunction of one attribute's numeric selection
@@ -512,10 +499,16 @@ func compileSub(s *Subscription, h Handler) *compiledSub {
 	return c
 }
 
-// covers reproduces c.sub.CoversPrepared(o, ivs) from the compiled form:
-// the projection check searches the keep list, so a cover scan costs one
-// interval-implication walk per candidate and allocates nothing
-// (TestCompiledCoversMatchesCoversPrepared).
+// covers reports whether c admits every message o admits — the covering
+// relation Siena uses to suppress redundant subscription propagation: c lists
+// every stream of o, keeps every attribute o keeps, and o's filter
+// conjunction, folded into ivs (query.SelectionIntervalsByAttr(o.Filters)),
+// implies each filter of c. It is sound but not complete: a false result may
+// still be a covering pair (filters over disjoint attributes, say), which
+// costs propagation but never correctness. The projection check searches the
+// keep list, so a cover scan costs one interval-implication walk per
+// candidate and allocates nothing; a property test holds it to the
+// reference's refCovers (maintained_index_test.go).
 func (c *compiledSub) covers(o *Subscription, ivs map[string]query.Interval) bool {
 	for _, st := range o.Streams {
 		if !c.sub.hasStream(st) {
@@ -568,7 +561,7 @@ func (c *compiledSub) covers(o *Subscription, ivs map[string]query.Interval) boo
 // interval-membership test on the attribute value; string-typed or NaN
 // values fall back to the attribute's original predicates; uncompiled filters
 // evaluate raw. Conjunction order does not matter (predicate evaluation is
-// pure), so the outcome is exactly the linear matcher's.
+// pure), so the outcome is exactly Subscription.Matches'.
 func (c *compiledSub) matches(t *stream.Tuple) bool {
 	if c.tag != "" && c.tag != t.Tag {
 		return false

@@ -218,11 +218,33 @@ func checkAgainstRebuilt(t *testing.T, r *rand.Rand, d *dirIndex, seed uint64, s
 	}
 }
 
+// refMirror copies a production broker's records — each one's
+// *Subscription, handler, epoch and propagation marks, locals and directions
+// in canonical order — into a reference broker, so the reference's cover and
+// match functions run on the records the production broker holds.
+func refMirror(b *Broker) *refBroker {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	rb := newRefBroker(nil, b.Node, slices.Clone(b.neighbors))
+	mirror := func(c *compiledSub, src topology.NodeID) *refRecord {
+		return &refRecord{sub: c.sub, h: c.handler, seq: c.seq, src: src, sentTo: slices.Clone(c.sentTo)}
+	}
+	for _, c := range b.idx.locals.subs {
+		rb.locals = append(rb.locals, mirror(c, -1))
+	}
+	for _, d := range b.idx.dirOrder {
+		for _, c := range b.idx.dirs[d].subs {
+			rb.dirs[d] = append(rb.dirs[d], mirror(c, d))
+		}
+	}
+	return rb
+}
+
 // TestFirstCoverIdentical: for random (population, subscription, neighbour)
 // triples — populations with propagation marks toward random neighbours,
 // spread over locals and two directions, part of them removed again — the
-// indexed coverFor returns the very record the linear reference's full scan
-// returns.
+// indexed coverFor returns the record the reference's full scan returns over
+// the same records.
 func TestFirstCoverIdentical(t *testing.T) {
 	withPruneMin(t, func(t *testing.T) {
 		found := 0
@@ -259,15 +281,13 @@ func TestFirstCoverIdentical(t *testing.T) {
 					b.idx.dirs[c.srcDir+1].remove(c)
 				}
 			}
+			ref := refMirror(b)
 			for trial := 0; trial < 40; trial++ {
 				sub := shapedSub(r, 1000+trial)
 				ivs := query.SelectionIntervalsByAttr(sub.Filters)
 				n := b.neighbors[r.IntN(3)]
-				b.linearMatch = false
-				got := b.coverFor(n, sub, ivs)
-				b.linearMatch = true
-				want := b.coverFor(n, sub, ivs)
-				if got != want {
+				got, want := b.coverFor(n, sub, ivs), ref.firstCover(n, sub)
+				if (got == nil) != (want == nil) || got != nil && got.sub != want.sub {
 					t.Fatalf("seed %d: first cover of %s toward %d: indexed %v, full scan %v", seed, sub, n, got, want)
 				}
 				if got != nil {
@@ -282,8 +302,8 @@ func TestFirstCoverIdentical(t *testing.T) {
 }
 
 // TestCompiledCoversMatchesCoversPrepared: the cover scan's compiled test
-// equals Subscription.CoversPrepared over the random subscription
-// generators, operand order included.
+// equals the reference's refCovers over the random subscription generators,
+// operand order included.
 func TestCompiledCoversMatchesCoversPrepared(t *testing.T) {
 	covering := 0
 	for seed := uint64(0); seed < 4000; seed++ {
@@ -295,9 +315,9 @@ func TestCompiledCoversMatchesCoversPrepared(t *testing.T) {
 			s, o = randomSub(r, "w"), randomSub(r, "n")
 		}
 		ivs := query.SelectionIntervalsByAttr(o.Filters)
-		want := s.CoversPrepared(o, ivs)
+		want := refCovers(s, o)
 		if got := compileSub(s, nil).covers(o, ivs); got != want {
-			t.Fatalf("seed %d: compiled covers = %v, CoversPrepared = %v for %s over %s", seed, got, want, s, o)
+			t.Fatalf("seed %d: compiled covers = %v, refCovers = %v for %s over %s", seed, got, want, s, o)
 		}
 		if want {
 			covering++

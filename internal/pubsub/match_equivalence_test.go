@@ -14,13 +14,13 @@ import (
 	"repro/internal/topology"
 )
 
-// This file enforces the index-equivalence contract: the inverted matching
-// index must reproduce the retained linear matcher bit-for-bit — the same
-// forwarding decisions (observed as per-link traffic), the same local
-// delivery sets and orders, the same projected payloads, and the same
-// recorded routing state — over randomized overlays and workloads. It is
-// the pub/sub counterpart of querygraph's naive-edge-construction
-// equivalence discipline.
+// This file enforces the reference-equivalence contract: the production
+// broker must reproduce the reference broker (reference_test.go) bit for bit
+// — the same forwarding decisions (observed as per-link traffic), the same
+// local delivery sets and orders, the same projected payloads, and the same
+// recorded routing state — over randomized overlays and workloads. It is the
+// pub/sub counterpart of querygraph's naive-edge-construction equivalence
+// discipline.
 
 const (
 	eqAdvertise = iota
@@ -42,7 +42,7 @@ var eqStreams = []string{"R", "S", "T"}
 
 // eqRandomSub draws a subscription over the shared stream pool: 1-3 streams,
 // a nil / empty / partial projection (unsorted, now and then a name twice: the
-// linear reference reads the list as given, the index its sorted form), 0-3
+// reference reads the list as given, the index its sorted form), 0-3
 // filters mixing numeric ops, string
 // literals (kept raw unless the op is ==) and absent attributes, and one time
 // in four a string equality on tag, a, timestamp or the routing tag
@@ -267,13 +267,34 @@ func renderTuple(t stream.Tuple) string {
 	return b.String()
 }
 
+// eqOverlay is what a scenario drives: a production Network or the
+// reference (refNetwork).
+type eqOverlay interface {
+	client(n topology.NodeID) (eqClient, bool)
+}
+
+// eqClient is the client surface of one broker.
+type eqClient interface {
+	Advertise(streamName string)
+	Unadvertise(streamName string)
+	Subscribe(sub *Subscription, h Handler) error
+	Unsubscribe(id string)
+	Publish(t stream.Tuple)
+}
+
+// client implements eqOverlay.
+func (net *Network) client(n topology.NodeID) (eqClient, bool) {
+	b, ok := net.Broker(n)
+	return b, ok
+}
+
 // runEqScenario replays a scenario on a fresh overlay, appending every
 // delivery to *log in order. Handlers keep appending to the same log after
 // the scenario, so probe publishes made later are captured too.
-func runEqScenario(t *testing.T, net *Network, ops []eqOp, log *[]string) {
+func runEqScenario(t *testing.T, net eqOverlay, ops []eqOp, log *[]string) {
 	t.Helper()
 	for _, o := range ops {
-		b, ok := net.Broker(o.node)
+		b, ok := net.client(o.node)
 		if !ok {
 			t.Fatalf("no broker at %d", o.node)
 		}
@@ -335,7 +356,7 @@ func linkTraffic(net *Network) map[[2]topology.NodeID][2]int64 {
 	return out
 }
 
-func renderSentTo(nodes nodeSet) string {
+func renderSentTo(nodes []topology.NodeID) string {
 	parts := make([]string, len(nodes))
 	for i, n := range nodes {
 		parts[i] = fmt.Sprint(n)
@@ -344,41 +365,38 @@ func renderSentTo(nodes nodeSet) string {
 }
 
 // TestMatchIndexEquivalence: over randomized overlays and churn workloads
-// (interleaved advertise/subscribe/unsubscribe/publish in any order), the
-// indexed matcher and the linear reference produce identical delivery logs
-// (sets, order, payloads), identical per-link data and control traffic, and
-// identical recorded routing state including propagation records.
+// (interleaved advertise/subscribe/unsubscribe/unadvertise/publish in any
+// order), the production network and the reference network built on its
+// overlay produce identical delivery logs (sets, order, payloads), identical
+// per-link data and control traffic, identical recorded routing state
+// including propagation records, and identical traffic reports.
 func TestMatchIndexEquivalence(t *testing.T) {
-	for seed := uint64(0); seed < 40; seed++ {
+	for seed := uint64(0); seed < 200; seed++ {
 		r := rand.New(rand.NewPCG(seed, 2008))
 		nodes := 4 + int(seed%4)
 		oracle, ids := eqNetwork(t, r, nodes)
 		ops := eqScenario(r, nodes)
 
-		lin, err := NewNetwork(oracle, ids)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lin.setLinearMatching(true)
 		idx, err := NewNetwork(oracle, ids)
 		if err != nil {
 			t.Fatal(err)
 		}
+		ref := newRefNetwork(idx)
 
-		var linLog, idxLog []string
-		runEqScenario(t, lin, ops, &linLog)
+		var refLog, idxLog []string
+		runEqScenario(t, ref, ops, &refLog)
 		runEqScenario(t, idx, ops, &idxLog)
 
-		if !reflect.DeepEqual(linLog, idxLog) {
-			t.Fatalf("seed %d: delivery logs differ\nlinear:  %v\nindexed: %v", seed, linLog, idxLog)
+		if !reflect.DeepEqual(refLog, idxLog) {
+			t.Fatalf("seed %d: delivery logs differ\nreference: %v\nbroker:    %v", seed, refLog, idxLog)
 		}
-		if a, b := linkTraffic(lin), linkTraffic(idx); !reflect.DeepEqual(a, b) {
-			t.Fatalf("seed %d: per-link data/control traffic differs\nlinear:  %v\nindexed: %v", seed, a, b)
+		if a, b := ref.linkTraffic(), linkTraffic(idx); !reflect.DeepEqual(a, b) {
+			t.Fatalf("seed %d: per-link data/control traffic differs\nreference: %v\nbroker:    %v", seed, a, b)
 		}
-		if a, b := subsState(lin), subsState(idx); a != b {
-			t.Fatalf("seed %d: routing state differs\nlinear:\n%s\nindexed:\n%s", seed, a, b)
+		if a, b := ref.subsState(), subsState(idx); a != b {
+			t.Fatalf("seed %d: routing state differs\nreference:\n%s\nbroker:\n%s", seed, a, b)
 		}
-		if a, b := lin.Traffic(), idx.Traffic(); a != b {
+		if a, b := ref.Traffic(), idx.Traffic(); a != b {
 			t.Fatalf("seed %d: traffic reports differ: %+v vs %+v", seed, a, b)
 		}
 	}
@@ -530,7 +548,7 @@ func TestChurnReferenceEquivalence(t *testing.T) {
 				return true
 			}
 			for _, other := range recs {
-				if other.Covers(sub) {
+				if refCovers(other, sub) {
 					return true
 				}
 			}

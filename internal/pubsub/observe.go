@@ -12,8 +12,13 @@ import (
 // the node's /metrics endpoint (and the soak harnesses) can read them back.
 // All are send-side accounted like the fabric byte counters: a suppressed
 // subscription is one that covering suppression kept OFF a link, so
-// subscriptions_sent/(subscriptions_sent+subscriptions_suppressed) is the
-// control-plane savings ratio the paper's Fig 5 measures.
+// subscriptions_suppressed/(subscriptions_sent+subscriptions_suppressed) is
+// the control-plane savings ratio the paper's Fig 5 measures. Every
+// propagation decision counts once, wherever it is made — a new
+// subscription's, an advert replay's, an un-suppression's — and every
+// retraction at every hop it crosses, so the counts do not depend on whether
+// subscriptions or adverts arrived first. Each site adds after unlocking
+// (sendPends, sendRetractions).
 var (
 	cRoutedTuples    = metrics.GetCounter("pubsub.routed_tuples")
 	cLocalDeliveries = metrics.GetCounter("pubsub.local_deliveries")

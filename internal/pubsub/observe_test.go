@@ -2,12 +2,16 @@ package pubsub
 
 import (
 	"bytes"
+	"maps"
+	"math/rand/v2"
 	"strings"
 	"testing"
 
 	"repro/internal/logging"
 	"repro/internal/metrics"
+	"repro/internal/query"
 	"repro/internal/stream"
+	"repro/internal/topology"
 )
 
 // The observability tests run on the shared lineNet overlay (0-1-2-3,
@@ -153,8 +157,116 @@ func TestRouteCounters(t *testing.T) {
 	if got := delta("pubsub.subscriptions_sent"); got != 2 {
 		t.Errorf("subscriptions_sent delta = %d, want 2", got)
 	}
-	if got := delta("pubsub.retractions_sent"); got < 1 {
-		t.Errorf("retractions_sent delta = %d, want >= 1", got)
+	if got := delta("pubsub.retractions_sent"); got != 2 {
+		t.Errorf("retractions_sent delta = %d, want 2", got)
+	}
+}
+
+// sendCounter is a PeerWrapper counting the subscription and retraction
+// messages put on links.
+type sendCounter struct{ propagates, retracts int64 }
+
+func (c *sendCounter) WrapPeer(_ topology.NodeID, p Peer) Peer { return countedPeer{Peer: p, c: c} }
+
+type countedPeer struct {
+	Peer
+	c *sendCounter
+}
+
+func (p countedPeer) PropagateFrom(sub *Subscription, from topology.NodeID) {
+	p.c.propagates++
+	p.Peer.PropagateFrom(sub, from)
+}
+
+func (p countedPeer) RetractFrom(from topology.NodeID, id string, seq uint64) {
+	p.c.retracts++
+	p.Peer.RetractFrom(from, id, seq)
+}
+
+// controlDeltas runs f and returns how far it moved the three control-plane
+// decision counters, checking subscriptions_sent and retractions_sent against
+// the messages the network's links carried meanwhile.
+func controlDeltas(t *testing.T, net *Network, f func()) map[string]int64 {
+	t.Helper()
+	calls := new(sendCounter)
+	net.SetPeerWrapper(calls)
+	defer net.SetPeerWrapper(nil)
+	before := metrics.Counters()
+	f()
+	after := metrics.Counters()
+	out := make(map[string]int64)
+	for _, name := range []string{"pubsub.subscriptions_sent", "pubsub.subscriptions_suppressed", "pubsub.retractions_sent"} {
+		out[name] = after[name] - before[name]
+	}
+	if got := out["pubsub.subscriptions_sent"]; got != calls.propagates {
+		t.Errorf("subscriptions_sent delta = %d, links carried %d subscriptions", got, calls.propagates)
+	}
+	if got := out["pubsub.retractions_sent"]; got != calls.retracts {
+		t.Errorf("retractions_sent delta = %d, links carried %d retractions", got, calls.retracts)
+	}
+	return out
+}
+
+// TestControlCountersCountEveryDecision: every propagation decision counts
+// once, wherever it is made. On a 3-broker line, a covering and a covered
+// subscription at one end and an advert at the other move the counters by
+// the same amounts whichever comes first — an advert's replay decides like a
+// fresh subscription — and withdrawing the cover un-suppresses the covered
+// one, which counts too; retractions count at every hop. Random churn keeps
+// the sent counters equal to the messages on the links.
+func TestControlCountersCountEveryDecision(t *testing.T) {
+	scenario := func(advertFirst bool) map[string]int64 {
+		g := topology.NewGraph(3)
+		for i := 0; i < 2; i++ {
+			if err := g.AddEdge(topology.NodeID(i), topology.NodeID(i+1), 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		net, err := NewNetwork(topology.NewOracle(g), []topology.NodeID{0, 1, 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pub, _ := net.Broker(0)
+		subs, _ := net.Broker(2)
+		return controlDeltas(t, net, func() {
+			if advertFirst {
+				pub.Advertise("R")
+			}
+			for _, s := range []*Subscription{
+				{ID: "wide", Streams: []string{"R"}},
+				{ID: "narrow", Streams: []string{"R"}, Filters: []query.Predicate{filter("a", query.Gt, 10)}},
+			} {
+				if err := subs.Subscribe(s, func(*Subscription, stream.Tuple) {}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !advertFirst {
+				pub.Advertise("R")
+			}
+			subs.Unsubscribe("wide")
+			subs.Unsubscribe("narrow")
+		})
+	}
+	// wide crosses both links, narrow is suppressed behind it; when wide
+	// leaves, narrow crosses both links, and each retraction two.
+	want := map[string]int64{"pubsub.subscriptions_sent": 4, "pubsub.subscriptions_suppressed": 1, "pubsub.retractions_sent": 4}
+	for _, advertFirst := range []bool{true, false} {
+		if got := scenario(advertFirst); !maps.Equal(got, want) {
+			t.Errorf("advertise first = %v: counter deltas %v, want %v", advertFirst, got, want)
+		}
+	}
+
+	for seed := uint64(0); seed < 20; seed++ {
+		r := rand.New(rand.NewPCG(seed, 3301))
+		nodes := 4 + int(seed%4)
+		oracle, ids := eqNetwork(t, r, nodes)
+		ops := eqScenario(r, nodes)
+		net, err := NewNetwork(oracle, ids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var log []string
+		controlDeltas(t, net, func() { runEqScenario(t, net, ops, &log) })
 	}
 }
 

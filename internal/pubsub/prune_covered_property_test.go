@@ -116,7 +116,7 @@ func checkCoveredByIndex(t *testing.T, br *Broker, seed uint64) {
 				t.Errorf("seed %d: broker %d: suppressor of %s toward %d is no longer recorded", seed, br.Node, c.sub, n)
 				continue
 			}
-			if !cov.sentTo.has(n) || cov.sub.ID == c.sub.ID || !cov.sub.Covers(c.sub) {
+			if !cov.sentTo.has(n) || cov.sub.ID == c.sub.ID || !refCovers(cov.sub, c.sub) {
 				t.Errorf("seed %d: broker %d: %s has invalid suppressor %s toward %d", seed, br.Node, c.sub, cov.sub, n)
 			}
 			if !cov.suppresses[covEdge{rec: c, to: n}] {
@@ -143,69 +143,60 @@ func checkCoveredByIndex(t *testing.T, br *Broker, seed uint64) {
 	}
 }
 
-// TestCoveredByIndexMatchesRecomputation: after randomized churn workloads
-// (both matching modes maintain the index), every broker's covered-by index
-// equals the from-scratch covering recomputation, and stays consistent
-// after withdrawing a random subset of the survivors.
+// TestCoveredByIndexMatchesRecomputation: after randomized churn workloads,
+// every broker's covered-by index equals the from-scratch covering
+// recomputation, and stays consistent after withdrawing a random subset of
+// the survivors.
 func TestCoveredByIndexMatchesRecomputation(t *testing.T) {
-	for _, linear := range []bool{false, true} {
-		name := "indexed"
-		if linear {
-			name = "linear"
-		}
-		t.Run(name, func(t *testing.T) {
-			for seed := uint64(0); seed < 400; seed++ {
-				r := rand.New(rand.NewPCG(seed, 99))
-				nodes := 4 + int(seed%4)
-				oracle, ids := eqNetwork(t, r, nodes)
-				ops := eqScenario(r, nodes)
-				net, err := NewNetwork(oracle, ids)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if linear {
-					net.setLinearMatching(true)
-				}
-				var log []string
-				runEqScenario(t, net, ops, &log)
-				for _, n := range net.Nodes() {
-					br, _ := net.Broker(n)
-					checkCoveredByIndex(t, br, seed)
-				}
-				// Withdraw a random half of the survivors and re-check:
-				// un-suppression must leave the index equal to the
-				// recomputation again.
-				for _, o := range ops {
-					if o.kind == eqSubscribe && r.IntN(2) == 0 {
-						br, _ := net.Broker(o.node)
-						br.Unsubscribe(o.sub.ID)
-					}
-				}
-				for _, n := range net.Nodes() {
-					br, _ := net.Broker(n)
-					checkCoveredByIndex(t, br, seed)
+	t.Run("indexed", func(t *testing.T) {
+		for seed := uint64(0); seed < 400; seed++ {
+			r := rand.New(rand.NewPCG(seed, 99))
+			nodes := 4 + int(seed%4)
+			oracle, ids := eqNetwork(t, r, nodes)
+			ops := eqScenario(r, nodes)
+			net, err := NewNetwork(oracle, ids)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var log []string
+			runEqScenario(t, net, ops, &log)
+			for _, n := range net.Nodes() {
+				br, _ := net.Broker(n)
+				checkCoveredByIndex(t, br, seed)
+			}
+			// Withdraw a random half of the survivors and re-check:
+			// un-suppression must leave the index equal to the
+			// recomputation again.
+			for _, o := range ops {
+				if o.kind == eqSubscribe && r.IntN(2) == 0 {
+					br, _ := net.Broker(o.node)
+					br.Unsubscribe(o.sub.ID)
 				}
 			}
-		})
-	}
+			for _, n := range net.Nodes() {
+				br, _ := net.Broker(n)
+				checkCoveredByIndex(t, br, seed)
+			}
+		}
+	})
 }
 
 // TestPrunedRouteMatchesUnpruned: on a dense single-stream population large
 // enough to engage the production prune threshold, the pruned route and the
-// linear reference (which never prunes) deliver identical tuples.
+// reference (which scans every record) deliver identical tuples.
 func TestPrunedRouteMatchesUnpruned(t *testing.T) {
-	build := func(linear bool, log *[]string) *Network {
-		g := topology.NewGraph(2)
-		if err := g.AddEdge(0, 1, 1); err != nil {
-			t.Fatal(err)
-		}
-		net, err := NewNetwork(topology.NewOracle(g), []topology.NodeID{0, 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		net.setLinearMatching(linear)
-		src, _ := net.Broker(0)
-		dst, _ := net.Broker(1)
+	g := topology.NewGraph(2)
+	if err := g.AddEdge(0, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	pruned, err := NewNetwork(topology.NewOracle(g), []topology.NodeID{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain := newRefNetwork(pruned)
+	build := func(net eqOverlay, log *[]string) {
+		src, _ := net.client(0)
+		dst, _ := net.client(1)
 		src.Advertise("R")
 		r := rand.New(rand.NewPCG(7, 55))
 		for i := 0; i < 80; i++ {
@@ -218,17 +209,16 @@ func TestPrunedRouteMatchesUnpruned(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return net
 	}
 	var prunedLog, plainLog []string
-	pruned := build(false, &prunedLog)
-	plain := build(true, &plainLog)
+	build(pruned, &prunedLog)
+	build(plain, &plainLog)
 	r := rand.New(rand.NewPCG(8, 56))
 	for i := 0; i < 200; i++ {
 		tup := eqRandomTuple(r)
 		tup.Stream = "R"
-		srcP, _ := pruned.Broker(0)
-		srcU, _ := plain.Broker(0)
+		srcP, _ := pruned.client(0)
+		srcU, _ := plain.client(0)
 		srcP.Publish(tup)
 		srcU.Publish(tup)
 	}

@@ -368,7 +368,7 @@ func TestPropagateFromRejectsEmptySubscription(t *testing.T) {
 
 // TestMalformedFilterTolerated: a filter whose non-column operand carries no
 // literal (IsSelection is still true for it) must not crash compilation —
-// it evaluates false, exactly as the linear matcher's evalFilter treats it.
+// it evaluates false, exactly as Subscription.Matches' evalFilter treats it.
 func TestMalformedFilterTolerated(t *testing.T) {
 	net := lineNet(t)
 	src, _ := net.Broker(0)
@@ -398,19 +398,19 @@ func TestCoversRelation(t *testing.T) {
 		Attrs:   []string{"a"},
 		Filters: []query.Predicate{filter("a", query.Gt, 10)},
 	}
-	if !wide.Covers(narrow) {
+	if !refCovers(wide, narrow) {
 		t.Error("unfiltered multi-stream subscription should cover the narrow one")
 	}
-	if narrow.Covers(wide) {
+	if refCovers(narrow, wide) {
 		t.Error("narrow subscription cannot cover the wide one")
 	}
 	// Filter weakening: a > 5 covers a > 10 but not vice versa.
 	weak := &Subscription{ID: "k", Streams: []string{"R"}, Filters: []query.Predicate{filter("a", query.Gt, 5)}}
 	strong := &Subscription{ID: "s", Streams: []string{"R"}, Filters: []query.Predicate{filter("a", query.Gt, 10)}}
-	if !weak.Covers(strong) {
+	if !refCovers(weak, strong) {
 		t.Error("a>5 should cover a>10")
 	}
-	if strong.Covers(weak) {
+	if refCovers(strong, weak) {
 		t.Error("a>10 should not cover a>5")
 	}
 }
@@ -427,7 +427,7 @@ func TestMergeSubscriptions(t *testing.T) {
 	if len(m.Attrs) != 2 {
 		t.Errorf("merged attrs = %v", m.Attrs)
 	}
-	if !m.Covers(a) || !m.Covers(b) {
+	if !refCovers(m, a) || !refCovers(m, b) {
 		t.Errorf("merged subscription %v does not cover inputs", m)
 	}
 }

@@ -1,7 +1,6 @@
 package pubsub
 
 import (
-	"maps"
 	"slices"
 	"sync"
 
@@ -15,8 +14,8 @@ func (b *Broker) Publish(t stream.Tuple) {
 	b.route(t, -1)
 }
 
-// delivery is one matched local subscription, captured under the lock and
-// invoked after releasing it.
+// delivery is one matched local subscription, captured by the match and
+// invoked after it.
 type delivery struct {
 	h    Handler
 	sub  *Subscription
@@ -51,34 +50,20 @@ var routeBufPool = sync.Pool{New: func() any { return new(routeBufs) }}
 // attribute interests (early projection, §2). Matching runs lock-free
 // against the published snapshot epoch (matchSnap, snapshot.go), so
 // concurrent routes proceed in parallel and route never takes the broker
-// mutex. The one exception is the linear reference the equivalence tests
-// select (no epoch published): it serializes under the mutex on the live
-// records. Both produce identical decisions.
+// mutex.
 func (b *Broker) route(t stream.Tuple, from topology.NodeID) {
-	bufs := routeBufPool.Get().(*routeBufs)
-	locals, hops := bufs.locals[:0], bufs.hops[:0]
-	if snap := b.snap.Load(); snap != nil {
-		if from >= 0 && !slices.Contains(snap.neighbors, from) {
-			// Data from a torn-down link (as of this epoch): no routing
-			// state references the direction anymore, so the tuple is
-			// dropped (at-most-once data delivery; the repaired overlay
-			// routes fresh traffic). A route racing the detach may read the
-			// pre-detach epoch and accept — that is the linearization where
-			// the route happened first.
-			routeBufPool.Put(bufs)
-			return
-		}
-		locals, hops = matchSnap(snap, &t, from, bufs, locals, hops)
-	} else {
-		b.mu.Lock()
-		if from >= 0 && !slices.Contains(b.neighbors, from) {
-			b.mu.Unlock()
-			routeBufPool.Put(bufs)
-			return
-		}
-		locals, hops = b.matchLinear(t, from, locals, hops)
-		b.mu.Unlock()
+	snap := b.snap.Load()
+	if from >= 0 && !slices.Contains(snap.neighbors, from) {
+		// Data from a torn-down link (as of this epoch): no routing state
+		// references the direction anymore, so the tuple is dropped
+		// (at-most-once data delivery; the repaired overlay routes fresh
+		// traffic). A route racing the detach may read the pre-detach epoch
+		// and accept — that is the linearization where the route happened
+		// first.
+		return
 	}
+	bufs := routeBufPool.Get().(*routeBufs)
+	locals, hops := matchSnap(snap, &t, from, bufs, bufs.locals[:0], bufs.hops[:0])
 	cRoutedTuples.Inc()
 	if len(locals) > 0 {
 		cLocalDeliveries.Add(int64(len(locals)))
@@ -116,56 +101,6 @@ func (b *Broker) route(t stream.Tuple, from topology.NodeID) {
 	clear(bufs.match) // and the candidate records the match scratch held
 	bufs.locals, bufs.hops, bufs.match = locals[:0], hops[:0], bufs.match[:0]
 	routeBufPool.Put(bufs)
-}
-
-// matchLinear is the reference matcher: every local subscription and every
-// recorded subscription of each outgoing direction is tested against the
-// tuple with the uncompiled Subscription.Matches walk. Retained for the
-// equivalence tests.
-func (b *Broker) matchLinear(t stream.Tuple, from topology.NodeID, locals []delivery, hops []hop) ([]delivery, []hop) {
-	for _, c := range b.idx.locals.subs {
-		if c.sub.Matches(t) && c.handler != nil {
-			locals = append(locals, delivery{h: c.handler, sub: c.sub, keep: c.sub.Attrs})
-		}
-	}
-	for _, n := range b.neighbors {
-		if n == from {
-			continue
-		}
-		d, ok := b.idx.dirs[n]
-		if !ok {
-			continue
-		}
-		var wanted map[string]bool
-		interested := false
-		all := false
-		for _, c := range d.subs {
-			if !c.sub.Matches(t) {
-				continue
-			}
-			interested = true
-			if c.sub.Attrs == nil {
-				all = true
-				break
-			}
-			if wanted == nil {
-				wanted = make(map[string]bool)
-			}
-			for _, a := range c.sub.Attrs {
-				wanted[a] = true
-			}
-		}
-		if !interested {
-			continue
-		}
-		h := hop{to: n}
-		if !all {
-			h.attrs = slices.AppendSeq([]string{}, maps.Keys(wanted))
-			slices.Sort(h.attrs)
-		}
-		hops = append(hops, h)
-	}
-	return locals, hops
 }
 
 // projectAttrs returns t cut down to the attributes keep lists (nil keeps t

@@ -106,12 +106,6 @@ func (b *Broker) routesOf(s string) *streamRoutes {
 // entries are shared) plus O(dirty streams) entries re-derived, a drained
 // stream's dropped. Caller holds b.mu.
 func (b *Broker) publishLocked() {
-	if b.linearMatch {
-		// The linear reference routes through the locked path; an epoch
-		// swap to nil is how the switch reaches in-flight routes.
-		b.snap.Store(nil)
-		return
-	}
 	dirty, prev := b.idx.dirty, b.snap.Load()
 	if len(dirty) == 0 && !b.snapNeighbors {
 		return
@@ -143,8 +137,8 @@ func (b *Broker) publishLocked() {
 // forwarding projection is the direction's maintained per-stream union
 // instead of a per-tuple rebuild. Pruning skips only candidates the exact
 // matcher would reject, so deliveries, forwarding decisions and projections
-// are matchLinear's on the index the epoch froze. Runs without Broker.mu; all
-// scratch lives in the pooled bufs.
+// are those of a Subscription.Matches scan over the records the epoch froze.
+// Runs without Broker.mu; all scratch lives in the pooled bufs.
 func matchSnap(snap *matchSnapshot, t *stream.Tuple, from topology.NodeID, bufs *routeBufs, locals []delivery, hops []hop) ([]delivery, []hop) {
 	i, ok := snap.find(t.Stream)
 	if !ok {

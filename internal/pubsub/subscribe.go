@@ -56,7 +56,6 @@ func (b *Broker) Unsubscribe(id string) {
 	}
 	var targets nodeSet
 	var seq uint64
-	var streams map[string]bool // linear-reference sweep only
 	var edges []covEdge
 	for _, c := range removed {
 		for _, n := range c.sentTo {
@@ -65,29 +64,18 @@ func (b *Broker) Unsubscribe(id string) {
 		if c.seq > seq {
 			seq = c.seq
 		}
-		if b.linearMatch {
-			if streams == nil {
-				streams = make(map[string]bool)
-			}
-			for _, s := range c.sub.Streams {
-				streams[s] = true
-			}
-		}
 		edges = append(edges, detachCovEdges(c)...)
 	}
 	if len(removed) > 1 {
 		sortCovEdges(edges)
 	}
-	resend := b.unsuppressLocked(streams, targets, edges)
+	var p pends
+	b.unsuppressEdges(&p, edges)
 	b.publishLocked()
 	b.mu.Unlock()
 	cUnsubscribes.Inc()
-	cRetractionsSent.Add(int64(len(targets)))
-	for _, n := range targets {
-		b.net.CountControl(b.Node, n, retractSize)
-		b.net.Peer(n).RetractFrom(b.Node, id, seq)
-	}
-	b.sendPends(resend)
+	b.sendRetractions(targets, id, seq)
+	b.sendPends(p)
 }
 
 // retractFrom handles a retraction arriving from a neighbor: the record of
@@ -120,104 +108,78 @@ func (b *Broker) retractFrom(from topology.NodeID, id string, seq uint64) {
 		return // stale retraction: superseded by a newer epoch
 	}
 	d.remove(rec)
-	edges := detachCovEdges(rec)
-	targets := rec.sentTo
-	var streams map[string]bool // linear-reference sweep only
-	if b.linearMatch {
-		streams = make(map[string]bool, len(rec.sub.Streams))
-		for _, s := range rec.sub.Streams {
-			streams[s] = true
-		}
-	}
-	resend := b.unsuppressLocked(streams, targets, edges)
+	var p pends
+	b.unsuppressEdges(&p, detachCovEdges(rec))
 	b.publishLocked()
 	b.mu.Unlock()
+	b.sendRetractions(rec.sentTo, id, seq)
+	b.sendPends(p)
+}
+
+// sendRetractions sends, and counts, one retraction per target.
+func (b *Broker) sendRetractions(targets nodeSet, id string, seq uint64) {
+	cRetractionsSent.Add(int64(len(targets)))
 	for _, n := range targets {
 		b.net.CountControl(b.Node, n, retractSize)
 		b.net.Peer(n).RetractFrom(b.Node, id, seq)
 	}
-	b.sendPends(resend)
 }
 
-// pendSend is one subscription re-propagation decided under the lock and
-// sent after releasing it.
+// pendSend is one subscription propagation decided under the lock and sent
+// after releasing it.
 type pendSend struct {
 	to  topology.NodeID
 	sub *Subscription
 }
 
-// sendPends delivers re-propagations decided under the lock.
-func (b *Broker) sendPends(pends []pendSend) {
-	for _, s := range pends {
+// pends collects the propagation decisions of one critical section: the
+// sends, in decision order, and how many decisions a cover suppressed
+// instead. Every decision site — a new subscription's, an advert replay's, an
+// un-suppression's — records into one, and sendPends counts it after the
+// unlock.
+type pends struct {
+	sends      []pendSend
+	suppressed int
+}
+
+// sendPends counts a critical section's decisions and delivers its sends.
+func (b *Broker) sendPends(p pends) {
+	cSubsSent.Add(int64(len(p.sends)))
+	cSubsSuppressed.Add(int64(p.suppressed))
+	for _, s := range p.sends {
 		b.net.CountControl(b.Node, s.to, subSize(s.sub))
 		b.net.Peer(s.to).PropagateFrom(s.sub, b.Node)
 	}
 }
 
-// unsuppressLocked re-runs the propagation decision for the subscriptions a
-// just-removed record may have been covering. On the indexed path that is
-// exactly the removed record's suppression edges (already detached and in
-// canonical sweep order); on the linear reference path it is the full sweep
-// over every record sharing a stream with the removed one, toward the
-// neighbors it had been sent to — the pre-index algorithm, kept as the
-// contract. Both paths re-decide with the same cover scan in the same
-// order, so decisions and re-propagation order are bit-identical; the edge
-// set just lets the indexed path skip the records whose suppressor was not
-// the removed one (their decision cannot have changed — covering is
-// monotone in sentTo, which only grows between removals). Eligible
-// subscriptions are marked sent and returned for delivery outside the
-// lock. Caller holds b.mu (with the removed record already gone).
-func (b *Broker) unsuppressLocked(streams map[string]bool, targets []topology.NodeID, edges []covEdge) []pendSend {
-	if !b.linearMatch {
-		return b.unsuppressEdges(edges)
+// decideLocked makes c's propagation decision toward an eligible neighbor n
+// it was neither sent toward nor suppressed for. Covering suppression: a
+// DIFFERENT subscription covering c that was actually propagated to n already
+// pulls a superset of c's traffic toward n, so c need not be sent there, and
+// the suppression edge is recorded. Suppression is gated on the cover's own
+// sentTo — a subscription recorded before the relevant adverts arrived was
+// sent nowhere and guarantees nothing. Otherwise c is marked sent and
+// queued. ivs is query.SelectionIntervalsByAttr(c.sub.Filters). Caller holds
+// b.mu.
+func (b *Broker) decideLocked(p *pends, c *compiledSub, n topology.NodeID, ivs map[string]query.Interval) {
+	if cov := b.coverFor(n, c.sub, ivs); cov != nil {
+		suppressEdge(cov, c, n)
+		p.suppressed++
+		return
 	}
-	if len(targets) == 0 {
-		return nil
-	}
-	var out []pendSend
-	consider := func(c *compiledSub, n topology.NodeID) {
-		if c.sentTo.has(n) || !c.listsAny(streams) {
-			return
-		}
-		if !b.advertisesAny(n, c.sub.Streams) {
-			return
-		}
-		if c.coveredBy[n] != nil {
-			// Still suppressed by a suppressor that was not removed:
-			// its covering (recorded, sent toward n) is intact.
-			return
-		}
-		if cov := b.coverFor(n, c.sub, query.SelectionIntervalsByAttr(c.sub.Filters)); cov != nil {
-			suppressEdge(cov, c, n)
-			return
-		}
-		c.sentTo.set(n)
-		out = append(out, pendSend{to: n, sub: c.sub})
-	}
-	for _, n := range targets {
-		for _, c := range b.idx.locals.subs {
-			consider(c, n)
-		}
-		for _, d := range b.idx.dirOrder {
-			if d == n {
-				continue
-			}
-			for _, c := range b.idx.dirs[d].subs {
-				consider(c, n)
-			}
-		}
-	}
-	return out
+	c.sentTo.set(n)
+	p.sends = append(p.sends, pendSend{to: n, sub: c.sub})
 }
 
-// unsuppressEdges is the covered-by-index un-suppression: each detached
-// suppression edge is one (record, neighbor) decision to re-run — either a
-// surviving cover takes over (a fresh edge is recorded) or the record
-// finally propagates. Visiting edges in canonical sweep order makes a
-// record sent early in the pass eligible to cover records considered later,
-// exactly as the reference sweep's in-pass covering does.
-func (b *Broker) unsuppressEdges(edges []covEdge) []pendSend {
-	var out []pendSend
+// unsuppressEdges re-runs the propagation decisions a removal released: each
+// detached suppression edge is one (record, neighbor) decision — either a
+// surviving cover takes over (a fresh edge is recorded) or the record finally
+// propagates. No other decision can have changed: its suppressor survives,
+// and covering is monotone in sentTo, which only grows between removals.
+// Visiting edges in canonical sweep order (sortCovEdges) makes a record sent
+// early in the pass eligible to cover records considered later. Caller holds
+// b.mu, with the removed record already gone.
+func (b *Broker) unsuppressEdges(p *pends, edges []covEdge) {
 	// A record suppressed toward several neighbors appears once per edge;
 	// memoize its folded filter intervals so the cover scans compile the
 	// conjunction once per record, not once per edge.
@@ -235,20 +197,11 @@ func (b *Broker) unsuppressEdges(edges []covEdge) []pendSend {
 	}
 	for _, e := range edges {
 		c, n := e.rec, e.to
-		if c.sentTo.has(n) || c.coveredBy[n] != nil {
+		if c.sentTo.has(n) || c.coveredBy[n] != nil || !b.advertisesAny(n, c.sub.Streams) {
 			continue
 		}
-		if !b.advertisesAny(n, c.sub.Streams) {
-			continue
-		}
-		if cov := b.coverFor(n, c.sub, ivsFor(c)); cov != nil {
-			suppressEdge(cov, c, n)
-			continue
-		}
-		c.sentTo.set(n)
-		out = append(out, pendSend{to: n, sub: c.sub})
+		b.decideLocked(p, c, n, ivsFor(c))
 	}
-	return out
 }
 
 // propagate records a subscription arriving from a neighbor (from >= 0) and
@@ -272,13 +225,11 @@ func (b *Broker) propagate(sub *Subscription, from topology.NodeID) {
 		return // dead-link straggler (see advertFrom)
 	}
 	var rec *compiledSub
-	// State released by a superseded older epoch of the same ID, to
-	// un-suppress after the fresh record has made its own propagation
+	var p pends
+	// Suppression released by a superseded older epoch of the same ID, to
+	// re-decide after the fresh record has made its own propagation
 	// decisions (so it can take over the covering it still provides).
 	var supEdges []covEdge
-	var supStreams map[string]bool
-	var supTargets []topology.NodeID
-	superseded := false
 	if from >= 0 {
 		d := b.idx.dir(from)
 		if ts, ok := d.retracted[sub.ID]; ok {
@@ -307,14 +258,6 @@ func (b *Broker) propagate(sub *Subscription, from topology.NodeID) {
 			// epoch may no longer cover it.
 			d.remove(prev)
 			supEdges = detachCovEdges(prev)
-			superseded = true
-			supTargets = prev.sentTo
-			if b.linearMatch {
-				supStreams = make(map[string]bool, len(prev.sub.Streams))
-				for _, s := range prev.sub.Streams {
-					supStreams[s] = true
-				}
-			}
 		}
 		if !b.advertisedExceptAny(from, sub.Streams) {
 			// Mirror-rule install check: a record from this direction is
@@ -327,15 +270,12 @@ func (b *Broker) propagate(sub *Subscription, from topology.NodeID) {
 			// no retraction will ever chase this record — installing it
 			// would strand it forever. Drop it; a re-advertisement
 			// replays the subscription from the sender's surviving copy.
-			var resend []pendSend
-			if superseded {
-				resend = b.unsuppressLocked(supStreams, supTargets, supEdges)
-			}
+			b.unsuppressEdges(&p, supEdges)
 			// The superseded record's removal (if any) must reach the
 			// published epoch even though nothing was installed.
 			b.publishLocked()
 			b.mu.Unlock()
-			b.sendPends(resend)
+			b.sendPends(p)
 			return
 		}
 		rec = compileSub(sub.Clone(), nil)
@@ -357,42 +297,16 @@ func (b *Broker) propagate(sub *Subscription, from topology.NodeID) {
 		}
 	}
 	ivs := query.SelectionIntervalsByAttr(sub.Filters)
-	targets := make([]topology.NodeID, 0, len(b.neighbors))
-	suppressed := 0
 	for _, n := range b.neighbors {
-		if n == from || rec.sentTo.has(n) || rec.coveredBy[n] != nil {
+		if n == from || rec.sentTo.has(n) || rec.coveredBy[n] != nil || !b.advertisesAny(n, sub.Streams) {
 			continue
 		}
-		if !b.advertisesAny(n, sub.Streams) {
-			continue
-		}
-		// Covering suppression: a DIFFERENT subscription covering this
-		// one that was actually propagated to n already pulls a
-		// superset of its traffic toward n, so this one need not be
-		// sent there. Suppression is gated on the covering record's
-		// own sentTo — a subscription recorded before the relevant
-		// adverts arrived was sent nowhere and guarantees nothing.
-		if cov := b.coverFor(n, sub, ivs); cov != nil {
-			suppressEdge(cov, rec, n)
-			suppressed++
-			continue
-		}
-		rec.sentTo.set(n)
-		targets = append(targets, n)
+		b.decideLocked(&p, rec, n, ivs)
 	}
-	var resend []pendSend
-	if superseded {
-		resend = b.unsuppressLocked(supStreams, supTargets, supEdges)
-	}
+	b.unsuppressEdges(&p, supEdges)
 	b.publishLocked()
 	b.mu.Unlock()
-	cSubsSent.Add(int64(len(targets)))
-	cSubsSuppressed.Add(int64(suppressed))
-	for _, n := range targets {
-		b.net.CountControl(b.Node, n, subSize(sub))
-		b.net.Peer(n).PropagateFrom(sub, b.Node)
-	}
-	b.sendPends(resend)
+	b.sendPends(p)
 }
 
 // coverFor returns the first recorded subscription — locals in registration
@@ -405,18 +319,9 @@ func (b *Broker) propagate(sub *Subscription, from topology.NodeID) {
 // A cover must list every stream of sub, so only the posting list of sub's
 // first stream is examined, and of that only the records whose bounds admit
 // a point of sub's own interval (coverIter) — a superset of the covers in
-// posting-list order, so the first cover found is the full scan's. The
-// linear reference scans every record of each direction, uncompiled.
+// posting-list order, so the first cover found is the full scan's.
 func (b *Broker) coverFor(n topology.NodeID, sub *Subscription, ivs map[string]query.Interval) *compiledSub {
 	first := func(d *dirIndex) *compiledSub {
-		if b.linearMatch {
-			for _, c := range d.subs {
-				if c.sentTo.has(n) && c.sub.ID != sub.ID && c.sub.CoversPrepared(sub, ivs) {
-					return c
-				}
-			}
-			return nil
-		}
 		it := d.posting(sub.Streams[0]).coverIter(ivs, &b.coverBufs)
 		for c := it.next(); c != nil; c = it.next() {
 			if c.sentTo.has(n) && c.sub.ID != sub.ID && c.covers(sub, ivs) {

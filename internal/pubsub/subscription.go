@@ -83,58 +83,6 @@ func evalFilter(p query.Predicate, t stream.Tuple) bool {
 	return p.Op.Eval(lv.Compare(rv))
 }
 
-// Covers reports whether s admits every message that o admits — the
-// covering relation Siena uses to suppress redundant subscription
-// propagation. It is sound but not complete: a false result may still be a
-// covering pair (e.g. filters over disjoint attribute sets), which costs
-// extra propagation but never correctness.
-func (s *Subscription) Covers(o *Subscription) bool {
-	return s.CoversPrepared(o, query.SelectionIntervalsByAttr(o.Filters))
-}
-
-// CoversPrepared is Covers with o's filter conjunction already folded into
-// per-attribute intervals (query.SelectionIntervalsByAttr(o.Filters)).
-// Cover scans test many candidate covers against one subscription; hoisting
-// the fold makes the scan cost one interval-implication walk per candidate
-// instead of one compilation each.
-func (s *Subscription) CoversPrepared(o *Subscription, ivs map[string]query.Interval) bool {
-	for _, st := range o.Streams {
-		if !s.hasStream(st) {
-			return false
-		}
-	}
-	// Projection: s must keep at least o's attributes.
-	if s.Attrs != nil {
-		if o.Attrs == nil {
-			return false
-		}
-		keep := make(map[string]bool, len(s.Attrs))
-		for _, a := range s.Attrs {
-			keep[a] = true
-		}
-		for _, a := range o.Attrs {
-			if !keep[a] {
-				return false
-			}
-		}
-	}
-	// Filters: o's conjunction must imply every filter of s.
-	for _, f := range s.Filters {
-		f = f.Normalize()
-		if !f.IsSelection() || f.Right.Lit == nil {
-			return false
-		}
-		iv, ok := ivs[f.Left.Col.Attr]
-		if !ok {
-			iv = query.FullInterval()
-		}
-		if !iv.Implies(f.Op, *f.Right.Lit) {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders the subscription for logs and tests.
 func (s *Subscription) String() string {
 	var b strings.Builder

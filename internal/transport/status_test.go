@@ -115,18 +115,20 @@ func TestPipeStatusDeadPeer(t *testing.T) {
 
 // TestMsgKindString pins the names the loss logs and handlers report.
 func TestMsgKindString(t *testing.T) {
-	want := map[MsgKind]string{
-		MsgAdvert:      "advert",
-		MsgSubscribe:   "subscribe",
-		MsgData:        "data",
-		MsgUnsubscribe: "unsubscribe",
-		MsgUnadvertise: "unadvertise",
-		MsgBatch:       "batch",
-		MsgKind(99):    "kind(99)",
-	}
-	for k, s := range want {
-		if k.String() != s {
-			t.Errorf("MsgKind(%d).String() = %q, want %q", int(k), k.String(), s)
+	for _, c := range []struct {
+		k MsgKind
+		s string
+	}{
+		{MsgAdvert, "advert"},
+		{MsgSubscribe, "subscribe"},
+		{MsgData, "data"},
+		{MsgUnsubscribe, "unsubscribe"},
+		{MsgUnadvertise, "unadvertise"},
+		{MsgBatch, "batch"},
+		{MsgKind(99), "kind(99)"},
+	} {
+		if c.k.String() != c.s {
+			t.Errorf("MsgKind(%d).String() = %q, want %q", int(c.k), c.k.String(), c.s)
 		}
 	}
 }

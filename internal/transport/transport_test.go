@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -185,8 +186,8 @@ func TestWireSubscriptionRoundTrip(t *testing.T) {
 	if f.Right.Lit == nil || f.Right.Lit.F != 7 {
 		t.Errorf("right operand = %+v", f.Right)
 	}
-	if !in.Covers(out) || !out.Covers(in) {
-		t.Error("round-tripped subscription not equivalent")
+	if !reflect.DeepEqual(in, out) {
+		t.Errorf("round trip changed the subscription: %+v, sent %+v", out, in)
 	}
 }
 
