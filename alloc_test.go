@@ -126,7 +126,7 @@ func TestRouteAllocBudget(t *testing.T) {
 		t.Skip("allocation counts do not repeat under the race detector")
 	}
 	for _, n := range []int{1000, 10000} {
-		src, tupleAt, delivered := routeBench(t, n)
+		src, _, tupleAt, delivered := routeBench(t, n)
 		i := 0
 		walk := testing.AllocsPerRun(6400, func() { src.Publish(tupleAt(i)); i++ })
 		whole, projected := tupleAt(65), tupleAt(64)
@@ -183,5 +183,40 @@ func TestRouteAllocBudget(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, func() { got = got[:0]; src.Publish(tup) }); allocs != 7 {
 		t.Errorf("Broker.Publish through a merged partial union allocates %v objects, pinned 7 (go1.24 map layout)", allocs)
+	}
+}
+
+// TestSubscribeAllocBudget pins what the control path allocates on the
+// routeBench set-up: one Subscribe and Unsubscribe of a fresh window
+// subscription at the subscribing broker — compile and record it, derive the
+// next posting-list and epoch versions, decide its propagation toward the
+// publisher by a cover scan, record it there, and retract it from both. The
+// count is an average over many pairs, so the index's periodic tail flushes,
+// run merges and compactions are amortised into it.
+func TestSubscribeAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts do not repeat under the race detector")
+	}
+	lo, hi := stream.FloatVal(1e6), stream.FloatVal(1e6+2)
+	a := &query.ColRef{Attr: "a"}
+	sub := &pubsub.Subscription{ID: "fresh", Streams: []string{"S00"}, Attrs: []string{"a", "b"}, Filters: []query.Predicate{
+		{Left: query.Operand{Col: a}, Op: query.Ge, Right: query.Operand{Lit: &lo}},
+		{Left: query.Operand{Col: a}, Op: query.Lt, Right: query.Operand{Lit: &hi}},
+	}}
+	handler := func(*pubsub.Subscription, stream.Tuple) {}
+	for _, c := range []struct {
+		subs int
+		want float64
+	}{{1000, 47}, {10000, 41}} {
+		_, dst, _, _ := routeBench(t, c.subs)
+		got := testing.AllocsPerRun(1000, func() {
+			if err := dst.Subscribe(sub, handler); err != nil {
+				t.Fatal(err)
+			}
+			dst.Unsubscribe(sub.ID)
+		})
+		if got != c.want {
+			t.Errorf("subs=%d: a Subscribe+Unsubscribe pair allocates %v objects, pinned %v (go1.24 map layout)", c.subs, got, c.want)
+		}
 	}
 }

@@ -208,11 +208,11 @@ func BenchmarkFig11Prototype(b *testing.B) {
 // recorded at the publisher too, so a Publish pays two full matching passes.
 // Per stream the subscriptions are strictly increasing half-open windows
 // [k, k+2) on attribute a — none covers another, so all of them propagate —
-// and every other one projects. It returns the publisher, the i-th tuple of
-// a walk over the streams and window positions, and the delivery count. One
-// tuple per stream is published before returning, so a short run measures
-// the steady state.
-func routeBench(tb testing.TB, nSubs int) (src *pubsub.Broker, tupleAt func(i int) stream.Tuple, delivered *atomic.Int64) {
+// and every other one projects. It returns the publisher, the subscribing
+// neighbor, the i-th tuple of a walk over the streams and window positions,
+// and the delivery count. One tuple per stream is published before returning,
+// so a short run measures the steady state.
+func routeBench(tb testing.TB, nSubs int) (src, dst *pubsub.Broker, tupleAt func(i int) stream.Tuple, delivered *atomic.Int64) {
 	tb.Helper()
 	g := topology.NewGraph(2)
 	if err := g.AddEdge(0, 1, 1); err != nil {
@@ -223,7 +223,7 @@ func routeBench(tb testing.TB, nSubs int) (src *pubsub.Broker, tupleAt func(i in
 		tb.Fatal(err)
 	}
 	src, _ = net.Broker(0)
-	dst, _ := net.Broker(1)
+	dst, _ = net.Broker(1)
 	const streams = 64
 	streamName := func(s int) string { return fmt.Sprintf("S%02d", s) }
 	for s := 0; s < streams; s++ {
@@ -266,7 +266,7 @@ func routeBench(tb testing.TB, nSubs int) (src *pubsub.Broker, tupleAt func(i in
 	for s := 0; s < streams; s++ {
 		src.Publish(tupleAt(s))
 	}
-	return src, tupleAt, delivered
+	return src, dst, tupleAt, delivered
 }
 
 // BenchmarkBrokerRouteParallel drives the routeBench set-up from
@@ -280,7 +280,7 @@ func routeBench(tb testing.TB, nSubs int) (src *pubsub.Broker, tupleAt func(i in
 func BenchmarkBrokerRouteParallel(b *testing.B) {
 	for _, n := range []int{1000, 10000} {
 		b.Run(fmt.Sprintf("subs=%d", n), func(b *testing.B) {
-			src, tupleAt, delivered := routeBench(b, n)
+			src, _, tupleAt, delivered := routeBench(b, n)
 			var seq atomic.Int64
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {

@@ -4,7 +4,6 @@ import (
 	"slices"
 	"sort"
 
-	"repro/internal/query"
 	"repro/internal/topology"
 )
 
@@ -365,7 +364,7 @@ func (b *Broker) replayLocked(p *pends, from topology.NodeID, streamName string)
 			}
 			// coverFor sees the sentTo marks set earlier in this sweep: an
 			// EARLIER candidate already marked sent can cover a later one.
-			b.decideLocked(p, c, from, query.SelectionIntervalsByAttr(c.sub.Filters))
+			b.decideLocked(p, c, from)
 		}
 	}
 	replay(b.idx.locals)

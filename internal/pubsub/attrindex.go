@@ -26,8 +26,12 @@ import (
 //
 //   - live: every candidate ever added with a compiled interval on the
 //     attribute, as sorted runs of doubling size (the logarithmic method:
-//     O(log n) runs, amortised O(log n) per insertion, and a merge builds a
-//     NEW run, never touching one an epoch holds);
+//     O(log n) runs, and a merge builds a NEW run, never touching one an
+//     epoch holds) plus a tail of the newest entries in insertion order. An
+//     insertion appends to the tail; a full tail (tailMax entries) is sorted
+//     once into a run, which merges linearly with the trailing runs it
+//     outgrows — amortised O(log n) per insertion and a constant number of
+//     objects;
 //   - gone: the same over the candidates removed since the last compaction.
 //     Counting them out keeps the stab-count estimate exact — it is the
 //     number of live entries a stab returns once the tombstones are dropped
@@ -37,7 +41,9 @@ import (
 //     stab's own count (selectBy; TestSingleAttributeStabIsItsOwnEstimate);
 //   - rest: the positions with no compiled interval on the attribute —
 //     candidates whatever the probe value. Positions only grow, so rest is
-//     append-only and versions share its backing array.
+//     append-only and versions share its backing array, as they share a
+//     tail's: each version reads only its own length, and only the newest
+//     appends.
 //
 // Entries are bounds only (closedBounds) plus the candidate's position:
 // disequality points, string constraints and contradictions are the exact
@@ -51,6 +57,11 @@ import (
 // small lists (the query middleware's) pay nothing for upkeep. Package
 // variable so tests can force indexing on tiny populations.
 var pruneMin = 16
+
+// tailMax is the number of entries an attribute's tail holds before they
+// become a run: a stab or count scans the tail linearly. Package variable so
+// tests can force flushes and merges on tiny populations.
+var tailMax = 32
 
 // closedBounds returns the closed float64 interval admitting what iv's
 // bounds admit: an open bound moves to the adjacent float64, which is exact
@@ -98,6 +109,27 @@ func newRun(entries []ivEntry) *ivRun {
 	return &ivRun{entries: entries, his: his}
 }
 
+// mergeRuns returns the run holding the entries of both, by a linear merge of
+// their sorted arrays. Neither argument is written.
+func mergeRuns(a, b *ivRun) *ivRun {
+	entries := mergeSorted(a.entries, b.entries, func(x, y ivEntry) bool { return x.lo < y.lo })
+	fillMaxHi(entries)
+	return &ivRun{entries: entries, his: mergeSorted(a.his, b.his, func(x, y float64) bool { return x < y })}
+}
+
+// mergeSorted merges two ascending slices into a new one.
+func mergeSorted[T any](a, b []T, less func(x, y T) bool) []T {
+	out := make([]T, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		if less(b[0], a[0]) {
+			out, b = append(out, b[0]), b[1:]
+		} else {
+			out, a = append(out, a[0]), a[1:]
+		}
+	}
+	return append(append(out, a...), b...)
+}
+
 func fillMaxHi(entries []ivEntry) float64 {
 	if len(entries) == 0 {
 		return math.Inf(-1)
@@ -131,36 +163,67 @@ func stabRun(entries []ivEntry, v float64, out []int32) []int32 {
 }
 
 // runSet is the logarithmic-method collection of runs, longest (oldest)
-// first; each run is at least twice as long as its successor.
-type runSet []*ivRun
+// first, each at least twice as long as its successor, plus the tail: the
+// entries pushed since the last run was made, in insertion order.
+type runSet struct {
+	runs []*ivRun
+	tail []ivEntry
+}
 
-// push returns the set with one more entry: a run of its own, merged with
-// every trailing run that is less than twice as long as what follows it.
-// The receiver and its runs are left intact.
+// push returns the set with one more entry. The entry is appended to the
+// tail in place — beyond every older version's length, so the receiver's
+// view is left intact. A full tail becomes a run, merged with every trailing
+// run less than twice as long as what follows it; the receiver's runs are
+// never written.
 func (rs runSet) push(e ivEntry) runSet {
-	n, size := len(rs), 1
-	for n > 0 && len(rs[n-1].entries) < 2*size {
+	if rs.tail == nil {
+		rs.tail = make([]ivEntry, 0, tailMax)
+	}
+	rs.tail = append(rs.tail, e)
+	if len(rs.tail) < tailMax {
+		return rs
+	}
+	r, n := newRun(slices.Clone(rs.tail)), len(rs.runs)
+	for n > 0 && len(rs.runs[n-1].entries) < 2*len(r.entries) {
 		n--
-		size += len(rs[n].entries)
+		r = mergeRuns(rs.runs[n], r)
 	}
-	entries := make([]ivEntry, 0, size)
-	for _, r := range rs[n:] {
-		entries = append(entries, r.entries...)
-	}
-	return append(rs[:n:n], newRun(append(entries, e)))
+	return runSet{runs: append(rs.runs[:n:n], r)}
 }
 
 // count returns lower bounds admitting v minus upper bounds rejecting it,
-// summed over the runs — the number of entries admitting v when every entry
-// has lo ≤ hi. Not clamped per run, so it is a function of the entries
-// alone, whatever runs hold them.
+// summed over the runs and the tail — the number of entries admitting v when
+// every entry has lo ≤ hi. Not clamped per run, so it is a function of the
+// entries alone, whatever runs hold them.
 func (rs runSet) count(v float64) int {
 	n := 0
-	for _, r := range rs {
+	for _, r := range rs.runs {
 		n += sort.Search(len(r.entries), func(i int) bool { return r.entries[i].lo > v })
 		n -= sort.Search(len(r.his), func(i int) bool { return r.his[i] >= v })
 	}
+	for _, e := range rs.tail {
+		if e.lo <= v {
+			n++
+		}
+		if e.hi < v {
+			n--
+		}
+	}
 	return n
+}
+
+// stab appends the positions of the entries admitting v, in no particular
+// order.
+func (rs runSet) stab(v float64, out []int32) []int32 {
+	for _, r := range rs.runs {
+		out = stabRun(r.entries, v, out)
+	}
+	for _, e := range rs.tail {
+		if e.lo <= v && v <= e.hi {
+			out = append(out, e.pos)
+		}
+	}
+	return out
 }
 
 // attrIndex indexes one attribute over one posting list.
@@ -189,16 +252,6 @@ type attrPruneIndex struct {
 	attrs []attrIndex // one per attribute any candidate constrained, by name
 }
 
-// group returns the compiled interval group of one attribute, or nil.
-func (c *compiledSub) group(attr string) *attrGroup {
-	for i := range c.groups {
-		if c.groups[i].attr == attr {
-			return &c.groups[i]
-		}
-	}
-	return nil
-}
-
 func entryOf(g *attrGroup, pos int32) ivEntry {
 	lo, hi := closedBounds(g.iv)
 	return ivEntry{lo: lo, hi: hi, pos: pos}
@@ -225,13 +278,13 @@ func buildAttrPruneIndex(ss *streamSnap) *attrPruneIndex {
 		var rest []int32
 		it := ss.scan()
 		for c := it.next(); c != nil; c = it.next() {
-			if g := c.group(name); g != nil {
+			if g := groupOf(c.groups, name); g != nil {
 				entries = append(entries, entryOf(g, it.pos()))
 			} else {
 				rest = append(rest, it.pos())
 			}
 		}
-		idx.attrs = append(idx.attrs, attrIndex{attr: name, live: runSet{newRun(entries)}, rest: rest})
+		idx.attrs = append(idx.attrs, attrIndex{attr: name, live: runSet{runs: []*ivRun{newRun(entries)}}, rest: rest})
 	}
 	return idx
 }
@@ -242,10 +295,12 @@ func buildAttrPruneIndex(ss *streamSnap) *attrPruneIndex {
 // constrain starts with every earlier position, removed ones included, in
 // rest.
 func (ai *attrPruneIndex) with(c *compiledSub, pos int32, gone bool, nDead int) *attrPruneIndex {
-	attrs := make([]attrIndex, 0, len(ai.attrs)+len(c.groups))
+	// Sized for the attributes already indexed: an attribute c is the first
+	// to constrain is rare, and its append grows the slice.
+	attrs := make([]attrIndex, 0, len(ai.attrs))
 	for _, a := range ai.attrs {
 		next := attrIndex{attr: a.attr, live: a.live, gone: a.gone, rest: a.rest, restGone: a.restGone}
-		switch g := c.group(a.attr); {
+		switch g := groupOf(c.groups, a.attr); {
 		case g != nil && gone:
 			next.gone = a.gone.push(entryOf(g, pos))
 		case g != nil:
@@ -268,7 +323,7 @@ func (ai *attrPruneIndex) with(c *compiledSub, pos int32, gone bool, nDead int) 
 		for i := range rest {
 			rest[i] = int32(i)
 		}
-		attrs = append(attrs, attrIndex{attr: g.attr, live: runSet(nil).push(entryOf(g, pos)), rest: rest, restGone: nDead})
+		attrs = append(attrs, attrIndex{attr: g.attr, live: runSet{}.push(entryOf(g, pos)), rest: rest, restGone: nDead})
 	}
 	if len(attrs) > len(ai.attrs) {
 		slices.SortFunc(attrs, func(a, b attrIndex) int { return cmp.Compare(a.attr, b.attr) })
@@ -325,17 +380,17 @@ func (ss *streamSnap) matchIter(t *stream.Tuple, bufs *routeBufs) candIter {
 }
 
 // coverIter walks the candidates that could cover a subscription whose
-// filters fold to ivs: the probe on an attribute the subscription constrains
-// is one point of its interval (probePoint). Attributes it leaves
-// unconstrained cannot prune — a candidate constraining one may still cover
-// through a vacuous bound.
-func (ss *streamSnap) coverIter(ivs map[string]query.Interval, bufs *routeBufs) candIter {
+// filters fold to fold (foldSelections): the probe on an attribute the
+// subscription constrains is one point of its interval (probePoint).
+// Attributes it leaves unconstrained cannot prune — a candidate constraining
+// one may still cover through a vacuous bound.
+func (ss *streamSnap) coverIter(fold []attrGroup, bufs *routeBufs) candIter {
 	return ss.selectBy(bufs, func(attr string) (float64, bool, bool) {
-		iv, ok := ivs[attr]
-		if !ok {
+		g := groupOf(fold, attr)
+		if g == nil {
 			return 0, false, false
 		}
-		v, ok := probePoint(iv)
+		v, ok := probePoint(g.iv)
 		return v, false, ok
 	})
 }
@@ -380,16 +435,14 @@ func (ss *streamSnap) selectBy(bufs *routeBufs, probe func(attr string) (v float
 	}
 	stab := bufs.stab[:0]
 	if !bestAbsent {
-		for _, r := range best.live {
-			stab = stabRun(r.entries, bestV, stab)
-		}
+		stab = best.live.stab(bestV, stab)
 		bufs.stab = stab
 		// At most every tombstone is among the stabbed: too many already?
 		if 2*(len(stab)-len(ss.dead)+best.restLive()) >= ss.live() {
 			return it
 		}
 		// Runs emit lower-bound order, which correlates with registration
-		// order only by accident: sort.
+		// order only by accident, and the tail follows them: sort.
 		slices.Sort(stab)
 	}
 	// Merge with rest (disjoint by construction: a candidate either has an

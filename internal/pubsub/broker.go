@@ -163,8 +163,11 @@ type Broker struct {
 	// installs, giving compiledSub.regSeq its broker-wide registration
 	// order.
 	recCount uint64
-	// coverBufs is coverFor's selection scratch, used under mu.
+	// coverBufs is coverFor's selection scratch and coverFold the folded
+	// filters of the record a decision is made for (decideLocked), both used
+	// under mu.
 	coverBufs routeBufs
+	coverFold []attrGroup
 
 	// log holds the broker's structured logger as a loggerBox (observe.go);
 	// the zero Value means logging.Nop(). Read with one atomic load per

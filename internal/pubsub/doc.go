@@ -29,7 +29,12 @@
 //     From match to project to forward the only map is the tuple's payload:
 //     projection lists and unions are sorted slices (replaced, never
 //     written, once an epoch can see them), and a record keeps no
-//     per-attribute table. There is one routing path. Its reference lives
+//     per-attribute table. The control path reads the same compiled
+//     records: a cover decision folds the new subscription's filters into
+//     a broker-owned slice (foldSelections, what
+//     query.SelectionIntervalsByAttr computes, without the map), and an
+//     index insert appends to a shared tail instead of re-sorting runs.
+//     There is one routing path. Its reference lives
 //     in the package's tests (reference_test.go): a broker over plain
 //     record slices that matches with Subscription.Matches and recomputes
 //     covering from scratch, which randomized equivalence suites hold the

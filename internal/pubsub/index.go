@@ -455,7 +455,9 @@ func (c *compiledSub) holdsUnfolded(attr string, t *stream.Tuple) bool {
 func sortedAttrs(attrs []string) []string {
 	for i := 1; i < len(attrs); i++ {
 		if attrs[i-1] >= attrs[i] {
-			return slices.Compact(slices.Sorted(slices.Values(attrs)))
+			sorted := slices.Clone(attrs)
+			slices.Sort(sorted)
+			return slices.Compact(sorted)
 		}
 	}
 	return attrs
@@ -467,7 +469,6 @@ func sortedAttrs(attrs []string) []string {
 // the cover test (covers) needs it.
 func compileSub(s *Subscription, h Handler) *compiledSub {
 	c := &compiledSub{sub: s, handler: h, keep: sortedAttrs(s.Attrs)}
-	groups := make(map[string]int)
 	for _, f := range s.Filters {
 		n, ok := query.NumericSelection(f)
 		if !ok {
@@ -487,29 +488,62 @@ func compileSub(s *Subscription, h Handler) *compiledSub {
 			c.raw = append(c.raw, n)
 			continue
 		}
-		attr := n.Left.Col.Attr
-		gi, ok := groups[attr]
-		if !ok {
-			gi = len(c.groups)
-			groups[attr] = gi
-			c.groups = append(c.groups, attrGroup{attr: attr, iv: query.FullInterval()})
-		}
-		c.groups[gi].iv = c.groups[gi].iv.Constrain(n.Op, *n.Right.Lit)
+		c.groups = constrainGroup(c.groups, n)
 	}
 	return c
+}
+
+// constrainGroup folds the normalised selection p into its attribute's group
+// of gs — a new one, unconstrained, when the attribute has none yet. A record
+// constrains a handful of attributes, so the group is found by a scan.
+func constrainGroup(gs []attrGroup, p query.Predicate) []attrGroup {
+	attr := p.Left.Col.Attr
+	g := groupOf(gs, attr)
+	if g == nil {
+		gs = append(gs, attrGroup{attr: attr, iv: query.FullInterval()})
+		g = &gs[len(gs)-1]
+	}
+	g.iv = g.iv.Constrain(p.Op, *p.Right.Lit)
+	return gs
+}
+
+// groupOf returns the group of one attribute in gs, or nil.
+func groupOf(gs []attrGroup, attr string) *attrGroup {
+	for i := range gs {
+		if gs[i].attr == attr {
+			return &gs[i]
+		}
+	}
+	return nil
+}
+
+// foldSelections folds every selection with a literal among filters into one
+// interval per bare attribute, in order of first appearance, reusing dst's
+// array: query.SelectionIntervalsByAttr as a slice, which a cover decision
+// reads without building a map (TestFoldMatchesSelectionIntervals). Unlike
+// compiledSub.groups it folds string and NaN literals too — covering reads
+// them, matching cannot.
+func foldSelections(dst []attrGroup, filters []query.Predicate) []attrGroup {
+	dst = dst[:0]
+	for _, f := range filters {
+		if p := f.Normalize(); p.IsSelection() && p.Right.Lit != nil {
+			dst = constrainGroup(dst, p)
+		}
+	}
+	return dst
 }
 
 // covers reports whether c admits every message o admits — the covering
 // relation Siena uses to suppress redundant subscription propagation: c lists
 // every stream of o, keeps every attribute o keeps, and o's filter
-// conjunction, folded into ivs (query.SelectionIntervalsByAttr(o.Filters)),
-// implies each filter of c. It is sound but not complete: a false result may
-// still be a covering pair (filters over disjoint attributes, say), which
-// costs propagation but never correctness. The projection check searches the
-// keep list, so a cover scan costs one interval-implication walk per
-// candidate and allocates nothing; a property test holds it to the
-// reference's refCovers (maintained_index_test.go).
-func (c *compiledSub) covers(o *Subscription, ivs map[string]query.Interval) bool {
+// conjunction, folded into fold (foldSelections of o.Filters), implies each
+// filter of c. It is sound but not complete: a false result may still be a
+// covering pair (filters over disjoint attributes, say), which costs
+// propagation but never correctness. The projection check searches the keep
+// list, so a cover scan costs one interval-implication walk per candidate and
+// allocates nothing; a property test holds it to the reference's refCovers
+// (maintained_index_test.go).
+func (c *compiledSub) covers(o *Subscription, fold []attrGroup) bool {
 	for _, st := range o.Streams {
 		if !c.sub.hasStream(st) {
 			return false
@@ -526,11 +560,10 @@ func (c *compiledSub) covers(o *Subscription, ivs map[string]query.Interval) boo
 		}
 	}
 	implies := func(attr string, op query.Op, lit stream.Value) bool {
-		iv, ok := ivs[attr]
-		if !ok {
-			iv = query.FullInterval()
+		if g := groupOf(fold, attr); g != nil {
+			return g.iv.Implies(op, lit)
 		}
-		return iv.Implies(op, lit)
+		return query.FullInterval().Implies(op, lit)
 	}
 	if c.tag != "" && !implies(stream.TagAttr, query.Eq, stream.StringVal(c.tag)) {
 		return false

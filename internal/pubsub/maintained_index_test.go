@@ -5,8 +5,10 @@ import (
 	"maps"
 	"math"
 	"math/rand/v2"
+	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -118,16 +120,21 @@ func sameSeq(a, b []*compiledSub) bool {
 // with the candidate sequence an index built from scratch on the surviving
 // list gives — same decision to prune, same attribute, same candidates in
 // the same order — and its projection union is the survivors'. Removing
-// everything leaves no list behind.
+// everything leaves no list behind. The tail size cycles over the seeds, so
+// populations straddle flushes and run merges at every size.
 func TestMaintainedIndexMatchesRebuilt(t *testing.T) {
 	withPruneMin(t, func(t *testing.T) {
 		var pruned probeCount
 		defer func() {
-			if !t.Failed() && (pruned.match == 0 || pruned.cover == 0) {
-				t.Errorf("%d match and %d cover probes pruned: the test does not exercise the index", pruned.match, pruned.cover)
+			if !t.Failed() && (pruned.match == 0 || pruned.cover == 0 || pruned.straddled == 0) {
+				t.Errorf("%d match and %d cover probes pruned, %d with entries in runs and tail: the test does not exercise the index",
+					pruned.match, pruned.cover, pruned.straddled)
 			}
 		}()
+		oldTail := tailMax
+		defer func() { tailMax = oldTail }()
 		for seed := uint64(0); seed < 200; seed++ {
+			tailMax = []int{1, 3, 8, oldTail}[seed%4]
 			r := rand.New(rand.NewPCG(seed, 2201))
 			d := newDirIndex(map[string]bool{})
 			var live []*compiledSub
@@ -159,8 +166,10 @@ func TestMaintainedIndexMatchesRebuilt(t *testing.T) {
 	})
 }
 
-// probeCount counts the probes the index answered without a full scan.
-type probeCount struct{ match, cover int }
+// probeCount counts the probes the index answered without a full scan, and
+// the lists checked while an attribute held entries both in runs and in the
+// tail.
+type probeCount struct{ match, cover, straddled int }
 
 func checkAgainstRebuilt(t *testing.T, r *rand.Rand, d *dirIndex, seed uint64, step int, pruned *probeCount) {
 	t.Helper()
@@ -182,6 +191,9 @@ func checkAgainstRebuilt(t *testing.T, r *rand.Rand, d *dirIndex, seed uint64, s
 		}
 		want := rebuilt(live)
 		got := pl.streamSnap
+		if got.idx != nil && slices.ContainsFunc(got.idx.attrs, func(a attrIndex) bool { return len(a.live.runs) > 0 && len(a.live.tail) > 0 }) {
+			pruned.straddled++
+		}
 		for trial := 0; trial < 6; trial++ {
 			tup := eqRandomTuple(r)
 			if trial%3 == 0 {
@@ -196,11 +208,11 @@ func checkAgainstRebuilt(t *testing.T, r *rand.Rand, d *dirIndex, seed uint64, s
 			if gi.pruned {
 				pruned.match++
 			}
-			ivs := query.SelectionIntervalsByAttr(shapedSub(r, trial).Filters)
-			gi, wi = got.coverIter(ivs, mb), want.coverIter(ivs, rb)
+			fold := foldSelections(nil, shapedSub(r, trial).Filters)
+			gi, wi = got.coverIter(fold, mb), want.coverIter(fold, rb)
 			if gi.pruned != wi.pruned || !sameSeq(walk(gi), walk(wi)) {
 				t.Fatalf("seed %d step %d stream %s: cover probe %v: maintained (pruned=%v) and rebuilt (pruned=%v) select different candidates",
-					seed, step, s, ivs, gi.pruned, wi.pruned)
+					seed, step, s, fold, gi.pruned, wi.pruned)
 			}
 			if gi.pruned {
 				pruned.cover++
@@ -284,9 +296,8 @@ func TestFirstCoverIdentical(t *testing.T) {
 			ref := refMirror(b)
 			for trial := 0; trial < 40; trial++ {
 				sub := shapedSub(r, 1000+trial)
-				ivs := query.SelectionIntervalsByAttr(sub.Filters)
 				n := b.neighbors[r.IntN(3)]
-				got, want := b.coverFor(n, sub, ivs), ref.firstCover(n, sub)
+				got, want := b.coverFor(n, sub, foldSelections(nil, sub.Filters)), ref.firstCover(n, sub)
 				if (got == nil) != (want == nil) || got != nil && got.sub != want.sub {
 					t.Fatalf("seed %d: first cover of %s toward %d: indexed %v, full scan %v", seed, sub, n, got, want)
 				}
@@ -314,9 +325,8 @@ func TestCompiledCoversMatchesCoversPrepared(t *testing.T) {
 		} else {
 			s, o = randomSub(r, "w"), randomSub(r, "n")
 		}
-		ivs := query.SelectionIntervalsByAttr(o.Filters)
 		want := refCovers(s, o)
-		if got := compileSub(s, nil).covers(o, ivs); got != want {
+		if got := compileSub(s, nil).covers(o, foldSelections(nil, o.Filters)); got != want {
 			t.Fatalf("seed %d: compiled covers = %v, refCovers = %v for %s over %s", seed, got, want, s, o)
 		}
 		if want {
@@ -326,6 +336,111 @@ func TestCompiledCoversMatchesCoversPrepared(t *testing.T) {
 	if covering < 100 {
 		t.Fatalf("only %d covering pairs drawn", covering)
 	}
+}
+
+// TestFoldMatchesSelectionIntervals: the fold a cover decision reads holds,
+// for every attribute, exactly the interval query.SelectionIntervalsByAttr
+// computes — over both random generators and hand cases for every predicate
+// shape the fold must skip or carry.
+func TestFoldMatchesSelectionIntervals(t *testing.T) {
+	str := func(attr, op string, v string) query.Predicate {
+		lit := stream.StringVal(v)
+		o := map[string]query.Op{"==": query.Eq, "!=": query.Ne, "<": query.Lt}[op]
+		return query.Predicate{Left: query.Operand{Col: &query.ColRef{Attr: attr}}, Op: o, Right: query.Operand{Lit: &lit}}
+	}
+	col := func(attr string) query.Operand { return query.Operand{Col: &query.ColRef{Attr: attr}} }
+	lit := stream.FloatVal(3)
+	hand := [][]query.Predicate{
+		{str("b", "==", "x"), str(stream.TagAttr, "==", "q1"), filter("timestamp", query.Ge, 5)},
+		{str("b", "==", "x"), str("b", "==", "y"), str("b", "!=", "x"), str("b", "<", "z")},
+		{filter("a", query.Lt, math.NaN()), filter("a", query.Ge, 1), filter("a", query.Ne, math.NaN())},
+		{filter("a", query.Gt, 4), filter("a", query.Lt, 2)},
+		{filter("a", query.Ge, 1), filter("b", query.Lt, 9), filter("a", query.Ne, 3), filter("a", query.Le, 7)},
+		{{Left: query.Operand{Lit: &lit}, Op: query.Lt, Right: col("a")}},
+		{{Left: col("a"), Op: query.Lt, Right: col("b")}, filter("b", query.Gt, 0)},
+		{{Left: col("a"), Op: query.Eq}, {Left: query.Operand{Lit: &lit}, Op: query.Eq}, filter("a", query.Le, 2)},
+		nil,
+	}
+	check := func(what string, fs []query.Predicate) {
+		t.Helper()
+		if err := foldEqualsIntervals(foldSelections(nil, fs), query.SelectionIntervalsByAttr(fs)); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	}
+	for i, fs := range hand {
+		check(fmt.Sprintf("hand case %d", i), fs)
+	}
+	var scratch []attrGroup
+	for seed := uint64(0); seed < 4000; seed++ {
+		r := rand.New(rand.NewPCG(seed, 2206))
+		sub := shapedSub(r, int(seed))
+		if seed%2 == 1 {
+			sub = randomSub(r, "s")
+		}
+		check(fmt.Sprintf("seed %d, %s", seed, sub), sub.Filters)
+		// A reused scratch folds as a fresh one.
+		scratch = foldSelections(scratch, sub.Filters)
+		if fresh := foldSelections(nil, sub.Filters); len(fresh) > 0 && !reflect.DeepEqual(scratch, fresh) || len(scratch) != len(fresh) {
+			t.Fatalf("seed %d: reused scratch folds to %v, a fresh one to %v", seed, scratch, fresh)
+		}
+	}
+}
+
+// FuzzFoldSelections: for filters built from fuzzed fields — every three
+// bytes an operator (invalid ones included) and two operands, each nothing, a
+// column named from cols, or the literal f1, f2 or str — compileSub does not
+// panic and the fold equals query.SelectionIntervalsByAttr.
+func FuzzFoldSelections(f *testing.F) {
+	f.Add([]byte{byte(query.Ge), 1, 2, byte(query.Lt), 1, 3}, "x", 0.0, 4.0, "")
+	f.Add([]byte{byte(query.Eq), 1, 4, byte(query.Ne), 6, 2, byte(query.Lt), 1, 1}, "a,__q,timestamp", math.NaN(), -1.0, "x")
+	f.Fuzz(func(t *testing.T, preds []byte, cols string, f1, f2 float64, str string) {
+		names := strings.Split(cols, ",")
+		lits := []stream.Value{stream.FloatVal(f1), stream.FloatVal(f2), stream.StringVal(str)}
+		operand := func(k byte) query.Operand {
+			switch k % 5 {
+			case 0:
+				return query.Operand{}
+			case 1:
+				return query.Operand{Col: &query.ColRef{Attr: names[int(k/5)%len(names)]}}
+			}
+			v := lits[k%5-2]
+			return query.Operand{Lit: &v}
+		}
+		var fs []query.Predicate
+		for i := 0; i+3 <= len(preds) && i < 3*6; i += 3 {
+			fs = append(fs, query.Predicate{Left: operand(preds[i+1]), Op: query.Op(preds[i] % 8), Right: operand(preds[i+2])})
+		}
+		compileSub(&Subscription{ID: "f", Streams: []string{"R"}, Filters: fs}, nil)
+		if err := foldEqualsIntervals(foldSelections(nil, fs), query.SelectionIntervalsByAttr(fs)); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// foldEqualsIntervals reports how a fold differs from the map of intervals it
+// must equal, or nil: one group per attribute, each interval reflect-equal to
+// the map's once a NaN disequality point (the one NaN an interval can hold)
+// compares equal to itself.
+func foldEqualsIntervals(fold []attrGroup, want map[string]query.Interval) error {
+	canon := func(iv query.Interval) query.Interval {
+		iv.NotEq = slices.Clone(iv.NotEq)
+		for i, x := range iv.NotEq {
+			if math.IsNaN(x) {
+				iv.NotEq[i] = math.Inf(1)
+			}
+		}
+		return iv
+	}
+	if len(fold) != len(want) {
+		return fmt.Errorf("fold %v has %d attributes, SelectionIntervalsByAttr %v has %d", fold, len(fold), want, len(want))
+	}
+	for i, g := range fold {
+		w, ok := want[g.attr]
+		if !ok || groupOf(fold[:i], g.attr) != nil || !reflect.DeepEqual(canon(g.iv), canon(w)) {
+			return fmt.Errorf("attribute %s folds to %v, SelectionIntervalsByAttr has %v", g.attr, g.iv, w)
+		}
+	}
+	return nil
 }
 
 // TestClosedBoundsAdmitWhatTheIntervalAdmits: the index's closed bounds
@@ -354,7 +469,8 @@ func TestClosedBoundsAdmitWhatTheIntervalAdmits(t *testing.T) {
 }
 
 // indexFootprint sums what a broker's local posting lists hold; a
-// tombstoned candidate counts twice among the index entries (live and gone).
+// tombstoned candidate counts twice among the index entries (live and gone),
+// whether a run or the tail holds it.
 func indexFootprint(b *Broker) (records, slots, tombstones, entries int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -364,8 +480,11 @@ func indexFootprint(b *Broker) (records, slots, tombstones, entries int) {
 		tombstones += len(pl.dead)
 		if pl.idx != nil {
 			for _, a := range pl.idx.attrs {
-				for _, r := range append(a.live[:len(a.live):len(a.live)], a.gone...) {
-					entries += len(r.entries)
+				for _, rs := range []runSet{a.live, a.gone} {
+					entries += len(rs.tail)
+					for _, r := range rs.runs {
+						entries += len(r.entries)
+					}
 				}
 			}
 		}

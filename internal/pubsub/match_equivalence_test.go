@@ -422,7 +422,7 @@ func checkLifecycleInvariant(t *testing.T, net *Network, seed uint64) {
 				if !br.advertisesAny(nb, c.sub.Streams) {
 					continue
 				}
-				if br.coverFor(nb, c.sub, query.SelectionIntervalsByAttr(c.sub.Filters)) != nil {
+				if br.coverFor(nb, c.sub, foldSelections(nil, c.sub.Filters)) != nil {
 					continue
 				}
 				t.Errorf("seed %d: broker %d: %s neither sent toward %d nor covered",

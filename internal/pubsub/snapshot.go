@@ -91,6 +91,9 @@ func (b *Broker) routesOf(s string) *streamRoutes {
 	}
 	for _, n := range b.neighbors {
 		if d := b.idx.dirs[n]; d != nil && d.byStream[s] != nil {
+			if sr.dirs == nil {
+				sr.dirs = make([]dirRoute, 0, len(b.neighbors))
+			}
 			sr.dirs = append(sr.dirs, dirRoute{to: n, ss: d.byStream[s].streamSnap})
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/query"
 	"repro/internal/topology"
 )
 
@@ -159,10 +158,11 @@ func (b *Broker) sendPends(p pends) {
 // the suppression edge is recorded. Suppression is gated on the cover's own
 // sentTo — a subscription recorded before the relevant adverts arrived was
 // sent nowhere and guarantees nothing. Otherwise c is marked sent and
-// queued. ivs is query.SelectionIntervalsByAttr(c.sub.Filters). Caller holds
-// b.mu.
-func (b *Broker) decideLocked(p *pends, c *compiledSub, n topology.NodeID, ivs map[string]query.Interval) {
-	if cov := b.coverFor(n, c.sub, ivs); cov != nil {
+// queued. c's filters are folded into the broker's scratch (coverFold) for
+// the cover scan, so a decision builds no map. Caller holds b.mu.
+func (b *Broker) decideLocked(p *pends, c *compiledSub, n topology.NodeID) {
+	b.coverFold = foldSelections(b.coverFold, c.sub.Filters)
+	if cov := b.coverFor(n, c.sub, b.coverFold); cov != nil {
 		suppressEdge(cov, c, n)
 		p.suppressed++
 		return
@@ -180,27 +180,12 @@ func (b *Broker) decideLocked(p *pends, c *compiledSub, n topology.NodeID, ivs m
 // early in the pass eligible to cover records considered later. Caller holds
 // b.mu, with the removed record already gone.
 func (b *Broker) unsuppressEdges(p *pends, edges []covEdge) {
-	// A record suppressed toward several neighbors appears once per edge;
-	// memoize its folded filter intervals so the cover scans compile the
-	// conjunction once per record, not once per edge.
-	var ivsCache map[*compiledSub]map[string]query.Interval
-	ivsFor := func(c *compiledSub) map[string]query.Interval {
-		if ivs, ok := ivsCache[c]; ok {
-			return ivs
-		}
-		ivs := query.SelectionIntervalsByAttr(c.sub.Filters)
-		if ivsCache == nil {
-			ivsCache = make(map[*compiledSub]map[string]query.Interval)
-		}
-		ivsCache[c] = ivs
-		return ivs
-	}
 	for _, e := range edges {
 		c, n := e.rec, e.to
 		if c.sentTo.has(n) || c.coveredBy[n] != nil || !b.advertisesAny(n, c.sub.Streams) {
 			continue
 		}
-		b.decideLocked(p, c, n, ivsFor(c))
+		b.decideLocked(p, c, n)
 	}
 }
 
@@ -296,12 +281,11 @@ func (b *Broker) propagate(sub *Subscription, from topology.NodeID) {
 			return // unsubscribed or superseded since Subscribe
 		}
 	}
-	ivs := query.SelectionIntervalsByAttr(sub.Filters)
 	for _, n := range b.neighbors {
 		if n == from || rec.sentTo.has(n) || rec.coveredBy[n] != nil || !b.advertisesAny(n, sub.Streams) {
 			continue
 		}
-		b.decideLocked(&p, rec, n, ivs)
+		b.decideLocked(&p, rec, n)
 	}
 	b.unsuppressEdges(&p, supEdges)
 	b.publishLocked()
@@ -311,20 +295,19 @@ func (b *Broker) propagate(sub *Subscription, from topology.NodeID) {
 
 // coverFor returns the first recorded subscription — locals in registration
 // order, then each direction other than n in ascending order — that was
-// actually propagated to n and covers sub, or nil. ivs must be
-// query.SelectionIntervalsByAttr(sub.Filters), hoisted by the caller so a
-// scan over many candidate covers compiles sub's filter conjunction once.
+// actually propagated to n and covers sub, or nil. fold is sub's filters
+// folded (foldSelections), once for the whole scan over candidate covers.
 // The returned record is the suppressor the covered-by index records; the
 // scan order is deterministic, so repeated runs pick the same suppressor.
 // A cover must list every stream of sub, so only the posting list of sub's
 // first stream is examined, and of that only the records whose bounds admit
 // a point of sub's own interval (coverIter) — a superset of the covers in
 // posting-list order, so the first cover found is the full scan's.
-func (b *Broker) coverFor(n topology.NodeID, sub *Subscription, ivs map[string]query.Interval) *compiledSub {
+func (b *Broker) coverFor(n topology.NodeID, sub *Subscription, fold []attrGroup) *compiledSub {
 	first := func(d *dirIndex) *compiledSub {
-		it := d.posting(sub.Streams[0]).coverIter(ivs, &b.coverBufs)
+		it := d.posting(sub.Streams[0]).coverIter(fold, &b.coverBufs)
 		for c := it.next(); c != nil; c = it.next() {
-			if c.sentTo.has(n) && c.sub.ID != sub.ID && c.covers(sub, ivs) {
+			if c.sentTo.has(n) && c.sub.ID != sub.ID && c.covers(sub, fold) {
 				return c
 			}
 		}

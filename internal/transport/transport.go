@@ -281,43 +281,32 @@ type WirePredicate struct {
 	RightAls  string
 }
 
+// toWire shares the subscription's stream and projection lists and its
+// literals instead of copying them: nothing writes them once the
+// subscription is subscribed, and an envelope is not written once enqueued.
+// gob sends an empty list as it sends nil, so the bytes are the copy's. The
+// filter lists are sized up front (slices.Grow keeps an empty one nil).
 func toWire(s *pubsub.Subscription) *WireSubscription {
-	w := &WireSubscription{
-		ID:      s.ID,
-		Seq:     s.Seq,
-		Streams: append([]string(nil), s.Streams...),
-		Attrs:   append([]string(nil), s.Attrs...),
-	}
+	w := &WireSubscription{ID: s.ID, Seq: s.Seq, Streams: s.Streams, Attrs: s.Attrs, Filters: slices.Grow([]WirePredicate(nil), len(s.Filters))}
 	for _, p := range s.Filters {
-		wp := WirePredicate{Op: p.Op}
+		wp := WirePredicate{Op: p.Op, LeftLit: p.Left.Lit, RightLit: p.Right.Lit}
 		if p.Left.Col != nil {
 			wp.LeftCol = p.Left.Col.Attr
 			wp.LeftAlias = p.Left.Col.Alias
 		}
-		if p.Left.Lit != nil {
-			v := *p.Left.Lit
-			wp.LeftLit = &v
-		}
 		if p.Right.Col != nil {
 			wp.RightCol = p.Right.Col.Attr
 			wp.RightAls = p.Right.Col.Alias
-		}
-		if p.Right.Lit != nil {
-			v := *p.Right.Lit
-			wp.RightLit = &v
 		}
 		w.Filters = append(w.Filters, wp)
 	}
 	return w
 }
 
+// fromWire adopts the decoded lists and literals: the envelope was decoded
+// for this hop alone.
 func fromWire(w *WireSubscription) *pubsub.Subscription {
-	s := &pubsub.Subscription{
-		ID:      w.ID,
-		Seq:     w.Seq,
-		Streams: append([]string(nil), w.Streams...),
-		Attrs:   w.Attrs,
-	}
+	s := &pubsub.Subscription{ID: w.ID, Seq: w.Seq, Streams: w.Streams, Attrs: w.Attrs, Filters: slices.Grow([]query.Predicate(nil), len(w.Filters))}
 	for _, wp := range w.Filters {
 		p := query.Predicate{Op: wp.Op}
 		if wp.LeftCol != "" || wp.LeftAlias != "" {
