@@ -13,7 +13,7 @@
 # sees it — and a PR that shrinks it lowers MAX to lock the gain in.
 set -euo pipefail
 
-MAX=19873 # lowered from 20118 (-245): the linear reference left the broker — matchLinear, the linearMatch field and every branch on it, unsuppressLocked, listsAny and route's locked arm deleted; Subscription.Covers/CoversPrepared moved into the tests as refCovers; broker.go split into four files (+25 header lines)
+MAX=19935 # raised from 19873 (+62): each index run set keeps an append-only tail that, when full, becomes a run merged linearly with the trailing runs (push, mergeRuns, mergeSorted, a tail-aware count and stab: +53), and cover decisions read a slice fold (foldSelections, constrainGroup, groupOf) in place of the per-decision map, offset by the deleted memo and map code
 
 cd "$(dirname "$0")/.."
 count=$(git ls-files '*.go' |

@@ -282,10 +282,10 @@ type WirePredicate struct {
 }
 
 // toWire shares the subscription's stream and projection lists and its
-// literals instead of copying them: nothing writes them once the
-// subscription is subscribed, and an envelope is not written once enqueued.
-// gob sends an empty list as it sends nil, so the bytes are the copy's. The
-// filter lists are sized up front (slices.Grow keeps an empty one nil).
+// literals: nothing writes them once the subscription is subscribed, and an
+// envelope is not written once enqueued. gob sends an empty list as it sends
+// nil, so the bytes are those of a copy. The filter lists are sized up front
+// (slices.Grow keeps an empty one nil).
 func toWire(s *pubsub.Subscription) *WireSubscription {
 	w := &WireSubscription{ID: s.ID, Seq: s.Seq, Streams: s.Streams, Attrs: s.Attrs, Filters: slices.Grow([]WirePredicate(nil), len(s.Filters))}
 	for _, p := range s.Filters {
@@ -308,18 +308,12 @@ func toWire(s *pubsub.Subscription) *WireSubscription {
 func fromWire(w *WireSubscription) *pubsub.Subscription {
 	s := &pubsub.Subscription{ID: w.ID, Seq: w.Seq, Streams: w.Streams, Attrs: w.Attrs, Filters: slices.Grow([]query.Predicate(nil), len(w.Filters))}
 	for _, wp := range w.Filters {
-		p := query.Predicate{Op: wp.Op}
+		p := query.Predicate{Op: wp.Op, Left: query.Operand{Lit: wp.LeftLit}, Right: query.Operand{Lit: wp.RightLit}}
 		if wp.LeftCol != "" || wp.LeftAlias != "" {
 			p.Left.Col = &query.ColRef{Alias: wp.LeftAlias, Attr: wp.LeftCol}
 		}
-		if wp.LeftLit != nil {
-			p.Left.Lit = wp.LeftLit
-		}
 		if wp.RightCol != "" || wp.RightAls != "" {
 			p.Right.Col = &query.ColRef{Alias: wp.RightAls, Attr: wp.RightCol}
-		}
-		if wp.RightLit != nil {
-			p.Right.Lit = wp.RightLit
 		}
 		s.Filters = append(s.Filters, p)
 	}
