@@ -207,7 +207,7 @@ func TestSubscribeAllocBudget(t *testing.T) {
 	for _, c := range []struct {
 		subs int
 		want float64
-	}{{1000, 47}, {10000, 41}} {
+	}{{1000, 44}, {10000, 39}} {
 		_, dst, _, _ := routeBench(t, c.subs)
 		got := testing.AllocsPerRun(1000, func() {
 			if err := dst.Subscribe(sub, handler); err != nil {

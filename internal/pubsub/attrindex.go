@@ -262,29 +262,41 @@ func entryOf(g *attrGroup, pos int32) ivEntry {
 // path, the first build when a population reaches pruneMin, and the oracle
 // the maintained versions are held to.
 func buildAttrPruneIndex(ss *streamSnap) *attrPruneIndex {
-	var names []string
+	// Every attribute with the number of records constraining it, so each
+	// array below is allocated once at its final size.
+	type attrCount struct {
+		attr string
+		n    int
+	}
+	var names []attrCount
 	it := ss.scan()
 	for c := it.next(); c != nil; c = it.next() {
 		for gi := range c.groups {
-			if !slices.Contains(names, c.groups[gi].attr) {
-				names = append(names, c.groups[gi].attr)
+			i := slices.IndexFunc(names, func(a attrCount) bool { return a.attr == c.groups[gi].attr })
+			if i < 0 {
+				i = len(names)
+				names = append(names, attrCount{attr: c.groups[gi].attr})
 			}
+			names[i].n++
 		}
 	}
-	slices.Sort(names)
+	slices.SortFunc(names, func(a, b attrCount) int { return cmp.Compare(a.attr, b.attr) })
 	idx := &attrPruneIndex{attrs: make([]attrIndex, 0, len(names))}
 	for _, name := range names {
-		var entries []ivEntry
+		entries := make([]ivEntry, 0, name.n)
 		var rest []int32
+		if k := ss.live() - name.n; k > 0 {
+			rest = make([]int32, 0, k)
+		}
 		it := ss.scan()
 		for c := it.next(); c != nil; c = it.next() {
-			if g := groupOf(c.groups, name); g != nil {
+			if g := groupOf(c.groups, name.attr); g != nil {
 				entries = append(entries, entryOf(g, it.pos()))
 			} else {
 				rest = append(rest, it.pos())
 			}
 		}
-		idx.attrs = append(idx.attrs, attrIndex{attr: name, live: runSet{runs: []*ivRun{newRun(entries)}}, rest: rest})
+		idx.attrs = append(idx.attrs, attrIndex{attr: name.attr, live: runSet{runs: []*ivRun{newRun(entries)}}, rest: rest})
 	}
 	return idx
 }

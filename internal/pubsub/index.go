@@ -241,7 +241,13 @@ func (pl *postList) remove(c *compiledSub) (empty bool) {
 			next.idx = buildAttrPruneIndex(next)
 		}
 	} else {
-		next.dead = slices.Insert(slices.Clip(pl.dead), at, int32(pos)) // clipped: Insert copies
+		if at == len(pl.dead) {
+			// Past every tombstone — removals mostly come in registration
+			// order — the append lands beyond every older view's length.
+			next.dead = append(pl.dead, int32(pos))
+		} else {
+			next.dead = slices.Insert(slices.Clip(pl.dead), at, int32(pos)) // clipped: Insert copies
+		}
 		if pl.idx != nil && live >= pruneMin {
 			next.idx = pl.idx.with(c, int32(pos), true, 0)
 		}

@@ -166,6 +166,61 @@ func TestMaintainedIndexMatchesRebuilt(t *testing.T) {
 	})
 }
 
+// TestOlderViewsSurviveChurn: a view stays what it was while later adds and
+// removals append to the arrays it shares (cands, dead, rest, a run set's
+// tail). Removals of the oldest record append to dead; removals anywhere
+// else copy it. After random sequences of both, every view frozen along the
+// way still scans its own survivors and answers match probes as a
+// from-scratch build over them does.
+func TestOlderViewsSurviveChurn(t *testing.T) {
+	oldTail := tailMax
+	defer func() { tailMax = oldTail }()
+	type frozen struct {
+		view *streamSnap
+		live []*compiledSub
+	}
+	for seed := uint64(0); seed < 40; seed++ {
+		tailMax = []int{1, 3, 8, oldTail}[seed%4]
+		r := rand.New(rand.NewPCG(seed, 3501))
+		d := newDirIndex(map[string]bool{})
+		var live []*compiledSub
+		var views []frozen
+		for step := 0; step < 160; step++ {
+			if len(live) == 0 || r.IntN(3) > 0 {
+				c := compileSub(shapedSub(r, step), nil)
+				c.regSeq = uint64(step + 1)
+				d.add(c)
+				live = append(live, c)
+			} else {
+				i := 0
+				if r.IntN(3) == 0 {
+					i = r.IntN(len(live))
+				}
+				d.remove(live[i])
+				live = slices.Delete(live, i, i+1)
+			}
+			for _, s := range eqStreams {
+				if pl := d.byStream[s]; pl != nil {
+					views = append(views, frozen{pl.streamSnap, survivors(pl)})
+				}
+			}
+		}
+		mb, rb := new(routeBufs), new(routeBufs)
+		for i, f := range views {
+			if !sameSeq(walk(f.view.scan()), f.live) {
+				t.Fatalf("seed %d view %d: scans other records than it held when frozen", seed, i)
+			}
+			want := rebuilt(f.live)
+			for trial := 0; trial < 3; trial++ {
+				tup := eqRandomTuple(r)
+				if !sameSeq(walk(f.view.matchIter(&tup, mb)), walk(want.matchIter(&tup, rb))) {
+					t.Fatalf("seed %d view %d: match probe %s selects other candidates than a build over its survivors", seed, i, renderTuple(tup))
+				}
+			}
+		}
+	}
+}
+
 // probeCount counts the probes the index answered without a full scan, and
 // the lists checked while an attribute held entries both in runs and in the
 // tail.
