@@ -42,7 +42,9 @@ package cosmos
 
 import (
 	"fmt"
+	"maps"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -125,8 +127,9 @@ type Middleware struct {
 	// rejoined; streams they publish are unreachable meanwhile.
 	crashed map[NodeID]bool
 
-	// inSubs tracks each processor's active input-subscription IDs.
-	inSubs map[NodeID][]string
+	// wiring is what each processor runs: sharing groups and input
+	// subscriptions (wire.go).
+	wiring map[NodeID]*procWiring
 	// residuals maps query name -> how to split its result from the
 	// shared result stream.
 	residuals map[string]residualInfo
@@ -158,7 +161,7 @@ func New(g *topology.Graph, processors []NodeID, cfg Config) (*Middleware, error
 		engines:   make(map[NodeID]*engine.Engine),
 		handles:   make(map[string]*QueryHandle),
 		crashed:   make(map[NodeID]bool),
-		inSubs:    make(map[NodeID][]string),
+		wiring:    make(map[NodeID]*procWiring),
 		residuals: make(map[string]residualInfo),
 	}, nil
 }
@@ -297,14 +300,19 @@ func (h *QueryHandle) Delivered() int64 { return h.delivered.Load() }
 
 // Cancel withdraws the query from the middleware: the user-side result
 // subscription is unsubscribed at the proxy (retracting its routing state
-// across the overlay), the query is removed from its processor's engine,
-// the processor's input subscriptions are recomputed from the queries that
-// remain — shrinking or retracting the pushed-down union filters — and the
-// coordinator tree removes the query's graph vertex, assignment entry and
-// load contribution at every level (hierarchy.Tree.Remove), so sustained
-// submit/cancel churn keeps the optimizer's load picture exact. Cancelling
-// a handle that was already cancelled is a no-op and reports success, as
-// does cancelling before Start (the query simply leaves the pending batch).
+// across the overlay); the query leaves its sharing group, whose superset
+// is refolded from the members that remain — or dropped from the engine
+// with its last member — while every other group at the processor keeps
+// running with its windows; the input subscriptions of the streams that
+// group reads are recomputed from the queries that remain — shrinking or
+// retracting the pushed-down union filters — and sent again only where they
+// changed, as are the subscriptions of the remaining members whose split
+// changed; and the coordinator tree removes the query's graph vertex,
+// assignment entry and load contribution at every level
+// (hierarchy.Tree.Remove), so sustained submit/cancel churn keeps the
+// optimizer's load picture exact. Cancelling a handle that was already
+// cancelled is a no-op and reports success, as does cancelling before Start
+// (the query simply leaves the pending batch).
 func (h *QueryHandle) Cancel() error {
 	m := h.m
 	m.mu.Lock()
@@ -473,6 +481,7 @@ func (m *Middleware) Start() error {
 		b, _ := net.Broker(p)
 		b.Advertise(resultStreamName(p))
 		m.engines[p] = engine.New()
+		m.wiring[p] = &procWiring{eng: m.engines[p], broker: b, groups: query.NewGroups(!m.cfg.DisableResultSharing), inputs: make(map[string]*pubsub.Subscription)}
 	}
 
 	// Distribute the batch.
@@ -508,18 +517,8 @@ func (m *Middleware) Start() error {
 	}
 	m.started = true
 
-	// Wire every processor and every user.
-	for _, p := range m.procs {
-		if err := m.rewire(p); err != nil {
-			return err
-		}
-	}
-	for _, name := range names {
-		if err := m.wireUserSide(m.handles[name]); err != nil {
-			return err
-		}
-	}
-	return nil
+	// Wire every processor and every user: the change from empty.
+	return m.rewireWithUsers(m.procs...)
 }
 
 // Publish injects a source tuple at its stream's source broker.
@@ -550,7 +549,12 @@ func (m *Middleware) Publish(t Tuple) error {
 }
 
 // Adapt runs one hierarchical adaptation round and migrates queries whose
-// processor changed, rewiring subscriptions.
+// processor changed. Only the processors a migration left or reached are
+// rewired, in ascending order: a migrating query leaves its group at the one
+// and joins a group at the other, and of the users placed there only the
+// migrated ones and those whose split changed subscribe again. A group no
+// migration touched keeps running with its windows; the windows of a group
+// a migration changed start empty.
 func (m *Middleware) Adapt() (migrations int, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -573,19 +577,7 @@ func (m *Middleware) Adapt() (migrations int, err error) {
 			h.processor = proc
 		}
 	}
-	for p := range touched {
-		if err := m.rewire(p); err != nil {
-			return rep.Migrations, err
-		}
-	}
-	if len(touched) > 0 {
-		for _, h := range m.handles {
-			if err := m.wireUserSide(h); err != nil {
-				return rep.Migrations, err
-			}
-		}
-	}
-	return rep.Migrations, nil
+	return rep.Migrations, m.rewireWithUsers(slices.Sorted(maps.Keys(touched))...)
 }
 
 // CrashBroker simulates the ungraceful failure of a source broker: the

@@ -243,7 +243,7 @@ func (p Predicate) Normalize() Predicate {
 }
 
 func (p Predicate) String() string {
-	return fmt.Sprintf("%s %s %s", p.Left, p.Op, p.Right)
+	return p.Left.String() + " " + p.Op.String() + " " + p.Right.String()
 }
 
 // Query is a parsed continuous query.

@@ -1,9 +1,6 @@
 package query
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // This file implements the window-based query containment and merging
 // theorems sketched in §2.1 of the paper (details in its reference [25]):
@@ -139,22 +136,25 @@ func Contains(super, sub *Query) bool {
 		return false
 	}
 	s := renamed(sub, m)
-	// Windows: super must cover.
-	for _, r := range s.From {
+	return covers(super, s, ColumnIntervals(s), JoinSet(s)) && projectsAll(super, s)
+}
+
+// covers is Contains less the projection test, for a sub already in super's
+// alias space whose column intervals and join set are given: super's windows
+// cover sub's, and sub's conjunction implies every predicate of super.
+func covers(super, sub *Query, ivs map[string]Interval, joins map[string]bool) bool {
+	for _, r := range sub.From {
 		sr, ok := super.RefByAlias(r.Alias)
 		if !ok || !sr.Window.Covers(r.Window) {
 			return false
 		}
 	}
-	// Predicates: sub's conjunction must imply each super predicate.
-	ivs := ColumnIntervals(s)
-	joins := JoinSet(s)
 	for _, p := range super.Where {
 		if !ImpliesPredicate(ivs, joins, p) {
 			return false
 		}
 	}
-	return projectsAll(super, s)
+	return true
 }
 
 // Equivalent reports mutual containment.
@@ -191,163 +191,47 @@ type Residual struct {
 //   - join predicates present in both queries are kept; a join predicate
 //     present in only one query blocks merging (results would not align);
 //   - projections take the union, plus what the residuals read off the
-//     shared result stream (projectResidualInputs).
+//     shared result stream (group.project).
 //
-// It returns an error when the two queries read different stream sets or
-// disagree on join structure.
+// It is the step a query joining a sharing group takes (Groups), and fails
+// when the two queries read different stream sets or join predicates.
 func Merge(q1, q2 *Query) (*MergeResult, error) {
-	m, err := aliasMap(q1, q2)
-	if err != nil {
-		return nil, err
+	if shape := shapeOf(q1); shape == "" || shape != shapeOf(q2) {
+		return nil, fmt.Errorf("query: %s and %s differ in streams or join predicates", q1.Name, q2.Name)
 	}
-	r2 := renamed(q2, m)
-
-	j1, j2 := JoinSet(q1), JoinSet(r2)
-	if len(j1) != len(j2) {
-		return nil, fmt.Errorf("query: join structures differ (%d vs %d predicates)", len(j1), len(j2))
-	}
-	for k := range j1 {
-		if !j2[k] {
-			return nil, fmt.Errorf("query: join predicate %s missing from %s", k, q2.Name)
-		}
-	}
-
-	super := &Query{Name: q1.Name + "+" + q2.Name}
-	for _, r := range q1.From {
-		rr := r
-		if r2ref, ok := r2.RefByAlias(r.Alias); ok {
-			rr.Window = MaxWindow(r.Window, r2ref.Window)
-		}
-		super.From = append(super.From, rr)
-	}
-
-	// Union of selection constraints per column.
-	iv1, iv2 := ColumnIntervals(q1), ColumnIntervals(r2)
-	keys := make([]string, 0, len(iv1))
-	for k := range iv1 {
-		if _, ok := iv2[k]; ok {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	colOf := func(key string, q *Query) ColRef {
-		for _, p := range q.Where {
-			p = p.Normalize()
-			if p.IsSelection() && p.Left.Col.String() == key {
-				return *p.Left.Col
-			}
-		}
-		return ColRef{}
-	}
-	for _, k := range keys {
-		u := iv1[k].Union(iv2[k])
-		col := colOf(k, q1)
-		if col.Attr == "" {
-			col = colOf(k, r2)
-		}
-		super.Where = append(super.Where, u.Predicates(col)...)
-	}
-	// Shared join predicates.
-	for _, p := range q1.JoinPredicates() {
-		super.Where = append(super.Where, p.Normalize())
-	}
-
-	// Projection union (dedup by string form).
-	seen := make(map[string]bool)
-	addProj := func(ps []Projection) {
-		for _, p := range ps {
-			if !seen[p.String()] {
-				seen[p.String()] = true
-				super.Select = append(super.Select, p)
-			}
-		}
-	}
-	addProj(q1.Select)
-	addProj(r2.Select)
-
-	if err := super.Validate(); err != nil {
-		return nil, fmt.Errorf("merge %s,%s: %w", q1.Name, q2.Name, err)
-	}
-	if !Contains(super, q1) || !Contains(super, r2) {
+	g := &group{}
+	if g.seed(q1, q1.Name+"+"+q2.Name); !g.join(q2) {
 		return nil, fmt.Errorf("query: merged query does not contain inputs (dialect limit)")
 	}
-
-	res := &MergeResult{Super: super}
-	res.Residuals = append(res.Residuals,
-		residualFor(q1, q1, super, nil),
-		residualFor(q2, r2, super, invert(m)))
-	res.projectResidualInputs()
-	return res, nil
+	return &MergeResult{Super: g.super, Residuals: g.residuals()}, nil
 }
 
-// projectResidualInputs extends the superset's select list with what the
-// residuals evaluate on its result tuples and no star already carries: every
-// column a residual filter reads, and alias.timestamp for every alias whose
-// window a residual re-checks. Without them the split loses every result of
-// a query that filters on a column its own select list omits. (What
-// MergeAll's fold adds for an intermediate superset the final residuals
-// read too: merging further only weakens the superset.)
-func (mr *MergeResult) projectResidualInputs() {
-	have := make(map[string]bool, len(mr.Super.Select)) // "*", "A.*", "A.x"
-	for _, p := range mr.Super.Select {
-		have[p.String()] = true
-	}
-	add := func(c *ColRef) {
-		if c == nil || have["*"] || have[c.Alias+".*"] || have[c.String()] {
-			return
-		}
-		have[c.String()] = true
-		mr.Super.Select = append(mr.Super.Select, Projection{Col: *c})
-	}
-	for _, r := range mr.Residuals {
-		for _, f := range r.Filters {
-			add(f.Left.Col)
-			add(f.Right.Col)
-		}
-		for _, ref := range mr.Super.From {
-			if _, ok := r.Windows[ref.Alias]; ok {
-				add(&ColRef{Alias: ref.Alias, Attr: "timestamp"})
-			}
+// colOf returns the column of q's first selection on key ("alias.attr").
+func colOf(key string, q *Query) ColRef {
+	for _, p := range q.Where {
+		p = p.Normalize()
+		if p.IsSelection() && p.Left.Col.String() == key {
+			return *p.Left.Col
 		}
 	}
+	return ColRef{}
 }
 
-// MergeAll left-folds Merge over a set of queries, returning the superset
-// query and one residual per input. Inputs that cannot merge with the
-// accumulated superset are returned in the leftover list so the caller can
-// form additional groups.
+// MergeAll groups a set of queries as Groups does when they are added in
+// order: each joins the first earlier group whose superset Merge widens by
+// it. It returns the groups of two or more queries, with one residual per
+// member against the group's final superset, and the queries left alone.
 func MergeAll(queries []*Query) (merged []*MergeResult, leftovers []*Query) {
-	remaining := append([]*Query(nil), queries...)
-	for len(remaining) > 0 {
-		acc := remaining[0]
-		group := []*Query{remaining[0]}
-		var next []*Query
-		for _, q := range remaining[1:] {
-			mr, err := Merge(acc, q)
-			if err != nil {
-				next = append(next, q)
-				continue
-			}
-			acc = mr.Super
-			group = append(group, q)
-		}
-		if len(group) == 1 {
-			leftovers = append(leftovers, group[0])
+	gs := NewGroups(true)
+	for _, q := range queries {
+		gs.Add(q)
+	}
+	for _, g := range gs.Delta().Changed {
+		if len(g.Residuals) == 1 {
+			leftovers = append(leftovers, g.Residuals[0].Query)
 		} else {
-			// Re-derive residuals of every group member against the
-			// final accumulated superset.
-			mr := &MergeResult{Super: acc}
-			for _, q := range group {
-				m, err := aliasMap(acc, q)
-				if err != nil {
-					continue
-				}
-				mr.Residuals = append(mr.Residuals, residualFor(q, renamed(q, m), acc, invert(m)))
-			}
-			mr.projectResidualInputs()
-			merged = append(merged, mr)
+			merged = append(merged, &MergeResult{Super: g.Super, Residuals: g.Residuals})
 		}
-		remaining = next
 	}
 	return merged, leftovers
 }
@@ -361,8 +245,9 @@ func invert(m map[string]string) map[string]string {
 }
 
 // residualFor computes the split subscription for original (with renamed
-// being original expressed in super's alias space).
-func residualFor(original, renamedQ, super *Query, superToOrig map[string]string) Residual {
+// being original expressed in super's alias space), given super's column
+// intervals and join set.
+func residualFor(original, renamedQ, super *Query, supIVs map[string]Interval, supJoins map[string]bool, superToOrig map[string]string) Residual {
 	res := Residual{
 		Query:      original,
 		Windows:    make(map[string]Window, len(renamedQ.From)),
@@ -371,8 +256,6 @@ func residualFor(original, renamedQ, super *Query, superToOrig map[string]string
 	}
 	// Re-apply every selection of the original that the superset weakened
 	// or dropped.
-	supIVs := ColumnIntervals(super)
-	supJoins := JoinSet(super)
 	for _, p := range renamedQ.Where {
 		if ImpliesPredicate(supIVs, supJoins, p) {
 			continue

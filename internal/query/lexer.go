@@ -46,7 +46,7 @@ type lexer struct {
 }
 
 func lex(src string) ([]token, error) {
-	l := &lexer{src: src}
+	l := &lexer{src: src, toks: make([]token, 0, len(src)/3+1)} // about a token per three bytes
 	for {
 		l.skipSpace()
 		if l.pos >= len(l.src) {

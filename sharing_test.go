@@ -185,13 +185,74 @@ func TestSharingKeepsWidenedWindowTimestamps(t *testing.T) {
 	}
 }
 
+// TestSharingRenamesAliases: two queries that name one stream differently
+// share a superset under the first one's alias; the second user must receive
+// its attributes under its own alias.
+func TestSharingRenamesAliases(t *testing.T) {
+	_, procs := testTopology(t)
+	defs := []StreamDef{{
+		Name: "R", Source: procs[4], Substreams: 2, RatePerSubstream: 5,
+		Schema: stream.Schema{Attrs: []stream.Attribute{{Name: "a", Type: stream.Float}}},
+	}}
+	feed := []stream.Tuple{{Stream: "R", Timestamp: 1, Attrs: map[string]stream.Value{"a": stream.FloatVal(2)}}}
+	got, want, running := sharedVersusUnmerged(t, defs, []string{
+		`SELECT X.a FROM R [Now] X WHERE X.a > 1`,
+		`SELECT Y.a FROM R [Now] Y WHERE Y.a > 0`,
+	}, feed)
+	if running != 1 {
+		t.Fatalf("%d engine queries, want the two merged into 1", running)
+	}
+	for i, w := range []string{"@1 X.a=2", "@1 Y.a=2"} {
+		if !reflect.DeepEqual(got[i], []string{w}) || !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("query %d delivered %v, want %v (unmerged engine %v)", i, got[i], w, want[i])
+		}
+	}
+}
+
+// TestUnrelatedSubmitKeepsJoinWindow: a Submit whose query shares nothing
+// with a running join at the same processor leaves the join's engine query,
+// and the window it buffered, in place.
+func TestUnrelatedSubmitKeepsJoinWindow(t *testing.T) {
+	g, procs := testTopology(t)
+	m, err := New(g, procs[:1], Config{K: 2, VMax: 10, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema := stream.Schema{Attrs: []stream.Attribute{{Name: "k", Type: stream.Float}, {Name: "a", Type: stream.Float}}}
+	for _, name := range []string{"R", "S"} {
+		if err := m.RegisterStream(StreamDef{Name: name, Schema: schema, Source: procs[4], Substreams: 2, RatePerSubstream: 5}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var joined []string
+	if _, err := m.Submit(`SELECT R.a, S.a FROM R [Range 1 Hour], S [Now] WHERE R.k = S.k`, procs[0],
+		func(r Tuple) { joined = append(joined, resultKey(r)) }); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Start(); err != nil {
+		t.Fatal(err)
+	}
+	publish := func(name string, ts int64) {
+		t.Helper()
+		if err := m.Publish(stream.Tuple{Stream: name, Timestamp: ts, Attrs: map[string]stream.Value{"k": stream.FloatVal(1), "a": stream.FloatVal(7)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	publish("R", 1000)
+	if _, err := m.Submit(`SELECT a FROM S [Now] WHERE a > 100`, procs[0], func(Tuple) {}); err != nil {
+		t.Fatal(err)
+	}
+	publish("S", 2000)
+	if want := []string{"@2000 R.a=7 S.a=7"}; !reflect.DeepEqual(joined, want) {
+		t.Errorf("the join delivered %v after an unrelated Submit, want %v", joined, want)
+	}
+}
+
 // sharingQuery draws one CQL text over the trace's deployment streams:
-// selections and two-stream joins whose windows, thresholds, select lists
-// (explicit columns that need not include what is filtered on, or stars) and
-// optional extra filters come from small sets, so that co-located queries
-// merge and most residuals are not empty. One thing the split does not do
-// yet is kept out (ROADMAP item 1): aliases are the stream names, because a
-// user's attributes arrive under the aliases of the first query of its group.
+// selections and two-stream joins whose aliases, windows, thresholds, select
+// lists (explicit columns that need not include what is filtered on, or
+// stars) and optional extra filters come from small sets, so that co-located
+// queries merge and most residuals are not empty.
 func sharingQuery(rng *rand.Rand) string {
 	windows := []string{"[Now]", "[Range 2 Seconds]", "[Range 5 Seconds]"}
 	attrs := []string{"station", "snowHeight", "temperature", "windSpeed", "sensorType"}
@@ -217,21 +278,24 @@ func sharingQuery(rng *rand.Rand) string {
 		return out
 	}
 	d1 := rng.IntN(2)
-	s1 := trace.StreamName(d1)
+	s1, s2 := trace.StreamName(d1), trace.StreamName(2)
+	a1, a2 := pick(rng, []string{s1, "A", "B"}), pick(rng, []string{s2, "B", "C"})
+	if a1 == a2 {
+		a2 = s2
+	}
 	if rng.IntN(3) != 0 {
-		sel := cols(s1, rng.IntN(3) == 0)
+		sel := cols(a1, rng.IntN(3) == 0)
 		if rng.IntN(4) == 0 {
 			sel = "*"
 		}
-		return fmt.Sprintf("SELECT %s FROM %s %s WHERE %s", sel, s1, pick(rng, windows), strings.Join(filters(s1), " AND "))
+		return fmt.Sprintf("SELECT %s FROM %s %s %s WHERE %s", sel, s1, pick(rng, windows), a1, strings.Join(filters(a1), " AND "))
 	}
-	s2 := trace.StreamName(2)
-	sel := cols(s1, rng.IntN(3) == 0) + ", " + cols(s2, rng.IntN(3) == 0)
+	sel := cols(a1, rng.IntN(3) == 0) + ", " + cols(a2, rng.IntN(3) == 0)
 	if rng.IntN(5) == 0 {
 		sel = "*"
 	}
-	where := append(filters(s1), fmt.Sprintf("%s.snowHeight > %s.snowHeight", s1, s2))
-	return fmt.Sprintf("SELECT %s FROM %s %s, %s %s WHERE %s", sel, s1, pick(rng, windows[1:]), s2, pick(rng, windows), strings.Join(where, " AND "))
+	where := append(filters(a1), fmt.Sprintf("%s.snowHeight > %s.snowHeight", a1, a2))
+	return fmt.Sprintf("SELECT %s FROM %s %s %s, %s %s %s WHERE %s", sel, s1, pick(rng, windows[1:]), a1, s2, pick(rng, windows), a2, strings.Join(where, " AND "))
 }
 
 func pick(rng *rand.Rand, xs []string) string { return xs[rng.IntN(len(xs))] }

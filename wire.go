@@ -1,25 +1,35 @@
 // This file wires a placed query into the pub/sub overlay: subscribing its
 // processor to the union of the input filters it needs (early filtering and
 // projection, §2), tagging and splitting shared superset result streams,
-// and rewiring when Adapt moves the placement. Everything here is
-// middleware-internal; the public API lives in cosmos.go.
+// and rewiring when Submit, Cancel or Adapt changes what a processor runs.
+// Everything here is middleware-internal; the public API lives in cosmos.go.
+//
+// Each processor keeps its sharing groups (query.Groups) between calls, and
+// a rewire applies only what changed since the last one: the engine query of
+// a group no query joined or left keeps running with its windows, and only
+// the input streams a changed group reads, and only the users whose result
+// tag or residual changed, are subscribed again. Start is the change from
+// empty.
 //
 // A result costs one attribute map from the engine to the user's sink. The
 // processor's sink names the producing superset query in the tuple header
 // (stream.Tuple.Tag: routing metadata, so no broker looks into the map to
 // split the stream and no user has an entry to get rid of) and marks the map
 // Owned (the engine built it for this result alone, so brokers deliver it as
-// it is). A user whose columns are the superset's receives that very map,
-// read-only and shared; any other its subscription's private projection.
+// it is). A user whose columns and aliases are the superset's receives that
+// very map, read-only and shared; any other a map of its own.
 
 package cosmos
 
 import (
 	"fmt"
 	"maps"
+	"reflect"
 	"slices"
 	"sort"
+	"strings"
 
+	"repro/internal/engine"
 	"repro/internal/pubsub"
 	"repro/internal/query"
 	"repro/internal/stream"
@@ -28,161 +38,135 @@ import (
 // residualInfo records how a user recovers its exact result from the
 // (possibly shared) result stream of its processor.
 type residualInfo struct {
+	proc     NodeID
 	super    *query.Query    // superset query evaluated at the processor
 	cols     map[string]bool // its result columns (resultColumns)
 	residual query.Residual
 }
 
-// group is one superset query evaluated at a processor and the residuals of
-// the user queries it serves.
-type group struct {
-	super     *query.Query
-	residuals map[string]query.Residual
+// procWiring is what a processor runs: its sharing groups, each an engine
+// query named after its group, and one input subscription per stream.
+type procWiring struct {
+	eng    *engine.Engine
+	broker *pubsub.Broker
+	groups *query.Groups
+	inputs map[string]*pubsub.Subscription
 }
 
-// rewire rebuilds the engine content and input subscriptions of one
-// processor from the queries currently placed there: co-located queries
-// with compatible structure are merged into superset queries (§2.1), the
-// processor subscribes to its input streams with union filters (early
-// filtering in the Pub/Sub), and each user's residual is recorded.
-func (m *Middleware) rewire(proc NodeID) error {
-	eng, ok := m.engines[proc]
-	if !ok {
-		return fmt.Errorf("cosmos: no engine at processor %d", proc)
-	}
-	broker, ok := m.net.Broker(proc)
-	if !ok {
-		return fmt.Errorf("cosmos: no broker at processor %d", proc)
-	}
+// rewire brings one processor in line with the queries placed there and
+// returns the users whose split changed. Queries that left leave their
+// groups and newcomers join, in name order; of the groups' delta, a changed
+// group's engine query is replaced, an emptied one's removed, and every other
+// keeps running with its windows. Only the input subscriptions of the streams
+// a changed group reads are recomputed, and sent only where they differ.
+func (m *Middleware) rewire(proc NodeID) ([]*QueryHandle, error) {
+	w := m.wiring[proc]
+	eng, broker := w.eng, w.broker
 
-	// Tear down previous state.
-	for _, name := range eng.QueryNames() {
-		if _, err := eng.RemoveQuery(name); err != nil {
-			return err
-		}
-	}
-	for _, id := range m.inSubs[proc] {
-		broker.Unsubscribe(id)
-	}
-	m.inSubs[proc] = nil
-
-	// Queries placed here, deterministically ordered.
 	var local []*QueryHandle
+	live := make(map[string]bool) // streams the local queries read
 	for _, h := range m.handles {
 		if h.processor == proc {
 			local = append(local, h)
+			for _, ref := range h.Query.From {
+				live[ref.Stream] = true
+			}
 		}
 	}
 	sort.Slice(local, func(i, j int) bool { return local[i].Name < local[j].Name })
-	if len(local) == 0 {
-		return nil
-	}
-
-	// Group queries for result-stream sharing.
-	var groups []group
-	if m.cfg.DisableResultSharing {
-		for _, h := range local {
-			groups = append(groups, soloGroup(h.Query))
-		}
-	} else {
-		asts := make([]*query.Query, len(local))
-		for i, h := range local {
-			asts[i] = h.Query
-		}
-		merged, leftovers := query.MergeAll(asts)
-		for _, mr := range merged {
-			g := group{super: mr.Super, residuals: make(map[string]query.Residual, len(mr.Residuals))}
-			for _, r := range mr.Residuals {
-				g.residuals[r.Query.Name] = r
-			}
-			groups = append(groups, g)
-		}
-		for _, q := range leftovers {
-			groups = append(groups, soloGroup(q))
+	for _, name := range w.groups.Names() {
+		if h, ok := m.handles[name]; !ok || h.processor != proc {
+			w.groups.Remove(name)
 		}
 	}
+	for _, h := range local {
+		w.groups.Add(h.Query)
+	}
+	d := w.groups.Delta()
 
-	resultStream := resultStreamName(proc)
-	for _, g := range groups {
-		super := g.super
-		cols := m.resultColumns(super.Select, super.From)
+	reads := make(map[string]bool) // streams a changed group reads
+	for _, super := range d.Dropped {
+		if _, err := eng.RemoveQuery(super.Name); err != nil {
+			return nil, err
+		}
+		for _, ref := range super.From {
+			reads[ref.Stream] = true
+		}
+	}
+	var users []*QueryHandle
+	for _, g := range d.Changed {
+		super := g.Super
 		sink := func(t stream.Tuple) {
 			t.Tag, t.Owned = super.Name, true
 			t.Size += 16
 			broker.Publish(t)
 		}
-		if err := eng.AddQuery(super, resultStream, sink); err != nil {
-			return err
+		if err := eng.AddQuery(super, resultStreamName(proc), sink); err != nil {
+			return nil, err
 		}
-		for name, r := range g.residuals {
-			m.residuals[name] = residualInfo{super: super, cols: cols, residual: r}
+		cols := m.resultColumns(super.Select, super.From)
+		for _, r := range g.Residuals {
+			// Same stream, tag, columns and residual: the subscription stays.
+			old, ok := m.residuals[r.Query.Name]
+			if !ok || old.proc != proc || old.super.Name != super.Name || !maps.Equal(old.cols, cols) || !reflect.DeepEqual(old.residual, r) {
+				users = append(users, m.handles[r.Query.Name])
+			}
+			m.residuals[r.Query.Name] = residualInfo{proc: proc, super: super, cols: cols, residual: r}
+		}
+		for _, ref := range super.From {
+			reads[ref.Stream] = true
 		}
 	}
 
-	// Input subscriptions: one per input stream with union filters.
-	for _, streamName := range inputStreams(local) {
+	for _, streamName := range slices.Sorted(maps.Keys(reads)) {
+		old := w.inputs[streamName]
+		if !live[streamName] {
+			if old != nil {
+				broker.Unsubscribe(old.ID)
+				delete(w.inputs, streamName)
+			}
+			continue
+		}
 		sub := &pubsub.Subscription{
 			ID:      fmt.Sprintf("in@%d/%s", proc, streamName),
 			Streams: []string{streamName},
 			Filters: unionFilters(local, streamName),
 			Attrs:   neededAttrs(local, streamName),
 		}
+		if old != nil && reflect.DeepEqual(old.Filters, sub.Filters) && reflect.DeepEqual(old.Attrs, sub.Attrs) {
+			continue
+		}
 		if err := broker.Subscribe(sub, func(_ *pubsub.Subscription, t stream.Tuple) {
 			eng.Process(t)
 		}); err != nil {
-			return err
+			return nil, err
 		}
-		m.inSubs[proc] = append(m.inSubs[proc], sub.ID)
+		w.inputs[streamName] = sub
 	}
-	return nil
+	return users, nil
 }
 
-// rewireWithUsers rewires one processor after a query joined or left it, and
-// then every user placed there, by name. Rewiring regroups the queries at the
-// processor: one that shares a superset with the newcomer, or shared one with
-// the query that left, now feeds from a different merged query (different
-// result tag and residual), so its user-side subscription must be rebuilt —
-// exactly as Adapt does after migrations.
-func (m *Middleware) rewireWithUsers(proc NodeID) error {
-	if err := m.rewire(proc); err != nil {
-		return err
-	}
-	names := make([]string, 0, len(m.handles))
-	for name, h := range m.handles {
-		if h.processor == proc {
-			names = append(names, name)
+// rewireWithUsers rewires the processors, in the order given, and then
+// subscribes again, by name, every user whose split changed: a newcomer, a
+// query that moved, a member whose superset's columns or whose residual
+// changed. Start passes every processor, Adapt the ones it touched, Submit
+// and Cancel the one they changed.
+func (m *Middleware) rewireWithUsers(procs ...NodeID) error {
+	var users []*QueryHandle
+	for _, p := range procs {
+		us, err := m.rewire(p)
+		if err != nil {
+			return err
 		}
+		users = append(users, us...)
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		if err := m.wireUserSide(m.handles[name]); err != nil {
+	sort.Slice(users, func(i, j int) bool { return users[i].Name < users[j].Name })
+	for _, h := range users {
+		if err := m.wireUserSide(h); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// soloGroup wraps an unmergeable query as its own group: its residual keeps
-// the whole select list and re-applies nothing (it recovers its result with
-// only the query-tag filter).
-func soloGroup(q *query.Query) group {
-	return group{super: q, residuals: map[string]query.Residual{q.Name: {Query: q, Projection: q.Select}}}
-}
-
-// inputStreams returns the distinct input stream names of the handles.
-func inputStreams(hs []*QueryHandle) []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, h := range hs {
-		for _, name := range h.Query.StreamNames() {
-			if !seen[name] {
-				seen[name] = true
-				out = append(out, name)
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // unionFilters computes the filters safe to push into the Pub/Sub for one
@@ -294,8 +278,10 @@ func (m *Middleware) wireUserSide(h *QueryHandle) error {
 	// and is handed the engine's map; one with fewer — an explicit list, or
 	// stars over a wider superset — its own projection, cut at the first hop.
 	var attrs, hidden []string
-	if own := m.resultColumns(ri.residual.Projection, ri.super.From); !maps.Equal(own, ri.cols) {
-		attrs, hidden = residualAttrs(ri.residual, own)
+	if !slices.Equal(ri.residual.Projection, ri.super.Select) {
+		if own := m.resultColumns(ri.residual.Projection, ri.super.From); !maps.Equal(own, ri.cols) {
+			attrs, hidden = residualAttrs(ri.residual, own)
+		}
 	}
 	sub := &pubsub.Subscription{
 		ID:      subID,
@@ -304,6 +290,12 @@ func (m *Middleware) wireUserSide(h *QueryHandle) error {
 		Attrs:   attrs,
 	}
 	windows := ri.residual.Windows
+	var rename map[string]string // set when the user names an alias differently
+	for from, to := range ri.residual.AliasToSub {
+		if from != to {
+			rename = ri.residual.AliasToSub
+		}
+	}
 	sink := h.sink
 	handler := func(_ *pubsub.Subscription, t stream.Tuple) {
 		// Re-enforce the windows the superset widened.
@@ -318,9 +310,14 @@ func (m *Middleware) wireUserSide(h *QueryHandle) error {
 			}
 		}
 		// Only a projecting subscription hides anything, and its map is the
-		// broker's per-delivery projection: private, so written in place.
-		for _, a := range hidden {
-			delete(t.Attrs, a)
+		// broker's per-delivery projection: private, so written in place. A
+		// map under the superset's aliases is rebuilt under the user's.
+		if rename != nil {
+			t.Attrs = renameAttrs(t.Attrs, rename, hidden)
+		} else {
+			for _, a := range hidden {
+				delete(t.Attrs, a)
+			}
 		}
 		t.Tag = ""
 		h.delivered.Add(1)
@@ -393,4 +390,20 @@ func residualAttrs(r query.Residual, own map[string]bool) (attrs, hidden []strin
 		hide(alias + ".timestamp")
 	}
 	return slices.Sorted(maps.Keys(own)), hidden
+}
+
+// renameAttrs copies a result map, leaving out the hidden attributes and
+// renaming each "alias.attr" through the superset-to-user alias map.
+func renameAttrs(attrs map[string]stream.Value, rename map[string]string, hidden []string) map[string]stream.Value {
+	out := make(map[string]stream.Value, len(attrs))
+	for k, v := range attrs {
+		if slices.Contains(hidden, k) {
+			continue
+		}
+		if alias, attr, ok := strings.Cut(k, "."); ok && rename[alias] != "" {
+			k = rename[alias] + "." + attr
+		}
+		out[k] = v
+	}
+	return out
 }
