@@ -300,19 +300,14 @@ func (h *QueryHandle) Delivered() int64 { return h.delivered.Load() }
 
 // Cancel withdraws the query from the middleware: the user-side result
 // subscription is unsubscribed at the proxy (retracting its routing state
-// across the overlay); the query leaves its sharing group, whose superset
-// is refolded from the members that remain — or dropped from the engine
-// with its last member — while every other group at the processor keeps
-// running with its windows; the input subscriptions of the streams that
-// group reads are recomputed from the queries that remain — shrinking or
-// retracting the pushed-down union filters — and sent again only where they
-// changed, as are the subscriptions of the remaining members whose split
-// changed; and the coordinator tree removes the query's graph vertex,
-// assignment entry and load contribution at every level
-// (hierarchy.Tree.Remove), so sustained submit/cancel churn keeps the
-// optimizer's load picture exact. Cancelling a handle that was already
-// cancelled is a no-op and reports success, as does cancelling before Start
-// (the query simply leaves the pending batch).
+// across the overlay); the query leaves its sharing group, which is refolded
+// from the members that remain or dropped with the last, while every other
+// group keeps running with its windows; the union filters of the streams the
+// group reads are recomputed and sent where they changed; and the
+// coordinator tree removes the query's graph vertex, assignment entry and
+// load contribution at every level (hierarchy.Tree.Remove). Cancelling a
+// handle that was already cancelled is a no-op and reports success, as does
+// cancelling before Start (the query simply leaves the pending batch).
 func (h *QueryHandle) Cancel() error {
 	m := h.m
 	m.mu.Lock()
@@ -550,11 +545,8 @@ func (m *Middleware) Publish(t Tuple) error {
 
 // Adapt runs one hierarchical adaptation round and migrates queries whose
 // processor changed. Only the processors a migration left or reached are
-// rewired, in ascending order: a migrating query leaves its group at the one
-// and joins a group at the other, and of the users placed there only the
-// migrated ones and those whose split changed subscribe again. A group no
-// migration touched keeps running with its windows; the windows of a group
-// a migration changed start empty.
+// rewired, in ascending order, and only the users whose split changed
+// subscribe again; a group no migration changed keeps its windows.
 func (m *Middleware) Adapt() (migrations int, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

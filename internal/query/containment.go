@@ -1,6 +1,9 @@
 package query
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // This file implements the window-based query containment and merging
 // theorems sketched in §2.1 of the paper (details in its reference [25]):
@@ -66,7 +69,12 @@ func renamePredicate(p Predicate, m map[string]string) Predicate {
 	}
 }
 
+// renamed returns q in the alias space m maps to; q itself, read-only, when
+// m renames nothing.
 func renamed(q *Query, m map[string]string) *Query {
+	if !slices.ContainsFunc(q.From, func(r StreamRef) bool { a, ok := m[r.Alias]; return ok && a != r.Alias }) {
+		return q
+	}
 	out := &Query{Name: q.Name}
 	for _, r := range q.From {
 		rr := r

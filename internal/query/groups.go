@@ -158,7 +158,7 @@ func (g *group) join(q *Query) bool {
 	if err != nil {
 		return false
 	}
-	r := renamedIfNeeded(q, m)
+	r := renamed(q, m)
 	rivs := ColumnIntervals(r)
 	super := &Query{Name: g.super.Name, From: slices.Clone(g.super.From)}
 	for i, ref := range super.From {
@@ -180,11 +180,12 @@ func (g *group) join(q *Query) bool {
 			col = colOf(k, r)
 		}
 		preds := g.ivs[k].Union(rivs[k]).Predicates(col)
-		for i, p := range preds {
-			if i == 0 {
-				ivs[k] = FullInterval()
+		if len(preds) > 0 {
+			iv := FullInterval()
+			for _, p := range preds {
+				iv = iv.Constrain(p.Op, *p.Right.Lit)
 			}
-			ivs[k] = ivs[k].Constrain(p.Op, *p.Right.Lit)
+			ivs[k] = iv
 		}
 		super.Where = append(super.Where, preds...)
 	}
@@ -219,7 +220,7 @@ func (g *group) residuals() []Residual {
 	out := make([]Residual, len(g.members))
 	for i, q := range g.members {
 		m, _ := aliasMap(g.super, q) // join admitted q, so its streams match
-		out[i] = residualFor(q, renamedIfNeeded(q, m), g.super, g.ivs, g.joins, invert(m))
+		out[i] = residualFor(q, renamed(q, m), g.super, g.ivs, g.joins, invert(m))
 		g.project(out[i])
 	}
 	return out
@@ -256,16 +257,6 @@ func selectSet(q *Query) map[string]bool {
 		have[p.String()] = true
 	}
 	return have
-}
-
-// renamedIfNeeded is renamed(q, m), or q itself when m renames nothing.
-func renamedIfNeeded(q *Query, m map[string]string) *Query {
-	for from, to := range m {
-		if from != to {
-			return renamed(q, m)
-		}
-	}
-	return q
 }
 
 // shapeOf is what two queries must share for Merge to accept them: the

@@ -28,6 +28,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/engine"
 	"repro/internal/pubsub"
@@ -53,36 +54,20 @@ type procWiring struct {
 	inputs map[string]*pubsub.Subscription
 }
 
-// rewire brings one processor in line with the queries placed there and
-// returns the users whose split changed. Queries that left leave their
-// groups and newcomers join, in name order; of the groups' delta, a changed
-// group's engine query is replaced, an emptied one's removed, and every other
-// keeps running with its windows. Only the input subscriptions of the streams
-// a changed group reads are recomputed, and sent only where they differ.
-func (m *Middleware) rewire(proc NodeID) ([]*QueryHandle, error) {
+// rewire applies one processor's delta and returns the users whose split
+// changed: a changed group's engine query is replaced, an emptied one's
+// removed, and every other keeps running with its windows. Only the input
+// subscriptions of the streams a changed group reads are recomputed, and
+// sent only where they differ.
+func (m *Middleware) rewire(proc NodeID, local []*QueryHandle, d query.Delta) ([]*QueryHandle, error) {
 	w := m.wiring[proc]
 	eng, broker := w.eng, w.broker
-
-	var local []*QueryHandle
 	live := make(map[string]bool) // streams the local queries read
-	for _, h := range m.handles {
-		if h.processor == proc {
-			local = append(local, h)
-			for _, ref := range h.Query.From {
-				live[ref.Stream] = true
-			}
-		}
-	}
-	sort.Slice(local, func(i, j int) bool { return local[i].Name < local[j].Name })
-	for _, name := range w.groups.Names() {
-		if h, ok := m.handles[name]; !ok || h.processor != proc {
-			w.groups.Remove(name)
-		}
-	}
 	for _, h := range local {
-		w.groups.Add(h.Query)
+		for _, ref := range h.Query.From {
+			live[ref.Stream] = true
+		}
 	}
-	d := w.groups.Delta()
 
 	reads := make(map[string]bool) // streams a changed group reads
 	for _, super := range d.Dropped {
@@ -146,15 +131,31 @@ func (m *Middleware) rewire(proc NodeID) ([]*QueryHandle, error) {
 	return users, nil
 }
 
-// rewireWithUsers rewires the processors, in the order given, and then
-// subscribes again, by name, every user whose split changed: a newcomer, a
-// query that moved, a member whose superset's columns or whose residual
-// changed. Start passes every processor, Adapt the ones it touched, Submit
-// and Cancel the one they changed.
+// rewireWithUsers regroups the processors, rewires them in the order given,
+// and then subscribes again, by name, every user whose split changed: a
+// newcomer, a query that moved, a member whose superset's columns or whose
+// residual changed. Start passes every processor, Adapt the ones it touched,
+// Submit and Cancel the one they changed.
 func (m *Middleware) rewireWithUsers(procs ...NodeID) error {
+	placed := make(map[NodeID][]*QueryHandle, len(procs))
+	for _, h := range m.handles {
+		placed[h.processor] = append(placed[h.processor], h) //lint:maporder regroup sorts each list by name
+	}
+	// Regrouping reads the placement and writes only each processor's own
+	// groups, so the processors regroup in parallel.
+	deltas := make([]query.Delta, len(procs))
+	var wg sync.WaitGroup
+	for i, p := range procs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			deltas[i] = m.regroup(p, placed[p])
+		}()
+	}
+	wg.Wait()
 	var users []*QueryHandle
-	for _, p := range procs {
-		us, err := m.rewire(p)
+	for i, p := range procs {
+		us, err := m.rewire(p, placed[p], deltas[i])
 		if err != nil {
 			return err
 		}
@@ -169,45 +170,53 @@ func (m *Middleware) rewireWithUsers(procs ...NodeID) error {
 	return nil
 }
 
+// regroup sorts the queries placed at a processor by name, takes those that
+// left out of its groups and adds the newcomers, and returns the delta.
+func (m *Middleware) regroup(proc NodeID, local []*QueryHandle) query.Delta {
+	gs := m.wiring[proc].groups
+	sort.Slice(local, func(i, j int) bool { return local[i].Name < local[j].Name })
+	for _, name := range gs.Names() {
+		if h, ok := m.handles[name]; !ok || h.processor != proc {
+			gs.Remove(name)
+		}
+	}
+	for _, h := range local {
+		gs.Add(h.Query)
+	}
+	return gs.Delta()
+}
+
 // unionFilters computes the filters safe to push into the Pub/Sub for one
 // input stream at a processor: a column filter is kept only when EVERY
 // local query reading the stream constrains that column, and then with the
 // union (weakest) interval, so no query loses tuples it needs.
 func unionFilters(hs []*QueryHandle, streamName string) []query.Predicate {
-	var perQuery []map[string]query.Interval
+	var union map[string]query.Interval // over the readers so far
 	for _, h := range hs {
 		for _, ref := range h.Query.From {
 			if ref.Stream != streamName {
 				continue
 			}
-			perQuery = append(perQuery, query.SelectionIntervalsByAttr(h.Query.SelectionsFor(ref.Alias)))
-		}
-	}
-	if len(perQuery) == 0 {
-		return nil
-	}
-	// Columns constrained by every reader.
-	common := make([]string, 0, len(perQuery[0]))
-	for attr := range perQuery[0] {
-		inAll := true
-		for _, ivs := range perQuery[1:] {
-			if _, ok := ivs[attr]; !ok {
-				inAll = false
-				break
+			ivs := query.SelectionIntervalsByAttr(h.Query.SelectionsFor(ref.Alias))
+			if union == nil {
+				union = ivs
+				continue
+			}
+			for attr, u := range union {
+				if iv, ok := ivs[attr]; ok {
+					union[attr] = u.Union(iv)
+				} else {
+					delete(union, attr)
+				}
+			}
+			if len(union) == 0 {
+				return nil // no column every reader constrains
 			}
 		}
-		if inAll {
-			common = append(common, attr)
-		}
 	}
-	sort.Strings(common)
 	var out []query.Predicate
-	for _, attr := range common {
-		u := perQuery[0][attr]
-		for _, ivs := range perQuery[1:] {
-			u = u.Union(ivs[attr])
-		}
-		out = append(out, u.Predicates(query.ColRef{Attr: attr})...)
+	for _, attr := range slices.Sorted(maps.Keys(union)) {
+		out = append(out, union[attr].Predicates(query.ColRef{Attr: attr})...)
 	}
 	return out
 }
