@@ -209,9 +209,9 @@ func (g *group) join(q *Query) bool {
 	return true
 }
 
-// residuals derives every member's residual against the superset, and
-// projects what they read, as MergeAll does for its final superset. A lone
-// member recovers its result by the tag alone.
+// residuals derives every member's residual against the superset and
+// projects what they read off its result stream. A lone member recovers its
+// result by the tag alone.
 func (g *group) residuals() []Residual {
 	if len(g.members) == 1 {
 		q := g.members[0]
