@@ -390,7 +390,7 @@ func BenchmarkAblationAlg3Heuristics(b *testing.B) {
 		{"loose-f50", adapt.Options{BenefitSlackPct: 10, FlowFraction: 0.5}},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
-			var res *adapt.Result
+			var res mapping.Assignment
 			for i := 0; i < b.N; i++ {
 				var err error
 				res, err = adapt.Rebalance(qg, ng, base, cfg.opts)
@@ -398,8 +398,14 @@ func BenchmarkAblationAlg3Heuristics(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(res.WECAfter/res.WECBefore, "wecAfter/before")
-			b.ReportMetric(float64(res.Migrations), "migrations")
+			migrations := 0
+			for i, v := range qg.Vertices {
+				if !v.IsN() && res[i] != base[i] {
+					migrations++
+				}
+			}
+			b.ReportMetric(mapping.WEC(qg, ng, res)/mapping.WEC(qg, ng, base), "wecAfter/before")
+			b.ReportMetric(float64(migrations), "migrations")
 		})
 	}
 }

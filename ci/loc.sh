@@ -13,7 +13,7 @@
 # sees it — and a PR that shrinks it lowers MAX to lock the gain in.
 set -euo pipefail
 
-MAX=20132 # raised from 19953 (+179, inside the +180 ROADMAP items 1 and 2(a) allow): query.Groups keeps each processor's sharing groups between rewires (groups.go, with Merge and MergeAll now one step and one fold of it: -116 in containment.go), rewire applies the groups' delta instead of tearing the processor down, and the user split renames superset aliases to the user's. Raised before from 19935 (+18): a tombstone past every other one appends to the shared dead set instead of copying it, and a compaction counts each attribute's records to size its arrays once — together 40 % of a churn burst's bytes. Raised before from 19873 (+62): each index run set keeps an append-only tail that, when full, becomes a run merged linearly with the trailing runs (push, mergeRuns, mergeSorted, a tail-aware count and stab: +53), and cover decisions read a slice fold (foldSelections, constrainGroup, groupOf) in place of the per-decision map, offset by the deleted memo and map code
+MAX=19862 # lowered from 20132 (-270, the cosmoslint deadcode analyzer and hook included): everything its first run reported as reachable only from tests is deleted or hatched with a reason (ROADMAP item 6). Raised before from 19953 (+179, inside the +180 ROADMAP items 1 and 2(a) allow): query.Groups keeps each processor's sharing groups between rewires (groups.go, with Merge and MergeAll now one step and one fold of it: -116 in containment.go), rewire applies the groups' delta instead of tearing the processor down, and the user split renames superset aliases to the user's. Raised before from 19935 (+18): a tombstone past every other one appends to the shared dead set instead of copying it, and a compaction counts each attribute's records to size its arrays once — together 40 % of a churn burst's bytes. Raised before from 19873 (+62): each index run set keeps an append-only tail that, when full, becomes a run merged linearly with the trailing runs (push, mergeRuns, mergeSorted, a tail-aware count and stab: +53), and cover decisions read a slice fold (foldSelections, constrainGroup, groupOf) in place of the per-decision map, offset by the deleted memo and map code
 
 cd "$(dirname "$0")/.."
 count=$(git ls-files '*.go' |

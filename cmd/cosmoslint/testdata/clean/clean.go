@@ -3,7 +3,7 @@
 // compliant shapes. The cmd/cosmoslint test asserts zero findings.
 //
 //cosmoslint:deterministic
-package clean
+package clean //lint:deadcode fixture: only TestCleanFixturePasses loads it
 
 import (
 	"encoding/gob"

@@ -4,7 +4,7 @@
 // introduced violation fails the CI lint step.
 //
 //cosmoslint:deterministic
-package seeded
+package seeded // deadcode: no non-test file imports this package
 
 import (
 	"encoding/gob"

@@ -226,16 +226,13 @@ func (m *Middleware) RegisterStream(def StreamDef) error {
 	if def.AvgTupleBytes <= 0 {
 		def.AvgTupleBytes = 56
 	}
-	s, err := m.registry.Register(def.Name, def.Schema, int(def.Source), def.Substreams, def.AvgTupleBytes)
+	s, err := m.registry.Register(def.Name, def.Schema, def.Substreams, def.AvgTupleBytes)
 	if err != nil {
 		return err
 	}
 	m.defs[def.Name] = def
-	first, count := s.SubstreamRange()
-	for i := 0; i < count; i++ {
-		if err := m.registry.SetRate(first+i, def.RatePerSubstream); err != nil {
-			return err
-		}
+	_, count := s.SubstreamRange()
+	for range count {
 		m.subRates = append(m.subRates, def.RatePerSubstream)
 		m.sourceOfSub = append(m.sourceOfSub, def.Source)
 	}

@@ -63,26 +63,11 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Result reports one adaptation round.
-type Result struct {
-	Assignment mapping.Assignment
-	// Migrations counts q-vertices whose target differs from the input
-	// assignment (a vertex moved twice within the round counts once —
-	// actual migration happens only after all decisions, §3.7).
-	Migrations int
-	// MovedLoad and MovedState total the weight and operator state of
-	// migrated vertices.
-	MovedLoad  float64
-	MovedState float64
-	// WECBefore and WECAfter record the cut around the round.
-	WECBefore float64
-	WECAfter  float64
-}
-
 // Rebalance runs one adaptation round on a coordinator's query graph,
-// network graph and current assignment. Vertex Dirty flags are reset at the
-// start of the round. The input assignment is not modified.
-func Rebalance(qg *querygraph.Graph, ng *netgraph.Graph, assign mapping.Assignment, opts Options) (*Result, error) {
+// network graph and current assignment, and returns the new assignment.
+// Vertex Dirty flags are reset at the start of the round. The input
+// assignment is not modified.
+func Rebalance(qg *querygraph.Graph, ng *netgraph.Graph, assign mapping.Assignment, opts Options) (mapping.Assignment, error) {
 	opts = opts.withDefaults()
 	if len(assign) != len(qg.Vertices) {
 		return nil, fmt.Errorf("adapt: assignment has %d entries for %d vertices", len(assign), len(qg.Vertices))
@@ -93,24 +78,11 @@ func Rebalance(qg *querygraph.Graph, ng *netgraph.Graph, assign mapping.Assignme
 	for _, v := range qg.Vertices {
 		v.Dirty = false
 	}
-
-	res := &Result{WECBefore: mapping.WEC(qg, ng, a)}
-
 	if err := rebalancePhase(qg, ng, m, a, opts); err != nil {
 		return nil, err
 	}
 	refinePhase(qg, ng, m, a, orig, opts)
-
-	res.Assignment = a
-	res.WECAfter = mapping.WEC(qg, ng, a)
-	for i, v := range qg.Vertices {
-		if !v.IsN() && a[i] != orig[i] {
-			res.Migrations++
-			res.MovedLoad += v.Weight
-			res.MovedState += v.StateSize
-		}
-	}
-	return res, nil
+	return a, nil
 }
 
 // rebalancePhase is Algorithm 3.

@@ -22,6 +22,13 @@ type Analyzer struct {
 	// through pass.Reportf. An error aborts the whole cosmoslint run —
 	// reserve it for internal failures, not findings.
 	Run func(pass *Pass) error
+
+	// RunAll, set instead of Run by a module-wide analyzer, is called once
+	// per run. It reports on targets, the packages the run was given, and
+	// reads refs, the reference set the checker loads whatever the
+	// patterns: every non-test package of the root module and of
+	// cmd/cosmos-bench. Reports issued on a ref pass are dropped.
+	RunAll func(targets, refs []*Pass) error
 }
 
 // A Pass presents one type-checked package to an Analyzer.

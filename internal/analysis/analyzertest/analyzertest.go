@@ -12,10 +12,11 @@
 // produce no diagnostic. Suppression annotations are applied exactly as in
 // a real cosmoslint run, so allowlist fixtures assert silence by carrying
 // a //lint: annotation and no want comment.
-package analyzertest
+package analyzertest //lint:deadcode golden-fixture harness of every analyzer's test: TestErrDrop, TestLockDiscipline, TestMapOrder, TestNondeterminism, TestPoolEscape and TestDeadcode
 
 import (
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -33,28 +34,37 @@ var wantArgRE = regexp.MustCompile("[`\"]([^`\"]*)[`\"]")
 // Run loads the fixture package at pattern (a directory path relative to
 // the calling test's working directory, e.g. "./testdata/src/a"), applies
 // the analyzer, and compares findings against the fixture's want
-// comments.
+// comments. A module-wide analyzer gets a pattern over several packages
+// ("./testdata/src/..."), which serve as both its targets and its
+// reference set, loaded with their test files so that a fixture can show
+// a reference from a _test.go file being ignored.
 func Run(t *testing.T, a *analysis.Analyzer, pattern string) {
 	t.Helper()
-	pkgs, err := load.Load(load.Config{}, pattern)
+	pkgs, err := load.Load(load.Config{IncludeTests: a.RunAll != nil}, pattern)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", pattern, err)
 	}
-	if len(pkgs) != 1 {
-		t.Fatalf("fixture %s matched %d packages, want 1", pattern, len(pkgs))
+	if len(pkgs) == 0 || a.RunAll == nil && len(pkgs) != 1 {
+		t.Fatalf("fixture %s matched %d packages", pattern, len(pkgs))
 	}
-	pkg := pkgs[0]
-	if len(pkg.TypeErrors) > 0 {
-		t.Fatalf("fixture %s has type errors: %v", pattern, pkg.TypeErrors)
+	for _, pkg := range pkgs {
+		if len(pkg.TypeErrors) > 0 {
+			t.Fatalf("fixture %s has type errors: %v", pattern, pkg.TypeErrors)
+		}
 	}
-	diags, err := checker.Check(pkg, []*analysis.Analyzer{a})
+	diags, err := checker.Check(pkgs, pkgs, []*analysis.Analyzer{a})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	wants, err := parseWants(pkg)
-	if err != nil {
-		t.Fatal(err)
+	// A test variant shares its base package's files, and so its wants.
+	wants := map[key][]*want{}
+	for _, pkg := range pkgs {
+		w, err := parseWants(pkg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		maps.Copy(wants, w)
 	}
 
 	matched := map[*want]bool{}

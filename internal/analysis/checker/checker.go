@@ -5,9 +5,13 @@ package checker
 
 import (
 	"fmt"
+	"os/exec"
+	"path/filepath"
 	"sort"
+	"strings"
 
 	"repro/internal/analysis"
+	"repro/internal/analysis/deadcode"
 	"repro/internal/analysis/errdrop"
 	"repro/internal/analysis/load"
 	"repro/internal/analysis/lockdiscipline"
@@ -24,28 +28,76 @@ func Analyzers() []*analysis.Analyzer {
 		poolescape.Analyzer,
 		errdrop.Analyzer,
 		nondeterminism.Analyzer,
+		deadcode.Analyzer,
 	}
 }
 
-// Run loads patterns (relative to dir) and applies analyzers, returning
-// the surviving diagnostics sorted by position. Suppressed findings are
-// dropped; duplicate findings (the same non-test file analyzed both in a
-// base package and its test variant under includeTests) are merged.
+// Run loads patterns (relative to dir) and the reference set, and applies
+// analyzers, returning the surviving diagnostics sorted by position.
 func Run(dir string, includeTests bool, analyzers []*analysis.Analyzer, patterns ...string) ([]analysis.Diagnostic, error) {
 	pkgs, err := load.Load(load.Config{Dir: dir, IncludeTests: includeTests}, patterns...)
 	if err != nil {
 		return nil, err
 	}
-	var all []analysis.Diagnostic
 	for _, pkg := range pkgs {
 		if len(pkg.TypeErrors) > 0 {
 			return nil, fmt.Errorf("type errors in %s (fix before linting): %v", pkg.ImportPath, pkg.TypeErrors[0])
 		}
-		diags, err := Check(pkg, analyzers)
-		if err != nil {
-			return nil, err
+	}
+	refs, err := references(dir)
+	if err != nil {
+		return nil, err
+	}
+	return Check(pkgs, refs, analyzers)
+}
+
+// references loads the packages a module-wide analyzer counts uses in:
+// every non-test package of the root module and of the cmd/cosmos-bench
+// module nested in it. Listing repro/... from inside cmd/cosmos-bench,
+// which replaces repro with the root, matches both modules at once.
+func references(dir string) ([]*load.Package, error) {
+	cmd := exec.Command("go", "list", "-m", "-f", "{{.Dir}}", "repro")
+	cmd.Dir = dir
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("locating the root module: %v", err)
+	}
+	bench := filepath.Join(strings.TrimSpace(string(out)), "cmd", "cosmos-bench")
+	return load.Load(load.Config{Dir: bench}, "repro/...")
+}
+
+// Check applies analyzers to targets, a module-wide one reading refs as
+// well, and returns the unsuppressed diagnostics sorted by position.
+// Duplicate findings (the same non-test file analyzed both in a base
+// package and its test variant under includeTests) are merged.
+func Check(targets, refs []*load.Package, analyzers []*analysis.Analyzer) ([]analysis.Diagnostic, error) {
+	var all []analysis.Diagnostic
+	passes := func(a *analysis.Analyzer, pkgs []*load.Package, keep bool) []*analysis.Pass {
+		var ps []*analysis.Pass
+		for _, pkg := range pkgs {
+			sup := analysis.BuildSuppressions(pkg.Fset, pkg.Files)
+			report := func(d analysis.Diagnostic) {
+				if keep && !sup.Suppressed(d) {
+					all = append(all, d)
+				}
+			}
+			ps = append(ps, analysis.NewPass(a, pkg.Fset, pkg.Files, pkg.Types, pkg.Info, report))
 		}
-		all = append(all, diags...)
+		return ps
+	}
+	for _, a := range analyzers {
+		ps := passes(a, targets, true)
+		if a.RunAll != nil {
+			if err := a.RunAll(ps, passes(a, refs, false)); err != nil {
+				return nil, fmt.Errorf("%s: %v", a.Name, err)
+			}
+			continue
+		}
+		for _, p := range ps {
+			if err := a.Run(p); err != nil {
+				return nil, fmt.Errorf("%s on %s: %v", a.Name, p.Pkg.Path(), err)
+			}
+		}
 	}
 	sort.Slice(all, func(i, j int) bool {
 		a, b := all[i], all[j]
@@ -74,23 +126,4 @@ func Run(dir string, includeTests bool, analyzers []*analysis.Analyzer, patterns
 		dedup = append(dedup, d)
 	}
 	return dedup, nil
-}
-
-// Check applies analyzers to one loaded package, returning unsuppressed
-// diagnostics in issue order.
-func Check(pkg *load.Package, analyzers []*analysis.Analyzer) ([]analysis.Diagnostic, error) {
-	sup := analysis.BuildSuppressions(pkg.Fset, pkg.Files)
-	var out []analysis.Diagnostic
-	for _, a := range analyzers {
-		report := func(d analysis.Diagnostic) {
-			if !sup.Suppressed(d) {
-				out = append(out, d)
-			}
-		}
-		pass := analysis.NewPass(a, pkg.Fset, pkg.Files, pkg.Types, pkg.Info, report)
-		if err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("%s on %s: %v", a.Name, pkg.ImportPath, err)
-		}
-	}
-	return out, nil
 }

@@ -7,9 +7,11 @@
 // export data the `go list -export` build produces; see the load package).
 //
 // The analyzers live one package each under this directory (maporder,
-// lockdiscipline, poolescape, errdrop, nondeterminism); the checker
-// package registers and runs them, load type-checks the module, and
-// analyzertest is the golden-fixture harness. LINT.md at the repo root
+// lockdiscipline, poolescape, errdrop, nondeterminism, deadcode); the
+// checker package registers and runs them, load type-checks the module,
+// and analyzertest is the golden-fixture harness. deadcode is
+// module-wide: it sets Analyzer.RunAll and reads the whole module's
+// reference set (loaded by the checker) instead of one package at a time. LINT.md at the repo root
 // documents each analyzer's invariant and escape hatch; CONCURRENCY.md
 // documents the memory-model contracts the lockdiscipline and
 // nondeterminism rules enforce.

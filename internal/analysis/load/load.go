@@ -27,14 +27,10 @@ import (
 // A Package is one type-checked target.
 type Package struct {
 	ImportPath string
-	// ForTest is the base import path when this is a test variant
-	// (`p [p.test]` or `p_test [p.test]`) loaded under IncludeTests.
-	ForTest string
-	Dir     string
-	Fset    *token.FileSet
-	Files   []*ast.File
-	Types   *types.Package
-	Info    *types.Info
+	Fset       *token.FileSet
+	Files      []*ast.File
+	Types      *types.Package
+	Info       *types.Info
 	// TypeErrors holds soft type-checking errors. Loading fails hard only
 	// when a package cannot be checked at all.
 	TypeErrors []error
@@ -54,14 +50,12 @@ type Config struct {
 // listPkg is the subset of `go list -json` output the loader consumes.
 type listPkg struct {
 	ImportPath string
-	Name       string
 	Dir        string
 	GoFiles    []string
 	CgoFiles   []string
 	Export     string
 	Standard   bool
 	DepOnly    bool
-	ForTest    string
 	ImportMap  map[string]string
 	Module     *struct {
 		Path      string
@@ -76,7 +70,7 @@ func Load(cfg Config, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	args := []string{"list", "-export", "-deps", "-json=ImportPath,Name,Dir,GoFiles,CgoFiles,Export,Standard,DepOnly,ForTest,ImportMap,Module,Error"}
+	args := []string{"list", "-export", "-deps", "-json=ImportPath,Dir,GoFiles,CgoFiles,Export,Standard,DepOnly,ImportMap,Module,Error"}
 	if cfg.IncludeTests {
 		args = append(args, "-test")
 	}
@@ -161,8 +155,6 @@ func check(fset *token.FileSet, t *listPkg, exports map[string]string) (*Package
 
 	pkg := &Package{
 		ImportPath: t.ImportPath,
-		ForTest:    t.ForTest,
-		Dir:        t.Dir,
 		Fset:       fset,
 		Files:      files,
 		Info: &types.Info{

@@ -35,6 +35,8 @@ func New(n int) *Vector {
 
 // FromIndices returns a vector of length n with the given bit positions set.
 // Indices outside [0, n) are ignored.
+//
+//lint:deadcode test fixture builder of the bitvec, adapt, hierarchy, mapping, querygraph and sim tests (TestCountAndIndices, TestBestTarget and TestRemoveKeepsStateExact among them)
 func FromIndices(n int, indices []int) *Vector {
 	v := New(n)
 	for _, i := range indices {
@@ -43,23 +45,12 @@ func FromIndices(n int, indices []int) *Vector {
 	return v
 }
 
-// Len returns the number of bits the vector can hold.
-func (v *Vector) Len() int { return v.n }
-
 // Set sets bit i. Out-of-range indices are ignored.
 func (v *Vector) Set(i int) {
 	if i < 0 || i >= v.n {
 		return
 	}
 	v.words[i/wordBits] |= 1 << (uint(i) % wordBits)
-}
-
-// Clear clears bit i. Out-of-range indices are ignored.
-func (v *Vector) Clear(i int) {
-	if i < 0 || i >= v.n {
-		return
-	}
-	v.words[i/wordBits] &^= 1 << (uint(i) % wordBits)
 }
 
 // Test reports whether bit i is set.
@@ -97,83 +88,6 @@ func (v *Vector) Or(o *Vector) error {
 	return nil
 }
 
-// AndNot clears from v every bit that is set in o.
-func (v *Vector) AndNot(o *Vector) error {
-	if err := v.check(o); err != nil {
-		return err
-	}
-	for i, w := range o.words {
-		v.words[i] &^= w
-	}
-	return nil
-}
-
-// OverlapCount returns |v AND o|, the number of bits set in both vectors.
-// It is the hot operation of the query-graph construction: the weight of an
-// overlap edge is the total rate of the substreams both queries request.
-func (v *Vector) OverlapCount(o *Vector) int {
-	n := min(len(v.words), len(o.words))
-	c := 0
-	for i := 0; i < n; i++ {
-		c += bits.OnesCount64(v.words[i] & o.words[i])
-	}
-	return c
-}
-
-// Overlaps reports whether v and o share at least one set bit. It short-
-// circuits on the first common word and is cheaper than OverlapCount when
-// only existence matters.
-func (v *Vector) Overlaps(o *Vector) bool {
-	n := min(len(v.words), len(o.words))
-	for i := 0; i < n; i++ {
-		if v.words[i]&o.words[i] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// Contains reports whether every bit set in o is also set in v, i.e. o's
-// interest is covered by v's. Used by subscription covering in the pub/sub.
-func (v *Vector) Contains(o *Vector) bool {
-	n := max(len(v.words), len(o.words))
-	for i := 0; i < n; i++ {
-		var vw, ow uint64
-		if i < len(v.words) {
-			vw = v.words[i]
-		}
-		if i < len(o.words) {
-			ow = o.words[i]
-		}
-		if ow&^vw != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Equal reports whether v and o have identical length and bits.
-func (v *Vector) Equal(o *Vector) bool {
-	if v.n != o.n {
-		return false
-	}
-	for i := range v.words {
-		if v.words[i] != o.words[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Union returns a new vector holding v | o. Vectors must have equal length.
-func Union(v, o *Vector) (*Vector, error) {
-	c := v.Clone()
-	if err := c.Or(o); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
 // Words exposes the raw word representation for read-only scans, letting
 // hot paths (the query-graph inverted indexes) iterate set bits without
 // iterator or closure overhead. The slice must not be modified; bit i lives
@@ -195,7 +109,7 @@ func (v *Vector) Indices() []int {
 
 // WeightedSum returns the sum of weights[i] over all set bits i. It computes
 // the aggregate data rate of the substreams a query is interested in.
-// Weights must have length >= v.Len().
+// Weights must cover every set bit.
 func (v *Vector) WeightedSum(weights []float64) float64 {
 	var s float64
 	for wi, w := range v.words {
@@ -208,16 +122,11 @@ func (v *Vector) WeightedSum(weights []float64) float64 {
 	return s
 }
 
-// OverlapWeightedSum returns the sum of weights[i] over bits set in both v
-// and o — the shared data rate of two queries.
-func (v *Vector) OverlapWeightedSum(o *Vector, weights []float64) float64 {
-	return v.OverlapWeightedSumRange(o, weights, 0, len(v.words))
-}
-
-// OverlapWeightedSumRange is OverlapWeightedSum restricted to the word
-// range [lo, hi). When the caller knows both vectors' set bits lie within
-// the range (e.g. tracked word spans), the result is identical — skipped
-// words contribute nothing — at a fraction of the scan cost.
+// OverlapWeightedSumRange returns the sum of weights[i] over bits set in
+// both v and o — the shared data rate of two queries — scanning only the
+// word range [lo, hi). When the caller knows both vectors' set bits lie
+// within the range (e.g. tracked word spans), skipped words contribute
+// nothing.
 func (v *Vector) OverlapWeightedSumRange(o *Vector, weights []float64, lo, hi int) float64 {
 	if n := min(len(v.words), len(o.words)); hi > n {
 		hi = n

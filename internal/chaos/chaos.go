@@ -1,4 +1,4 @@
-package chaos
+package chaos //lint:deadcode fault-injection fabric of the chaos tests and the fault-injected churn soak (TestChurnSoakFaults via runSoak)
 
 import (
 	"fmt"

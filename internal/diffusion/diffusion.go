@@ -62,15 +62,6 @@ func (s *Solution) Moves() [][]float64 {
 	return m
 }
 
-// TotalTransfer returns Σ|m_ij|, the total load volume the plan moves.
-func (s *Solution) TotalTransfer() float64 {
-	var t float64
-	for _, f := range s.Flow {
-		t += math.Abs(f)
-	}
-	return t
-}
-
 // balancedEps is the relative size ‖l − t‖₂/‖l‖₂ up to which loads count as
 // balanced: a few orders above the 1e-16 of float64 rounding, far below any
 // imbalance worth a migration.

@@ -14,10 +14,6 @@ import (
 type AdaptReport struct {
 	// Migrations counts queries whose processor changed this round.
 	Migrations int
-	// MovedLoad and MovedState total the load and operator state of
-	// migrated queries.
-	MovedLoad  float64
-	MovedState float64
 }
 
 // Adapt runs one hierarchical adaptation round, initiated at the root and
@@ -74,36 +70,24 @@ func (t *Tree) Adapt(loadOf func(name string) float64) (*AdaptReport, error) {
 	if t.Cfg.Workers > 1 {
 		sem = make(chan struct{}, t.Cfg.Workers-1)
 	}
-	if err := t.descendCurrent(t.Root, rootIncoming, false, true, false, sem); err != nil {
+	if err := t.descendCurrent(t.Root, rootIncoming, true, false, sem); err != nil {
 		return nil, err
 	}
 
-	// Accumulate in sorted query order: float addition is not associative,
-	// so a map-order sum would drift bit-for-bit across runs.
 	rep := &AdaptReport{}
-	moved := make([]string, 0, len(t.placement))
 	for name, proc := range t.placement {
 		if old, ok := prev[name]; ok && old != proc {
-			moved = append(moved, name)
+			rep.Migrations++
 		}
-	}
-	sort.Strings(moved)
-	for _, name := range moved {
-		rep.Migrations++
-		q := t.queries[name]
-		rep.MovedLoad += q.Load
-		rep.MovedState += q.StateSize
 	}
 	return rep, nil
 }
 
 // descendCurrent processes one coordinator against the CURRENT placement
-// and recurses. With useStored, the coordinator's stored graph is refreshed
-// and reused (the root at the start of an adaptation round); otherwise the
-// working set comes from the parent's decisions and is warm-started from
-// the current placement. With rebalance, Algorithm 3 runs at this level;
-// without it the warm assignment is installed verbatim (placement
-// restoration). With pure, coarsening only merges vertices placed on the
+// and recurses. The working set comes from the parent's decisions and is
+// warm-started from the current placement. With rebalance, Algorithm 3
+// runs at this level; without it the warm assignment is installed verbatim
+// (placement restoration). With pure, coarsening only merges vertices placed on the
 // same processor so the current placement is preserved exactly.
 //
 // With a non-nil sem, sibling subtrees recurse concurrently over the
@@ -111,121 +95,94 @@ func (t *Tree) Adapt(loadOf func(name string) float64) (*AdaptReport, error) {
 // the shared tree maps (placement, queries) are then guarded by placeMu in
 // the helpers that touch them, and everything else a branch writes is
 // per-coordinator state of its own subtree.
-func (t *Tree) descendCurrent(c *Coordinator, incoming []*querygraph.Vertex, useStored, rebalance, pure bool, sem chan struct{}) error {
-	var g *querygraph.Graph
-	var assign mapping.Assignment
-	var fineShares func(res mapping.Assignment) ([][]*querygraph.Vertex, error)
+func (t *Tree) descendCurrent(c *Coordinator, incoming []*querygraph.Vertex, rebalance, pure bool, sem chan struct{}) error {
+	work, err := t.expandAll(incoming, c.Level-1)
+	if err != nil {
+		return err
+	}
+	prep, err := t.prepare(c, work)
+	if err != nil {
+		return err
+	}
+	// Edge weights depend on interests, rates, and result rates — not
+	// on the query loads refreshWeights updates — so the edges built
+	// by prepare stay valid.
+	t.refreshWeights(prep.g)
 
-	if useStored {
-		// Refresh the stored graph in place: weights and edges.
-		g = c.graph
-		t.refreshWeights(g)
-		g.ComputeEdges()
-		assign = c.assign.Clone()
-		fineShares = func(res mapping.Assignment) ([][]*querygraph.Vertex, error) {
-			shares := make([][]*querygraph.Vertex, c.assignableCount())
-			for vi, v := range g.Vertices {
-				if v == nil || len(v.Queries) == 0 {
-					continue
-				}
-				k := res[vi]
-				if k < 0 || k >= len(shares) {
-					return nil, fmt.Errorf("hierarchy: %s: vertex %d on non-child target %d", c.Name, vi, k)
-				}
-				shares[k] = append(shares[k], v)
+	// Coarsen by interest (heavy-edge matching), as in the initial
+	// distribution: interest-grouped vertices are what lets the
+	// rebalance escape the local minima single-query moves cannot.
+	// The per-coordinator RNG is fixed, so grouping is stable
+	// across rounds and constituents of a vertex are co-located
+	// from the previous round — the warm majority start is then
+	// exact except right after workload changes. At the leaf,
+	// queries stay atomic: the diffusion flows of Algorithm 3 are
+	// small relative to coarse-chunk weights, and per-processor
+	// balancing needs query granularity. In pure mode only
+	// same-processor merges are allowed, preserving placement.
+	opts := querygraph.CoarsenOptions{
+		VMax:       t.Cfg.VMax,
+		Rng:        t.coordRng(c),
+		NoQN:       true,
+		CountQOnly: true,
+	}
+	if pure {
+		opts.CanMerge = t.samePlacedProc
+	}
+	if c.IsLeaf() {
+		opts.VMax = len(prep.g.Vertices) + 1
+	}
+	res := prep.g.Coarsen(opts)
+	g := res.Graph
+	assign := make(mapping.Assignment, len(g.Vertices))
+	m := mapping.NewMapper(g, c.ng, mapping.Options{Alpha: t.Cfg.Alpha, Rng: t.coordRng(c)})
+	loads := make([]float64, c.ng.Len())
+	for vi, v := range g.Vertices {
+		assign[vi] = mapping.Unassigned
+		if v.IsN() {
+			assign[vi] = v.Clu
+		} else if k := t.warmTarget(c, v); k >= 0 {
+			assign[vi] = k
+		}
+		if assign[vi] >= 0 {
+			loads[assign[vi]] += v.Weight
+		}
+	}
+	for vi, v := range g.Vertices {
+		if assign[vi] == mapping.Unassigned {
+			assign[vi] = m.BestTarget(assign, vi, loads)
+			loads[assign[vi]] += v.Weight
+		}
+	}
+	fineShares := func(resA mapping.Assignment) ([][]*querygraph.Vertex, error) {
+		shares := make([][]*querygraph.Vertex, c.assignableCount())
+		for ci, v := range g.Vertices {
+			if len(v.Queries) == 0 {
+				continue
 			}
-			return shares, nil
-		}
-	} else {
-		work, err := t.expandAll(incoming, c.Level-1)
-		if err != nil {
-			return err
-		}
-		prep, err := t.prepare(c, work)
-		if err != nil {
-			return err
-		}
-		// Edge weights depend on interests, rates, and result rates — not
-		// on the query loads refreshWeights updates — so the edges built
-		// by prepare stay valid.
-		t.refreshWeights(prep.g)
-
-		// Coarsen by interest (heavy-edge matching), as in the initial
-		// distribution: interest-grouped vertices are what lets the
-		// rebalance escape the local minima single-query moves cannot.
-		// The per-coordinator RNG is fixed, so grouping is stable
-		// across rounds and constituents of a vertex are co-located
-		// from the previous round — the warm majority start is then
-		// exact except right after workload changes. At the leaf,
-		// queries stay atomic: the diffusion flows of Algorithm 3 are
-		// small relative to coarse-chunk weights, and per-processor
-		// balancing needs query granularity. In pure mode only
-		// same-processor merges are allowed, preserving placement.
-		opts := querygraph.CoarsenOptions{
-			VMax:       t.Cfg.VMax,
-			Rng:        t.coordRng(c),
-			NoQN:       true,
-			CountQOnly: true,
-		}
-		if pure {
-			opts.CanMerge = t.samePlacedProc
-		}
-		if c.IsLeaf() {
-			opts.VMax = len(prep.g.Vertices) + 1
-		}
-		res := prep.g.Coarsen(opts)
-		g = res.Graph
-		assign = make(mapping.Assignment, len(g.Vertices))
-		m := mapping.NewMapper(g, c.ng, mapping.Options{Alpha: t.Cfg.Alpha, Rng: t.coordRng(c)})
-		loads := make([]float64, c.ng.Len())
-		for vi, v := range g.Vertices {
-			assign[vi] = mapping.Unassigned
-			if v.IsN() {
-				assign[vi] = v.Clu
-			} else if k := t.warmTarget(c, v); k >= 0 {
-				assign[vi] = k
+			k := resA[ci]
+			if k < 0 || k >= len(shares) {
+				return nil, fmt.Errorf("hierarchy: %s: vertex %d on non-child target %d", c.Name, ci, k)
 			}
-			if assign[vi] >= 0 {
-				loads[assign[vi]] += v.Weight
-			}
-		}
-		for vi, v := range g.Vertices {
-			if assign[vi] == mapping.Unassigned {
-				assign[vi] = m.BestTarget(assign, vi, loads)
-				loads[assign[vi]] += v.Weight
-			}
-		}
-		fineShares = func(resA mapping.Assignment) ([][]*querygraph.Vertex, error) {
-			shares := make([][]*querygraph.Vertex, c.assignableCount())
-			for ci, v := range g.Vertices {
-				if len(v.Queries) == 0 {
-					continue
-				}
-				k := resA[ci]
-				if k < 0 || k >= len(shares) {
-					return nil, fmt.Errorf("hierarchy: %s: vertex %d on non-child target %d", c.Name, ci, k)
-				}
-				for _, fi := range res.CoarseToFine[ci] {
-					fv := prep.g.Vertices[fi]
-					if len(fv.Queries) > 0 {
-						shares[k] = append(shares[k], fv)
-					}
+			for _, fi := range res.CoarseToFine[ci] {
+				fv := prep.g.Vertices[fi]
+				if len(fv.Queries) > 0 {
+					shares[k] = append(shares[k], fv)
 				}
 			}
-			return shares, nil
 		}
+		return shares, nil
 	}
 
 	final := assign
 	if rebalance {
-		result, err := adapt.Rebalance(g, c.ng, assign, adapt.Options{
+		final, err = adapt.Rebalance(g, c.ng, assign, adapt.Options{
 			Alpha: t.Cfg.Alpha,
 			Rng:   t.coordRng(c),
 		})
 		if err != nil {
 			return fmt.Errorf("hierarchy: %s: %w", c.Name, err)
 		}
-		final = result.Assignment
 	}
 	t.setState(c, g, final)
 
@@ -248,7 +205,7 @@ func (t *Tree) descendCurrent(c *Coordinator, incoming []*querygraph.Vertex, use
 	}
 	if sem == nil {
 		for k, share := range shares {
-			if err := t.descendCurrent(c.Children[k], share, false, rebalance, pure, nil); err != nil {
+			if err := t.descendCurrent(c.Children[k], share, rebalance, pure, nil); err != nil {
 				return err
 			}
 		}
@@ -273,13 +230,13 @@ func (t *Tree) descendCurrent(c *Coordinator, incoming []*querygraph.Vertex, use
 			wg.Add(1)
 			go func(k int, share []*querygraph.Vertex) {
 				defer wg.Done()
-				err := t.descendCurrent(c.Children[k], share, false, rebalance, pure, sem)
+				err := t.descendCurrent(c.Children[k], share, rebalance, pure, sem)
 				<-sem
 				record(err)
 			}(k, share)
 		default:
 			// No free worker slot: recurse inline rather than blocking.
-			record(t.descendCurrent(c.Children[k], share, false, rebalance, pure, sem))
+			record(t.descendCurrent(c.Children[k], share, rebalance, pure, sem))
 		}
 	}
 	wg.Wait()

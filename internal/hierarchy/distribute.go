@@ -71,7 +71,6 @@ func (t *Tree) resetDistribution(queries []querygraph.QueryInfo, subRates []floa
 	if err != nil {
 		return fmt.Errorf("hierarchy: %w", err)
 	}
-	t.subRates = subRates
 	t.sourceOfSub = sourceOfSub
 	t.space = space
 	t.placement = make(map[string]topology.NodeID, len(queries))
@@ -114,6 +113,8 @@ func (t *Tree) DistributeRandom(queries []querygraph.QueryInfo, subRates []float
 // builds consistent coordinator state so that later Adapt rounds and
 // insertions can improve on it. The placement is restored exactly: every
 // coarsening step only merges vertices bound to the same target.
+//
+//lint:deadcode test harness: installs the fixed placements of hierarchy's TestAdaptOnExactlyBalancedCluster and sim's TestAdaptConvergesFromRandom and TestAdaptRebalancesSkewedLoad
 func (t *Tree) DistributeWith(queries []querygraph.QueryInfo, subRates []float64,
 	sourceOfSub []topology.NodeID, placeAt func(q querygraph.QueryInfo) topology.NodeID) error {
 	if err := t.resetDistribution(queries, subRates, sourceOfSub); err != nil {
@@ -135,7 +136,7 @@ func (t *Tree) DistributeWith(queries []querygraph.QueryInfo, subRates []float64
 	if err != nil {
 		return err
 	}
-	return t.descendCurrent(t.Root, rootIncoming, false, false, true, nil)
+	return t.descendCurrent(t.Root, rootIncoming, false, true, nil)
 }
 
 // upwardPass runs the bottom-up query-graph hierarchy construction (§3.4).

@@ -82,7 +82,7 @@ func TestBuildTreeStructure(t *testing.T) {
 			covered[p]++
 		}
 		// The leaf's coordinator node must be one of its members.
-		if !leaf.Covers(leaf.Node) {
+		if !leaf.memberSet[leaf.Node] {
 			t.Errorf("leaf %s median %d outside its cluster", leaf.Name, leaf.Node)
 		}
 	}

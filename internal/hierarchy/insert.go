@@ -185,12 +185,3 @@ func (t *Tree) PlaceAt(q querygraph.QueryInfo, proc topology.NodeID) error {
 	}
 	return nil
 }
-
-// Queries returns the query info map (by name).
-func (t *Tree) Queries() map[string]querygraph.QueryInfo {
-	out := make(map[string]querygraph.QueryInfo, len(t.queries))
-	for k, v := range t.queries {
-		out[k] = v
-	}
-	return out
-}

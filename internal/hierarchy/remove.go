@@ -122,6 +122,8 @@ func shrunkVertex(v *querygraph.Vertex, qi int) *querygraph.Vertex {
 // are zero exactly when every submitted query has been removed — the
 // coordinator-tree half of the drain-to-empty invariant the churn-soak
 // asserts.
+//
+//lint:deadcode drain-to-empty oracle of TestCancelRemovesCoordinatorState, TestRemoveKeepsStateExact and the churn soaks (runSoak)
 func (t *Tree) Residual() (queries, vertices int, load float64) {
 	queries = len(t.queries)
 	if len(t.placement) > queries {

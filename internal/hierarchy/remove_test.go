@@ -52,7 +52,7 @@ func checkLoadsExact(t *testing.T, tree *Tree, step string) {
 			}
 		}
 		for name := range surviving {
-			if c.Covers(tree.placement[name]) && !named[name] {
+			if c.memberSet[tree.placement[name]] && !named[name] {
 				t.Fatalf("%s: %s lost surviving query %s (placed at %d)",
 					step, c.Name, name, tree.placement[name])
 			}
@@ -129,7 +129,7 @@ func TestRemoveKeepsStateExact(t *testing.T) {
 
 	// Drain: removing everything leaves zero queries, zero query
 	// vertices and EXACTLY zero load at every coordinator.
-	for name := range tree.Queries() {
+	for name := range tree.queries {
 		if _, ok := tree.Remove(name); !ok {
 			t.Fatalf("Remove(%s) unknown during drain", name)
 		}

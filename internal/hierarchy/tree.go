@@ -132,9 +132,6 @@ func (c *Coordinator) noteQuery(name string, id int) {
 	c.byQuery[name] = id
 }
 
-// Covers reports whether the processor is a descendant of this coordinator.
-func (c *Coordinator) Covers(n topology.NodeID) bool { return c.memberSet[n] }
-
 // Tree is the full coordinator hierarchy plus the global bookkeeping COSMOS
 // needs: per-query placement and query metadata.
 type Tree struct {
@@ -148,7 +145,6 @@ type Tree struct {
 	procCap map[topology.NodeID]float64
 	leafOf  map[topology.NodeID]*Coordinator
 
-	subRates    []float64
 	sourceOfSub []topology.NodeID
 	// space is the shared substream index over (subRates, sourceOfSub),
 	// built once per distribution and reused by every per-coordinator
@@ -375,6 +371,8 @@ func (t *Tree) Placement() map[string]topology.NodeID {
 // ProcessorLoads returns the current per-processor query load. Loads are
 // accumulated in sorted query order: float addition is not associative, so
 // a map-order sum would drift bit-for-bit across runs.
+//
+//lint:deadcode load oracle of TestProcessorLoads, TestRemoveSurvivesAdapt and sim's pinnedChurnDigest
 func (t *Tree) ProcessorLoads() map[topology.NodeID]float64 {
 	out := make(map[topology.NodeID]float64, len(t.procCap))
 	for p := range t.procCap {

@@ -135,19 +135,6 @@ func Loads(qg *querygraph.Graph, ng *netgraph.Graph, a Assignment) []float64 {
 	return loads
 }
 
-// Violation returns the total load overflow Σ max(0, load_k − cap_k) of an
-// assignment under the mapper's capacities.
-func (m *Mapper) Violation(a Assignment) float64 {
-	loads := Loads(m.qg, m.ng, a)
-	var v float64
-	for k, l := range loads {
-		if over := l - m.caps[k]; over > 0 {
-			v += over
-		}
-	}
-	return v
-}
-
 // Capacities exposes the per-target load limits.
 func (m *Mapper) Capacities() []float64 {
 	out := make([]float64, len(m.caps))

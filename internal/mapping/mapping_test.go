@@ -114,9 +114,22 @@ func TestMapKeepsLoadFeasibleWhenPossible(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Total load is well under capacity: no violation expected.
-	if v := m.Violation(a); v > 0 {
-		t.Errorf("violation = %v on an easy instance", v)
+	if over := overCapacity(m, a); len(over) > 0 {
+		t.Errorf("targets %v over capacity on an easy instance", over)
 	}
+}
+
+// overCapacity lists the targets whose load under a exceeds the mapper's
+// capacity for them.
+func overCapacity(m *Mapper, a Assignment) []int {
+	caps := m.Capacities()
+	var over []int
+	for k, l := range Loads(m.qg, m.ng, a) {
+		if l > caps[k] {
+			over = append(over, k)
+		}
+	}
+	return over
 }
 
 func TestSweepModeMatchesInterface(t *testing.T) {

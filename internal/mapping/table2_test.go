@@ -124,8 +124,8 @@ func TestPaperTable2(t *testing.T) {
 	// All schemes respect the load constraint (0.2 <= 1.1*0.4/2).
 	m := NewMapper(qg, ng, Options{})
 	for i, a := range []Assignment{scheme1, scheme2, scheme3} {
-		if v := m.Violation(a); v != 0 {
-			t.Errorf("scheme %d violates load constraint by %v", i+1, v)
+		if over := overCapacity(m, a); len(over) > 0 {
+			t.Errorf("scheme %d violates the load constraint at targets %v", i+1, over)
 		}
 	}
 
@@ -137,7 +137,7 @@ func TestPaperTable2(t *testing.T) {
 	if w := WEC(qg, ng, got); w > wec3 {
 		t.Errorf("mapper WEC = %v, want <= %v (scheme 3)", w, wec3)
 	}
-	if v := m.Violation(got); v != 0 {
-		t.Errorf("mapper violates load constraint by %v", v)
+	if over := overCapacity(m, got); len(over) > 0 {
+		t.Errorf("mapper violates the load constraint at targets %v", over)
 	}
 }

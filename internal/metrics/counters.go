@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -56,17 +55,5 @@ func Counters() map[string]int64 {
 	for name, c := range counters {
 		out[name] = c.Value()
 	}
-	return out
-}
-
-// CounterNames returns the registered counter names in sorted order.
-func CounterNames() []string {
-	countersMu.Lock()
-	defer countersMu.Unlock()
-	out := make([]string, 0, len(counters))
-	for name := range counters {
-		out = append(out, name)
-	}
-	sort.Strings(out)
 	return out
 }

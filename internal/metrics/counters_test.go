@@ -20,15 +20,6 @@ func TestCounterRegistry(t *testing.T) {
 	if snap["test.counters.a"] != base+5 {
 		t.Fatalf("snapshot value = %d, want %d", snap["test.counters.a"], base+5)
 	}
-	found := false
-	for _, name := range CounterNames() {
-		if name == "test.counters.a" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("CounterNames missing registered counter")
-	}
 }
 
 func TestCounterConcurrent(t *testing.T) {

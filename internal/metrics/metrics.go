@@ -38,17 +38,6 @@ func StdDev(xs []float64) float64 {
 	return math.Sqrt(s / float64(len(xs)))
 }
 
-// Min returns the smallest element of xs, or +Inf for an empty slice.
-func Min(xs []float64) float64 {
-	m := math.Inf(1)
-	for _, x := range xs {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Max returns the largest element of xs, or -Inf for an empty slice.
 func Max(xs []float64) float64 {
 	m := math.Inf(-1)

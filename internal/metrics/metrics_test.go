@@ -31,9 +31,6 @@ func TestMeanStdDev(t *testing.T) {
 
 func TestMinMaxSumMedian(t *testing.T) {
 	xs := []float64{3, 1, 4, 1, 5}
-	if got := Min(xs); got != 1 {
-		t.Errorf("Min = %v", got)
-	}
 	if got := Max(xs); got != 5 {
 		t.Errorf("Max = %v", got)
 	}

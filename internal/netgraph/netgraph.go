@@ -64,6 +64,8 @@ func New(vertices []Vertex, oracle *topology.Oracle) (*Graph, error) {
 
 // NewWithLatencies builds a graph from an explicit latency matrix, used by
 // tests and by the paper's worked example (Fig. 5).
+//
+//lint:deadcode test fixture builder of the adapt and mapping tests (instance, randomInstance, and paperExample of TestPaperTable2)
 func NewWithLatencies(vertices []Vertex, lat [][]float64) (*Graph, error) {
 	if len(vertices) == 0 {
 		return nil, fmt.Errorf("netgraph: no vertices")
@@ -90,12 +92,10 @@ func NewWithLatencies(vertices []Vertex, lat [][]float64) (*Graph, error) {
 // Len returns the number of vertices.
 func (g *Graph) Len() int { return g.n }
 
-// Latency returns Wn(e_ij), the latency between vertices i and j.
-func (g *Graph) Latency(i, j int) float64 { return g.lat[i*g.n+j] }
-
-// Row returns the latency row from vertex i to every vertex: Row(i)[j] ==
-// Latency(i, j). The slice aliases the matrix; callers must not modify it.
-// Hot loops scanning many j for one i should hoist the row.
+// Row returns the latency row from vertex i to every vertex: Row(i)[j] is
+// Wn(e_ij), the latency between vertices i and j. The slice aliases the
+// matrix; callers must not modify it. Hot loops scanning many j for one i
+// should hoist the row.
 func (g *Graph) Row(i int) []float64 { return g.lat[i*g.n : (i+1)*g.n] }
 
 // TotalCapability returns Σ Wn(v).
@@ -104,6 +104,8 @@ func (g *Graph) TotalCapability() float64 { return g.totalCap }
 // IndexOfNode returns the vertex index representing the given topology node,
 // searching vertex nodes first and then member lists. It returns -1 when the
 // node is not covered by the graph.
+//
+//lint:deadcode lookup of netgraph's TestIndexOfNode and sim's TestDiagnoseCost
 func (g *Graph) IndexOfNode(n topology.NodeID) int {
 	for i, v := range g.Vertices {
 		if v.Node == n {

@@ -29,11 +29,11 @@ func TestNewComputesLatencies(t *testing.T) {
 	if g.Len() != 2 {
 		t.Fatalf("Len = %d", g.Len())
 	}
-	if got := g.Latency(0, 1); got != 6 {
-		t.Errorf("Latency(0,1) = %v, want 6", got)
+	if got := g.Row(0)[1]; got != 6 {
+		t.Errorf("Row(0)[1] = %v, want 6", got)
 	}
-	if got := g.Latency(1, 1); got != 0 {
-		t.Errorf("Latency(1,1) = %v", got)
+	if got := g.Row(1)[1]; got != 0 {
+		t.Errorf("Row(1)[1] = %v", got)
 	}
 	if got := g.TotalCapability(); got != 3 {
 		t.Errorf("TotalCapability = %v", got)

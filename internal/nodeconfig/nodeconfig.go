@@ -425,6 +425,8 @@ func splitNonEmpty(s string) []string {
 // Reference renders the option table as a markdown table (key, flag, env
 // var, default, description) — the generator behind OPS.md's configuration
 // reference, kept here so the docs and the code share one source of truth.
+//
+//lint:deadcode generator of OPS.md's configuration table, which TestOpsReferenceInSync compares against
 func Reference() string {
 	def := defaults()
 	defaultFor := map[string]string{

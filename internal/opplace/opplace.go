@@ -14,36 +14,8 @@ import (
 	"repro/internal/topology"
 )
 
-// OpKind classifies operators.
-type OpKind int
-
-// Operator kinds.
-const (
-	OpSource OpKind = iota + 1
-	OpSelect
-	OpJoin
-	OpSink
-)
-
-func (k OpKind) String() string {
-	switch k {
-	case OpSource:
-		return "source"
-	case OpSelect:
-		return "select"
-	case OpJoin:
-		return "join"
-	case OpSink:
-		return "sink"
-	default:
-		return fmt.Sprintf("op(%d)", int(k))
-	}
-}
-
 // Operator is one vertex of the global operator graph.
 type Operator struct {
-	ID   int
-	Kind OpKind
 	// Stream is the input stream name (sources) or a description key.
 	Stream string
 	// Signature is the sharing key: operators with equal signatures are
@@ -54,8 +26,6 @@ type Operator struct {
 	Consumers []*Operator
 	// OutRate is the estimated output rate in bytes/sec.
 	OutRate float64
-	// Load is the estimated CPU load.
-	Load float64
 	// Node is the placement; Pinned operators (sources, sinks) cannot
 	// move.
 	Node   topology.NodeID
@@ -95,7 +65,6 @@ func (g *Graph) shared(sig string, mk func() *Operator) *Operator {
 		return op
 	}
 	op := mk()
-	op.ID = len(g.Ops)
 	op.Signature = sig
 	g.Ops = append(g.Ops, op)
 	g.bySig[sig] = op
@@ -127,7 +96,6 @@ func (g *Graph) AddQuery(q *query.Query, proxy topology.NodeID, model RateModel)
 		}
 		srcOp := g.shared("src:"+ref.Stream, func() *Operator {
 			return &Operator{
-				Kind:    OpSource,
 				Stream:  ref.Stream,
 				OutRate: model.StreamRate(ref.Stream),
 				Node:    src,
@@ -141,10 +109,8 @@ func (g *Graph) AddQuery(q *query.Query, proxy topology.NodeID, model RateModel)
 			rate := srcOp.OutRate * model.Selectivity(ref.Stream, sels)
 			selOp := g.shared(sig, func() *Operator {
 				return &Operator{
-					Kind:    OpSelect,
 					Stream:  ref.Stream,
 					OutRate: rate,
-					Load:    srcOp.OutRate * 0.001,
 					Node:    src, // initial guess; movable
 				}
 			})
@@ -163,10 +129,8 @@ func (g *Graph) AddQuery(q *query.Query, proxy topology.NodeID, model RateModel)
 		}
 		joinOp := g.shared(sig, func() *Operator {
 			return &Operator{
-				Kind:    OpJoin,
 				Stream:  q.Name,
 				OutRate: inRate * model.JoinFactor(q),
-				Load:    inRate * 0.002,
 				Node:    joinInputs[0].Node,
 			}
 		})
@@ -177,8 +141,6 @@ func (g *Graph) AddQuery(q *query.Query, proxy topology.NodeID, model RateModel)
 	}
 
 	sink := &Operator{
-		ID:      len(g.Ops),
-		Kind:    OpSink,
 		Stream:  q.Name,
 		OutRate: 0,
 		Node:    proxy,
@@ -357,14 +319,4 @@ func (g *Graph) Cost(oracle *topology.Oracle) float64 {
 		}
 	}
 	return total
-}
-
-// OperatorCount returns counts by kind, reflecting how much sharing the
-// global graph achieved.
-func (g *Graph) OperatorCount() map[OpKind]int {
-	out := make(map[OpKind]int, 4)
-	for _, op := range g.Ops {
-		out[op.Kind]++
-	}
-	return out
 }

@@ -52,20 +52,20 @@ func TestAddQueryBuildsSharedOperators(t *testing.T) {
 	if err := g.AddQuery(q2, 6, model); err != nil {
 		t.Fatal(err)
 	}
-	counts := g.OperatorCount()
+	counts := kinds(g)
 	// Identical structure: shared sources, shared selection, shared join;
 	// only the sinks differ.
-	if counts[OpSource] != 2 {
-		t.Errorf("sources = %d, want 2", counts[OpSource])
+	if counts["source"] != 2 {
+		t.Errorf("sources = %d, want 2", counts["source"])
 	}
-	if counts[OpSelect] != 1 {
-		t.Errorf("selections = %d, want 1 (shared)", counts[OpSelect])
+	if counts["select"] != 1 {
+		t.Errorf("selections = %d, want 1 (shared)", counts["select"])
 	}
-	if counts[OpJoin] != 1 {
-		t.Errorf("joins = %d, want 1 (shared)", counts[OpJoin])
+	if counts["join"] != 1 {
+		t.Errorf("joins = %d, want 1 (shared)", counts["join"])
 	}
-	if counts[OpSink] != 2 {
-		t.Errorf("sinks = %d, want 2", counts[OpSink])
+	if counts["sink"] != 2 {
+		t.Errorf("sinks = %d, want 2", counts["sink"])
 	}
 }
 
@@ -78,7 +78,7 @@ func TestDifferentPredicatesNotShared(t *testing.T) {
 	q2.Name = "b"
 	_ = g.AddQuery(q1, 5, model)
 	_ = g.AddQuery(q2, 6, model)
-	if got := g.OperatorCount()[OpSelect]; got != 2 {
+	if got := kinds(g)["select"]; got != 2 {
 		t.Errorf("selections = %d, want 2 (different thresholds)", got)
 	}
 }
@@ -92,7 +92,7 @@ func TestSelectionRateUsesSelectivity(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, op := range g.Ops {
-		if op.Kind == OpSelect && op.OutRate != 50 { // 100 * 0.5
+		if role(op) == "select" && op.OutRate != 50 { // 100 * 0.5
 			t.Errorf("selection rate = %v, want 50", op.OutRate)
 		}
 	}
@@ -126,12 +126,12 @@ func TestPlacePinsAndImproves(t *testing.T) {
 		t.Errorf("placement worsened cost: %v -> %v", before, after)
 	}
 	for _, op := range g.Ops {
-		switch op.Kind {
-		case OpSource:
+		switch role(op) {
+		case "source":
 			if op.Node != 0 && op.Node != 1 {
 				t.Errorf("source moved to %d", op.Node)
 			}
-		case OpSink:
+		case "sink":
 			if op.Node != 6 && op.Node != 7 {
 				t.Errorf("sink moved to %d", op.Node)
 			}
@@ -143,7 +143,7 @@ func TestPlacePinsAndImproves(t *testing.T) {
 				}
 			}
 			if !found {
-				t.Errorf("%v operator placed off-candidate at %d", op.Kind, op.Node)
+				t.Errorf("%s operator placed off-candidate at %d", role(op), op.Node)
 			}
 		}
 	}
@@ -170,7 +170,7 @@ func TestTopoOrderSourcesFirst(t *testing.T) {
 	for _, op := range g.topoOrder() {
 		for _, in := range op.Inputs {
 			if !seen[in] {
-				t.Errorf("operator %v ordered before its input", op.Kind)
+				t.Errorf("%s operator ordered before its input", role(op))
 			}
 		}
 		seen[op] = true
@@ -178,4 +178,27 @@ func TestTopoOrderSourcesFirst(t *testing.T) {
 	if len(seen) != len(g.Ops) {
 		t.Errorf("topo order covers %d of %d", len(seen), len(g.Ops))
 	}
+}
+
+// role reads an operator's part in the DAG from its wiring: a source has
+// no inputs, a sink no consumers, and a join more than one input.
+func role(op *Operator) string {
+	switch {
+	case len(op.Inputs) == 0:
+		return "source"
+	case len(op.Consumers) == 0:
+		return "sink"
+	case len(op.Inputs) > 1:
+		return "join"
+	}
+	return "select"
+}
+
+// kinds counts the graph's operators by role: how much sharing it achieved.
+func kinds(g *Graph) map[string]int {
+	out := map[string]int{}
+	for _, op := range g.Ops {
+		out[role(op)]++
+	}
+	return out
 }

@@ -28,7 +28,6 @@ import (
 // World is the prototype deployment: a small WAN with one source node per
 // deployment and the remaining nodes as processors.
 type World struct {
-	Graph      *topology.Graph
 	Oracle     *topology.Oracle
 	Sources    []topology.NodeID // one per deployment
 	Processors []topology.NodeID
@@ -37,8 +36,6 @@ type World struct {
 	// Substream space: one substream per station.
 	SubRates    []float64
 	SourceOfSub []topology.NodeID
-	// stationSub[i] is station i's global substream index (== i).
-	stationsPerDeployment int
 
 	selCache map[string]float64
 }
@@ -82,12 +79,10 @@ func NewWorld(nodes int, tcfg trace.Config, seed uint64) (*World, error) {
 		return nil, err
 	}
 	w := &World{
-		Graph:                 g,
-		Oracle:                topology.NewOracle(g),
-		Sources:               sources,
-		Processors:            procs,
-		Trace:                 gen,
-		stationsPerDeployment: (tcfg.Stations + tcfg.Deployments - 1) / tcfg.Deployments,
+		Oracle:     topology.NewOracle(g),
+		Sources:    sources,
+		Processors: procs,
+		Trace:      gen,
 	}
 	// One substream per station; rate = one reading per period.
 	perStation := float64(16+8*5) / (float64(tcfg.PeriodMillis) / 1000)
@@ -356,21 +351,18 @@ func (m *rateModel) JoinFactor(q *query.Query) float64 {
 
 // Result is one Fig 11 measurement point.
 type Result struct {
-	Queries int
 	// CosmosCost and OpCost are weighted communication costs.
 	CosmosCost float64
 	OpCost     float64
 	// CosmosTime and OpTime are optimizer running times.
 	CosmosTime time.Duration
 	OpTime     time.Duration
-	// SharedOperators reports how much sharing the operator graph found.
-	SharedOperators map[opplace.OpKind]int
 }
 
 // Run executes one comparison point: distribute the queries with COSMOS and
 // with operator placement, and cost both plans.
 func (w *World) Run(cqs []*CompiledQuery, k int) (*Result, error) {
-	res := &Result{Queries: len(cqs)}
+	res := &Result{}
 
 	// COSMOS.
 	tree, err := hierarchy.Build(w.Oracle, w.Processors, nil, hierarchy.Config{K: k, VMax: 60, Seed: 11})
@@ -400,7 +392,6 @@ func (w *World) Run(cqs []*CompiledQuery, k int) (*Result, error) {
 	og.Place(w.Oracle, w.Processors, 3)
 	res.OpTime = time.Since(start)
 	res.OpCost = og.Cost(w.Oracle)
-	res.SharedOperators = og.OperatorCount()
 	return res, nil
 }
 

@@ -307,15 +307,6 @@ func (b *Broker) clearTombstones() {
 	}
 }
 
-// Neighbors returns the broker's overlay neighbors sorted by node ID.
-func (b *Broker) Neighbors() []topology.NodeID {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := append([]topology.NodeID(nil), b.neighbors...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // RoutingStateSize reports the broker's current routing-table population:
 // remote counts the subscriptions recorded per neighbor direction, local
 // the client subscriptions. Both drop to zero when every subscription in

@@ -145,10 +145,10 @@ func TestUnsubscribeRetractsRemoteState(t *testing.T) {
 	assertDrained(t, net)
 
 	// Publishing now must not cross a single link.
-	net.ResetTraffic()
+	before := net.Traffic().DataBytes
 	src.Publish(tuple("R", map[string]float64{"a": 1}))
-	if rep := net.Traffic(); rep.DataBytes != 0 {
-		t.Errorf("stale forwarding after retraction: %v data bytes", rep.DataBytes)
+	if d := net.Traffic().DataBytes - before; d != 0 {
+		t.Errorf("stale forwarding after retraction: %v data bytes", d)
 	}
 	if hits != 0 {
 		t.Errorf("delivered %d tuples after unsubscribe", hits)
@@ -196,14 +196,14 @@ func TestUnsubscribeUnsuppressesCovered(t *testing.T) {
 		t.Fatalf("publisher records %v after unsubscribing the cover, want [narrow]", ids)
 	}
 
-	net.ResetTraffic()
+	before := net.Traffic().DataBytes
 	src.Publish(tuple("R", map[string]float64{"a": 15})) // matches narrow
 	src.Publish(tuple("R", map[string]float64{"a": 5}))  // must be filtered at source now
 	if narrowHits != 1 || wideHits != 0 {
 		t.Fatalf("deliveries narrow=%d wide=%d, want 1/0", narrowHits, wideHits)
 	}
-	if rep := net.Traffic(); rep.DataBytes != 24*3 {
-		t.Errorf("data bytes = %v, want 72 (one matching tuple, early-filtered)", rep.DataBytes)
+	if d := net.Traffic().DataBytes - before; d != 24*3 {
+		t.Errorf("data bytes = %v, want 72 (one matching tuple, early-filtered)", d)
 	}
 
 	b3.Unsubscribe("narrow")
@@ -430,7 +430,7 @@ func TestAddBrokerJoinsOverlay(t *testing.T) {
 	}
 
 	nb := net.AddBroker(3)
-	if got := len(nb.Neighbors()); got != 1 {
+	if got := len(nb.neighbors); got != 1 {
 		t.Fatalf("joined broker has %d links, want 1 (tree attach)", got)
 	}
 

@@ -25,7 +25,7 @@ type Network struct {
 	// latency of each overlay link, keyed by ordered pair.
 	links map[[2]topology.NodeID]float64
 	// bytes holds the traffic counters of every pair that ever was a link
-	// (zeroed by ResetTraffic, never deleted): a broker sends only to
+	// (never deleted): a broker sends only to
 	// neighbors, which addLink makes, so every pair counted on is in here.
 	bytes map[[2]topology.NodeID]*linkBytes
 	// wrap, when set, intercepts every Peer endpoint handed to brokers —
@@ -232,6 +232,8 @@ func (net *Network) RemoveBroker(n topology.NodeID) bool {
 // the two components are re-attached by the cheapest surviving latency —
 // possibly the very same link, which makes FailLink(a,b) a full link flap
 // with teardown and resync. Returns false when a-b is not an overlay link.
+//
+//lint:deadcode link-fault harness of TestFailLinkFlap, chaos's TestChaosPartitionThenRepair and the churn soaks (runSoak)
 func (net *Network) FailLink(a, b topology.NodeID) bool {
 	net.mu.Lock()
 	if _, ok := net.links[orderPair(a, b)]; !ok {
@@ -326,6 +328,8 @@ func (net *Network) reattachComponents() {
 }
 
 // Links returns the current overlay links in sorted order.
+//
+//lint:deadcode overlay-shape oracle of TestFailLinkFlap, TestRemoveBrokerRepairsAroundGap, TestRemoveBrokerStarTopology and runSoak
 func (net *Network) Links() [][2]topology.NodeID {
 	net.mu.Lock()
 	defer net.mu.Unlock()
@@ -339,6 +343,8 @@ func (net *Network) Links() [][2]topology.NodeID {
 // here. Calling Quiesce is sound exactly when no protocol message is in
 // flight — after the fault fabric has flushed and paused — which is the
 // failure-detector/GC epoch boundary a production deployment would provide.
+//
+//lint:deadcode epoch boundary of the chaos tests, TestSubscribeBeforeAdvertiseDelivers, TestTombstonesSurviveDuplicatedStragglers and runSoak
 func (net *Network) Quiesce() {
 	for _, n := range net.Nodes() {
 		b, _ := net.Broker(n)
@@ -365,6 +371,8 @@ func (net *Network) RemoveStream(source topology.NodeID, streamName string) bool
 // still holds — empty exactly when the overlay has drained to nothing
 // (every subscription withdrawn, every advertisement withdrawn, no pending
 // tombstones). The churn-soak tests assert on it.
+//
+//lint:deadcode drain-to-empty oracle of runSoak, the chaos tests, TestChurnCyclesDrain, the remove/rejoin tests and FuzzWireSubscription
 func (net *Network) ResidualState() []string {
 	var out []string
 	for _, n := range net.Nodes() {
@@ -446,6 +454,8 @@ func (net *Network) Peer(n topology.NodeID) Peer {
 // SetPeerWrapper installs (or, with nil, removes) the Peer interception
 // layer. Meant to be set before fault injection starts; the soak harnesses
 // install the chaos fabric right after the overlay is built.
+//
+//lint:deadcode fault-injection seam the chaos tests, runSoak, TestFabricViewBesideMembershipChurn and controlDeltas install their wrappers through
 func (net *Network) SetPeerWrapper(w PeerWrapper) {
 	net.mu.Lock()
 	net.wrap = w
@@ -470,22 +480,11 @@ func (net *Network) CountControl(a, b topology.NodeID, size int) {
 	net.fabric().bytes[orderPair(a, b)].control.Add(int64(size))
 }
 
-// ResetTraffic clears the data and control counters (e.g. after a warm-up
-// phase).
-func (net *Network) ResetTraffic() {
-	net.mu.Lock()
-	defer net.mu.Unlock()
-	for _, lb := range net.bytes {
-		lb.data.Store(0)
-		lb.control.Store(0)
-	}
-}
-
 // TrafficReport summarizes overlay traffic.
 type TrafficReport struct {
 	// DataBytes and ControlBytes total the per-link volumes.
 	DataBytes    float64
-	ControlBytes float64
+	ControlBytes float64 //lint:deadcode control-traffic oracle of the pubsub lifecycle tests (TestAdvertSendSideAccounting, TestLocalCoverSuppressesPropagation, TestDuplicatePropagationSuppressed, TestUnadvertiseTombstoneBeatsLateAdvert and six more)
 	// WeightedCost is Σ bytes·latency over overlay links — the paper's
 	// communication-cost metric measured on the substrate itself.
 	WeightedCost float64

@@ -90,20 +90,6 @@ func (b *Broker) Drain() {
 	log.Info("drain done")
 }
 
-// AdvertisedStreams returns the streams currently advertised by this
-// broker's clients, sorted. Empty after Drain; the node's readiness probe
-// watches a peer's learned half of this via DirStates.
-func (b *Broker) AdvertisedStreams() []string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make([]string, 0, len(b.ownAdverts))
-	for s := range b.ownAdverts {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // StreamAdvertised reports whether anyone — this broker's own clients or any
 // origin learned from a neighbor — currently advertises the stream. The
 // node's readiness watcher polls this for its subscribed streams: true means

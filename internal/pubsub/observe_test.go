@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"maps"
 	"math/rand/v2"
+	"slices"
 	"strings"
 	"testing"
 
@@ -79,11 +80,11 @@ func TestDirStatesAndAdvertisedStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got := b0.AdvertisedStreams(); len(got) != 2 || got[0] != "R" || got[1] != "S" {
-		t.Fatalf("AdvertisedStreams = %q, want [R S]", got)
+	if got := slices.Sorted(maps.Keys(b0.ownAdverts)); len(got) != 2 || got[0] != "R" || got[1] != "S" {
+		t.Fatalf("own adverts = %q, want [R S]", got)
 	}
-	if got := b1.AdvertisedStreams(); len(got) != 0 {
-		t.Fatalf("middle broker advertises %q, want none", got)
+	if got := len(b1.ownAdverts); got != 0 {
+		t.Fatalf("middle broker advertises %d streams, want none", got)
 	}
 
 	// The middle broker sees the adverts behind link 0 and the
@@ -106,8 +107,8 @@ func TestDirStatesAndAdvertisedStreams(t *testing.T) {
 			t.Fatalf("residual state after drain: %+v", row)
 		}
 	}
-	if got := b0.AdvertisedStreams(); len(got) != 0 {
-		t.Fatalf("AdvertisedStreams after drain = %q, want none", got)
+	if got := len(b0.ownAdverts); got != 0 {
+		t.Fatalf("%d own adverts after drain, want none", got)
 	}
 }
 

@@ -437,7 +437,7 @@ func TestMSTConnectsAllBrokers(t *testing.T) {
 	links := 0
 	for _, n := range net.Nodes() {
 		b, _ := net.Broker(n)
-		links += len(b.Neighbors())
+		links += len(b.neighbors)
 	}
 	if links/2 != 3 {
 		t.Errorf("overlay has %d links, want 3 (spanning tree of 4)", links/2)

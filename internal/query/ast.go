@@ -7,7 +7,6 @@ package query
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -373,26 +372,4 @@ func (q *Query) String() string {
 		}
 	}
 	return b.String()
-}
-
-// Signature returns an order-insensitive canonical form of the query used
-// for duplicate detection: sorted FROM refs, sorted projections, sorted
-// normalized predicates.
-func (q *Query) Signature() string {
-	froms := make([]string, len(q.From))
-	for i, r := range q.From {
-		froms[i] = r.String()
-	}
-	sort.Strings(froms)
-	sels := make([]string, len(q.Select))
-	for i, p := range q.Select {
-		sels[i] = p.String()
-	}
-	sort.Strings(sels)
-	preds := make([]string, len(q.Where))
-	for i, p := range q.Where {
-		preds[i] = p.Normalize().String()
-	}
-	sort.Strings(preds)
-	return strings.Join(sels, ",") + "|" + strings.Join(froms, ",") + "|" + strings.Join(preds, " AND ")
 }

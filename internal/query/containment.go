@@ -138,6 +138,8 @@ func projectsAll(super, sub *Query) bool {
 
 // Contains reports whether super's result is a superset of sub's under the
 // dialect's containment theorem. Both queries must be valid.
+//
+//lint:deadcode containment oracle of TestGroupsMatchFreshFold (every member inside its superset), TestPaperContainment, TestQuickMergeContainsInputs and pubsub's refCovers
 func Contains(super, sub *Query) bool {
 	m, err := aliasMap(super, sub)
 	if err != nil {
@@ -165,22 +167,6 @@ func covers(super, sub *Query, ivs map[string]Interval, joins map[string]bool) b
 	return true
 }
 
-// Equivalent reports mutual containment.
-func Equivalent(a, b *Query) bool {
-	return Contains(a, b) && Contains(b, a)
-}
-
-// MergeResult is the outcome of merging two queries: the superset query plus
-// the residual filters each original query needs to recover its exact result
-// from the superset's result stream.
-type MergeResult struct {
-	Super *Query
-	// Residuals[i] holds, for input query i, the selection predicates
-	// (in the superset's alias space) that must be re-applied, and the
-	// window constraint to re-check, when splitting the shared result.
-	Residuals []Residual
-}
-
 // Residual describes the post-filter for one original query over the merged
 // result stream.
 type Residual struct {
@@ -189,29 +175,6 @@ type Residual struct {
 	Windows    map[string]Window // per-alias windows to re-enforce
 	Projection []Projection      // the original projection (superset aliases)
 	AliasToSub map[string]string // superset alias -> original alias
-}
-
-// Merge composes the minimal superset query covering q1 and q2, mirroring
-// the Q3+Q4 → Q5 example of §2.1:
-//
-//   - per-stream windows take the maximum span;
-//   - per-column selection intervals take the union (weakest common bound);
-//   - join predicates present in both queries are kept; a join predicate
-//     present in only one query blocks merging (results would not align);
-//   - projections take the union, plus what the residuals read off the
-//     shared result stream (group.project).
-//
-// It is the step a query joining a sharing group takes (Groups), and fails
-// when the two queries read different stream sets or join predicates.
-func Merge(q1, q2 *Query) (*MergeResult, error) {
-	if shape := shapeOf(q1); shape == "" || shape != shapeOf(q2) {
-		return nil, fmt.Errorf("query: %s and %s differ in streams or join predicates", q1.Name, q2.Name)
-	}
-	g := &group{}
-	if g.seed(q1, q1.Name+"+"+q2.Name); !g.join(q2) {
-		return nil, fmt.Errorf("query: merged query does not contain inputs (dialect limit)")
-	}
-	return &MergeResult{Super: g.super, Residuals: g.residuals()}, nil
 }
 
 // colOf returns the column of q's first selection on key ("alias.attr").
@@ -226,10 +189,19 @@ func colOf(key string, q *Query) ColRef {
 }
 
 // MergeAll groups a set of queries as Groups does when they are added in
-// order: each joins the first earlier group whose superset Merge widens by
-// it. It returns the groups of two or more queries, with one residual per
-// member against the group's final superset, and the queries left alone.
-func MergeAll(queries []*Query) (merged []*MergeResult, leftovers []*Query) {
+// order, mirroring the Q3+Q4 → Q5 example of §2.1:
+//
+//   - per-stream windows take the maximum span;
+//   - per-column selection intervals take the union (weakest common bound);
+//   - join predicates present in both queries are kept; a join predicate
+//     present in only one query blocks merging (results would not align);
+//   - projections take the union, plus what the residuals read off the
+//     shared result stream (group.project).
+//
+// Each query joins the first earlier group whose superset it widens. It
+// returns the groups of two or more queries, with one residual per member
+// against the group's final superset, and the queries left alone.
+func MergeAll(queries []*Query) (merged []Shared, leftovers []*Query) {
 	gs := NewGroups(true)
 	for _, q := range queries {
 		gs.Add(q)
@@ -238,7 +210,7 @@ func MergeAll(queries []*Query) (merged []*MergeResult, leftovers []*Query) {
 		if len(g.Residuals) == 1 {
 			leftovers = append(leftovers, g.Residuals[0].Query)
 		} else {
-			merged = append(merged, &MergeResult{Super: g.Super, Residuals: g.Residuals})
+			merged = append(merged, g)
 		}
 	}
 	return merged, leftovers

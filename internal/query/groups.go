@@ -10,7 +10,7 @@ import (
 
 // Groups is §2.1's result sharing at one processor, maintained while queries
 // come and go. A query joins the first live group, in creation order, whose
-// superset Merge would widen by it, or founds a group of its own; MergeAll is
+// superset it would widen, or founds a group of its own; MergeAll is
 // Groups fed in order. A group caches its superset's column intervals, join
 // set and select list strings and widens them by the newcomer alone, so one
 // Add costs one merge step and not a regrouping. A superset is named after
@@ -61,7 +61,7 @@ func NewGroups(merge bool) *Groups {
 func (gs *Groups) Names() []string { return slices.Sorted(maps.Keys(gs.of)) }
 
 // Add places q, unless it is a member already, in the first live group of
-// its shape that Merge would widen by it, else in a new group.
+// its shape whose superset it would widen, else in a new group.
 func (gs *Groups) Add(q *Query) {
 	if gs.of[q.Name] != nil {
 		return
@@ -86,7 +86,7 @@ func (gs *Groups) Add(q *Query) {
 
 // Remove takes the named member out of its group and refolds only that
 // group's superset from the members that remain, in joining order. A member
-// the refold does not admit (a dialect corner Merge rejects) is added anew.
+// the refold does not admit (a dialect corner a join rejects) is added anew.
 // It reports whether the name was a member.
 func (gs *Groups) Remove(name string) bool {
 	g := gs.of[name]
@@ -259,9 +259,9 @@ func selectSet(q *Query) map[string]bool {
 	return have
 }
 
-// shapeOf is what two queries must share for Merge to accept them: the
-// stream set and the join set, named by stream instead of by alias. A
-// self-join has no shape (Merge rejects it).
+// shapeOf is what two queries must share to share a group: the stream set
+// and the join set, named by stream instead of by alias. A self-join has no
+// shape (it always runs alone).
 func shapeOf(q *Query) string {
 	toStream := make(map[string]string, len(q.From))
 	streams := make([]string, 0, len(q.From))

@@ -45,7 +45,7 @@ type foldGroup struct {
 
 // freshFold groups qs by the pairwise left fold Groups maintains
 // incrementally: the first remaining query seeds a group, every later one
-// joins it when Merge accepts, the rest fold again, and each member's
+// joins it when merge accepts, the rest fold again, and each member's
 // residual is derived against its group's final superset. Groups are in the
 // order of their first member.
 func freshFold(qs []*Query) []foldGroup {
@@ -54,7 +54,7 @@ func freshFold(qs []*Query) []foldGroup {
 		acc, members := remaining[0], remaining[:1:1]
 		var next []*Query
 		for _, q := range remaining[1:] {
-			if mr, err := Merge(acc, q); err == nil {
+			if mr, err := merge(acc, q); err == nil {
 				acc, members = mr.Super, append(members, q)
 			} else {
 				next = append(next, q)

@@ -35,7 +35,7 @@ func Parse(text string) (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks, src: text}
+	p := &parser{toks: toks}
 	q, err := p.parseQuery()
 	if err != nil {
 		return nil, err
@@ -48,6 +48,8 @@ func Parse(text string) (*Query, error) {
 
 // MustParse parses text and panics on error. It exists for tests and
 // package-level example construction only.
+//
+//lint:deadcode query builder of the query, engine and opplace tests and the root sharing and lifecycle tests (TestDifferentialAgainstReference and TestLifecycleMatchesUnmergedEngine among them)
 func MustParse(text string) *Query {
 	q, err := Parse(text)
 	if err != nil {
@@ -59,7 +61,6 @@ func MustParse(text string) *Query {
 type parser struct {
 	toks []token
 	i    int
-	src  string
 }
 
 func (p *parser) cur() token  { return p.toks[p.i] }

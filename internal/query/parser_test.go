@@ -138,17 +138,9 @@ func TestQueryStringRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("re-Parse(%q): %v", q1.String(), err)
 		}
-		if q1.Signature() != q2.Signature() {
-			t.Errorf("round-trip changed query:\n  %s\n  %s", q1.Signature(), q2.Signature())
+		if q1.String() != q2.String() {
+			t.Errorf("round-trip changed query:\n  %s\n  %s", q1, q2)
 		}
-	}
-}
-
-func TestSignatureOrderInsensitive(t *testing.T) {
-	a := MustParse(`SELECT * FROM S [Now] WHERE a > 1 AND b < 2`)
-	b := MustParse(`SELECT * FROM S [Now] WHERE b < 2 AND a > 1`)
-	if a.Signature() != b.Signature() {
-		t.Errorf("signatures differ:\n%s\n%s", a.Signature(), b.Signature())
 	}
 }
 

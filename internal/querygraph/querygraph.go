@@ -1062,6 +1062,8 @@ func (g *Graph) ShrinkVertex(id int, nv *Vertex) {
 // DropOverlapEdges removes every query-query edge, leaving only source and
 // result edges — the ablation of the paper's communication-sharing model
 // component (Table 2's scheme-2-versus-scheme-3 distinction).
+//
+//lint:deadcode ablation switch of the root BenchmarkAblationOverlapEdges
 func (g *Graph) DropOverlapEdges() {
 	// A q-q edge has two non-N endpoints, so filtering every non-N run of
 	// its non-N entries removes both directions.
@@ -1078,30 +1080,6 @@ func (g *Graph) DropOverlapEdges() {
 		}
 		g.adj[i] = kept
 	}
-}
-
-// SourceNodes returns the distinct origin nodes of the substreams set in
-// the interest vector.
-func (g *Graph) SourceNodes(interest *bitvec.Vector) []topology.NodeID {
-	if interest == nil {
-		return nil
-	}
-	seen := make([]bool, len(g.srcNodes))
-	var out []topology.NodeID
-	for wi, w := range interest.Words() {
-		for w != 0 {
-			s := wi<<6 + bits.TrailingZeros64(w)
-			w &= w - 1
-			if s >= len(g.SourceOfSub) {
-				break
-			}
-			if si := g.srcIdxOfSub[s]; !seen[si] {
-				seen[si] = true
-				out = append(out, g.srcNodes[si])
-			}
-		}
-	}
-	return out
 }
 
 // AdjacencyLists returns the dense adjacency runs, sorted by neighbor ID,

@@ -200,22 +200,6 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestSourceNodes(t *testing.T) {
-	g := smallGraph(t)
-	iv := bitvec.FromIndices(6, []int{0, 4})
-	nodes := g.SourceNodes(iv)
-	if len(nodes) != 2 {
-		t.Fatalf("SourceNodes = %v", nodes)
-	}
-	seen := map[topology.NodeID]bool{nodes[0]: true, nodes[1]: true}
-	if !seen[srcX] || !seen[srcY] {
-		t.Errorf("SourceNodes = %v, want {srcX, srcY}", nodes)
-	}
-	if g.SourceNodes(nil) != nil {
-		t.Error("SourceNodes(nil) != nil")
-	}
-}
-
 // TestQuickCoarsenPreservesQueries: coarsening never loses or duplicates a
 // query, for random graphs and budgets.
 func TestQuickCoarsenPreservesQueries(t *testing.T) {

@@ -88,6 +88,8 @@ func NaivePlacement(wl *workload.Workload) Placement {
 // RandomPlacement places every query on a uniform random processor
 // (baseline "Random" of Fig 8; also models inaccurate a-priori statistics
 // in Fig 7).
+//
+//lint:deadcode random starting placement of TestAdaptConvergesFromRandom
 func (w *World) RandomPlacement(wl *workload.Workload, seed uint64) Placement {
 	rng := rand.New(rand.NewPCG(seed, seed^0xfeed))
 	p := make(Placement, len(wl.Queries))

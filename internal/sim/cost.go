@@ -88,6 +88,8 @@ func (w *World) WeightedCommCost(wl *workload.Workload, p Placement) float64 {
 // receiving processors — the in-network view of Pub/Sub routing. It is
 // reported as a secondary metric (the paper's headline figures follow the
 // pairwise model of WeightedCommCost).
+//
+//lint:deadcode ROADMAP item 9(a) compares measured traffic against this model
 func (w *World) MulticastCommCost(wl *workload.Workload, p Placement) float64 {
 	// Interested processors per substream.
 	interested := make(map[int]map[topology.NodeID]bool)
@@ -150,6 +152,8 @@ func (w *World) MulticastCommCost(wl *workload.Workload, p Placement) float64 {
 // NoShareCommCost is the same cost without Pub/Sub sharing: every query
 // pays the full unicast path for its own input. It quantifies what the
 // communication substrate saves (used by the sharing ablation).
+//
+//lint:deadcode ROADMAP item 9(a) compares measured traffic against this model
 func (w *World) NoShareCommCost(wl *workload.Workload, p Placement) float64 {
 	var total float64
 	for _, q := range wl.Queries {

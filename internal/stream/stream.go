@@ -1,7 +1,6 @@
 // Package stream defines the data model shared by the whole system: named
-// streams with typed attributes, their partitioning into substreams, per-
-// substream rate statistics, and the tuples that flow through the processing
-// engine.
+// streams with typed attributes, their partitioning into substreams, and the
+// tuples that flow through the processing engine.
 //
 // Substreams are the unit of data interest in COSMOS (§3.2): every stream is
 // partitioned into a number of substreams and a query's interest is a bit
@@ -11,7 +10,6 @@ package stream
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -41,7 +39,7 @@ func (t AttrType) String() string {
 // Attribute is one column of a stream schema.
 type Attribute struct {
 	Name string
-	Type AttrType
+	Type AttrType //lint:deadcode read by reflection: RegisterStream's reflect.DeepEqual rejects a re-registration whose schema differs
 }
 
 // Schema describes the attributes of a stream. The implicit "timestamp"
@@ -64,51 +62,19 @@ func (s Schema) HasAttr(name string) bool {
 	return false
 }
 
-// AttrNames returns the schema's attribute names plus the implicit
-// timestamp, sorted.
-func (s Schema) AttrNames() []string {
-	out := make([]string, 0, len(s.Attrs)+1)
-	for _, a := range s.Attrs {
-		out = append(out, a.Name)
-	}
-	out = append(out, "timestamp")
-	sort.Strings(out)
-	return out
-}
-
 // Stream is a named source stream whose data is partitioned into a
 // contiguous range of global substream indices.
 type Stream struct {
-	Name      string
-	Schema    Schema
-	Source    int // node ID of the origin processor
-	FirstSub  int // first global substream index
-	SubCount  int // number of substreams
-	AvgTuple  int // average tuple size, bytes
-	Partition func(Tuple) int
+	Schema   Schema
+	FirstSub int // first global substream index
+	SubCount int // number of substreams
+	AvgTuple int // average tuple size, bytes
 }
 
 // SubstreamRange returns the half-open global substream index range
 // [first, first+count).
 func (s *Stream) SubstreamRange() (first, count int) {
 	return s.FirstSub, s.SubCount
-}
-
-// SubstreamOf maps a tuple to its global substream index using the stream's
-// partition function, defaulting to hashing the tuple's timestamp when none
-// is set.
-func (s *Stream) SubstreamOf(t Tuple) int {
-	if s.SubCount <= 0 {
-		return s.FirstSub
-	}
-	if s.Partition != nil {
-		local := s.Partition(t) % s.SubCount
-		if local < 0 {
-			local += s.SubCount
-		}
-		return s.FirstSub + local
-	}
-	return s.FirstSub + int(uint64(t.Timestamp)%uint64(s.SubCount))
 }
 
 // Value is a dynamically typed attribute value carried by tuples.
@@ -226,9 +192,7 @@ func (t Tuple) Clone() Tuple {
 type Registry struct {
 	mu      sync.RWMutex
 	streams map[string]*Stream
-	order   []string
 	nextSub int
-	rates   []float64 // per-substream rate, bytes/sec
 }
 
 // NewRegistry returns an empty registry.
@@ -239,7 +203,7 @@ func NewRegistry() *Registry {
 // Register adds a stream with the given number of substreams and returns the
 // stored stream with its substream range assigned. Registering a duplicate
 // name is an error.
-func (r *Registry) Register(name string, schema Schema, source, subCount, avgTuple int) (*Stream, error) {
+func (r *Registry) Register(name string, schema Schema, subCount, avgTuple int) (*Stream, error) {
 	if name == "" {
 		return nil, fmt.Errorf("stream: empty stream name")
 	}
@@ -252,17 +216,13 @@ func (r *Registry) Register(name string, schema Schema, source, subCount, avgTup
 		return nil, fmt.Errorf("stream: stream %q already registered", name)
 	}
 	s := &Stream{
-		Name:     name,
 		Schema:   schema,
-		Source:   source,
 		FirstSub: r.nextSub,
 		SubCount: subCount,
 		AvgTuple: avgTuple,
 	}
 	r.streams[name] = s
-	r.order = append(r.order, name)
 	r.nextSub += subCount
-	r.rates = append(r.rates, make([]float64, subCount)...)
 	return s, nil
 }
 
@@ -272,62 +232,4 @@ func (r *Registry) Lookup(name string) (*Stream, bool) {
 	defer r.mu.RUnlock()
 	s, ok := r.streams[name]
 	return s, ok
-}
-
-// Names returns stream names in registration order.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, len(r.order))
-	copy(out, r.order)
-	return out
-}
-
-// SubstreamCount returns the size of the global substream space.
-func (r *Registry) SubstreamCount() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.nextSub
-}
-
-// SetRate records the data rate (bytes/sec) of a global substream index.
-func (r *Registry) SetRate(sub int, rate float64) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if sub < 0 || sub >= r.nextSub {
-		return fmt.Errorf("stream: substream %d out of range [0,%d)", sub, r.nextSub)
-	}
-	r.rates[sub] = rate
-	return nil
-}
-
-// Rate returns the recorded rate of a global substream index.
-func (r *Registry) Rate(sub int) float64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if sub < 0 || sub >= r.nextSub {
-		return 0
-	}
-	return r.rates[sub]
-}
-
-// Rates returns a copy of the per-substream rate vector.
-func (r *Registry) Rates() []float64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]float64, len(r.rates))
-	copy(out, r.rates)
-	return out
-}
-
-// ScaleRate multiplies the rate of substream sub by factor — the primitive
-// behind the rate-perturbation experiment (Fig 10).
-func (r *Registry) ScaleRate(sub int, factor float64) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if sub < 0 || sub >= r.nextSub {
-		return fmt.Errorf("stream: substream %d out of range [0,%d)", sub, r.nextSub)
-	}
-	r.rates[sub] *= factor
-	return nil
 }

@@ -2,7 +2,6 @@ package stream
 
 import (
 	"testing"
-	"testing/quick"
 )
 
 func TestValueCompare(t *testing.T) {
@@ -49,11 +48,11 @@ func TestTupleGet(t *testing.T) {
 
 func TestRegistryRegisterAndRanges(t *testing.T) {
 	r := NewRegistry()
-	s1, err := r.Register("A", Schema{}, 1, 3, 32)
+	s1, err := r.Register("A", Schema{}, 3, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := r.Register("B", Schema{}, 2, 2, 32)
+	s2, err := r.Register("B", Schema{}, 2, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,73 +62,17 @@ func TestRegistryRegisterAndRanges(t *testing.T) {
 	if f, c := s2.SubstreamRange(); f != 3 || c != 2 {
 		t.Errorf("B range = %d,%d", f, c)
 	}
-	if r.SubstreamCount() != 5 {
-		t.Errorf("SubstreamCount = %d", r.SubstreamCount())
-	}
-	if _, err := r.Register("A", Schema{}, 1, 1, 32); err == nil {
+	if _, err := r.Register("A", Schema{}, 1, 32); err == nil {
 		t.Error("duplicate stream accepted")
 	}
-	if _, err := r.Register("", Schema{}, 1, 1, 32); err == nil {
+	if _, err := r.Register("", Schema{}, 1, 32); err == nil {
 		t.Error("empty name accepted")
 	}
-	if _, err := r.Register("C", Schema{}, 1, 0, 32); err == nil {
+	if _, err := r.Register("C", Schema{}, 0, 32); err == nil {
 		t.Error("zero substreams accepted")
 	}
-	names := r.Names()
-	if len(names) != 2 || names[0] != "A" || names[1] != "B" {
-		t.Errorf("Names = %v", names)
-	}
-}
-
-func TestRegistryRates(t *testing.T) {
-	r := NewRegistry()
-	if _, err := r.Register("A", Schema{}, 1, 2, 32); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.SetRate(0, 5); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.SetRate(7, 5); err == nil {
-		t.Error("out-of-range SetRate accepted")
-	}
-	if got := r.Rate(0); got != 5 {
-		t.Errorf("Rate(0) = %v", got)
-	}
-	if err := r.ScaleRate(0, 2); err != nil {
-		t.Fatal(err)
-	}
-	if got := r.Rate(0); got != 10 {
-		t.Errorf("scaled Rate(0) = %v", got)
-	}
-	rates := r.Rates()
-	rates[0] = 999
-	if r.Rate(0) == 999 {
-		t.Error("Rates() exposes internal slice")
-	}
-}
-
-func TestSubstreamOf(t *testing.T) {
-	r := NewRegistry()
-	s, err := r.Register("A", Schema{}, 1, 4, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Default partitioner hashes by timestamp within range.
-	f := func(ts int64) bool {
-		if ts < 0 {
-			ts = -ts
-		}
-		sub := s.SubstreamOf(Tuple{Timestamp: ts})
-		return sub >= 0 && sub < 4
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-	// Custom partitioner.
-	s.Partition = func(t Tuple) int { return int(t.Attrs["k"].F) }
-	got := s.SubstreamOf(Tuple{Attrs: map[string]Value{"k": FloatVal(6)}})
-	if got != 2 { // 6 mod 4
-		t.Errorf("SubstreamOf = %d, want 2", got)
+	if s, ok := r.Lookup("B"); !ok || s != s2 {
+		t.Errorf("Lookup(B) = %v, %v", s, ok)
 	}
 }
 
@@ -140,9 +83,5 @@ func TestSchemaHasAttr(t *testing.T) {
 	}
 	if s.HasAttr("zzz") {
 		t.Error("HasAttr found phantom attribute")
-	}
-	names := s.AttrNames()
-	if len(names) != 2 {
-		t.Errorf("AttrNames = %v", names)
 	}
 }

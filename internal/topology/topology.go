@@ -44,12 +44,10 @@ type Edge struct {
 	Latency float64 // milliseconds
 }
 
-// Node carries a node's kind and domain identity.
+// Node carries a node's kind.
 type Node struct {
-	ID     NodeID
-	Kind   Kind
-	Domain int // transit domain index; stub nodes record their parent's domain
-	Stub   int // stub domain index within the transit domain (-1 for transit)
+	ID   NodeID
+	Kind Kind
 }
 
 // Graph is an undirected weighted graph with dense node IDs.
@@ -65,7 +63,7 @@ func NewGraph(n int) *Graph {
 		adj:   make([][]Edge, n),
 	}
 	for i := range g.Nodes {
-		g.Nodes[i] = Node{ID: NodeID(i), Kind: Stub, Stub: -1}
+		g.Nodes[i] = Node{ID: NodeID(i), Kind: Stub}
 	}
 	return g
 }
@@ -88,24 +86,6 @@ func (g *Graph) AddEdge(a, b NodeID, latency float64) error {
 	g.adj[a] = append(g.adj[a], Edge{To: b, Latency: latency})
 	g.adj[b] = append(g.adj[b], Edge{To: a, Latency: latency})
 	return nil
-}
-
-// Neighbors returns the adjacency list of n. The returned slice must not be
-// modified by the caller.
-func (g *Graph) Neighbors(n NodeID) []Edge {
-	if !g.valid(n) {
-		return nil
-	}
-	return g.adj[n]
-}
-
-// EdgeCount returns the number of undirected edges.
-func (g *Graph) EdgeCount() int {
-	total := 0
-	for _, es := range g.adj {
-		total += len(es)
-	}
-	return total / 2
 }
 
 func (g *Graph) valid(n NodeID) bool { return n >= 0 && int(n) < g.Len() }
@@ -233,9 +213,6 @@ type Oracle struct {
 func NewOracle(g *Graph) *Oracle {
 	return &Oracle{g: g, rows: make(map[NodeID][]float64)}
 }
-
-// Graph returns the underlying graph.
-func (o *Oracle) Graph() *Graph { return o.g }
 
 // Latency returns the shortest-path latency between a and b.
 func (o *Oracle) Latency(a, b NodeID) float64 {
@@ -381,7 +358,7 @@ func Generate(cfg Config) (*Graph, error) {
 		transit[d] = make([]NodeID, cfg.TransitNodes)
 		for i := 0; i < cfg.TransitNodes; i++ {
 			id := alloc()
-			g.Nodes[id] = Node{ID: id, Kind: Transit, Domain: d, Stub: -1}
+			g.Nodes[id] = Node{ID: id, Kind: Transit}
 			transit[d][i] = id
 			// Intra-domain clique keeps backbone paths short.
 			for j := 0; j < i; j++ {
@@ -402,14 +379,13 @@ func Generate(cfg Config) (*Graph, error) {
 		}
 	}
 
-	stubIdx := 0
 	for d := 0; d < cfg.TransitDomains; d++ {
 		for _, tn := range transit[d] {
 			for s := 0; s < cfg.StubDomainsPerNode; s++ {
 				members := make([]NodeID, cfg.StubNodes)
 				for i := 0; i < cfg.StubNodes; i++ {
 					id := alloc()
-					g.Nodes[id] = Node{ID: id, Kind: Stub, Domain: d, Stub: stubIdx}
+					g.Nodes[id] = Node{ID: id, Kind: Stub}
 					members[i] = id
 				}
 				// Uplink from a random stub member to its transit node.
@@ -443,7 +419,6 @@ func Generate(cfg Config) (*Graph, error) {
 						}
 					}
 				}
-				stubIdx++
 			}
 		}
 	}

@@ -16,8 +16,6 @@ import (
 
 // Station is one simulated sensor station.
 type Station struct {
-	// Name is the station identifier, e.g. "station07".
-	Name string
 	// Stream is the stream name its readings are published under.
 	Stream string
 	// SensorType partitions stations into classes ("snow", "weather",
@@ -86,7 +84,6 @@ func New(cfg Config) (*Generator, error) {
 	rng := rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0x7ace))
 	for i := 0; i < cfg.Stations; i++ {
 		g.Stations = append(g.Stations, &Station{
-			Name:       fmt.Sprintf("station%02d", i),
 			Stream:     StreamName(i % cfg.Deployments),
 			SensorType: SensorTypes[i%len(SensorTypes)],
 			baseSnow:   20 + rng.Float64()*60,  // cm
@@ -109,9 +106,6 @@ func (g *Generator) Next() []stream.Tuple {
 	}
 	return out
 }
-
-// Now returns the generator's current timestamp.
-func (g *Generator) Now() int64 { return g.now }
 
 // reading produces one tuple: a diurnal sinusoid plus drift and noise.
 func (s *Station) reading(idx int, now int64) stream.Tuple {

@@ -19,8 +19,8 @@ func TestGeneratorBasics(t *testing.T) {
 	streams := make(map[string]int)
 	for _, r := range batch {
 		streams[r.Stream]++
-		if r.Timestamp != g.Now() {
-			t.Errorf("reading timestamp %d != now %d", r.Timestamp, g.Now())
+		if r.Timestamp != g.now {
+			t.Errorf("reading timestamp %d != now %d", r.Timestamp, g.now)
 		}
 		for _, attr := range []string{"station", "sensorType", "snowHeight", "temperature", "windSpeed"} {
 			if _, ok := r.Attrs[attr]; !ok {

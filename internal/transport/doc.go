@@ -12,8 +12,8 @@
 // connection so the next send redials; control-plane envelopes retry with
 // capped exponential backoff under a bounded in-flight budget, data
 // tuples are at-most-once. Terminal failures surface through
-// internal/metrics counters and the SetSendErrorHandler callback so the
-// layer above can declare the link failed and re-attach. Transport and
+// internal/metrics counters and a Warn record on Options.Logger, naming
+// the peer and the message kind. Transport and
 // encode errors must never be silently discarded — cosmoslint's errdrop
 // analyzer enforces this (LINT.md).
 package transport

@@ -329,10 +329,9 @@ func (p *peerPipe) writeBatch(batch []Envelope) {
 	}
 }
 
-// surfaceLoss counts one terminally lost envelope and tells the node's
-// send-error handler which peer and kind died. Losses during teardown are
-// not surfaced — a closing node's undeliverable queue is noise, not a dead
-// link.
+// surfaceLoss counts one terminally lost envelope and logs which peer and
+// kind died. Losses during teardown are not surfaced — a closing node's
+// undeliverable queue is noise, not a dead link.
 func (p *peerPipe) surfaceLoss(env Envelope, err error) {
 	p.mu.Lock()
 	closed := p.closed
@@ -342,9 +341,6 @@ func (p *peerPipe) surfaceLoss(env Envelope, err error) {
 	}
 	cSendFailures.Inc()
 	p.node.opts.Logger.Warn("envelope lost", "peer", p.id, "kind", env.Kind, "err", err)
-	if h := p.node.sendErrorHandler(); h != nil {
-		h(p.id, env.Kind, err)
-	}
 }
 
 // tryWrite encodes the batch onto the current connection, dialing first if

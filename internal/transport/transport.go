@@ -346,8 +346,7 @@ type Node struct {
 	// wrap is the installed PeerWrapper (nil, or a nil one, when there is
 	// none): Peer reads it once per forwarded tuple, so it is published, not
 	// locked.
-	wrap        atomic.Pointer[pubsub.PeerWrapper]
-	onSendError func(peer topology.NodeID, kind MsgKind, err error)
+	wrap atomic.Pointer[pubsub.PeerWrapper]
 }
 
 // NewNode creates a broker node listening on addr (e.g. "127.0.0.1:0") with
@@ -580,23 +579,6 @@ func (n *Node) dispatch(env Envelope) {
 // sender goroutine, never on the calling (routing) goroutine.
 func (n *Node) deliver(peer topology.NodeID, env Envelope) {
 	n.pipe(peer).enqueue(env, n.opts)
-}
-
-// sendErrorHandler returns the registered terminal-loss callback.
-func (n *Node) sendErrorHandler() func(peer topology.NodeID, kind MsgKind, err error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.onSendError
-}
-
-// SetSendErrorHandler installs a callback invoked whenever an envelope is
-// lost for good (all retries exhausted, or a data tuple's single attempt
-// failed). The callback runs on the pipe's sender goroutine; it must not
-// block it indefinitely.
-func (n *Node) SetSendErrorHandler(h func(peer topology.NodeID, kind MsgKind, err error)) {
-	n.mu.Lock()
-	n.onSendError = h
-	n.mu.Unlock()
 }
 
 // SetPeerWrapper installs (or, with nil, removes) a pubsub.PeerWrapper

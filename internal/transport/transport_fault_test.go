@@ -3,13 +3,14 @@ package transport
 import (
 	"encoding/gob"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/logging"
 	"repro/internal/metrics"
 	"repro/internal/pubsub"
 	"repro/internal/stream"
-	"repro/internal/topology"
 )
 
 // TestSenderRetriesAfterPeerRestart: a neighbor restarts while the sender
@@ -69,10 +70,11 @@ func TestSenderRetriesAfterPeerRestart(t *testing.T) {
 
 // TestSendErrorHandlerSurfacesTerminalFailures: when every retry is
 // exhausted (peer gone, nothing listening), the loss is counted and the
-// registered handler is told which peer and kind died — no more silent
-// `_ =` drops.
+// node's logger is told which peer and kind died — no more silent `_ =`
+// drops.
 func TestSendErrorHandlerSurfacesTerminalFailures(t *testing.T) {
-	n, err := NewNode(0, "127.0.0.1:0")
+	var buf logBuf
+	n, err := NewNodeWith(0, "127.0.0.1:0", Options{Logger: logging.New(&buf, logging.LevelWarn)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,29 +88,13 @@ func TestSendErrorHandlerSurfacesTerminalFailures(t *testing.T) {
 	_ = dead.Close() //lint:errdrop deliberately killing the listener so the dial target is dead
 	n.Connect(1, deadAddr)
 
-	type loss struct {
-		peer topology.NodeID
-		kind MsgKind
-	}
-	losses := make(chan loss, 1)
-	n.SetSendErrorHandler(func(peer topology.NodeID, kind MsgKind, err error) {
-		select {
-		case losses <- loss{peer, kind}:
-		default:
-		}
-	})
 	failures := cSendFailures.Value()
 
 	n.Broker.Advertise("R") // floods to peer 1, which is unreachable
 
-	select {
-	case l := <-losses:
-		if l.peer != 1 || l.kind != MsgAdvert {
-			t.Errorf("handler got peer=%d kind=%d, want peer=1 kind=advert", l.peer, l.kind)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("send-error handler never invoked")
-	}
+	waitFor(t, "the terminal loss to be logged", func() bool {
+		return strings.Contains(buf.String(), `msg="envelope lost" peer=1 kind=advert`)
+	})
 	if cSendFailures.Value() == failures {
 		t.Error("terminal loss did not move transport.send_failures")
 	}
