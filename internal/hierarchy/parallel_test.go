@@ -3,40 +3,62 @@ package hierarchy
 import (
 	"testing"
 
+	"repro/internal/querygraph"
 	"repro/internal/topology"
 )
 
 // TestDistributeParallelDeterminism: the parallel upward pass and downward
 // descent must yield the exact placement of a fully sequential run, for
-// several tree seeds and worker counts.
+// every distribution entry point, several tree seeds and worker counts.
 func TestDistributeParallelDeterminism(t *testing.T) {
 	oracle, procs, queries, rates, sources := testSetup(t)
-	for _, seed := range []uint64{1, 7, 23} {
-		var want map[string]topology.NodeID
-		for _, workers := range []int{1, 2, 8} {
-			tree, err := Build(oracle, procs, nil, Config{K: 3, VMax: 20, Seed: seed, Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := tree.Distribute(queries, rates, sources); err != nil {
-				t.Fatalf("seed %d workers %d: %v", seed, workers, err)
-			}
-			got := tree.Placement()
-			if workers == 1 {
-				want = got
-				if len(want) != len(queries) {
-					t.Fatalf("seed %d: placed %d of %d", seed, len(want), len(queries))
+	home := make(map[string]topology.NodeID, len(queries))
+	for i, q := range queries {
+		home[q.Name] = procs[(i*7)%len(procs)]
+	}
+	for _, entry := range []struct {
+		name       string
+		distribute func(tree *Tree) error
+	}{
+		{"Distribute", func(tree *Tree) error {
+			_, err := tree.Distribute(queries, rates, sources)
+			return err
+		}},
+		{"DistributeRandom", func(tree *Tree) error {
+			return tree.DistributeRandom(queries, rates, sources, 99)
+		}},
+		{"DistributeWith", func(tree *Tree) error {
+			return tree.DistributeWith(queries, rates, sources,
+				func(q querygraph.QueryInfo) topology.NodeID { return home[q.Name] })
+		}},
+	} {
+		for _, seed := range []uint64{1, 7, 23} {
+			var want map[string]topology.NodeID
+			for _, workers := range []int{1, 2, 8} {
+				tree, err := Build(oracle, procs, nil, Config{K: 3, VMax: 20, Seed: seed, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
 				}
-				continue
-			}
-			if len(got) != len(want) {
-				t.Fatalf("seed %d workers %d: placed %d, sequential placed %d",
-					seed, workers, len(got), len(want))
-			}
-			for q, p := range want {
-				if got[q] != p {
-					t.Errorf("seed %d workers %d: query %s on %d, sequential on %d",
-						seed, workers, q, got[q], p)
+				if err := entry.distribute(tree); err != nil {
+					t.Fatalf("%s seed %d workers %d: %v", entry.name, seed, workers, err)
+				}
+				got := tree.Placement()
+				if workers == 1 {
+					want = got
+					if len(want) != len(queries) {
+						t.Fatalf("%s seed %d: placed %d of %d", entry.name, seed, len(want), len(queries))
+					}
+					continue
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%s seed %d workers %d: placed %d, sequential placed %d",
+						entry.name, seed, workers, len(got), len(want))
+				}
+				for q, p := range want {
+					if got[q] != p {
+						t.Errorf("%s seed %d workers %d: query %s on %d, sequential on %d",
+							entry.name, seed, workers, q, got[q], p)
+					}
 				}
 			}
 		}

@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"repro/internal/hierarchy"
+	"repro/internal/querygraph"
+	"repro/internal/topology"
 	"repro/internal/workload"
 )
 
@@ -23,13 +25,70 @@ var pinnedChurnDigests = [3]string{
 	"b75b7aa569bd39f203e23e61f0558b3c1ef5020cfeebd953930f2a044814fe06",
 }
 
-// pinnedChurnDigest runs the online life of a ScaleCI tree — Distribute of
-// 2 000 queries, then 4 rounds of 200 Insert followed by Remove of every
-// other live inserted query (so later rounds insert into freed slots), with
-// one Adapt after round 2 — and hashes, after every round, the sorted
+// pinnedEntryDigests are the digests of pinnedChurnDigest for the starts
+// and adaptation plans of pinnedEntryCases, recorded at the commit before
+// Distribute, DistributeRandom, DistributeWith and Adapt shared one descent.
+// Together with pinnedChurnDigests they reach every entry point of the
+// coordinator tree bit for bit.
+var pinnedEntryDigests = [3]string{
+	"4f7c4883b7141e34fdda038f244d5710155ca6c9f3ea99e2018d83b416732f3f",
+	"46361184611b5fdefbb171f959d32323867916078b5ba386b29a00bd0228a9e2",
+	"c37c8b943f65e81684c69b1e115165b8db944c7054c1271041db9c4fd4765598",
+}
+
+// distributeStart is the starting distribution of pinnedChurnDigests.
+func distributeStart(tree *hierarchy.Tree, _ *World, wl *workload.Workload) error {
+	_, err := tree.Distribute(wl.Queries, wl.SubRates, wl.SourceOfSub)
+	return err
+}
+
+// adaptAfterRound2 is the adaptation plan of pinnedChurnDigests: one Adapt
+// with the recorded loads, after round 2.
+func adaptAfterRound2(round int) (bool, func(string) float64) { return round == 2, nil }
+
+// pinnedEntryCases pair a starting distribution with an adaptation plan.
+var pinnedEntryCases = [3]struct {
+	name  string
+	start func(tree *hierarchy.Tree, w *World, wl *workload.Workload) error
+	adapt func(round int) (bool, func(string) float64)
+}{
+	{
+		name: "DistributeRandom, Adapt every round",
+		start: func(tree *hierarchy.Tree, _ *World, wl *workload.Workload) error {
+			return tree.DistributeRandom(wl.Queries, wl.SubRates, wl.SourceOfSub, 99)
+		},
+		adapt: func(int) (bool, func(string) float64) { return true, nil },
+	},
+	{
+		name: "DistributeWith a random placement, Adapt every round",
+		start: func(tree *hierarchy.Tree, w *World, wl *workload.Workload) error {
+			random := w.RandomPlacement(wl, 5)
+			return tree.DistributeWith(wl.Queries, wl.SubRates, wl.SourceOfSub,
+				func(q querygraph.QueryInfo) topology.NodeID { return random[q.Name] })
+		},
+		adapt: func(int) (bool, func(string) float64) { return true, nil },
+	},
+	{
+		name:  "Distribute, Adapt every round with a shifting estimator",
+		start: distributeStart,
+		adapt: func(round int) (bool, func(string) float64) {
+			return true, func(name string) float64 {
+				return 0.1 + float64((len(name)*7+round*13)%5)*0.05
+			}
+		},
+	},
+}
+
+// pinnedChurnDigest runs the online life of a ScaleCI tree — start's
+// distribution of 2 000 queries, then 4 rounds of 200 Insert followed by
+// Remove of every other live inserted query (so later rounds insert into
+// freed slots), each round ending with an Adapt where adapt asks for one,
+// with the estimator it returns — and hashes, after every round, the sorted
 // name=proc placement, the Adapt migration count, and the bits of
 // ProcessorLoads in processor order.
-func pinnedChurnDigest(t *testing.T, seed uint64) string {
+func pinnedChurnDigest(t *testing.T, seed uint64,
+	start func(tree *hierarchy.Tree, w *World, wl *workload.Workload) error,
+	adapt func(round int) (bool, func(string) float64)) string {
 	t.Helper()
 	cfg := ConfigFor(ScaleCI)
 	w, err := NewWorld(cfg)
@@ -46,8 +105,8 @@ func pinnedChurnDigest(t *testing.T, seed uint64) string {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	if _, err := tree.Distribute(wl.Queries, wl.SubRates, wl.SourceOfSub); err != nil {
-		t.Fatalf("Distribute: %v", err)
+	if err := start(tree, w, wl); err != nil {
+		t.Fatalf("start: %v", err)
 	}
 
 	h := sha256.New()
@@ -87,8 +146,8 @@ func pinnedChurnDigest(t *testing.T, seed uint64) string {
 			}
 		}
 		live = kept
-		if round == 2 {
-			rep, err := tree.Adapt(nil)
+		if ok, loadOf := adapt(round); ok {
+			rep, err := tree.Adapt(loadOf)
 			if err != nil {
 				t.Fatalf("Adapt: %v", err)
 			}
@@ -100,12 +159,18 @@ func pinnedChurnDigest(t *testing.T, seed uint64) string {
 }
 
 // TestPinnedInsertRemoveAdaptDigest holds the insert/remove/adapt sequence
-// to the digests recorded at the parent commit.
+// to the digests recorded at the parent commit: seeds 1–3 from Distribute
+// with one Adapt, and workload seed 1 from each of pinnedEntryCases.
 func TestPinnedInsertRemoveAdaptDigest(t *testing.T) {
 	for i, want := range pinnedChurnDigests {
 		seed := uint64(i + 1)
-		if got := pinnedChurnDigest(t, seed); got != want {
+		if got := pinnedChurnDigest(t, seed, distributeStart, adaptAfterRound2); got != want {
 			t.Errorf("seed %d: digest %s, recorded %s", seed, got, want)
+		}
+	}
+	for i, tc := range pinnedEntryCases {
+		if got := pinnedChurnDigest(t, 1, tc.start, tc.adapt); got != pinnedEntryDigests[i] {
+			t.Errorf("%s: digest %s, recorded %s", tc.name, got, pinnedEntryDigests[i])
 		}
 	}
 }
