@@ -3,7 +3,6 @@ package hierarchy
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/adapt"
 	"repro/internal/mapping"
@@ -52,25 +51,16 @@ func (t *Tree) Adapt(loadOf func(name string) float64) (*AdaptReport, error) {
 		queries = append(queries, q)
 	}
 	sort.Slice(queries, func(i, j int) bool { return queries[i].Name < queries[j].Name })
-	for _, c := range t.All {
-		c.expand = make(map[string][]*querygraph.Vertex)
-		c.keySeq = 0
-	}
-	rootIncoming, err := t.upwardPass(queries, nil)
-	if err != nil {
-		return nil, err
-	}
-	// Downward pass against the current placement. Sibling subtrees are
-	// independent — shares are disjoint, per-coordinator RNGs are
-	// self-seeded, and the warm-start reads of t.placement touch only the
-	// descending subtree's own (pre-round) entries — so the recursion fans
-	// out over bounded workers exactly like Distribute's descent
-	// (Workers: 1 is the sequential descent).
-	var sem chan struct{}
-	if t.Cfg.Workers > 1 {
-		sem = make(chan struct{}, t.Cfg.Workers-1)
-	}
-	if err := t.descendCurrent(t.Root, rootIncoming, true, false, sem); err != nil {
+	// Downward pass against the current placement. Coarsening groups by
+	// interest, as in the initial distribution: interest-grouped vertices
+	// let the rebalance escape the local minima single-query moves cannot.
+	// The per-coordinator RNG is fixed, so the grouping is stable across
+	// rounds and a vertex's constituents are co-located from the previous
+	// round; the warm majority start is then exact except right after
+	// workload changes. At the leaf, queries stay atomic: the diffusion
+	// flows of Algorithm 3 are small relative to coarse-chunk weights, and
+	// per-processor balancing needs query granularity.
+	if err := t.run(queries, descent{assign: t.rebalanceAssign, atomicLeaves: true}, true); err != nil {
 		return nil, err
 	}
 
@@ -83,59 +73,12 @@ func (t *Tree) Adapt(loadOf func(name string) float64) (*AdaptReport, error) {
 	return rep, nil
 }
 
-// descendCurrent processes one coordinator against the CURRENT placement
-// and recurses. The working set comes from the parent's decisions and is
-// warm-started from the current placement. With rebalance, Algorithm 3
-// runs at this level; without it the warm assignment is installed verbatim
-// (placement restoration). With pure, coarsening only merges vertices placed on the
-// same processor so the current placement is preserved exactly.
-//
-// With a non-nil sem, sibling subtrees recurse concurrently over the
-// semaphore's worker slots (same bounded fan-out as Distribute's descend);
-// the shared tree maps (placement, queries) are then guarded by placeMu in
-// the helpers that touch them, and everything else a branch writes is
-// per-coordinator state of its own subtree.
-func (t *Tree) descendCurrent(c *Coordinator, incoming []*querygraph.Vertex, rebalance, pure bool, sem chan struct{}) error {
-	work, err := t.expandAll(incoming, c.Level-1)
-	if err != nil {
-		return err
-	}
-	prep, err := t.prepare(c, work)
-	if err != nil {
-		return err
-	}
-	// Edge weights depend on interests, rates, and result rates — not
-	// on the query loads refreshWeights updates — so the edges built
-	// by prepare stay valid.
-	t.refreshWeights(prep.g)
-
-	// Coarsen by interest (heavy-edge matching), as in the initial
-	// distribution: interest-grouped vertices are what lets the
-	// rebalance escape the local minima single-query moves cannot.
-	// The per-coordinator RNG is fixed, so grouping is stable
-	// across rounds and constituents of a vertex are co-located
-	// from the previous round — the warm majority start is then
-	// exact except right after workload changes. At the leaf,
-	// queries stay atomic: the diffusion flows of Algorithm 3 are
-	// small relative to coarse-chunk weights, and per-processor
-	// balancing needs query granularity. In pure mode only
-	// same-processor merges are allowed, preserving placement.
-	opts := querygraph.CoarsenOptions{
-		VMax:       t.Cfg.VMax,
-		Rng:        t.coordRng(c),
-		NoQN:       true,
-		CountQOnly: true,
-	}
-	if pure {
-		opts.CanMerge = t.samePlacedProc
-	}
-	if c.IsLeaf() {
-		opts.VMax = len(prep.g.Vertices) + 1
-	}
-	res := prep.g.Coarsen(opts)
-	g := res.Graph
+// warmAssign starts every coarse vertex on the target where its queries
+// live now (warmTarget) and gives each vertex with no placed query the
+// mapper's best target for the loads so far. When every query is placed,
+// it installs the current placement verbatim.
+func (t *Tree) warmAssign(c *Coordinator, g *querygraph.Graph, m *mapping.Mapper) (mapping.Assignment, error) {
 	assign := make(mapping.Assignment, len(g.Vertices))
-	m := mapping.NewMapper(g, c.ng, mapping.Options{Alpha: t.Cfg.Alpha, Rng: t.coordRng(c)})
 	loads := make([]float64, c.ng.Len())
 	for vi, v := range g.Vertices {
 		assign[vi] = mapping.Unassigned
@@ -154,93 +97,17 @@ func (t *Tree) descendCurrent(c *Coordinator, incoming []*querygraph.Vertex, reb
 			loads[assign[vi]] += v.Weight
 		}
 	}
-	fineShares := func(resA mapping.Assignment) ([][]*querygraph.Vertex, error) {
-		shares := make([][]*querygraph.Vertex, c.assignableCount())
-		for ci, v := range g.Vertices {
-			if len(v.Queries) == 0 {
-				continue
-			}
-			k := resA[ci]
-			if k < 0 || k >= len(shares) {
-				return nil, fmt.Errorf("hierarchy: %s: vertex %d on non-child target %d", c.Name, ci, k)
-			}
-			for _, fi := range res.CoarseToFine[ci] {
-				fv := prep.g.Vertices[fi]
-				if len(fv.Queries) > 0 {
-					shares[k] = append(shares[k], fv)
-				}
-			}
-		}
-		return shares, nil
-	}
+	return assign, nil
+}
 
-	final := assign
-	if rebalance {
-		final, err = adapt.Rebalance(g, c.ng, assign, adapt.Options{
-			Alpha: t.Cfg.Alpha,
-			Rng:   t.coordRng(c),
-		})
-		if err != nil {
-			return fmt.Errorf("hierarchy: %s: %w", c.Name, err)
-		}
-	}
-	t.setState(c, g, final)
-
-	shares, err := fineShares(final)
+// rebalanceAssign is Adapt's assign step: the warm start, then Algorithm 3
+// (diffusion-guided re-balance plus refinement) over this level.
+func (t *Tree) rebalanceAssign(c *Coordinator, g *querygraph.Graph, m *mapping.Mapper) (mapping.Assignment, error) {
+	warm, err := t.warmAssign(c, g, m)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if c.IsLeaf() {
-		t.placeMu.Lock()
-		for k, share := range shares {
-			proc := c.ng.Vertices[k].Node
-			for _, v := range share {
-				for _, q := range v.Queries {
-					t.placement[q.Name] = proc
-				}
-			}
-		}
-		t.placeMu.Unlock()
-		return nil
-	}
-	if sem == nil {
-		for k, share := range shares {
-			if err := t.descendCurrent(c.Children[k], share, rebalance, pure, nil); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var wg sync.WaitGroup
-	var errMu sync.Mutex
-	var firstErr error
-	record := func(err error) {
-		if err == nil {
-			return
-		}
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-	}
-	for k, share := range shares {
-		select {
-		case sem <- struct{}{}:
-			wg.Add(1)
-			go func(k int, share []*querygraph.Vertex) {
-				defer wg.Done()
-				err := t.descendCurrent(c.Children[k], share, rebalance, pure, sem)
-				<-sem
-				record(err)
-			}(k, share)
-		default:
-			// No free worker slot: recurse inline rather than blocking.
-			record(t.descendCurrent(c.Children[k], share, rebalance, pure, sem))
-		}
-	}
-	wg.Wait()
-	return firstErr
+	return adapt.Rebalance(g, c.ng, warm, adapt.Options{Alpha: t.Cfg.Alpha, Rng: t.coordRng(c)})
 }
 
 // samePlacedProc reports whether two query-bearing vertices are currently
@@ -291,30 +158,20 @@ func (t *Tree) warmTarget(c *Coordinator, v *querygraph.Vertex) int {
 	return best
 }
 
-// refreshWeights re-estimates q-vertex weights from the installed load
-// estimator (§3.8). Without an estimator, recorded loads are kept. The
-// whole body runs under placeMu: it writes the shared t.queries map and
-// calls the user-supplied estimator, which must not observe concurrent
-// invocations from sibling subtrees.
+// refreshWeights re-sums q-vertex weights from their queries' loads, which
+// Adapt refreshed from the installed estimator (§3.8) when the round
+// started. Without an estimator, the weights coarsening summed are kept.
 func (t *Tree) refreshWeights(g *querygraph.Graph) {
 	if t.loadOf == nil {
 		return
 	}
-	t.placeMu.Lock()
-	defer t.placeMu.Unlock()
 	for _, v := range g.Vertices {
 		if v == nil || len(v.Queries) == 0 {
 			continue
 		}
 		var sum float64
-		for i := range v.Queries {
-			l := t.loadOf(v.Queries[i].Name)
-			v.Queries[i].Load = l
-			sum += l
-			if q, ok := t.queries[v.Queries[i].Name]; ok {
-				q.Load = l
-				t.queries[v.Queries[i].Name] = q
-			}
+		for _, q := range v.Queries {
+			sum += q.Load
 		}
 		v.Weight = sum
 	}

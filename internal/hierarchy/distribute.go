@@ -32,35 +32,49 @@ type Report struct {
 // are retained (not copied) so that callers can perturb rates in place
 // between adaptation rounds, as the experiments do.
 func (t *Tree) Distribute(queries []querygraph.QueryInfo, subRates []float64, sourceOfSub []topology.NodeID) (*Report, error) {
-	return t.distribute(queries, subRates, sourceOfSub, nil)
-}
-
-// assignFunc overrides the per-coordinator mapping decision during a
-// descent (nil selects Algorithm 2 via mapping.Mapper.Map).
-type assignFunc func(c *Coordinator, g *querygraph.Graph, m *mapping.Mapper) (mapping.Assignment, error)
-
-func (t *Tree) distribute(queries []querygraph.QueryInfo, subRates []float64,
-	sourceOfSub []topology.NodeID, assignFn assignFunc) (*Report, error) {
 	if err := t.resetDistribution(queries, subRates, sourceOfSub); err != nil {
 		return nil, err
 	}
-
-	rootIncoming, err := t.upwardPass(queries, nil)
-	if err != nil {
-		return nil, err
-	}
-	// Downward pass from the root. Sibling subtrees are independent, so
-	// the recursion fans out over bounded workers — except when an
-	// assignFn override is installed, whose closures (e.g. the shared RNG
-	// of DistributeRandom) require the sequential visit order.
-	var sem chan struct{}
-	if assignFn == nil && t.Cfg.Workers > 1 {
-		sem = make(chan struct{}, t.Cfg.Workers-1)
-	}
-	if err := t.descend(t.Root, rootIncoming, assignFn, sem); err != nil {
+	d := descent{assign: func(_ *Coordinator, _ *querygraph.Graph, m *mapping.Mapper) (mapping.Assignment, error) {
+		return m.Map()
+	}}
+	if err := t.run(queries, d, true); err != nil {
 		return nil, err
 	}
 	return t.timingReport(), nil
+}
+
+// descent is the policy of one top-down pass over the coordinator tree
+// (§3.5, §3.7). Distribute, DistributeRandom, DistributeWith and Adapt run
+// the same pass and differ only in this value.
+type descent struct {
+	// assign maps coordinator c's coarse graph g onto c's targets; m is
+	// the Algorithm 2 mapper over g.
+	assign func(c *Coordinator, g *querygraph.Graph, m *mapping.Mapper) (mapping.Assignment, error)
+	// canMerge, when non-nil, restricts which vertices coarsening may
+	// merge, on the way up and on the way down.
+	canMerge func(u, v *querygraph.Vertex) bool
+	// atomicLeaves keeps queries unmerged at leaf coordinators.
+	atomicLeaves bool
+}
+
+// run rebuilds the query-graph hierarchy bottom-up over queries (§3.4) and
+// descends it from the root under d. With parallel, sibling subtrees
+// descend over bounded workers (Workers: 1 is the sequential descent).
+func (t *Tree) run(queries []querygraph.QueryInfo, d descent, parallel bool) error {
+	for _, c := range t.All {
+		c.expand = make(map[string][]*querygraph.Vertex)
+		c.keySeq = 0
+	}
+	rootIncoming, err := t.upwardPass(queries, d.canMerge)
+	if err != nil {
+		return err
+	}
+	var sem chan struct{}
+	if parallel && t.Cfg.Workers > 1 {
+		sem = make(chan struct{}, t.Cfg.Workers-1)
+	}
+	return t.descend(t.Root, rootIncoming, d, sem)
 }
 
 // resetDistribution installs the substream statistics and clears all
@@ -76,8 +90,6 @@ func (t *Tree) resetDistribution(queries []querygraph.QueryInfo, subRates []floa
 	t.placement = make(map[string]topology.NodeID, len(queries))
 	t.queries = make(map[string]querygraph.QueryInfo, len(queries))
 	for _, c := range t.All {
-		c.expand = make(map[string][]*querygraph.Vertex)
-		c.keySeq = 0
 		c.graph, c.ng, c.assign, c.loads = nil, nil, nil, nil
 		c.byQuery = nil
 		c.upTime, c.downTime = 0, 0
@@ -88,11 +100,16 @@ func (t *Tree) resetDistribution(queries []querygraph.QueryInfo, subRates []floa
 // DistributeRandom builds the query-graph hierarchy normally but assigns
 // coarse vertices uniformly at random during the descent, modelling the
 // random initial allocation under inaccurate a-priori statistics of Fig 7.
-// Coordinator state stays fully consistent, so Adapt can repair it.
+// Coordinator state stays fully consistent, so Adapt can repair it. The
+// descent is sequential: the draws from the one RNG follow the depth-first
+// visit order.
 func (t *Tree) DistributeRandom(queries []querygraph.QueryInfo, subRates []float64,
 	sourceOfSub []topology.NodeID, seed uint64) error {
+	if err := t.resetDistribution(queries, subRates, sourceOfSub); err != nil {
+		return err
+	}
 	rng := rand.New(rand.NewPCG(seed, seed^0x5eed))
-	assignFn := func(c *Coordinator, g *querygraph.Graph, m *mapping.Mapper) (mapping.Assignment, error) {
+	d := descent{assign: func(c *Coordinator, g *querygraph.Graph, _ *mapping.Mapper) (mapping.Assignment, error) {
 		a := make(mapping.Assignment, len(g.Vertices))
 		n := c.assignableCount()
 		for vi, v := range g.Vertices {
@@ -103,16 +120,17 @@ func (t *Tree) DistributeRandom(queries []querygraph.QueryInfo, subRates []float
 			a[vi] = rng.IntN(n)
 		}
 		return a, nil
-	}
-	_, err := t.distribute(queries, subRates, sourceOfSub, assignFn)
-	return err
+	}}
+	return t.run(queries, d, false)
 }
 
-// DistributeWith installs an explicit query placement (e.g. random, for the
-// inaccurate-statistics experiment of Fig 7, or an external baseline) and
-// builds consistent coordinator state so that later Adapt rounds and
-// insertions can improve on it. The placement is restored exactly: every
-// coarsening step only merges vertices bound to the same target.
+// DistributeWith installs an explicit query placement and builds
+// consistent coordinator state over it, so that later Adapt rounds and
+// insertions start from that placement. It is a test harness for fixed
+// starting placements. The placement is restored exactly: every coarsening
+// step only merges vertices placed on the same processor, queries stay
+// atomic at the leaves, and every vertex is warm-started where its queries
+// are.
 //
 //lint:deadcode test harness: installs the fixed placements of hierarchy's TestAdaptOnExactlyBalancedCluster and sim's TestAdaptConvergesFromRandom and TestAdaptRebalancesSkewedLoad
 func (t *Tree) DistributeWith(queries []querygraph.QueryInfo, subRates []float64,
@@ -127,20 +145,11 @@ func (t *Tree) DistributeWith(queries []querygraph.QueryInfo, subRates []float64
 		}
 		t.placement[q.Name] = proc
 	}
-	// Merging is restricted to vertices placed on the same processor so
-	// the forced placement survives coarsening exactly.
-	canMerge := func(_ *Coordinator, u, v *querygraph.Vertex) bool {
-		return t.samePlacedProc(u, v)
-	}
-	rootIncoming, err := t.upwardPass(queries, canMerge)
-	if err != nil {
-		return err
-	}
-	return t.descendCurrent(t.Root, rootIncoming, false, true, nil)
+	return t.run(queries, descent{assign: t.warmAssign, canMerge: t.samePlacedProc, atomicLeaves: true}, true)
 }
 
 // upwardPass runs the bottom-up query-graph hierarchy construction (§3.4).
-// canMerge optionally constrains coarsening per coordinator.
+// canMerge optionally constrains coarsening.
 //
 // Coordinators of one level are independent (each works on its own
 // submissions with its own seeded RNG), so every level runs its graph
@@ -148,7 +157,7 @@ func (t *Tree) DistributeWith(queries []querygraph.QueryInfo, subRates []float64
 // the parents in the fixed coordinator order, making the outcome identical
 // to the sequential pass.
 func (t *Tree) upwardPass(queries []querygraph.QueryInfo,
-	canMerge func(c *Coordinator, u, v *querygraph.Vertex) bool) ([]*querygraph.Vertex, error) {
+	canMerge func(u, v *querygraph.Vertex) bool) ([]*querygraph.Vertex, error) {
 	// Group queries by the leaf coordinator of their proxy.
 	byLeaf := make(map[*Coordinator][]*querygraph.Vertex)
 	for _, q := range queries {
@@ -246,21 +255,18 @@ func (t *Tree) coordinatorsByLevel() map[int][]*Coordinator {
 // coarsens it, registers expansions, and returns the query-bearing coarse
 // vertices to submit to the parent.
 func (t *Tree) coarsenAndRegister(c *Coordinator, incoming []*querygraph.Vertex,
-	canMerge func(c *Coordinator, u, v *querygraph.Vertex) bool) ([]*querygraph.Vertex, error) {
+	canMerge func(u, v *querygraph.Vertex) bool) ([]*querygraph.Vertex, error) {
 	prep, err := t.prepare(c, incoming)
 	if err != nil {
 		return nil, err
 	}
-	opts := querygraph.CoarsenOptions{
+	res := prep.g.Coarsen(querygraph.CoarsenOptions{
 		VMax:       t.Cfg.VMax,
 		Rng:        t.coordRng(c),
 		NoQN:       true,
 		CountQOnly: true,
-	}
-	if canMerge != nil {
-		opts.CanMerge = func(u, v *querygraph.Vertex) bool { return canMerge(c, u, v) }
-	}
-	res := prep.g.Coarsen(opts)
+		CanMerge:   canMerge,
+	})
 	var out []*querygraph.Vertex
 	for ci, v := range res.Graph.Vertices {
 		if len(v.Queries) == 0 {
@@ -434,11 +440,17 @@ func (c *Coordinator) assignableCount() int {
 	return len(c.Children)
 }
 
-// descend maps the incoming vertices at coordinator c and recurses into the
-// children with their uncoarsened shares (§3.5). With a non-nil sem, child
-// recursions fan out over goroutines bounded by the semaphore's capacity,
-// running inline when no slot is free.
-func (t *Tree) descend(c *Coordinator, incoming []*querygraph.Vertex, assignFn assignFunc, sem chan struct{}) error {
+// descend assigns the incoming vertices at coordinator c under d and
+// recurses into the children with their uncoarsened shares (§3.5, §3.7).
+// With a non-nil sem, child recursions fan out over goroutines bounded by
+// the semaphore's capacity, running inline when no slot is free; with a nil
+// sem they all run inline, in depth-first order. Sibling
+// subtrees are independent: shares are disjoint, per-coordinator RNGs are
+// self-seeded, and the placement reads of the warm start and of
+// samePlacedProc touch only the descending subtree's own entries. placeMu
+// guards the shared placement map; everything else a branch writes is
+// per-coordinator state of its own subtree.
+func (t *Tree) descend(c *Coordinator, incoming []*querygraph.Vertex, d descent, sem chan struct{}) error {
 	start := time.Now() //lint:nondeterminism wall-clock instrumentation: downTime only feeds timing reports, never a decision
 
 	// Expand to this coordinator's working granularity.
@@ -450,19 +462,22 @@ func (t *Tree) descend(c *Coordinator, incoming []*querygraph.Vertex, assignFn a
 	if err != nil {
 		return err
 	}
-	res := prep.g.Coarsen(querygraph.CoarsenOptions{
+	// Edge weights depend on interests, rates, and result rates — not on
+	// the query loads refreshWeights sums — so prepare's edges stay valid.
+	t.refreshWeights(prep.g)
+	opts := querygraph.CoarsenOptions{
 		VMax:       t.Cfg.VMax,
 		Rng:        t.coordRng(c),
 		NoQN:       true,
 		CountQOnly: true,
-	})
-	m := mapping.NewMapper(res.Graph, c.ng, mapping.Options{Alpha: t.Cfg.Alpha, Rng: t.coordRng(c)})
-	var assign mapping.Assignment
-	if assignFn != nil {
-		assign, err = assignFn(c, res.Graph, m)
-	} else {
-		assign, err = m.Map()
+		CanMerge:   d.canMerge,
 	}
+	if d.atomicLeaves && c.IsLeaf() {
+		opts.VMax = len(prep.g.Vertices) + 1
+	}
+	res := prep.g.Coarsen(opts)
+	m := mapping.NewMapper(res.Graph, c.ng, mapping.Options{Alpha: t.Cfg.Alpha, Rng: t.coordRng(c)})
+	assign, err := d.assign(c, res.Graph, m)
 	if err != nil {
 		return fmt.Errorf("hierarchy: %s mapping: %w", c.Name, err)
 	}
@@ -500,14 +515,6 @@ func (t *Tree) descend(c *Coordinator, incoming []*querygraph.Vertex, assignFn a
 		t.placeMu.Unlock()
 		return nil
 	}
-	if sem == nil {
-		for k, share := range shares {
-			if err := t.descend(c.Children[k], share, assignFn, nil); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	var wg sync.WaitGroup
 	var errMu sync.Mutex
 	var firstErr error
@@ -527,13 +534,14 @@ func (t *Tree) descend(c *Coordinator, incoming []*querygraph.Vertex, assignFn a
 			wg.Add(1)
 			go func(k int, share []*querygraph.Vertex) {
 				defer wg.Done()
-				err := t.descend(c.Children[k], share, assignFn, sem)
+				err := t.descend(c.Children[k], share, d, sem)
 				<-sem
 				record(err)
 			}(k, share)
 		default:
-			// No free worker slot: recurse inline rather than blocking.
-			record(t.descend(c.Children[k], share, assignFn, sem))
+			// No free worker slot, or no sem (a nil channel never accepts):
+			// recurse inline rather than blocking.
+			record(t.descend(c.Children[k], share, d, sem))
 		}
 	}
 	wg.Wait()

@@ -20,8 +20,7 @@ import (
 // rounds. Returns the processor the query was placed on and whether the
 // query was known (removing an unknown or already-removed name is a no-op).
 func (t *Tree) Remove(name string) (topology.NodeID, bool) {
-	q, known := t.queries[name]
-	if !known {
+	if _, known := t.queries[name]; !known {
 		return -1, false
 	}
 	proc, placed := t.placement[name]
@@ -34,7 +33,7 @@ func (t *Tree) Remove(name string) (topology.NodeID, bool) {
 		if c.graph == nil {
 			continue
 		}
-		t.removeQueryAt(c, name, q)
+		t.removeQueryAt(c, name)
 	}
 	return proc, true
 }
@@ -45,7 +44,7 @@ func (t *Tree) Remove(name string) (topology.NodeID, bool) {
 // shrunk to its surviving constituents, its edges re-estimated from the new
 // content. Either way the per-target loads are recomputed from the
 // surviving vertex weights — bit-exact, not decayed by subtract-and-drift.
-func (t *Tree) removeQueryAt(c *Coordinator, name string, _ querygraph.QueryInfo) {
+func (t *Tree) removeQueryAt(c *Coordinator, name string) {
 	g := c.graph
 	vi, ok := c.byQuery[name]
 	if !ok {

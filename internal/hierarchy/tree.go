@@ -37,8 +37,8 @@ type Config struct {
 	Seed uint64
 	// Workers bounds the goroutines used to run independent coordinators
 	// concurrently during distribution and adaptation (upward coarsening
-	// per level, downward descent per sibling subtree — Distribute's and
-	// Adapt's alike). 0 selects GOMAXPROCS; 1 runs fully sequentially.
+	// per level, downward descent per sibling subtree, except in
+	// DistributeRandom). 0 selects GOMAXPROCS; 1 runs fully sequentially.
 	// Placements are identical for any value: every per-coordinator
 	// computation is seeded independently and results are combined in a
 	// fixed order.

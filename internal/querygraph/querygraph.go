@@ -1122,9 +1122,9 @@ type CoarsenOptions struct {
 	// pure n-vertices outside the budget.
 	CountQOnly bool
 	// CanMerge, when non-nil, adds an extra admissibility constraint on
-	// candidate pairs. The adaptation path uses it to only merge
-	// vertices currently placed on the same child, so that coarse-level
-	// warm starts introduce no spurious migrations.
+	// candidate pairs. The hierarchy's placement restore uses it to only
+	// merge vertices currently placed on the same processor, so that
+	// coarse-level warm starts introduce no spurious migrations.
 	CanMerge func(u, v *Vertex) bool
 }
 
