@@ -3,6 +3,7 @@ package querygraph
 import (
 	"fmt"
 	"math/rand/v2"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -171,21 +172,63 @@ func sameAdjacency(t *testing.T, label string, a, b *Graph) {
 
 // TestComputeEdgesMatchesNaive: the index-driven edge construction must
 // reproduce the retained O(V²) reference bit-for-bit — same edge set, same
-// weights — on randomized graphs.
+// weights — on randomized graphs; on small graphs built right after a
+// ScaleCI-sized one, whose larger build scratch they reuse; and on graphs of
+// both sizes built from several goroutines at once.
 func TestComputeEdgesMatchesNaive(t *testing.T) {
+	matchesNaive := func(label string, g *Graph) {
+		t.Helper()
+		naive := &Graph{Space: g.Space, Vertices: g.Vertices, adj: make([][]Adj, len(g.Vertices))}
+		naive.computeEdgesNaive()
+		sameAdjacency(t, label, g, naive)
+	}
 	f := func(seed uint64) bool {
 		r := rand.New(rand.NewPCG(seed, 0xed9e))
 		g := randomGraph(r)
 		g.ComputeEdges()
-
-		naive := &Graph{Space: g.Space, Vertices: g.Vertices, adj: make([][]Adj, len(g.Vertices))}
-		naive.computeEdgesNaive()
-		sameAdjacency(t, fmt.Sprintf("seed %d", seed), g, naive)
+		matchesNaive(fmt.Sprintf("seed %d", seed), g)
 		return !t.Failed()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)
 	}
+
+	big := scaleCIGraph(2)
+	for seed := uint64(0); seed < 4; seed++ {
+		big.ComputeEdges()
+		g := randomGraph(rand.New(rand.NewPCG(seed, 0xb16)))
+		g.ComputeEdges()
+		matchesNaive(fmt.Sprintf("after ScaleCI, seed %d", seed), g)
+	}
+	matchesNaive("ScaleCI after small", big)
+
+	graphs := buildConcurrently(6, func(i int) *Graph {
+		g := randomGraph(rand.New(rand.NewPCG(uint64(i), 0xc0c)))
+		if i%3 == 0 {
+			g = scaleCIGraph(uint64(i))
+		}
+		g.ComputeEdges()
+		return g
+	})
+	for i, g := range graphs {
+		matchesNaive(fmt.Sprintf("concurrent build %d", i), g)
+	}
+}
+
+// buildConcurrently runs build(0..n-1) on n goroutines at once and returns
+// the graphs in index order.
+func buildConcurrently(n int, build func(i int) *Graph) []*Graph {
+	out := make([]*Graph, n)
+	var wg sync.WaitGroup
+	for i := range out {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out[i] = build(i)
+		}()
+	}
+	wg.Wait()
+	return out
 }
 
 // TestConnectVertexMatchesNaive: incremental connection of a late-arriving
@@ -348,9 +391,14 @@ func scaleCIGraph(seed uint64) *Graph {
 
 // TestCoarsenedEdgesMatchNaive: every coarse graph Coarsen returns must be
 // one the model could have built from scratch. Over random graphs, with and
-// without NoQN, CountQOnly and a CanMerge gate, and on one ScaleCI-sized
-// graph, checkCoarsened holds the result to the naive construction.
+// without NoQN, CountQOnly and a CanMerge gate, on one ScaleCI-sized graph,
+// on small graphs coarsened right after a ScaleCI-sized one, and on graphs
+// of both sizes coarsened from several goroutines at once, checkCoarsened
+// holds the result to the naive construction.
 func TestCoarsenedEdgesMatchNaive(t *testing.T) {
+	ciOpts := func() CoarsenOptions {
+		return CoarsenOptions{VMax: 40, Rng: rand.New(rand.NewPCG(7, 7)), NoQN: true, CountQOnly: true}
+	}
 	for seed := uint64(0); seed < 400; seed++ {
 		for variant := uint64(0); variant < 8; variant++ {
 			r := rand.New(rand.NewPCG(seed, 0xc0a7))
@@ -370,8 +418,41 @@ func TestCoarsenedEdgesMatchNaive(t *testing.T) {
 	}
 	g := scaleCIGraph(1)
 	g.ComputeEdges()
-	res := g.Coarsen(CoarsenOptions{VMax: 40, Rng: rand.New(rand.NewPCG(7, 7)), NoQN: true, CountQOnly: true})
-	checkCoarsened(t, "ScaleCI", g, res)
+	checkCoarsened(t, "ScaleCI", g, g.Coarsen(ciOpts()))
+
+	for seed := uint64(0); seed < 4; seed++ {
+		g.Coarsen(ciOpts())
+		small := randomGraph(rand.New(rand.NewPCG(seed, 0xb17)))
+		small.ComputeEdges()
+		opts := CoarsenOptions{VMax: 1 + int(seed), Rng: rand.New(rand.NewPCG(seed, 3))}
+		checkCoarsened(t, fmt.Sprintf("after ScaleCI, seed %d", seed), small, small.Coarsen(opts))
+	}
+
+	fines := buildConcurrently(6, func(i int) *Graph {
+		g := randomGraph(rand.New(rand.NewPCG(uint64(i), 0xc0d)))
+		if i%3 == 0 {
+			g = scaleCIGraph(uint64(i))
+		}
+		g.ComputeEdges()
+		return g
+	})
+	coarse := make([]*CoarsenResult, len(fines))
+	var wg sync.WaitGroup
+	for i, g := range fines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			opts := ciOpts()
+			if i%3 != 0 {
+				opts.VMax = 1 + i
+			}
+			coarse[i] = g.Coarsen(opts)
+		}()
+	}
+	wg.Wait()
+	for i, res := range coarse {
+		checkCoarsened(t, fmt.Sprintf("concurrent coarsen %d", i), fines[i], res)
+	}
 }
 
 // TestCoarsenEquivalentOnNaiveEdges: Coarsen's deferred, batched edge
