@@ -3,6 +3,7 @@ package hierarchy
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -153,9 +154,9 @@ func (t *Tree) DistributeWith(queries []querygraph.QueryInfo, subRates []float64
 //
 // Coordinators of one level are independent (each works on its own
 // submissions with its own seeded RNG), so every level runs its graph
-// builds and coarsenings across bounded workers; results are appended to
-// the parents in the fixed coordinator order, making the outcome identical
-// to the sequential pass.
+// builds and coarsenings across bounded workers, the coordinator with the
+// most submissions first; results are appended to the parents in the fixed
+// coordinator order, making the outcome identical to the sequential pass.
 func (t *Tree) upwardPass(queries []querygraph.QueryInfo,
 	canMerge func(u, v *querygraph.Vertex) bool) ([]*querygraph.Vertex, error) {
 	// Group queries by the leaf coordinator of their proxy.
@@ -180,7 +181,9 @@ func (t *Tree) upwardPass(queries []querygraph.QueryInfo,
 		cs := byLevel[level]
 		outs := make([][]*querygraph.Vertex, len(cs))
 		errs := make([]error, len(cs))
-		t.forEachParallel(len(cs), func(i int) {
+		order := largestFirst(len(cs), func(i int) int { return len(submissions[cs[i]]) })
+		t.forEachParallel(len(cs), func(j int) {
+			i := order[j]
 			c := cs[i]
 			start := time.Now() //lint:nondeterminism wall-clock instrumentation: upTime only feeds timing reports, never a decision
 			out, err := t.coarsenAndRegister(c, submissions[c], canMerge)
@@ -228,6 +231,18 @@ func (t *Tree) forEachParallel(n int, fn func(int)) {
 		}()
 	}
 	wg.Wait()
+}
+
+// largestFirst returns 0..n-1 ordered by size, largest first, ties in index
+// order. Handing the largest job out first keeps one worker from running
+// the two largest back to back while the others idle.
+func largestFirst(n int, size func(i int) int) []int {
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return size(b) - size(a) })
+	return order
 }
 
 func atomVertex(q querygraph.QueryInfo) *querygraph.Vertex {
@@ -443,8 +458,9 @@ func (c *Coordinator) assignableCount() int {
 // descend assigns the incoming vertices at coordinator c under d and
 // recurses into the children with their uncoarsened shares (§3.5, §3.7).
 // With a non-nil sem, child recursions fan out over goroutines bounded by
-// the semaphore's capacity, running inline when no slot is free; with a nil
-// sem they all run inline, in depth-first order. Sibling
+// the semaphore's capacity, largest share first, running inline when no
+// slot is free; with a nil sem they all run inline, in depth-first index
+// order, the order DistributeRandom's one RNG draws in. Sibling
 // subtrees are independent: shares are disjoint, per-coordinator RNGs are
 // self-seeded, and the placement reads of the warm start and of
 // samePlacedProc touch only the descending subtree's own entries. placeMu
@@ -528,7 +544,12 @@ func (t *Tree) descend(c *Coordinator, incoming []*querygraph.Vertex, d descent,
 		}
 		errMu.Unlock()
 	}
-	for k, share := range shares {
+	order := largestFirst(len(shares), func(k int) int { return len(shares[k]) })
+	if sem == nil {
+		slices.Sort(order)
+	}
+	for _, k := range order {
+		share := shares[k]
 		select {
 		case sem <- struct{}{}:
 			wg.Add(1)

@@ -41,6 +41,7 @@ import (
 	"math/bits"
 	"math/rand/v2"
 	"slices"
+	"sync"
 
 	"repro/internal/bitvec"
 	"repro/internal/topology"
@@ -852,15 +853,30 @@ func (sc *scratch) collect(ids []int32, u int, sel []bool) {
 	}
 }
 
+// buildScratch is what one graph build uses only while it runs: the edge
+// list estimate fills and layoutCSR's prefix sums, cursors and buckets. A
+// build takes one from buildPool and puts it back before it returns, so no
+// two goroutines ever share one and the graph keeps none of it.
+type buildScratch struct {
+	edges    []edge
+	off, cur []int32
+	byTo     []Adj
+}
+
+var buildPool = sync.Pool{New: func() any { return new(buildScratch) }}
+
 // layoutCSR lays undirected edges, each pair listed once and in any order,
 // out as one adjacency run per vertex over a single backing array, every run
 // sorted by neighbor ID. Two counting passes do it in O(V+E): the half-edges
 // are bucketed by neighbor, then scattered into their rows bucket by bucket,
-// so each row fills in ascending neighbor order.
-func layoutCSR(edges []edge, V int) [][]Adj {
+// so each row fills in ascending neighbor order. Only the returned runs are
+// fresh memory; the arrays the passes work in are b's.
+func (b *buildScratch) layoutCSR(edges []edge, V int) [][]Adj {
 	// A vertex has as many half-edges into it as out of it, so one prefix
-	// sum bounds both the buckets and the rows.
-	off := make([]int32, V+1)
+	// sum bounds both the buckets and the rows. The counts go into an
+	// array an earlier build left, so it starts cleared.
+	off := slices.Grow(b.off[:0], V+1)[:V+1]
+	clear(off)
 	for _, e := range edges {
 		off[e.u+1]++
 		off[e.v+1]++
@@ -868,9 +884,10 @@ func layoutCSR(edges []edge, V int) [][]Adj {
 	for i := 0; i < V; i++ {
 		off[i+1] += off[i]
 	}
-	cur := make([]int32, V)
+	cur := slices.Grow(b.cur[:0], V)[:V]
 	copy(cur, off[:V])
-	byTo := make([]Adj, off[V]) // bucket t holds the half-edges into t, To naming their row
+	byTo := slices.Grow(b.byTo[:0], int(off[V]))[:off[V]] // bucket t holds the half-edges into t, To naming their row
+	b.off, b.cur, b.byTo = off, cur, byTo
 	for _, e := range edges {
 		byTo[cur[e.v]] = Adj{To: int(e.u), W: e.w}
 		cur[e.v]++
@@ -902,13 +919,16 @@ func (g *Graph) ComputeEdges() {
 	for i := range all {
 		all[i] = true
 	}
-	var edges []edge
+	b := buildPool.Get().(*buildScratch)
+	edges := b.edges[:0]
 	for u, v := range g.Vertices {
 		if v != nil {
 			edges = g.estimate(u, all, edges)
 		}
 	}
-	g.adj = layoutCSR(edges, len(g.Vertices))
+	g.adj = b.layoutCSR(edges, len(g.Vertices))
+	b.edges = edges
+	buildPool.Put(b)
 }
 
 // setEdge installs (or updates) the undirected edge i–j, keeping both runs
@@ -977,9 +997,12 @@ func (g *Graph) Neighbors(i int) []Adj { return g.adj[i] }
 // added to the graph, with no edges yet) and every other vertex — the
 // incremental step of online query insertion (§3.6) and of ShrinkVertex.
 func (g *Graph) ConnectVertex(v *Vertex) {
-	for _, e := range g.estimate(v.ID, nil, nil) {
+	b := buildPool.Get().(*buildScratch)
+	b.edges = g.estimate(v.ID, nil, b.edges[:0])
+	for _, e := range b.edges {
 		g.setEdge(int(e.u), int(e.v), e.w)
 	}
+	buildPool.Put(b)
 }
 
 // ForEachOverlap visits every vertex whose Interest shares at least one
@@ -1368,7 +1391,8 @@ func compact(cur *Graph, fineToCur []int, into []int32, absorbed []bool) (*Graph
 		out.Vertices = append(out.Vertices, v)
 		sel = append(sel, absorbed[i])
 	}
-	edges := make([]edge, 0, cur.EdgeCount())
+	b := buildPool.Get().(*buildScratch)
+	edges := slices.Grow(b.edges[:0], cur.EdgeCount())
 	for i, run := range cur.adj {
 		if cur.Vertices[i] == nil || absorbed[i] {
 			continue
@@ -1384,7 +1408,9 @@ func compact(cur *Graph, fineToCur []int, into []int32, absorbed []bool) (*Graph
 			edges = out.estimate(ni, sel, edges)
 		}
 	}
-	out.adj = layoutCSR(edges, len(out.Vertices))
+	out.adj = b.layoutCSR(edges, len(out.Vertices))
+	b.edges = edges
+	buildPool.Put(b)
 	next := make([]int, len(fineToCur))
 	for f, c := range fineToCur {
 		next[f] = int(newID[into[c]])
