@@ -459,8 +459,8 @@ func (c *Coordinator) assignableCount() int {
 // recurses into the children with their uncoarsened shares (§3.5, §3.7).
 // With a non-nil sem, child recursions fan out over goroutines bounded by
 // the semaphore's capacity, largest share first, running inline when no
-// slot is free; with a nil sem they all run inline, in depth-first index
-// order, the order DistributeRandom's one RNG draws in. Sibling
+// slot is free; with a nil sem they all run inline, in the depth-first
+// index order DistributeRandom's one RNG draws in. Sibling
 // subtrees are independent: shares are disjoint, per-coordinator RNGs are
 // self-seeded, and the placement reads of the warm start and of
 // samePlacedProc touch only the descending subtree's own entries. placeMu

@@ -7,6 +7,7 @@ package query
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
@@ -63,25 +64,25 @@ func (w Window) String() string {
 		return "[Unbounded]"
 	default:
 		n, unit := spanUnits(w.Span)
-		return fmt.Sprintf("[Range %g %s]", n, unit)
+		return fmt.Sprintf("[Range %d %s]", n, unit)
 	}
 }
 
-// spanUnits renders a duration in the largest CQL unit that divides it, so
-// String output parses back losslessly.
-func spanUnits(d time.Duration) (float64, string) {
+// spanUnits renders a span (whole milliseconds) as a count of the largest CQL
+// unit that divides it, so String output parses back losslessly.
+func spanUnits(d time.Duration) (time.Duration, string) {
 	day := 24 * time.Hour
 	switch {
 	case d >= day && d%day == 0:
-		return float64(d / day), "Days"
+		return d / day, "Days"
 	case d >= time.Hour && d%time.Hour == 0:
-		return float64(d / time.Hour), "Hours"
+		return d / time.Hour, "Hours"
 	case d >= time.Minute && d%time.Minute == 0:
-		return float64(d / time.Minute), "Minutes"
+		return d / time.Minute, "Minutes"
 	case d >= time.Second && d%time.Second == 0:
-		return float64(d / time.Second), "Seconds"
+		return d / time.Second, "Seconds"
 	default:
-		return float64(d) / float64(time.Millisecond), "Milliseconds"
+		return d / time.Millisecond, "Milliseconds"
 	}
 }
 
@@ -196,14 +197,21 @@ type Operand struct {
 // IsCol reports whether the operand is a column reference.
 func (o Operand) IsCol() bool { return o.Col != nil }
 
+// String renders the operand as the lexer, which knows no exponents and no
+// escapes, reads it back: no string literal it produced holds both quotes.
 func (o Operand) String() string {
-	if o.Col != nil {
+	switch {
+	case o.Col != nil:
 		return o.Col.String()
+	case o.Lit == nil:
+		return "?"
+	case o.Lit.Type != stream.String:
+		return strconv.FormatFloat(o.Lit.F, 'f', -1, 64)
+	case strings.Contains(o.Lit.S, `"`):
+		return "'" + o.Lit.S + "'"
+	default:
+		return `"` + o.Lit.S + `"`
 	}
-	if o.Lit != nil {
-		return o.Lit.String()
-	}
-	return "?"
 }
 
 // Predicate is a binary comparison. The WHERE clause is a conjunction of

@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -232,7 +233,12 @@ func (p *parser) parseWindow() (Window, error) {
 		if err != nil {
 			return Window{}, err
 		}
-		return Window{Kind: Range, Span: time.Duration(n * float64(d))}, nil
+		// Whole milliseconds, the resolution of tuple timestamps.
+		ms := math.Trunc(n * float64(d/time.Millisecond))
+		if ms >= math.MaxInt64/float64(time.Millisecond) {
+			return Window{}, fmt.Errorf("query: window length %s %s out of range", num.text, unit.text)
+		}
+		return Window{Kind: Range, Span: time.Duration(ms) * time.Millisecond}, nil
 	default:
 		return Window{}, fmt.Errorf("query: expected window spec, got %s at offset %d", p.cur(), p.cur().pos)
 	}

@@ -107,6 +107,7 @@ func TestParseErrors(t *testing.T) {
 		`SELECT FROM S [Now]`,
 		`SELECT * FROM S [Range]`,
 		`SELECT * FROM S [Range 5 Lightyears]`,
+		`SELECT * FROM S [Range 123456789 Days]`, // past what a Duration holds
 		`SELECT * FROM S [Now] WHERE`,
 		`SELECT * FROM S [Now] WHERE a >`,
 		`SELECT * FROM S [Now] WHERE a ! b`,

@@ -853,10 +853,9 @@ func (sc *scratch) collect(ids []int32, u int, sel []bool) {
 	}
 }
 
-// buildScratch is what one graph build uses only while it runs: the edge
-// list estimate fills and layoutCSR's prefix sums, cursors and buckets. A
-// build takes one from buildPool and puts it back before it returns, so no
-// two goroutines ever share one and the graph keeps none of it.
+// buildScratch is what one graph build uses only while it runs: estimate's
+// edge list and layoutCSR's prefix sums, cursors and buckets. A build puts
+// it back in buildPool before returning, and the graph keeps none of it.
 type buildScratch struct {
 	edges    []edge
 	off, cur []int32
@@ -873,8 +872,7 @@ var buildPool = sync.Pool{New: func() any { return new(buildScratch) }}
 // fresh memory; the arrays the passes work in are b's.
 func (b *buildScratch) layoutCSR(edges []edge, V int) [][]Adj {
 	// A vertex has as many half-edges into it as out of it, so one prefix
-	// sum bounds both the buckets and the rows. The counts go into an
-	// array an earlier build left, so it starts cleared.
+	// sum bounds both the buckets and the rows. Pooled counts start stale.
 	off := slices.Grow(b.off[:0], V+1)[:V+1]
 	clear(off)
 	for _, e := range edges {
