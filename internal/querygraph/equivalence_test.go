@@ -202,7 +202,7 @@ func TestComputeEdgesMatchesNaive(t *testing.T) {
 	}
 	matchesNaive("ScaleCI after small", big)
 
-	graphs := buildConcurrently(6, func(i int) *Graph {
+	graphs := concurrently(6, func(i int) *Graph {
 		g := randomGraph(rand.New(rand.NewPCG(uint64(i), 0xc0c)))
 		if i%3 == 0 {
 			g = scaleCIGraph(uint64(i))
@@ -215,16 +215,16 @@ func TestComputeEdgesMatchesNaive(t *testing.T) {
 	}
 }
 
-// buildConcurrently runs build(0..n-1) on n goroutines at once and returns
-// the graphs in index order.
-func buildConcurrently(n int, build func(i int) *Graph) []*Graph {
-	out := make([]*Graph, n)
+// concurrently runs fn(0..n-1) on n goroutines at once and returns the
+// results in index order.
+func concurrently[T any](n int, fn func(i int) T) []T {
+	out := make([]T, n)
 	var wg sync.WaitGroup
 	for i := range out {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			out[i] = build(i)
+			out[i] = fn(i)
 		}()
 	}
 	wg.Wait()
@@ -428,7 +428,7 @@ func TestCoarsenedEdgesMatchNaive(t *testing.T) {
 		checkCoarsened(t, fmt.Sprintf("after ScaleCI, seed %d", seed), small, small.Coarsen(opts))
 	}
 
-	fines := buildConcurrently(6, func(i int) *Graph {
+	fines := concurrently(6, func(i int) *Graph {
 		g := randomGraph(rand.New(rand.NewPCG(uint64(i), 0xc0d)))
 		if i%3 == 0 {
 			g = scaleCIGraph(uint64(i))
@@ -436,20 +436,13 @@ func TestCoarsenedEdgesMatchNaive(t *testing.T) {
 		g.ComputeEdges()
 		return g
 	})
-	coarse := make([]*CoarsenResult, len(fines))
-	var wg sync.WaitGroup
-	for i, g := range fines {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			opts := ciOpts()
-			if i%3 != 0 {
-				opts.VMax = 1 + i
-			}
-			coarse[i] = g.Coarsen(opts)
-		}()
-	}
-	wg.Wait()
+	coarse := concurrently(len(fines), func(i int) *CoarsenResult {
+		opts := ciOpts()
+		if i%3 != 0 {
+			opts.VMax = 1 + i
+		}
+		return fines[i].Coarsen(opts)
+	})
 	for i, res := range coarse {
 		checkCoarsened(t, fmt.Sprintf("concurrent coarsen %d", i), fines[i], res)
 	}
