@@ -68,7 +68,7 @@ func TestPublishAllocBudget(t *testing.T) {
 	if err := m.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if a, b, c := m.residuals["Q0"].super, m.residuals["Q3"].super, m.residuals["Q2"].super; a != b || a != c {
+	if a, b, c := m.handles["Q0"].split.super, m.handles["Q3"].split.super, m.handles["Q2"].split.super; a != b || a != c {
 		t.Fatalf("Q0, Q3 and Q2 run as %s, %s and %s: the deployment no longer merges them", a.Name, b.Name, c.Name)
 	}
 

@@ -106,15 +106,13 @@ type Middleware struct {
 	oracle *topology.Oracle
 	procs  []NodeID
 
-	mu       sync.Mutex
-	registry *stream.Registry
-	defs     map[string]StreamDef
-	net      *pubsub.Network
-	tree     *hierarchy.Tree
-	engines  map[NodeID]*engine.Engine
-	handles  map[string]*QueryHandle
-	started  bool
-	nextID   int
+	mu      sync.Mutex
+	streams map[string]streamRec
+	net     *pubsub.Network
+	tree    *hierarchy.Tree
+	handles map[string]*QueryHandle
+	started bool
+	nextID  int
 
 	subRates    []float64
 	sourceOfSub []NodeID
@@ -127,12 +125,21 @@ type Middleware struct {
 	// rejoined; streams they publish are unreachable meanwhile.
 	crashed map[NodeID]bool
 
-	// wiring is what each processor runs: sharing groups and input
-	// subscriptions (wire.go).
+	// wiring is what each processor runs: its engine, sharing groups and
+	// input subscriptions (wire.go).
 	wiring map[NodeID]*procWiring
-	// residuals maps query name -> how to split its result from the
-	// shared result stream.
-	residuals map[string]residualInfo
+}
+
+// streamRec is one source stream: its declaration with the defaults filled
+// in, and the first of its slots in the global substream space, over which a
+// query's interest is a bit vector (§3.2), so overlap between queries is a
+// bit operation. Slots are handed out contiguously in registration order. An
+// unregistered stream keeps its record, not live, because its slots stay
+// taken.
+type streamRec struct {
+	def      StreamDef
+	firstSub int
+	live     bool
 }
 
 // New creates a middleware over the given topology and processor set.
@@ -153,16 +160,13 @@ func New(g *topology.Graph, processors []NodeID, cfg Config) (*Middleware, error
 		cfg.Seed = 1
 	}
 	return &Middleware{
-		cfg:       cfg,
-		oracle:    topology.NewOracle(g),
-		procs:     append([]NodeID(nil), processors...),
-		registry:  stream.NewRegistry(),
-		defs:      make(map[string]StreamDef),
-		engines:   make(map[NodeID]*engine.Engine),
-		handles:   make(map[string]*QueryHandle),
-		crashed:   make(map[NodeID]bool),
-		wiring:    make(map[NodeID]*procWiring),
-		residuals: make(map[string]residualInfo),
+		cfg:     cfg,
+		oracle:  topology.NewOracle(g),
+		procs:   append([]NodeID(nil), processors...),
+		streams: make(map[string]streamRec),
+		handles: make(map[string]*QueryHandle),
+		crashed: make(map[NodeID]bool),
+		wiring:  make(map[NodeID]*procWiring),
 	}, nil
 }
 
@@ -179,15 +183,20 @@ func New(g *topology.Graph, processors []NodeID, cfg Config) (*Middleware, error
 // schema and substream slots, possibly a new source); re-registering a live
 // name is an error.
 func (m *Middleware) RegisterStream(def StreamDef) error {
+	if def.Name == "" {
+		return fmt.Errorf("cosmos: empty stream name")
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, live := m.defs[def.Name]; live {
+	rec, known := m.streams[def.Name]
+	if rec.live {
 		return fmt.Errorf("cosmos: stream %q already registered", def.Name)
 	}
 	if m.started && m.crashed[def.Source] {
 		return fmt.Errorf("cosmos: source broker %d is crashed (rejoin it first)", def.Source)
 	}
-	if prev, ok := m.registry.Lookup(def.Name); ok {
+	if known {
+		prev := rec.def
 		// Reviving a previously unregistered stream: its substream slots
 		// (and their recorded rates) are fixed in the frozen interest
 		// space, so the original schema and partitioning stay; the
@@ -199,43 +208,35 @@ func (m *Middleware) RegisterStream(def StreamDef) error {
 		if len(def.Schema.Attrs) > 0 && !reflect.DeepEqual(def.Schema, prev.Schema) {
 			return fmt.Errorf("cosmos: stream %q revival changes the schema (unregister keeps the original)", def.Name)
 		}
-		if def.Substreams > 0 && def.Substreams != prev.SubCount {
+		if def.Substreams > 0 && def.Substreams != prev.Substreams {
 			return fmt.Errorf("cosmos: stream %q revival changes substreams %d -> %d (slots are frozen)",
-				def.Name, prev.SubCount, def.Substreams)
+				def.Name, prev.Substreams, def.Substreams)
 		}
-		if def.AvgTupleBytes > 0 && def.AvgTupleBytes != prev.AvgTuple {
+		if def.AvgTupleBytes > 0 && def.AvgTupleBytes != prev.AvgTupleBytes {
 			return fmt.Errorf("cosmos: stream %q revival changes avg tuple bytes %d -> %d (frozen with the slots)",
-				def.Name, prev.AvgTuple, def.AvgTupleBytes)
+				def.Name, prev.AvgTupleBytes, def.AvgTupleBytes)
 		}
 		// RatePerSubstream is advisory only here: the optimizer's rate
 		// vector is frozen with the interest space, so the recorded
 		// original rates keep applying until a full redistribution.
 		def.Schema = prev.Schema
-		def.Substreams = prev.SubCount
-		def.AvgTupleBytes = prev.AvgTuple
-		m.defs[def.Name] = def
-		if m.started {
-			b := m.net.AddBroker(def.Source)
-			b.Advertise(def.Name)
+		def.Substreams = prev.Substreams
+		def.AvgTupleBytes = prev.AvgTupleBytes
+	} else {
+		if def.Substreams <= 0 {
+			def.Substreams = 1
 		}
-		return nil
+		if def.AvgTupleBytes <= 0 {
+			def.AvgTupleBytes = 56
+		}
+		rec.firstSub = len(m.subRates)
+		for range def.Substreams {
+			m.subRates = append(m.subRates, def.RatePerSubstream)
+			m.sourceOfSub = append(m.sourceOfSub, def.Source)
+		}
 	}
-	if def.Substreams <= 0 {
-		def.Substreams = 1
-	}
-	if def.AvgTupleBytes <= 0 {
-		def.AvgTupleBytes = 56
-	}
-	s, err := m.registry.Register(def.Name, def.Schema, def.Substreams, def.AvgTupleBytes)
-	if err != nil {
-		return err
-	}
-	m.defs[def.Name] = def
-	_, count := s.SubstreamRange()
-	for range count {
-		m.subRates = append(m.subRates, def.RatePerSubstream)
-		m.sourceOfSub = append(m.sourceOfSub, def.Source)
-	}
+	rec.def, rec.live = def, true
+	m.streams[def.Name] = rec
 	if m.started {
 		b := m.net.AddBroker(def.Source)
 		b.Advertise(def.Name)
@@ -258,13 +259,14 @@ func (m *Middleware) RegisterStream(def StreamDef) error {
 func (m *Middleware) UnregisterStream(name string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	def, ok := m.defs[name]
-	if !ok {
+	rec := m.streams[name]
+	if !rec.live {
 		return fmt.Errorf("cosmos: unknown stream %q", name)
 	}
-	delete(m.defs, name)
+	rec.live = false
+	m.streams[name] = rec
 	if m.started {
-		m.net.RemoveStream(def.Source, name)
+		m.net.RemoveStream(rec.def.Source, name)
 	}
 	return nil
 }
@@ -281,14 +283,16 @@ type QueryHandle struct {
 
 	delivered atomic.Int64
 
-	mu        sync.Mutex
+	// processor and split are guarded by Middleware.mu.
 	processor NodeID
+	split     residualInfo
 }
 
 // Processor returns the processor currently evaluating the query.
 func (h *QueryHandle) Processor() NodeID {
-	h.mu.Lock()
-	defer h.mu.Unlock()
+	m := h.m
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	return h.processor
 }
 
@@ -313,18 +317,13 @@ func (h *QueryHandle) Cancel() error {
 		return nil // already cancelled: idempotent
 	}
 	delete(m.handles, h.Name)
-	delete(m.residuals, h.Name)
-	h.mu.Lock()
 	proc := h.processor
-	h.processor = -1
-	h.mu.Unlock()
+	h.processor, h.split = -1, residualInfo{}
 	if !m.started {
 		return nil
 	}
 	m.tree.Remove(h.Name)
-	if pb, ok := m.net.Broker(h.Proxy); ok {
-		pb.Unsubscribe("user/" + h.Name)
-	}
+	m.wiring[h.Proxy].broker.Unsubscribe("user/" + h.Name)
 	if proc >= 0 {
 		return m.rewireWithUsers(proc)
 	}
@@ -397,14 +396,13 @@ func (m *Middleware) compile(q *query.Query, proxy NodeID) (querygraph.QueryInfo
 	interest := bitvec.New(dim)
 	var inputRate float64
 	for _, name := range q.StreamNames() {
-		s, ok := m.registry.Lookup(name)
+		rec, ok := m.streams[name]
 		if !ok {
 			return querygraph.QueryInfo{}, fmt.Errorf("cosmos: query references unknown stream %q", name)
 		}
-		first, count := s.SubstreamRange()
-		for i := 0; i < count; i++ {
-			interest.Set(first + i)
-			inputRate += m.subRates[first+i]
+		for i := rec.firstSub; i < rec.firstSub+rec.def.Substreams; i++ {
+			interest.Set(i)
+			inputRate += m.subRates[i]
 		}
 		// Validate attribute references against the schema.
 		for _, p := range q.Where {
@@ -416,7 +414,7 @@ func (m *Middleware) compile(q *query.Query, proxy NodeID) (querygraph.QueryInfo
 				if !ok || ref.Stream != name {
 					continue
 				}
-				if !s.Schema.HasAttr(col.Attr) {
+				if !rec.def.Schema.HasAttr(col.Attr) {
 					return querygraph.QueryInfo{}, fmt.Errorf(
 						"cosmos: stream %q has no attribute %q", name, col.Attr)
 				}
@@ -441,17 +439,21 @@ func (m *Middleware) Start() error {
 	if m.started {
 		return fmt.Errorf("cosmos: already started")
 	}
-	if len(m.defs) == 0 {
-		return fmt.Errorf("cosmos: no streams registered")
-	}
 
 	// Broker overlay spans processors and source nodes.
-	nodeSet := make(map[NodeID]bool, len(m.procs)+len(m.defs))
+	nodeSet := make(map[NodeID]bool, len(m.procs)+len(m.streams))
 	for _, p := range m.procs {
 		nodeSet[p] = true
 	}
-	for _, def := range m.defs {
-		nodeSet[def.Source] = true
+	live := 0
+	for _, rec := range m.streams {
+		if rec.live {
+			nodeSet[rec.def.Source] = true
+			live++
+		}
+	}
+	if live == 0 {
+		return fmt.Errorf("cosmos: no streams registered")
 	}
 	nodes := make([]NodeID, 0, len(nodeSet))
 	for n := range nodeSet {
@@ -465,15 +467,16 @@ func (m *Middleware) Start() error {
 	m.net = net
 	// Sources advertise their streams; processors advertise the result
 	// streams they may create.
-	for _, def := range m.defs {
-		b, _ := net.Broker(def.Source)
-		b.Advertise(def.Name)
+	for name, rec := range m.streams {
+		if rec.live {
+			b, _ := net.Broker(rec.def.Source)
+			b.Advertise(name)
+		}
 	}
 	for _, p := range m.procs {
 		b, _ := net.Broker(p)
 		b.Advertise(resultStreamName(p))
-		m.engines[p] = engine.New()
-		m.wiring[p] = &procWiring{eng: m.engines[p], broker: b, groups: query.NewGroups(!m.cfg.DisableResultSharing), inputs: make(map[string]*pubsub.Subscription)}
+		m.wiring[p] = &procWiring{eng: engine.New(), broker: b, groups: query.NewGroups(!m.cfg.DisableResultSharing), inputs: make(map[string]*pubsub.Subscription)}
 	}
 
 	// Distribute the batch.
@@ -487,19 +490,10 @@ func (m *Middleware) Start() error {
 	}
 	m.tree = tree
 	infos := make([]querygraph.QueryInfo, 0, len(m.handles))
-	names := make([]string, 0, len(m.handles))
-	for name := range m.handles {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range slices.Sorted(maps.Keys(m.handles)) {
 		infos = append(infos, m.handles[name].info)
 	}
-	if len(infos) > 0 {
-		if _, err := tree.Distribute(infos, m.subRates, m.sourceOfSub); err != nil {
-			return err
-		}
-	} else if _, err := tree.Distribute(nil, m.subRates, m.sourceOfSub); err != nil {
+	if _, err := tree.Distribute(infos, m.subRates, m.sourceOfSub); err != nil {
 		return err
 	}
 	for name, proc := range tree.Placement() {
@@ -516,25 +510,25 @@ func (m *Middleware) Start() error {
 // Publish injects a source tuple at its stream's source broker.
 func (m *Middleware) Publish(t Tuple) error {
 	m.mu.Lock()
-	def, ok := m.defs[t.Stream]
+	rec := m.streams[t.Stream]
 	net := m.net
-	down := ok && m.crashed[def.Source]
+	down := m.crashed[rec.def.Source]
 	m.mu.Unlock()
-	if !ok {
+	if !rec.live {
 		return fmt.Errorf("cosmos: unknown stream %q", t.Stream)
 	}
 	if net == nil {
 		return fmt.Errorf("cosmos: not started")
 	}
 	if down {
-		return fmt.Errorf("cosmos: stream %q source broker %d is crashed", t.Stream, def.Source)
+		return fmt.Errorf("cosmos: stream %q source broker %d is crashed", t.Stream, rec.def.Source)
 	}
 	if t.Size == 0 {
-		t.Size = def.AvgTupleBytes
+		t.Size = rec.def.AvgTupleBytes
 	}
-	b, ok := net.Broker(def.Source)
+	b, ok := net.Broker(rec.def.Source)
 	if !ok {
-		return fmt.Errorf("cosmos: no broker at source %d", def.Source)
+		return fmt.Errorf("cosmos: no broker at source %d", rec.def.Source)
 	}
 	b.Publish(t)
 	return nil
@@ -613,8 +607,8 @@ func (m *Middleware) RejoinBroker(n NodeID) error {
 	delete(m.crashed, n)
 	b := m.net.AddBroker(n)
 	names := make([]string, 0, 2)
-	for name, def := range m.defs {
-		if def.Source == n {
+	for name, rec := range m.streams {
+		if rec.live && rec.def.Source == n {
 			names = append(names, name)
 		}
 	}
@@ -640,8 +634,8 @@ func (m *Middleware) EngineStats() engine.Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var total engine.Stats
-	for _, e := range m.engines {
-		s := e.Stats()
+	for _, w := range m.wiring {
+		s := w.eng.Stats()
 		total.Consumed += s.Consumed
 		total.Emitted += s.Emitted
 		total.Dropped += s.Dropped

@@ -1,6 +1,8 @@
 package cosmos
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/stream"
@@ -122,7 +124,7 @@ func TestTable1EndToEnd(t *testing.T) {
 	// superset query (Q5 of Table 1).
 	place := m.Placement()
 	if place[q3.Name] == place[q4.Name] {
-		eng := m.engines[place[q3.Name]]
+		eng := m.wiring[place[q3.Name]].eng
 		if names := eng.QueryNames(); len(names) != 1 {
 			t.Errorf("expected one merged query at shared processor, got %v", names)
 		}
@@ -542,5 +544,95 @@ func TestRevivalRejectsAvgTupleBytesChange(t *testing.T) {
 	}
 	if err := m.RegisterStream(StreamDef{Name: "Station1", Source: procs[4], AvgTupleBytes: 64}); err != nil {
 		t.Fatalf("revival with the original AvgTupleBytes failed: %v", err)
+	}
+}
+
+// TestRegisterStreamSlots: RegisterStream rejects an empty name and a live
+// duplicate, and gives each new stream the next contiguous run of substream
+// slots (one for an unset count), which a query on the stream takes as its
+// interest.
+func TestRegisterStreamSlots(t *testing.T) {
+	g, procs := testTopology(t)
+	m, err := New(g, procs[:3], Config{K: 2, VMax: 10, Seed: 5})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if err := m.RegisterStream(StreamDef{Schema: stationSchema(), Source: procs[4]}); err == nil {
+		t.Fatal("empty stream name accepted")
+	}
+	for _, def := range []StreamDef{
+		{Name: "A", Schema: stationSchema(), Source: procs[4], Substreams: 3},
+		{Name: "B", Schema: stationSchema(), Source: procs[5], Substreams: 2},
+		{Name: "C", Schema: stationSchema(), Source: procs[4]},
+	} {
+		if err := m.RegisterStream(def); err != nil {
+			t.Fatalf("RegisterStream(%s): %v", def.Name, err)
+		}
+	}
+	if err := m.RegisterStream(StreamDef{Name: "A", Source: procs[4]}); err == nil {
+		t.Fatal("live duplicate accepted")
+	}
+	for name, want := range map[string][]int{"A": {0, 1, 2}, "B": {3, 4}, "C": {5}} {
+		h, err := m.Submit(`SELECT * FROM `+name+` [Now]`, procs[0], nil)
+		if err != nil {
+			t.Fatalf("Submit on %s: %v", name, err)
+		}
+		if got := h.info.Interest.Indices(); !slices.Equal(got, want) {
+			t.Errorf("stream %s: interest slots %v, want %v", name, got, want)
+		}
+	}
+}
+
+// TestProcessorBesideStartAndAdapt reads a handle's processor on another
+// goroutine while Start places it and Adapt rounds may move it: under -race,
+// the reader and the writers must be ordered by the same lock.
+func TestProcessorBesideStartAndAdapt(t *testing.T) {
+	g, procs := testTopology(t)
+	m, err := New(g, procs[:4], Config{K: 2, VMax: 10, Seed: 5})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if err := m.RegisterStream(StreamDef{
+		Name: "Station1", Schema: stationSchema(), Source: procs[4], Substreams: 4, RatePerSubstream: 10,
+	}); err != nil {
+		t.Fatalf("RegisterStream: %v", err)
+	}
+	var hs []*QueryHandle
+	for i := range 8 {
+		h, err := m.Submit(fmt.Sprintf(`SELECT * FROM Station1 [Now] WHERE snowHeight > %d`, i), procs[i%4], nil)
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		hs = append(hs, h)
+	}
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				for _, h := range hs {
+					_ = h.Processor()
+				}
+			}
+		}
+	}()
+	if err := m.Start(); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	for range 3 {
+		if _, err := m.Adapt(); err != nil {
+			t.Fatalf("Adapt: %v", err)
+		}
+	}
+	close(stop)
+	<-done
+	for _, h := range hs {
+		if p := h.Processor(); !m.isProcessor(p) {
+			t.Errorf("%s placed at %d, not a processor", h.Name, p)
+		}
 	}
 }

@@ -72,6 +72,44 @@ func (p *Pass) ObjectOf(id *ast.Ident) types.Object {
 	return nil
 }
 
+// Callee returns the function or method a call names statically, or nil for
+// a call through a function value, a conversion or a builtin.
+func (p *Pass) Callee(call *ast.CallExpr) *types.Func {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		fn, _ := p.ObjectOf(fun).(*types.Func)
+		return fn
+	case *ast.SelectorExpr:
+		fn, _ := p.ObjectOf(fun.Sel).(*types.Func)
+		return fn
+	}
+	return nil
+}
+
+// RootObj resolves the base identifier of an lvalue chain (x, x.f, x[i],
+// x[i:j], *x, (x)) to its object, or nil when the chain starts at anything
+// else, such as a call.
+func (p *Pass) RootObj(e ast.Expr) types.Object {
+	for {
+		switch x := e.(type) {
+		case *ast.Ident:
+			return p.ObjectOf(x)
+		case *ast.SelectorExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.SliceExpr:
+			e = x.X
+		default:
+			return nil
+		}
+	}
+}
+
 // A Diagnostic is one finding, already resolved to a file position.
 type Diagnostic struct {
 	Analyzer string

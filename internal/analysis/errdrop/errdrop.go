@@ -79,7 +79,7 @@ func checkAssign(pass *analysis.Pass, st *ast.AssignStmt) {
 }
 
 func check(pass *analysis.Pass, call *ast.CallExpr, how string) {
-	fn := callee(pass, call)
+	fn := pass.Callee(call)
 	if fn == nil || !returnsError(fn) || !mustCheck(fn) {
 		return
 	}
@@ -132,16 +132,4 @@ func isErrorType(t types.Type) bool {
 func isBlank(e ast.Expr) bool {
 	id, ok := e.(*ast.Ident)
 	return ok && id.Name == "_"
-}
-
-func callee(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := pass.ObjectOf(fun).(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := pass.ObjectOf(fun.Sel).(*types.Func)
-		return fn
-	}
-	return nil
 }

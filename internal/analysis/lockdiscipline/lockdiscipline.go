@@ -166,7 +166,7 @@ func (c *checker) buildReachability() {
 		var cs []*types.Func
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			if call, ok := n.(*ast.CallExpr); ok {
-				if g := c.staticCallee(call); g != nil && c.decls[g] != nil {
+				if g := c.pass.Callee(call); g != nil && c.decls[g] != nil {
 					cs = append(cs, g)
 				}
 			}
@@ -225,24 +225,12 @@ func (c *checker) sinkDesc(call *ast.CallExpr) string {
 			}
 		}
 	}
-	if fn := c.staticCallee(call); fn != nil && fn.Pkg() != nil && fn.Pkg() != c.pass.Pkg {
+	if fn := c.pass.Callee(call); fn != nil && fn.Pkg() != nil && fn.Pkg() != c.pass.Pkg {
 		if strings.Contains(fn.Pkg().Path(), "transport") {
 			return "transport call " + fn.Name()
 		}
 	}
 	return ""
-}
-
-func (c *checker) staticCallee(call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := c.pass.ObjectOf(fun).(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := c.pass.ObjectOf(fun.Sel).(*types.Func)
-		return fn
-	}
-	return nil
 }
 
 // lockOp decodes recv.mu.Lock()-shaped statements on guarded mutexes,
@@ -412,7 +400,7 @@ func (c *checker) checkCalls(node ast.Node, held map[*types.Var]token.Position) 
 			c.pass.Reportf(call.Pos(), "%s while %s is held (Lock at line %d): sends and callbacks re-enter brokers — move it after Unlock, or annotate //lint:lockdiscipline", desc, mu.Name(), lockPos.Line)
 			return true
 		}
-		if g := c.staticCallee(call); g != nil && c.decls[g] != nil {
+		if g := c.pass.Callee(call); g != nil && c.decls[g] != nil {
 			if d := c.reaches[g]; d != "" {
 				c.pass.Reportf(call.Pos(), "call to %s while %s is held (Lock at line %d) can reach a send (%s): sends and callbacks re-enter brokers — move it after Unlock, or annotate //lint:lockdiscipline", g.Name(), mu.Name(), lockPos.Line, d)
 			}

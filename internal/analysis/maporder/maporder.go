@@ -103,7 +103,7 @@ func checkAssign(pass *analysis.Pass, funcBody *ast.BlockStmt, rng *ast.RangeStm
 			if i >= len(st.Lhs) {
 				break
 			}
-			obj := rootObj(pass, st.Lhs[i])
+			obj := pass.RootObj(st.Lhs[i])
 			if obj == nil || declaredWithin(obj, rng) {
 				continue
 			}
@@ -120,7 +120,7 @@ func checkAssign(pass *analysis.Pass, funcBody *ast.BlockStmt, rng *ast.RangeStm
 		}
 	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
 		lhs := st.Lhs[0]
-		obj := rootObj(pass, lhs)
+		obj := pass.RootObj(lhs)
 		if obj == nil || declaredWithin(obj, rng) {
 			return
 		}
@@ -139,7 +139,7 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr, report func(token.Pos, s
 		report(call.Pos(), "Peer send %s inside range over map: neighbors observe a run-dependent message order (iterate in sorted order or annotate //lint:maporder)", sel.Sel.Name)
 		return
 	}
-	fn := callee(pass, call)
+	fn := pass.Callee(call)
 	if fn == nil || fn.Pkg() == nil {
 		return
 	}
@@ -159,7 +159,7 @@ func sortedAfter(pass *analysis.Pass, funcBody *ast.BlockStmt, rng *ast.RangeStm
 		if !ok || found || call.Pos() < rng.End() {
 			return !found
 		}
-		fn := callee(pass, call)
+		fn := pass.Callee(call)
 		if fn == nil || fn.Pkg() == nil {
 			return true
 		}
@@ -194,29 +194,6 @@ func isFloat(t types.Type) bool {
 	return ok && b.Info()&types.IsFloat != 0
 }
 
-// rootObj resolves the base identifier of an lvalue chain (x, x.f, x[i],
-// *x, ...) to its object.
-func rootObj(pass *analysis.Pass, e ast.Expr) types.Object {
-	for {
-		switch x := e.(type) {
-		case *ast.Ident:
-			return pass.ObjectOf(x)
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.SliceExpr:
-			e = x.X
-		default:
-			return nil
-		}
-	}
-}
-
 func declaredWithin(obj types.Object, rng *ast.RangeStmt) bool {
 	return obj.Pos() >= rng.Pos() && obj.Pos() <= rng.End()
 }
@@ -230,16 +207,4 @@ func mentionsObj(pass *analysis.Pass, e ast.Expr, obj types.Object) bool {
 		return !found
 	})
 	return found
-}
-
-func callee(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := pass.ObjectOf(fun).(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := pass.ObjectOf(fun.Sel).(*types.Func)
-		return fn
-	}
-	return nil
 }

@@ -131,7 +131,7 @@ func (s *state) checkAssign(as *ast.AssignStmt) {
 		// Field, index or dereference store: fine only when the
 		// destination root is itself pooled memory (e.g. writing a popped
 		// buffer's own fields back before Put).
-		if root := rootExprObj(s.pass, lhs); root != nil && s.tracked[root] {
+		if root := s.pass.RootObj(lhs); root != nil && s.tracked[root] {
 			continue
 		}
 		s.pass.Reportf(as.Pos(), "pooled buffer stored through %s: the stored reference outlives the Put (copy the data out, or annotate //lint:poolescape)", describeLHS(lhs))
@@ -255,27 +255,6 @@ func isLocalVar(obj types.Object) bool {
 		return false
 	}
 	return v.Parent() == nil || v.Parent() != v.Pkg().Scope()
-}
-
-func rootExprObj(pass *analysis.Pass, e ast.Expr) types.Object {
-	for {
-		switch x := e.(type) {
-		case *ast.Ident:
-			return pass.ObjectOf(x)
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.SliceExpr:
-			e = x.X
-		default:
-			return nil
-		}
-	}
 }
 
 func describeLHS(e ast.Expr) string {

@@ -1,17 +1,9 @@
-// Package stream defines the data model shared by the whole system: named
-// streams with typed attributes, their partitioning into substreams, and the
-// tuples that flow through the processing engine.
-//
-// Substreams are the unit of data interest in COSMOS (§3.2): every stream is
-// partitioned into a number of substreams and a query's interest is a bit
-// vector over the global substream space, so overlap estimation between
-// queries is a bit operation rather than semantic reasoning.
+// Package stream defines the data model shared by the whole system: stream
+// schemas with typed attributes, and the tuples that flow through the
+// processing engine.
 package stream
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // AttrType is the type of a stream attribute.
 type AttrType int
@@ -60,21 +52,6 @@ func (s Schema) HasAttr(name string) bool {
 		}
 	}
 	return false
-}
-
-// Stream is a named source stream whose data is partitioned into a
-// contiguous range of global substream indices.
-type Stream struct {
-	Schema   Schema
-	FirstSub int // first global substream index
-	SubCount int // number of substreams
-	AvgTuple int // average tuple size, bytes
-}
-
-// SubstreamRange returns the half-open global substream index range
-// [first, first+count).
-func (s *Stream) SubstreamRange() (first, count int) {
-	return s.FirstSub, s.SubCount
 }
 
 // Value is a dynamically typed attribute value carried by tuples.
@@ -184,52 +161,4 @@ func (t Tuple) Clone() Tuple {
 		attrs[k] = v
 	}
 	return Tuple{Stream: t.Stream, Timestamp: t.Timestamp, Tag: t.Tag, Attrs: attrs, Size: t.Size, Owned: true}
-}
-
-// Registry is a concurrency-safe catalogue of streams and the global
-// substream space. Streams register once; substream indices are assigned
-// contiguously in registration order.
-type Registry struct {
-	mu      sync.RWMutex
-	streams map[string]*Stream
-	nextSub int
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{streams: make(map[string]*Stream)}
-}
-
-// Register adds a stream with the given number of substreams and returns the
-// stored stream with its substream range assigned. Registering a duplicate
-// name is an error.
-func (r *Registry) Register(name string, schema Schema, subCount, avgTuple int) (*Stream, error) {
-	if name == "" {
-		return nil, fmt.Errorf("stream: empty stream name")
-	}
-	if subCount < 1 {
-		return nil, fmt.Errorf("stream: stream %q needs >= 1 substream, got %d", name, subCount)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.streams[name]; dup {
-		return nil, fmt.Errorf("stream: stream %q already registered", name)
-	}
-	s := &Stream{
-		Schema:   schema,
-		FirstSub: r.nextSub,
-		SubCount: subCount,
-		AvgTuple: avgTuple,
-	}
-	r.streams[name] = s
-	r.nextSub += subCount
-	return s, nil
-}
-
-// Lookup returns the stream with the given name.
-func (r *Registry) Lookup(name string) (*Stream, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	s, ok := r.streams[name]
-	return s, ok
 }

@@ -46,36 +46,6 @@ func TestTupleGet(t *testing.T) {
 	}
 }
 
-func TestRegistryRegisterAndRanges(t *testing.T) {
-	r := NewRegistry()
-	s1, err := r.Register("A", Schema{}, 3, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := r.Register("B", Schema{}, 2, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f, c := s1.SubstreamRange(); f != 0 || c != 3 {
-		t.Errorf("A range = %d,%d", f, c)
-	}
-	if f, c := s2.SubstreamRange(); f != 3 || c != 2 {
-		t.Errorf("B range = %d,%d", f, c)
-	}
-	if _, err := r.Register("A", Schema{}, 1, 32); err == nil {
-		t.Error("duplicate stream accepted")
-	}
-	if _, err := r.Register("", Schema{}, 1, 32); err == nil {
-		t.Error("empty name accepted")
-	}
-	if _, err := r.Register("C", Schema{}, 0, 32); err == nil {
-		t.Error("zero substreams accepted")
-	}
-	if s, ok := r.Lookup("B"); !ok || s != s2 {
-		t.Errorf("Lookup(B) = %v, %v", s, ok)
-	}
-}
-
 func TestSchemaHasAttr(t *testing.T) {
 	s := Schema{Attrs: []Attribute{{Name: "a", Type: Float}}}
 	if !s.HasAttr("a") || !s.HasAttr("timestamp") {

@@ -74,7 +74,7 @@ func TestLifecycleMatchesUnmergedEngine(t *testing.T) {
 				if err := ref.AddQuery(pq, "ref", func(r stream.Tuple) { q.want = append(q.want, resultKey(r)) }); err != nil {
 					t.Fatal(err)
 				}
-				q.h, q.admitted = h, m.residuals[h.Name].super
+				q.h, q.admitted = h, h.split.super
 				all, live = append(all, q), append(live, q)
 			default:
 				i := rng.IntN(len(live))
@@ -88,7 +88,7 @@ func TestLifecycleMatchesUnmergedEngine(t *testing.T) {
 				live = slices.Delete(live, i, i+1)
 			}
 			for _, q := range live {
-				if m.residuals[q.h.Name].super != q.admitted {
+				if q.h.split.super != q.admitted {
 					q.unchanged = false
 				}
 			}

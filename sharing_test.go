@@ -75,7 +75,7 @@ func sharedVersusUnmerged(t *testing.T, defs []StreamDef, cqls []string, feed []
 		sort.Strings(got[i])
 		sort.Strings(want[i])
 	}
-	return got, want, len(m.engines[procs[0]].QueryNames())
+	return got, want, len(m.wiring[procs[0]].eng.QueryNames())
 }
 
 // TestSharingKeepsResidualFilterColumn is bench-README defect 1: merged with
@@ -141,7 +141,7 @@ func TestOnlineSubmitKeepsMergedNeighbourDelivering(t *testing.T) {
 	}
 	publish(1)
 	submit(1, `SELECT a FROM R [Now] WHERE a > 0`)
-	if running := len(m.engines[procs[0]].QueryNames()); running != 1 {
+	if running := len(m.wiring[procs[0]].eng.QueryNames()); running != 1 {
 		t.Fatalf("%d engine queries, want the two merged into 1", running)
 	}
 	publish(2)

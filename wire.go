@@ -37,7 +37,7 @@ import (
 )
 
 // residualInfo records how a user recovers its exact result from the
-// (possibly shared) result stream of its processor.
+// (possibly shared) result stream of its processor: a QueryHandle's split.
 type residualInfo struct {
 	proc     NodeID
 	super    *query.Query    // superset query evaluated at the processor
@@ -92,11 +92,11 @@ func (m *Middleware) rewire(proc NodeID, local []*QueryHandle, d query.Delta) ([
 		cols := m.resultColumns(super.Select, super.From)
 		for _, r := range g.Residuals {
 			// Same stream, tag, columns and residual: the subscription stays.
-			old, ok := m.residuals[r.Query.Name]
-			if !ok || old.proc != proc || old.super.Name != super.Name || !maps.Equal(old.cols, cols) || !reflect.DeepEqual(old.residual, r) {
-				users = append(users, m.handles[r.Query.Name])
+			h := m.handles[r.Query.Name]
+			if old := h.split; old.super == nil || old.proc != proc || old.super.Name != super.Name || !maps.Equal(old.cols, cols) || !reflect.DeepEqual(old.residual, r) {
+				users = append(users, h)
 			}
-			m.residuals[r.Query.Name] = residualInfo{proc: proc, super: super, cols: cols, residual: r}
+			h.split = residualInfo{proc: proc, super: super, cols: cols, residual: r}
 		}
 		for _, ref := range super.From {
 			reads[ref.Stream] = true
@@ -265,12 +265,9 @@ func (m *Middleware) wireUserSide(h *QueryHandle) error {
 	if h.processor < 0 {
 		return fmt.Errorf("cosmos: query %s is not placed", h.Name)
 	}
-	proxyBroker, ok := m.net.Broker(h.Proxy)
-	if !ok {
-		return fmt.Errorf("cosmos: no broker at proxy %d", h.Proxy)
-	}
-	ri, ok := m.residuals[h.Name]
-	if !ok {
+	proxyBroker := m.wiring[h.Proxy].broker
+	ri := h.split
+	if ri.super == nil {
 		return fmt.Errorf("cosmos: query %s has no residual record", h.Name)
 	}
 
@@ -365,8 +362,8 @@ func (m *Middleware) resultColumns(sel []query.Projection, from []query.StreamRe
 			if p.Col.Alias != "" && p.Col.Alias != ref.Alias {
 				continue
 			}
-			if s, ok := m.registry.Lookup(ref.Stream); ok {
-				for _, a := range s.Schema.Attrs {
+			if rec, ok := m.streams[ref.Stream]; ok {
+				for _, a := range rec.def.Schema.Attrs {
 					cols[ref.Alias+"."+a.Name] = true
 				}
 			}

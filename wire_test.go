@@ -172,8 +172,8 @@ func TestDisableResultSharingRunsQueriesSeparately(t *testing.T) {
 	}
 	// Total engine queries across processors equals submissions (no merge).
 	total := 0
-	for _, e := range m.engines {
-		total += len(e.QueryNames())
+	for _, w := range m.wiring {
+		total += len(w.eng.QueryNames())
 	}
 	if total != 2 {
 		t.Errorf("engine queries = %d, want 2 (sharing disabled)", total)
