@@ -4,13 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/logging"
 	"repro/internal/nodeconfig"
 )
 
@@ -79,14 +79,14 @@ func TestServiceEndToEnd(t *testing.T) {
 	cfgs := [3]*nodeconfig.Config{
 		loadCfg(t, append([]string{"-id", "0", "-advertise", "Station1", "-publish", "Station1", "-period", "20ms"}, common...)...),
 		loadCfg(t, append([]string{"-id", "1"}, common...)...),
-		loadCfg(t, append([]string{"-id", "2", "-subscribe", "Station1:snowHeight>=0"}, common...)...),
+		loadCfg(t, append([]string{"-id", "2", "-subscribe", "SELECT * FROM Station1 WHERE snowHeight >= 0"}, common...)...),
 	}
 
 	var logs [3]*syncBuf
 	var svcs [3]*service
 	for i, cfg := range cfgs {
 		logs[i] = &syncBuf{}
-		svc, err := newService(cfg, logging.New(logs[i], logging.LevelDebug).With("node", cfg.NodeID))
+		svc, err := newService(cfg, newLogger(logs[i], slog.LevelDebug).With("node", cfg.NodeID))
 		if err != nil {
 			t.Fatalf("newService %d: %v", i, err)
 		}

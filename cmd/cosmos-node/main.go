@@ -2,7 +2,7 @@
 // routing code the embedded middleware uses, deployed as a standalone
 // service. Configuration layers environment over config file over flags
 // (internal/nodeconfig); logs are structured key=value lines on stderr
-// (internal/logging); an optional ops HTTP listener serves /healthz,
+// (log/slog, see newLogger); an optional ops HTTP listener serves /healthz,
 // /metrics (Prometheus text format) and /debug/overlay.dot; SIGTERM drains
 // the node's routing state off the overlay before closing (see OPS.md).
 //
@@ -12,7 +12,7 @@
 //	    -advertise Station1 -publish Station1 -ops-listen :8080
 //	cosmos-node -id 1 -listen :7001 -peers 0=localhost:7000,2=localhost:7002
 //	cosmos-node -id 2 -listen :7002 -peers 1=localhost:7001 \
-//	    -subscribe 'Station1:snowHeight>40'
+//	    -subscribe 'SELECT * FROM Station1 WHERE snowHeight > 40'
 //
 // Node 0 publishes synthetic snow readings once a second; node 2 receives
 // only those exceeding the filter, with node 1 forwarding one copy per
@@ -24,11 +24,14 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"log/slog"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
+	"time"
 
-	"repro/internal/logging"
 	"repro/internal/nodeconfig"
 )
 
@@ -47,11 +50,11 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	level, err := logging.ParseLevel(cfg.LogLevel)
+	level, err := nodeconfig.ParseLogLevel(cfg.LogLevel)
 	if err != nil {
 		return err // unreachable: Validate already vetted the name
 	}
-	log := logging.New(os.Stderr, level).With("node", cfg.NodeID)
+	log := newLogger(os.Stderr, level).With("node", cfg.NodeID)
 
 	svc, err := newService(cfg, log)
 	if err != nil {
@@ -68,4 +71,27 @@ func run(args []string) error {
 	log.Info("signal received, draining", "signal", sig.String())
 	svc.Shutdown()
 	return nil
+}
+
+// newLogger returns the node's logger: one logfmt line per record on w,
+// `ts=2026-08-07T14:03:22.101Z level=info msg=… k=v`, gated at level (OPS.md
+// "Logging"). slog's text handler serializes writes, so lines from
+// concurrent goroutines never interleave.
+func newLogger(w io.Writer, level slog.Level) *slog.Logger {
+	return slog.New(slog.NewTextHandler(w, &slog.HandlerOptions{
+		Level: level,
+		ReplaceAttr: func(_ []string, a slog.Attr) slog.Attr {
+			switch v := a.Value.Any().(type) {
+			case time.Time:
+				if a.Key == slog.TimeKey {
+					return slog.String("ts", v.UTC().Format("2006-01-02T15:04:05.000Z"))
+				}
+			case slog.Level:
+				if a.Key == slog.LevelKey {
+					return slog.String(slog.LevelKey, strings.ToLower(v.String()))
+				}
+			}
+			return a
+		},
+	}))
 }

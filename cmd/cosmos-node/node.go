@@ -1,7 +1,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log/slog"
 	"net"
 	"sort"
 	"strconv"
@@ -9,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/logging"
 	"repro/internal/nodeconfig"
 	"repro/internal/pubsub"
 	"repro/internal/query"
@@ -25,7 +26,7 @@ import (
 // Start wires the overlay and begins publishing; Shutdown drains and closes.
 type service struct {
 	cfg *nodeconfig.Config
-	log logging.Logger
+	log *slog.Logger
 
 	node *transport.Node
 	ops  *opsServer // nil when ops-listen is empty
@@ -44,7 +45,7 @@ type service struct {
 	shutDown atomic.Bool
 }
 
-func newService(cfg *nodeconfig.Config, log logging.Logger) (*service, error) {
+func newService(cfg *nodeconfig.Config, log *slog.Logger) (*service, error) {
 	node, err := transport.NewNodeWith(topology.NodeID(cfg.NodeID), cfg.Listen, transport.Options{
 		BatchSize:         cfg.BatchSize,
 		ControlQueueDepth: cfg.QueueDepth,
@@ -212,7 +213,7 @@ func (s *service) background() {
 				t.Stream = s.cfg.Publish
 				s.node.Broker.Publish(t)
 			}
-			if s.log.Enabled(logging.LevelDebug) {
+			if s.log.Enabled(context.Background(), slog.LevelDebug) {
 				data, ctrl := s.node.SentBytes()
 				s.log.Debug("tick", "data_bytes", int64(data), "control_bytes", int64(ctrl))
 			}
@@ -306,37 +307,35 @@ func formatAttrs(t stream.Tuple) string {
 	return b.String()
 }
 
-// parseSubscription parses "stream" or "stream:attr OP number" with OP one
-// of > >= < <=.
+// parseSubscription reads a CQL query over exactly one stream, e.g.
+// "SELECT * FROM Station1 WHERE snowHeight >= 0", as a subscription: its
+// selections become the filters (alias stripped, column on the left), its
+// select list the projection (nil for *). A column-vs-column predicate has
+// no filter form and is rejected; a window is ignored, since delivery keeps
+// no state.
 func parseSubscription(id, s string) (*pubsub.Subscription, error) {
-	parts := strings.SplitN(s, ":", 2)
-	name := strings.TrimSpace(parts[0])
-	if name == "" {
-		return nil, fmt.Errorf("bad subscription %q: empty stream name", s)
+	q, err := query.Parse(s)
+	if err != nil {
+		return nil, fmt.Errorf("bad subscription %q: %w", s, err)
 	}
-	sub := &pubsub.Subscription{ID: id, Streams: []string{name}}
-	if len(parts) == 1 {
-		return sub, nil
+	if len(q.From) != 1 {
+		return nil, fmt.Errorf("bad subscription %q: want one stream, got %d", s, len(q.From))
 	}
-	expr := strings.TrimSpace(parts[1])
-	for _, op := range []struct {
-		tok string
-		op  query.Op
-	}{{">=", query.Ge}, {"<=", query.Le}, {">", query.Gt}, {"<", query.Lt}} {
-		if i := strings.Index(expr, op.tok); i > 0 {
-			attr := strings.TrimSpace(expr[:i])
-			v, err := strconv.ParseFloat(strings.TrimSpace(expr[i+len(op.tok):]), 64)
-			if err != nil {
-				return nil, fmt.Errorf("bad filter %q: %v", expr, err)
-			}
-			lit := stream.FloatVal(v)
-			sub.Filters = append(sub.Filters, query.Predicate{
-				Left:  query.Operand{Col: &query.ColRef{Attr: attr}},
-				Op:    op.op,
-				Right: query.Operand{Lit: &lit},
-			})
-			return sub, nil
+	sub := &pubsub.Subscription{ID: id, Streams: []string{q.From[0].Stream}}
+	for _, p := range q.Where {
+		if !p.IsSelection() {
+			return nil, fmt.Errorf("bad subscription %q: %s does not compare a column with a literal", s, p)
 		}
+		p = p.Normalize()
+		p.Left.Col = &query.ColRef{Attr: p.Left.Col.Attr}
+		sub.Filters = append(sub.Filters, p)
 	}
-	return nil, fmt.Errorf("bad filter %q (want attr OP number)", expr)
+	for _, p := range q.Select {
+		if p.Star {
+			sub.Attrs = nil
+			break
+		}
+		sub.Attrs = append(sub.Attrs, p.Col.Attr)
+	}
+	return sub, nil
 }

@@ -24,6 +24,8 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -54,7 +56,8 @@ type Config struct {
 	// Publish names a stream to publish synthetic readings on (demo
 	// publisher; implies advertising it if Advertise is empty).
 	Publish string
-	// Subscribe is a subscription expression, "stream[:attr OP number]".
+	// Subscribe is a CQL subscription over one stream, e.g.
+	// "SELECT * FROM Station1 WHERE snowHeight >= 0".
 	Subscribe string
 	// Period is the synthetic publisher's period.
 	Period time.Duration
@@ -132,7 +135,7 @@ func options() []option {
 			c.Publish = strings.TrimSpace(raw)
 			return nil
 		}},
-		{"subscribe", "subscription as stream[:attr>num] (also <, >=, <=)", func(c *Config, raw string) error {
+		{"subscribe", "CQL subscription over one stream, e.g. SELECT * FROM Station1 WHERE snowHeight >= 0", func(c *Config, raw string) error {
 			c.Subscribe = strings.TrimSpace(raw)
 			return nil
 		}},
@@ -394,22 +397,33 @@ func Validate(c *Config) error {
 	if c.QueueDepth < 0 {
 		return fmt.Errorf(`nodeconfig: "queue-depth" must be >= 0 (got %d)`, c.QueueDepth)
 	}
-	if _, err := parseLogLevel(c.LogLevel); err != nil {
+	if _, err := ParseLogLevel(c.LogLevel); err != nil {
 		return fmt.Errorf(`nodeconfig: bad value for "log-level": %w`, err)
 	}
 	return nil
 }
 
-// parseLogLevel validates the level name without importing internal/logging
-// (nodeconfig stays a leaf package); the accepted set matches
-// logging.ParseLevel exactly, which a nodeconfig test asserts.
-func parseLogLevel(s string) (string, error) {
-	v := strings.ToLower(strings.TrimSpace(s))
-	switch v {
-	case "debug", "info", "warn", "warning", "error", "off", "none":
-		return v, nil
+// levelOff is the level "off" and "none" name: above every severity, so a
+// logger gated at it emits nothing.
+const levelOff = slog.Level(math.MaxInt)
+
+// ParseLogLevel maps a log-level name (debug, info, warn or warning, error,
+// off or none; any case, surrounding space ignored) to its slog level. The
+// error names the bad value.
+func ParseLogLevel(s string) (slog.Level, error) {
+	switch strings.ToLower(strings.TrimSpace(s)) {
+	case "debug":
+		return slog.LevelDebug, nil
+	case "info":
+		return slog.LevelInfo, nil
+	case "warn", "warning":
+		return slog.LevelWarn, nil
+	case "error":
+		return slog.LevelError, nil
+	case "off", "none":
+		return levelOff, nil
 	}
-	return "", fmt.Errorf("unknown level %q (want debug, info, warn, error or off)", s)
+	return 0, fmt.Errorf("unknown level %q (want debug, info, warn, error or off)", s)
 }
 
 func splitNonEmpty(s string) []string {

@@ -1,14 +1,16 @@
 package nodeconfig
 
 import (
+	"fmt"
 	"io"
+	"log/slog"
+	"maps"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/logging"
 )
 
 // env builds a lookupEnv func from a map.
@@ -74,7 +76,7 @@ id = 5
 listen = ":7005"
 advertise = Station1, Station2
 period = 2s
-subscribe = "Station1:snowHeight > 40"
+subscribe = "SELECT * FROM Station1 WHERE snowHeight > 40"
 `)
 	cfg := load(t, []string{"-config", path}, nil)
 	if cfg.NodeID != 5 || cfg.Listen != ":7005" || cfg.Period != 2*time.Second {
@@ -83,7 +85,7 @@ subscribe = "Station1:snowHeight > 40"
 	if len(cfg.Advertise) != 2 || cfg.Advertise[0] != "Station1" || cfg.Advertise[1] != "Station2" {
 		t.Errorf("advertise = %q", cfg.Advertise)
 	}
-	if cfg.Subscribe != "Station1:snowHeight > 40" {
+	if cfg.Subscribe != "SELECT * FROM Station1 WHERE snowHeight > 40" {
 		t.Errorf("quoted value mishandled: %q", cfg.Subscribe)
 	}
 }
@@ -220,23 +222,36 @@ func TestValidation(t *testing.T) {
 	}
 }
 
-// The level names nodeconfig accepts must be exactly the ones
-// logging.ParseLevel accepts, or a validated config would fail at logger
-// construction.
-func TestLogLevelSetMatchesLoggingPackage(t *testing.T) {
-	for _, name := range []string{"debug", "info", "warn", "warning", "error", "off", "none", "DEBUG", " info "} {
-		_, errN := parseLogLevel(name)
-		_, errL := logging.ParseLevel(name)
-		if (errN == nil) != (errL == nil) {
-			t.Errorf("level %q: nodeconfig err=%v, logging err=%v", name, errN, errL)
+func TestParseLogLevel(t *testing.T) {
+	cases := []struct {
+		in   string
+		want slog.Level
+	}{
+		{"debug", slog.LevelDebug},
+		{"INFO", slog.LevelInfo},
+		{" warn ", slog.LevelWarn},
+		{"warning", slog.LevelWarn},
+		{"Error", slog.LevelError},
+		{"off", levelOff},
+		{"none", levelOff},
+	}
+	for _, c := range cases {
+		got, err := ParseLogLevel(c.in)
+		if err != nil {
+			t.Errorf("ParseLogLevel(%q): %v", c.in, err)
+		} else if got != c.want {
+			t.Errorf("ParseLogLevel(%q) = %v, want %v", c.in, got, c.want)
 		}
 	}
-	for _, name := range []string{"", "trace", "loud"} {
-		if _, err := parseLogLevel(name); err == nil {
-			t.Errorf("level %q must be rejected", name)
-		}
-		if _, err := logging.ParseLevel(name); err == nil {
-			t.Errorf("logging level %q must be rejected", name)
+	if levelOff <= slog.LevelError {
+		t.Errorf("off (%d) must gate above every severity", levelOff)
+	}
+	for _, bad := range []string{"verbose", "trace", "loud", ""} {
+		_, err := ParseLogLevel(bad)
+		if err == nil {
+			t.Errorf("ParseLogLevel(%q): want error", bad)
+		} else if !strings.Contains(err.Error(), strconv.Quote(bad)) {
+			t.Errorf("ParseLogLevel(%q) error does not name the value: %v", bad, err)
 		}
 	}
 }
@@ -290,4 +305,44 @@ func TestOpsReferenceInSync(t *testing.T) {
 	if !strings.Contains(string(data), Reference()) {
 		t.Fatalf("OPS.md's configuration reference is out of sync with nodeconfig.Reference(); regenerate the table:\n%s", Reference())
 	}
+}
+
+// FuzzNodeConfigFile feeds arbitrary text to the config-file parser, seeded
+// with the compose deployment's files. The parser must not panic, must
+// accept only keys of the option table, and an accepted map rendered back as
+// `key = "quoted value"` lines must parse to the same map.
+func FuzzNodeConfigFile(f *testing.F) {
+	seeds, err := filepath.Glob(filepath.Join("..", "..", "deploy", "compose", "node*.conf"))
+	if err != nil || len(seeds) == 0 {
+		f.Fatalf("no compose seeds: %v", err)
+	}
+	for _, path := range seeds {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(data))
+	}
+	f.Add("# comment\n\nid=1\n" + `subscribe = "SELECT * FROM S WHERE a >= \"x\""` + "\n")
+	valid := known(options())
+	f.Fuzz(func(t *testing.T, content string) {
+		got, err := parseFile(content, valid)
+		if err != nil {
+			return
+		}
+		var b strings.Builder
+		for key, val := range got {
+			if !valid[key] {
+				t.Fatalf("accepted unknown key %q", key)
+			}
+			fmt.Fprintf(&b, "%s = %s\n", key, strconv.Quote(val))
+		}
+		back, err := parseFile(b.String(), valid)
+		if err != nil {
+			t.Fatalf("re-rendered file rejected: %v\n%s", err, b.String())
+		}
+		if !maps.Equal(got, back) {
+			t.Fatalf("round trip changed the map: %q -> %q", got, back)
+		}
+	})
 }

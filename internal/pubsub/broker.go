@@ -1,6 +1,7 @@
 package pubsub
 
 import (
+	"log/slog"
 	"slices"
 	"sort"
 	"sync"
@@ -169,10 +170,10 @@ type Broker struct {
 	coverBufs routeBufs
 	coverFold []attrGroup
 
-	// log holds the broker's structured logger as a loggerBox (observe.go);
-	// the zero Value means logging.Nop(). Read with one atomic load per
-	// logging site and invoked only outside mu.
-	log atomic.Value
+	// log holds the broker's structured logger (observe.go); nil means
+	// discard. Read with one atomic load per logging site and invoked only
+	// outside mu.
+	log atomic.Pointer[slog.Logger]
 }
 
 // NewBroker creates a broker wired to a fabric. Neighbors are added with

@@ -1,9 +1,11 @@
 package pubsub
 
 import (
+	"io"
+	"log/slog"
+	"math"
 	"sort"
 
-	"repro/internal/logging"
 	"repro/internal/metrics"
 	"repro/internal/topology"
 )
@@ -32,30 +34,24 @@ var (
 	cRetractionsSent = metrics.GetCounter("pubsub.retractions_sent")
 )
 
-// loggerBox wraps the Logger interface in one concrete type so the broker's
-// atomic.Value accepts loggers of different dynamic types across SetLogger
-// calls.
-type loggerBox struct{ l logging.Logger }
+// discardLog is the broker's logger until SetLogger installs one: a handler
+// gated above every level, so no record is ever formatted.
+var discardLog = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
 
 // SetLogger installs a structured logger for the broker's lifecycle events
-// (drain, neighbor attach/detach). The default is logging.Nop(); a nil l
-// restores it. The broker does not stamp lines with its own identity —
-// pass l.With("node", ...) to get one, as cmd/cosmos-node does. Safe to call concurrently with broker operation — the logger
-// is read with a single atomic load at each logging site and is only ever
-// invoked outside the broker mutex.
-func (b *Broker) SetLogger(l logging.Logger) {
-	if l == nil {
-		l = logging.Nop()
-	}
-	b.log.Store(loggerBox{l: l})
-}
+// (drain, neighbor attach/detach); a nil l discards them again. The broker
+// does not stamp lines with its own identity — pass l.With("node", ...) to
+// get one, as cmd/cosmos-node does. Safe to call concurrently with broker
+// operation — the logger is read with a single atomic load at each logging
+// site and is only ever invoked outside the broker mutex.
+func (b *Broker) SetLogger(l *slog.Logger) { b.log.Store(l) }
 
-// logger returns the broker's current logger (Nop before SetLogger).
-func (b *Broker) logger() logging.Logger {
-	if box, ok := b.log.Load().(loggerBox); ok {
-		return box.l
+// logger returns the broker's current logger (discardLog before SetLogger).
+func (b *Broker) logger() *slog.Logger {
+	if l := b.log.Load(); l != nil {
+		return l
 	}
-	return logging.Nop()
+	return discardLog
 }
 
 // Drain gracefully withdraws everything this broker's clients own: every

@@ -2,13 +2,13 @@ package pubsub
 
 import (
 	"bytes"
+	"log/slog"
 	"maps"
 	"math/rand/v2"
 	"slices"
 	"strings"
 	"testing"
 
-	"repro/internal/logging"
 	"repro/internal/metrics"
 	"repro/internal/query"
 	"repro/internal/stream"
@@ -275,7 +275,7 @@ func TestSetLoggerCapturesLifecycle(t *testing.T) {
 	net := lineNet(t)
 	b0, _ := net.Broker(0)
 	var buf bytes.Buffer
-	b0.SetLogger(logging.New(&buf, logging.LevelDebug))
+	b0.SetLogger(slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug})))
 	b0.Advertise("R")
 	b0.Drain()
 	out := buf.String()
@@ -284,7 +284,7 @@ func TestSetLoggerCapturesLifecycle(t *testing.T) {
 			t.Errorf("log output missing %q:\n%s", want, out)
 		}
 	}
-	// A nil logger restores Nop without panicking.
+	// A nil logger discards again without panicking.
 	b0.SetLogger(nil)
 	b0.Drain()
 }

@@ -89,7 +89,7 @@ func (w *World) WeightedCommCost(wl *workload.Workload, p Placement) float64 {
 // reported as a secondary metric (the paper's headline figures follow the
 // pairwise model of WeightedCommCost).
 //
-//lint:deadcode ROADMAP item 9(a) compares measured traffic against this model
+//lint:deadcode ROADMAP item 10(a) compares measured traffic against this model
 func (w *World) MulticastCommCost(wl *workload.Workload, p Placement) float64 {
 	// Interested processors per substream.
 	interested := make(map[int]map[topology.NodeID]bool)
@@ -153,7 +153,7 @@ func (w *World) MulticastCommCost(wl *workload.Workload, p Placement) float64 {
 // pays the full unicast path for its own input. It quantifies what the
 // communication substrate saves (used by the sharing ablation).
 //
-//lint:deadcode ROADMAP item 9(a) compares measured traffic against this model
+//lint:deadcode ROADMAP item 10(a) compares measured traffic against this model
 func (w *World) NoShareCommCost(wl *workload.Workload, p Placement) float64 {
 	var total float64
 	for _, q := range wl.Queries {

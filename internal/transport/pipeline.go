@@ -5,12 +5,14 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
+	"log/slog"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/logging"
 	"repro/internal/pubsub"
 	"repro/internal/topology"
 )
@@ -74,9 +76,9 @@ type Options struct {
 	DataQueueDepth int
 	// Logger receives the transport's structured link-lifecycle events:
 	// connect/dial failure at debug, terminal envelope loss at warn. Nil
-	// means logging.Nop(). Logging calls run on the pipe's sender
-	// goroutine, never under a pipe or node lock.
-	Logger logging.Logger
+	// discards them. Logging calls run on the pipe's sender goroutine,
+	// never under a pipe or node lock.
+	Logger *slog.Logger
 }
 
 const (
@@ -95,7 +97,8 @@ func (o Options) withDefaults() Options {
 		o.DataQueueDepth = defaultQueueDepth
 	}
 	if o.Logger == nil {
-		o.Logger = logging.Nop()
+		// Gated above every level: no record is ever formatted.
+		o.Logger = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
 	}
 	return o
 }

@@ -2,13 +2,13 @@ package transport
 
 import (
 	"bytes"
+	"log/slog"
 	"net"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/logging"
 	"repro/internal/pubsub"
 	"repro/internal/stream"
 )
@@ -82,7 +82,7 @@ func TestPipeStatusDeadPeer(t *testing.T) {
 	}
 
 	var buf logBuf
-	log := logging.New(&buf, logging.LevelDebug)
+	log := slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug}))
 	n, err := NewNodeWith(5, "127.0.0.1:0", Options{Logger: log})
 	if err != nil {
 		t.Fatal(err)

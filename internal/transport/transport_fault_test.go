@@ -2,12 +2,12 @@ package transport
 
 import (
 	"encoding/gob"
+	"log/slog"
 	"net"
 	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/logging"
 	"repro/internal/metrics"
 	"repro/internal/pubsub"
 	"repro/internal/stream"
@@ -74,7 +74,7 @@ func TestSenderRetriesAfterPeerRestart(t *testing.T) {
 // drops.
 func TestSendErrorHandlerSurfacesTerminalFailures(t *testing.T) {
 	var buf logBuf
-	n, err := NewNodeWith(0, "127.0.0.1:0", Options{Logger: logging.New(&buf, logging.LevelWarn)})
+	n, err := NewNodeWith(0, "127.0.0.1:0", Options{Logger: slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelWarn}))})
 	if err != nil {
 		t.Fatal(err)
 	}
