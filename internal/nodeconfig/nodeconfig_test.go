@@ -256,6 +256,40 @@ func TestParseLogLevel(t *testing.T) {
 	}
 }
 
+// TestLogLevelSetMatchesLoggingPackage holds log-level's names to log/slog's:
+// each slog level's own name, and its lower-cased form as the node's log
+// lines print it, parses to that level; a name both parsers accept maps to
+// the same level in each; and the names slog rejects, log-level rejects too.
+func TestLogLevelSetMatchesLoggingPackage(t *testing.T) {
+	for _, lv := range []slog.Level{slog.LevelDebug, slog.LevelInfo, slog.LevelWarn, slog.LevelError} {
+		for _, name := range []string{lv.String(), strings.ToLower(lv.String())} {
+			if got, err := ParseLogLevel(name); err != nil || got != lv {
+				t.Errorf("ParseLogLevel(%q) = %v, %v; want %v", name, got, err, lv)
+			}
+		}
+	}
+	for _, name := range []string{"debug", "info", "warn", "warning", "error", "off", "none", "DEBUG", " info "} {
+		got, errN := ParseLogLevel(name)
+		if errN != nil {
+			t.Errorf("level %q: nodeconfig err=%v", name, errN)
+			continue
+		}
+		var want slog.Level
+		if errS := want.UnmarshalText([]byte(name)); errS == nil && got != want {
+			t.Errorf("level %q: nodeconfig %v, slog %v", name, got, want)
+		}
+	}
+	for _, name := range []string{"", "trace", "loud"} {
+		if _, err := ParseLogLevel(name); err == nil {
+			t.Errorf("level %q must be rejected", name)
+		}
+		var lv slog.Level
+		if err := lv.UnmarshalText([]byte(name)); err == nil {
+			t.Errorf("slog level %q must be rejected", name)
+		}
+	}
+}
+
 func TestParsePeers(t *testing.T) {
 	peers, err := ParsePeers(" 2 = b:2 , 1=a:1 ")
 	if err != nil {
