@@ -13,7 +13,7 @@
 # sees it — and a PR that shrinks it lowers MAX to lock the gain in.
 set -euo pipefail
 
-MAX=19485 # lowered from 19663 (-178): the node logs through log/slog (one newLogger in cmd/cosmos-node, *slog.Logger in transport.Options and Broker.SetLogger, nodeconfig.ParseLogLevel the only level parser), so internal/logging and the broker's loggerBox are gone, and parseSubscription reads CQL through query.Parse instead of its own stream:attr>num grammar. Lowered before from 19785 (-122): the middleware keeps each stream in one record (streamRec in Middleware.streams, replacing stream.Registry, stream.Stream and Middleware.defs), each processor's engine only in its wiring and each query's split on its QueryHandle (Middleware.engines, Middleware.residuals and QueryHandle.mu gone), and the analyzers share one Pass.Callee and one Pass.RootObj instead of three and two copies. Raised before from 19726 (+59): graph builds take their transient scratch (the edge lists ComputeEdges, compact and ConnectVertex fill, and layoutCSR's prefix sums, cursors and buckets) from a sync.Pool instead of allocating it per call, which halves the bytes one Distribute allocates, and both parallel hierarchy passes hand out the largest coordinator first (largestFirst), so the two largest leaves no longer run back to back on one worker (+47); and Query.String prints what the CQL parser reads back — plain decimals, unescaped string literals, spans as whole counts — while the parser keeps spans in whole milliseconds and rejects lengths past a Duration, the crashers FuzzParse found (+12). Lowered before from 19862 (-136): Distribute, DistributeRandom, DistributeWith and Adapt share one recursive descent that takes the assign step, merge rule and leaf granularity as a value, so descendCurrent, its rebalance/pure flags and its copies of the share split, leaf install and fan-out are gone, and refreshWeights re-sums the loads Adapt already refreshed instead of calling the estimator at every level (ROADMAP item 6). Lowered before from 20132 (-270, the cosmoslint deadcode analyzer and hook included): everything its first run reported as reachable only from tests is deleted or hatched with a reason (ROADMAP item 6). Raised before from 19953 (+179, inside the +180 ROADMAP items 1 and 2(a) allow): query.Groups keeps each processor's sharing groups between rewires (groups.go, with Merge and MergeAll now one step and one fold of it: -116 in containment.go), rewire applies the groups' delta instead of tearing the processor down, and the user split renames superset aliases to the user's. Raised before from 19935 (+18): a tombstone past every other one appends to the shared dead set instead of copying it, and a compaction counts each attribute's records to size its arrays once — together 40 % of a churn burst's bytes. Raised before from 19873 (+62): each index run set keeps an append-only tail that, when full, becomes a run merged linearly with the trailing runs (push, mergeRuns, mergeSorted, a tail-aware count and stab: +53), and cover decisions read a slice fold (foldSelections, constrainGroup, groupOf) in place of the per-decision map, offset by the deleted memo and map code
+MAX=19495 # lowered from 19663 (-168): the node logs through log/slog (one newLogger in cmd/cosmos-node, *slog.Logger in transport.Options and Broker.SetLogger, one shared pubsub.DiscardLogger for a nil logger, nodeconfig.ParseLogLevel the only level parser), so internal/logging and the broker's loggerBox are gone, and parseSubscription reads CQL through query.Parse instead of its own stream:attr>num grammar, keeping each filtered column in the projection. Lowered before from 19785 (-122): the middleware keeps each stream in one record (streamRec in Middleware.streams, replacing stream.Registry, stream.Stream and Middleware.defs), each processor's engine only in its wiring and each query's split on its QueryHandle (Middleware.engines, Middleware.residuals and QueryHandle.mu gone), and the analyzers share one Pass.Callee and one Pass.RootObj instead of three and two copies. Raised before from 19726 (+59): graph builds take their transient scratch (the edge lists ComputeEdges, compact and ConnectVertex fill, and layoutCSR's prefix sums, cursors and buckets) from a sync.Pool instead of allocating it per call, which halves the bytes one Distribute allocates, and both parallel hierarchy passes hand out the largest coordinator first (largestFirst), so the two largest leaves no longer run back to back on one worker (+47); and Query.String prints what the CQL parser reads back — plain decimals, unescaped string literals, spans as whole counts — while the parser keeps spans in whole milliseconds and rejects lengths past a Duration, the crashers FuzzParse found (+12). Lowered before from 19862 (-136): Distribute, DistributeRandom, DistributeWith and Adapt share one recursive descent that takes the assign step, merge rule and leaf granularity as a value, so descendCurrent, its rebalance/pure flags and its copies of the share split, leaf install and fan-out are gone, and refreshWeights re-sums the loads Adapt already refreshed instead of calling the estimator at every level (ROADMAP item 6). Lowered before from 20132 (-270, the cosmoslint deadcode analyzer and hook included): everything its first run reported as reachable only from tests is deleted or hatched with a reason (ROADMAP item 6). Raised before from 19953 (+179, inside the +180 ROADMAP items 1 and 2(a) allow): query.Groups keeps each processor's sharing groups between rewires (groups.go, with Merge and MergeAll now one step and one fold of it: -116 in containment.go), rewire applies the groups' delta instead of tearing the processor down, and the user split renames superset aliases to the user's. Raised before from 19935 (+18): a tombstone past every other one appends to the shared dead set instead of copying it, and a compaction counts each attribute's records to size its arrays once — together 40 % of a churn burst's bytes. Raised before from 19873 (+62): each index run set keeps an append-only tail that, when full, becomes a run merged linearly with the trailing runs (push, mergeRuns, mergeSorted, a tail-aware count and stab: +53), and cover decisions read a slice fold (foldSelections, constrainGroup, groupOf) in place of the per-decision map, offset by the deleted memo and map code
 
 cd "$(dirname "$0")/.."
 count=$(git ls-files '*.go' |

@@ -192,3 +192,40 @@ func TestServiceEndToEnd(t *testing.T) {
 	// Shutdown is idempotent.
 	svcs[1].Shutdown()
 }
+
+// TestServiceFilterOnUnprojectedColumn subscribes one hop from the publisher
+// with a filter on a column the select list leaves out. The publisher's
+// broker cuts forwarded tuples down to the subscription's projection and
+// the subscriber's broker filters again on arrival, so the projection must
+// carry the filter column or nothing is ever delivered.
+func TestServiceFilterOnUnprojectedColumn(t *testing.T) {
+	common := []string{"-listen", "127.0.0.1:0", "-peer-wait", "5s", "-drain-timeout", "5s"}
+	cfgs := [2]*nodeconfig.Config{
+		loadCfg(t, append([]string{"-id", "0", "-advertise", "Station1", "-publish", "Station1", "-period", "20ms"}, common...)...),
+		loadCfg(t, append([]string{"-id", "1", "-subscribe", "SELECT station FROM Station1 WHERE snowHeight >= 0"}, common...)...),
+	}
+	var svcs [2]*service
+	sub := &syncBuf{}
+	for i, cfg := range cfgs {
+		var w io.Writer = io.Discard
+		if i == 1 {
+			w = sub
+		}
+		svc, err := newService(cfg, newLogger(w, slog.LevelInfo))
+		if err != nil {
+			t.Fatalf("newService %d: %v", i, err)
+		}
+		svcs[i] = svc
+		defer svc.Close()
+	}
+	cfgs[0].Peers = []nodeconfig.Peer{{ID: 1, Addr: svcs[1].Addr()}}
+	cfgs[1].Peers = []nodeconfig.Peer{{ID: 0, Addr: svcs[0].Addr()}}
+	for i, svc := range svcs {
+		if err := svc.Start(); err != nil {
+			t.Fatalf("Start %d: %v", i, err)
+		}
+	}
+	waitFor(t, "delivery of the projected column", func() bool {
+		return strings.Contains(sub.String(), "msg=delivery") && strings.Contains(sub.String(), "station=")
+	})
+}

@@ -30,7 +30,6 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	"repro/internal/nodeconfig"
 )
@@ -80,15 +79,18 @@ func run(args []string) error {
 func newLogger(w io.Writer, level slog.Level) *slog.Logger {
 	return slog.New(slog.NewTextHandler(w, &slog.HandlerOptions{
 		Level: level,
-		ReplaceAttr: func(_ []string, a slog.Attr) slog.Attr {
-			switch v := a.Value.Any().(type) {
-			case time.Time:
-				if a.Key == slog.TimeKey {
-					return slog.String("ts", v.UTC().Format("2006-01-02T15:04:05.000Z"))
+		ReplaceAttr: func(groups []string, a slog.Attr) slog.Attr {
+			if len(groups) > 0 {
+				return a // the built-in attributes are never grouped
+			}
+			switch a.Key {
+			case slog.TimeKey:
+				if a.Value.Kind() == slog.KindTime {
+					return slog.String("ts", a.Value.Time().UTC().Format("2006-01-02T15:04:05.000Z"))
 				}
-			case slog.Level:
-				if a.Key == slog.LevelKey {
-					return slog.String(slog.LevelKey, strings.ToLower(v.String()))
+			case slog.LevelKey:
+				if l, ok := a.Value.Any().(slog.Level); ok {
+					return slog.String(slog.LevelKey, strings.ToLower(l.String()))
 				}
 			}
 			return a

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/nodeconfig"
 	"repro/internal/query"
@@ -58,6 +59,19 @@ func TestParseSubscriptionOperators(t *testing.T) {
 		if f.Right.Lit == nil || f.Right.Lit.F != c.val {
 			t.Errorf("parseSubscription(%q): literal = %+v, want %v", c.expr, f.Right.Lit, c.val)
 		}
+	}
+}
+
+// TestParseSubscriptionKeepsFilterColumns: a filtered column the select
+// list leaves out joins the projection (timestamp travels with every tuple
+// and does not), and one it names is not repeated.
+func TestParseSubscriptionKeepsFilterColumns(t *testing.T) {
+	sub, err := parseSubscription("n", "SELECT station FROM Station1 WHERE snowHeight >= 0 AND station > 2 AND timestamp > 5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"station", "snowHeight"}; !slices.Equal(sub.Attrs, want) {
+		t.Errorf("Attrs = %q, want %q", sub.Attrs, want)
 	}
 }
 
@@ -163,6 +177,18 @@ func TestLoggerSchema(t *testing.T) {
 		lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
 		if len(lines) != 2 || !strings.HasSuffix(lines[0], "msg=up node=3 addr=:9") || strings.Contains(lines[1], "node=3") {
 			t.Fatalf("With must bind node=3 to the child only: %q", lines)
+		}
+	})
+
+	t.Run("user_keys", func(t *testing.T) {
+		var buf bytes.Buffer
+		l := newLogger(&buf, level("info"))
+		l.Info("x", "level", "high")
+		l.WithGroup("g").Info("y", "time", time.Unix(0, 0).UTC())
+		for _, want := range []string{"level=info msg=x level=high\n", "msg=y g.time=1970-01-01T00:00:00.000Z\n"} {
+			if !strings.Contains(buf.String(), want) {
+				t.Errorf("output missing %q: %q", want, buf.String())
+			}
 		}
 	})
 

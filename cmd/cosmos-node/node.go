@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -310,9 +311,11 @@ func formatAttrs(t stream.Tuple) string {
 // parseSubscription reads a CQL query over exactly one stream, e.g.
 // "SELECT * FROM Station1 WHERE snowHeight >= 0", as a subscription: its
 // selections become the filters (alias stripped, column on the left), its
-// select list the projection (nil for *). A column-vs-column predicate has
-// no filter form and is rejected; a window is ignored, since delivery keeps
-// no state.
+// select list the projection (nil for *). The projection also keeps every
+// filtered column, as the middleware's neededAttrs does: brokers cut a
+// forwarded tuple down to it and filter again at the next hop. A
+// column-vs-column predicate has no filter form and is rejected; a window
+// is ignored, since delivery keeps no state.
 func parseSubscription(id, s string) (*pubsub.Subscription, error) {
 	q, err := query.Parse(s)
 	if err != nil {
@@ -336,6 +339,13 @@ func parseSubscription(id, s string) (*pubsub.Subscription, error) {
 			break
 		}
 		sub.Attrs = append(sub.Attrs, p.Col.Attr)
+	}
+	if sub.Attrs != nil {
+		for _, f := range sub.Filters {
+			if a := f.Left.Col.Attr; a != "timestamp" && !slices.Contains(sub.Attrs, a) {
+				sub.Attrs = append(sub.Attrs, a)
+			}
+		}
 	}
 	return sub, nil
 }

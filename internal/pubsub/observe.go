@@ -34,9 +34,10 @@ var (
 	cRetractionsSent = metrics.GetCounter("pubsub.retractions_sent")
 )
 
-// discardLog is the broker's logger until SetLogger installs one: a handler
-// gated above every level, so no record is ever formatted.
-var discardLog = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
+// DiscardLogger is the broker's logger until SetLogger installs one, and the
+// transport's when Options.Logger is nil: a handler gated above every level,
+// so no record is ever formatted.
+var DiscardLogger = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
 
 // SetLogger installs a structured logger for the broker's lifecycle events
 // (drain, neighbor attach/detach); a nil l discards them again. The broker
@@ -46,12 +47,12 @@ var discardLog = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{L
 // site and is only ever invoked outside the broker mutex.
 func (b *Broker) SetLogger(l *slog.Logger) { b.log.Store(l) }
 
-// logger returns the broker's current logger (discardLog before SetLogger).
+// logger returns the broker's current logger (DiscardLogger before SetLogger).
 func (b *Broker) logger() *slog.Logger {
 	if l := b.log.Load(); l != nil {
 		return l
 	}
-	return discardLog
+	return DiscardLogger
 }
 
 // Drain gracefully withdraws everything this broker's clients own: every

@@ -5,9 +5,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
-	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -97,8 +95,7 @@ func (o Options) withDefaults() Options {
 		o.DataQueueDepth = defaultQueueDepth
 	}
 	if o.Logger == nil {
-		// Gated above every level: no record is ever formatted.
-		o.Logger = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
+		o.Logger = pubsub.DiscardLogger
 	}
 	return o
 }
