@@ -71,8 +71,6 @@ type Config struct {
 	K int
 	// VMax is the per-coordinator coarsening budget (default 100).
 	VMax int
-	// Alpha is the load-imbalance slack of Eqn 3.1 (default 0.1).
-	Alpha float64
 	// Seed drives all randomized decisions (default 1).
 	Seed uint64
 	// DisableResultSharing turns off §2.1 superset-query merging
@@ -152,9 +150,6 @@ func New(g *topology.Graph, processors []NodeID, cfg Config) (*Middleware, error
 	}
 	if cfg.VMax == 0 {
 		cfg.VMax = 100
-	}
-	if cfg.Alpha == 0 {
-		cfg.Alpha = 0.1
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
@@ -393,6 +388,17 @@ func (m *Middleware) compile(q *query.Query, proxy NodeID) (querygraph.QueryInfo
 	if m.started {
 		dim = m.optDim
 	}
+	// The columns validated against the schema: every WHERE operand and
+	// every non-star SELECT item.
+	var cols []*query.ColRef
+	for _, p := range q.Where {
+		cols = append(cols, p.Left.Col, p.Right.Col)
+	}
+	for _, p := range q.Select {
+		if !p.Star {
+			cols = append(cols, &p.Col)
+		}
+	}
 	interest := bitvec.New(dim)
 	var inputRate float64
 	for _, name := range q.StreamNames() {
@@ -404,21 +410,16 @@ func (m *Middleware) compile(q *query.Query, proxy NodeID) (querygraph.QueryInfo
 			interest.Set(i)
 			inputRate += m.subRates[i]
 		}
-		// Validate attribute references against the schema.
-		for _, p := range q.Where {
-			for _, col := range []*query.ColRef{p.Left.Col, p.Right.Col} {
-				if col == nil {
-					continue
-				}
-				ref, ok := q.RefByAlias(col.Alias)
-				if !ok || ref.Stream != name {
-					continue
-				}
-				if !rec.def.Schema.HasAttr(col.Attr) {
-					return querygraph.QueryInfo{}, fmt.Errorf(
-						"cosmos: stream %q has no attribute %q", name, col.Attr)
-				}
+		for _, col := range cols {
+			if col == nil {
+				continue
 			}
+			ref, ok := q.RefByAlias(col.Alias)
+			if !ok || ref.Stream != name || rec.def.Schema.HasAttr(col.Attr) {
+				continue
+			}
+			return querygraph.QueryInfo{}, fmt.Errorf(
+				"cosmos: stream %q has no attribute %q", name, col.Attr)
 		}
 	}
 	return querygraph.QueryInfo{
@@ -482,7 +483,7 @@ func (m *Middleware) Start() error {
 	// Distribute the batch.
 	m.optDim = len(m.subRates)
 	tree, err := hierarchy.Build(m.oracle, m.procs, nil, hierarchy.Config{
-		K: m.cfg.K, VMax: m.cfg.VMax, Alpha: m.cfg.Alpha, Seed: m.cfg.Seed,
+		K: m.cfg.K, VMax: m.cfg.VMax, Seed: m.cfg.Seed,
 		Workers: m.cfg.Workers,
 	})
 	if err != nil {

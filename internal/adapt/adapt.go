@@ -26,11 +26,12 @@ import (
 	"repro/internal/querygraph"
 )
 
-// Options tunes Algorithm 3.
+// refinePasses bounds phase-2 sweeps.
+const refinePasses = 2
+
+// Options tunes Algorithm 3. Feasibility in both phases uses the mapper's
+// load slack, mapping.DefaultAlpha.
 type Options struct {
-	// Alpha is the load slack used for feasibility in both phases
-	// (default 0.1, as in the mapping algorithm).
-	Alpha float64
 	// BenefitSlackPct is the x of Algorithm 3 line 5 (default 10): the
 	// candidate set holds vertices whose benefit is within x% of the
 	// best benefit.
@@ -38,24 +39,16 @@ type Options struct {
 	// FlowFraction is the 90% rule of line 8: a vertex is eligible when
 	// the remaining flow m_ij exceeds FlowFraction of its weight.
 	FlowFraction float64
-	// RefinePasses bounds phase-2 sweeps (default 2).
-	RefinePasses int
 	// Rng drives the random pair/vertex selection; nil seeds a fixed PCG.
 	Rng *rand.Rand
 }
 
 func (o Options) withDefaults() Options {
-	if o.Alpha == 0 {
-		o.Alpha = 0.1
-	}
 	if o.BenefitSlackPct == 0 {
 		o.BenefitSlackPct = 10
 	}
 	if o.FlowFraction == 0 {
 		o.FlowFraction = 0.9
-	}
-	if o.RefinePasses == 0 {
-		o.RefinePasses = 2
 	}
 	if o.Rng == nil {
 		o.Rng = rand.New(rand.NewPCG(7, 77))
@@ -72,7 +65,7 @@ func Rebalance(qg *querygraph.Graph, ng *netgraph.Graph, assign mapping.Assignme
 	if len(assign) != len(qg.Vertices) {
 		return nil, fmt.Errorf("adapt: assignment has %d entries for %d vertices", len(assign), len(qg.Vertices))
 	}
-	m := mapping.NewMapper(qg, ng, mapping.Options{Alpha: opts.Alpha, Rng: opts.Rng})
+	m := mapping.NewMapper(qg, ng, mapping.Options{Rng: opts.Rng})
 	a := assign.Clone()
 	orig := assign.Clone()
 	for _, v := range qg.Vertices {
@@ -236,7 +229,7 @@ func refinePhase(qg *querygraph.Graph, ng *netgraph.Graph, m *mapping.Mapper, a 
 			movable = append(movable, vi)
 		}
 	}
-	for pass := 0; pass < opts.RefinePasses; pass++ {
+	for pass := 0; pass < refinePasses; pass++ {
 		opts.Rng.Shuffle(len(movable), func(i, j int) { movable[i], movable[j] = movable[j], movable[i] })
 		changed := false
 		for _, vi := range movable {

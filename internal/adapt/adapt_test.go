@@ -49,11 +49,11 @@ func instance(t *testing.T, nQ int, seed uint64) (*querygraph.Graph, *netgraph.G
 			StateSize:  1 + r.Float64()*9,
 		})
 	}
-	qg.AddNVertex(50, 3, false)
-	qg.AddNVertex(51, 4, false)
-	qg.AddNVertex(0, 0, true)
-	qg.AddNVertex(1, 1, true)
-	qg.AddNVertex(2, 2, true)
+	qg.AddNVertex(50, 3)
+	qg.AddNVertex(51, 4)
+	qg.AddNVertex(0, 0)
+	qg.AddNVertex(1, 1)
+	qg.AddNVertex(2, 2)
 	qg.ComputeEdges()
 	return qg, ng
 }

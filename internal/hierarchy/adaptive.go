@@ -107,7 +107,7 @@ func (t *Tree) rebalanceAssign(c *Coordinator, g *querygraph.Graph, m *mapping.M
 	if err != nil {
 		return nil, err
 	}
-	return adapt.Rebalance(g, c.ng, warm, adapt.Options{Alpha: t.Cfg.Alpha, Rng: t.coordRng(c)})
+	return adapt.Rebalance(g, c.ng, warm, adapt.Options{Rng: t.coordRng(c)})
 }
 
 // samePlacedProc reports whether two query-bearing vertices are currently

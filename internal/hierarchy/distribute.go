@@ -276,11 +276,9 @@ func (t *Tree) coarsenAndRegister(c *Coordinator, incoming []*querygraph.Vertex,
 		return nil, err
 	}
 	res := prep.g.Coarsen(querygraph.CoarsenOptions{
-		VMax:       t.Cfg.VMax,
-		Rng:        t.coordRng(c),
-		NoQN:       true,
-		CountQOnly: true,
-		CanMerge:   canMerge,
+		VMax:     t.Cfg.VMax,
+		Rng:      t.coordRng(c),
+		CanMerge: canMerge,
 	})
 	var out []*querygraph.Vertex
 	for ci, v := range res.Graph.Vertices {
@@ -366,11 +364,11 @@ func (t *Tree) prepare(c *Coordinator, incoming []*querygraph.Vertex) (*prepared
 	}
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
 	for _, n := range nodes {
-		pin, assignable, ok := c.pinOf(n)
+		pin, ok := c.pinOf(n)
 		if !ok {
 			return nil, fmt.Errorf("hierarchy: %s has no pin for node %d", c.Name, n)
 		}
-		g.AddNVertex(n, pin, assignable)
+		g.AddNVertex(n, pin)
 	}
 	g.ComputeEdges()
 	return prep, nil
@@ -435,15 +433,15 @@ func (t *Tree) ensureNG(c *Coordinator) error {
 }
 
 // pinOf resolves the network-graph target a node is pinned to at this
-// coordinator, and whether that target can host query load.
-func (c *Coordinator) pinOf(n topology.NodeID) (idx int, assignable bool, ok bool) {
+// coordinator: a child (or member processor) or an anchor.
+func (c *Coordinator) pinOf(n topology.NodeID) (idx int, ok bool) {
 	if i, covered := c.childOfNode[n]; covered {
-		return i, true, true
+		return i, true
 	}
 	if i, anchored := c.anchorIdx[n]; anchored {
-		return i, false, true
+		return i, true
 	}
-	return 0, false, false
+	return 0, false
 }
 
 // assignableCount returns the number of load-hosting targets (children or
@@ -482,17 +480,15 @@ func (t *Tree) descend(c *Coordinator, incoming []*querygraph.Vertex, d descent,
 	// the query loads refreshWeights sums — so prepare's edges stay valid.
 	t.refreshWeights(prep.g)
 	opts := querygraph.CoarsenOptions{
-		VMax:       t.Cfg.VMax,
-		Rng:        t.coordRng(c),
-		NoQN:       true,
-		CountQOnly: true,
-		CanMerge:   d.canMerge,
+		VMax:     t.Cfg.VMax,
+		Rng:      t.coordRng(c),
+		CanMerge: d.canMerge,
 	}
 	if d.atomicLeaves && c.IsLeaf() {
 		opts.VMax = len(prep.g.Vertices) + 1
 	}
 	res := prep.g.Coarsen(opts)
-	m := mapping.NewMapper(res.Graph, c.ng, mapping.Options{Alpha: t.Cfg.Alpha, Rng: t.coordRng(c)})
+	m := mapping.NewMapper(res.Graph, c.ng, mapping.Options{Rng: t.coordRng(c)})
 	assign, err := d.assign(c, res.Graph, m)
 	if err != nil {
 		return fmt.Errorf("hierarchy: %s mapping: %w", c.Name, err)

@@ -90,14 +90,14 @@ func (t *Tree) routeAt(c *Coordinator, q querygraph.QueryInfo) (int, error) {
 			continue
 		}
 		src := g.SourceOfSub[idx]
-		pin, _, ok := c.pinOf(src)
+		pin, ok := c.pinOf(src)
 		if !ok {
 			continue
 		}
 		anchor(pin, rate)
 	}
 	// Result edge to the proxy.
-	if pin, _, ok := c.pinOf(q.Proxy); ok {
+	if pin, ok := c.pinOf(q.Proxy); ok {
 		anchor(pin, q.ResultRate)
 	}
 	for k := 0; k < n; k++ {
@@ -117,7 +117,7 @@ func (t *Tree) routeAt(c *Coordinator, q querygraph.QueryInfo) (int, error) {
 	bestK, bestCost := -1, math.Inf(1)
 	bestOverK, bestOver := -1, math.Inf(1)
 	for k := 0; k < n; k++ {
-		cap := (1 + t.Cfg.Alpha) * ng.Vertices[k].Capability * total / ng.TotalCapability()
+		cap := (1 + mapping.DefaultAlpha) * ng.Vertices[k].Capability * total / ng.TotalCapability()
 		if c.loads[k]+q.Load <= cap {
 			if costs[k] < bestCost {
 				bestK, bestCost = k, costs[k]
@@ -177,7 +177,7 @@ func (t *Tree) PlaceAt(q querygraph.QueryInfo, proc topology.NodeID) error {
 		if c.graph == nil {
 			continue
 		}
-		k, _, ok := c.pinOf(proc)
+		k, ok := c.pinOf(proc)
 		if !ok {
 			return fmt.Errorf("hierarchy: %s cannot pin processor %d", c.Name, proc)
 		}

@@ -84,12 +84,11 @@ func (t *Tree) removeQueryAt(c *Coordinator, name string) {
 // be shared with expansion registries.
 func shrunkVertex(v *querygraph.Vertex, qi int) *querygraph.Vertex {
 	nv := &querygraph.Vertex{
-		Nodes:      append([]topology.NodeID(nil), v.Nodes...),
-		Clu:        v.Clu,
-		Assignable: v.Assignable,
-		Tag:        v.Tag,
-		Key:        v.Key,
-		Grain:      v.Grain,
+		Nodes: append([]topology.NodeID(nil), v.Nodes...),
+		Clu:   v.Clu,
+		Tag:   v.Tag,
+		Key:   v.Key,
+		Grain: v.Grain,
 	}
 	nv.Queries = make([]querygraph.QueryInfo, 0, len(v.Queries)-1)
 	for j := range v.Queries {

@@ -31,8 +31,6 @@ type Config struct {
 	// VMax is the per-coordinator coarsening budget of Algorithm 1.
 	// Default 100.
 	VMax int
-	// Alpha is the load-imbalance slack of Eqn 3.1. Default 0.1.
-	Alpha float64
 	// Seed drives all randomized choices deterministically.
 	Seed uint64
 	// Workers bounds the goroutines used to run independent coordinators
@@ -51,9 +49,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.VMax == 0 {
 		c.VMax = 100
-	}
-	if c.Alpha == 0 {
-		c.Alpha = 0.1
 	}
 	if c.Seed == 0 {
 		c.Seed = 1

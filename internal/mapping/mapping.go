@@ -35,9 +35,16 @@ func (a Assignment) Clone() Assignment {
 	return c
 }
 
+// DefaultAlpha is the load-imbalance slack α of Eqn 3.1 the paper uses.
+// Options.Alpha overrides it only for the α ablation benchmark.
+const DefaultAlpha = 0.1
+
+// maxOuter bounds outer refinement iterations.
+const maxOuter = 8
+
 // Options configures the mapper.
 type Options struct {
-	// Alpha is the load-imbalance slack of Eqn 3.1. The paper uses 0.1.
+	// Alpha is the load-imbalance slack of Eqn 3.1 (0 = DefaultAlpha).
 	Alpha float64
 	// ExactLimit is the largest |movable|·|assignable| product for which
 	// the exact Algorithm-2 refinement runs; larger instances use the
@@ -45,21 +52,16 @@ type Options struct {
 	// the exact mode for coordinator-sized graphs (≈VMax vertices) and
 	// sends large centralized instances to the scalable sweep.
 	ExactLimit int
-	// MaxOuter bounds outer refinement iterations (0 = default 8).
-	MaxOuter int
 	// Rng drives tie-breaking and sweep order; nil seeds a fixed PCG.
 	Rng *rand.Rand
 }
 
 func (o Options) withDefaults() Options {
 	if o.Alpha == 0 {
-		o.Alpha = 0.1
+		o.Alpha = DefaultAlpha
 	}
 	if o.ExactLimit == 0 {
 		o.ExactLimit = 5000
-	}
-	if o.MaxOuter == 0 {
-		o.MaxOuter = 8
 	}
 	if o.Rng == nil {
 		o.Rng = rand.New(rand.NewPCG(42, 4242))
@@ -226,8 +228,9 @@ func (m *Mapper) placedCost(a Assignment, vi, k int) float64 {
 	return cost
 }
 
-// gain is the WEC reduction of remapping vi from its current target to k.
-func (m *Mapper) gain(a Assignment, vi, k int) float64 {
+// Gain returns the WEC reduction of remapping vertex vi from its current
+// target to k under assignment a — the "benefit" of Algorithm 3.
+func (m *Mapper) Gain(a Assignment, vi, k int) float64 {
 	var g float64
 	rowCur := m.ng.Row(a[vi])
 	rowK := m.ng.Row(k)
@@ -307,7 +310,7 @@ func (m *Mapper) refineExact(a Assignment, movable []int) Assignment {
 		rowVer[s] = 1
 	}
 
-	for outer := 0; outer < m.opts.MaxOuter; outer++ {
+	for outer := 0; outer < maxOuter; outer++ {
 		a = minA.Clone()
 		loads = Loads(m.qg, m.ng, a)
 		matched := make(map[int]bool, len(movable))
@@ -335,7 +338,7 @@ func (m *Mapper) refineExact(a Assignment, movable []int) Assignment {
 						continue
 					}
 					if pairVer[base+ki] != rowVer[s] {
-						gains[base+ki] = m.gain(a, vi, k)
+						gains[base+ki] = m.Gain(a, vi, k)
 						pairVer[base+ki] = rowVer[s]
 					}
 					if g := gains[base+ki]; g > maxGain {
@@ -375,7 +378,7 @@ func (m *Mapper) refineExact(a Assignment, movable []int) Assignment {
 func (m *Mapper) refineSweep(a Assignment, movable []int) Assignment {
 	loads := Loads(m.qg, m.ng, a)
 	order := append([]int(nil), movable...)
-	for pass := 0; pass < m.opts.MaxOuter; pass++ {
+	for pass := 0; pass < maxOuter; pass++ {
 		m.opts.Rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		moved := 0
 		for _, vi := range order {
@@ -386,7 +389,7 @@ func (m *Mapper) refineSweep(a Assignment, movable []int) Assignment {
 				if k == from || !moveOK(loads, m.caps, w, from, k) {
 					continue
 				}
-				if g := m.gain(a, vi, k); g > bestG {
+				if g := m.Gain(a, vi, k); g > bestG {
 					bestK, bestG = k, g
 				}
 			}
@@ -403,10 +406,6 @@ func (m *Mapper) refineSweep(a Assignment, movable []int) Assignment {
 	}
 	return a
 }
-
-// Gain returns the WEC reduction of remapping vertex vi to target k under
-// assignment a — the "benefit" of Algorithm 3.
-func (m *Mapper) Gain(a Assignment, vi, k int) float64 { return m.gain(a, vi, k) }
 
 // Assignable returns the indices of network vertices able to host query
 // load.

@@ -64,10 +64,10 @@ func randomInstance(t testing.TB, seed uint64, nProc, nQ int) (*querygraph.Graph
 			ResultRate: r.Float64(),
 		})
 	}
-	qg.AddNVertex(100, nProc, false)
-	qg.AddNVertex(101, nProc+1, false)
+	qg.AddNVertex(100, nProc)
+	qg.AddNVertex(101, nProc+1)
 	for p := 0; p < nProc; p++ {
-		qg.AddNVertex(topology.NodeID(p), p, true)
+		qg.AddNVertex(topology.NodeID(p), p)
 	}
 	qg.ComputeEdges()
 	return qg, ng

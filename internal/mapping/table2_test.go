@@ -53,10 +53,10 @@ func paperExample(t *testing.T) (*querygraph.Graph, *netgraph.Graph) {
 	addQ("Q3", n2, []int{0})
 	addQ("Q4", n2, []int{4})
 	// N-vertices: proxies pinned to their processors, sources anchored.
-	qg.AddNVertex(n1, 0, true)
-	qg.AddNVertex(n2, 1, true)
-	qg.AddNVertex(s1, 2, false)
-	qg.AddNVertex(s2, 3, false)
+	qg.AddNVertex(n1, 0)
+	qg.AddNVertex(n2, 1)
+	qg.AddNVertex(s1, 2)
+	qg.AddNVertex(s2, 3)
 	qg.ComputeEdges()
 
 	lat := [][]float64{

@@ -85,9 +85,10 @@ func (g *Graph) computeEdgesNaive() {
 
 // randomGraph builds a randomized query graph over a random substream space:
 // q-vertices with zipf-ish interests, n-vertices for processors and sources
-// (some never referenced), and prebuilt mixed coarse vertices with multiple
-// queries, nodes, and result-rate entries — every vertex shape the
-// hierarchy's coarsening and shipping can produce.
+// (some never referenced), and prebuilt coarse vertices with multiple
+// result-rate entries, some of them mixed (queries and a node). Coarsening
+// never produces a mixed vertex, but the edge construction and Coarsen
+// must still handle one, so the graph keeps them as inputs.
 func randomGraph(r *rand.Rand) *Graph {
 	nSub := 16 + r.IntN(120)
 	nSrc := 1 + r.IntN(5)
@@ -123,7 +124,7 @@ func randomGraph(r *rand.Rand) *Graph {
 			ResultRate: r.Float64() * 2,
 		})
 	}
-	// Mixed coarse vertices, as coarsening with q-n merges produces.
+	// Prebuilt coarse vertices; about half also carry a node (mixed).
 	for m := r.IntN(4); m > 0; m-- {
 		v := &Vertex{
 			Weight:   r.Float64(),
@@ -141,11 +142,11 @@ func randomGraph(r *rand.Rand) *Graph {
 		g.AddVertex(v)
 	}
 	for p := 0; p < nProc; p++ {
-		g.AddNVertex(topology.NodeID(p), p, true)
+		g.AddNVertex(topology.NodeID(p), p)
 	}
 	for s := 0; s < nSrc; s++ {
 		if r.IntN(4) > 0 { // occasionally leave a source out of the graph
-			g.AddNVertex(topology.NodeID(1000+s), nProc+s, false)
+			g.AddNVertex(topology.NodeID(1000+s), nProc+s)
 		}
 	}
 	return g
@@ -276,7 +277,7 @@ func TestReconnectVertexWithNodesMatchesNaive(t *testing.T) {
 			case !v.IsN():
 			case len(v.Queries) == 0:
 				g.RemoveVertex(id)
-				g.ConnectVertex(g.AddNVertex(v.Nodes[0], v.Clu, v.Assignable))
+				g.ConnectVertex(g.AddNVertex(v.Nodes[0], v.Clu))
 			default:
 				// Shrink to the lowest interest bit, nodes and result
 				// keys kept; a fresh vertex, so no scan cache survives.
@@ -287,7 +288,7 @@ func TestReconnectVertexWithNodesMatchesNaive(t *testing.T) {
 					rr[n] = w
 				}
 				g.ShrinkVertex(id, &Vertex{
-					Weight: v.Weight, Clu: v.Clu, Assignable: v.Assignable,
+					Weight: v.Weight, Clu: v.Clu,
 					Nodes:   append([]topology.NodeID(nil), v.Nodes...),
 					Queries: v.Queries, Interest: iv, ResultRates: rr,
 				})
@@ -300,7 +301,8 @@ func TestReconnectVertexWithNodesMatchesNaive(t *testing.T) {
 }
 
 // checkCoarsened holds a Coarsen result to the model: no nil slot, every
-// fine vertex mapped onto a live coarse vertex, and the adjacency equal, bit
+// fine vertex mapped onto a live coarse vertex, no coarse vertex merging an
+// n-vertex (IsN) with a vertex that is not one, and the adjacency equal, bit
 // for bit, to the naive construction over the coarse vertices.
 func checkCoarsened(t *testing.T, label string, fine *Graph, res *CoarsenResult) {
 	t.Helper()
@@ -318,13 +320,21 @@ func checkCoarsened(t *testing.T, label string, fine *Graph, res *CoarsenResult)
 			t.Fatalf("%s: fine %d maps to %d, outside the %d coarse vertices", label, f, c, len(cg.Vertices))
 		}
 	}
+	for c, fs := range res.CoarseToFine {
+		for _, f := range fs[1:] {
+			if fine.Vertices[f].IsN() != fine.Vertices[fs[0]].IsN() {
+				t.Fatalf("%s: coarse %d merges fine %d (IsN %v) with fine %d (IsN %v)",
+					label, c, fs[0], fine.Vertices[fs[0]].IsN(), f, fine.Vertices[f].IsN())
+			}
+		}
+	}
 	naive := &Graph{Space: cg.Space, Vertices: cg.Vertices, adj: make([][]Adj, len(cg.Vertices))}
 	naive.computeEdgesNaive()
 	sameAdjacency(t, label, cg, naive)
 }
 
-// TestCoarsenCompactsUncountedRound: a round whose only merges CountQOnly
-// does not count — a mixed q+n vertex absorbing a same-cluster n-vertex —
+// TestCoarsenCompactsUncountedRound: a round whose only merges do not count
+// against VMax — a mixed q+n vertex absorbing a same-cluster n-vertex —
 // must still end in compact. Coarsen used to stop ahead of it, returning the
 // emptied slot as a nil vertex that a FineToCoarse entry pointed at, with the
 // merged vertex's edges never re-estimated (seed 73 is the first of the
@@ -334,7 +344,7 @@ func TestCoarsenCompactsUncountedRound(t *testing.T) {
 		r := rand.New(rand.NewPCG(seed, 0xc0a6))
 		g := randomGraph(r)
 		g.ComputeEdges()
-		res := g.Coarsen(CoarsenOptions{VMax: 1 + r.IntN(8), Rng: rand.New(rand.NewPCG(seed, 2)), NoQN: true, CountQOnly: true})
+		res := g.Coarsen(CoarsenOptions{VMax: 1 + r.IntN(8), Rng: rand.New(rand.NewPCG(seed, 2))})
 		checkCoarsened(t, fmt.Sprintf("seed %d", seed), g, res)
 	}
 }
@@ -381,36 +391,31 @@ func scaleCIGraph(seed uint64) *Graph {
 		})
 	}
 	for p := 0; p < nProc; p++ {
-		g.AddNVertex(topology.NodeID(p), p/4, true)
+		g.AddNVertex(topology.NodeID(p), p/4)
 	}
 	for s := 0; s < nSrc; s++ {
-		g.AddNVertex(topology.NodeID(1000+s), nProc/4+s, false)
+		g.AddNVertex(topology.NodeID(1000+s), nProc/4+s)
 	}
 	return g
 }
 
 // TestCoarsenedEdgesMatchNaive: every coarse graph Coarsen returns must be
 // one the model could have built from scratch. Over random graphs, with and
-// without NoQN, CountQOnly and a CanMerge gate, on one ScaleCI-sized graph,
+// without a CanMerge gate, on one ScaleCI-sized graph,
 // on small graphs coarsened right after a ScaleCI-sized one, and on graphs
 // of both sizes coarsened from several goroutines at once, checkCoarsened
 // holds the result to the naive construction.
 func TestCoarsenedEdgesMatchNaive(t *testing.T) {
 	ciOpts := func() CoarsenOptions {
-		return CoarsenOptions{VMax: 40, Rng: rand.New(rand.NewPCG(7, 7)), NoQN: true, CountQOnly: true}
+		return CoarsenOptions{VMax: 40, Rng: rand.New(rand.NewPCG(7, 7))}
 	}
 	for seed := uint64(0); seed < 400; seed++ {
-		for variant := uint64(0); variant < 8; variant++ {
+		for variant := uint64(0); variant < 2; variant++ {
 			r := rand.New(rand.NewPCG(seed, 0xc0a7))
 			g := randomGraph(r)
 			g.ComputeEdges()
-			opts := CoarsenOptions{
-				VMax:       1 + r.IntN(8),
-				Rng:        rand.New(rand.NewPCG(seed, variant)),
-				NoQN:       variant&1 != 0,
-				CountQOnly: variant&2 != 0,
-			}
-			if variant&4 != 0 {
+			opts := CoarsenOptions{VMax: 1 + r.IntN(8), Rng: rand.New(rand.NewPCG(seed, variant))}
+			if variant == 1 {
 				opts.CanMerge = sameHome
 			}
 			checkCoarsened(t, fmt.Sprintf("seed %d variant %d", seed, variant), g, g.Coarsen(opts))
@@ -460,8 +465,8 @@ func TestCoarsenEquivalentOnNaiveEdges(t *testing.T) {
 		naive.computeEdgesNaive()
 
 		vmax := 1 + r.IntN(8)
-		a := g.Coarsen(CoarsenOptions{VMax: vmax, Rng: rand.New(rand.NewPCG(seed, 1)), NoQN: true, CountQOnly: true})
-		b := naive.Coarsen(CoarsenOptions{VMax: vmax, Rng: rand.New(rand.NewPCG(seed, 1)), NoQN: true, CountQOnly: true})
+		a := g.Coarsen(CoarsenOptions{VMax: vmax, Rng: rand.New(rand.NewPCG(seed, 1))})
+		b := naive.Coarsen(CoarsenOptions{VMax: vmax, Rng: rand.New(rand.NewPCG(seed, 1))})
 		sameAdjacency(t, fmt.Sprintf("seed %d", seed), a.Graph, b.Graph)
 		for i := range a.FineToCoarse {
 			if a.FineToCoarse[i] != b.FineToCoarse[i] {

@@ -62,9 +62,9 @@ type QueryInfo struct {
 	StateSize  float64        // operator state size, for migration cost
 }
 
-// Vertex is a (possibly coarsened) query-graph vertex. A pure q-vertex has
-// Queries and no Nodes; a pure n-vertex has exactly one node and no queries;
-// coarsening may produce mixed vertices.
+// Vertex is a (possibly coarsened) query-graph vertex. A q-vertex has
+// Queries and no Nodes; an n-vertex has Nodes. Coarsening never merges a
+// q-vertex with an n-vertex.
 type Vertex struct {
 	ID     int
 	Weight float64 // total query load; 0 for pure n-vertices
@@ -77,12 +77,6 @@ type Vertex struct {
 	// (sources or proxies outside the coordinator's subtree) it is the
 	// index of a zero-capability anchor vertex in the network graph.
 	Clu int
-	// Assignable records whether the pinned target can also host query
-	// load (a real child cluster) as opposed to a pure anchor. Only
-	// n-vertices pinned to assignable targets may absorb q-vertices
-	// during coarsening; merging a query into a source anchor would pin
-	// the query to a node with no processing capability.
-	Assignable bool
 
 	// Queries are the constituent queries (q-vertex part).
 	Queries []QueryInfo
@@ -424,13 +418,11 @@ func NewOnSpace(s *Space) *Graph {
 }
 
 // AddNVertex adds a pure n-vertex for a network node, pinned to network-
-// graph vertex clu. assignable marks whether the target is a real child
-// cluster (able to host queries) rather than a zero-capability anchor.
-func (g *Graph) AddNVertex(node topology.NodeID, clu int, assignable bool) *Vertex {
+// graph vertex clu.
+func (g *Graph) AddNVertex(node topology.NodeID, clu int) *Vertex {
 	v := &Vertex{
-		Nodes:      []topology.NodeID{node},
-		Clu:        clu,
-		Assignable: assignable,
+		Nodes: []topology.NodeID{node},
+		Clu:   clu,
 	}
 	return g.install(len(g.Vertices), v)
 }
@@ -1064,8 +1056,8 @@ func (g *Graph) RemoveVertex(id int) *Vertex {
 // ShrinkVertex replaces vertex id with nv — a vertex with strictly reduced
 // content (queries removed from a merged vertex): nv's interest bits,
 // result-rate keys and node list must be subsets of the old vertex's (node
-// lists equal, in practice, since query-bearing vertices carry no nodes
-// under the hierarchy's NoQN coarsening). The inverted indexes forget
+// lists equal, in practice, since coarsening never merges a query-bearing
+// vertex with an n-vertex). The inverted indexes forget
 // exactly the content delta, and the vertex's incident edges are
 // re-estimated from the new content against the index's candidates — the
 // removal counterpart of ConnectVertex. nv is installed with ID id.
@@ -1135,13 +1127,6 @@ type CoarsenOptions struct {
 	VMax int
 	// Rng drives random vertex selection; nil seeds a fixed PCG.
 	Rng *rand.Rand
-	// NoQN forbids merging q-vertices into n-vertices. The coordinator
-	// hierarchy rebuilds n-vertices locally at every level and only
-	// ships query-bearing vertices, so it keeps the two kinds separate.
-	NoQN bool
-	// CountQOnly makes VMax count only query-bearing vertices, leaving
-	// pure n-vertices outside the budget.
-	CountQOnly bool
 	// CanMerge, when non-nil, adds an extra admissibility constraint on
 	// candidate pairs. The hierarchy's placement restore uses it to only
 	// merge vertices currently placed on the same processor, so that
@@ -1198,13 +1183,10 @@ func collapse(u, v *Vertex) *Vertex {
 			w.ResultRates[n] += r
 		}
 	}
-	// w.clu = is_n(u) ? u.clu : v.clu (Algorithm 1 line 14).
+	// w.clu = is_n(u) ? u.clu : v.clu (Algorithm 1 line 14). Coarsen
+	// merges only vertices of one kind, so v is an n-vertex only if u is.
 	if u.IsN() {
 		w.Clu = u.Clu
-		w.Assignable = u.Assignable
-	} else if v.IsN() {
-		w.Clu = v.Clu
-		w.Assignable = v.Assignable
 	}
 	if w.Tag == "" {
 		w.Tag = v.Tag
@@ -1213,7 +1195,8 @@ func collapse(u, v *Vertex) *Vertex {
 }
 
 // Coarsen runs Algorithm 1: repeatedly collapse heavy-edge-matched vertex
-// pairs until at most VMax vertices remain. N-vertices from different
+// pairs until at most VMax query-bearing vertices remain. A query-bearing
+// vertex is never merged with an n-vertex, and n-vertices from different
 // clusters (or with unknown cluster) are never merged, because they must map
 // to different network-graph vertices. Every round that collapses a pair
 // ends in compact, which re-estimates the merged vertices' edges from
@@ -1228,15 +1211,12 @@ func (g *Graph) Coarsen(opts CoarsenOptions) *CoarsenResult {
 	for i := range fineToCur {
 		fineToCur[i] = i
 	}
-	// count tallies live (non-merged) vertices, restricted to query-
-	// bearing ones in q-only mode. Merged-away slots are nil.
+	// count tallies live (non-merged) query-bearing vertices: n-vertices
+	// stay outside the VMax budget. Merged-away slots are nil.
 	count := func(gr *Graph) int {
 		n := 0
 		for _, v := range gr.Vertices {
-			if v == nil {
-				continue
-			}
-			if !opts.CountQOnly || len(v.Queries) > 0 {
+			if v != nil && len(v.Queries) > 0 {
 				n++
 			}
 		}
@@ -1282,25 +1262,12 @@ func (g *Graph) Coarsen(opts CoarsenOptions) *CoarsenResult {
 					continue
 				}
 				v := cur.Vertices[vi]
-				if u.IsN() && v.IsN() &&
-					(u.Clu != v.Clu || v.Clu == ClusterUnknown) {
+				// A query is never merged into an n-vertex (the
+				// hierarchy rebuilds n-vertices at every level and
+				// ships only query-bearing ones), nor n-vertices of
+				// different or unknown clusters (Algorithm 1 line 6).
+				if u.IsN() != v.IsN() || (u.IsN() && (u.Clu != v.Clu || v.Clu == ClusterUnknown)) {
 					continue
-				}
-				// A query must not be absorbed into an n-vertex
-				// pinned to an unassignable anchor (or with an
-				// unknown pin): it would be forced onto a node
-				// that cannot process it.
-				if u.IsN() != v.IsN() {
-					if opts.NoQN {
-						continue
-					}
-					n := u
-					if v.IsN() {
-						n = v
-					}
-					if !n.Assignable || n.Clu == ClusterUnknown {
-						continue
-					}
 				}
 				if opts.CanMerge != nil && !opts.CanMerge(u, v) {
 					continue
@@ -1323,9 +1290,8 @@ func (g *Graph) Coarsen(opts CoarsenOptions) *CoarsenResult {
 			absorbed[ui] = true
 			collapsed = true
 			// A merge reduces the counted vertex set only when both
-			// halves were counted (both query-bearing in q-only
-			// mode).
-			if !opts.CountQOnly || (len(u.Queries) > 0 && len(v.Queries) > 0) {
+			// halves were counted (both query-bearing).
+			if len(u.Queries) > 0 && len(v.Queries) > 0 {
 				merges++
 				live--
 			}

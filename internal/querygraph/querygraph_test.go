@@ -44,8 +44,8 @@ func TestEdgeWeights(t *testing.T) {
 	g := smallGraph(t)
 	q1 := g.AddQVertex(qinfo("q1", nodeA, []int{0, 1}, 0.1))
 	q2 := g.AddQVertex(qinfo("q2", nodeB, []int{1, 2}, 0.1))
-	nx := g.AddNVertex(srcX, 2, false)
-	na := g.AddNVertex(nodeA, 0, true)
+	nx := g.AddNVertex(srcX, 2)
+	na := g.AddNVertex(nodeA, 0)
 	g.ComputeEdges()
 
 	// q1-q2 overlap: substream 1 (rate 2).
@@ -70,7 +70,7 @@ func TestSourceAndProxySameNode(t *testing.T) {
 	g := smallGraph(t)
 	// Query proxied at srcX AND pulling from srcX: one edge carrying both.
 	q := g.AddQVertex(qinfo("q", srcX, []int{0}, 0.1))
-	n := g.AddNVertex(srcX, 0, true)
+	n := g.AddNVertex(srcX, 0)
 	g.ComputeEdges()
 	if w, _ := g.Weight(q.ID, n.ID); w != 2+1 {
 		t.Errorf("combined edge = %v, want 3 (demand 2 + result 1)", w)
@@ -80,14 +80,14 @@ func TestSourceAndProxySameNode(t *testing.T) {
 func TestConnectVertexMatchesComputeEdges(t *testing.T) {
 	g := smallGraph(t)
 	g.AddQVertex(qinfo("q1", nodeA, []int{0, 1}, 0.1))
-	g.AddNVertex(srcX, 1, false)
+	g.AddNVertex(srcX, 1)
 	g.ComputeEdges()
 	v := g.AddQVertex(qinfo("q2", nodeB, []int{1, 2}, 0.1))
 	g.ConnectVertex(v)
 
 	g2 := smallGraph(t)
 	g2.AddQVertex(qinfo("q1", nodeA, []int{0, 1}, 0.1))
-	g2.AddNVertex(srcX, 1, false)
+	g2.AddNVertex(srcX, 1)
 	g2.AddQVertex(qinfo("q2", nodeB, []int{1, 2}, 0.1))
 	g2.ComputeEdges()
 
@@ -140,8 +140,8 @@ func TestCoarsenReachesVMax(t *testing.T) {
 
 func TestCoarsenRespectsNVertexClusters(t *testing.T) {
 	g := smallGraph(t)
-	g.AddNVertex(nodeA, 0, true)
-	g.AddNVertex(nodeB, 1, true)
+	g.AddNVertex(nodeA, 0)
+	g.AddNVertex(nodeB, 1)
 	g.AddQVertex(qinfo("q1", nodeA, []int{0}, 0.1))
 	g.AddQVertex(qinfo("q2", nodeB, []int{0}, 0.1))
 	g.ComputeEdges()
@@ -155,16 +155,16 @@ func TestCoarsenRespectsNVertexClusters(t *testing.T) {
 	}
 }
 
-func TestCoarsenNoQN(t *testing.T) {
+func TestCoarsenNeverMergesQueryIntoNode(t *testing.T) {
 	g := smallGraph(t)
-	g.AddNVertex(nodeA, 0, true)
+	g.AddNVertex(nodeA, 0)
 	g.AddQVertex(qinfo("q1", nodeA, []int{0}, 0.1))
 	g.AddQVertex(qinfo("q2", nodeA, []int{0}, 0.1))
 	g.ComputeEdges()
-	res := g.Coarsen(CoarsenOptions{VMax: 1, Rng: rand.New(rand.NewPCG(3, 3)), NoQN: true, CountQOnly: true})
+	res := g.Coarsen(CoarsenOptions{VMax: 1, Rng: rand.New(rand.NewPCG(3, 3))})
 	for _, v := range res.Graph.Vertices {
 		if v.IsN() && len(v.Queries) > 0 {
-			t.Errorf("q-n merge happened despite NoQN: %+v", v)
+			t.Errorf("q-n merge happened: %+v", v)
 		}
 	}
 }

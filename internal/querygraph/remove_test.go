@@ -169,7 +169,7 @@ func TestRemoveVertexRepairsIndex(t *testing.T) {
 		// Anchor n-vertices (sources and proxies), as coordinator graphs
 		// have.
 		for _, n := range []topology.NodeID{10, 11, 12, 0, 1, 2, 3} {
-			g.AddNVertex(n, int(n)%3, true)
+			g.AddNVertex(n, int(n)%3)
 		}
 		// A graph filled before its first index use carries no index; the
 		// first ConnectVertex builds one lazily, and from then on every
@@ -299,7 +299,7 @@ func TestRemoveVertexRepairsIndex(t *testing.T) {
 				live[nv.ID] = true
 				check(fmt.Sprintf("round %d shrink %d", round, nv.ID))
 			case len(late) > 0 && r.IntN(3) == 0:
-				v := g.AddNVertex(late[0], int(late[0])%3, true)
+				v := g.AddNVertex(late[0], int(late[0])%3)
 				late = late[1:]
 				g.ConnectVertex(v)
 				check(fmt.Sprintf("round %d add n-vertex %d", round, v.ID))

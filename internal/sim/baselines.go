@@ -48,12 +48,12 @@ func (w *World) GlobalGraphs(wl *workload.Workload) (*querygraph.Graph, *netgrap
 	}
 	for _, p := range w.Processors {
 		if referenced[p] {
-			qg.AddNVertex(p, procIdx[p], true)
+			qg.AddNVertex(p, procIdx[p])
 		}
 	}
 	for _, s := range w.Sources {
 		if referenced[s] {
-			qg.AddNVertex(s, anchorIdx[s], false)
+			qg.AddNVertex(s, anchorIdx[s])
 		}
 	}
 	qg.ComputeEdges()
@@ -144,12 +144,7 @@ func centralizedMap(qg *querygraph.Graph, ng *netgraph.Graph, vmax int) (mapping
 		}
 	}
 	rng := rand.New(rand.NewPCG(99, 9999))
-	res := qg.Coarsen(querygraph.CoarsenOptions{
-		VMax:       vmax,
-		Rng:        rng,
-		NoQN:       true,
-		CountQOnly: true,
-	})
+	res := qg.Coarsen(querygraph.CoarsenOptions{VMax: vmax, Rng: rng})
 	mc := mapping.NewMapper(res.Graph, ng, mapping.Options{
 		// Exact refinement at the coarse level is the expensive,
 		// high-quality step that makes this the benchmark.

@@ -208,6 +208,15 @@ func TestSubmitValidation(t *testing.T) {
 	if _, err := m.Submit(`SELECT * FROM R [Now] WHERE phantom > 1`, procs[0], nil); err == nil {
 		t.Error("unknown attribute accepted")
 	}
+	if _, err := m.Submit(`SELECT phantom FROM R [Now]`, procs[0], nil); err == nil {
+		t.Error("unknown select column accepted")
+	}
+	if _, err := m.Submit(`SELECT S.phantom FROM R [Now] S`, procs[0], nil); err == nil {
+		t.Error("unknown aliased select column accepted")
+	}
+	if _, err := m.Submit(`SELECT S.timestamp, S.snowHeight FROM R [Now] S`, procs[0], nil); err != nil {
+		t.Errorf("timestamp and schema columns rejected: %v", err)
+	}
 	if _, err := m.Submit(`SELECT * FROM R [Now]`, 99999, nil); err == nil {
 		t.Error("non-processor proxy accepted")
 	}
