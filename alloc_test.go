@@ -24,7 +24,7 @@ import (
 // the projecting user's projection.
 func TestPublishAllocBudget(t *testing.T) {
 	g, procs := testTopology(t)
-	m, err := New(g, procs[:3], Config{K: 2, VMax: 10, Seed: 5, Workers: 1})
+	m, err := New(g, procs[:3], Config{K: 2, VMax: 10, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

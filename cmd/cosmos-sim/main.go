@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -34,7 +35,7 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("cosmos-sim", flag.ContinueOnError)
-	fig := fs.String("fig", "all", "figure to regenerate: 6, 7, 8, 9, 10, 11, table2, or all")
+	fig := fs.String("fig", "all", "figure to regenerate: "+strings.Join(figureNames(), ", ")+", or all")
 	scale := fs.String("scale", "ci", "experiment scale: ci, medium, paper")
 	k := fs.Int("k", 0, "cluster size parameter (0 = default 4)")
 	vmax := fs.Int("vmax", 0, "coarsening budget (0 = default 100)")
@@ -70,7 +71,7 @@ func run(args []string) error {
 
 	figs := strings.Split(*fig, ",")
 	if *fig == "all" {
-		figs = []string{"6", "7", "8", "9", "10", "11"}
+		figs = figureNames()
 	}
 	for _, f := range figs {
 		if err := runFig(f, s, opts); err != nil {
@@ -93,54 +94,58 @@ func parseInts(s string) ([]int, error) {
 	return out, nil
 }
 
-func runFig(fig string, s sim.Scale, opts sim.ExperimentOptions) error {
-	if fig == "11" {
-		return runFig11(opts)
+// A figure regenerates one of the paper's §4 plots as tables, plus a note
+// printed after its timing line.
+type figure struct {
+	name    string
+	onWorld bool // runs on a sim.World at the chosen scale; Fig 11 builds its own prototype testbed
+	run     func(w *sim.World, opts sim.ExperimentOptions) (tables []*metrics.Table, note string, err error)
+}
+
+// figures is every figure -fig accepts, in the order -fig all runs them: the
+// flag help, "all" and runFig all read this one list.
+var figures = []figure{
+	{"6", true, twoTables((*sim.World).Fig6)},
+	{"7", true, twoTables((*sim.World).Fig7)},
+	{"8", true, twoTables((*sim.World).Fig8)},
+	{"9", true, twoTables(func(w *sim.World, o sim.ExperimentOptions) (*metrics.Table, *metrics.Table, error) {
+		return w.Fig9(o, nil)
+	})},
+	{"10", true, runFig10},
+	{"11", false, runFig11},
+}
+
+func figureNames() []string {
+	names := make([]string, len(figures))
+	for i, f := range figures {
+		names[i] = f.name
 	}
-	w, err := sim.NewWorld(sim.ConfigFor(s))
-	if err != nil {
-		return err
+	return names
+}
+
+func twoTables(fig func(*sim.World, sim.ExperimentOptions) (*metrics.Table, *metrics.Table, error)) func(*sim.World, sim.ExperimentOptions) ([]*metrics.Table, string, error) {
+	return func(w *sim.World, opts sim.ExperimentOptions) ([]*metrics.Table, string, error) {
+		a, b, err := fig(w, opts)
+		return []*metrics.Table{a, b}, "", err
+	}
+}
+
+func runFig(name string, s sim.Scale, opts sim.ExperimentOptions) error {
+	i := slices.IndexFunc(figures, func(f figure) bool { return f.name == name })
+	if i < 0 {
+		return fmt.Errorf("unknown figure %q", name)
+	}
+	var w *sim.World
+	if figures[i].onWorld {
+		var err error
+		if w, err = sim.NewWorld(sim.ConfigFor(s)); err != nil {
+			return err
+		}
 	}
 	start := time.Now()
-	var tables []*metrics.Table
-	switch fig {
-	case "6":
-		a, b, err := w.Fig6(opts)
-		if err != nil {
-			return err
-		}
-		tables = []*metrics.Table{a, b}
-	case "7":
-		a, b, err := w.Fig7(opts)
-		if err != nil {
-			return err
-		}
-		tables = []*metrics.Table{a, b}
-	case "8":
-		a, b, err := w.Fig8(opts)
-		if err != nil {
-			return err
-		}
-		tables = []*metrics.Table{a, b}
-	case "9":
-		a, b, err := w.Fig9(opts, nil)
-		if err != nil {
-			return err
-		}
-		tables = []*metrics.Table{a, b}
-	case "10":
-		a, b, migs, err := w.Fig10(opts)
-		if err != nil {
-			return err
-		}
-		tables = []*metrics.Table{a, b}
-		defer func() {
-			ratio := float64(migs["Remapping"]) / max(1, float64(migs["Adaptive"]))
-			fmt.Printf("migrations: adaptive=%d remapping=%d (ratio %.1fx; paper reports ~7x)\n\n",
-				migs["Adaptive"], migs["Remapping"], ratio)
-		}()
-	default:
-		return fmt.Errorf("unknown figure %q", fig)
+	tables, note, err := figures[i].run(w, opts)
+	if err != nil {
+		return err
 	}
 	for _, t := range tables {
 		if err := t.Write(os.Stdout); err != nil {
@@ -148,18 +153,30 @@ func runFig(fig string, s sim.Scale, opts sim.ExperimentOptions) error {
 		}
 		fmt.Println()
 	}
-	fmt.Printf("(fig %s took %v)\n\n", fig, time.Since(start).Round(time.Millisecond))
+	fmt.Printf("(fig %s took %v)\n\n", name, time.Since(start).Round(time.Millisecond))
+	fmt.Print(note)
 	return nil
 }
 
-func runFig11(opts sim.ExperimentOptions) error {
+func runFig10(w *sim.World, opts sim.ExperimentOptions) ([]*metrics.Table, string, error) {
+	a, b, migs, err := w.Fig10(opts)
+	if err != nil {
+		return nil, "", err
+	}
+	ratio := float64(migs["Remapping"]) / max(1, float64(migs["Adaptive"]))
+	note := fmt.Sprintf("migrations: adaptive=%d remapping=%d (ratio %.1fx; paper reports ~7x)\n\n",
+		migs["Adaptive"], migs["Remapping"], ratio)
+	return []*metrics.Table{a, b}, note, nil
+}
+
+func runFig11(_ *sim.World, opts sim.ExperimentOptions) ([]*metrics.Table, string, error) {
 	counts := opts.QueryCounts
 	if len(counts) == 0 {
 		counts = []int{250, 1000, 4000}
 	}
 	w, err := prototype.NewWorld(30, trace.DefaultConfig(), 3)
 	if err != nil {
-		return err
+		return nil, "", err
 	}
 	cost := &metrics.Table{Title: "Fig 11(a) Normalized comm. cost (over COSMOS)", XLabel: "#queries"}
 	times := &metrics.Table{Title: "Fig 11(b) Normalized running time (over max)", XLabel: "#queries"}
@@ -169,11 +186,11 @@ func runFig11(opts sim.ExperimentOptions) error {
 		times.XS = append(times.XS, fmt.Sprint(n))
 		cqs, err := w.GenerateQueries(n, 9)
 		if err != nil {
-			return err
+			return nil, "", err
 		}
 		res, err := w.Run(cqs, 2)
 		if err != nil {
-			return err
+			return nil, "", err
 		}
 		cCos = append(cCos, res.CosmosCost)
 		cOp = append(cOp, res.OpCost)
@@ -192,11 +209,5 @@ func runFig11(opts sim.ExperimentOptions) error {
 	cost.AddSeries("Op placement", normOp)
 	times.AddSeries("COSMOS", metrics.Normalize(tCos, maxT))
 	times.AddSeries("Op placement", metrics.Normalize(tOp, maxT))
-	for _, t := range []*metrics.Table{cost, times} {
-		if err := t.Write(os.Stdout); err != nil {
-			return err
-		}
-		fmt.Println()
-	}
-	return nil
+	return []*metrics.Table{cost, times}, "", nil
 }

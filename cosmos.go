@@ -76,11 +76,6 @@ type Config struct {
 	// DisableResultSharing turns off §2.1 superset-query merging
 	// (used by the sharing ablation).
 	DisableResultSharing bool
-	// Workers bounds the goroutines used by the hierarchical
-	// distribution passes — both the initial Distribute and Adapt's
-	// current-placement descent (0 selects GOMAXPROCS, 1 runs
-	// sequentially; placements are identical for any value).
-	Workers int
 }
 
 // StreamDef declares a source stream.
@@ -482,10 +477,7 @@ func (m *Middleware) Start() error {
 
 	// Distribute the batch.
 	m.optDim = len(m.subRates)
-	tree, err := hierarchy.Build(m.oracle, m.procs, nil, hierarchy.Config{
-		K: m.cfg.K, VMax: m.cfg.VMax, Seed: m.cfg.Seed,
-		Workers: m.cfg.Workers,
-	})
+	tree, err := hierarchy.Build(m.oracle, m.procs, nil, hierarchy.Config{K: m.cfg.K, VMax: m.cfg.VMax, Seed: m.cfg.Seed})
 	if err != nil {
 		return err
 	}

@@ -9,15 +9,15 @@ import (
 	"testing"
 )
 
-// TestDocsCiteLiveBenchmarks: every Benchmark function the docs, the verify
-// skill and the CI workflows name exists — in a _test.go file or an analyzer
-// fixture under testdata/ — so a retired benchmark cannot live on as a
-// command nobody can run or a lane that matches nothing. A name must be
-// cited whole: a prefix such as a -bench pattern matching several functions
-// fails here too.
+// TestDocsCiteLiveBenchmarks: every Benchmark and Example function the docs,
+// the verify skill and the CI workflows name exists — in a _test.go file or
+// an analyzer fixture under testdata/ — so a retired benchmark or walkthrough
+// cannot live on as a command nobody can run or a lane that matches nothing.
+// A name must be cited whole: a prefix such as a -bench pattern matching
+// several functions fails here too.
 func TestDocsCiteLiveBenchmarks(t *testing.T) {
 	defined := map[string]bool{}
-	decl := regexp.MustCompile(`(?m)^func (Benchmark[A-Z]\w*)\(`)
+	decl := regexp.MustCompile(`(?m)^func ((?:Benchmark|Example)[A-Z_]\w*)\(`)
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -49,7 +49,7 @@ func TestDocsCiteLiveBenchmarks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cited := regexp.MustCompile(`Benchmark[A-Z]\w*`)
+	cited := regexp.MustCompile(`Benchmark[A-Z]\w*|Example[A-Z_]\w*`)
 	for _, doc := range append(docs, workflows...) {
 		text, err := os.ReadFile(doc)
 		if err != nil {
@@ -57,7 +57,7 @@ func TestDocsCiteLiveBenchmarks(t *testing.T) {
 		}
 		for _, name := range cited.FindAllString(string(text), -1) {
 			if !defined[name] {
-				t.Errorf("%s names %s, which is not a benchmark function in this repository", doc, name)
+				t.Errorf("%s names %s, which is not a benchmark or example function in this repository", doc, name)
 			}
 		}
 	}

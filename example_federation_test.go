@@ -1,43 +1,32 @@
-// Federation: a wide-area federation of sensor deployments with a large
-// query fleet, demonstrating what the COSMOS middleware buys.
-//
-// The same workload runs twice — once with result-stream sharing (§2.1)
-// enabled and once without — and reports the overlay traffic of both, plus
-// a runtime adaptation round. Everything goes through the public API.
-//
-// Run with: go run ./examples/federation
-package main
+package cosmos_test
 
 import (
 	"fmt"
-	"log"
 	"math/rand/v2"
 
 	cosmos "repro"
+	"repro/internal/pubsub"
 	"repro/internal/topology"
 	"repro/internal/trace"
 )
 
-const (
-	deployments = 6
-	queries     = 60
-	ticks       = 40
-)
-
-func main() {
-	if err := run(); err != nil {
-		log.Fatal(err)
-	}
-}
-
-func run() error {
-	shared, err := experiment(false)
+// Example_federation runs a wide-area federation of sensor deployments
+// (three transit domains, intercontinental latencies) with a 60-query
+// fleet, twice: once with result-stream sharing (§2.1) and once with
+// DisableResultSharing, with a runtime adaptation round halfway through
+// each. In this pinned run the sharing run's adaptation round migrates no
+// query, and sharing cuts the weighted communication cost by 17.9 % and the
+// bytes on the wire by 16.7 %.
+func Example_federation() {
+	shared, err := federation(false)
 	if err != nil {
-		return err
+		fmt.Println(err)
+		return
 	}
-	solo, err := experiment(true)
+	solo, err := federation(true)
 	if err != nil {
-		return err
+		fmt.Println(err)
+		return
 	}
 	fmt.Println("== federation summary ==")
 	fmt.Printf("with result sharing:    weighted cost %.0f (%.1f KB on the wire)\n",
@@ -48,15 +37,21 @@ func run() error {
 		fmt.Printf("sharing saved %.1f%% of weighted communication cost\n",
 			100*(1-shared.WeightedCost/solo.WeightedCost))
 	}
-	return nil
+	// Output:
+	// adaptation round migrated 0 queries
+	// == federation summary ==
+	// with result sharing:    weighted cost 1387405022 (29748.5 KB on the wire)
+	// without result sharing: weighted cost 1689295698 (35711.1 KB on the wire)
+	// sharing saved 17.9% of weighted communication cost
 }
 
-type traffic struct {
-	WeightedCost float64
-	DataBytes    float64
-}
-
-func experiment(disableSharing bool) (traffic, error) {
+// federation runs the workload once and returns its overlay traffic.
+func federation(disableSharing bool) (pubsub.TrafficReport, error) {
+	const (
+		deployments = 6
+		queries     = 60
+		ticks       = 40
+	)
 	// An intercontinental overlay: 3 transit domains with high latencies.
 	g, err := topology.Generate(topology.Config{
 		TransitDomains:      3,
@@ -70,29 +65,24 @@ func experiment(disableSharing bool) (traffic, error) {
 		Seed:                21,
 	})
 	if err != nil {
-		return traffic{}, err
+		return pubsub.TrafficReport{}, err
 	}
 	nodes, err := topology.SampleNodes(g, topology.Stub, 12+deployments, 6, nil)
 	if err != nil {
-		return traffic{}, err
+		return pubsub.TrafficReport{}, err
 	}
 	processors, srcNodes := nodes[:12], nodes[12:]
 
 	tcfg := trace.Config{Stations: 30, Deployments: deployments, PeriodMillis: 60_000, Seed: 4}
 	gen, err := trace.New(tcfg)
 	if err != nil {
-		return traffic{}, err
+		return pubsub.TrafficReport{}, err
 	}
-	// Workers parallelizes the optimizer's distribution and adaptation
-	// passes across cores; tuple routing is concurrent regardless (the
-	// brokers' lock-free snapshot path, CONCURRENCY.md). Placements and
-	// deliveries are identical at any worker count; Workers: 1 is the
-	// single-goroutine optimizer when bisecting.
 	m, err := cosmos.New(g, processors, cosmos.Config{
-		K: 3, VMax: 30, Workers: 4, DisableResultSharing: disableSharing,
+		K: 3, VMax: 30, DisableResultSharing: disableSharing,
 	})
 	if err != nil {
-		return traffic{}, err
+		return pubsub.TrafficReport{}, err
 	}
 	for d := 0; d < deployments; d++ {
 		err := m.RegisterStream(cosmos.StreamDef{
@@ -103,7 +93,7 @@ func experiment(disableSharing bool) (traffic, error) {
 			RatePerSubstream: 1,
 		})
 		if err != nil {
-			return traffic{}, err
+			return pubsub.TrafficReport{}, err
 		}
 	}
 
@@ -122,11 +112,11 @@ func experiment(disableSharing bool) (traffic, error) {
 			trace.StreamName(d1), spanMin, trace.StreamName(d2), threshold)
 		proxy := processors[rng.IntN(len(processors))]
 		if _, err := m.Submit(cql, proxy, nil); err != nil {
-			return traffic{}, err
+			return pubsub.TrafficReport{}, err
 		}
 	}
 	if err := m.Start(); err != nil {
-		return traffic{}, err
+		return pubsub.TrafficReport{}, err
 	}
 
 	feed := func(n int) error {
@@ -140,16 +130,15 @@ func experiment(disableSharing bool) (traffic, error) {
 		return nil
 	}
 	if err := feed(ticks / 2); err != nil {
-		return traffic{}, err
+		return pubsub.TrafficReport{}, err
 	}
 	if migrated, err := m.Adapt(); err != nil {
-		return traffic{}, err
+		return pubsub.TrafficReport{}, err
 	} else if !disableSharing {
 		fmt.Printf("adaptation round migrated %d queries\n", migrated)
 	}
 	if err := feed(ticks / 2); err != nil {
-		return traffic{}, err
+		return pubsub.TrafficReport{}, err
 	}
-	tr := m.Traffic()
-	return traffic{WeightedCost: tr.WeightedCost, DataBytes: tr.DataBytes}, nil
+	return m.Traffic(), nil
 }

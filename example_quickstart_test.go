@@ -1,29 +1,39 @@
-// Quickstart: the §2.1 scenario of the paper end to end.
-//
-// Two users submit the snow-drift queries Q3 and Q4 (Table 1) from
-// different proxies. COSMOS places them, merges them into the superset
-// query Q5 when co-located, wires the content-based Pub/Sub, and splits the
-// shared result stream back per user with residual subscriptions.
-//
-// Run with: go run ./examples/quickstart
-package main
+package cosmos_test
 
 import (
 	"fmt"
-	"log"
 
 	cosmos "repro"
 	"repro/internal/stream"
 	"repro/internal/topology"
 )
 
-func main() {
-	if err := run(); err != nil {
-		log.Fatal(err)
+// Example_quickstart runs the §2.1 scenario of the paper end to end: two
+// users submit the snow-drift queries Q3 and Q4 (Table 1) from different
+// proxies, COSMOS places them and wires the content-based Pub/Sub, and each
+// user receives its own result tuples. Co-located, the two queries would be
+// merged into the superset query Q5 and its result split back per user with
+// residual subscriptions; in this pinned run Q3 lands on processor 14 and Q4
+// on processor 11, so each runs unmerged. Station2's reading of 12 at minute
+// 45 joins, for Q4, both Station1 readings above it within the hour (15 and
+// 20) and, for Q3, only the one within 30 minutes (20).
+func Example_quickstart() {
+	if err := quickstart(); err != nil {
+		fmt.Println(err)
 	}
+	// Output:
+	// Q3 runs on processor 14, Q4 on processor 11
+	// publishing readings...
+	//   user@n4 (Q4) got: map[S1.snowHeight:15 S1.timestamp:0 S2.snowHeight:12 S2.timestamp:2.7e+06]
+	//   user@n4 (Q4) got: map[S1.snowHeight:20 S1.timestamp:2.52e+06 S2.snowHeight:12 S2.timestamp:2.7e+06]
+	//   user@n3 (Q3) got: map[S2.snowHeight:12 S2.timestamp:2.7e+06]
+	//
+	// delivered: Q3=1 results, Q4=2 results
+	// overlay traffic: 384 data bytes (weighted cost 2658.9)
+	// engines: consumed=7 emitted=3 early-dropped=0
 }
 
-func run() error {
+func quickstart() error {
 	// A small wide-area topology: 1 transit domain, a few stub LANs.
 	g, err := topology.Generate(topology.Config{
 		TransitDomains:      1,
@@ -112,8 +122,8 @@ func run() error {
 
 	fmt.Printf("\ndelivered: Q3=%d results, Q4=%d results\n", q3.Delivered(), q4.Delivered())
 	tr := m.Traffic()
-	fmt.Printf("overlay traffic: %.0f data bytes over %d links (weighted cost %.1f)\n",
-		tr.DataBytes, tr.Links, tr.WeightedCost)
+	fmt.Printf("overlay traffic: %.0f data bytes (weighted cost %.1f)\n",
+		tr.DataBytes, tr.WeightedCost)
 	es := m.EngineStats()
 	fmt.Printf("engines: consumed=%d emitted=%d early-dropped=%d\n",
 		es.Consumed, es.Emitted, es.Dropped)

@@ -1,30 +1,37 @@
-// Snowmonitor: continuous monitoring of SensorScope-style deployments.
-//
-// Five sensor deployments publish synthetic snow/weather readings; a fleet
-// of monitoring queries (threshold alerts, cross-deployment comparisons)
-// runs on a handful of processors. The example shows early filtering and
-// projection in the Pub/Sub, result-stream sharing, and a runtime
-// adaptation round after the workload has been running.
-//
-// Run with: go run ./examples/snowmonitor
-package main
+package cosmos_test
 
 import (
 	"fmt"
-	"log"
 
 	cosmos "repro"
 	"repro/internal/topology"
 	"repro/internal/trace"
 )
 
-func main() {
-	if err := run(); err != nil {
-		log.Fatal(err)
+// Example_snowmonitor runs continuous monitoring of SensorScope-style
+// deployments: five sensor deployments publish synthetic snow/weather
+// readings, and a fleet of threshold alerts and cross-deployment drift
+// comparisons runs on eight processors. It shows early filtering and
+// projection in the Pub/Sub, result-stream sharing, and a runtime
+// adaptation round after the workload has run for 30 minutes. In this
+// pinned run every result an engine emits is delivered, early-dropped
+// stays 0 because the Pub/Sub filters out every reading a query's
+// selections reject before it reaches an engine, and the adaptation round
+// migrates no query.
+func Example_snowmonitor() {
+	if err := snowmonitor(); err != nil {
+		fmt.Println(err)
 	}
+	// Output:
+	// placement: map[Q0:16 Q1:25 Q2:15 Q3:15 Q4:12 Q5:27 Q6:38 Q7:40 Q8:6]
+	// results so far: 11229 | engines consumed=1191 emitted=11229 early-dropped=0 | overlay 1258.5 KB, weighted cost 46140728
+	//
+	// running one adaptation round...
+	// adaptation migrated 0 queries
+	// results so far: 25162 | engines consumed=2346 emitted=25162 early-dropped=0 | overlay 2698.4 KB, weighted cost 96914009
 }
 
-func run() error {
+func snowmonitor() error {
 	g, err := topology.Generate(topology.Config{
 		TransitDomains:      2,
 		TransitNodes:        2,
@@ -113,7 +120,7 @@ func run() error {
 	if err := feed(30); err != nil { // 30 minutes of readings
 		return err
 	}
-	report(m, counts)
+	snowReport(m, counts)
 
 	fmt.Println("\nrunning one adaptation round...")
 	migrated, err := m.Adapt()
@@ -124,11 +131,11 @@ func run() error {
 	if err := feed(30); err != nil {
 		return err
 	}
-	report(m, counts)
+	snowReport(m, counts)
 	return nil
 }
 
-func report(m *cosmos.Middleware, counts map[string]*int) {
+func snowReport(m *cosmos.Middleware, counts map[string]*int) {
 	total := 0
 	for _, n := range counts {
 		total += *n

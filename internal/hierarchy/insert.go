@@ -114,15 +114,15 @@ func (t *Tree) routeAt(c *Coordinator, q querygraph.QueryInfo) (int, error) {
 	for _, l := range c.loads {
 		total += l
 	}
+	caps := ng.Capacities(total, mapping.DefaultAlpha)
 	bestK, bestCost := -1, math.Inf(1)
 	bestOverK, bestOver := -1, math.Inf(1)
 	for k := 0; k < n; k++ {
-		cap := (1 + mapping.DefaultAlpha) * ng.Vertices[k].Capability * total / ng.TotalCapability()
-		if c.loads[k]+q.Load <= cap {
+		if c.loads[k]+q.Load <= caps[k] {
 			if costs[k] < bestCost {
 				bestK, bestCost = k, costs[k]
 			}
-		} else if over := c.loads[k] + q.Load - cap; over < bestOver {
+		} else if over := c.loads[k] + q.Load - caps[k]; over < bestOver {
 			bestOverK, bestOver = k, over
 		}
 	}

@@ -98,9 +98,6 @@ func (g *Graph) Len() int { return g.n }
 // should hoist the row.
 func (g *Graph) Row(i int) []float64 { return g.lat[i*g.n : (i+1)*g.n] }
 
-// TotalCapability returns Σ Wn(v).
-func (g *Graph) TotalCapability() float64 { return g.totalCap }
-
 // IndexOfNode returns the vertex index representing the given topology node,
 // searching vertex nodes first and then member lists. It returns -1 when the
 // node is not covered by the graph.

@@ -35,8 +35,8 @@ func TestNewComputesLatencies(t *testing.T) {
 	if got := g.Row(1)[1]; got != 0 {
 		t.Errorf("Row(1)[1] = %v", got)
 	}
-	if got := g.TotalCapability(); got != 3 {
-		t.Errorf("TotalCapability = %v", got)
+	if got := g.Capacities(3, 0); got[0] != 1 || got[1] != 2 {
+		t.Errorf("Capacities(3, 0) = %v, want [1 2] (total capability 3)", got)
 	}
 }
 

@@ -488,8 +488,6 @@ type TrafficReport struct {
 	// WeightedCost is Σ bytes·latency over overlay links — the paper's
 	// communication-cost metric measured on the substrate itself.
 	WeightedCost float64
-	// Links is the number of overlay links that carried any data.
-	Links int
 }
 
 // Traffic returns the current report. Per-link volumes are summed in sorted
@@ -503,9 +501,6 @@ func (net *Network) Traffic() TrafficReport {
 		data := float64(net.bytes[link].data.Load())
 		rep.DataBytes += data
 		rep.WeightedCost += data * net.links[link]
-		if data > 0 {
-			rep.Links++
-		}
 		rep.ControlBytes += float64(net.bytes[link].control.Load())
 	}
 	return rep

@@ -96,9 +96,6 @@ func (rn *refNetwork) Traffic() TrafficReport {
 		data := float64(rn.data[link])
 		rep.DataBytes += data
 		rep.WeightedCost += data * rn.links[link]
-		if data > 0 {
-			rep.Links++
-		}
 		rep.ControlBytes += float64(rn.control[link])
 	}
 	return rep
