@@ -8,7 +8,8 @@
 //
 // Each figure prints as a table of series against the x-axis, mirroring the
 // rows the paper plots. Scales: ci (fast, default), medium, paper (the full
-// 4096-node configuration — slow on one machine).
+// 4096-node configuration — slow on one machine). Fig 11 runs its own
+// 30-node prototype at every scale; the scale picks its query counts.
 package main
 
 import (
@@ -99,7 +100,7 @@ func parseInts(s string) ([]int, error) {
 type figure struct {
 	name    string
 	onWorld bool // runs on a sim.World at the chosen scale; Fig 11 builds its own prototype testbed
-	run     func(w *sim.World, opts sim.ExperimentOptions) (tables []*metrics.Table, note string, err error)
+	run     func(s sim.Scale, w *sim.World, opts sim.ExperimentOptions) (tables []*metrics.Table, note string, err error)
 }
 
 // figures is every figure -fig accepts, in the order -fig all runs them: the
@@ -123,8 +124,8 @@ func figureNames() []string {
 	return names
 }
 
-func twoTables(fig func(*sim.World, sim.ExperimentOptions) (*metrics.Table, *metrics.Table, error)) func(*sim.World, sim.ExperimentOptions) ([]*metrics.Table, string, error) {
-	return func(w *sim.World, opts sim.ExperimentOptions) ([]*metrics.Table, string, error) {
+func twoTables(fig func(*sim.World, sim.ExperimentOptions) (*metrics.Table, *metrics.Table, error)) func(sim.Scale, *sim.World, sim.ExperimentOptions) ([]*metrics.Table, string, error) {
+	return func(_ sim.Scale, w *sim.World, opts sim.ExperimentOptions) ([]*metrics.Table, string, error) {
 		a, b, err := fig(w, opts)
 		return []*metrics.Table{a, b}, "", err
 	}
@@ -143,7 +144,7 @@ func runFig(name string, s sim.Scale, opts sim.ExperimentOptions) error {
 		}
 	}
 	start := time.Now()
-	tables, note, err := figures[i].run(w, opts)
+	tables, note, err := figures[i].run(s, w, opts)
 	if err != nil {
 		return err
 	}
@@ -158,7 +159,7 @@ func runFig(name string, s sim.Scale, opts sim.ExperimentOptions) error {
 	return nil
 }
 
-func runFig10(w *sim.World, opts sim.ExperimentOptions) ([]*metrics.Table, string, error) {
+func runFig10(_ sim.Scale, w *sim.World, opts sim.ExperimentOptions) ([]*metrics.Table, string, error) {
 	a, b, migs, err := w.Fig10(opts)
 	if err != nil {
 		return nil, "", err
@@ -169,10 +170,19 @@ func runFig10(w *sim.World, opts sim.ExperimentOptions) ([]*metrics.Table, strin
 	return []*metrics.Table{a, b}, note, nil
 }
 
-func runFig11(_ *sim.World, opts sim.ExperimentOptions) ([]*metrics.Table, string, error) {
+// fig11Queries is Fig 11's x-axis at each scale, when -queries does not set
+// it: the paper's 250, 1000 and 4000 queries at paper scale, and at ci the
+// 50 and 150 that TestFig11Comparison runs.
+var fig11Queries = map[sim.Scale][]int{
+	sim.ScaleCI:     {50, 150},
+	sim.ScaleMedium: {250, 1000},
+	sim.ScalePaper:  {250, 1000, 4000},
+}
+
+func runFig11(s sim.Scale, _ *sim.World, opts sim.ExperimentOptions) ([]*metrics.Table, string, error) {
 	counts := opts.QueryCounts
 	if len(counts) == 0 {
-		counts = []int{250, 1000, 4000}
+		counts = fig11Queries[s]
 	}
 	w, err := prototype.NewWorld(30, trace.DefaultConfig(), 3)
 	if err != nil {

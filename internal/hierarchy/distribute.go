@@ -332,8 +332,9 @@ type prepared struct {
 // prepare builds c's working query graph: clones of the incoming query-
 // bearing vertices plus n-vertices for every node they reference (proxies
 // from result-rate maps, sources from interest vectors), each pinned to the
-// covering child or to its anchor in c's fixed network graph. Edges are
-// fully materialized.
+// covering child or to its anchor in c's fixed network graph. It computes no
+// edges: Coarsen matches on the graph's index and gives only the coarse
+// graph it returns its edges.
 func (t *Tree) prepare(c *Coordinator, incoming []*querygraph.Vertex) (*prepared, error) {
 	if err := t.ensureNG(c); err != nil {
 		return nil, err
@@ -370,7 +371,6 @@ func (t *Tree) prepare(c *Coordinator, incoming []*querygraph.Vertex) (*prepared
 		}
 		g.AddNVertex(n, pin)
 	}
-	g.ComputeEdges()
 	return prep, nil
 }
 
@@ -476,8 +476,8 @@ func (t *Tree) descend(c *Coordinator, incoming []*querygraph.Vertex, d descent,
 	if err != nil {
 		return err
 	}
-	// Edge weights depend on interests, rates, and result rates — not on
-	// the query loads refreshWeights sums — so prepare's edges stay valid.
+	// Coarsen reads the loads refreshWeights sums; the edges it builds
+	// depend only on interests, rates and result rates.
 	t.refreshWeights(prep.g)
 	opts := querygraph.CoarsenOptions{
 		VMax:     t.Cfg.VMax,

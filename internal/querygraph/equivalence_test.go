@@ -3,6 +3,7 @@ package querygraph
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -453,25 +454,179 @@ func TestCoarsenedEdgesMatchNaive(t *testing.T) {
 	}
 }
 
-// TestCoarsenEquivalentOnNaiveEdges: Coarsen's deferred, batched edge
-// re-estimation must produce the same coarse graph regardless of whether
-// the fine edges came from the indexed or the naive construction.
-func TestCoarsenEquivalentOnNaiveEdges(t *testing.T) {
-	for seed := uint64(1); seed <= 30; seed++ {
-		r := rand.New(rand.NewPCG(seed, 0xc0a5))
-		g := randomGraph(r)
-		g.ComputeEdges()
-		naive := &Graph{Space: g.Space, Vertices: g.Vertices, adj: make([][]Adj, len(g.Vertices))}
-		naive.computeEdgesNaive()
-
-		vmax := 1 + r.IntN(8)
-		a := g.Coarsen(CoarsenOptions{VMax: vmax, Rng: rand.New(rand.NewPCG(seed, 1))})
-		b := naive.Coarsen(CoarsenOptions{VMax: vmax, Rng: rand.New(rand.NewPCG(seed, 1))})
-		sameAdjacency(t, fmt.Sprintf("seed %d", seed), a.Graph, b.Graph)
-		for i := range a.FineToCoarse {
-			if a.FineToCoarse[i] != b.FineToCoarse[i] {
-				t.Fatalf("seed %d: fine %d coarsens to %d vs %d", seed, i, a.FineToCoarse[i], b.FineToCoarse[i])
+// coarsenReference is Algorithm 1 read literally, over a materialized
+// adjacency: the fine edges built pair by pair, each visited vertex's
+// partner chosen from its adjacency run, and every round that collapsed a
+// pair ending in a compaction that drops the emptied slots, renumbers the
+// rest in slot order and rebuilds the edges pair by pair. It works on clones
+// of g's vertices, never reads g's edges, and draws opts.Rng exactly as
+// Coarsen does.
+func coarsenReference(g *Graph, opts CoarsenOptions) *CoarsenResult {
+	opts = opts.withDefaults()
+	cur := &Graph{Space: g.Space, Vertices: make([]*Vertex, len(g.Vertices))}
+	fineToCur := make([]int, len(g.Vertices))
+	for i, v := range g.Vertices {
+		if v != nil {
+			cur.Vertices[i] = v.Clone()
+			cur.Vertices[i].ID = i
+		}
+		fineToCur[i] = i
+	}
+	cur.computeEdgesNaive()
+	count := func(gr *Graph) int {
+		n := 0
+		for _, v := range gr.Vertices {
+			if v != nil && len(v.Queries) > 0 {
+				n++
 			}
 		}
+		return n
+	}
+	for count(cur) > opts.VMax {
+		n := len(cur.Vertices)
+		matched := make([]bool, n)
+		order := opts.Rng.Perm(n)
+		merges, live, collapsed := 0, count(cur), false
+		into := make([]int, n)
+		for i := range into {
+			into[i] = i
+		}
+		for _, ui := range order {
+			if live <= opts.VMax {
+				break
+			}
+			if matched[ui] || cur.Vertices[ui] == nil {
+				continue
+			}
+			u := cur.Vertices[ui]
+			best, bestW := -1, 0.0
+			for _, e := range cur.adj[ui] {
+				vi, w := e.To, e.W
+				if matched[vi] || cur.Vertices[vi] == nil {
+					continue
+				}
+				v := cur.Vertices[vi]
+				if u.IsN() != v.IsN() || (u.IsN() && (u.Clu != v.Clu || v.Clu == ClusterUnknown)) {
+					continue
+				}
+				if opts.CanMerge != nil && !opts.CanMerge(u, v) {
+					continue
+				}
+				if w > bestW || (w == bestW && best >= 0 && vi < best) {
+					best, bestW = vi, w
+				}
+			}
+			matched[ui] = true
+			if best < 0 {
+				continue
+			}
+			v := cur.Vertices[best]
+			merged := collapse(u, v)
+			merged.ID = ui
+			cur.Vertices[ui] = merged
+			cur.Vertices[best] = nil
+			into[best] = ui
+			collapsed = true
+			if len(u.Queries) > 0 && len(v.Queries) > 0 {
+				merges++
+				live--
+			}
+		}
+		if collapsed {
+			newID := make([]int, n)
+			next := &Graph{Space: cur.Space}
+			for i, v := range cur.Vertices {
+				newID[i] = -1
+				if v != nil {
+					newID[i], v.ID = len(next.Vertices), len(next.Vertices)
+					next.Vertices = append(next.Vertices, v)
+				}
+			}
+			next.computeEdgesNaive()
+			for f, c := range fineToCur {
+				fineToCur[f] = newID[into[c]]
+			}
+			cur = next
+		}
+		if merges == 0 {
+			break
+		}
+	}
+	res := &CoarsenResult{Graph: cur, FineToCoarse: fineToCur, CoarseToFine: make([][]int, len(cur.Vertices))}
+	for fine, coarse := range fineToCur {
+		res.CoarseToFine[coarse] = append(res.CoarseToFine[coarse], fine)
+	}
+	return res
+}
+
+// sameCoarsening fails unless two coarsenings map every fine vertex alike
+// and their coarse graphs have equal adjacency, bit for bit.
+func sameCoarsening(t *testing.T, label string, got, want *CoarsenResult) {
+	t.Helper()
+	if !slices.Equal(got.FineToCoarse, want.FineToCoarse) {
+		t.Fatalf("%s: FineToCoarse %v, reference %v", label, got.FineToCoarse, want.FineToCoarse)
+	}
+	if !slices.EqualFunc(got.CoarseToFine, want.CoarseToFine, slices.Equal) {
+		t.Fatalf("%s: CoarseToFine %v, reference %v", label, got.CoarseToFine, want.CoarseToFine)
+	}
+	sameAdjacency(t, label, got.Graph, want.Graph)
+}
+
+// TestCoarsenMatchesReference: Coarsen, matching on the index and building
+// only the coarse graph's edges, returns what coarsenReference returns — the
+// same fine-to-coarse maps and the same coarse adjacency. Over random graphs
+// (mixed vertices among them) with and without a CanMerge gate and with and
+// without the fine graph's edges, on ScaleCI-sized graphs, and on graphs of
+// both sizes coarsened from several goroutines at once.
+func TestCoarsenMatchesReference(t *testing.T) {
+	for seed := uint64(0); seed < 300; seed++ {
+		for variant := uint64(0); variant < 4; variant++ {
+			r := rand.New(rand.NewPCG(seed, 0xc0a8))
+			g := randomGraph(r)
+			if variant&2 == 0 {
+				g.ComputeEdges()
+			}
+			vmax := 1 + r.IntN(8)
+			opts := func() CoarsenOptions {
+				o := CoarsenOptions{VMax: vmax, Rng: rand.New(rand.NewPCG(seed, variant))}
+				if variant&1 == 1 {
+					o.CanMerge = sameHome
+				}
+				return o
+			}
+			want := coarsenReference(g, opts())
+			sameCoarsening(t, fmt.Sprintf("seed %d variant %d", seed, variant), g.Coarsen(opts()), want)
+		}
+	}
+
+	ciOpts := func(vmax int) CoarsenOptions {
+		return CoarsenOptions{VMax: vmax, Rng: rand.New(rand.NewPCG(7, 7))}
+	}
+	for seed := uint64(1); seed <= 2; seed++ {
+		g := scaleCIGraph(seed)
+		want := coarsenReference(g, ciOpts(40))
+		sameCoarsening(t, fmt.Sprintf("ScaleCI seed %d", seed), g.Coarsen(ciOpts(40)), want)
+	}
+
+	fines := make([]*Graph, 6)
+	wants := make([]*CoarsenResult, len(fines))
+	vmax := func(i int) int {
+		if i%3 == 0 {
+			return 40
+		}
+		return 1 + i
+	}
+	for i := range fines {
+		fines[i] = randomGraph(rand.New(rand.NewPCG(uint64(i), 0xc0e)))
+		if i%3 == 0 {
+			fines[i] = scaleCIGraph(uint64(i) + 3)
+		}
+		wants[i] = coarsenReference(fines[i], ciOpts(vmax(i)))
+	}
+	got := concurrently(len(fines), func(i int) *CoarsenResult {
+		return fines[i].Coarsen(ciOpts(vmax(i)))
+	})
+	for i := range got {
+		sameCoarsening(t, fmt.Sprintf("concurrent coarsen %d", i), got[i], wants[i])
 	}
 }

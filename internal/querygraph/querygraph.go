@@ -18,22 +18,23 @@
 // # Representation
 //
 // Adjacency is CSR-style: each vertex's edges are a []Adj run sorted by
-// neighbor ID, laid out over one shared backing array. ComputeEdges and each
-// coarsening round build a whole graph's runs at once (layoutCSR, two
-// counting passes, no comparison sort); only ConnectVertex patches individual
-// runs in place, falling back to a private allocation when a run outgrows its
-// span. The mapping algorithms therefore iterate dense slices, never hash
-// maps.
+// neighbor ID, laid out over one shared backing array. ComputeEdges builds a
+// whole graph's runs at once (layoutCSR, two counting passes, no comparison
+// sort); only ConnectVertex patches individual runs in place, falling back to
+// a private allocation when a run outgrows its span. The mapping algorithms
+// therefore iterate dense slices, never hash maps.
 //
 // Edge estimation is one index-driven kernel (estimate): the graph maintains
 // inverted indexes from substream to interested vertices, from source node to
 // the vertices representing it, and from proxy node to the vertices sending
 // results to it, and one walk over a vertex's interest enumerates only the
 // candidates that can have nonzero weight — vertices sharing a substream, a
-// source, or a proxy — instead of evaluating all O(|V|²) pairs. ComputeEdges,
-// ConnectVertex and coarsening's re-estimation of merged vertices all run it.
-// The literal all-pairs construction lives on as the oracle of the package
-// equivalence tests; the kernel reproduces its weights bit-for-bit.
+// source, or a proxy — instead of evaluating all O(|V|²) pairs. ComputeEdges
+// and ConnectVertex run it; coarsening reads it, or the overlap walk of
+// ForEachOverlap, per visited vertex and materializes no adjacency but the
+// coarse graph's. The literal all-pairs construction lives on as the oracle
+// of the package equivalence tests; the kernel reproduces its weights
+// bit-for-bit.
 package querygraph
 
 import (
@@ -756,16 +757,23 @@ type edge struct {
 // sources. Result and reverse-demand candidates come from the proxy and
 // source postings of u's result keys and nodes; demand(v→u) is evaluated
 // pairwise, and is zero unless u has nodes. A candidate v is skipped when
-// v == u, or when v < u and sel[v] holds: that pair is v's to estimate.
+// v == u, when its slot is empty, or when class is non-nil and
+// class[v] != class[u]: a non-nil class admits only u's own class, before
+// any weight is computed.
 //
 // Candidates are collected in posting and result-map order, so the edges
 // come out in no particular order: every consumer lays them out through
-// layoutCSR or a sorted insert, neither of which sees that order.
-func (g *Graph) estimate(u int, sel []bool, edges []edge) []edge {
+// layoutCSR or a sorted insert, or keeps a maximum, none of which sees that
+// order.
+func (g *Graph) estimate(u int, class []int, edges []edge) []edge {
 	idx := g.ensureIndex()
 	sc := g.scratchFor(len(g.Vertices))
 	uv := g.Vertices[u]
 	sc.stamp[u] = sc.epoch // never its own candidate
+	cu := 0
+	if class != nil {
+		cu = class[u]
+	}
 	if uv.Interest != nil {
 		for wi, w := range uv.Interest.Words() {
 			for w != 0 {
@@ -779,12 +787,12 @@ func (g *Graph) estimate(u int, sel []bool, edges []edge) []edge {
 				if sc.srcStamp[si] != sc.epoch {
 					sc.srcStamp[si] = sc.epoch
 					sc.srcAcc[si] = 0
-					sc.collect(idx.vertsOfSrc[si], u, sel)
+					sc.collect(idx.vertsOfSrc[si], class, cu)
 				}
 				sc.srcAcc[si] += r
 				for _, vv := range idx.interested[s] {
 					v := int(vv)
-					if v <= u && (v == u || sel != nil && sel[v]) {
+					if v == u || class != nil && class[v] != cu {
 						continue
 					}
 					if sc.accMark[v] != sc.epoch {
@@ -801,17 +809,20 @@ func (g *Graph) estimate(u int, sel []bool, edges []edge) []edge {
 		}
 	}
 	for node := range uv.ResultRates {
-		sc.collect(idx.vertsOfNode[node], u, sel)
+		sc.collect(idx.vertsOfNode[node], class, cu)
 	}
 	usrc := g.nodeSrcs(uv)
 	for k, node := range uv.Nodes {
 		if si := usrc[k]; si >= 0 {
-			sc.collect(idx.bySrc[si], u, sel)
+			sc.collect(idx.bySrc[si], class, cu)
 		}
-		sc.collect(idx.resultTo[node], u, sel)
+		sc.collect(idx.resultTo[node], class, cu)
 	}
 	for _, v := range sc.cands {
 		vv := g.Vertices[v]
+		if vv == nil {
+			continue
+		}
 		var w, du float64
 		if sc.accMark[v] == sc.epoch {
 			w += sc.acc[v]
@@ -833,11 +844,11 @@ func (g *Graph) estimate(u int, sel []bool, edges []edge) []edge {
 }
 
 // collect appends to the candidates the vertices of a posting not collected
-// yet this epoch, skipping those below u that sel marks.
-func (sc *scratch) collect(ids []int32, u int, sel []bool) {
+// yet this epoch, skipping those a non-nil class puts outside class cu.
+func (sc *scratch) collect(ids []int32, class []int, cu int) {
 	for _, vv := range ids {
 		v := int(vv)
-		if sc.stamp[v] == sc.epoch || v < u && sel != nil && sel[v] {
+		if sc.stamp[v] == sc.epoch || class != nil && class[v] != cu {
 			continue
 		}
 		sc.stamp[v] = sc.epoch
@@ -905,15 +916,15 @@ func (b *buildScratch) layoutCSR(edges []edge, V int) [][]Adj {
 // all-pairs construction (see the package equivalence tests).
 func (g *Graph) ComputeEdges() {
 	g.idx = nil // vertex content may have changed wholesale; rebuild
-	all := make([]bool, len(g.Vertices))
-	for i := range all {
-		all[i] = true
-	}
+	// Class 0 is still to estimate, 1 done: each vertex admits only the
+	// vertices above it.
+	done := make([]int, len(g.Vertices))
 	b := buildPool.Get().(*buildScratch)
 	edges := b.edges[:0]
 	for u, v := range g.Vertices {
 		if v != nil {
-			edges = g.estimate(u, all, edges)
+			edges = g.estimate(u, done, edges)
+			done[u] = 1
 		}
 	}
 	g.adj = b.layoutCSR(edges, len(g.Vertices))
@@ -1101,15 +1112,6 @@ func (g *Graph) DropOverlapEdges() {
 // not retain them across graph mutations.
 func (g *Graph) AdjacencyLists() [][]Adj { return g.adj }
 
-// EdgeCount returns the number of (undirected) edges.
-func (g *Graph) EdgeCount() int {
-	n := 0
-	for _, run := range g.adj {
-		n += len(run)
-	}
-	return n / 2
-}
-
 // TotalQueryLoad returns Σ Wq over q-vertices.
 func (g *Graph) TotalQueryLoad() float64 {
 	var s float64
@@ -1198,15 +1200,19 @@ func collapse(u, v *Vertex) *Vertex {
 // pairs until at most VMax query-bearing vertices remain. A query-bearing
 // vertex is never merged with an n-vertex, and n-vertices from different
 // clusters (or with unknown cluster) are never merged, because they must map
-// to different network-graph vertices. Every round that collapses a pair
-// ends in compact, which re-estimates the merged vertices' edges from
-// content; the returned graph keeps the inverted index the last compact
-// built (a graph no round collapsed builds its own on first use). The
-// receiver is not modified.
+// to different network-graph vertices.
+//
+// Matching reads no adjacency. Each round indexes its vertex set once, and a
+// visited vertex asks that index for its heaviest admissible unmatched
+// partner; a vertex merged during the round is matched for the rest of it,
+// so the postings that still name its slot are skipped, and the next round
+// indexes the merged content. Only the returned graph gets edges, from one
+// ComputeEdges, and it keeps the index that built them. The receiver's
+// edges are never read — a graph without ComputeEdges coarsens the same —
+// and the receiver is not modified.
 func (g *Graph) Coarsen(opts CoarsenOptions) *CoarsenResult {
 	opts = opts.withDefaults()
-	rng := opts.Rng
-	cur := g.cloneShallow()
+	cur := &Graph{Space: g.Space, Vertices: slices.Clone(g.Vertices)}
 	fineToCur := make([]int, len(g.Vertices))
 	for i := range fineToCur {
 		fineToCur[i] = i
@@ -1223,72 +1229,43 @@ func (g *Graph) Coarsen(opts CoarsenOptions) *CoarsenResult {
 		return n
 	}
 
+	b := buildPool.Get().(*buildScratch)
 	for count(cur) > opts.VMax {
 		n := len(cur.Vertices)
-		matched := make([]bool, n)
-		order := rng.Perm(n)
-		merges := 0
+		order := opts.Rng.Perm(n)
+		merges, collapses := 0, 0
 		live := count(cur)
-		collapsed := false
-		// into[j] = the slot j was merged into this round (j itself if
-		// none); a merged-into slot is matched, so it is never merged away
-		// in the same round and into needs no chasing. absorbed[ui] marks
-		// the slots that took a partner. Edges of merged vertices are NOT
-		// re-estimated here: a merged vertex is matched, so nothing reads
-		// its edges for the rest of the round — re-estimation (Algorithm 1
-		// line 11) is the round-end compact's. Rows therefore stay
-		// untouched all round; stale entries toward merged slots are
-		// skipped by the matched/nil checks.
-		into := make([]int32, n)
-		for i := range into {
-			into[i] = int32(i)
+		// class[i] is the match class of slot i, ClusterUnknown once it is
+		// matched; into[j] the slot j was merged into this round (j itself
+		// if none). A merged-into slot is matched, so it is never merged
+		// away in the same round and into needs no chasing.
+		class := make([]int, n)
+		into := make([]int, n)
+		for i, v := range cur.Vertices {
+			class[i] = matchClass(v)
+			into[i] = i
 		}
-		absorbed := make([]bool, n)
 
 		for _, ui := range order {
 			if live <= opts.VMax {
 				break
 			}
-			if matched[ui] || cur.Vertices[ui] == nil {
+			if class[ui] == ClusterUnknown {
 				continue
 			}
-			u := cur.Vertices[ui]
-			// A ← adj(u) − matched(adj(u)), with the n-vertex
-			// cluster restriction of Algorithm 1 line 6.
-			best, bestW := -1, 0.0
-			for _, e := range cur.adj[ui] {
-				vi, w := e.To, e.W
-				if matched[vi] || cur.Vertices[vi] == nil {
-					continue
-				}
-				v := cur.Vertices[vi]
-				// A query is never merged into an n-vertex (the
-				// hierarchy rebuilds n-vertices at every level and
-				// ships only query-bearing ones), nor n-vertices of
-				// different or unknown clusters (Algorithm 1 line 6).
-				if u.IsN() != v.IsN() || (u.IsN() && (u.Clu != v.Clu || v.Clu == ClusterUnknown)) {
-					continue
-				}
-				if opts.CanMerge != nil && !opts.CanMerge(u, v) {
-					continue
-				}
-				if w > bestW || (w == bestW && best >= 0 && vi < best) {
-					best, bestW = vi, w
-				}
-			}
+			best := cur.partner(ui, class, opts.CanMerge, b)
+			class[ui] = ClusterUnknown
 			if best < 0 {
-				matched[ui] = true
 				continue
 			}
-			v := cur.Vertices[best]
+			u, v := cur.Vertices[ui], cur.Vertices[best]
 			merged := collapse(u, v)
 			merged.ID = ui
 			cur.Vertices[ui] = merged
 			cur.Vertices[best] = nil
-			matched[ui] = true
-			into[best] = int32(ui)
-			absorbed[ui] = true
-			collapsed = true
+			class[best] = ClusterUnknown
+			into[best] = ui
+			collapses++
 			// A merge reduces the counted vertex set only when both
 			// halves were counted (both query-bearing).
 			if len(u.Queries) > 0 && len(v.Queries) > 0 {
@@ -1296,15 +1273,30 @@ func (g *Graph) Coarsen(opts CoarsenOptions) *CoarsenResult {
 				live--
 			}
 		}
-		// Compact after any collapse, counted or not: it drops the slot a
-		// merge emptied and re-estimates the merged vertex's edges.
-		if collapsed {
-			cur, fineToCur = compact(cur, fineToCur, into, absorbed)
+		// Compact after any collapse, counted or not: the next round's
+		// graph drops the slots the merges emptied, renumbers the rest in
+		// slot order, and indexes them on first use.
+		if collapses > 0 {
+			next := &Graph{Space: g.Space, Vertices: make([]*Vertex, 0, n-collapses)}
+			newID := make([]int, n)
+			for i, v := range cur.Vertices {
+				newID[i] = -1
+				if v != nil {
+					newID[i], v.ID = len(next.Vertices), len(next.Vertices)
+					next.Vertices = append(next.Vertices, v)
+				}
+			}
+			for f, c := range fineToCur {
+				fineToCur[f] = newID[into[c]]
+			}
+			cur = next
 		}
 		if merges == 0 {
 			break // nothing counted was mergeable (all blocked by constraints)
 		}
 	}
+	buildPool.Put(b)
+	cur.ComputeEdges()
 
 	res := &CoarsenResult{
 		Graph:        cur,
@@ -1317,67 +1309,49 @@ func (g *Graph) Coarsen(opts CoarsenOptions) *CoarsenResult {
 	return res
 }
 
-// cloneShallow copies graph structure (vertices are shared pointers for
-// unmerged vertices; merged ones are fresh). Adjacency runs are shared with
-// the receiver: coarsening rounds never patch rows in place — merged-vertex
-// edges are rebuilt by compact into a fresh graph.
-func (g *Graph) cloneShallow() *Graph {
-	c := &Graph{
-		Space:    g.Space,
-		Vertices: make([]*Vertex, len(g.Vertices)),
-		adj:      make([][]Adj, len(g.Vertices)),
+// queryClass is the match class every vertex without nodes shares.
+const queryClass = -2
+
+// matchClass returns the class of the vertices v may merge with in Coarsen:
+// queryClass for a vertex without nodes, its cluster for one with nodes, and
+// ClusterUnknown — merging with nothing — for an empty slot or a vertex with
+// nodes outside every known cluster. A query never merges into an n-vertex,
+// because the hierarchy rebuilds n-vertices at every level and ships only
+// query-bearing ones; n-vertices merge only within one known cluster
+// (Algorithm 1 line 6), because they must map to one network-graph vertex.
+func matchClass(v *Vertex) int {
+	switch {
+	case v == nil:
+		return ClusterUnknown
+	case v.IsN():
+		return v.Clu
+	default:
+		return queryClass
 	}
-	copy(c.Vertices, g.Vertices)
-	copy(c.adj, g.adj)
-	return c
 }
 
-// compact builds the next-round graph: nil slots dropped, IDs renumbered in
-// slot order, edges among untouched vertices copied verbatim, and every edge
-// of a vertex merged this round re-estimated from content (Algorithm 1
-// line 11) by estimate over the compacted graph's own index — a merged–merged
-// pair once, from its lower ID. One layoutCSR lays the result out, and the
-// result keeps the index it built, so the graph Coarsen returns serves
-// ForEachOverlap and AddVertex without a rebuild. into[j] is the slot j
-// merged into this round (j itself if none), absorbed[i] whether slot i took
-// a partner.
-func compact(cur *Graph, fineToCur []int, into []int32, absorbed []bool) (*Graph, []int) {
-	newID := make([]int32, len(cur.Vertices)) // slot -> compacted ID (-1 for dropped)
-	out := &Graph{Space: cur.Space}
-	var sel []bool // compacted ID -> merged this round
-	for i, v := range cur.Vertices {
-		newID[i] = -1
-		if v == nil {
-			continue
-		}
-		newID[i] = int32(len(out.Vertices))
-		v.ID = len(out.Vertices)
-		out.Vertices = append(out.Vertices, v)
-		sel = append(sel, absorbed[i])
-	}
-	b := buildPool.Get().(*buildScratch)
-	edges := slices.Grow(b.edges[:0], cur.EdgeCount())
-	for i, run := range cur.adj {
-		if cur.Vertices[i] == nil || absorbed[i] {
-			continue
-		}
-		for _, e := range run {
-			if e.To > i && cur.Vertices[e.To] != nil && !absorbed[e.To] {
-				edges = append(edges, edge{newID[i], newID[e.To], e.W})
-			}
+// partner returns u's heaviest partner among the vertices of its class that
+// canMerge admits (Algorithm 1 lines 5–7), the lowest ID among equal
+// weights, or -1 when none has a positive weight. A vertex without nodes
+// only pairs with vertices without nodes, and the weight of such a pair is
+// its overlap alone (estimate adds demand and result terms of exactly 0 to
+// it), so ForEachOverlap supplies those weights; a vertex with nodes takes
+// estimate's, over its class only.
+func (g *Graph) partner(u int, class []int, canMerge func(u, v *Vertex) bool, b *buildScratch) int {
+	best, bestW := -1, 0.0
+	consider := func(v int, w float64) {
+		if v != u && class[v] == class[u] && (w > bestW || w == bestW && best >= 0 && v < best) &&
+			(canMerge == nil || canMerge(g.Vertices[u], g.Vertices[v])) {
+			best, bestW = v, w
 		}
 	}
-	for ni, merged := range sel {
-		if merged {
-			edges = out.estimate(ni, sel, edges)
-		}
+	if uv := g.Vertices[u]; !uv.IsN() {
+		g.ForEachOverlap(uv.Interest, consider)
+		return best
 	}
-	out.adj = b.layoutCSR(edges, len(out.Vertices))
-	b.edges = edges
-	buildPool.Put(b)
-	next := make([]int, len(fineToCur))
-	for f, c := range fineToCur {
-		next[f] = int(newID[into[c]])
+	b.edges = g.estimate(u, class, b.edges[:0])
+	for _, e := range b.edges {
+		consider(int(e.v), e.w)
 	}
-	return out, next
+	return best
 }

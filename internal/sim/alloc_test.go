@@ -13,12 +13,14 @@ import (
 // 11 on the K=3, VMax=40 tree, one worker so the count does not depend on
 // scheduling. Bytes, not time, because they repeat where times drift with the
 // box. Before the graph builds took their scratch from pools, a Distribute
-// allocated 95.3 MB (90.9 MiB); the budget is 0.7 of that.
+// allocated 95.3 MB (90.9 MiB). Since coarsening matches on the inverted
+// index and only the coarse graphs get edges, twelve runs read 24.1–24.3 MB;
+// the budget, 0.35 of 95.3 MB, is 1.37 times the largest.
 func TestDistributeAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops a random share of Puts")
 	}
-	const budget = 0.7 * 95.3e6
+	const budget = 0.35 * 95.3e6
 	cfg := ConfigFor(ScaleCI)
 	w, err := NewWorld(cfg)
 	if err != nil {
