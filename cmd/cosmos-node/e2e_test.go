@@ -194,10 +194,9 @@ func TestServiceEndToEnd(t *testing.T) {
 }
 
 // TestServiceFilterOnUnprojectedColumn subscribes one hop from the publisher
-// with a filter on a column the select list leaves out. The publisher's
-// broker cuts forwarded tuples down to the subscription's projection and
-// the subscriber's broker filters again on arrival, so the projection must
-// carry the filter column or nothing is ever delivered.
+// with a filter on a column the select list leaves out. The subscriber's
+// broker filters again on arrival, so the publisher's broker must forward
+// the filter column; the delivery is then cut to the select list alone.
 func TestServiceFilterOnUnprojectedColumn(t *testing.T) {
 	common := []string{"-listen", "127.0.0.1:0", "-peer-wait", "5s", "-drain-timeout", "5s"}
 	cfgs := [2]*nodeconfig.Config{
@@ -228,4 +227,7 @@ func TestServiceFilterOnUnprojectedColumn(t *testing.T) {
 	waitFor(t, "delivery of the projected column", func() bool {
 		return strings.Contains(sub.String(), "msg=delivery") && strings.Contains(sub.String(), "station=")
 	})
+	if strings.Contains(sub.String(), "snowHeight=") {
+		t.Errorf("a delivery carries the filter column the select list leaves out:\n%s", sub.String())
+	}
 }

@@ -62,15 +62,15 @@ func TestParseSubscriptionOperators(t *testing.T) {
 	}
 }
 
-// TestParseSubscriptionKeepsFilterColumns: a filtered column the select
-// list leaves out joins the projection (timestamp travels with every tuple
-// and does not), and one it names is not repeated.
-func TestParseSubscriptionKeepsFilterColumns(t *testing.T) {
+// TestParseSubscriptionProjectsSelectListOnly: the projection is the select
+// list alone; a filtered column it leaves out stays out (the brokers forward
+// what the filters read).
+func TestParseSubscriptionProjectsSelectListOnly(t *testing.T) {
 	sub, err := parseSubscription("n", "SELECT station FROM Station1 WHERE snowHeight >= 0 AND station > 2 AND timestamp > 5")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []string{"station", "snowHeight"}; !slices.Equal(sub.Attrs, want) {
+	if want := []string{"station"}; !slices.Equal(sub.Attrs, want) {
 		t.Errorf("Attrs = %q, want %q", sub.Attrs, want)
 	}
 }

@@ -26,9 +26,9 @@ import (
 //     query.Interval per attribute, so matching evaluates one membership
 //     test per constrained attribute instead of one predicate walk each;
 //   - per (direction, stream), the incrementally maintained union of the
-//     subscriptions' attribute projections, so the common all-match case
-//     forwards with the precomputed union instead of rebuilding it per
-//     tuple;
+//     subscriptions' forwarding lists (forwardAttrs), so the common
+//     all-match case forwards with the precomputed union instead of
+//     rebuilding it per tuple;
 //   - per subscription, its lifecycle state: the epoch it was issued in
 //     (seq) and the neighbors it was actually propagated to (sentTo), which
 //     re-propagation replays and retraction cleanup walk.
@@ -200,7 +200,7 @@ func (d *dirIndex) remove(c *compiledSub) {
 // under Broker.mu.
 type postList struct {
 	*streamSnap
-	// keepRefs counts, per attribute, the records whose projection list
+	// keepRefs counts, per attribute, the records whose forwarding list
 	// names it; the view's union is rebuilt when a count crosses zero.
 	keepRefs map[string]int
 }
@@ -256,7 +256,7 @@ func (pl *postList) remove(c *compiledSub) (empty bool) {
 	return len(next.cands) == 0
 }
 
-// ref counts one record's projection list into (delta 1) or out of (delta
+// ref counts one record's forwarding list into (delta 1) or out of (delta
 // -1) the union and returns the union to publish: the current slice while
 // its content stands, else a fresh sorted one — route hands the slice to
 // in-flight hops outside the broker lock, so a published one is never
@@ -297,7 +297,7 @@ func (d *dirIndex) removeByID(id string) []*compiledSub {
 }
 
 // compiledSub is one recorded subscription with its matching and lifecycle
-// state: the projection list sorted, the filters partitioned into
+// state: the forwarding list sorted, the filters partitioned into
 // string-equality tests, compiled per-attribute interval groups (numeric
 // selections) and a raw remainder evaluated predicate-by-predicate, the
 // issuing epoch, and the propagation record. Nothing here is keyed by
@@ -338,9 +338,7 @@ type compiledSub struct {
 	// un-suppression visits exactly this set instead of every record
 	// sharing a stream.
 	suppresses map[covEdge]bool
-	// keep is sub.Attrs strictly ascending (sub.Attrs itself when it already
-	// is): nil keeps every attribute; an empty non-nil list mirrors an
-	// explicitly empty projection list.
+	// keep is the forwarding list (forwardAttrs); nil keeps every attribute.
 	keep []string
 	// tag, when non-empty, is a compiled `__q == "tag"` filter (the
 	// result-stream split of every middleware user subscription): one
@@ -455,18 +453,28 @@ func (c *compiledSub) holdsUnfolded(attr string, t *stream.Tuple) bool {
 	return true
 }
 
-// sortedAttrs returns a projection list strictly ascending: the list itself
-// when it already is (nil stays nil = keep all), else a sorted copy without
-// duplicates.
-func sortedAttrs(attrs []string) []string {
-	for i := 1; i < len(attrs); i++ {
-		if attrs[i-1] >= attrs[i] {
-			sorted := slices.Clone(attrs)
-			slices.Sort(sorted)
-			return slices.Compact(sorted)
+// forwardAttrs returns what a broker forwards for s, so the next hop can
+// still evaluate its filters: nil (every attribute) when s.Attrs is, else
+// s.Attrs plus every payload column a filter reads (timestamp and the
+// routing tag are header), strictly ascending — s.Attrs itself if it is so.
+func forwardAttrs(s *Subscription) []string {
+	keep := s.Attrs
+	if keep == nil {
+		return nil
+	}
+	for _, f := range s.Filters {
+		for _, col := range [...]*query.ColRef{f.Left.Col, f.Right.Col} {
+			if col != nil && col.Attr != "timestamp" && col.Attr != stream.TagAttr && !slices.Contains(keep, col.Attr) {
+				keep = append(slices.Clip(keep), col.Attr)
+			}
 		}
 	}
-	return attrs
+	for i := 1; i < len(keep); i++ {
+		if keep[i-1] >= keep[i] {
+			return slices.Compact(slices.Sorted(slices.Values(keep)))
+		}
+	}
+	return keep
 }
 
 // compileSub precomputes the matching state of one subscription. handler is
@@ -474,7 +482,7 @@ func sortedAttrs(attrs []string) []string {
 // normalised (column-on-the-left) form: evaluation is indifferent to it and
 // the cover test (covers) needs it.
 func compileSub(s *Subscription, h Handler) *compiledSub {
-	c := &compiledSub{sub: s, handler: h, keep: sortedAttrs(s.Attrs)}
+	c := &compiledSub{sub: s, handler: h, keep: forwardAttrs(s)}
 	for _, f := range s.Filters {
 		n, ok := query.NumericSelection(f)
 		if !ok {
@@ -541,25 +549,25 @@ func foldSelections(dst []attrGroup, filters []query.Predicate) []attrGroup {
 
 // covers reports whether c admits every message o admits — the covering
 // relation Siena uses to suppress redundant subscription propagation: c lists
-// every stream of o, keeps every attribute o keeps, and o's filter
-// conjunction, folded into fold (foldSelections of o.Filters), implies each
+// every stream of o, forwards every attribute o forwards, and o's filter
+// conjunction, folded into fold (foldSelections of o's filters), implies each
 // filter of c. It is sound but not complete: a false result may still be a
 // covering pair (filters over disjoint attributes, say), which costs
-// propagation but never correctness. The projection check searches the keep
-// list, so a cover scan costs one interval-implication walk per candidate and
+// propagation but never correctness. The forwarding-list check searches c's
+// keep, so a cover scan costs one interval-implication walk per candidate and
 // allocates nothing; a property test holds it to the reference's refCovers
 // (maintained_index_test.go).
-func (c *compiledSub) covers(o *Subscription, fold []attrGroup) bool {
-	for _, st := range o.Streams {
+func (c *compiledSub) covers(o *compiledSub, fold []attrGroup) bool {
+	for _, st := range o.sub.Streams {
 		if !c.sub.hasStream(st) {
 			return false
 		}
 	}
 	if c.keep != nil {
-		if o.Attrs == nil {
+		if o.keep == nil {
 			return false
 		}
-		for _, a := range o.Attrs {
+		for _, a := range o.keep {
 			if _, ok := slices.BinarySearch(c.keep, a); !ok {
 				return false
 			}

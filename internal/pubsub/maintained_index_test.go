@@ -119,9 +119,10 @@ func sameSeq(a, b []*compiledSub) bool {
 // shape, each posting list answers every match probe and every cover probe
 // with the candidate sequence an index built from scratch on the surviving
 // list gives — same decision to prune, same attribute, same candidates in
-// the same order — and its projection union is the survivors'. Removing
-// everything leaves no list behind. The tail size cycles over the seeds, so
-// populations straddle flushes and run merges at every size.
+// the same order — and its union is that of the survivors' forwarding lists
+// (keep). Removing everything leaves no list behind. The tail size cycles
+// over the seeds, so populations straddle flushes and run merges at every
+// size.
 func TestMaintainedIndexMatchesRebuilt(t *testing.T) {
 	withPruneMin(t, func(t *testing.T) {
 		var pruned probeCount
@@ -275,7 +276,7 @@ func checkAgainstRebuilt(t *testing.T, r *rand.Rand, d *dirIndex, seed uint64, s
 		}
 		keep := map[string]bool{}
 		for _, c := range live {
-			for _, a := range c.sub.Attrs {
+			for _, a := range c.keep {
 				keep[a] = true
 			}
 		}
@@ -352,7 +353,7 @@ func TestFirstCoverIdentical(t *testing.T) {
 			for trial := 0; trial < 40; trial++ {
 				sub := shapedSub(r, 1000+trial)
 				n := b.neighbors[r.IntN(3)]
-				got, want := b.coverFor(n, sub, foldSelections(nil, sub.Filters)), ref.firstCover(n, sub)
+				got, want := b.coverFor(n, compileSub(sub, nil), foldSelections(nil, sub.Filters)), ref.firstCover(n, sub)
 				if (got == nil) != (want == nil) || got != nil && got.sub != want.sub {
 					t.Fatalf("seed %d: first cover of %s toward %d: indexed %v, full scan %v", seed, sub, n, got, want)
 				}
@@ -381,7 +382,7 @@ func TestCompiledCoversMatchesCoversPrepared(t *testing.T) {
 			s, o = randomSub(r, "w"), randomSub(r, "n")
 		}
 		want := refCovers(s, o)
-		if got := compileSub(s, nil).covers(o, foldSelections(nil, o.Filters)); got != want {
+		if got := compileSub(s, nil).covers(compileSub(o, nil), foldSelections(nil, o.Filters)); got != want {
 			t.Fatalf("seed %d: compiled covers = %v, refCovers = %v for %s over %s", seed, got, want, s, o)
 		}
 		if want {
@@ -444,7 +445,9 @@ func TestFoldMatchesSelectionIntervals(t *testing.T) {
 // FuzzFoldSelections: for filters built from fuzzed fields — every three
 // bytes an operator (invalid ones included) and two operands, each nothing, a
 // column named from cols, or the literal f1, f2 or str — compileSub does not
-// panic and the fold equals query.SelectionIntervalsByAttr.
+// panic, the fold equals query.SelectionIntervalsByAttr, and a tuple over
+// the cols (tagged str) cut to the forwarding list of a subscription that
+// projects everything away still Matches exactly when the whole tuple does.
 func FuzzFoldSelections(f *testing.F) {
 	f.Add([]byte{byte(query.Ge), 1, 2, byte(query.Lt), 1, 3}, "x", 0.0, 4.0, "")
 	f.Add([]byte{byte(query.Eq), 1, 4, byte(query.Ne), 6, 2, byte(query.Lt), 1, 1}, "a,__q,timestamp", math.NaN(), -1.0, "x")
@@ -465,9 +468,17 @@ func FuzzFoldSelections(f *testing.F) {
 		for i := 0; i+3 <= len(preds) && i < 3*6; i += 3 {
 			fs = append(fs, query.Predicate{Left: operand(preds[i+1]), Op: query.Op(preds[i] % 8), Right: operand(preds[i+2])})
 		}
-		compileSub(&Subscription{ID: "f", Streams: []string{"R"}, Filters: fs}, nil)
+		sub := &Subscription{ID: "f", Streams: []string{"R"}, Attrs: []string{}, Filters: fs}
+		c := compileSub(sub, nil)
 		if err := foldEqualsIntervals(foldSelections(nil, fs), query.SelectionIntervalsByAttr(fs)); err != nil {
 			t.Fatal(err)
+		}
+		tp := stream.Tuple{Stream: "R", Tag: str, Attrs: make(map[string]stream.Value, len(names))}
+		for i, name := range names {
+			tp.Attrs[name] = lits[i%len(lits)]
+		}
+		if got, want := sub.Matches(projectAttrs(tp, c.keep)), sub.Matches(tp); got != want {
+			t.Fatalf("%s: Matches %v on %s, %v on its forwarding list %v", sub, want, renderTuple(tp), got, c.keep)
 		}
 	})
 }

@@ -433,7 +433,7 @@ func checkLifecycleInvariant(t *testing.T, net *Network, seed uint64) {
 				if !br.advertisesAny(nb, c.sub.Streams) {
 					continue
 				}
-				if br.coverFor(nb, c.sub, foldSelections(nil, c.sub.Filters)) != nil {
+				if br.coverFor(nb, c, foldSelections(nil, c.sub.Filters)) != nil {
 					continue
 				}
 				t.Errorf("seed %d: broker %d: %s neither sent toward %d nor covered",
@@ -485,8 +485,18 @@ func recordState(net *Network) map[string]map[string]*Subscription {
 // identical probe deliveries, identical per-link probe data traffic, and
 // equivalent routing state (every reference record present, extras only
 // redundant covered records that cannot change a forwarding decision).
-// Finally, withdrawing the survivors drains every broker to empty.
+// Each probe's deliveries are also held to probeOracle, which reads no
+// broker state: the reference mirrors the production union, so agreeing
+// with it cannot show a delivery that depends on the subscriber's distance
+// from the publisher. Finally, withdrawing the survivors drains every
+// broker to empty.
 func TestChurnReferenceEquivalence(t *testing.T) {
+	oracleChecked := 0
+	defer func() {
+		if !t.Failed() && oracleChecked == 0 {
+			t.Error("no probe delivery was held to the position-independent oracle")
+		}
+	}()
 	for seed := uint64(0); seed < 30; seed++ {
 		r := rand.New(rand.NewPCG(seed, 777))
 		nodes := 4 + int(seed%4)
@@ -585,7 +595,8 @@ func TestChurnReferenceEquivalence(t *testing.T) {
 		}
 
 		// Probe publishes: identical deliveries and identical per-link
-		// data traffic on both networks.
+		// data traffic on both networks, and deliveries that do not depend
+		// on where a subscriber sits (probeOracle).
 		var probes []eqOp
 		for i := 0; i < 30; i++ {
 			probes = append(probes, eqOp{kind: eqPublish, node: topology.NodeID(r.IntN(nodes)), tup: eqRandomTuple(r)})
@@ -593,7 +604,15 @@ func TestChurnReferenceEquivalence(t *testing.T) {
 		churnBefore, refBefore := linkTraffic(churn), linkTraffic(ref)
 		mark := len(churnLog)
 		refMark := len(refLog)
-		runEqScenario(t, churn, probes, &churnLog)
+		for _, p := range probes {
+			at := len(churnLog)
+			runEqScenario(t, churn, []eqOp{p}, &churnLog)
+			n, err := probeOracle(p, refOps, aliveAdv[advLife{node: p.node, strm: p.tup.Stream}], churnLog[at:])
+			if err != nil {
+				t.Fatalf("seed %d: probe %s at %d: %v", seed, renderTuple(p.tup), p.node, err)
+			}
+			oracleChecked += n
+		}
 		runEqScenario(t, ref, probes, &refLog)
 		if !slices.Equal(churnLog[mark:], refLog[refMark:]) { // a log nothing was delivered to is nil
 			t.Fatalf("seed %d: probe deliveries differ\nchurned:   %v\nreference: %v",
@@ -621,6 +640,43 @@ func TestChurnReferenceEquivalence(t *testing.T) {
 		}
 		assertAdvertsDrained(t, churn)
 	}
+}
+
+// probeOracle holds one probe's deliveries to what no broker's position can
+// change: each is a surviving subscription (a subscribe among subs) that
+// Matches the published tuple, once. When the publisher advertises the
+// tuple's stream (advertised), every such subscription, wherever it sits,
+// receives it, cut to exactly its Attrs; it returns how many it checked so.
+// A publisher that does not advertise the stream reaches only subscribers
+// that some record on the way happens to forward to, with that record's
+// forwarding list, so there only the subscriptions are checked.
+func probeOracle(probe eqOp, subs []eqOp, advertised bool, got []string) (int, error) {
+	var want []string
+	for _, o := range subs {
+		if o.kind != eqSubscribe {
+			continue
+		}
+		// The subscription as runEqScenario subscribed it: Clone turns an
+		// empty projection list into nil.
+		if sub := o.sub.Clone(); sub.Matches(probe.tup) {
+			want = append(want, fmt.Sprintf("%d/%s %s", o.node, sub.ID, renderTuple(refProject(probe.tup, sub.Attrs))))
+		}
+	}
+	got = slices.Sorted(slices.Values(got))
+	slices.Sort(want)
+	if advertised {
+		if !slices.Equal(got, want) {
+			return 0, fmt.Errorf("delivered %q, matching subscriptions want %q", got, want)
+		}
+		return len(want), nil
+	}
+	for i, d := range got {
+		who := d[:strings.IndexByte(d, ' ')+1] // "node/ID "
+		if i > 0 && strings.HasPrefix(got[i-1], who) || !slices.ContainsFunc(want, func(w string) bool { return strings.HasPrefix(w, who) }) {
+			return 0, fmt.Errorf("delivery %q is not one to a matching subscription, once (want a subset of %q)", d, want)
+		}
+	}
+	return 0, nil
 }
 
 // TestCompiledSubMatchesLinear: the compiled per-subscription matcher agrees

@@ -95,6 +95,36 @@ func TestEarlyProjection(t *testing.T) {
 	}
 }
 
+// TestProjectionIsHopInvariant: a subscription whose filter reads a column
+// its projection leaves out gets the same deliveries at the publisher's
+// broker and one, two and three hops away — each matching tuple once, cut
+// to exactly its projection. The brokers on the way forward the filter
+// column, so every hop can still evaluate the filter.
+func TestProjectionIsHopInvariant(t *testing.T) {
+	for hops := 0; hops < 4; hops++ {
+		net := lineNet(t)
+		src, _ := net.Broker(0)
+		dst, _ := net.Broker(topology.NodeID(hops))
+		src.Advertise("R")
+		var got []stream.Tuple
+		sub := &Subscription{ID: "p", Streams: []string{"R"}, Attrs: []string{"b"}, Filters: []query.Predicate{filter("a", query.Gt, 10)}}
+		if err := dst.Subscribe(sub, func(_ *Subscription, tp stream.Tuple) { got = append(got, tp) }); err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i <= 20; i++ {
+			src.Publish(tuple("R", map[string]float64{"a": float64(i), "b": float64(100 + i), "c": 0}))
+		}
+		if len(got) != 10 {
+			t.Fatalf("%d hops: %d of 10 matching tuples delivered", hops, len(got))
+		}
+		for i, tp := range got {
+			if want := stream.FloatVal(float64(111 + i)); len(tp.Attrs) != 1 || tp.Attrs["b"] != want {
+				t.Errorf("%d hops: delivery %d carries %s, want exactly b=%s", hops, i, renderTuple(tp), want)
+			}
+		}
+	}
+}
+
 func TestDuplicateEliminationAcrossSubscribers(t *testing.T) {
 	net := lineNet(t)
 	src, _ := net.Broker(0)

@@ -540,7 +540,7 @@ type refHop struct {
 
 // match returns the local records the tuple matches, in registration order,
 // and one hop per neighbour but from whose records match it, in neighbour
-// order, projecting to the union of their projection lists.
+// order, projecting to the union of their forwarding lists (refForward).
 func (b *refBroker) match(t stream.Tuple, from topology.NodeID) ([]*refRecord, []refHop) {
 	var locals []*refRecord
 	for _, r := range b.locals {
@@ -559,7 +559,7 @@ func (b *refBroker) match(t stream.Tuple, from topology.NodeID) ([]*refRecord, [
 			if r.sub.Matches(t) {
 				matched = true
 				all = all || r.sub.Attrs == nil
-				attrs = append(attrs, r.sub.Attrs...)
+				attrs = append(attrs, refForward(r.sub)...)
 			}
 		}
 		switch {
@@ -612,9 +612,27 @@ func refProject(t stream.Tuple, keep []string) stream.Tuple {
 	return out
 }
 
+// refForward is what a broker forwards for s: nil (every attribute) when s
+// keeps every attribute, else s.Attrs and every column a filter reads, but
+// for timestamp and the routing tag, which Tuple.Get answers from the header.
+func refForward(s *Subscription) []string {
+	if s.Attrs == nil {
+		return nil
+	}
+	keep := slices.Clone(s.Attrs)
+	for _, f := range s.Filters {
+		for _, o := range []query.Operand{f.Left, f.Right} {
+			if o.Col != nil && o.Col.Attr != "timestamp" && o.Col.Attr != stream.TagAttr {
+				keep = append(keep, o.Col.Attr)
+			}
+		}
+	}
+	return keep
+}
+
 // refCovers reports whether s admits every message o admits — the covering
 // relation Siena uses to suppress redundant subscription propagation: s lists
-// every stream of o, keeps every attribute o keeps, and o's filter
+// every stream of o, forwards every attribute o forwards, and o's filter
 // conjunction implies each filter of s. It is sound but not complete: a false
 // result may still be a covering pair (filters over disjoint attributes, say),
 // which costs propagation but never correctness.
@@ -624,12 +642,12 @@ func refCovers(s, o *Subscription) bool {
 			return false
 		}
 	}
-	if s.Attrs != nil {
-		if o.Attrs == nil {
+	if sf, of := refForward(s), refForward(o); sf != nil {
+		if of == nil {
 			return false
 		}
-		for _, a := range o.Attrs {
-			if !slices.Contains(s.Attrs, a) {
+		for _, a := range of {
+			if !slices.Contains(sf, a) {
 				return false
 			}
 		}

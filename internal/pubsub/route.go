@@ -15,11 +15,10 @@ func (b *Broker) Publish(t stream.Tuple) {
 }
 
 // delivery is one matched local subscription, captured by the match and
-// invoked after it.
+// invoked after it; the handler gets the tuple cut to sub.Attrs.
 type delivery struct {
-	h    Handler
-	sub  *Subscription
-	keep []string // projection list; nil = all attributes
+	h   Handler
+	sub *Subscription
 }
 
 // hop is one forwarding decision toward a neighbor.
@@ -45,9 +44,9 @@ type routeBufs struct {
 
 var routeBufPool = sync.Pool{New: func() any { return new(routeBufs) }}
 
-// route delivers the tuple locally and forwards it once per interested
-// neighbor, projecting the payload down to the union of downstream
-// attribute interests (early projection, §2). Matching runs lock-free
+// route delivers the tuple locally, cut to each subscription's Attrs, and
+// forwards it once per interested neighbor, cut to the union of the matched
+// records' forwarding lists (early projection, §2). Matching runs lock-free
 // against the published snapshot epoch (matchSnap, snapshot.go), so
 // concurrent routes proceed in parallel and route never takes the broker
 // mutex.
@@ -82,8 +81,8 @@ func (b *Broker) route(t stream.Tuple, from topology.NodeID) {
 	full := t
 	for _, d := range locals {
 		pt := full
-		if d.keep != nil {
-			pt = projectAttrs(t, d.keep)
+		if d.sub.Attrs != nil {
+			pt = projectAttrs(t, d.sub.Attrs)
 		} else if !full.Owned {
 			full = t.Clone()
 			pt = full

@@ -152,7 +152,7 @@ func matchSnap(snap *matchSnapshot, t *stream.Tuple, from topology.NodeID, bufs 
 		it := sr.locals.matchIter(t, bufs)
 		for c := it.next(); c != nil; c = it.next() {
 			if c.handler != nil && c.matches(t) {
-				locals = append(locals, delivery{h: c.handler, sub: c.sub, keep: c.keep})
+				locals = append(locals, delivery{h: c.handler, sub: c.sub})
 			}
 		}
 	}

@@ -162,7 +162,7 @@ func (b *Broker) sendPends(p pends) {
 // the cover scan, so a decision builds no map. Caller holds b.mu.
 func (b *Broker) decideLocked(p *pends, c *compiledSub, n topology.NodeID) {
 	b.coverFold = foldSelections(b.coverFold, c.sub.Filters)
-	if cov := b.coverFor(n, c.sub, b.coverFold); cov != nil {
+	if cov := b.coverFor(n, c, b.coverFold); cov != nil {
 		suppressEdge(cov, c, n)
 		p.suppressed++
 		return
@@ -295,19 +295,19 @@ func (b *Broker) propagate(sub *Subscription, from topology.NodeID) {
 
 // coverFor returns the first recorded subscription — locals in registration
 // order, then each direction other than n in ascending order — that was
-// actually propagated to n and covers sub, or nil. fold is sub's filters
+// actually propagated to n and covers rec, or nil. fold is rec's filters
 // folded (foldSelections), once for the whole scan over candidate covers.
 // The returned record is the suppressor the covered-by index records; the
 // scan order is deterministic, so repeated runs pick the same suppressor.
-// A cover must list every stream of sub, so only the posting list of sub's
+// A cover must list every stream of rec, so only the posting list of rec's
 // first stream is examined, and of that only the records whose bounds admit
-// a point of sub's own interval (coverIter) — a superset of the covers in
+// a point of rec's own interval (coverIter) — a superset of the covers in
 // posting-list order, so the first cover found is the full scan's.
-func (b *Broker) coverFor(n topology.NodeID, sub *Subscription, fold []attrGroup) *compiledSub {
+func (b *Broker) coverFor(n topology.NodeID, rec *compiledSub, fold []attrGroup) *compiledSub {
 	first := func(d *dirIndex) *compiledSub {
-		it := d.posting(sub.Streams[0]).coverIter(fold, &b.coverBufs)
+		it := d.posting(rec.sub.Streams[0]).coverIter(fold, &b.coverBufs)
 		for c := it.next(); c != nil; c = it.next() {
-			if c.sentTo.has(n) && c.sub.ID != sub.ID && c.covers(sub, fold) {
+			if c.sentTo.has(n) && c.sub.ID != rec.sub.ID && c.covers(rec, fold) {
 				return c
 			}
 		}

@@ -29,7 +29,9 @@ type Subscription struct {
 	Seq uint64
 	// Streams lists the stream names of interest.
 	Streams []string
-	// Attrs is the projection list; nil keeps every attribute.
+	// Attrs is the projection list; nil keeps every attribute. A handler
+	// gets each match from an advertising publisher cut to exactly Attrs,
+	// wherever it subscribed: brokers forward the filtered columns too.
 	Attrs []string
 	// Filters are conjunctive selection predicates applied to message
 	// attributes. Column references use only the Attr field (messages

@@ -466,11 +466,12 @@ func coarsenReference(g *Graph, opts CoarsenOptions) *CoarsenResult {
 	cur := &Graph{Space: g.Space, Vertices: make([]*Vertex, len(g.Vertices))}
 	fineToCur := make([]int, len(g.Vertices))
 	for i, v := range g.Vertices {
+		fineToCur[i] = -1
 		if v != nil {
 			cur.Vertices[i] = v.Clone()
 			cur.Vertices[i].ID = i
+			fineToCur[i] = i
 		}
-		fineToCur[i] = i
 	}
 	cur.computeEdgesNaive()
 	count := func(gr *Graph) int {
@@ -544,7 +545,9 @@ func coarsenReference(g *Graph, opts CoarsenOptions) *CoarsenResult {
 			}
 			next.computeEdgesNaive()
 			for f, c := range fineToCur {
-				fineToCur[f] = newID[into[c]]
+				if c >= 0 {
+					fineToCur[f] = newID[into[c]]
+				}
 			}
 			cur = next
 		}
@@ -554,7 +557,9 @@ func coarsenReference(g *Graph, opts CoarsenOptions) *CoarsenResult {
 	}
 	res := &CoarsenResult{Graph: cur, FineToCoarse: fineToCur, CoarseToFine: make([][]int, len(cur.Vertices))}
 	for fine, coarse := range fineToCur {
-		res.CoarseToFine[coarse] = append(res.CoarseToFine[coarse], fine)
+		if coarse >= 0 {
+			res.CoarseToFine[coarse] = append(res.CoarseToFine[coarse], fine)
+		}
 	}
 	return res
 }
@@ -576,8 +581,9 @@ func sameCoarsening(t *testing.T, label string, got, want *CoarsenResult) {
 // only the coarse graph's edges, returns what coarsenReference returns — the
 // same fine-to-coarse maps and the same coarse adjacency. Over random graphs
 // (mixed vertices among them) with and without a CanMerge gate and with and
-// without the fine graph's edges, on ScaleCI-sized graphs, and on graphs of
-// both sizes coarsened from several goroutines at once.
+// without the fine graph's edges, on ScaleCI-sized graphs, on graphs with
+// slots RemoveVertex emptied, and on graphs of both sizes coarsened from
+// several goroutines at once.
 func TestCoarsenMatchesReference(t *testing.T) {
 	for seed := uint64(0); seed < 300; seed++ {
 		for variant := uint64(0); variant < 4; variant++ {
@@ -606,6 +612,40 @@ func TestCoarsenMatchesReference(t *testing.T) {
 		g := scaleCIGraph(seed)
 		want := coarsenReference(g, ciOpts(40))
 		sameCoarsening(t, fmt.Sprintf("ScaleCI seed %d", seed), g.Coarsen(ciOpts(40)), want)
+	}
+
+	// Graphs with empty slots, one RemoveVertex each or more: an empty slot
+	// maps to -1 and no coarse vertex lists it, whether or not a round
+	// collapsed (VMax at the query count collapses none).
+	for seed := uint64(0); seed < 100; seed++ {
+		r := rand.New(rand.NewPCG(seed, 0xc0a9))
+		g := randomGraph(r)
+		if seed == 0 {
+			g = scaleCIGraph(1)
+		}
+		for k := 1 + r.IntN(3); k > 0; k-- {
+			g.RemoveVertex(r.IntN(len(g.Vertices)))
+		}
+		if seed == 0 {
+			g.RemoveVertex(3)
+		}
+		vmax := 1 + r.IntN(8)
+		if seed%4 == 3 {
+			vmax = len(g.Vertices)
+		}
+		label := fmt.Sprintf("removed slots, seed %d", seed)
+		got := g.Coarsen(ciOpts(vmax))
+		sameCoarsening(t, label, got, coarsenReference(g, ciOpts(vmax)))
+		for f, v := range g.Vertices {
+			if v == nil && got.FineToCoarse[f] != -1 {
+				t.Fatalf("%s: empty fine slot %d maps to %d", label, f, got.FineToCoarse[f])
+			}
+		}
+		for c, fs := range got.CoarseToFine {
+			if i := slices.IndexFunc(fs, func(f int) bool { return g.Vertices[f] == nil }); i >= 0 {
+				t.Fatalf("%s: coarse %d lists empty fine slot %d", label, c, fs[i])
+			}
+		}
 	}
 
 	fines := make([]*Graph, 6)

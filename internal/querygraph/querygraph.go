@@ -1149,9 +1149,10 @@ func (o CoarsenOptions) withDefaults() CoarsenOptions {
 // CoarsenResult is the outcome of one Coarsen call.
 type CoarsenResult struct {
 	Graph *Graph
-	// FineToCoarse maps fine vertex ID -> coarse vertex ID.
+	// FineToCoarse maps fine vertex ID -> coarse vertex ID, an empty fine
+	// slot (RemoveVertex) to -1 whether or not a round collapsed.
 	FineToCoarse []int
-	// CoarseToFine maps coarse vertex ID -> fine vertex IDs.
+	// CoarseToFine maps coarse vertex ID -> fine vertex IDs, no empty slot.
 	CoarseToFine [][]int
 }
 
@@ -1214,8 +1215,11 @@ func (g *Graph) Coarsen(opts CoarsenOptions) *CoarsenResult {
 	opts = opts.withDefaults()
 	cur := &Graph{Space: g.Space, Vertices: slices.Clone(g.Vertices)}
 	fineToCur := make([]int, len(g.Vertices))
-	for i := range fineToCur {
+	for i, v := range g.Vertices {
 		fineToCur[i] = i
+		if v == nil {
+			fineToCur[i] = -1
+		}
 	}
 	// count tallies live (non-merged) query-bearing vertices: n-vertices
 	// stay outside the VMax budget. Merged-away slots are nil.
@@ -1287,7 +1291,9 @@ func (g *Graph) Coarsen(opts CoarsenOptions) *CoarsenResult {
 				}
 			}
 			for f, c := range fineToCur {
-				fineToCur[f] = newID[into[c]]
+				if c >= 0 {
+					fineToCur[f] = newID[into[c]]
+				}
 			}
 			cur = next
 		}
@@ -1304,7 +1310,9 @@ func (g *Graph) Coarsen(opts CoarsenOptions) *CoarsenResult {
 		CoarseToFine: make([][]int, len(cur.Vertices)),
 	}
 	for fine, coarse := range fineToCur {
-		res.CoarseToFine[coarse] = append(res.CoarseToFine[coarse], fine)
+		if coarse >= 0 {
+			res.CoarseToFine[coarse] = append(res.CoarseToFine[coarse], fine)
+		}
 	}
 	return res
 }

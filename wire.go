@@ -286,7 +286,15 @@ func (m *Middleware) wireUserSide(h *QueryHandle) error {
 	var attrs, hidden []string
 	if !slices.Equal(ri.residual.Projection, ri.super.Select) {
 		if own := m.resultColumns(ri.residual.Projection, ri.super.From); !maps.Equal(own, ri.cols) {
-			attrs, hidden = residualAttrs(ri.residual, own)
+			// Add the window timestamps the handler re-checks; it deletes
+			// those the user did not select (hidden) before the sink.
+			for _, alias := range slices.Sorted(maps.Keys(ri.residual.Windows)) {
+				if name := alias + ".timestamp"; !own[name] {
+					own[name] = true
+					hidden = append(hidden, name)
+				}
+			}
+			attrs = slices.Sorted(maps.Keys(own))
 		}
 	}
 	sub := &pubsub.Subscription{
@@ -371,31 +379,6 @@ func (m *Middleware) resultColumns(sel []query.Projection, from []query.StreamRe
 		}
 	}
 	return cols
-}
-
-// residualAttrs converts a residual into the qualified attribute list to
-// request from the result stream — the user's own columns plus what the
-// residual filters and window re-checks read (every hop must keep that for
-// the proxy to evaluate them) — and the part of the list the user did not
-// select (hidden), which the handler deletes before the sink.
-func residualAttrs(r query.Residual, own map[string]bool) (attrs, hidden []string) {
-	hide := func(name string) {
-		if !own[name] {
-			own[name] = true
-			hidden = append(hidden, name)
-		}
-	}
-	for _, f := range r.Filters {
-		for _, col := range []*query.ColRef{f.Left.Col, f.Right.Col} {
-			if col != nil {
-				hide(col.Alias + "." + col.Attr)
-			}
-		}
-	}
-	for alias := range r.Windows {
-		hide(alias + ".timestamp")
-	}
-	return slices.Sorted(maps.Keys(own)), hidden
 }
 
 // renameAttrs copies a result map, leaving out the hidden attributes and
