@@ -53,6 +53,9 @@
 //     membership (AddBroker, RemoveBroker, FailLink and the deterministic
 //     re-attach repair), and aggregates traffic into TrafficReports.
 //
+// A publisher advertises a stream before it publishes on it (Publish): only
+// then does every matching subscription, wherever it sits, receive the tuple.
+//
 // Delivered tuples are read-only by contract: a Handler must not mutate
 // the tuple it receives (full-tuple deliveries share one attribute map: the
 // tuple's own when it is Owned, else one copy per routed tuple). Handlers may

@@ -649,7 +649,8 @@ func TestChurnReferenceEquivalence(t *testing.T) {
 // receives it, cut to exactly its Attrs; it returns how many it checked so.
 // A publisher that does not advertise the stream reaches only subscribers
 // that some record on the way happens to forward to, with that record's
-// forwarding list, so there only the subscriptions are checked.
+// forwarding list (Broker.Publish's precondition, doc.go), so there only the
+// subscriptions are checked.
 func probeOracle(probe eqOp, subs []eqOp, advertised bool, got []string) (int, error) {
 	var want []string
 	for _, o := range subs {

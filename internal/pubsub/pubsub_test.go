@@ -2,7 +2,11 @@ package pubsub
 
 import (
 	"fmt"
+	"maps"
+	"math"
+	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/query"
 	"repro/internal/stream"
@@ -99,30 +103,69 @@ func TestEarlyProjection(t *testing.T) {
 // its projection leaves out gets the same deliveries at the publisher's
 // broker and one, two and three hops away — each matching tuple once, cut
 // to exactly its projection. The brokers on the way forward the filter
-// column, so every hop can still evaluate the filter.
+// column, so every hop can still evaluate the filter, and nothing else: an
+// empty projection stays empty at every hop (nil would forward every column).
 func TestProjectionIsHopInvariant(t *testing.T) {
-	for hops := 0; hops < 4; hops++ {
-		net := lineNet(t)
-		src, _ := net.Broker(0)
-		dst, _ := net.Broker(topology.NodeID(hops))
-		src.Advertise("R")
-		var got []stream.Tuple
-		sub := &Subscription{ID: "p", Streams: []string{"R"}, Attrs: []string{"b"}, Filters: []query.Predicate{filter("a", query.Gt, 10)}}
-		if err := dst.Subscribe(sub, func(_ *Subscription, tp stream.Tuple) { got = append(got, tp) }); err != nil {
-			t.Fatal(err)
-		}
-		for i := 1; i <= 20; i++ {
-			src.Publish(tuple("R", map[string]float64{"a": float64(i), "b": float64(100 + i), "c": 0}))
-		}
-		if len(got) != 10 {
-			t.Fatalf("%d hops: %d of 10 matching tuples delivered", hops, len(got))
-		}
-		for i, tp := range got {
-			if want := stream.FloatVal(float64(111 + i)); len(tp.Attrs) != 1 || tp.Attrs["b"] != want {
-				t.Errorf("%d hops: delivery %d carries %s, want exactly b=%s", hops, i, renderTuple(tp), want)
+	for _, tc := range []struct {
+		attrs, forward []string
+	}{
+		{attrs: []string{"b"}, forward: []string{"a", "b"}},
+		{attrs: []string{}, forward: []string{"a"}},
+	} {
+		for hops := 0; hops < 4; hops++ {
+			net := lineNet(t)
+			links := &linkAttrs{}
+			net.SetPeerWrapper(links)
+			src, _ := net.Broker(0)
+			dst, _ := net.Broker(topology.NodeID(hops))
+			src.Advertise("R")
+			var got []stream.Tuple
+			sub := &Subscription{ID: "p", Streams: []string{"R"}, Attrs: tc.attrs, Filters: []query.Predicate{filter("a", query.Gt, 10)}}
+			if err := dst.Subscribe(sub, func(_ *Subscription, tp stream.Tuple) { got = append(got, tp) }); err != nil {
+				t.Fatal(err)
+			}
+			for i := 1; i <= 20; i++ {
+				src.Publish(tuple("R", map[string]float64{"a": float64(i), "b": float64(100 + i), "c": 0}))
+			}
+			if len(got) != 10 {
+				t.Fatalf("Attrs %v, %d hops: %d of 10 matching tuples delivered", tc.attrs, hops, len(got))
+			}
+			for i, tp := range got {
+				want := map[string]stream.Value{}
+				if len(tc.attrs) > 0 {
+					want["b"] = stream.FloatVal(float64(111 + i))
+				}
+				if !maps.Equal(tp.Attrs, want) {
+					t.Errorf("Attrs %v, %d hops: delivery %d carries %s, want exactly %v", tc.attrs, hops, i, renderTuple(tp), want)
+				}
+			}
+			if len(links.crossed) != 10*hops {
+				t.Errorf("Attrs %v, %d hops: %d link crossings, want %d", tc.attrs, hops, len(links.crossed), 10*hops)
+			}
+			for _, c := range links.crossed {
+				if !slices.Equal(c, tc.forward) {
+					t.Errorf("Attrs %v, %d hops: a tuple crossed a link carrying %v, want %v", tc.attrs, hops, c, tc.forward)
+					break
+				}
 			}
 		}
 	}
+}
+
+// linkAttrs is a PeerWrapper recording the sorted attribute names of every
+// data tuple a link carries.
+type linkAttrs struct{ crossed [][]string }
+
+func (l *linkAttrs) WrapPeer(_ topology.NodeID, p Peer) Peer { return attrPeer{Peer: p, l: l} }
+
+type attrPeer struct {
+	Peer
+	l *linkAttrs
+}
+
+func (p attrPeer) RouteFrom(t stream.Tuple, from topology.NodeID) {
+	p.l.crossed = append(p.l.crossed, slices.Sorted(maps.Keys(t.Attrs)))
+	p.Peer.RouteFrom(t, from)
 }
 
 func TestDuplicateEliminationAcrossSubscribers(t *testing.T) {
@@ -484,4 +527,50 @@ func TestNetworkValidation(t *testing.T) {
 	if _, err := NewNetwork(o, []topology.NodeID{0, 0}); err == nil {
 		t.Error("duplicate broker accepted")
 	}
+}
+
+// windowCheck is the proxy handler's former re-check of the windows a shared
+// superset widened, kept verbatim: a result passes when its header timestamp
+// is 0 to span ms after each alias's timestamp.
+func windowCheck(windows map[string]query.Window, t stream.Tuple) bool {
+	for alias, w := range windows {
+		v, ok := t.Get(alias + ".timestamp")
+		if !ok {
+			return false
+		}
+		age := t.Timestamp - int64(v.F)
+		if age < 0 || age > w.Span.Milliseconds() {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzWithinMatchesWindowCheck: the age test a residual carries for a widened
+// window (S1.timestamp WITHIN span ms, as the middleware qualifies it) keeps
+// exactly the results windowCheck keeps, for any header timestamp, numeric
+// S1.timestamp (NaN and ±Inf included) and span — evaluated raw and through
+// the compiled record alike.
+func FuzzWithinMatchesWindowCheck(f *testing.F) {
+	f.Add(int64(45*60_000), 0.0, int64(30*time.Minute))
+	f.Add(int64(45*60_000), float64(42*60_000), int64(30*time.Minute))
+	f.Add(int64(5), 5.0, int64(0))
+	f.Add(int64(-1), 0.0, int64(time.Hour))
+	f.Add(int64(0), math.NaN(), int64(time.Hour))
+	f.Add(int64(0), math.Inf(-1), int64(time.Hour))
+	f.Add(int64(math.MaxInt64), math.Inf(1), int64(math.MaxInt64))
+	f.Add(int64(7), 3.9, int64(3*time.Millisecond+999_999))
+	f.Fuzz(func(t *testing.T, ts int64, at float64, span int64) {
+		w := query.Window{Kind: query.Range, Span: time.Duration(span)}
+		lit := stream.FloatVal(float64(w.Span.Milliseconds()))
+		within := query.Predicate{Left: query.Operand{Col: &query.ColRef{Attr: "S1.timestamp"}}, Op: query.Within, Right: query.Operand{Lit: &lit}}
+		tp := stream.Tuple{Stream: "R", Timestamp: ts, Attrs: map[string]stream.Value{"S1.timestamp": stream.FloatVal(at)}}
+		want := windowCheck(map[string]query.Window{"S1": w}, tp)
+		if got := evalFilter(within, tp); got != want {
+			t.Fatalf("%s on header timestamp %d, S1.timestamp %v: %v, window check %v", within, ts, at, got, want)
+		}
+		if got := compileSub(&Subscription{ID: "w", Streams: []string{"R"}, Filters: []query.Predicate{within}}, nil).matches(&tp); got != want {
+			t.Fatalf("compiled %s on header timestamp %d, S1.timestamp %v: %v, window check %v", within, ts, at, got, want)
+		}
+	})
 }

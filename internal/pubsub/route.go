@@ -9,7 +9,10 @@ import (
 )
 
 // Publish injects a tuple produced by this broker's clients and routes it
-// through the overlay.
+// through the overlay. Advertise the tuple's stream here first: subscriptions
+// propagate toward advertisers only, so a tuple published at a broker that
+// does not advertise its stream reaches only the subscribers that some record
+// on the way lists, cut to that record's forwarding list.
 func (b *Broker) Publish(t stream.Tuple) {
 	b.route(t, -1)
 }

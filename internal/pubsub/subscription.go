@@ -2,6 +2,7 @@ package pubsub
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/query"
@@ -63,7 +64,8 @@ func (s *Subscription) hasStream(name string) bool {
 }
 
 // evalFilter evaluates a predicate against a flat tuple, resolving column
-// operands by attribute name only.
+// operands by attribute name only. A query.Within age test holds when the
+// header timestamp is 0 to span ms after the column's timestamp.
 func evalFilter(p query.Predicate, t stream.Tuple) bool {
 	resolve := func(o query.Operand) (stream.Value, bool) {
 		if o.Col != nil {
@@ -81,6 +83,10 @@ func evalFilter(p query.Predicate, t stream.Tuple) bool {
 	rv, ok := resolve(p.Right)
 	if !ok {
 		return false
+	}
+	if p.Op == query.Within {
+		age := t.Timestamp - int64(lv.F)
+		return age >= 0 && age <= int64(rv.F)
 	}
 	return p.Op.Eval(lv.Compare(rv))
 }
@@ -103,13 +109,12 @@ func (s *Subscription) String() string {
 	return b.String()
 }
 
-// Clone returns an independent copy.
+// Clone returns an independent copy. An empty projection stays empty: nil
+// would forward every attribute.
 func (s *Subscription) Clone() *Subscription {
 	c := &Subscription{ID: s.ID, Seq: s.Seq}
 	c.Streams = append([]string(nil), s.Streams...)
-	if s.Attrs != nil {
-		c.Attrs = append([]string(nil), s.Attrs...)
-	}
+	c.Attrs = slices.Clone(s.Attrs)
 	c.Filters = append([]query.Predicate(nil), s.Filters...)
 	return c
 }

@@ -133,7 +133,11 @@ func (p Projection) String() string {
 // Op is a comparison operator.
 type Op int
 
-// Comparison operators.
+// Comparison operators. Within is the age test a shared result's residual
+// re-checks a widened window with: alias.timestamp WITHIN span holds when the
+// tuple's header timestamp is 0 to span ms after alias.timestamp. No CQL text
+// reads it, Eval knows no answer for it, and the interval algebra treats it
+// as opaque; the broker's filter evaluation (pubsub) is its one evaluator.
 const (
 	Eq Op = iota + 1
 	Ne
@@ -141,9 +145,10 @@ const (
 	Le
 	Gt
 	Ge
+	Within
 )
 
-var opNames = map[Op]string{Eq: "=", Ne: "!=", Lt: "<", Le: "<=", Gt: ">", Ge: ">="}
+var opNames = map[Op]string{Eq: "=", Ne: "!=", Lt: "<", Le: "<=", Gt: ">", Ge: ">=", Within: "WITHIN"}
 
 func (o Op) String() string {
 	if s, ok := opNames[o]; ok {

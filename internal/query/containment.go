@@ -3,6 +3,8 @@ package query
 import (
 	"fmt"
 	"slices"
+
+	"repro/internal/stream"
 )
 
 // This file implements the window-based query containment and merging
@@ -171,8 +173,7 @@ func covers(super, sub *Query, ivs map[string]Interval, joins map[string]bool) b
 // result stream.
 type Residual struct {
 	Query      *Query            // the original query
-	Filters    []Predicate       // selections to re-apply (superset aliases)
-	Windows    map[string]Window // per-alias windows to re-enforce
+	Filters    []Predicate       // selections and window ages to re-apply (superset aliases)
 	Projection []Projection      // the original projection (superset aliases)
 	AliasToSub map[string]string // superset alias -> original alias
 }
@@ -230,7 +231,6 @@ func invert(m map[string]string) map[string]string {
 func residualFor(original, renamedQ, super *Query, supIVs map[string]Interval, supJoins map[string]bool, superToOrig map[string]string) Residual {
 	res := Residual{
 		Query:      original,
-		Windows:    make(map[string]Window, len(renamedQ.From)),
 		Projection: renamedQ.Select,
 		AliasToSub: superToOrig,
 	}
@@ -242,11 +242,13 @@ func residualFor(original, renamedQ, super *Query, supIVs map[string]Interval, s
 		}
 		res.Filters = append(res.Filters, p.Normalize())
 	}
-	// Re-enforce windows the superset widened.
+	// Re-enforce windows the superset widened: an age test on the alias's
+	// timestamp (a Now window is span 0).
 	for _, r := range renamedQ.From {
 		sr, ok := super.RefByAlias(r.Alias)
 		if ok && !r.Window.Covers(sr.Window) {
-			res.Windows[r.Alias] = r.Window
+			span := stream.FloatVal(float64(r.Window.Span.Milliseconds()))
+			res.Filters = append(res.Filters, Predicate{Left: Operand{Col: &ColRef{Alias: r.Alias, Attr: "timestamp"}}, Op: Within, Right: Operand{Lit: &span}})
 		}
 	}
 	return res

@@ -88,14 +88,11 @@ func TestPaperMerge(t *testing.T) {
 	if resQ3 == nil || resQ4 == nil {
 		t.Fatalf("missing residuals: %+v", mr.Residuals)
 	}
-	if len(resQ3.Filters) != 1 || resQ3.Filters[0].String() != "S1.snowHeight >= 10" {
-		t.Errorf("Q3 residual filters = %v", resQ3.Filters)
+	if got := fmt.Sprint(resQ3.Filters); got != "[S1.snowHeight >= 10 S1.timestamp WITHIN 1800000]" {
+		t.Errorf("Q3 residual filters = %s, want its snowHeight filter and its 30-minute window", got)
 	}
-	if w, ok := resQ3.Windows["S1"]; !ok || w.Span.Minutes() != 30 {
-		t.Errorf("Q3 residual windows = %v", resQ3.Windows)
-	}
-	if len(resQ4.Filters) != 0 || len(resQ4.Windows) != 0 {
-		t.Errorf("Q4 residual should be empty: filters=%v windows=%v", resQ4.Filters, resQ4.Windows)
+	if len(resQ4.Filters) != 0 {
+		t.Errorf("Q4 residual should be empty: filters=%v", resQ4.Filters)
 	}
 }
 

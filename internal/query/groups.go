@@ -228,9 +228,9 @@ func (g *group) residuals() []Residual {
 
 // project extends the superset's select list with what residual r reads off
 // its result tuples and no star already carries: every column a filter
-// reads, and alias.timestamp for every window it re-checks. Without them the
-// split loses every result of a member that filters on a column its own
-// select list omits.
+// reads, alias.timestamp for every window it re-checks included. Without
+// them the split loses every result of a member that filters on a column its
+// own select list omits.
 func (g *group) project(r Residual) {
 	add := func(c *ColRef) {
 		if c == nil || g.have["*"] || g.have[c.Alias+".*"] || g.have[c.String()] {
@@ -242,11 +242,6 @@ func (g *group) project(r Residual) {
 	for _, f := range r.Filters {
 		add(f.Left.Col)
 		add(f.Right.Col)
-	}
-	for _, ref := range g.super.From {
-		if _, ok := r.Windows[ref.Alias]; ok {
-			add(&ColRef{Alias: ref.Alias, Attr: "timestamp"})
-		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/stream"
 )
@@ -55,10 +56,13 @@ func TestQuickMergeContainsInputs(t *testing.T) {
 			return false
 		}
 		for _, res := range mr.Residuals {
-			// Residual windows must be no wider than the superset's.
-			for alias, w := range res.Windows {
-				sw, ok := mr.Super.RefByAlias(alias)
-				if !ok || !sw.Window.Covers(w) {
+			// Residual window ages must be no wider than the superset's.
+			for _, f := range res.Filters {
+				if f.Op != Within {
+					continue
+				}
+				sw, ok := mr.Super.RefByAlias(f.Left.Col.Alias)
+				if !ok || !sw.Window.Covers(Window{Kind: Range, Span: time.Duration(f.Right.Lit.F) * time.Millisecond}) {
 					return false
 				}
 			}

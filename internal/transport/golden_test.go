@@ -14,10 +14,11 @@ import (
 	"repro/internal/stream"
 )
 
-// goldenEnvelopes is one fixture per wire kind (including MsgBatch). The
-// data tuple carries TWO attributes on purpose: WireTuple sorts them by
-// name, so multi-attribute envelopes are byte-stable (a map-typed Attrs
-// field would gob-encode in random iteration order).
+// goldenEnvelopes is one fixture per wire kind (including MsgBatch), then a
+// subscribe whose filter is an age test (query.Within). The data tuple
+// carries TWO attributes on purpose: WireTuple sorts them by name, so
+// multi-attribute envelopes are byte-stable (a map-typed Attrs field would
+// gob-encode in random iteration order).
 func goldenEnvelopes() []struct {
 	name string
 	env  Envelope
@@ -29,6 +30,13 @@ func goldenEnvelopes() []struct {
 		Streams: []string{"R"},
 		Attrs:   []string{"a"},
 		Filters: []WirePredicate{{LeftCol: "a", Op: query.Ge, RightLit: &lit}},
+	}
+	span := stream.FloatVal(1_800_000)
+	within := &WireSubscription{
+		ID:      "q2",
+		Seq:     1,
+		Streams: []string{"results@3"},
+		Filters: []WirePredicate{{LeftCol: "S1.timestamp", Op: query.Within, RightLit: &span}},
 	}
 	tuple := toWireTuple(stream.Tuple{
 		Stream:    "R",
@@ -52,6 +60,7 @@ func goldenEnvelopes() []struct {
 			{Kind: MsgAdvert, From: 1, StreamName: "R", Origin: 2, Seq: 3},
 			{Kind: MsgData, From: 1, Tuple: tuple},
 		}}},
+		{"subscribe-within", Envelope{Kind: MsgSubscribe, From: 1, Sub: within}},
 	}
 }
 
@@ -77,6 +86,10 @@ var goldenEnvelopeHex = map[string]string{
 	"unsubscribe": goldenPreamble + "0dff800108010204027131010800",
 	"data":        goldenPreamble + "28ff8001060102061f0101525430020161014026000000000000000162030000000000000000017800",
 	"batch":       goldenPreamble + "3bff80010c0102070201020102010152010403030001060102061f010152543002016101402600000000000000016203000000000000000001780000",
+
+	// The age test pins query.Within's operator code, 7 (gob's 0e after
+	// the LeftCol "S1.timestamp").
+	"subscribe-within": goldenPreamble + "38ff800104010203010271320101010109726573756c747340330201010c53312e74696d657374616d70020e02010201fc40773b4100000000",
 }
 
 func TestGoldenEnvelopeBytes(t *testing.T) {

@@ -260,7 +260,9 @@ func fromWireTuple(w *WireTuple) stream.Tuple {
 
 // WireSubscription is the gob-friendly form of pubsub.Subscription (the
 // Predicate type contains interface-free pointers, so a flat encoding keeps
-// the wire format stable).
+// the wire format stable). gob sends an empty Attrs as nil, so over TCP a
+// subscription that projects every column away arrives as one that keeps
+// them all, and that record forwards whole tuples.
 type WireSubscription struct {
 	ID      string
 	Seq     uint64

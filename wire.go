@@ -18,6 +18,12 @@
 // Owned (the engine built it for this result alone, so brokers deliver it as
 // it is). A user whose columns and aliases are the superset's receives that
 // very map, read-only and shared; any other a map of its own.
+//
+// The split is the brokers' work: a user's subscription carries the tag and
+// its residual filters, an age test (query.Within) for each window the
+// superset widened among them, so a result the user does not want stops at
+// the first broker that can tell. The proxy's handler renames aliases,
+// counts and calls the sink.
 
 package cosmos
 
@@ -258,9 +264,9 @@ func neededAttrs(hs []*QueryHandle, streamName string) []string {
 	return out
 }
 
-// wireUserSide (re)subscribes a user's proxy to its query's result stream,
-// applying the residual filters and window re-checks that split a shared
-// superset result back into the exact per-user result (§2.1).
+// wireUserSide (re)subscribes a user's proxy to its query's result stream
+// with the residual filters (the widened windows' age tests among them) that
+// split a shared superset result back into the exact per-user result (§2.1).
 func (m *Middleware) wireUserSide(h *QueryHandle) error {
 	if h.processor < 0 {
 		return fmt.Errorf("cosmos: query %s is not placed", h.Name)
@@ -282,18 +288,11 @@ func (m *Middleware) wireUserSide(h *QueryHandle) error {
 	}
 	// A user whose own columns are the superset's subscribes to whole tuples
 	// and is handed the engine's map; one with fewer — an explicit list, or
-	// stars over a wider superset — its own projection, cut at the first hop.
-	var attrs, hidden []string
+	// stars over a wider superset — its own projection: the brokers forward
+	// the columns its filters read and deliver it exactly these.
+	var attrs []string
 	if !slices.Equal(ri.residual.Projection, ri.super.Select) {
 		if own := m.resultColumns(ri.residual.Projection, ri.super.From); !maps.Equal(own, ri.cols) {
-			// Add the window timestamps the handler re-checks; it deletes
-			// those the user did not select (hidden) before the sink.
-			for _, alias := range slices.Sorted(maps.Keys(ri.residual.Windows)) {
-				if name := alias + ".timestamp"; !own[name] {
-					own[name] = true
-					hidden = append(hidden, name)
-				}
-			}
 			attrs = slices.Sorted(maps.Keys(own))
 		}
 	}
@@ -303,7 +302,6 @@ func (m *Middleware) wireUserSide(h *QueryHandle) error {
 		Filters: filters,
 		Attrs:   attrs,
 	}
-	windows := ri.residual.Windows
 	var rename map[string]string // set when the user names an alias differently
 	for from, to := range ri.residual.AliasToSub {
 		if from != to {
@@ -312,26 +310,9 @@ func (m *Middleware) wireUserSide(h *QueryHandle) error {
 	}
 	sink := h.sink
 	handler := func(_ *pubsub.Subscription, t stream.Tuple) {
-		// Re-enforce the windows the superset widened.
-		for alias, w := range windows {
-			v, ok := t.Get(alias + ".timestamp")
-			if !ok {
-				return
-			}
-			age := t.Timestamp - int64(v.F)
-			if age < 0 || age > w.Span.Milliseconds() {
-				return
-			}
-		}
-		// Only a projecting subscription hides anything, and its map is the
-		// broker's per-delivery projection: private, so written in place. A
-		// map under the superset's aliases is rebuilt under the user's.
+		// A map under the superset's aliases is rebuilt under the user's.
 		if rename != nil {
-			t.Attrs = renameAttrs(t.Attrs, rename, hidden)
-		} else {
-			for _, a := range hidden {
-				delete(t.Attrs, a)
-			}
+			t.Attrs = renameAttrs(t.Attrs, rename)
 		}
 		t.Tag = ""
 		h.delivered.Add(1)
@@ -381,14 +362,11 @@ func (m *Middleware) resultColumns(sel []query.Projection, from []query.StreamRe
 	return cols
 }
 
-// renameAttrs copies a result map, leaving out the hidden attributes and
-// renaming each "alias.attr" through the superset-to-user alias map.
-func renameAttrs(attrs map[string]stream.Value, rename map[string]string, hidden []string) map[string]stream.Value {
+// renameAttrs copies a result map, renaming each "alias.attr" through the
+// superset-to-user alias map.
+func renameAttrs(attrs map[string]stream.Value, rename map[string]string) map[string]stream.Value {
 	out := make(map[string]stream.Value, len(attrs))
 	for k, v := range attrs {
-		if slices.Contains(hidden, k) {
-			continue
-		}
 		if alias, attr, ok := strings.Cut(k, "."); ok && rename[alias] != "" {
 			k = rename[alias] + "." + attr
 		}

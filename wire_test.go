@@ -1,10 +1,14 @@
 package cosmos
 
 import (
+	"reflect"
+	"sort"
 	"testing"
 
+	"repro/internal/pubsub"
 	"repro/internal/query"
 	"repro/internal/stream"
+	"repro/internal/topology"
 )
 
 func mustSubmitHandles(t *testing.T, texts []string) []*QueryHandle {
@@ -228,5 +232,104 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if err := m.Publish(Tuple{Stream: "R"}); err == nil {
 		t.Error("Publish before Start accepted")
+	}
+}
+
+// arrivals is a pubsub.PeerWrapper that records every data tuple crossing a
+// link into one broker.
+type arrivals struct {
+	to  NodeID
+	got []stream.Tuple
+}
+
+func (a *arrivals) WrapPeer(to topology.NodeID, p pubsub.Peer) pubsub.Peer {
+	if to != a.to {
+		return p
+	}
+	return arrivalPeer{Peer: p, a: a}
+}
+
+type arrivalPeer struct {
+	pubsub.Peer
+	a *arrivals
+}
+
+func (p arrivalPeer) RouteFrom(t stream.Tuple, from topology.NodeID) {
+	p.a.got = append(p.a.got, t)
+	p.Peer.RouteFrom(t, from)
+}
+
+// TestWidenedWindowSplitsInTheOverlay is §2.1's Q3+Q4 → Q5 on one processor,
+// each user at a proxy of its own: the split delivers what the unmerged
+// queries deliver, and no result crosses a link to Q3's proxy that Q3 does
+// not receive — the superset result older than Q3's 30-minute window
+// (Station1's reading at minute 0 joined at minute 45) stops in the overlay.
+func TestWidenedWindowSplitsInTheOverlay(t *testing.T) {
+	const minute = 60_000
+	run := func(disableSharing bool) (got [2][]string, crossed, running int) {
+		g, procs := testTopology(t)
+		m, err := New(g, procs[:4], Config{K: 2, VMax: 10, Seed: 5, DisableResultSharing: disableSharing})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, name := range []string{"Station1", "Station2"} {
+			if err := m.RegisterStream(StreamDef{Name: name, Schema: stationSchema(), Source: procs[4+i], Substreams: 4, RatePerSubstream: 10}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var hs [2]*QueryHandle
+		for i, cql := range []string{
+			`SELECT S2.* FROM Station1 [Range 30 Minutes] S1, Station2 [Now] S2
+				WHERE S1.snowHeight > S2.snowHeight AND S1.snowHeight >= 10`,
+			`SELECT S1.snowHeight, S1.timestamp, S2.snowHeight, S2.timestamp
+				FROM Station1 [Range 1 Hour] S1, Station2 [Now] S2 WHERE S1.snowHeight > S2.snowHeight`,
+		} {
+			if hs[i], err = m.Submit(cql, procs[i], func(r Tuple) { got[i] = append(got[i], resultKey(r)) }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := m.Start(); err != nil {
+			t.Fatal(err)
+		}
+		// At this load the optimizer never co-locates the two (ROADMAP P7),
+		// so both move to procs[2] by hand, and are rewired as Adapt would.
+		proc := procs[2]
+		m.mu.Lock()
+		hs[0].processor, hs[1].processor = proc, proc
+		err = m.rewireWithUsers(m.procs...)
+		m.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		into := &arrivals{to: hs[0].Proxy}
+		m.net.SetPeerWrapper(into)
+		for _, r := range []struct {
+			stream string
+			ts     int64
+			snow   float64
+		}{{"Station1", 0, 15}, {"Station1", 40 * minute, 8}, {"Station1", 42 * minute, 20}, {"Station2", 45 * minute, 12}} {
+			if err := m.Publish(Tuple{Stream: r.stream, Timestamp: r.ts, Attrs: map[string]stream.Value{"snowHeight": stream.FloatVal(r.snow)}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, tp := range into.got {
+			if tp.Stream == resultStreamName(proc) {
+				crossed++
+			}
+		}
+		sort.Strings(got[0])
+		sort.Strings(got[1])
+		return got, crossed, len(m.wiring[proc].eng.QueryNames())
+	}
+	shared, crossed, running := run(false)
+	solo, _, soloRunning := run(true)
+	if running != 1 || soloRunning != 2 {
+		t.Fatalf("engine queries at the processor: %d shared, %d unshared; want 1 and 2", running, soloRunning)
+	}
+	if !reflect.DeepEqual(shared, solo) || len(solo[0]) != 1 || len(solo[1]) != 2 {
+		t.Errorf("deliveries with sharing %v, without %v; want Q3 one result and Q4 two, equal", shared, solo)
+	}
+	if crossed != len(shared[0]) {
+		t.Errorf("%d results crossed a link to Q3's proxy, which delivered %d", crossed, len(shared[0]))
 	}
 }
