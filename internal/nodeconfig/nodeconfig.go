@@ -167,7 +167,7 @@ func options() []option {
 			c.DrainTimeout = v
 			return nil
 		}},
-		{"batch-size", "max envelopes per transport batch (0 = transport default, 1 = v1 framing: one wire message per envelope)", func(c *Config, raw string) error {
+		{"batch-size", "max envelopes per transport frame (0 = transport default, 1 = one envelope per frame)", func(c *Config, raw string) error {
 			v, err := strconv.Atoi(raw)
 			if err != nil {
 				return err

@@ -132,9 +132,9 @@ type Tuple struct {
 	Owned bool
 
 	// Relay is an opaque hint the transport layer attaches to tuples that
-	// arrived off the wire: the already-decoded wire form, reused verbatim
+	// arrived off the wire: the bytes the tuple arrived in, written verbatim
 	// when the tuple is forwarded whole to the next hop instead of being
-	// rebuilt and re-flattened. Matching and delivery ignore it, and any
+	// encoded again. Matching and delivery ignore it, and any
 	// transformation that copies the tuple (projection) drops it, so a
 	// non-nil Relay always describes exactly this tuple.
 	Relay any

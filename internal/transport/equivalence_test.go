@@ -14,8 +14,8 @@ import (
 )
 
 // TestTransportEquivalence drives the same randomized workload over the same
-// randomized live-TCP overlay in batched mode, v1-framing (BatchSize 1)
-// mode, and an aggressive small-batch mode, and requires all three to
+// randomized live-TCP overlay in batched mode, one-envelope-per-frame
+// (BatchSize 1) mode, and an aggressive small-batch mode, and requires all three to
 // deliver the identical multiset of tuples and to drain to the identical
 // (empty) routing state. Batching is pure framing: the broker protocol must
 // not be able to tell the difference.

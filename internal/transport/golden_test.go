@@ -2,43 +2,73 @@ package transport
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"net"
 	"os"
+	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/pubsub"
 	"repro/internal/query"
 	"repro/internal/stream"
+	"repro/internal/topology"
 )
 
-// goldenEnvelopes is one fixture per wire kind (including MsgBatch), then a
-// subscribe whose filter is an age test (query.Within). The data tuple
-// carries TWO attributes on purpose: WireTuple sorts them by name, so
-// multi-attribute envelopes are byte-stable (a map-typed Attrs field would
-// gob-encode in random iteration order).
-func goldenEnvelopes() []struct {
-	name string
-	env  Envelope
+// recorder turns the pubsub.Peer calls decodeFrame makes into the envelopes
+// a remotePeer enqueues for them. A data envelope's body is encoded afresh
+// from the decoded tuple, and the body the tuple would be relayed in is kept
+// beside it.
+type recorder struct {
+	envs   []Envelope
+	relays [][]byte
+}
+
+func (r *recorder) AdvertFrom(_ topology.NodeID, s string, o topology.NodeID, q uint64) {
+	r.envs = append(r.envs, Envelope{Kind: MsgAdvert, StreamName: s, Origin: o, Seq: q})
+}
+func (r *recorder) UnadvertFrom(_ topology.NodeID, s string, o topology.NodeID, q uint64) {
+	r.envs = append(r.envs, Envelope{Kind: MsgUnadvertise, StreamName: s, Origin: o, Seq: q})
+}
+func (r *recorder) PropagateFrom(sub *pubsub.Subscription, _ topology.NodeID) {
+	r.envs = append(r.envs, Envelope{Kind: MsgSubscribe, Sub: sub})
+}
+func (r *recorder) RetractFrom(_ topology.NodeID, id string, seq uint64) {
+	r.envs = append(r.envs, Envelope{Kind: MsgUnsubscribe, SubID: id, Seq: seq})
+}
+func (r *recorder) RouteFrom(t stream.Tuple, _ topology.NodeID) {
+	r.relays = append(r.relays, tupleBody(t))
+	t.Relay = nil
+	r.envs = append(r.envs, Envelope{Kind: MsgData, body: tupleBody(t)})
+}
+
+// decodeEnvelopes decodes one frame (its length prefix stripped) as node 1's.
+func decodeEnvelopes(frame []byte) (*recorder, error) {
+	var r recorder
+	err := decodeFrame(frame, 1, make(map[string]string), &r)
+	return &r, err
+}
+
+// goldenFrames is one frame per envelope kind, a batch, a subscribe whose
+// filter is an age test (query.Within) and one whose projection keeps no
+// attribute. The data tuple carries TWO attributes on purpose: the body
+// sorts them by name, so a multi-attribute tuple's bytes do not depend on
+// map order.
+func goldenFrames() []struct {
+	name  string
+	batch []Envelope
 } {
 	lit := stream.FloatVal(10)
-	sub := &WireSubscription{
-		ID:      "q1",
-		Seq:     7,
-		Streams: []string{"R"},
-		Attrs:   []string{"a"},
-		Filters: []WirePredicate{{LeftCol: "a", Op: query.Ge, RightLit: &lit}},
-	}
+	gt := query.Predicate{Left: query.Operand{Col: &query.ColRef{Attr: "a"}}, Op: query.Gt, Right: query.Operand{Lit: &lit}}
+	ge := gt
+	ge.Op = query.Ge
 	span := stream.FloatVal(1_800_000)
-	within := &WireSubscription{
-		ID:      "q2",
-		Seq:     1,
-		Streams: []string{"results@3"},
-		Filters: []WirePredicate{{LeftCol: "S1.timestamp", Op: query.Within, RightLit: &span}},
-	}
-	tuple := toWireTuple(stream.Tuple{
+	within := query.Predicate{Left: query.Operand{Col: &query.ColRef{Attr: "S1.timestamp"}}, Op: query.Within, Right: query.Operand{Lit: &span}}
+	advert := Envelope{Kind: MsgAdvert, StreamName: "R", Origin: 2, Seq: 3}
+	data := Envelope{Kind: MsgData, body: tupleBody(stream.Tuple{
 		Stream:    "R",
 		Timestamp: 42,
 		Attrs: map[string]stream.Value{
@@ -46,64 +76,73 @@ func goldenEnvelopes() []struct {
 			"a": stream.FloatVal(11),
 		},
 		Size: 24,
-	})
+	})}
 	return []struct {
-		name string
-		env  Envelope
+		name  string
+		batch []Envelope
 	}{
-		{"advert", Envelope{Kind: MsgAdvert, From: 1, StreamName: "R", Origin: 2, Seq: 3}},
-		{"unadvertise", Envelope{Kind: MsgUnadvertise, From: 1, StreamName: "R", Origin: 2, Seq: 4}},
-		{"subscribe", Envelope{Kind: MsgSubscribe, From: 1, Sub: sub}},
-		{"unsubscribe", Envelope{Kind: MsgUnsubscribe, From: 1, SubID: "q1", Seq: 8}},
-		{"data", Envelope{Kind: MsgData, From: 1, Tuple: tuple}},
-		{"batch", Envelope{Kind: MsgBatch, From: 1, Batch: []Envelope{
-			{Kind: MsgAdvert, From: 1, StreamName: "R", Origin: 2, Seq: 3},
-			{Kind: MsgData, From: 1, Tuple: tuple},
-		}}},
-		{"subscribe-within", Envelope{Kind: MsgSubscribe, From: 1, Sub: within}},
+		{"advert", []Envelope{advert}},
+		{"unadvertise", []Envelope{{Kind: MsgUnadvertise, StreamName: "R", Origin: 2, Seq: 4}}},
+		{"subscribe", []Envelope{{Kind: MsgSubscribe, Sub: &pubsub.Subscription{
+			ID: "q1", Seq: 7, Streams: []string{"R"}, Attrs: []string{"a"}, Filters: []query.Predicate{ge},
+		}}}},
+		{"unsubscribe", []Envelope{{Kind: MsgUnsubscribe, SubID: "q1", Seq: 8}}},
+		{"data", []Envelope{data}},
+		{"batch", []Envelope{advert, data}},
+		{"subscribe-within", []Envelope{{Kind: MsgSubscribe, Sub: &pubsub.Subscription{
+			ID: "q2", Seq: 1, Streams: []string{"results@3"}, Filters: []query.Predicate{within},
+		}}}},
+		{"subscribe-empty-attrs", []Envelope{{Kind: MsgSubscribe, Sub: &pubsub.Subscription{
+			ID: "q3", Seq: 2, Streams: []string{"R"}, Attrs: []string{}, Filters: []query.Predicate{gt},
+		}}}},
 	}
 }
 
-// goldenPreamble is the gob type-definition stream a fresh encoder emits
-// before the first Envelope value: the wire names and field layout of
-// Envelope, WireSubscription, WirePredicate and stream.Value, plus the
-// GobEncoder registration of WireTuple (its body is the hand-written flat
-// encoding in transport.go, opaque to gob's reflection). Renaming or
-// reordering ANY of those fields — or changing the WireTuple body layout —
-// changes these bytes: a wire-format break.
-const goldenPreamble = "727f03010108456e76656c6f706501ff8000010901044b696e64010400010446726f6d010400010a53747265616d4e616d65010c0001064f726967696e010400010353756201ff820001055375624944010c00010353657101060001055475706c6501ff8c000105426174636801ff8e00000052ff810301011057697265537562736372697074696f6e01ff8200010501024944010c000103536571010600010753747265616d7301ff84000105417474727301ff8400010746696c7465727301ff8a00000016ff83020101085b5d737472696e6701ff8400010c000028ff89020101195b5d7472616e73706f72742e5769726550726564696361746501ff8a0001ff86000071ff850301010d5769726550726564696361746501ff8600010701074c656674436f6c010c0001074c6566744c697401ff880001024f7001040001085269676874436f6c010c00010852696768744c697401ff880001094c656674416c696173010c0001085269676874416c73010c00000028ff870301010556616c756501ff88000103010454797065010400010146010800010153010c0000000aff8b050102ff900000000dff93020102ff940001ff92000028ff9103010108576972654174747201ff9200010201044e616d65010c00010356616c01ff8800000023ff8d020101145b5d7472616e73706f72742e456e76656c6f706501ff8e0001ff800000"
+// goldenPreambleHex opens every connection: "CSMS", wire version 2 and the
+// sender's ID, here 1.
+const goldenPreambleHex = "43534d53020000000000000001"
 
-// goldenEnvelopeHex pins the exact gob bytes of every envelope kind — each
-// encoded by a FRESH encoder, so the preamble above is part of the pin. Any
-// drift here is a wire-format break: old and new nodes in one overlay would
-// stop understanding each other. Deliberate format changes must bump the
-// fixture AND note the incompatibility; run with COSMOS_UPDATE_GOLDEN=1 to
-// print the new bytes.
-var goldenEnvelopeHex = map[string]string{
-	"advert":      goldenPreamble + "0eff80010201020101520104030300",
-	"unadvertise": goldenPreamble + "0eff80010a01020101520104030400",
-	"subscribe":   goldenPreamble + "27ff80010401020301027131010701010152010101610101010161020c02010201fe244000000000",
-	"unsubscribe": goldenPreamble + "0dff800108010204027131010800",
-	"data":        goldenPreamble + "28ff8001060102061f0101525430020161014026000000000000000162030000000000000000017800",
-	"batch":       goldenPreamble + "3bff80010c0102070201020102010152010403030001060102061f010152543002016101402600000000000000016203000000000000000001780000",
-
-	// The age test pins query.Within's operator code, 7 (gob's 0e after
-	// the LeftCol "S1.timestamp").
-	"subscribe-within": goldenPreamble + "38ff800104010203010271320101010109726573756c747340330201010c53312e74696d657374616d70020e02010201fc40773b4100000000",
+// goldenFrameHex pins the exact bytes of every frame above, length prefix
+// included. Any drift here is a wire-format break: old and new nodes in one
+// overlay would stop understanding each other. A deliberate format change
+// bumps wireVersion and re-records the fixtures; run with
+// COSMOS_UPDATE_GOLDEN=1 to print the new bytes.
+var goldenFrameHex = map[string]string{
+	"advert":      "000000050101520403",
+	"unadvertise": "000000050501520404",
+	"subscribe":   "0000001c0202713107020152020161010c010001610201402400000000000000",
+	"unsubscribe": "000000050402713108",
+	"data":        "000000200301015254300201610140260000000000000001620300000000000000000178",
+	"batch":       "00000027060201015204030301015254300201610140260000000000000001620300000000000000000178",
+	// The age test pins query.Within's operator code, 7 (varint 0e, ahead
+	// of the column "S1.timestamp").
+	"subscribe-within": "0000002d02027132010209726573756c7473403300010e01000c53312e74696d657374616d700201413b77400000000000",
+	// An empty projection is a list of length 0 + 1 (01, after the
+	// streams), apart from nil (00).
+	"subscribe-empty-attrs": "0000001a020271330202015201010a010001610201402400000000000000",
 }
 
 func TestGoldenEnvelopeBytes(t *testing.T) {
-	for _, g := range goldenEnvelopes() {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(g.env); err != nil {
-			t.Fatalf("%s: encode: %v", g.name, err)
-		}
-		got := hex.EncodeToString(buf.Bytes())
-		if os.Getenv("COSMOS_UPDATE_GOLDEN") != "" {
+	update := os.Getenv("COSMOS_UPDATE_GOLDEN") != ""
+	if got := hex.EncodeToString(appendPreamble(nil, 1)); update {
+		fmt.Printf("preamble %q\n", got)
+	} else if got != goldenPreambleHex {
+		t.Errorf("preamble drifted from golden\n got %s\nwant %s", got, goldenPreambleHex)
+	}
+	raw, err := hex.DecodeString(goldenPreambleHex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if from, err := newFrameReader(bytes.NewReader(raw)).preamble(); err != nil || from != 1 {
+		t.Errorf("golden preamble read as sender %d, %v; want 1", from, err)
+	}
+	for _, g := range goldenFrames() {
+		got := hex.EncodeToString(appendFrame(nil, g.batch))
+		if update {
 			fmt.Printf("\t%q: %q,\n", g.name, got)
 			continue
 		}
-		want, ok := goldenEnvelopeHex[g.name]
+		want, ok := goldenFrameHex[g.name]
 		if !ok {
 			t.Fatalf("%s: no golden bytes recorded", g.name)
 		}
@@ -116,127 +155,25 @@ func TestGoldenEnvelopeBytes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: bad golden hex: %v", g.name, err)
 		}
-		var dec Envelope
-		if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&dec); err != nil {
+		frame, err := newFrameReader(bytes.NewReader(raw)).next()
+		if err != nil {
+			t.Fatalf("%s: golden bytes are not a frame: %v", g.name, err)
+		}
+		dec, err := decodeEnvelopes(frame)
+		if err != nil {
 			t.Fatalf("%s: golden bytes do not decode: %v", g.name, err)
 		}
-		if dec.Kind != g.env.Kind || dec.From != g.env.From {
-			t.Errorf("%s: golden decoded to kind=%d from=%d", g.name, dec.Kind, dec.From)
+		if !reflect.DeepEqual(dec.envs, g.batch) {
+			t.Errorf("%s: golden decoded to %+v, want %+v", g.name, dec.envs, g.batch)
 		}
 	}
 }
 
-// --- v1 interop: a peer that predates MsgBatch speaks plain envelopes in
-// --- both directions.
-
-// v1Peer is a minimal single-envelope peer: a raw listener whose decode
-// loop understands only the plain kinds and treats MsgBatch as a protocol
-// error — exactly what a pre-batching node would do (unknown kind).
-type v1Peer struct {
-	ln   net.Listener
-	got  chan Envelope
-	bad  chan MsgKind
-	done chan struct{}
-}
-
-func startV1Peer(t *testing.T) *v1Peer {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := &v1Peer{ln: ln, got: make(chan Envelope, 64), bad: make(chan MsgKind, 64), done: make(chan struct{})}
-	go func() {
-		defer close(p.done)
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				dec := gob.NewDecoder(conn)
-				for {
-					var env Envelope
-					if err := dec.Decode(&env); err != nil {
-						return
-					}
-					if env.Kind == MsgBatch || env.Kind <= 0 || env.Kind > MsgUnadvertise {
-						p.bad <- env.Kind
-						continue
-					}
-					p.got <- env
-				}
-			}()
-		}
-	}()
-	t.Cleanup(func() { _ = ln.Close(); <-p.done }) //lint:errdrop test teardown is best-effort
-	return p
-}
-
-// TestV1InteropSingleEnvelopeFallback: a node configured with BatchSize 1
-// (the interop setting for a MsgBatch-unaware neighbor) sends a v1 peer
-// nothing but plain envelopes, whatever the traffic rate.
-func TestV1InteropSingleEnvelopeFallback(t *testing.T) {
-	n, err := NewNodeWith(0, "127.0.0.1:0", Options{BatchSize: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = n.Close() }) //lint:errdrop test teardown is best-effort
-	old := startV1Peer(t)
-	n.Connect(1, old.ln.Addr().String())
-
-	// A burst dense enough that batching mode WOULD coalesce it.
-	for i := 0; i < 20; i++ {
-		n.Peer(1).AdvertFrom(0, fmt.Sprintf("S%d", i), 0, 1)
-	}
-	n.Flush()
-	for i := 0; i < 20; i++ {
-		select {
-		case env := <-old.got:
-			if env.Kind != MsgAdvert {
-				t.Fatalf("v1 peer got kind %d, want advert", env.Kind)
-			}
-		case k := <-old.bad:
-			t.Fatalf("v1 peer got undecipherable kind %d (batch leaked into fallback mode)", k)
-		case <-time.After(5 * time.Second):
-			t.Fatalf("v1 peer received only %d of 20 envelopes", i)
-		}
-	}
-}
-
-// TestV1InteropBatchOfOneUnwrapped: even with batching ON, a lone envelope
-// (nothing else queued when the sender takes it) goes out in v1 framing — a
-// batch of one is unwrapped — and leaves the idle pipe at once, with no
-// further traffic and no Flush behind it. Low-rate links interoperate with
-// old peers without any configuration.
-func TestV1InteropBatchOfOneUnwrapped(t *testing.T) {
-	n, err := NewNode(0, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = n.Close() }) //lint:errdrop test teardown is best-effort
-	old := startV1Peer(t)
-	n.Connect(1, old.ln.Addr().String())
-
-	n.Peer(1).AdvertFrom(0, "R", 0, 1)
-	select {
-	case env := <-old.got:
-		if env.Kind != MsgAdvert || env.StreamName != "R" {
-			t.Fatalf("v1 peer got %+v, want plain advert for R", env)
-		}
-	case k := <-old.bad:
-		t.Fatalf("lone envelope arrived as kind %d — batch of one was not unwrapped", k)
-	case <-time.After(5 * time.Second):
-		t.Fatal("v1 peer never received the lone envelope")
-	}
-}
-
-// TestV1InteropInbound: envelopes from a v1 peer (plain framing, no
-// batches) drive a v2 broker — upgrade one node at a time and the overlay
-// keeps working. (The fault suite already covers malformed traffic; this is
-// the well-formed v1 sender.)
-func TestV1InteropInbound(t *testing.T) {
+// TestWireVersionMismatchRefused: a connection that opens with another magic
+// or wire version — a gob-era node's type preamble among them — is refused
+// before any of its frames reaches the broker, counted as malformed, and
+// closed. The same frame behind the right preamble is applied.
+func TestWireVersionMismatchRefused(t *testing.T) {
 	n, err := NewNode(0, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -244,17 +181,105 @@ func TestV1InteropInbound(t *testing.T) {
 	t.Cleanup(func() { _ = n.Close() }) //lint:errdrop test teardown is best-effort
 	n.Connect(1, "127.0.0.1:1")         // membership only; we never send to it
 
-	conn, err := net.Dial("tcp", n.Addr())
-	if err != nil {
-		t.Fatal(err)
+	advert := appendFrame(nil, []Envelope{{Kind: MsgAdvert, StreamName: "R", Origin: 1, Seq: 1}})
+	open := func(preamble []byte) net.Conn {
+		t.Helper()
+		conn, err := net.Dial("tcp", n.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = conn.Close() }) //lint:errdrop test teardown is best-effort
+		if _, err := conn.Write(append(preamble, advert...)); err != nil {
+			t.Fatal(err)
+		}
+		return conn
 	}
-	defer conn.Close()
-	enc := gob.NewEncoder(conn)
-	if err := enc.Encode(Envelope{Kind: MsgAdvert, From: 1, StreamName: "R", Origin: 1, Seq: 1}); err != nil {
-		t.Fatal(err)
+	good := appendPreamble(nil, 1)
+	otherVersion := bytes.Clone(good)
+	otherVersion[len(wireMagic)] = wireVersion - 1
+	for _, c := range []struct {
+		name     string
+		preamble []byte
+	}{
+		{"gob", []byte("\x72\x7f\x03\x01\x01\x08Envelope\x01\xff\x80")},
+		{"magic", append([]byte("XSMS"), good[len(wireMagic):]...)},
+		{"version", otherVersion},
+	} {
+		malformed := cMalformed.Value()
+		conn := open(c.preamble)
+		if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Errorf("%s: the node kept the connection open (read: %v)", c.name, err)
+		}
+		if got := cMalformed.Value() - malformed; got != 1 {
+			t.Errorf("%s: transport.malformed_envelope moved by %d, want 1", c.name, got)
+		}
 	}
-	waitFor(t, "v1 advert applied at v2 broker", func() bool {
+	if _, learned := n.Broker.AdvertStateSize(); learned != 0 {
+		t.Fatalf("a refused connection's advert was applied: learned=%d", learned)
+	}
+	open(good)
+	waitFor(t, "the advert behind the right preamble applied", func() bool {
 		_, learned := n.Broker.AdvertStateSize()
 		return learned == 1
+	})
+}
+
+// FuzzDecodeFrame attacks the receive path from the connection's bytes
+// after the preamble, seeded from the golden frames, all of them in one
+// stream, and length prefixes at and above the frame cap. The receive buffer
+// never grows past twice the input (a length above maxFrame is refused
+// before anything is allocated for it), nothing panics, and for every frame
+// it accepts decode∘encode is the identity: the envelopes re-encode to
+// bytes that decode to the same envelopes, and every data tuple's relayed
+// bytes decode to the tuple it was handed over as.
+func FuzzDecodeFrame(f *testing.F) {
+	var all []byte
+	for _, g := range goldenFrames() {
+		raw, err := hex.DecodeString(goldenFrameHex[g.name])
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+		all = append(all, raw...)
+	}
+	f.Add(all)
+	f.Add(binary.BigEndian.AppendUint32(nil, maxFrame))
+	f.Add(binary.BigEndian.AppendUint32(nil, maxFrame+1))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fr := newFrameReader(bytes.NewReader(data))
+		for first := true; ; first = false {
+			frame, err := fr.next()
+			if limit := max(readBufSize, 2*len(data)); cap(fr.buf) > limit {
+				t.Fatalf("receive buffer grew to %d bytes on %d bytes of input", cap(fr.buf), len(data))
+			}
+			if first && len(data) >= 4 && binary.BigEndian.Uint32(data) > maxFrame &&
+				(!errors.Is(err, errMalformed) || cap(fr.buf) != readBufSize) {
+				t.Fatalf("a length above the cap was not refused up front: %v, buffer %d bytes", err, cap(fr.buf))
+			}
+			if err != nil {
+				return
+			}
+			dec, err := decodeEnvelopes(frame)
+			if err != nil {
+				continue
+			}
+			again := appendFrame(nil, dec.envs)
+			back, err := decodeEnvelopes(again[4:])
+			if err != nil {
+				t.Fatalf("own encoding refused: %v\n%x", err, again)
+			}
+			if twice := appendFrame(nil, back.envs); !bytes.Equal(twice, again) {
+				t.Fatalf("decode∘encode is not the identity:\n first %x\nsecond %x", again, twice)
+			}
+			for i, relay := range dec.relays {
+				if want := back.relays[i]; !bytes.Equal(tupleBody(decodeTuple(t, relay)), want) {
+					t.Fatalf("relayed body %x decodes to another tuple than the one handed over (%x)", relay, want)
+				}
+			}
+		}
 	})
 }

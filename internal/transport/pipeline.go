@@ -1,8 +1,6 @@
 package transport
 
 import (
-	"bufio"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -17,16 +15,17 @@ import (
 
 // Per-peer send pipeline. Every neighbor of a Node gets one peerPipe: a
 // bounded FIFO queue drained by a dedicated sender goroutine that coalesces
-// queued envelopes into MsgBatch wire messages (batching amortizes the
-// per-message gob and syscall cost, the dominant term of control floods and
-// high-rate data fan-out). The sender is work-conserving: it never waits on
-// a non-empty queue, so a batch is whatever accumulated while the previous
-// write was in flight — an idle link sends each envelope at once, a
-// saturated one fills its batches. The pipeline is what makes deliver a
-// non-blocking enqueue: dialing, encoding, retry backoff and
-// terminal-failure surfacing all run on the sender goroutine, never on the
-// broker's route/propagate goroutines (see CONCURRENCY.md "Transport send
-// pipelines").
+// queued envelopes into one frame each (batching amortizes the per-message
+// write syscall, the dominant term of control floods and high-rate data
+// fan-out). The sender is work-conserving: it never waits on a non-empty
+// queue, so a batch is whatever accumulated while the previous write was in
+// flight — an idle link sends each envelope at once, a saturated one fills
+// its batches. The pipeline is what makes deliver a non-blocking enqueue:
+// dialing, framing, retry backoff and terminal-failure surfacing all run on
+// the sender goroutine, never on the broker's route/propagate goroutines
+// (see CONCURRENCY.md "Transport send pipelines"). Only a data tuple's body
+// is encoded before the enqueue, because a publisher may reuse a map it
+// does not own once Publish returns.
 //
 // Overflow policy is per plane. Control envelopes are lossless — the
 // routing-state machinery cannot reconstruct a lost propagate or retract —
@@ -53,17 +52,12 @@ const (
 	// dialTimeout bounds a sender's connection attempt so a blackholed
 	// peer cannot pin its sender goroutine (and Close) for the OS default.
 	dialTimeout = 2 * time.Second
-	// sendBufSize is the bufio.Writer buffer in front of each connection:
-	// one flush per batch instead of one syscall per envelope.
-	sendBufSize = 64 << 10
 )
 
 // Options tunes a Node's send pipelines. The zero value means defaults.
 type Options struct {
-	// BatchSize is the most envelopes coalesced into one MsgBatch wire
-	// message (default 64). A batch of one is sent as a plain envelope,
-	// so BatchSize 1 is the v1 framing — one wire message per envelope —
-	// for a neighbor that predates MsgBatch.
+	// BatchSize is the most envelopes coalesced into one frame (default
+	// 64); 1 writes every envelope in a frame of its own.
 	BatchSize int
 	// ControlQueueDepth bounds queued control envelopes per peer
 	// (default 4096). At the bound, enqueue blocks: backpressure.
@@ -147,11 +141,13 @@ type peerPipe struct {
 	controlBytes atomic.Int64
 
 	// Connection state. Only the sender goroutine dials, encodes and
-	// evicts, so bw/enc need no lock; conn is additionally published
-	// under mu so close() can reach in and unblock a stuck write.
-	conn net.Conn
-	bw   *bufio.Writer
-	enc  *gob.Encoder
+	// evicts, so out (the connection it writes, nil when there is none)
+	// and scratch (the frame it encodes, reused) need no lock; conn is
+	// the same connection published under mu so close() can reach in and
+	// unblock a stuck write.
+	conn    net.Conn
+	out     net.Conn
+	scratch []byte
 }
 
 func newPeerPipe(n *Node, id topology.NodeID) *peerPipe {
@@ -228,8 +224,8 @@ func (p *peerPipe) enqueue(env Envelope, o Options) {
 }
 
 // run is the sender goroutine: collect a batch, write it, repeat until the
-// pipe closes. The batch buffer is reused across iterations, as are the
-// bufio.Writer and gob encoder across batches on one connection.
+// pipe closes. The batch buffer and the frame scratch are reused across
+// iterations.
 func (p *peerPipe) run(o Options) {
 	defer p.node.wg.Done()
 	var batch []Envelope
@@ -281,11 +277,11 @@ func (p *peerPipe) collect(buf []Envelope, o Options) ([]Envelope, bool) {
 }
 
 // writeBatch puts one batch on the wire with the per-plane retry policy: a
-// failed write evicts the connection (a gob stream cannot resume
-// mid-message) and retries over a fresh dial with capped backoff — minus
-// the data tuples, which get exactly one attempt (at-most-once). Terminal
-// failures are counted and surfaced per envelope through the node's
-// send-error handler. All of it runs on the sender goroutine.
+// failed write evicts the connection (a stream cannot resume mid-frame) and
+// retries over a fresh dial with capped backoff — minus the data tuples,
+// which get exactly one attempt (at-most-once). Terminal failures are
+// counted and surfaced per envelope through the node's send-error handler.
+// All of it runs on the sender goroutine.
 func (p *peerPipe) writeBatch(batch []Envelope) {
 	var err error
 	for attempt := 0; attempt < sendAttempts; attempt++ {
@@ -343,36 +339,36 @@ func (p *peerPipe) surfaceLoss(env Envelope, err error) {
 	p.node.opts.Logger.Warn("envelope lost", "peer", p.id, "kind", env.Kind, "err", err)
 }
 
-// tryWrite encodes the batch onto the current connection, dialing first if
-// there is none, and flushes. Batches of more than one envelope ride a
-// single MsgBatch wire message; a batch of one goes out in the v1
-// single-envelope framing, so low-rate links and BatchSize-1 nodes
-// interoperate with peers that predate MsgBatch. batch is never empty.
+// tryWrite writes the batch as one frame on the current connection, dialing
+// first if there is none and then opening the connection with the preamble.
+// batch is never empty.
 func (p *peerPipe) tryWrite(batch []Envelope) error {
-	// enc is the sender-owned "connected" marker; the conn field itself
-	// is shared with close() and only touched under mu.
-	if p.enc == nil {
+	buf := p.scratch[:0]
+	if p.out == nil {
 		if err := p.dial(); err != nil {
 			return err
 		}
+		buf = appendPreamble(buf, p.node.ID)
 	}
-	if len(batch) == 1 {
-		if err := p.enc.Encode(batch[0]); err != nil {
-			return err
-		}
-	} else {
-		if err := p.enc.Encode(Envelope{Kind: MsgBatch, From: p.node.ID, Batch: batch}); err != nil {
-			return err
-		}
+	at := len(buf)
+	buf = appendFrame(buf, batch)
+	p.scratch = buf
+	if len(buf)-at-4 > maxFrame {
+		return fmt.Errorf("transport: %d-byte frame to peer %d exceeds %d", len(buf)-at-4, p.id, maxFrame)
+	}
+	if _, err := p.out.Write(buf); err != nil {
+		return err
+	}
+	if len(batch) > 1 {
 		cBatches.Inc()
 		cBatchSize.Add(int64(len(batch)))
 	}
 	cWireMsgs.Inc()
-	return p.bw.Flush()
+	return nil
 }
 
-// dial connects to the peer and installs a fresh buffered writer and gob
-// encoder. Runs on the sender goroutine only.
+// dial connects to the peer and installs the connection. Runs on the sender
+// goroutine only.
 func (p *peerPipe) dial() error {
 	p.mu.Lock()
 	addr, closed := p.addr, p.closed
@@ -403,21 +399,20 @@ func (p *peerPipe) dial() error {
 	p.connected = true
 	p.lastErr = nil
 	p.mu.Unlock()
-	p.bw = bufio.NewWriterSize(conn, sendBufSize)
-	p.enc = gob.NewEncoder(p.bw)
+	p.out = conn
 	p.node.opts.Logger.Debug("peer connected", "peer", p.id, "addr", addr)
 	return nil
 }
 
-// evictConn drops the current connection (if any): a failed write poisons
-// the gob stream, so the next attempt must start a fresh one.
+// evictConn drops the current connection (if any): a failed write leaves a
+// partial frame on it, so the next attempt must start a fresh one.
 func (p *peerPipe) evictConn() {
 	p.mu.Lock()
 	conn := p.conn
 	p.conn = nil
 	p.connected = false
 	p.mu.Unlock()
-	p.bw, p.enc = nil, nil
+	p.out = nil
 	if conn != nil {
 		//lint:errdrop the write error is the one surfaced; closing the poisoned conn is disposal, not I/O
 		_ = conn.Close()

@@ -73,7 +73,7 @@ func TestDataOverflowDropsOldestTupleOnly(t *testing.T) {
 	}
 	// A control envelope older than every tuple: overflow must never
 	// evict it — only MsgData is at-most-once.
-	p.enqueue(Envelope{Kind: MsgSubscribe, From: 0, Sub: &WireSubscription{ID: "s"}}, o)
+	p.enqueue(Envelope{Kind: MsgSubscribe, From: 0, Sub: &pubsub.Subscription{ID: "s"}}, o)
 	for ts := int64(1); ts <= 5; ts++ {
 		p.enqueue(data(ts), o)
 	}
@@ -187,7 +187,7 @@ func checkAgainstModel(t *testing.T, step int, p *peerPipe, q *sliceQueue, dropp
 		t.Fatalf("step %d: transport.dropped_data moved by %d, oracle shed %d", step, got, q.shed)
 	}
 	for i := p.n; i < len(p.ring); i++ {
-		if e := p.at(i); e.Kind != 0 || e.Tuple != nil || e.Sub != nil {
+		if e := p.at(i); e.Kind != 0 || e.Tuple != nil || e.Sub != nil || e.body != nil {
 			t.Fatalf("step %d: vacated ring slot %d still holds %+v", step, i, *e)
 		}
 	}
@@ -287,7 +287,7 @@ func TestQueueMatchesSliceShiftModel(t *testing.T) {
 // batch is exactly what was queued when it came back for more. The pipe is
 // driven by hand (no sender goroutine), which makes "while the previous
 // write was in flight" deterministic: ten envelopes queued before the take
-// leave as ONE MsgBatch, and a lone one as one plain v1-framed envelope.
+// leave as ONE MsgBatch, and a lone one as a frame of one envelope.
 func TestNaturalBatching(t *testing.T) {
 	a, err := NewNode(0, "127.0.0.1:0")
 	if err != nil {

@@ -1,20 +1,15 @@
 package transport
 
 import (
-	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/metrics"
 	"repro/internal/pubsub"
-	"repro/internal/query"
 	"repro/internal/stream"
 	"repro/internal/topology"
 )
@@ -26,11 +21,10 @@ var (
 	cSendRetries  = metrics.GetCounter("transport.send_retries")
 	cUnknownKind  = metrics.GetCounter("transport.unknown_envelope_kind")
 	cMalformed    = metrics.GetCounter("transport.malformed_envelope")
-	// Pipeline counters (pipeline.go): MsgBatch wire messages, the
-	// envelopes they carried (batch_size/batches = mean batch size),
-	// total top-level wire messages written (the syscall proxy), the sum
-	// of per-peer queue high-water marks, and data tuples shed by the
-	// drop-oldest overflow policy.
+	// Pipeline counters (pipeline.go): MsgBatch frames, the envelopes
+	// they carried (batch_size/batches = mean batch size), all frames
+	// written (the syscall proxy), the sum of per-peer queue high-water
+	// marks, and data tuples shed by the drop-oldest overflow policy.
 	cBatches     = metrics.GetCounter("transport.batches")
 	cBatchSize   = metrics.GetCounter("transport.batch_size")
 	cWireMsgs    = metrics.GetCounter("transport.wire_msgs")
@@ -74,34 +68,34 @@ func (k MsgKind) String() string {
 	return fmt.Sprintf("kind(%d)", int(k))
 }
 
-// Envelope is the single wire message type.
+// Envelope is one protocol message in a peer's send queue, written as one
+// envelope of a frame (frame.go). From, Tuple and Batch never reach a link:
+// they stay for the benchmark's wire microbenchmark, which gob-encodes
+// envelopes (cmd/cosmos-bench/micro.go).
 type Envelope struct {
 	Kind MsgKind
-	From topology.NodeID
+	From topology.NodeID //lint:deadcode read by gob in the benchmark's wire microbenchmark (cmd/cosmos-bench/micro.go microWire)
 	// Advert / Unadvertise: the stream, the broker whose clients publish
 	// it, and the epoch the origin stamped the advertisement with.
 	StreamName string
 	Origin     topology.NodeID
-	// Subscribe
-	Sub *WireSubscription
+	// Subscribe: a copy of the broker's subscription that shares its lists,
+	// which nothing writes once the subscription is subscribed.
+	Sub *pubsub.Subscription
 	// Unsubscribe (retraction): the withdrawn subscription's ID. Seq is
 	// the epoch being retracted (shared with Advert/Unadvertise).
 	SubID string
 	Seq   uint64
-	// Data
-	Tuple *WireTuple
-	// Batch (MsgBatch only): the coalesced envelopes, oldest first.
+	Tuple *WireTuple //lint:deadcode read by gob in the benchmark's wire microbenchmark (cmd/cosmos-bench/micro.go microWire)
 	Batch []Envelope
+
+	// body is a data envelope's tuple body (tupleBody).
+	body []byte
 }
 
-// WireTuple is the wire form of stream.Tuple with the attribute map
-// flattened to a name-sorted slice. Two reasons: encode and decode of
-// Attrs dominate the data plane's CPU once batching has removed the
-// syscalls (so WireTuple carries its own GobEncode/GobDecode below, a flat
-// hand-written body instead of gob's per-field reflection), and map
-// iteration order would make the encoded bytes of a multi-attribute tuple
-// differ run to run — sorting makes every envelope byte-stable, which the
-// golden-bytes suite pins.
+// WireTuple is a tuple body's fields, the attribute map flattened to a
+// name-sorted slice: what appendTupleBody writes, and what the benchmark's
+// wire microbenchmark builds.
 type WireTuple struct {
 	Stream    string
 	Timestamp int64
@@ -115,211 +109,25 @@ type WireAttr struct {
 	Val  stream.Value
 }
 
-// toWireTuple flattens a tuple. The routing tag has no field in the v1 body:
-// it travels as the string attribute stream.TagAttr at its sorted position,
-// where it sat while the tag was payload, so the bytes did not move.
-func toWireTuple(t stream.Tuple) *WireTuple {
-	w := &WireTuple{Stream: t.Stream, Timestamp: t.Timestamp, Size: t.Size}
-	n := len(t.Attrs)
-	if t.Tag != "" {
-		n++
-	}
-	if n > 0 {
-		w.Attrs = make([]WireAttr, 0, n)
-		if t.Tag != "" {
-			w.Attrs = append(w.Attrs, WireAttr{Name: stream.TagAttr, Val: stream.StringVal(t.Tag)})
-		}
-		for name, v := range t.Attrs {
-			//lint:maporder the slice is sorted below; iteration order is unobservable
-			w.Attrs = append(w.Attrs, WireAttr{Name: name, Val: v})
-		}
-		slices.SortFunc(w.Attrs, func(a, b WireAttr) int { return strings.Compare(a.Name, b.Name) })
-	}
-	return w
-}
-
-// wireTupleVersion tags the hand-written WireTuple body so a future layout
-// change can coexist with old bytes instead of silently misparsing them.
-const wireTupleVersion = 1
-
-// GobEncode writes the flat WireTuple body: version byte, stream name,
-// timestamp, size, then each attribute as (name, value type, float bits,
-// string). Data tuples are the transport's hot path — the manual body costs
-// one buffer alloc where gob's generic struct walk costs a reflect call per
-// field per attribute, and the bytes stay deterministic because Attrs is
-// name-sorted.
+// GobEncode writes the tuple body (appendTupleBody), which gob carries as
+// opaque bytes.
+//
+//lint:deadcode gob hook of the benchmark's wire microbenchmark (cmd/cosmos-bench/micro.go microWire), which gob-encodes Envelopes
 func (w *WireTuple) GobEncode() ([]byte, error) {
-	n := 1 + binary.MaxVarintLen64*3 + len(w.Stream)
-	for _, a := range w.Attrs {
-		n += 2*binary.MaxVarintLen64 + 1 + 8 + len(a.Name) + len(a.Val.S)
-	}
-	buf := make([]byte, 0, n)
-	buf = append(buf, wireTupleVersion)
-	buf = binary.AppendUvarint(buf, uint64(len(w.Stream)))
-	buf = append(buf, w.Stream...)
-	buf = binary.AppendVarint(buf, w.Timestamp)
-	buf = binary.AppendVarint(buf, int64(w.Size))
-	buf = binary.AppendUvarint(buf, uint64(len(w.Attrs)))
-	for _, a := range w.Attrs {
-		buf = binary.AppendUvarint(buf, uint64(len(a.Name)))
-		buf = append(buf, a.Name...)
-		buf = append(buf, byte(a.Val.Type))
-		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(a.Val.F))
-		buf = binary.AppendUvarint(buf, uint64(len(a.Val.S)))
-		buf = append(buf, a.Val.S...)
-	}
-	return buf, nil
+	return appendTupleBody(nil, w), nil
 }
 
-var errBadWireTuple = errors.New("transport: malformed WireTuple body")
-
-// GobDecode parses the body written by GobEncode.
+// GobDecode parses the body GobEncode wrote.
+//
+//lint:deadcode gob hook of the benchmark's wire microbenchmark (cmd/cosmos-bench/micro.go microWire), which gob-decodes Envelopes
 func (w *WireTuple) GobDecode(data []byte) error {
-	if len(data) == 0 || data[0] != wireTupleVersion {
-		return errBadWireTuple
+	r := reader{b: data}
+	t, _ := r.tuple()
+	if r.bad || len(r.b) != 0 {
+		return errMalformed
 	}
-	data = data[1:]
-	str := func() (string, bool) {
-		l, n := binary.Uvarint(data)
-		if n <= 0 || uint64(len(data)-n) < l {
-			return "", false
-		}
-		s := string(data[n : n+int(l)])
-		data = data[n+int(l):]
-		return s, true
-	}
-	varint := func() (int64, bool) {
-		v, n := binary.Varint(data)
-		if n <= 0 {
-			return 0, false
-		}
-		data = data[n:]
-		return v, true
-	}
-	var ok bool
-	if w.Stream, ok = str(); !ok {
-		return errBadWireTuple
-	}
-	if w.Timestamp, ok = varint(); !ok {
-		return errBadWireTuple
-	}
-	size, ok := varint()
-	if !ok {
-		return errBadWireTuple
-	}
-	w.Size = int(size)
-	count, n := binary.Uvarint(data)
-	if n <= 0 || count > uint64(len(data)) { // each attr needs ≥1 byte
-		return errBadWireTuple
-	}
-	data = data[n:]
-	w.Attrs = nil
-	if count > 0 {
-		w.Attrs = make([]WireAttr, count)
-		for i := range w.Attrs {
-			a := &w.Attrs[i]
-			if a.Name, ok = str(); !ok {
-				return errBadWireTuple
-			}
-			if len(data) < 9 {
-				return errBadWireTuple
-			}
-			a.Val.Type = stream.AttrType(data[0])
-			a.Val.F = math.Float64frombits(binary.BigEndian.Uint64(data[1:9]))
-			data = data[9:]
-			if a.Val.S, ok = str(); !ok {
-				return errBadWireTuple
-			}
-		}
-	}
-	if len(data) != 0 {
-		return errBadWireTuple
-	}
+	*w = WireTuple{Stream: t.Stream, Timestamp: t.Timestamp, Size: t.Size, Attrs: sortedAttrs(nil, t)}
 	return nil
-}
-
-// fromWireTuple rebuilds the tuple: a map this hop owns, and a non-empty
-// string attribute stream.TagAttr lifted back into the header.
-func fromWireTuple(w *WireTuple) stream.Tuple {
-	// Relay carries the decoded wire form alongside the tuple: if the
-	// broker forwards it whole (no projection), the next hop's envelope
-	// reuses w instead of re-flattening and re-sorting the attribute map.
-	t := stream.Tuple{Stream: w.Stream, Timestamp: w.Timestamp, Size: w.Size, Owned: true, Relay: w}
-	if len(w.Attrs) > 0 {
-		t.Attrs = make(map[string]stream.Value, len(w.Attrs))
-		for _, a := range w.Attrs {
-			if a.Name == stream.TagAttr && a.Val.Type == stream.String && a.Val.S != "" {
-				t.Tag = a.Val.S
-				continue
-			}
-			t.Attrs[a.Name] = a.Val
-		}
-	}
-	return t
-}
-
-// WireSubscription is the gob-friendly form of pubsub.Subscription (the
-// Predicate type contains interface-free pointers, so a flat encoding keeps
-// the wire format stable). gob sends an empty Attrs as nil, so over TCP a
-// subscription that projects every column away arrives as one that keeps
-// them all, and that record forwards whole tuples.
-type WireSubscription struct {
-	ID      string
-	Seq     uint64
-	Streams []string
-	Attrs   []string
-	Filters []WirePredicate
-}
-
-// WirePredicate flattens query.Predicate: each operand is either a column
-// name or a literal.
-type WirePredicate struct {
-	LeftCol   string
-	LeftLit   *stream.Value
-	Op        query.Op
-	RightCol  string
-	RightLit  *stream.Value
-	LeftAlias string
-	RightAls  string
-}
-
-// toWire shares the subscription's stream and projection lists and its
-// literals: nothing writes them once the subscription is subscribed, and an
-// envelope is not written once enqueued. gob sends an empty list as it sends
-// nil, so the bytes are those of a copy. The filter lists are sized up front
-// (slices.Grow keeps an empty one nil).
-func toWire(s *pubsub.Subscription) *WireSubscription {
-	w := &WireSubscription{ID: s.ID, Seq: s.Seq, Streams: s.Streams, Attrs: s.Attrs, Filters: slices.Grow([]WirePredicate(nil), len(s.Filters))}
-	for _, p := range s.Filters {
-		wp := WirePredicate{Op: p.Op, LeftLit: p.Left.Lit, RightLit: p.Right.Lit}
-		if p.Left.Col != nil {
-			wp.LeftCol = p.Left.Col.Attr
-			wp.LeftAlias = p.Left.Col.Alias
-		}
-		if p.Right.Col != nil {
-			wp.RightCol = p.Right.Col.Attr
-			wp.RightAls = p.Right.Col.Alias
-		}
-		w.Filters = append(w.Filters, wp)
-	}
-	return w
-}
-
-// fromWire adopts the decoded lists and literals: the envelope was decoded
-// for this hop alone.
-func fromWire(w *WireSubscription) *pubsub.Subscription {
-	s := &pubsub.Subscription{ID: w.ID, Seq: w.Seq, Streams: w.Streams, Attrs: w.Attrs, Filters: slices.Grow([]query.Predicate(nil), len(w.Filters))}
-	for _, wp := range w.Filters {
-		p := query.Predicate{Op: wp.Op, Left: query.Operand{Lit: wp.LeftLit}, Right: query.Operand{Lit: wp.RightLit}}
-		if wp.LeftCol != "" || wp.LeftAlias != "" {
-			p.Left.Col = &query.ColRef{Alias: wp.LeftAlias, Attr: wp.LeftCol}
-		}
-		if wp.RightCol != "" || wp.RightAls != "" {
-			p.Right.Col = &query.ColRef{Alias: wp.RightAls, Attr: wp.RightCol}
-		}
-		s.Filters = append(s.Filters, p)
-	}
-	return s
 }
 
 // Node hosts one broker over TCP. Outbound traffic flows through per-peer
@@ -511,66 +319,41 @@ func (n *Node) serve(conn net.Conn) {
 		//lint:errdrop the decode loop already ended this stream; close is cleanup, its error changes nothing
 		_ = conn.Close()
 	}()
-	dec := gob.NewDecoder(conn)
-	for {
-		var env Envelope
-		if err := dec.Decode(&env); err != nil {
-			return
+	fr := newFrameReader(conn)
+	from, err := fr.preamble()
+	if err != nil {
+		if errors.Is(err, errMalformed) {
+			cMalformed.Inc() // another magic or wire version: refused
 		}
-		// A peer that started first may send before Connect has attached it
-		// here, and the broker drops a non-neighbor's messages as stragglers
-		// of a dead link. Hold the connection until then: TCP flow control
-		// bounds what backs up behind it. Detaching does not un-attach, so a
-		// dead link's stragglers still meet the broker's guard.
-		n.mu.Lock()
-		for !n.closed && !n.attached[env.From] {
-			n.attach.Wait()
-		}
-		n.mu.Unlock()
-		if env.Kind == MsgBatch {
-			if len(env.Batch) == 0 {
-				cMalformed.Inc()
-				continue
-			}
-			for i := range env.Batch {
-				if env.Batch[i].Kind == MsgBatch {
-					cMalformed.Inc() // batches never nest
-					continue
-				}
-				n.dispatch(env.Batch[i])
-			}
-			continue
-		}
-		n.dispatch(env)
+		return
 	}
-}
-
-// dispatch hands one protocol envelope to the broker. Called for plain
-// envelopes and for each member of a batch — the broker (and anything
-// wrapped around it) always sees individual protocol messages, whatever
-// framing they arrived in.
-func (n *Node) dispatch(env Envelope) {
-	switch env.Kind {
-	case MsgAdvert:
-		n.Broker.AdvertFrom(env.From, env.StreamName, env.Origin, env.Seq)
-	case MsgUnadvertise:
-		n.Broker.UnadvertFrom(env.From, env.StreamName, env.Origin, env.Seq)
-	case MsgSubscribe:
-		if env.Sub == nil {
-			cMalformed.Inc()
+	// A peer that started first may send before Connect has attached it
+	// here, and the broker drops a non-neighbor's messages as stragglers
+	// of a dead link. Hold the connection until then: TCP flow control
+	// bounds what backs up behind it. Detaching does not un-attach, so a
+	// dead link's stragglers still meet the broker's guard.
+	n.mu.Lock()
+	for !n.closed && !n.attached[from] {
+		n.attach.Wait()
+	}
+	n.mu.Unlock()
+	names := make(map[string]string)
+	for {
+		frame, err := fr.next()
+		if err != nil {
+			if errors.Is(err, errMalformed) {
+				cMalformed.Inc() // a length above maxFrame: the stream is lost
+			}
 			return
 		}
-		n.Broker.PropagateFrom(fromWire(env.Sub), env.From)
-	case MsgUnsubscribe:
-		n.Broker.RetractFrom(env.From, env.SubID, env.Seq)
-	case MsgData:
-		if env.Tuple == nil {
+		// The broker (and anything wrapped around it) sees individual
+		// protocol messages, whatever framing they arrived in.
+		switch err := decodeFrame(frame, from, names, n.Broker); {
+		case errors.Is(err, errUnknownKind):
+			cUnknownKind.Inc()
+		case err != nil:
 			cMalformed.Inc()
-			return
 		}
-		n.Broker.RouteFrom(fromWireTuple(env.Tuple), env.From)
-	default:
-		cUnknownKind.Inc()
 	}
 }
 
@@ -597,34 +380,25 @@ type remotePeer struct {
 	id topology.NodeID
 }
 
-func (r remotePeer) AdvertFrom(from topology.NodeID, streamName string, origin topology.NodeID, seq uint64) {
-	r.n.deliver(r.id, Envelope{Kind: MsgAdvert, From: from, StreamName: streamName, Origin: origin, Seq: seq})
+func (r remotePeer) AdvertFrom(_ topology.NodeID, streamName string, origin topology.NodeID, seq uint64) {
+	r.n.deliver(r.id, Envelope{Kind: MsgAdvert, StreamName: streamName, Origin: origin, Seq: seq})
 }
 
-func (r remotePeer) UnadvertFrom(from topology.NodeID, streamName string, origin topology.NodeID, seq uint64) {
-	r.n.deliver(r.id, Envelope{Kind: MsgUnadvertise, From: from, StreamName: streamName, Origin: origin, Seq: seq})
+func (r remotePeer) UnadvertFrom(_ topology.NodeID, streamName string, origin topology.NodeID, seq uint64) {
+	r.n.deliver(r.id, Envelope{Kind: MsgUnadvertise, StreamName: streamName, Origin: origin, Seq: seq})
 }
 
-func (r remotePeer) PropagateFrom(sub *pubsub.Subscription, from topology.NodeID) {
-	r.n.deliver(r.id, Envelope{Kind: MsgSubscribe, From: from, Sub: toWire(sub)})
+func (r remotePeer) PropagateFrom(sub *pubsub.Subscription, _ topology.NodeID) {
+	c := *sub // a later Subscribe of the same value stamps a new Seq
+	r.n.deliver(r.id, Envelope{Kind: MsgSubscribe, Sub: &c})
 }
 
-func (r remotePeer) RetractFrom(from topology.NodeID, id string, seq uint64) {
-	r.n.deliver(r.id, Envelope{Kind: MsgUnsubscribe, From: from, SubID: id, Seq: seq})
+func (r remotePeer) RetractFrom(_ topology.NodeID, id string, seq uint64) {
+	r.n.deliver(r.id, Envelope{Kind: MsgUnsubscribe, SubID: id, Seq: seq})
 }
 
-func (r remotePeer) RouteFrom(t stream.Tuple, from topology.NodeID) {
-	// A relayed tuple forwarded whole already carries its wire form
-	// (fromWireTuple stashed it in Relay; projection would have dropped
-	// it). WireTuples are immutable once enqueued, so sharing one across
-	// output pipes is safe. The field guard is belt-and-braces against a
-	// future caller attaching a stale hint.
-	w, ok := t.Relay.(*WireTuple)
-	if !ok || w.Stream != t.Stream || w.Timestamp != t.Timestamp ||
-		w.Size != t.Size || len(w.Attrs) != len(t.Attrs) {
-		w = toWireTuple(t)
-	}
-	r.n.deliver(r.id, Envelope{Kind: MsgData, From: from, Tuple: w})
+func (r remotePeer) RouteFrom(t stream.Tuple, _ topology.NodeID) {
+	r.n.deliver(r.id, Envelope{Kind: MsgData, body: tupleBody(t)})
 }
 
 // Peer implements pubsub.Fabric.

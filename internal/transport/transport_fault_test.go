@@ -1,7 +1,7 @@
 package transport
 
 import (
-	"encoding/gob"
+	"encoding/binary"
 	"log/slog"
 	"net"
 	"strings"
@@ -11,11 +11,12 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/pubsub"
 	"repro/internal/stream"
+	"repro/internal/topology"
 )
 
 // TestSenderRetriesAfterPeerRestart: a neighbor restarts while the sender
 // holds a connection to its previous incarnation. The next write fails
-// (gob streams cannot resume mid-message), the sender must evict the
+// (a stream cannot resume mid-frame), the sender must evict the
 // poisoned connection, redial and retry — the control envelope arrives and
 // no terminal failure is surfaced.
 func TestSenderRetriesAfterPeerRestart(t *testing.T) {
@@ -108,24 +109,16 @@ func TestMalformedEnvelopesCounted(t *testing.T) {
 	unknown := cUnknownKind.Value()
 	malformed := cMalformed.Value()
 
-	conn, err := net.Dial("tcp", nodes[1].Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	enc := gob.NewEncoder(conn)
-	for _, env := range []Envelope{
-		{Kind: MsgKind(99), From: 0},
-		{Kind: MsgSubscribe, From: 0, Sub: nil},
-		{Kind: MsgData, From: 0, Tuple: nil},
-		{Kind: MsgBatch, From: 0}, // empty batch
-		{Kind: MsgBatch, From: 0, Batch: []Envelope{ // nested batch
-			{Kind: MsgBatch, From: 0, Batch: []Envelope{{Kind: MsgAdvert, From: 0, StreamName: "X", Origin: 0, Seq: 9}}},
-		}},
+	conn := rawConn(t, nodes[1].Addr(), 0)
+	advert := appendFrame(nil, []Envelope{{Kind: MsgAdvert, StreamName: "X", Origin: 0, Seq: 9}})[4:]
+	for _, body := range [][]byte{
+		{99},
+		{byte(MsgSubscribe)}, // no subscription
+		{byte(MsgData)},      // no tuple
+		{byte(MsgBatch), 0},  // empty batch
+		append([]byte{byte(MsgBatch), 1, byte(MsgBatch), 1}, advert...), // nested batch
 	} {
-		if err := enc.Encode(env); err != nil {
-			t.Fatal(err)
-		}
+		writeRaw(t, conn, binary.BigEndian.AppendUint32(nil, uint32(len(body))), body)
 	}
 	waitFor(t, "malformed envelopes counted", func() bool {
 		return cUnknownKind.Value() == unknown+1 && cMalformed.Value() == malformed+4
@@ -161,36 +154,29 @@ func TestWireIdempotenceUnderDupAndReorder(t *testing.T) {
 	// tombstone the ghost subscription WOULD install. Half the replay
 	// rides MsgBatch framing: batched and plain envelopes must hit the
 	// same idempotence machinery.
-	conn, err := net.Dial("tcp", nodes[1].Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	enc := gob.NewEncoder(conn)
-	ghost := toWire(&pubsub.Subscription{ID: "ghost", Seq: 5, Streams: []string{"R"}})
-	for _, env := range []Envelope{
+	conn := rawConn(t, nodes[1].Addr(), 2)
+	ghost := &pubsub.Subscription{ID: "ghost", Seq: 5, Streams: []string{"R"}}
+	for _, frame := range [][]Envelope{
 		// Retraction overtakes its propagation, which then lands TWICE
 		// (once plain, once inside a batch).
-		{Kind: MsgUnsubscribe, From: 2, SubID: "ghost", Seq: 5},
-		{Kind: MsgSubscribe, From: 2, Sub: ghost},
-		{Kind: MsgBatch, From: 2, Batch: []Envelope{
-			{Kind: MsgSubscribe, From: 2, Sub: ghost},
+		{{Kind: MsgUnsubscribe, SubID: "ghost", Seq: 5}},
+		{{Kind: MsgSubscribe, Sub: ghost}},
+		{
+			{Kind: MsgSubscribe, Sub: ghost},
 			// Withdrawal overtakes its advert, which then lands twice.
-			{Kind: MsgUnadvertise, From: 2, StreamName: "X", Origin: 2, Seq: 3},
-			{Kind: MsgAdvert, From: 2, StreamName: "X", Origin: 2, Seq: 3},
-		}},
-		{Kind: MsgAdvert, From: 2, StreamName: "X", Origin: 2, Seq: 3},
+			{Kind: MsgUnadvertise, StreamName: "X", Origin: 2, Seq: 3},
+			{Kind: MsgAdvert, StreamName: "X", Origin: 2, Seq: 3},
+		},
+		{{Kind: MsgAdvert, StreamName: "X", Origin: 2, Seq: 3}},
 		// Adjacent duplicate of a well-formed retraction for a record that
 		// never existed: must be absorbed without residue.
-		{Kind: MsgUnsubscribe, From: 2, SubID: "never", Seq: 1},
-		{Kind: MsgUnsubscribe, From: 2, SubID: "never", Seq: 1},
+		{{Kind: MsgUnsubscribe, SubID: "never", Seq: 1}},
+		{{Kind: MsgUnsubscribe, SubID: "never", Seq: 1}},
 	} {
-		if err := enc.Encode(env); err != nil {
-			t.Fatal(err)
-		}
+		writeRaw(t, conn, appendFrame(nil, frame))
 	}
 	// The replay is absorbed asynchronously; settle, then assert nothing
-	// stuck. (The per-link gob stream is FIFO, so a later probe flowing
+	// stuck. (The per-link stream is FIFO, so a later probe flowing
 	// 2->1 would also fence the rogue stream — but the rogue conn is its
 	// own stream, hence the sleep.)
 	time.Sleep(100 * time.Millisecond)
@@ -232,4 +218,26 @@ func TestWireIdempotenceUnderDupAndReorder(t *testing.T) {
 		}
 		return true
 	})
+}
+
+// rawConn dials addr and opens the connection as node from's, preamble and
+// all, so the test writes frames by hand.
+func rawConn(t *testing.T, addr string, from topology.NodeID) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = conn.Close() }) //lint:errdrop test teardown is best-effort
+	writeRaw(t, conn, appendPreamble(nil, from))
+	return conn
+}
+
+func writeRaw(t *testing.T, conn net.Conn, parts ...[]byte) {
+	t.Helper()
+	for _, b := range parts {
+		if _, err := conn.Write(b); err != nil {
+			t.Fatal(err)
+		}
+	}
 }

@@ -51,11 +51,10 @@ func TestEndToEndOverTCP(t *testing.T) {
 
 	// Node 0 advertises stream R; the flood must traverse both hops.
 	nodes[0].Broker.Advertise("R")
-	waitFor(t, "advert relayed by node 1", func() bool {
-		_, ctrl := nodes[1].SentBytes()
-		return ctrl > 0
+	waitFor(t, "advert learned at node 2", func() bool {
+		_, learned := nodes[2].Broker.AdvertStateSize()
+		return learned == 1
 	})
-	time.Sleep(50 * time.Millisecond)
 
 	var mu sync.Mutex
 	var got []stream.Tuple
@@ -77,7 +76,10 @@ func TestEndToEndOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Subscription propagation is asynchronous over TCP.
-	time.Sleep(100 * time.Millisecond)
+	waitFor(t, "subscription recorded at node 0", func() bool {
+		remote, _ := nodes[0].Broker.RoutingStateSize()
+		return remote == 1
+	})
 
 	pub := func(a float64) {
 		nodes[0].Broker.Publish(stream.Tuple{
@@ -88,23 +90,23 @@ func TestEndToEndOverTCP(t *testing.T) {
 		})
 	}
 	pub(15)
-	pub(5) // filtered at the source broker
+	pub(5)  // filtered at the source broker
+	pub(20) // links are FIFO: a stray a=5 would land before this one
 
-	waitFor(t, "delivery at node 2", func() bool {
+	waitFor(t, "deliveries at node 2", func() bool {
 		mu.Lock()
 		defer mu.Unlock()
-		return len(got) >= 1
+		return len(got) >= 2
 	})
-	time.Sleep(50 * time.Millisecond) // let any stray deliveries land
 	mu.Lock()
 	defer mu.Unlock()
-	if len(got) != 1 || got[0].Attrs["a"].F != 15 {
-		t.Fatalf("delivered %v, want one tuple with a=15", got)
+	if len(got) != 2 || got[0].Attrs["a"].F != 15 || got[1].Attrs["a"].F != 20 {
+		t.Fatalf("delivered %v, want the tuples with a=15 and a=20", got)
 	}
-	// Early filtering: node 0 sent exactly one data tuple.
+	// Early filtering: node 0 sent exactly two data tuples.
 	data0, _ := nodes[0].SentBytes()
-	if data0 != 24 {
-		t.Errorf("node 0 sent %v data bytes, want 24", data0)
+	if data0 != 48 {
+		t.Errorf("node 0 sent %v data bytes, want 48", data0)
 	}
 }
 
@@ -175,7 +177,11 @@ func TestWireSubscriptionRoundTrip(t *testing.T) {
 			Right: query.Operand{Lit: &lit},
 		}},
 	}
-	out := fromWire(toWire(in))
+	dec, err := decodeEnvelopes(subscribeFrame(in)[4:])
+	if err != nil || len(dec.envs) != 1 {
+		t.Fatalf("subscribe frame does not decode: %v", err)
+	}
+	out := dec.envs[0].Sub
 	if out.ID != in.ID || out.Seq != 42 || len(out.Streams) != 2 || len(out.Attrs) != 2 || len(out.Filters) != 1 {
 		t.Fatalf("round trip mangled subscription: %+v", out)
 	}
@@ -188,6 +194,91 @@ func TestWireSubscriptionRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(in, out) {
 		t.Errorf("round trip changed the subscription: %+v, sent %+v", out, in)
+	}
+}
+
+// attrsSeen records the attribute names of every tuple forwarded through
+// the peers it wraps.
+type attrsSeen struct {
+	mu     sync.Mutex
+	names  map[string]bool
+	tuples int
+}
+
+func (w *attrsSeen) WrapPeer(_ topology.NodeID, p pubsub.Peer) pubsub.Peer {
+	return attrsPeer{Peer: p, w: w}
+}
+
+type attrsPeer struct {
+	pubsub.Peer
+	w *attrsSeen
+}
+
+func (p attrsPeer) RouteFrom(t stream.Tuple, from topology.NodeID) {
+	p.w.mu.Lock()
+	for name := range t.Attrs {
+		p.w.names[name] = true
+	}
+	p.w.tuples++
+	p.w.mu.Unlock()
+	p.Peer.RouteFrom(t, from)
+}
+
+// TestEmptyProjectionOverTCP: a subscription that projects every column away
+// (Attrs: []string{}, not nil) crosses two TCP hops as what it is. Every
+// delivery carries no attribute, and every link carries only the column its
+// filter reads, not the whole tuple a keep-everything record would forward.
+func TestEmptyProjectionOverTCP(t *testing.T) {
+	nodes := line3(t)
+	seen := make([]*attrsSeen, len(nodes))
+	for i, n := range nodes {
+		seen[i] = &attrsSeen{names: make(map[string]bool)}
+		n.SetPeerWrapper(seen[i])
+	}
+	nodes[0].Broker.Advertise("R")
+	waitFor(t, "advert learned at node 2", func() bool {
+		_, learned := nodes[2].Broker.AdvertStateSize()
+		return learned == 1
+	})
+	lit := stream.FloatVal(10)
+	sub := &pubsub.Subscription{ID: "none", Streams: []string{"R"}, Attrs: []string{}, Filters: []query.Predicate{{
+		Left: query.Operand{Col: &query.ColRef{Attr: "a"}}, Op: query.Gt, Right: query.Operand{Lit: &lit},
+	}}}
+	var mu sync.Mutex
+	var got []stream.Tuple
+	if err := nodes[2].Broker.Subscribe(sub, func(_ *pubsub.Subscription, tp stream.Tuple) {
+		mu.Lock()
+		got = append(got, tp)
+		mu.Unlock()
+	}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "subscription recorded at node 0", func() bool {
+		remote, _ := nodes[0].Broker.RoutingStateSize()
+		return remote == 1
+	})
+	for ts, a := range []float64{15, 5, 20} {
+		nodes[0].Broker.Publish(stream.Tuple{Stream: "R", Timestamp: int64(ts), Size: 32,
+			Attrs: map[string]stream.Value{"a": stream.FloatVal(a), "b": stream.StringVal("wide")}})
+	}
+	waitFor(t, "deliveries at node 2", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(got) == 2
+	})
+	mu.Lock()
+	defer mu.Unlock()
+	for _, tp := range got {
+		if len(tp.Attrs) != 0 {
+			t.Errorf("delivery at %d carries %v, want no attribute", tp.Timestamp, tp.Attrs)
+		}
+	}
+	for i, w := range seen[:2] {
+		w.mu.Lock()
+		if w.tuples != 2 || len(w.names) != 1 || !w.names["a"] {
+			t.Errorf("node %d forwarded %d tuples with attributes %v, want 2 carrying only a", i, w.tuples, w.names)
+		}
+		w.mu.Unlock()
 	}
 }
 

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bytes"
-	"encoding/gob"
 	"encoding/hex"
 	"reflect"
 	"strings"
@@ -20,10 +19,20 @@ func taggedTuple() stream.Tuple {
 	}
 }
 
+// decodeTuple reads one whole tuple body.
+func decodeTuple(t *testing.T, body []byte) stream.Tuple {
+	t.Helper()
+	r := reader{b: body}
+	tp, _ := r.tuple()
+	if r.bad || len(r.b) != 0 {
+		t.Fatalf("tuple body %x does not decode", body)
+	}
+	return tp
+}
+
 // TestTaggedTupleWireRoundTrip: the routing tag has no wire field of its
 // own. It leaves as the "__q" string attribute — the very bytes the same
-// tuple produced while the tag was still payload, so a tagged tuple crosses
-// to and from nodes that predate the header field — and comes back lifted
+// tuple produced while the tag was still payload — and comes back lifted
 // into the header, out of the attribute map.
 func TestTaggedTupleWireRoundTrip(t *testing.T) {
 	tagged := taggedTuple()
@@ -31,23 +40,12 @@ func TestTaggedTupleWireRoundTrip(t *testing.T) {
 	payload.Tag = ""
 	payload.Attrs[stream.TagAttr] = stream.StringVal(tagged.Tag)
 
-	encode := func(tp stream.Tuple) []byte {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(Envelope{Kind: MsgData, From: 1, Tuple: toWireTuple(tp)}); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	raw := encode(tagged)
-	if want := encode(payload); !bytes.Equal(raw, want) {
+	raw := tupleBody(tagged)
+	if want := tupleBody(payload); !bytes.Equal(raw, want) {
 		t.Fatalf("tagged tuple's wire bytes differ from the tuple carrying %s as an attribute\n got %x\nwant %x", stream.TagAttr, raw, want)
 	}
 
-	var env Envelope
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&env); err != nil {
-		t.Fatal(err)
-	}
-	got := fromWireTuple(env.Tuple)
+	got := decodeTuple(t, raw)
 	if got.Tag != tagged.Tag || !got.Owned {
 		t.Errorf("decoded tag %q owned %v, want %q and a map this hop owns", got.Tag, got.Owned, tagged.Tag)
 	}
@@ -58,32 +56,26 @@ func TestTaggedTupleWireRoundTrip(t *testing.T) {
 		t.Errorf("Get(%s) = %v %v, want the header's tag", stream.TagAttr, v, ok)
 	}
 	// Flattened again, the lifted tag lands back where it sat.
-	if !bytes.Equal(encode(got), raw) {
+	if !bytes.Equal(tupleBody(got), raw) {
 		t.Error("re-encoding the decoded tuple changed the bytes")
 	}
 }
 
-// FuzzWireTupleGobDecode attacks the one hand-written parser on the data
-// plane, seeded from the golden data envelope's tuple body and a tagged one:
-// it never panics, what it allocates is bounded by the input's length (a
-// hostile attribute count cannot reserve more slots than there are bytes),
-// decode∘encode is the identity on everything it accepts, and lifting the
-// tag out of a decoded tuple and flattening it again cannot panic either.
+// FuzzWireTupleGobDecode attacks the tuple body parser of the data plane
+// (reader.tuple) and the gob hooks over it, seeded from the golden data
+// frame's tuple body and a tagged one: it never panics, a hostile attribute
+// count reserves no more than the input's length, decode∘encode is the
+// identity on everything it accepts, the body it hands back as the relay is
+// the input itself, and no non-empty string tag stays in the attribute map.
 func FuzzWireTupleGobDecode(f *testing.F) {
-	golden := goldenEnvelopes()[4]
-	body, err := golden.env.Tuple.GobEncode()
-	if err != nil {
-		f.Fatal(err)
-	}
-	if !strings.Contains(goldenEnvelopeHex[golden.name], hex.EncodeToString(body)) {
+	golden := goldenFrames()[4]
+	body := golden.batch[0].body
+	if !strings.Contains(goldenFrameHex[golden.name], hex.EncodeToString(body)) {
 		f.Fatalf("the %s fixture's tuple body is not in its golden bytes", golden.name)
 	}
 	f.Add(body)
 	for _, tp := range []stream.Tuple{taggedTuple(), {Stream: "R", Tag: "Q7"}, {Stream: "R", Timestamp: -1}} {
-		seed, err := toWireTuple(tp).GobEncode()
-		if err != nil {
-			f.Fatal(err)
-		}
+		seed := tupleBody(tp)
 		f.Add(seed)
 		f.Add(seed[:len(seed)/2])
 	}
@@ -91,29 +83,30 @@ func FuzzWireTupleGobDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var w WireTuple
-		err := w.GobDecode(data)
+		gobErr := w.GobDecode(data)
 		if cap(w.Attrs) > len(data) {
 			t.Fatalf("%d attribute slots reserved for %d input bytes", cap(w.Attrs), len(data))
 		}
-		if err != nil {
+		r := reader{b: data}
+		tp, relay := r.tuple()
+		if accepted := !r.bad && len(r.b) == 0; accepted != (gobErr == nil) {
+			t.Fatalf("the body parser accepted=%v where GobDecode returned %v", accepted, gobErr)
+		}
+		if gobErr != nil {
 			return
 		}
-		enc, err := w.GobEncode()
-		if err != nil {
-			t.Fatalf("accepted tuple does not encode: %v", err)
+		if !bytes.Equal(relay, data) {
+			t.Fatalf("relay %x is not the body %x", relay, data)
 		}
-		var back WireTuple
-		if err := back.GobDecode(enc); err != nil {
-			t.Fatalf("own encoding rejected: %v", err)
-		}
-		if again, _ := back.GobEncode(); !bytes.Equal(again, enc) { //lint:errdrop GobEncode cannot fail
-			t.Fatalf("decode∘encode is not the identity:\n first %x\nsecond %x", enc, again)
-		}
-		tp := fromWireTuple(&w)
 		if v, ok := tp.Attrs[stream.TagAttr]; ok && v.Type == stream.String && v.S != "" {
 			t.Fatalf("a string %s stayed in the attribute map: %v", stream.TagAttr, tp.Attrs)
 		}
-		tp.Relay = nil
-		toWireTuple(tp)
+		enc := tupleBody(tp)
+		if again := tupleBody(decodeTuple(t, enc)); !bytes.Equal(again, enc) {
+			t.Fatalf("decode∘encode is not the identity:\n first %x\nsecond %x", enc, again)
+		}
+		if viaGob, _ := w.GobEncode(); !bytes.Equal(viaGob, enc) { //lint:errdrop GobEncode cannot fail
+			t.Fatalf("the gob hook encodes %x, the body codec %x", viaGob, enc)
+		}
 	})
 }
