@@ -123,7 +123,14 @@ func TestServiceEndToEnd(t *testing.T) {
 		t.Fatalf("readiness not logged:\n%s", logs[2].String())
 	}
 
-	// Ops surface on every node.
+	// Ops surface on every node. Each node's /metrics writes its own
+	// counters: only the publisher advertised and only the subscriber
+	// subscribed.
+	ownCounts := [3][]string{
+		{"cosmos_pubsub_advertises 1", "cosmos_pubsub_subscribes 0"},
+		{"cosmos_pubsub_advertises 0", "cosmos_pubsub_subscribes 0"},
+		{"cosmos_pubsub_subscribes 1"},
+	}
 	for i, svc := range svcs {
 		base := "http://" + svc.OpsAddr()
 		code, body := httpGet(t, base+"/healthz")
@@ -140,6 +147,11 @@ func TestServiceEndToEnd(t *testing.T) {
 		} {
 			if !strings.Contains(body, metric) {
 				t.Fatalf("node %d /metrics missing %s:\n%s", i, metric, body)
+			}
+		}
+		for _, line := range ownCounts[i] {
+			if !strings.Contains(body, "\n"+line+"\n") {
+				t.Fatalf("node %d /metrics lacks the line %q:\n%s", i, line, body)
 			}
 		}
 		code, body = httpGet(t, base+"/debug/overlay.dot")

@@ -6,14 +6,12 @@ import (
 	"net/http"
 	"strings"
 	"time"
-
-	"repro/internal/metrics"
 )
 
 // opsServer is the node's operational HTTP surface:
 //
 //	/healthz           200 when every overlay link is healthy, 503 otherwise
-//	/metrics           Prometheus text exposition of the process counters
+//	/metrics           Prometheus text exposition of this node's counters
 //	                   plus point-in-time routing/advert gauges
 //	/debug/overlay.dot DOT rendering of this node's view of the overlay,
 //	                   one edge per link with its routing-state summary
@@ -85,10 +83,10 @@ func (o *opsServer) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	_, _ = fmt.Fprint(w, status, b.String()) //lint:errdrop client went away mid-response; nothing to do
 }
 
-// handleMetrics serves the Prometheus text format: every process-wide
-// counter (pubsub.* routing/suppression/churn, transport.* batching/loss)
-// plus point-in-time gauges for routing-table population, advert-table
-// population, readiness and per-link byte accounting.
+// handleMetrics serves the Prometheus text format: every counter of this
+// node's registry (pubsub.* routing/suppression/churn, transport.*
+// batching/loss) plus point-in-time gauges for routing-table population,
+// advert-table population, readiness and per-link byte accounting.
 func (o *opsServer) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	remote, local := o.svc.node.Broker.RoutingStateSize()
 	own, learned := o.svc.node.Broker.AdvertStateSize()
@@ -107,7 +105,7 @@ func (o *opsServer) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		gauges[fmt.Sprintf("link.%d.control_bytes", st.Peer)] = st.ControlBytes
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := metrics.WritePrometheus(w, gauges); err != nil {
+	if err := o.svc.node.Broker.Metrics().WritePrometheus(w, gauges); err != nil {
 		o.svc.log.Debug("metrics write aborted", "err", err)
 	}
 }

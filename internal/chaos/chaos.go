@@ -5,7 +5,6 @@ import (
 	"math/rand/v2"
 	"sync"
 
-	"repro/internal/metrics"
 	"repro/internal/pubsub"
 	"repro/internal/stream"
 	"repro/internal/topology"
@@ -106,8 +105,6 @@ type Fabric struct {
 	cut     map[[2]topology.NodeID]bool
 	held    []heldMsg
 	stats   Stats
-
-	cDropped, cDuplicated, cDelayed, cBlackholed *metrics.Counter
 }
 
 // New builds a fabric from cfg. The fabric starts active (injecting).
@@ -119,15 +116,11 @@ func New(cfg Config) *Fabric {
 		cfg.MaxHold = 1
 	}
 	f := &Fabric{
-		rng:         rand.New(rand.NewPCG(cfg.Seed, 0x9e3779b97f4a7c15)),
-		cfg:         cfg,
-		active:      true,
-		crashed:     make(map[topology.NodeID]bool),
-		cut:         make(map[[2]topology.NodeID]bool),
-		cDropped:    metrics.GetCounter("chaos.dropped"),
-		cDuplicated: metrics.GetCounter("chaos.duplicated"),
-		cDelayed:    metrics.GetCounter("chaos.delayed"),
-		cBlackholed: metrics.GetCounter("chaos.blackholed"),
+		rng:     rand.New(rand.NewPCG(cfg.Seed, 0x9e3779b97f4a7c15)),
+		cfg:     cfg,
+		active:  true,
+		crashed: make(map[topology.NodeID]bool),
+		cut:     make(map[[2]topology.NodeID]bool),
 	}
 	kinds := cfg.Kinds
 	if kinds == nil {
@@ -175,7 +168,6 @@ func (f *Fabric) tickLocked() []func() {
 		}
 		if f.blackholedLocked(m.from, m.to) {
 			f.stats.Blackholed++
-			f.cBlackholed.Inc()
 			continue
 		}
 		f.stats.Released++
@@ -198,7 +190,6 @@ func (f *Fabric) apply(kind Kind, from, to topology.NodeID, deliver func()) {
 	}
 	if f.blackholedLocked(from, to) {
 		f.stats.Blackholed++
-		f.cBlackholed.Inc()
 		f.mu.Unlock()
 		return
 	}
@@ -214,17 +205,14 @@ func (f *Fabric) apply(kind Kind, from, to topology.NodeID, deliver func()) {
 	case fate < f.cfg.Drop:
 		copies = 0
 		f.stats.Dropped++
-		f.cDropped.Inc()
 	case fate < f.cfg.Drop+f.cfg.Dup:
 		copies = 2
 		f.stats.Duplicated++
-		f.cDuplicated.Inc()
 	case fate < f.cfg.Drop+f.cfg.Dup+f.cfg.Delay:
 		copies = 0
 		hold := 1 + f.rng.IntN(f.cfg.MaxHold)
 		f.held = append(f.held, heldMsg{deliver: deliver, from: from, to: to, left: hold})
 		f.stats.Delayed++
-		f.cDelayed.Inc()
 	}
 	f.stats.Delivered += int64(copies)
 	f.mu.Unlock()
@@ -254,7 +242,6 @@ func (f *Fabric) Flush() {
 		for _, m := range held {
 			if f.blackholedLocked(m.from, m.to) {
 				f.stats.Blackholed++
-				f.cBlackholed.Inc()
 				continue
 			}
 			f.stats.Released++

@@ -5,55 +5,61 @@ import (
 	"sync/atomic"
 )
 
-// Counter is a monotonically increasing operational counter. Counters exist
-// so fault-injection runs can account for every message a component dropped,
-// retried or failed to deliver instead of losing them silently: the chaos
-// and transport layers increment them on each such event and the soak
-// harnesses read them back through Counters().
+// Counter is a monotonically increasing operational counter of one
+// Registry. Every add also lands on the same-named counter in Default.
 type Counter struct {
-	name string
-	v    atomic.Int64
+	v      atomic.Int64
+	rollup *Counter // the same-named counter in Default; nil in Default
+	_      [48]byte // pads to a cache line: adds from other cores land apart
 }
 
-// Name returns the counter's registry name.
-func (c *Counter) Name() string { return c.name }
-
 // Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
+func (c *Counter) Inc() { c.Add(1) }
 
 // Add adds d (d must be >= 0; counters only go up).
-func (c *Counter) Add(d int64) { c.v.Add(d) }
+func (c *Counter) Add(d int64) {
+	c.v.Add(d)
+	if c.rollup != nil {
+		c.rollup.v.Add(d)
+	}
+}
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-var (
-	countersMu sync.Mutex
-	counters   = make(map[string]*Counter)
-)
-
-// GetCounter returns the process-wide counter with the given name, creating
-// it on first use. Safe for concurrent use; the returned pointer is stable,
-// so hot paths should look it up once and keep it.
-func GetCounter(name string) *Counter {
-	countersMu.Lock()
-	defer countersMu.Unlock()
-	c, ok := counters[name]
-	if !ok {
-		c = &Counter{name: name}
-		counters[name] = c
-	}
-	return c
+// Registry holds one instance's counters by name. Each pubsub.Broker owns
+// one, and a transport node registers its counters in its broker's, so one
+// node is one registry. The zero value is empty and ready to use.
+type Registry struct {
+	counters sync.Map // name → *Counter
 }
 
-// Counters snapshots every registered counter, sorted by name. Counters are
-// process-wide and never reset; tests assert on deltas.
-func Counters() map[string]int64 {
-	countersMu.Lock()
-	defer countersMu.Unlock()
-	out := make(map[string]int64, len(counters))
-	for name, c := range counters {
-		out[name] = c.Value()
+// Default sums every other registry's counters over the process, for
+// Counters() alone. Only the roll-up in Counter.Add writes it.
+var Default = new(Registry)
+
+// Counter returns the registry's counter with the given name, creating it at
+// zero on first use. Safe for concurrent use; the returned pointer is
+// stable, so hot paths look it up once and keep it.
+func (r *Registry) Counter(name string) *Counter {
+	c := &Counter{}
+	if r != Default {
+		c.rollup = Default.Counter(name)
 	}
+	got, _ := r.counters.LoadOrStore(name, c)
+	return got.(*Counter)
+}
+
+// Snapshot reads every counter of the registry by name.
+func (r *Registry) Snapshot() map[string]int64 {
+	out := make(map[string]int64)
+	r.counters.Range(func(name, c any) bool {
+		out[name.(string)] = c.(*Counter).Value()
+		return true
+	})
 	return out
 }
+
+// Counters snapshots Default: each counter name summed over every registry
+// the process has created. Counters never reset.
+func Counters() map[string]int64 { return Default.Snapshot() }

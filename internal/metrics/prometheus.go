@@ -7,22 +7,22 @@ import (
 	"strings"
 )
 
-// WritePrometheus renders every registered counter — plus the caller's gauges
-// — in the Prometheus text exposition format (version 0.0.4), the format the
-// node's /metrics endpoint serves. Counter names from the internal registry
+// WritePrometheus renders every counter of the registry — plus the caller's
+// gauges — in the Prometheus text exposition format (version 0.0.4), the
+// format the node's /metrics endpoint serves. Counter names from the registry
 // (dotted, e.g. "transport.dropped_data") are mangled to Prometheus metric
 // names by prefixing "cosmos_" and replacing each non-alphanumeric rune with
 // '_', so "transport.dropped_data" becomes "cosmos_transport_dropped_data".
 // Counters are emitted as TYPE counter; gauges (point-in-time state sizes
 // such as routing-table records, already prefixed by the caller) as TYPE
 // gauge. Output is sorted by metric name so scrapes are diffable.
-func WritePrometheus(w io.Writer, gauges map[string]int64) error {
+func (r *Registry) WritePrometheus(w io.Writer, gauges map[string]int64) error {
 	type sample struct {
 		name  string
 		typ   string
 		value int64
 	}
-	snap := Counters()
+	snap := r.Snapshot()
 	samples := make([]sample, 0, len(snap)+len(gauges))
 	for name, v := range snap {
 		samples = append(samples, sample{PrometheusName(name), "counter", v})

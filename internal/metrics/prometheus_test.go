@@ -20,10 +20,11 @@ func TestPrometheusName(t *testing.T) {
 }
 
 func TestWritePrometheus(t *testing.T) {
-	GetCounter("promtest.alpha").Add(3)
-	GetCounter("promtest.beta").Inc()
+	r := new(Registry)
+	r.Counter("promtest.alpha").Add(3)
+	r.Counter("promtest.beta").Inc()
 	var b strings.Builder
-	if err := WritePrometheus(&b, map[string]int64{"promtest_gauge": 42}); err != nil {
+	if err := r.WritePrometheus(&b, map[string]int64{"promtest_gauge": 42}); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()

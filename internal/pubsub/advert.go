@@ -37,7 +37,7 @@ func (b *Broker) Advertise(streamName string) {
 	}
 	neighbors := append([]topology.NodeID(nil), b.neighbors...)
 	b.mu.Unlock()
-	cAdvertises.Inc()
+	b.cAdvertises.Inc()
 	for _, n := range neighbors {
 		b.net.CountControl(b.Node, n, advertSize)
 		b.net.Peer(n).AdvertFrom(b.Node, streamName, b.Node, seq)
@@ -75,7 +75,7 @@ func (b *Broker) Unadvertise(streamName string) {
 	b.pruneAdvertLocked(&p, streamName, -1, false)
 	b.publishLocked()
 	b.mu.Unlock()
-	cUnadvertises.Inc()
+	b.cUnadvertises.Inc()
 	for _, n := range neighbors {
 		b.net.CountControl(b.Node, n, advertSize)
 		b.net.Peer(n).UnadvertFrom(b.Node, streamName, b.Node, seq)

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/metrics"
 	"repro/internal/stream"
 	"repro/internal/topology"
 )
@@ -174,6 +175,13 @@ type Broker struct {
 	// discard. Read with one atomic load per logging site and invoked only
 	// outside mu.
 	log atomic.Pointer[slog.Logger]
+
+	// metrics holds the c* counters below (Metrics, observe.go).
+	metrics                                           metrics.Registry
+	cRoutedTuples, cLocalDeliveries, cForwardedTuples *metrics.Counter
+	cSubscribes, cUnsubscribes                        *metrics.Counter
+	cAdvertises, cUnadvertises                        *metrics.Counter
+	cSubsSent, cSubsSuppressed, cRetractionsSent      *metrics.Counter
 }
 
 // NewBroker creates a broker wired to a fabric. Neighbors are added with
@@ -187,6 +195,16 @@ func NewBroker(net Fabric, node topology.NodeID) *Broker {
 		ownAdverts: make(map[string]uint64),
 		idx:        newMatchIndex(),
 	}
+	b.cRoutedTuples = b.metrics.Counter("pubsub.routed_tuples")
+	b.cLocalDeliveries = b.metrics.Counter("pubsub.local_deliveries")
+	b.cForwardedTuples = b.metrics.Counter("pubsub.forwarded_tuples")
+	b.cSubscribes = b.metrics.Counter("pubsub.subscribes")
+	b.cUnsubscribes = b.metrics.Counter("pubsub.unsubscribes")
+	b.cAdvertises = b.metrics.Counter("pubsub.advertises")
+	b.cUnadvertises = b.metrics.Counter("pubsub.unadvertises")
+	b.cSubsSent = b.metrics.Counter("pubsub.subscriptions_sent")
+	b.cSubsSuppressed = b.metrics.Counter("pubsub.subscriptions_suppressed")
+	b.cRetractionsSent = b.metrics.Counter("pubsub.retractions_sent")
 	// The empty epoch: a broker that has not churned yet routes lock-free
 	// like any other, to nobody.
 	b.snap.Store(&matchSnapshot{})

@@ -10,29 +10,18 @@ import (
 	"repro/internal/topology"
 )
 
-// Operational counters, registered in the process-wide metrics registry so
-// the node's /metrics endpoint (and the soak harnesses) can read them back.
-// All are send-side accounted like the fabric byte counters: a suppressed
-// subscription is one that covering suppression kept OFF a link, so
-// subscriptions_suppressed/(subscriptions_sent+subscriptions_suppressed) is
+// Metrics returns the broker's counter registry; a transport node registers
+// its own counters in it too, so one node is one registry. The broker's c*
+// counters are send-side accounted like the fabric byte counters: a
+// suppressed subscription is one that covering suppression kept OFF a link,
+// so subscriptions_suppressed/(subscriptions_sent+subscriptions_suppressed) is
 // the control-plane savings ratio the paper's Fig 5 measures. Every
 // propagation decision counts once, wherever it is made — a new
 // subscription's, an advert replay's, an un-suppression's — and every
 // retraction at every hop it crosses, so the counts do not depend on whether
 // subscriptions or adverts arrived first. Each site adds after unlocking
 // (sendPends, sendRetractions).
-var (
-	cRoutedTuples    = metrics.GetCounter("pubsub.routed_tuples")
-	cLocalDeliveries = metrics.GetCounter("pubsub.local_deliveries")
-	cForwardedTuples = metrics.GetCounter("pubsub.forwarded_tuples")
-	cSubscribes      = metrics.GetCounter("pubsub.subscribes")
-	cUnsubscribes    = metrics.GetCounter("pubsub.unsubscribes")
-	cAdvertises      = metrics.GetCounter("pubsub.advertises")
-	cUnadvertises    = metrics.GetCounter("pubsub.unadvertises")
-	cSubsSent        = metrics.GetCounter("pubsub.subscriptions_sent")
-	cSubsSuppressed  = metrics.GetCounter("pubsub.subscriptions_suppressed")
-	cRetractionsSent = metrics.GetCounter("pubsub.retractions_sent")
-)
+func (b *Broker) Metrics() *metrics.Registry { return &b.metrics }
 
 // DiscardLogger is the broker's logger until SetLogger installs one, and the
 // transport's when Options.Logger is nil: a handler gated above every level,

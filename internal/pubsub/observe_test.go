@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/metrics"
 	"repro/internal/query"
 	"repro/internal/stream"
 	"repro/internal/topology"
@@ -112,12 +111,12 @@ func TestDirStatesAndAdvertisedStreams(t *testing.T) {
 	}
 }
 
-// TestRouteCounters: routing moves the process-wide counters the /metrics
-// endpoint exposes. Counters never reset, so assertions are on deltas.
+// TestRouteCounters: routing moves each broker's own counters, the ones the
+// node's /metrics endpoint writes.
 func TestRouteCounters(t *testing.T) {
-	before := metrics.Counters()
 	net := lineNet(t)
 	b0, _ := net.Broker(0)
+	b1, _ := net.Broker(1)
 	b2, _ := net.Broker(2)
 
 	b0.Advertise("R")
@@ -130,36 +129,27 @@ func TestRouteCounters(t *testing.T) {
 	b2.Unsubscribe("s")
 	b0.Unadvertise("R")
 
-	after := metrics.Counters()
-	delta := func(name string) int64 { return after[name] - before[name] }
-	// Each publish routes at 0, 1 and 2: 15 route calls, 5 local
-	// deliveries at node 2, 10 link crossings.
-	if got := delta("pubsub.routed_tuples"); got != 15 {
-		t.Errorf("routed_tuples delta = %d, want 15", got)
-	}
-	if got := delta("pubsub.local_deliveries"); got != 5 {
-		t.Errorf("local_deliveries delta = %d, want 5", got)
-	}
-	if got := delta("pubsub.forwarded_tuples"); got != 10 {
-		t.Errorf("forwarded_tuples delta = %d, want 10", got)
-	}
-	for name, want := range map[string]int64{
-		"pubsub.advertises":   1,
-		"pubsub.unadvertises": 1,
-		"pubsub.subscribes":   1,
-		"pubsub.unsubscribes": 1,
+	// Each publish routes at 0, 1 and 2, crosses links 0→1 and 1→2, and
+	// is delivered at 2. The advert and its withdrawal are 0's, the
+	// subscription and its removal 2's. The subscription crossed links
+	// 2→1 and 1→0, and its retraction chased both records.
+	for i, want := range []map[string]int64{
+		{"pubsub.routed_tuples": 5, "pubsub.local_deliveries": 0, "pubsub.forwarded_tuples": 5,
+			"pubsub.advertises": 1, "pubsub.unadvertises": 1, "pubsub.subscribes": 0, "pubsub.unsubscribes": 0,
+			"pubsub.subscriptions_sent": 0, "pubsub.retractions_sent": 0},
+		{"pubsub.routed_tuples": 5, "pubsub.local_deliveries": 0, "pubsub.forwarded_tuples": 5,
+			"pubsub.advertises": 0, "pubsub.unadvertises": 0, "pubsub.subscribes": 0, "pubsub.unsubscribes": 0,
+			"pubsub.subscriptions_sent": 1, "pubsub.retractions_sent": 1},
+		{"pubsub.routed_tuples": 5, "pubsub.local_deliveries": 5, "pubsub.forwarded_tuples": 0,
+			"pubsub.advertises": 0, "pubsub.unadvertises": 0, "pubsub.subscribes": 1, "pubsub.unsubscribes": 1,
+			"pubsub.subscriptions_sent": 1, "pubsub.retractions_sent": 1},
 	} {
-		if got := delta(name); got != want {
-			t.Errorf("%s delta = %d, want %d", name, got, want)
+		snap := []*Broker{b0, b1, b2}[i].Metrics().Snapshot()
+		for name, w := range want {
+			if got := snap[name]; got != w {
+				t.Errorf("broker %d: %s = %d, want %d", i, name, got, w)
+			}
 		}
-	}
-	// The subscription crossed links 2→1 and 1→0, and its retraction
-	// chased both records.
-	if got := delta("pubsub.subscriptions_sent"); got != 2 {
-		t.Errorf("subscriptions_sent delta = %d, want 2", got)
-	}
-	if got := delta("pubsub.retractions_sent"); got != 2 {
-		t.Errorf("retractions_sent delta = %d, want 2", got)
 	}
 }
 
@@ -184,26 +174,29 @@ func (p countedPeer) RetractFrom(from topology.NodeID, id string, seq uint64) {
 	p.Peer.RetractFrom(from, id, seq)
 }
 
-// controlDeltas runs f and returns how far it moved the three control-plane
-// decision counters, checking subscriptions_sent and retractions_sent against
-// the messages the network's links carried meanwhile.
-func controlDeltas(t *testing.T, net *Network, f func()) map[string]int64 {
+// controlCounts runs f on a fresh network and returns the three
+// control-plane decision counters summed over its brokers, checking
+// subscriptions_sent and retractions_sent against the messages the
+// network's links carried meanwhile.
+func controlCounts(t *testing.T, net *Network, f func()) map[string]int64 {
 	t.Helper()
 	calls := new(sendCounter)
 	net.SetPeerWrapper(calls)
 	defer net.SetPeerWrapper(nil)
-	before := metrics.Counters()
 	f()
-	after := metrics.Counters()
 	out := make(map[string]int64)
-	for _, name := range []string{"pubsub.subscriptions_sent", "pubsub.subscriptions_suppressed", "pubsub.retractions_sent"} {
-		out[name] = after[name] - before[name]
+	for _, n := range net.Nodes() {
+		b, _ := net.Broker(n)
+		snap := b.Metrics().Snapshot()
+		for _, name := range []string{"pubsub.subscriptions_sent", "pubsub.subscriptions_suppressed", "pubsub.retractions_sent"} {
+			out[name] += snap[name]
+		}
 	}
 	if got := out["pubsub.subscriptions_sent"]; got != calls.propagates {
-		t.Errorf("subscriptions_sent delta = %d, links carried %d subscriptions", got, calls.propagates)
+		t.Errorf("subscriptions_sent = %d, links carried %d subscriptions", got, calls.propagates)
 	}
 	if got := out["pubsub.retractions_sent"]; got != calls.retracts {
-		t.Errorf("retractions_sent delta = %d, links carried %d retractions", got, calls.retracts)
+		t.Errorf("retractions_sent = %d, links carried %d retractions", got, calls.retracts)
 	}
 	return out
 }
@@ -229,7 +222,7 @@ func TestControlCountersCountEveryDecision(t *testing.T) {
 		}
 		pub, _ := net.Broker(0)
 		subs, _ := net.Broker(2)
-		return controlDeltas(t, net, func() {
+		return controlCounts(t, net, func() {
 			if advertFirst {
 				pub.Advertise("R")
 			}
@@ -253,7 +246,7 @@ func TestControlCountersCountEveryDecision(t *testing.T) {
 	want := map[string]int64{"pubsub.subscriptions_sent": 4, "pubsub.subscriptions_suppressed": 1, "pubsub.retractions_sent": 4}
 	for _, advertFirst := range []bool{true, false} {
 		if got := scenario(advertFirst); !maps.Equal(got, want) {
-			t.Errorf("advertise first = %v: counter deltas %v, want %v", advertFirst, got, want)
+			t.Errorf("advertise first = %v: counters %v, want %v", advertFirst, got, want)
 		}
 	}
 
@@ -267,7 +260,7 @@ func TestControlCountersCountEveryDecision(t *testing.T) {
 			t.Fatal(err)
 		}
 		var log []string
-		controlDeltas(t, net, func() { runEqScenario(t, net, ops, &log) })
+		controlCounts(t, net, func() { runEqScenario(t, net, ops, &log) })
 	}
 }
 

@@ -66,12 +66,12 @@ func (b *Broker) route(t stream.Tuple, from topology.NodeID) {
 	}
 	bufs := routeBufPool.Get().(*routeBufs)
 	locals, hops := matchSnap(snap, &t, from, bufs, bufs.locals[:0], bufs.hops[:0])
-	cRoutedTuples.Inc()
+	b.cRoutedTuples.Inc()
 	if len(locals) > 0 {
-		cLocalDeliveries.Add(int64(len(locals)))
+		b.cLocalDeliveries.Add(int64(len(locals)))
 	}
 	if len(hops) > 0 {
-		cForwardedTuples.Add(int64(len(hops)))
+		b.cForwardedTuples.Add(int64(len(hops)))
 	}
 
 	// Local deliveries run first, in subscription-registration order,

@@ -35,7 +35,7 @@ func (b *Broker) Subscribe(sub *Subscription, h Handler) error {
 	b.idx.locals.add(c)
 	b.publishLocked()
 	b.mu.Unlock()
-	cSubscribes.Inc()
+	b.cSubscribes.Inc()
 	b.propagate(sub, -1)
 	return nil
 }
@@ -72,7 +72,7 @@ func (b *Broker) Unsubscribe(id string) {
 	b.unsuppressEdges(&p, edges)
 	b.publishLocked()
 	b.mu.Unlock()
-	cUnsubscribes.Inc()
+	b.cUnsubscribes.Inc()
 	b.sendRetractions(targets, id, seq)
 	b.sendPends(p)
 }
@@ -117,7 +117,7 @@ func (b *Broker) retractFrom(from topology.NodeID, id string, seq uint64) {
 
 // sendRetractions sends, and counts, one retraction per target.
 func (b *Broker) sendRetractions(targets nodeSet, id string, seq uint64) {
-	cRetractionsSent.Add(int64(len(targets)))
+	b.cRetractionsSent.Add(int64(len(targets)))
 	for _, n := range targets {
 		b.net.CountControl(b.Node, n, retractSize)
 		b.net.Peer(n).RetractFrom(b.Node, id, seq)
@@ -143,8 +143,8 @@ type pends struct {
 
 // sendPends counts a critical section's decisions and delivers its sends.
 func (b *Broker) sendPends(p pends) {
-	cSubsSent.Add(int64(len(p.sends)))
-	cSubsSuppressed.Add(int64(p.suppressed))
+	b.cSubsSent.Add(int64(len(p.sends)))
+	b.cSubsSuppressed.Add(int64(p.suppressed))
 	for _, s := range p.sends {
 		b.net.CountControl(b.Node, s.to, subSize(s.sub))
 		b.net.Peer(s.to).PropagateFrom(s.sub, b.Node)

@@ -197,7 +197,7 @@ func TestWireVersionMismatchRefused(t *testing.T) {
 	good := appendPreamble(nil, 1)
 	otherVersion := bytes.Clone(good)
 	otherVersion[len(wireMagic)] = wireVersion - 1
-	for _, c := range []struct {
+	for i, c := range []struct {
 		name     string
 		preamble []byte
 	}{
@@ -205,7 +205,6 @@ func TestWireVersionMismatchRefused(t *testing.T) {
 		{"magic", append([]byte("XSMS"), good[len(wireMagic):]...)},
 		{"version", otherVersion},
 	} {
-		malformed := cMalformed.Value()
 		conn := open(c.preamble)
 		if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
 			t.Fatal(err)
@@ -213,8 +212,8 @@ func TestWireVersionMismatchRefused(t *testing.T) {
 		if _, err := conn.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
 			t.Errorf("%s: the node kept the connection open (read: %v)", c.name, err)
 		}
-		if got := cMalformed.Value() - malformed; got != 1 {
-			t.Errorf("%s: transport.malformed_envelope moved by %d, want 1", c.name, got)
+		if got := n.cMalformed.Value(); got != int64(i+1) {
+			t.Errorf("%s: transport.malformed_envelope = %d after %d refused connections, want %d", c.name, got, i+1, i+1)
 		}
 	}
 	if _, learned := n.Broker.AdvertStateSize(); learned != 0 {

@@ -195,7 +195,7 @@ func (p *peerPipe) enqueue(env Envelope, o Options) {
 			*p.at(0) = Envelope{}
 			p.popFront(1)
 			p.ndata--
-			cDroppedData.Inc()
+			p.node.cDroppedData.Inc()
 		}
 		p.ndata++
 	} else {
@@ -217,7 +217,7 @@ func (p *peerPipe) enqueue(env Envelope, o Options) {
 	*p.at(p.n) = env
 	p.n++
 	if p.n > p.highwater {
-		cQueueDepth.Add(int64(p.n - p.highwater))
+		p.node.cQueueDepth.Add(int64(p.n - p.highwater))
 		p.highwater = p.n
 	}
 	p.cond.Broadcast()
@@ -286,7 +286,7 @@ func (p *peerPipe) writeBatch(batch []Envelope) {
 	var err error
 	for attempt := 0; attempt < sendAttempts; attempt++ {
 		if attempt > 0 {
-			cSendRetries.Inc()
+			p.node.cSendRetries.Inc()
 			delay := retryBaseDelay << (attempt - 1)
 			if delay > retryMaxDelay {
 				delay = retryMaxDelay
@@ -335,7 +335,7 @@ func (p *peerPipe) surfaceLoss(env Envelope, err error) {
 	if closed {
 		return
 	}
-	cSendFailures.Inc()
+	p.node.cSendFailures.Inc()
 	p.node.opts.Logger.Warn("envelope lost", "peer", p.id, "kind", env.Kind, "err", err)
 }
 
@@ -360,10 +360,10 @@ func (p *peerPipe) tryWrite(batch []Envelope) error {
 		return err
 	}
 	if len(batch) > 1 {
-		cBatches.Inc()
-		cBatchSize.Add(int64(len(batch)))
+		p.node.cBatches.Inc()
+		p.node.cBatchSize.Add(int64(len(batch)))
 	}
-	cWireMsgs.Inc()
+	p.node.cWireMsgs.Inc()
 	return nil
 }
 

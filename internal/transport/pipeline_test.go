@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/pubsub"
 	"repro/internal/stream"
 	"repro/internal/topology"
@@ -15,9 +16,16 @@ import (
 // --- queue-policy unit tests (no sender goroutine: the pipe is exercised
 // --- directly, so enqueue/collect behavior is deterministic).
 
+// queueNode is a pipe's node with nothing but the counters its queue
+// writes: enough for enqueue, collect and close.
+func queueNode() *Node {
+	r := new(metrics.Registry)
+	return &Node{cDroppedData: r.Counter("transport.dropped_data"), cQueueDepth: r.Counter("transport.queue_depth")}
+}
+
 func TestControlBackpressureBlocksAtBound(t *testing.T) {
 	o := Options{ControlQueueDepth: 2}.withDefaults()
-	p := newPeerPipe(nil, 1)
+	p := newPeerPipe(queueNode(), 1)
 
 	ctrl := func(seq uint64) Envelope {
 		return Envelope{Kind: MsgAdvert, From: 0, StreamName: "R", Seq: seq}
@@ -65,8 +73,7 @@ func TestControlBackpressureBlocksAtBound(t *testing.T) {
 
 func TestDataOverflowDropsOldestTupleOnly(t *testing.T) {
 	o := Options{DataQueueDepth: 3}.withDefaults()
-	p := newPeerPipe(nil, 1)
-	dropped := cDroppedData.Value()
+	p := newPeerPipe(queueNode(), 1)
 
 	data := func(ts int64) Envelope {
 		return Envelope{Kind: MsgData, From: 0, Tuple: &WireTuple{Stream: "R", Timestamp: ts}}
@@ -78,8 +85,8 @@ func TestDataOverflowDropsOldestTupleOnly(t *testing.T) {
 		p.enqueue(data(ts), o)
 	}
 
-	if got := cDroppedData.Value() - dropped; got != 2 {
-		t.Fatalf("transport.dropped_data moved by %d, want 2", got)
+	if got := p.node.cDroppedData.Value(); got != 2 {
+		t.Fatalf("transport.dropped_data = %d, want 2", got)
 	}
 	batch, ok := p.collect(nil, o)
 	if !ok {
@@ -168,7 +175,7 @@ func sameEnvelopes(a, b []Envelope) bool {
 // checkAgainstModel compares the pipe's whole queue state with the oracle's
 // and requires every ring slot outside the live run to be zero (a stale
 // slot pins its payload until overwritten).
-func checkAgainstModel(t *testing.T, step int, p *peerPipe, q *sliceQueue, dropped0 int64) {
+func checkAgainstModel(t *testing.T, step int, p *peerPipe, q *sliceQueue) {
 	t.Helper()
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -183,8 +190,8 @@ func checkAgainstModel(t *testing.T, step int, p *peerPipe, q *sliceQueue, dropp
 		t.Fatalf("step %d: ctrl/ndata/highwater = %d/%d/%d, oracle %d/%d/%d",
 			step, p.ctrl, p.ndata, p.highwater, q.ctrl, q.ndata, q.highwater)
 	}
-	if got := cDroppedData.Value() - dropped0; got != int64(q.shed) {
-		t.Fatalf("step %d: transport.dropped_data moved by %d, oracle shed %d", step, got, q.shed)
+	if got := p.node.cDroppedData.Value(); got != int64(q.shed) {
+		t.Fatalf("step %d: transport.dropped_data = %d, oracle shed %d", step, got, q.shed)
 	}
 	for i := p.n; i < len(p.ring); i++ {
 		if e := p.at(i); e.Kind != 0 || e.Tuple != nil || e.Sub != nil || e.body != nil {
@@ -201,9 +208,8 @@ func TestQueueMatchesSliceShiftModel(t *testing.T) {
 			ControlQueueDepth: 2 + rnd.Intn(7),
 			DataQueueDepth:    2 + rnd.Intn(7),
 		}.withDefaults()
-		p := newPeerPipe(nil, 1)
+		p := newPeerPipe(queueNode(), 1)
 		q := &sliceQueue{}
-		dropped0, depth0 := cDroppedData.Value(), cQueueDepth.Value()
 
 		var id uint64
 		next := func(data bool) Envelope {
@@ -250,7 +256,7 @@ func TestQueueMatchesSliceShiftModel(t *testing.T) {
 				env := next(false)
 				if q.enqueue(env, o) {
 					done := blockedEnqueue(step, env)
-					checkAgainstModel(t, step, p, q, dropped0)
+					checkAgainstModel(t, step, p, q)
 					for q.ctrl >= o.ControlQueueDepth {
 						collect(step) // a batch of data alone frees no control slot
 					}
@@ -264,7 +270,7 @@ func TestQueueMatchesSliceShiftModel(t *testing.T) {
 				q.enqueue(env, o)
 				p.enqueue(env, o)
 			}
-			checkAgainstModel(t, step, p, q, dropped0)
+			checkAgainstModel(t, step, p, q)
 		}
 
 		// close() releases a blocked enqueuer too, dropping its envelope.
@@ -274,9 +280,9 @@ func TestQueueMatchesSliceShiftModel(t *testing.T) {
 		done := blockedEnqueue(300, next(false))
 		p.close()
 		released(300, done, "close")
-		checkAgainstModel(t, 300, p, q, dropped0)
-		if got := cQueueDepth.Value() - depth0; got != int64(q.highwater) {
-			t.Errorf("seed %d: transport.queue_depth moved by %d, want the live high-water mark %d", seed, got, q.highwater)
+		checkAgainstModel(t, 300, p, q)
+		if got := p.node.cQueueDepth.Value(); got != int64(q.highwater) {
+			t.Errorf("seed %d: transport.queue_depth = %d, want the live high-water mark %d", seed, got, q.highwater)
 		}
 	}
 }
@@ -304,33 +310,31 @@ func TestNaturalBatching(t *testing.T) {
 	p := newPeerPipe(a, 1)
 	p.addr = b.Addr()
 	t.Cleanup(p.evictConn)
-	send := func(envelopes int) {
-		t.Helper()
-		wantBatches, wantBatched := 1, envelopes
-		if envelopes == 1 {
-			wantBatches, wantBatched = 0, 0 // a batch of one is unwrapped
-		}
-		batches, sized, wire := cBatches.Value(), cBatchSize.Value(), cWireMsgs.Value()
-		for i := 0; i < envelopes; i++ {
-			p.enqueue(Envelope{Kind: MsgAdvert, StreamName: fmt.Sprintf("S%d/%d", envelopes, i), Seq: 1}, a.opts)
+	// Node a has no neighbor, so only p moves its counters. The readings
+	// are running totals: a batch of one is unwrapped, so the second send
+	// adds a frame and no batch.
+	for _, c := range []struct {
+		envelopes                  int
+		batches, batchSize, frames int64
+	}{{10, 1, 10, 1}, {1, 1, 10, 2}} {
+		for i := 0; i < c.envelopes; i++ {
+			p.enqueue(Envelope{Kind: MsgAdvert, StreamName: fmt.Sprintf("S%d/%d", c.envelopes, i), Seq: 1}, a.opts)
 		}
 		batch, ok := p.collect(nil, a.opts)
-		if !ok || len(batch) != envelopes {
-			t.Fatalf("collect took %d of %d queued envelopes (ok=%v)", len(batch), envelopes, ok)
+		if !ok || len(batch) != c.envelopes {
+			t.Fatalf("collect took %d of %d queued envelopes (ok=%v)", len(batch), c.envelopes, ok)
 		}
 		p.writeBatch(batch)
-		if got := cBatches.Value() - batches; got != int64(wantBatches) {
-			t.Errorf("%d queued envelopes left as %d MsgBatch messages, want %d", envelopes, got, wantBatches)
+		if got := a.cBatches.Value(); got != c.batches {
+			t.Errorf("after %d queued envelopes: transport.batches = %d, want %d", c.envelopes, got, c.batches)
 		}
-		if got := cBatchSize.Value() - sized; got != int64(wantBatched) {
-			t.Errorf("%d queued envelopes: batch_size moved by %d, want %d", envelopes, got, wantBatched)
+		if got := a.cBatchSize.Value(); got != c.batchSize {
+			t.Errorf("after %d queued envelopes: transport.batch_size = %d, want %d", c.envelopes, got, c.batchSize)
 		}
-		if got := cWireMsgs.Value() - wire; got != 1 {
-			t.Errorf("%d queued envelopes left as %d wire messages, want 1", envelopes, got)
+		if got := a.cWireMsgs.Value(); got != c.frames {
+			t.Errorf("after %d queued envelopes: transport.wire_msgs = %d, want %d", c.envelopes, got, c.frames)
 		}
 	}
-	send(10)
-	send(1)
 	waitFor(t, "adverts applied", func() bool {
 		_, learned := b.Broker.AdvertStateSize()
 		return learned == 11
@@ -352,15 +356,14 @@ func TestBatchSizeOneNeverEmitsMsgBatch(t *testing.T) {
 	a.Connect(1, b.Addr())
 	b.Connect(0, a.Addr())
 
-	batches, wire := cBatches.Value(), cWireMsgs.Value()
 	for i := 0; i < 25; i++ {
 		a.Peer(1).AdvertFrom(0, fmt.Sprintf("S%d", i), 0, 1)
 	}
 	a.Flush()
-	if got := cBatches.Value() - batches; got != 0 {
+	if got := a.cBatches.Value(); got != 0 {
 		t.Errorf("BatchSize 1 emitted %d MsgBatch messages, want 0", got)
 	}
-	if got := cWireMsgs.Value() - wire; got != 25 {
+	if got := a.cWireMsgs.Value(); got != 25 {
 		t.Errorf("BatchSize 1 wrote %d wire messages, want 25 (one per envelope)", got)
 	}
 	waitFor(t, "unbatched adverts applied", func() bool {
@@ -400,7 +403,6 @@ func TestPartitionedPeerDoesNotDelayHealthyPeers(t *testing.T) {
 	}
 	hub.Connect(2, deadAddr)
 
-	failures := cSendFailures.Value()
 	const streams = 300
 	start := time.Now()
 	for i := 0; i < streams; i++ {
@@ -421,7 +423,7 @@ func TestPartitionedPeerDoesNotDelayHealthyPeers(t *testing.T) {
 	// The dead pipe really was churning through terminal failures the
 	// whole time (i.e. the test exercised the contention it claims to).
 	waitFor(t, "dead peer surfaced terminal losses", func() bool {
-		return cSendFailures.Value() > failures
+		return hub.cSendFailures.Value() > 0
 	})
 }
 
@@ -480,7 +482,6 @@ func TestPeerWrapperSeesIndividualEnvelopes(t *testing.T) {
 	w := &countingWrapper{}
 	a.SetPeerWrapper(w)
 
-	batches := cBatches.Value()
 	for i := 0; i < 8; i++ {
 		a.Peer(1).AdvertFrom(0, fmt.Sprintf("S%d", i), 0, 1)
 	}
@@ -495,7 +496,7 @@ func TestPeerWrapperSeesIndividualEnvelopes(t *testing.T) {
 	if got := w.tuples.Load(); got != 8 {
 		t.Errorf("wrapper saw %d tuples, want 8 (one per protocol message)", got)
 	}
-	if cBatches.Value() == batches {
+	if a.cBatches.Value() == 0 {
 		t.Error("no MsgBatch on the wire — the test did not cover batched framing")
 	}
 	waitFor(t, "wrapped traffic applied", func() bool {

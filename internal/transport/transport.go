@@ -16,22 +16,6 @@ import (
 
 var errClosed = errors.New("transport: node closed")
 
-var (
-	cSendFailures = metrics.GetCounter("transport.send_failures")
-	cSendRetries  = metrics.GetCounter("transport.send_retries")
-	cUnknownKind  = metrics.GetCounter("transport.unknown_envelope_kind")
-	cMalformed    = metrics.GetCounter("transport.malformed_envelope")
-	// Pipeline counters (pipeline.go): MsgBatch frames, the envelopes
-	// they carried (batch_size/batches = mean batch size), all frames
-	// written (the syscall proxy), the sum of per-peer queue high-water
-	// marks, and data tuples shed by the drop-oldest overflow policy.
-	cBatches     = metrics.GetCounter("transport.batches")
-	cBatchSize   = metrics.GetCounter("transport.batch_size")
-	cWireMsgs    = metrics.GetCounter("transport.wire_msgs")
-	cQueueDepth  = metrics.GetCounter("transport.queue_depth")
-	cDroppedData = metrics.GetCounter("transport.dropped_data")
-)
-
 // MsgKind discriminates wire envelopes.
 type MsgKind int
 
@@ -138,6 +122,13 @@ type Node struct {
 	Broker *pubsub.Broker
 
 	opts Options
+	// The c* counters live in the broker's registry. The pipelines
+	// (pipeline.go) count MsgBatch frames, the envelopes they carried
+	// (batch_size/batches = mean batch size), all frames written (the
+	// syscall proxy), the sum over peers of each send queue's high-water
+	// mark, and data tuples shed by the drop-oldest overflow policy.
+	cSendFailures, cSendRetries, cUnknownKind, cMalformed      *metrics.Counter
+	cBatches, cBatchSize, cWireMsgs, cQueueDepth, cDroppedData *metrics.Counter
 
 	mu       sync.Mutex
 	ln       net.Listener
@@ -181,6 +172,16 @@ func NewNodeWith(id topology.NodeID, addr string, opts Options) (*Node, error) {
 	}
 	n.attach = sync.NewCond(&n.mu)
 	n.Broker = pubsub.NewBroker(n, id)
+	r := n.Broker.Metrics()
+	n.cSendFailures = r.Counter("transport.send_failures")
+	n.cSendRetries = r.Counter("transport.send_retries")
+	n.cUnknownKind = r.Counter("transport.unknown_envelope_kind")
+	n.cMalformed = r.Counter("transport.malformed_envelope")
+	n.cBatches = r.Counter("transport.batches")
+	n.cBatchSize = r.Counter("transport.batch_size")
+	n.cWireMsgs = r.Counter("transport.wire_msgs")
+	n.cQueueDepth = r.Counter("transport.queue_depth")
+	n.cDroppedData = r.Counter("transport.dropped_data")
 	n.wg.Add(1)
 	go n.accept()
 	return n, nil
@@ -323,7 +324,7 @@ func (n *Node) serve(conn net.Conn) {
 	from, err := fr.preamble()
 	if err != nil {
 		if errors.Is(err, errMalformed) {
-			cMalformed.Inc() // another magic or wire version: refused
+			n.cMalformed.Inc() // another magic or wire version: refused
 		}
 		return
 	}
@@ -342,7 +343,7 @@ func (n *Node) serve(conn net.Conn) {
 		frame, err := fr.next()
 		if err != nil {
 			if errors.Is(err, errMalformed) {
-				cMalformed.Inc() // a length above maxFrame: the stream is lost
+				n.cMalformed.Inc() // a length above maxFrame: the stream is lost
 			}
 			return
 		}
@@ -350,9 +351,9 @@ func (n *Node) serve(conn net.Conn) {
 		// protocol messages, whatever framing they arrived in.
 		switch err := decodeFrame(frame, from, names, n.Broker); {
 		case errors.Is(err, errUnknownKind):
-			cUnknownKind.Inc()
+			n.cUnknownKind.Inc()
 		case err != nil:
-			cMalformed.Inc()
+			n.cMalformed.Inc()
 		}
 	}
 }

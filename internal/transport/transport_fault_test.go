@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/pubsub"
 	"repro/internal/stream"
 	"repro/internal/topology"
@@ -52,7 +51,6 @@ func TestSenderRetriesAfterPeerRestart(t *testing.T) {
 	t.Cleanup(func() { _ = b2.Close() }) //lint:errdrop test teardown is best-effort
 	b2.Connect(0, a.Addr())
 
-	failures := cSendFailures.Value()
 	// The resync rides whatever connection state a has; a write into the
 	// dead socket's kernel buffer can vanish without an error, so drive
 	// the resend until the restarted peer has caught up (each envelope
@@ -63,9 +61,8 @@ func TestSenderRetriesAfterPeerRestart(t *testing.T) {
 		_, learned := b2.Broker.AdvertStateSize()
 		return learned == 1
 	})
-	if cSendFailures.Value() != failures {
-		t.Errorf("retryable write failure surfaced as terminal: %d new failures",
-			cSendFailures.Value()-failures)
+	if got := a.cSendFailures.Value(); got != 0 {
+		t.Errorf("retryable write failure surfaced as terminal: %d failures", got)
 	}
 }
 
@@ -89,14 +86,12 @@ func TestSendErrorHandlerSurfacesTerminalFailures(t *testing.T) {
 	_ = dead.Close() //lint:errdrop deliberately killing the listener so the dial target is dead
 	n.Connect(1, deadAddr)
 
-	failures := cSendFailures.Value()
-
 	n.Broker.Advertise("R") // floods to peer 1, which is unreachable
 
 	waitFor(t, "the terminal loss to be logged", func() bool {
 		return strings.Contains(buf.String(), `msg="envelope lost" peer=1 kind=advert`)
 	})
-	if cSendFailures.Value() == failures {
+	if n.cSendFailures.Value() == 0 {
 		t.Error("terminal loss did not move transport.send_failures")
 	}
 }
@@ -106,8 +101,6 @@ func TestSendErrorHandlerSurfacesTerminalFailures(t *testing.T) {
 // unauthenticated inbound connections. A nested batch is malformed too.
 func TestMalformedEnvelopesCounted(t *testing.T) {
 	nodes := line3(t)
-	unknown := cUnknownKind.Value()
-	malformed := cMalformed.Value()
 
 	conn := rawConn(t, nodes[1].Addr(), 0)
 	advert := appendFrame(nil, []Envelope{{Kind: MsgAdvert, StreamName: "X", Origin: 0, Seq: 9}})[4:]
@@ -121,7 +114,7 @@ func TestMalformedEnvelopesCounted(t *testing.T) {
 		writeRaw(t, conn, binary.BigEndian.AppendUint32(nil, uint32(len(body))), body)
 	}
 	waitFor(t, "malformed envelopes counted", func() bool {
-		return cUnknownKind.Value() == unknown+1 && cMalformed.Value() == malformed+4
+		return nodes[1].cUnknownKind.Value() == 1 && nodes[1].cMalformed.Value() == 4
 	})
 	if remote, _ := nodes[1].Broker.RoutingStateSize(); remote != 0 {
 		t.Errorf("malformed envelopes installed routing state: %d records", remote)
@@ -129,9 +122,8 @@ func TestMalformedEnvelopesCounted(t *testing.T) {
 	if _, learned := nodes[1].Broker.AdvertStateSize(); learned != 0 {
 		t.Errorf("nested batch content was dispatched: learned=%d adverts", learned)
 	}
-	snap := metrics.Counters()
-	if snap["transport.unknown_envelope_kind"] == 0 {
-		t.Error("unknown-kind counter missing from metrics snapshot")
+	if got := nodes[1].Broker.Metrics().Snapshot()["transport.unknown_envelope_kind"]; got != 1 {
+		t.Errorf("node 1's registry reads transport.unknown_envelope_kind = %d, want 1", got)
 	}
 }
 

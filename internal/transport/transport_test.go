@@ -3,9 +3,11 @@ package transport
 import (
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/pubsub"
 	"repro/internal/query"
 	"repro/internal/stream"
@@ -107,6 +109,57 @@ func TestEndToEndOverTCP(t *testing.T) {
 	data0, _ := nodes[0].SentBytes()
 	if data0 != 48 {
 		t.Errorf("node 0 sent %v data bytes, want 48", data0)
+	}
+}
+
+// TestNodesCountApart: three nodes in one process count into three
+// registries. Each node's registry reads its own hop of the path alone, and
+// the process roll-up that metrics.Counters() reads moves by their sum.
+func TestNodesCountApart(t *testing.T) {
+	before := metrics.Counters()
+	nodes := line3(t)
+	nodes[0].Broker.Advertise("R")
+	waitFor(t, "advert learned at node 2", func() bool {
+		_, learned := nodes[2].Broker.AdvertStateSize()
+		return learned == 1
+	})
+	var delivered atomic.Int64
+	sub := &pubsub.Subscription{ID: "s", Streams: []string{"R"}}
+	if err := nodes[2].Broker.Subscribe(sub, func(*pubsub.Subscription, stream.Tuple) { delivered.Add(1) }); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "subscription recorded at node 0", func() bool {
+		remote, _ := nodes[0].Broker.RoutingStateSize()
+		return remote == 1
+	})
+	const n = 50
+	for i := range n {
+		nodes[0].Broker.Publish(stream.Tuple{Stream: "R", Timestamp: int64(i), Attrs: map[string]stream.Value{"a": stream.IntVal(int64(i))}})
+	}
+	waitFor(t, "every tuple delivered at node 2", func() bool { return delivered.Load() == n })
+	for _, node := range nodes {
+		node.Flush() // a sender counts its frame once the write returns
+	}
+
+	// routed, locally delivered, forwarded: node 2 delivers, 0 and 1 forward.
+	want := [3][3]int64{{n, 0, n}, {n, 0, n}, {n, n, 0}}
+	sum := make(map[string]int64)
+	for i, node := range nodes {
+		snap := node.Broker.Metrics().Snapshot()
+		for j, name := range []string{"pubsub.routed_tuples", "pubsub.local_deliveries", "pubsub.forwarded_tuples"} {
+			if got := snap[name]; got != want[i][j] {
+				t.Errorf("node %d: %s = %d, want %d", i, name, got, want[i][j])
+			}
+		}
+		for name, v := range snap {
+			sum[name] += v
+		}
+	}
+	after := metrics.Counters()
+	for name, v := range sum {
+		if got := after[name] - before[name]; got != v {
+			t.Errorf("metrics.Counters()[%q] moved by %d, want the three nodes' sum %d", name, got, v)
+		}
 	}
 }
 
